@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, SingularConfigError
-from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, build_chain, build_slab, diagonalize
+from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, zero_subspace
 from .models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, child_bloch
 
 LN2 = float(np.log(2.0))
@@ -785,37 +785,24 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
     """Classify the zero-subspace content of every boundary region.
 
     The zero subspace collects eigenvectors below zero_tol (default 1e-6
-    of the bandwidth, absolute energy otherwise).  Per region, the spinor
-    content of the maximum-density sites (within site_tol of the regional
-    maximum) is stacked and reduced by singular values above rank_tol of
-    the leading one, then classified against the expected catalogue row.
+    of the bandwidth, absolute energy otherwise), from lattice.zero_subspace.
+    Per region, the spinor content of the maximum-density sites (within
+    site_tol of the regional maximum) is stacked and reduced by singular
+    values above rank_tol of the leading one, then classified against the
+    expected catalogue row.
     """
-    if isinstance(lat, ChainLattice):
-        h = build_chain(spec, lat)
-        shape = (lat.L,)
-    else:
-        h = build_slab(spec, lat)
-        shape = (lat.Lx, lat.Ly)
-    s = diagonalize(h)
-    bw = float(s.eigenvalues[-1] - s.eigenvalues[0])
-    tol = 1e-6 * bw if zero_tol is None else float(zero_tol)
-    sel = np.abs(s.eigenvalues) < tol
-    if not sel.any():
+    zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
+    if zs.count == 0:
         return {}
-    psi = s.eigenvectors[:, sel]
-    blocks = psi.reshape(shape + (4, psi.shape[1]))
-    dens = (np.abs(blocks) ** 2).sum(axis=(-2, -1))
     out = {}
     for region, sl in _region_slices(lat).items():
-        sub = dens[sl]
+        sub = zs.weights[sl]
         peak = float(sub.max())
         if peak <= 0.0:
             continue
         idx = np.argwhere(sub >= (1.0 - site_tol) * peak)
         offset = np.array([s0.start or 0 for s0 in sl])
-        mats = np.concatenate(
-            [blocks[tuple(i + offset)] for i in idx], axis=1
-        )
+        mats = np.concatenate([zs.spinors(tuple(i + offset)) for i in idx], axis=1)
         content = _orthonormal_columns(mats, rel_tol=rank_tol)
         if content.shape[1] == 0:
             continue

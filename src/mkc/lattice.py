@@ -99,17 +99,37 @@ def chain_hopping_blocks(spec):
     return {-2: h2.conj().T, -1: h1.conj().T, 0: h0, 1: h1, 2: h2}
 
 
+def _assemble_chain(blocks, L, bc):
+    """Chain matrix of {r: block} hopping blocks on L sites."""
+    rmax = max(blocks)
+    if L < rmax + 1:
+        raise ValueError(f"chain of length {L} too short for range-{rmax} hopping")
+    dim = blocks[0].shape[0]
+    h = np.zeros((L * dim, L * dim), dtype=complex)
+    for r, blk in blocks.items():
+        h += np.kron(_shift(L, r, bc), blk)
+    return h
+
+
 def build_chain(spec, lat):
     """Real-space chain Hamiltonian; dim 2L for the parent, 4L for the child."""
-    blocks = chain_hopping_blocks(spec)
-    rmax = max(blocks)
-    if lat.L < rmax + 1:
-        raise ValueError(f"chain of length {lat.L} too short for range-{rmax} hopping")
-    dim = blocks[0].shape[0]
-    h = np.zeros((lat.L * dim, lat.L * dim), dtype=complex)
-    for r, blk in blocks.items():
-        h += np.kron(_shift(lat.L, r, lat.bc), blk)
-    return h
+    return _assemble_chain(chain_hopping_blocks(spec), lat.L, lat.bc)
+
+
+def build_slab_factors(spec, lat):
+    """The two parent chains whose tensor product is the slab.
+
+    Returns (H_x, H_y): the first-factor chain of p1 on Lx sites and the
+    second-factor chain of p2 on Ly sites.  build_slab(spec, lat) equals
+    H_x (x) H_y with the indices reordered from (ix, s1, iy, s2) to
+    (ix, iy, s1, s2).
+    """
+    if not isinstance(spec, ChildSpec) or spec.orientation == PARALLEL:
+        raise ValueError("slab models need a perpendicular child")
+    return (
+        _assemble_chain(_first_factor_blocks(spec.p1), lat.Lx, lat.bcx),
+        _assemble_chain(_second_factor_blocks(spec.p2), lat.Ly, lat.bcy),
+    )
 
 
 def slab_hopping_blocks(spec):
@@ -122,7 +142,11 @@ def slab_hopping_blocks(spec):
 
 
 def build_slab(spec, lat):
-    """Real-space slab Hamiltonian, site = ix*Ly + iy, internal index minor."""
+    """Real-space slab Hamiltonian, site = ix*Ly + iy, internal index minor.
+
+    The dense reference for the factorized solver in zero_subspace, and the
+    matrix that disorder perturbs.
+    """
     blocks = slab_hopping_blocks(spec)
     n = lat.Lx * lat.Ly * 4
     h = np.zeros((n, n), dtype=complex)
@@ -143,7 +167,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    degeneracy_tol: float
 
 
 def diagonalize(h, hermiticity_tol=1e-12):
@@ -158,8 +181,7 @@ def diagonalize(h, hermiticity_tol=1e-12):
     if np.iscomplexobj(h) and not h.imag.any():
         h = h.real  # real path is considerably faster for big slabs
     evals, evecs = np.linalg.eigh(h)
-    spread = float(evals[-1] - evals[0])
-    return SpectrumResult(evals, evecs, degeneracy_tol=1e-8 * max(spread, 1e-30))
+    return SpectrumResult(evals, evecs)
 
 
 def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
@@ -218,30 +240,100 @@ def _ordered_map(fn, items, threads):
 
 
 @dataclass
-class ModeDensity:
-    """Per-site weight of the zero-energy subspace, internal indices summed.
+class ZeroSubspace:
+    """Zero-energy eigenspace of a chain or slab Hamiltonian.
 
-    weights has shape (L,) for chains and (Lx, Ly) for slabs; array index i
-    is site i+1 in 1-based reporting.  count is the subspace dimension, so
-    weights sums to count.
+    eigenvalues is the full ascending spectrum and count of its values lie
+    below tol in magnitude.  weights is the per-site weight of the zero
+    subspace, internal indices summed, with shape (L,) for chains and
+    (Lx, Ly) for slabs (array index i is site i+1 in 1-based reporting); it
+    sums to count.  spinors(site) returns the internal components at one
+    site (an index tuple) of an orthonormal basis of the subspace, shape
+    (internal, count).
     """
 
+    eigenvalues: np.ndarray
     weights: np.ndarray
     count: int
     tol: float
+    spinors: object
 
 
-def zero_mode_density(h, spec, lat, tol=None):
+def _zero_tol(spread, tol, rel_tol):
+    """The zero tolerance: tol as an absolute energy, else rel_tol x spread."""
+    return rel_tol * max(spread, 1e-30) if tol is None else float(tol)
+
+
+def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
+    """Zero subspace of an explicit lattice matrix, by one dense solve.
+
+    tol is an absolute energy; by default it is rel_tol times the spectral
+    spread.
+    """
     s = diagonalize(h)
-    if tol is None:
-        tol = s.degeneracy_tol
-    sel = np.abs(s.eigenvalues) < tol
-    count = int(sel.sum())
-    internal = 2 if isinstance(spec, ParentParams) else 4
-    per_site = (np.abs(s.eigenvectors[:, sel]) ** 2).sum(axis=1).reshape(-1, internal).sum(axis=1)
+    ev = s.eigenvalues
+    tol = _zero_tol(float(ev[-1] - ev[0]), tol, rel_tol)
+    sel = np.abs(ev) < tol
+    psi = s.eigenvectors[:, sel]
+    shape = (lat.L,) if isinstance(lat, ChainLattice) else (lat.Lx, lat.Ly)
+    internal = h.shape[0] // int(np.prod(shape))
+    per_site = (np.abs(psi) ** 2).sum(axis=1).reshape(-1, internal).sum(axis=1)
+    blocks = psi.reshape(shape + (internal, psi.shape[1]))
+    return ZeroSubspace(
+        eigenvalues=ev,
+        weights=per_site.reshape(shape),
+        count=int(sel.sum()),
+        tol=tol,
+        spinors=lambda site: blocks[site],
+    )
+
+
+def _factor_zero_subspace(spec, lat, tol, rel_tol):
+    """Slab zero subspace from the eigenpairs of its two factor chains.
+
+    The slab eigenvalues are the products e_i f_j of the factor eigenvalues
+    and the eigenvectors the tensor products u_i (x) v_j, so the zero
+    subspace is spanned by the pairs whose product lies below tol; a pair
+    counts even when neither factor is zero on its own.
+    """
+    sx, sy = (diagonalize(h) for h in build_slab_factors(spec, lat))
+    prod = np.multiply.outer(sx.eigenvalues, sy.eigenvalues)
+    tol = _zero_tol(float(prod.max() - prod.min()), tol, rel_tol)
+    mask = np.abs(prod) < tol
+    ux = sx.eigenvectors.reshape(lat.Lx, 2, -1)
+    uy = sy.eigenvectors.reshape(lat.Ly, 2, -1)
+    a = (np.abs(ux) ** 2).sum(axis=1)
+    b = (np.abs(uy) ** 2).sum(axis=1)
+    ii, jj = np.nonzero(mask)
+
+    def spinors(site):
+        ix, iy = site
+        return (ux[ix][:, None, ii] * uy[iy][None, :, jj]).reshape(4, ii.size)
+
+    return ZeroSubspace(
+        eigenvalues=np.sort(prod, axis=None),
+        weights=a @ mask @ b.T,
+        count=int(ii.size),
+        tol=tol,
+        spinors=spinors,
+    )
+
+
+def zero_subspace(spec, lat, tol=None, rel_tol=1e-8):
+    """Zero subspace of the clean model on a chain or slab lattice.
+
+    Slabs are solved as their two factor chains (see build_slab_factors),
+    chains by one dense solve.  tol is an absolute energy; by default it is
+    rel_tol times the spectral spread.
+    """
     if isinstance(lat, SlabLattice):
-        per_site = per_site.reshape(lat.Lx, lat.Ly)
-    return ModeDensity(weights=per_site, count=count, tol=float(tol))
+        return _factor_zero_subspace(spec, lat, tol, rel_tol)
+    return dense_zero_subspace(build_chain(spec, lat), lat, tol, rel_tol)
+
+
+def zero_mode_density(spec, lat, tol=None):
+    """Per-site zero-subspace weight; see ZeroSubspace for the fields."""
+    return zero_subspace(spec, lat, tol)
 
 
 def degeneracy_count(s, e0, tol):

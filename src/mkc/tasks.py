@@ -13,12 +13,10 @@ from .errors import ConfigError
 from .lattice import (
     ChainLattice,
     SlabLattice,
-    build_chain,
-    build_slab,
-    diagonalize,
     low_energy_vs_length,
     spectrum_vs_mu,
     zero_mode_density,
+    zero_subspace,
 )
 from .models import (
     PARALLEL,
@@ -37,15 +35,9 @@ def _lattice(cfg):
     return ChainLattice(L=vals["l"], bc=vals["bc"])
 
 
-def _build(cfg, lat):
-    if isinstance(lat, SlabLattice):
-        return build_slab(cfg.model, lat)
-    return build_chain(cfg.model, lat)
-
-
 def _task_spectrum(cfg):
-    s = diagonalize(_build(cfg, _lattice(cfg)))
-    rows = [[i, float(e)] for i, e in enumerate(s.eigenvalues)]
+    ev = zero_subspace(cfg.model, _lattice(cfg)).eigenvalues
+    rows = [[i, float(e)] for i, e in enumerate(ev)]
     return {"columns": ["index", "energy"], "rows": rows}
 
 
@@ -183,7 +175,7 @@ def _task_quantization(cfg):
 
 def _task_density(cfg):
     lat = _lattice(cfg)
-    dens = zero_mode_density(_build(cfg, lat), cfg.model, lat, tol=cfg.options["zero-tol"])
+    dens = zero_mode_density(cfg.model, lat, tol=cfg.options["zero-tol"])
     rows = []
     if isinstance(lat, SlabLattice):
         for i in range(lat.Lx):
@@ -260,6 +252,10 @@ def _task_classify(cfg):
 def _task_symmetry_check(cfg):
     n = cfg.options["k-points"]
     kgrid = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    if cfg.model.orientation != PARALLEL:
+        # the perpendicular child takes (kx, ky): the full k-points^2 grid
+        kx, ky = np.meshgrid(kgrid, kgrid, indexing="ij")
+        kgrid = np.stack([kx.ravel(), ky.ravel()], axis=-1)
     report = symmetry_check(cfg.model, kgrid)
     order = ("T", "P1", "C1", "P2", "C2", "U")
     rows = [[name, float(report.residuals[name])] for name in order]

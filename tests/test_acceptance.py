@@ -212,7 +212,7 @@ def test_criterion_08_mmzm_localization():
     done = _clock(5.0)
     spec = _child(0.0, 0.0)
     lat = ChainLattice(80)
-    density = zero_mode_density(build_chain(spec, lat), spec, lat)
+    density = zero_mode_density(spec, lat)
     assert density.count == 4
     edge = density.weights[[0, 1, 78, 79]].sum()
     assert edge / density.weights.sum() >= 0.999
@@ -226,7 +226,7 @@ def test_criterion_09_analytic_wavefunction_match():
     assert mu == pytest.approx(np.sqrt(3.0) * np.cos(np.pi / 32), abs=1e-15)
     spec = _child(mu, mu, t=-1.0, d=0.5, t2=1.0, d2=0.5)
     lat = ChainLattice(N)
-    density = zero_mode_density(build_chain(spec, lat), spec, lat)
+    density = zero_mode_density(spec, lat)
     numeric = density.weights / density.weights.sum()
     analytic = analytic_mmzm_density(t, d, N, 1)
     overlap = np.sqrt(numeric * analytic).sum()
@@ -324,7 +324,7 @@ def test_criterion_11_perpendicular_edge_density():
 
     def edge_fraction(mu1, mu2):
         spec = _child(mu1, mu2, orientation="perpendicular")
-        density = zero_mode_density(build_slab(spec, lat), spec, lat)
+        density = zero_mode_density(spec, lat)
         w = density.weights
         total = w.sum()
         return (

@@ -168,3 +168,28 @@ def test_thread_precedence(monkeypatch):
         _resolve_threads(None, 8, False)
     monkeypatch.delenv("MKC_THREADS")
     assert _resolve_threads(None, 8, False) == 8
+
+
+def test_perpendicular_symmetry_check_runs_on_kx_ky_grid(tmp_path, capsys):
+    text = """\
+[model]
+kind = mkc-perpendicular
+t1 = 0.8
+delta1 = -1.2
+mu1 = 0.5
+t2 = 1.3
+delta2 = 0.6
+mu2 = 2.5
+
+[task]
+name = symmetry-check
+k-points = 16
+"""
+    rc = main(["symmetry-check", "--config", _config(tmp_path, text)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    lines = [l for l in out.splitlines() if not l.startswith("# ")]
+    assert lines[0] == "symmetry,residual"
+    rows = dict(l.split(",") for l in lines[1:])
+    assert set(rows) == {"T", "P1", "C1", "P2", "C2", "U"}
+    assert max(float(r) for r in rows.values()) < 1e-13

@@ -160,7 +160,7 @@ def test_zero_mode_density_counts_and_normalization():
     # dead point: exact edge zeros on the open chain
     p = ParentParams(1.0, 1.0, 0.0)
     lat = ChainLattice(14)
-    dens = zero_mode_density(build_chain(p, lat), p, lat, tol=1e-8)
+    dens = zero_mode_density(p, lat, tol=1e-8)
     assert dens.count == 2
     assert dens.weights.shape == (14,)
     assert dens.weights.sum() == pytest.approx(dens.count, abs=1e-9)
@@ -170,7 +170,7 @@ def test_zero_mode_density_counts_and_normalization():
 def test_zero_mode_density_slab_shape():
     spec = ChildSpec(ParentParams(1, 1, 0), ParentParams(1, 1, 3), PERPENDICULAR)
     lat = SlabLattice(4, 5)
-    dens = zero_mode_density(build_slab(spec, lat), spec, lat, tol=1e-8)
+    dens = zero_mode_density(spec, lat, tol=1e-8)
     assert dens.weights.shape == (4, 5)
     assert dens.weights.sum() == pytest.approx(dens.count, abs=1e-9)
 
