@@ -7,7 +7,8 @@ parameter classes, and closed-form edge wavefunctions.  On top of these
 sits the entanglement classification of the zero-energy subspace: the
 spinor content at the dominant edge sites is rotated into a frame where
 it splits into product states and maximally entangled pairs of the two
-internal two-level factors.
+internal two-level factors; reference states inside the span are peeled
+off greedily and the directions left over are labeled as they are.
 """
 
 import numpy as np
@@ -15,22 +16,22 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError, SingularConfigError
 from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, zero_subspace
-from .models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, child_bloch
+from .models import (
+    BELL_VECTORS,
+    BLOCK_BASIS,
+    PARALLEL,
+    PERPENDICULAR,
+    ChildSpec,
+    ParentParams,
+    child_bloch,
+)
 
 LN2 = float(np.log(2.0))
 
 DEFAULT_SCAN_POINTS = 2001
 
-_RT2 = np.sqrt(2.0)
-
-# Maximally entangled pairs and basis products of the two internal
-# two-level factors, written in the (00, 01, 10, 11) order.
-BELL_VECTORS = {
-    "00-11": np.array([1.0, 0.0, 0.0, -1.0]) / _RT2,
-    "00+11": np.array([1.0, 0.0, 0.0, 1.0]) / _RT2,
-    "01-10": np.array([0.0, 1.0, -1.0, 0.0]) / _RT2,
-    "01+10": np.array([0.0, 1.0, 1.0, 0.0]) / _RT2,
-}
+# Basis products of the two internal two-level factors, in the same
+# (00, 01, 10, 11) order as models.BELL_VECTORS.
 PRODUCT_VECTORS = {
     "00": np.array([1.0, 0.0, 0.0, 0.0]),
     "01": np.array([0.0, 1.0, 0.0, 0.0]),
@@ -51,19 +52,11 @@ def _reference_vector(label):
     return table[name]
 
 
-# Frame in which raw zero-subspace spinors assume the tabulated forms.
-# Columns are the entangled combinations of the doubled internal basis
-# that block-diagonalize the commuting halves of the chain; coordinates
-# in this frame are what the product/Bell catalogue refers to.
-CLASSIFICATION_FRAME = np.stack(
-    [
-        np.array([1.0, 0.0, 0.0, -1.0]) / _RT2,
-        np.array([-1.0, 0.0, 0.0, -1.0]) / _RT2,
-        np.array([0.0, 1.0, 1.0, 0.0]) / _RT2,
-        np.array([0.0, 1.0, -1.0, 0.0]) / _RT2,
-    ],
-    axis=1,
-).astype(complex)
+# Frame in which raw zero-subspace spinors assume the tabulated forms:
+# the Bell columns of models.BLOCK_BASIS, reordered and signed as
+# {|00-11>, -|00+11>, |01+10>, |01-10>}.  Coordinates in this frame are what
+# the product/Bell catalogue refers to.
+CLASSIFICATION_FRAME = BLOCK_BASIS[:, [0, 2, 3, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -564,52 +557,6 @@ def _greedy_reference_states(basis, overlap_min):
     return accepted, basis
 
 
-def _best_reference_overlap(v):
-    best = 0.0
-    for kind, name in _REFERENCE_ORDER:
-        best = max(best, float(abs(_reference_vector(f"{kind}:{name}").conj() @ v) ** 2))
-    return best
-
-
-def _rotation_objective(cols):
-    ext = sum(abs(tau_sigma_entropy(c) - 0.5 * LN2) for c in cols.T)
-    ref = sum(_best_reference_overlap(c) for c in cols.T)
-    return (ext, ref)
-
-
-def _jacobi_extremize(basis, sweeps=20):
-    """Pairwise rotations pushing every column toward extremal entropy.
-
-    Fallback for residual directions that match no reference state; the
-    objective prefers entropies pinned at 0 or ln 2, breaking ties toward
-    the reference catalogue.
-    """
-    basis = basis.copy()
-    if basis.shape[1] < 2:
-        return basis
-    phis = np.linspace(0.0, np.pi, 97)[:-1]
-    psis = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
-    for _ in range(sweeps):
-        improved = False
-        for i in range(basis.shape[1] - 1):
-            for j in range(i + 1, basis.shape[1]):
-                pair = basis[:, [i, j]]
-                best = _rotation_objective(pair)
-                best_pair = pair
-                for phi in phis:
-                    c, s = np.cos(phi), np.sin(phi)
-                    for psi in psis:
-                        g = np.array([[c, -s * np.exp(-1j * psi)], [s * np.exp(1j * psi), c]])
-                        cand = pair @ g
-                        obj = _rotation_objective(cand)
-                        if obj > best:
-                            best, best_pair, improved = obj, cand, True
-                basis[:, [i, j]] = best_pair
-        if not improved:
-            break
-    return basis
-
-
 def _label_state(v, entropy_tol, overlap_min):
     S = tau_sigma_entropy(v)
     if abs(S - LN2) < entropy_tol:
@@ -630,12 +577,11 @@ def _label_state(v, entropy_tol, overlap_min):
 def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
     """Classify zero-subspace spinor content against the state catalogue.
 
-    The raw 4-vectors (rows) are orthonormalized, moved to the
-    classification frame, and rotated within their span: reference states
-    wholly inside the span are peeled off greedily (products before
-    entangled pairs), remaining directions go through pairwise entropy
-    extremization.  Each resulting state is labeled by its factor-cut
-    entropy and best reference overlap.
+    The raw 4-vectors (rows) are orthonormalized and moved to the
+    classification frame.  Reference states wholly inside their span are
+    peeled off greedily (products before entangled pairs); the directions
+    left over are kept as they are.  Each resulting state is labeled by its
+    factor-cut entropy and best reference overlap.
 
     With an expected state set the result is checked two ways: every
     classified state must lie in the span of the expected set
@@ -650,8 +596,7 @@ def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
         raise ConfigError("zero subspace is empty")
     ct = CLASSIFICATION_FRAME.conj().T @ basis
     accepted, residual = _greedy_reference_states(ct, overlap_min)
-    rotated = _jacobi_extremize(residual)
-    cols = accepted + [rotated[:, k] for k in range(rotated.shape[1])]
+    cols = accepted + [residual[:, k] for k in range(residual.shape[1])]
     states = tuple(_label_state(v, entropy_tol, overlap_min) for v in cols)
 
     matches = complete = None
@@ -710,13 +655,16 @@ _FIRST_TOPO_ROWS = {1: ("bell:00-11", "bell:01-10"), -1: ("bell:00+11", "bell:01
 _SECOND_TOPO_ROWS = {1: ("bell:00-11", "bell:01+10"), -1: ("bell:00+11", "bell:01-10")}
 
 
-def _row_for_signs(spec, s1, s2):
-    topo1, topo2 = spec.p1.is_topological(), spec.p2.is_topological()
+def _row_for_signs(spec, s1, s2, open1=True, open2=True, corner=False):
+    # a parent counts as topological only along an open direction; slab
+    # corner rows always carry the explicit product pair
+    topo1 = spec.p1.is_topological() and open1
+    topo2 = spec.p2.is_topological() and open2
     if spec.p1.is_critical() or spec.p2.is_critical():
         raise ConfigError("state catalogue undefined at a critical parent")
     if topo1 and topo2:
         three, pair = _BOTH_TOPO_ROWS[(s1, s2)]
-        return three if _parents_proportional(spec) else pair
+        return three if corner or _parents_proportional(spec) else pair
     if topo1:
         return _FIRST_TOPO_ROWS[s1]
     if topo2:
@@ -754,18 +702,7 @@ def expected_boundary_states(spec, lat, region):
         s1 = -s1
     if parts[1] == "yhi":
         s2 = -s2
-    topo1 = spec.p1.is_topological() and lat.bcx == OPEN
-    topo2 = spec.p2.is_topological() and lat.bcy == OPEN
-    if spec.p1.is_critical() or spec.p2.is_critical():
-        raise ConfigError("state catalogue undefined at a critical parent")
-    if topo1 and topo2:
-        # corner rows always carry the explicit product pair
-        return _BOTH_TOPO_ROWS[(s1, s2)][0]
-    if topo1:
-        return _FIRST_TOPO_ROWS[s1]
-    if topo2:
-        return _SECOND_TOPO_ROWS[s2]
-    return ()
+    return _row_for_signs(spec, s1, s2, lat.bcx == OPEN, lat.bcy == OPEN, corner=True)
 
 
 def _region_slices(lat):
@@ -839,6 +776,12 @@ def perp_obc_gapless_points(spec, Lx, Ly):
     this with parent 2 and Lx quartets.  A value claimed by both families
     merges with Lx + Ly - 1 quartets (the doubly-counted product states
     appear once).
+
+    The counts are exact-zero quartets.  A zero-mode count at an absolute
+    tolerance, such as the 1e-8 default of the density and classify tasks,
+    also takes in chain-end splittings that fall below it, so it can be
+    larger on long slabs: at 20x50 with Delta = 0.5 t, 18 of the 68 points
+    count extra near-zero products.
     """
     if spec.orientation != PERPENDICULAR:
         raise ValueError("gapless-point families apply to the perpendicular child")

@@ -8,7 +8,6 @@ byte-identical.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -68,23 +67,6 @@ def _write(path, text):
         fh.write(text)
 
 
-def _resolve_threads(cli_threads, cfg_threads, cfg_threads_given):
-    if cli_threads is not None:
-        return cli_threads
-    if cfg_threads_given:
-        return cfg_threads
-    env = os.environ.get("MKC_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"MKC_THREADS: cannot read {env!r} as an integer")
-        if n < 1:
-            raise ConfigError(f"MKC_THREADS: must be >= 1, got {n}")
-        return n
-    return cfg_threads
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mkc",
@@ -110,11 +92,7 @@ def main(argv=None):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        cfg_threads_given = "threads" in _raw_task_section(text)
-        cfg = parse_config(text, cli_task=args.task)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-        cfg.threads = _resolve_threads(args.threads, cfg.threads, cfg_threads_given)
+        cfg = parse_config(text, cli_task=args.task, cli_threads=args.threads)
         if args.out is not None:
             cfg.output_path = args.out
         if args.format is not None:
@@ -131,19 +109,3 @@ def main(argv=None):
     print(f"mkc: {args.task} finished in {time.perf_counter() - started:.3f}s",
           file=sys.stderr)
     return 0
-
-
-def _raw_task_section(text):
-    # peek at raw [task] keys before validation, to tell an explicit
-    # threads value apart from the filled-in default
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), strict=True)
-    parser.optionxform = lambda name: name.strip().lower()
-    try:
-        parser.read_string(text)
-    except configparser.Error:
-        return {}
-    if parser.has_section("task"):
-        return dict(parser.items("task"))
-    return {}

@@ -35,8 +35,18 @@ TASKS = (
 _REQUIRED = object()
 
 
-def _default_threads():
-    return os.cpu_count() or 1
+def _env_threads():
+    """MKC_THREADS when set, else the CPU count."""
+    env = os.environ.get("MKC_THREADS")
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        raise ConfigError(f"MKC_THREADS: cannot read {env!r} as an integer")
+    if n < 1:
+        raise ConfigError(f"MKC_THREADS: must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class _Key:
     default: object = _REQUIRED
     choices: tuple = None
     kinds: tuple = None  # restrict to model kinds; None means all
+    minimum: int = None
 
     def convert(self, section, name, raw):
         try:
@@ -57,6 +68,8 @@ class _Key:
             raise ConfigError(
                 f"[{section}] {name}: must be one of {', '.join(map(str, self.choices))}, got {raw!r}"
             )
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigError(f"[{section}] {name}: must be >= {self.minimum}, got {value}")
         return value
 
 
@@ -135,15 +148,15 @@ _TASK_KEYS = {
     "sweep-length": {
         "l-min": _Key(_int),
         "l-max": _Key(_int),
-        "l-step": _Key(_int, default=1),
+        "l-step": _Key(_int, default=1, minimum=1),
         "n-modes": _Key(_int, default=6),
         "bc": _Key(_str, default="open", choices=("open", "periodic")),
     },
     "wannier": {
-        "loop-points": _Key(_int, default=1001),
+        "loop-points": _Key(_int, default=1001, minimum=1),
         "fixed-momentum": _Key(_float, default=0.0),
     },
-    "winding": {"samples": _Key(_int, default=4096)},
+    "winding": {"samples": _Key(_int, default=4096, minimum=3)},
     "majorana-points": {},
     "quantization": {
         "grid-points": _Key(_int, default=2001),
@@ -162,7 +175,7 @@ _TASK_KEYS = {
         "mu-points": _Key(_opt(_int), default=None),
     },
     "classify": {"zero-tol": _Key(_opt(_float), default=1e-8)},
-    "symmetry-check": {"k-points": _Key(_int, default=64)},
+    "symmetry-check": {"k-points": _Key(_int, default=64, minimum=1)},
     "dirac": {
         "kx": _Key(_float, default=0.01),
         "ky": _Key(_float, default=0.01),
@@ -272,8 +285,13 @@ def _take(section_name, raw, schema, kind=None):
     return out
 
 
-def parse_config(text, cli_task=None):
-    """Validate config text into a RunConfig with all defaults resolved."""
+def parse_config(text, cli_task=None, cli_threads=None):
+    """Validate config text into a RunConfig with all defaults resolved.
+
+    The thread count comes from cli_threads, else [task] threads, else the
+    MKC_THREADS environment variable, else the CPU count; a source below
+    the one that gives the value is never read.
+    """
     sections = _read_sections(text)
     known = {"model", "lattice", "task", "output"}
     for name in sections:
@@ -311,14 +329,9 @@ def parse_config(text, cli_task=None):
         raise ConfigError(f"[task] name: unknown task {task!r}")
     if task in _TASK_KINDS and kind not in _TASK_KINDS[task]:
         raise ConfigError(f"task {task} does not apply to a {kind} model")
-    threads_raw = task_raw.pop("threads", None)
-    threads = (
-        _default_threads()
-        if threads_raw is None
-        else _Key(_int).convert("task", "threads", threads_raw)
-    )
-    if threads < 1:
-        raise ConfigError(f"[task] threads: must be >= 1, got {threads}")
+    threads = task_raw.pop("threads", None)
+    if threads is not None:
+        threads = _Key(_int, minimum=1).convert("task", "threads", threads)
     options = _take("task", task_raw, _TASK_KEYS[task])
 
     lattice_values = {}
@@ -337,6 +350,13 @@ def parse_config(text, cli_task=None):
         "format": _Key(_str, default="csv", choices=("csv", "json")),
     }
     out_vals = _take("output", out_raw, out_schema)
+
+    if cli_threads is not None:
+        if cli_threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {cli_threads}")
+        threads = cli_threads
+    elif threads is None:
+        threads = _env_threads()
 
     return RunConfig(
         kind=kind,

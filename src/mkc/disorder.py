@@ -9,13 +9,20 @@ triple reproduces its value without coordination between realizations.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import ChainLattice, SlabLattice, build_chain, build_slab
-from .models import PAULI, ChildSpec, ParentParams
+from .lattice import (
+    LINK_EQUAL,
+    SlabLattice,
+    _with_mu,
+    _zero_tol,
+    build_chain,
+    build_slab,
+)
+from .models import PAULI, ParentParams
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(
@@ -135,26 +142,6 @@ class RobustnessReport:
         return self.displacement[self.channel_index(channel)]
 
 
-def _clean_hamiltonian(model, lat, mu=None):
-    if isinstance(model, ParentParams):
-        if mu is not None:
-            model = replace(model, mu=mu)
-        if not isinstance(lat, ChainLattice):
-            raise ConfigError("a parent chain needs a ChainLattice")
-        return build_chain(model, lat), lat.L
-    if not isinstance(model, ChildSpec):
-        raise TypeError(f"model must be ParentParams or ChildSpec, got {type(model)!r}")
-    if mu is not None:
-        model = replace(
-            model, p1=replace(model.p1, mu=mu), p2=replace(model.p2, mu=mu)
-        )
-    if isinstance(lat, ChainLattice):
-        return build_chain(model, lat), lat.L
-    if isinstance(lat, SlabLattice):
-        return build_slab(model, lat), lat.Lx * lat.Ly
-    raise TypeError(f"lattice must be ChainLattice or SlabLattice, got {type(lat)!r}")
-
-
 def robustness_sweep(
     model,
     lat,
@@ -190,12 +177,17 @@ def robustness_sweep(
     displacement = np.full((len(channels), len(mu_values)), np.nan)
     threshold = np.full(len(mu_values), np.nan)
     zero_counts = np.zeros(len(mu_values), dtype=int)
+    if isinstance(lat, SlabLattice):
+        build, sites = build_slab, lat.Lx * lat.Ly
+    else:
+        build, sites = build_chain, lat.L
     for m, mu in enumerate(mu_values):
-        h, sites = _clean_hamiltonian(model, lat, mu)
+        spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
+        h = build(spec, lat)
         clean = np.linalg.eigvalsh(h)
         bw = float(clean[-1] - clean[0])
-        tol = 1e-6 * bw if zero_tol is None else float(zero_tol)
-        threshold[m] = 1e-6 * bw
+        tol = _zero_tol(bw, zero_tol, 1e-6)
+        threshold[m] = _zero_tol(bw, None, 1e-6)
         n_zero = int((np.abs(clean) < tol).sum())
         zero_counts[m] = n_zero
         if n_zero == 0:

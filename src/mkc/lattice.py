@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import NonHermitianError
+from .errors import ConfigError, NonHermitianError
 from .models import (
     PARALLEL,
     SY,
@@ -40,7 +40,7 @@ class ChainLattice:
 
     def __post_init__(self):
         if int(self.L) != self.L or self.L < 1:
-            raise ValueError(f"chain length must be a positive integer, got {self.L!r}")
+            raise ConfigError(f"chain length must be a positive integer, got {self.L!r}")
         _check_bc(self.bc)
 
 
@@ -55,7 +55,7 @@ class SlabLattice:
         for name in ("Lx", "Ly"):
             v = getattr(self, name)
             if int(v) != v or v < 3:
-                raise ValueError(f"{name} must be an integer >= 3, got {v!r}")
+                raise ConfigError(f"{name} must be an integer >= 3, got {v!r}")
         _check_bc(self.bcx)
         _check_bc(self.bcy)
 
@@ -103,7 +103,7 @@ def _assemble_chain(blocks, L, bc):
     """Chain matrix of {r: block} hopping blocks on L sites."""
     rmax = max(blocks)
     if L < rmax + 1:
-        raise ValueError(f"chain of length {L} too short for range-{rmax} hopping")
+        raise ConfigError(f"chain of length {L} too short for range-{rmax} hopping")
     dim = blocks[0].shape[0]
     h = np.zeros((L * dim, L * dim), dtype=complex)
     for r, blk in blocks.items():
@@ -329,11 +329,6 @@ def zero_subspace(spec, lat, tol=None, rel_tol=1e-8):
     if isinstance(lat, SlabLattice):
         return _factor_zero_subspace(spec, lat, tol, rel_tol)
     return dense_zero_subspace(build_chain(spec, lat), lat, tol, rel_tol)
-
-
-def zero_mode_density(spec, lat, tol=None):
-    """Per-site zero-subspace weight; see ZeroSubspace for the fields."""
-    return zero_subspace(spec, lat, tol)
 
 
 def degeneracy_count(s, e0, tol):

@@ -213,14 +213,6 @@ def symmetry_check(spec, kgrid):
 # --- two-band components and block diagonalization -------------------------
 
 
-@dataclass(frozen=True)
-class DVector:
-    """(d_y, d_z) of a chiral two-band block d_y s_y + d_z s_z."""
-
-    dy: float
-    dz: float
-
-
 def component_dvector(spec, k, which):
     """(d_y, d_z) arrays of component 1 or 2; vectorized over momenta."""
     if which not in (1, 2):
@@ -263,32 +255,31 @@ def component_dvector(spec, k, which):
 
 
 def component_bloch(spec, k, which):
-    """One 2x2 component block, returned as (DVector, matrix)."""
+    """One 2x2 component block d_y s_y + d_z s_z, returned as ((d_y, d_z), matrix)."""
     dy, dz = component_dvector(spec, k, which)
-    dy = np.asarray(dy)[..., None, None]
-    dz = np.asarray(dz)[..., None, None]
-    mat = dy * SY + dz * SZ
-    if mat.ndim == 2:
-        return DVector(float(dy.ravel()[0]), float(dz.ravel()[0])), mat
-    return (dy[..., 0, 0], dz[..., 0, 0]), mat
+    mat = np.asarray(dy)[..., None, None] * SY + np.asarray(dz)[..., None, None] * SZ
+    return (dy, dz), mat
 
 
-def _bell_basis():
-    """Columns: the fixed basis in which the child splits into its components.
+# Maximally entangled pairs of the two internal two-level factors, written
+# in the (00, 01, 10, 11) order.  Both Bell frames of the package, BLOCK_BASIS
+# here and boundary.CLASSIFICATION_FRAME, are signed selections of these.
+_RT2 = np.sqrt(2.0)
+BELL_VECTORS = {
+    "00-11": np.array([1.0, 0.0, 0.0, -1.0]) / _RT2,
+    "00+11": np.array([1.0, 0.0, 0.0, 1.0]) / _RT2,
+    "01-10": np.array([0.0, 1.0, -1.0, 0.0]) / _RT2,
+    "01+10": np.array([0.0, 1.0, 1.0, 0.0]) / _RT2,
+}
 
-    Ordering {(|00>-|11>)/sqrt2, -(|01>-|10>)/sqrt2, (|00>+|11>)/sqrt2,
-    (|01>+|10>)/sqrt2}; the sign on the second column makes the first block
-    match the displayed component-1 form coefficient by coefficient.
-    """
-    s = 1.0 / np.sqrt(2.0)
-    phi_m = np.array([1.0, 0.0, 0.0, -1.0]) * s
-    psi_m = np.array([0.0, 1.0, -1.0, 0.0]) * s
-    phi_p = np.array([1.0, 0.0, 0.0, 1.0]) * s
-    psi_p = np.array([0.0, 1.0, 1.0, 0.0]) * s
-    return np.stack([phi_m, -psi_m, phi_p, psi_p], axis=1).astype(complex)
-
-
-BLOCK_BASIS = _bell_basis()
+# Columns: the fixed basis in which the child splits into its components,
+# {|00-11>, -|01-10>, |00+11>, |01+10>}; the sign on the second column makes
+# the first block match the displayed component-1 form coefficient by
+# coefficient.
+BLOCK_BASIS = np.stack(
+    [BELL_VECTORS["00-11"], -BELL_VECTORS["01-10"], BELL_VECTORS["00+11"], BELL_VECTORS["01+10"]],
+    axis=1,
+).astype(complex)
 
 
 def block_diagonalize(spec, k):

@@ -15,7 +15,6 @@ from .lattice import (
     SlabLattice,
     low_energy_vs_length,
     spectrum_vs_mu,
-    zero_mode_density,
     zero_subspace,
 )
 from .models import (
@@ -43,8 +42,6 @@ def _task_spectrum(cfg):
 
 def _task_sweep_mu(cfg):
     opt = cfg.options
-    if cfg.kind == "mkc-perpendicular":
-        raise ConfigError("task sweep-mu runs on chain models only")
     grid = np.linspace(opt["mu-min"], opt["mu-max"], opt["mu-points"])
     recs = spectrum_vs_mu(
         cfg.model, grid, opt["link"], _lattice(cfg),
@@ -175,7 +172,7 @@ def _task_quantization(cfg):
 
 def _task_density(cfg):
     lat = _lattice(cfg)
-    dens = zero_mode_density(cfg.model, lat, tol=cfg.options["zero-tol"])
+    dens = zero_subspace(cfg.model, lat, tol=cfg.options["zero-tol"])
     rows = []
     if isinstance(lat, SlabLattice):
         for i in range(lat.Lx):

@@ -7,6 +7,8 @@ from mkc.boundary import (
     BELL_VECTORS,
     CLASSIFICATION_FRAME,
     PRODUCT_VECTORS,
+    _label_state,
+    _orthonormal_columns,
     analytic_mmzm_density,
     analytic_mmzm_wavefunction,
     classify_zero_modes,
@@ -299,6 +301,13 @@ def test_classification_frame_is_unitary():
     assert np.max(np.abs(f.conj().T @ f - np.eye(4))) < 1e-14
 
 
+def test_classification_frame_literal_columns():
+    r = 1.0 / np.sqrt(2.0)
+    columns = [[r, 0, 0, -r], [-r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]]
+    assert CLASSIFICATION_FRAME.dtype == complex
+    assert np.array_equal(CLASSIFICATION_FRAME, np.array(columns).T)
+
+
 def test_mmzm_classify_pure_references():
     for name, vec in BELL_VECTORS.items():
         res = mmzm_classify((CLASSIFICATION_FRAME @ vec).reshape(1, 4))
@@ -311,7 +320,7 @@ def test_mmzm_classify_pure_references():
 
 def test_mmzm_classify_recovers_pair_from_rotated_subspace():
     # scramble a two-state subspace by a random unitary; the greedy pass
-    # plus pairwise extremization must recover the reference content
+    # alone must recover the reference content
     b1 = CLASSIFICATION_FRAME @ BELL_VECTORS["00-11"]
     b2 = CLASSIFICATION_FRAME @ BELL_VECTORS["01-10"]
     for _ in range(5):
@@ -323,6 +332,22 @@ def test_mmzm_classify_recovers_pair_from_rotated_subspace():
         res = mmzm_classify(mixed, expected=("bell:00-11", "bell:01-10"))
         assert sorted(res.labels) == ["bell:00-11", "bell:01-10"]
         assert res.matches_table and res.row_complete
+
+
+def test_mmzm_classify_keeps_leftover_directions_unrotated():
+    # a generic two-dimensional span holds no reference state: the greedy
+    # pass accepts nothing and both orthonormalized directions are labeled
+    # as they are, with no rotation inside the span
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    res = mmzm_classify(raw)
+    ct = CLASSIFICATION_FRAME.conj().T @ _orthonormal_columns(raw.T)
+    expected = [_label_state(ct[:, k], 1e-6, 0.999) for k in range(2)]
+    assert res.subspace_dimension == 2
+    assert res.labels == tuple(s.label for s in expected)
+    for got, want in zip(res.states, expected):
+        assert np.array_equal(got.vector, want.vector)
+        assert got.entropy == want.entropy and got.overlap == want.overlap
 
 
 def test_mmzm_classify_unclassified_content():

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
 import json
+import os
 
 import pytest
 
-from mkc.cli import _resolve_threads, main
+from mkc.cli import main
+from mkc.config import parse_config
 from mkc.errors import ConfigError
 
 PARENT_SPECTRUM = """\
@@ -156,18 +158,60 @@ def test_bad_cli_threads_exits_2(tmp_path, capsys):
     assert rc == 2 and "--threads" in err
 
 
-def test_thread_precedence(monkeypatch):
+def test_thread_precedence(tmp_path, capsys, monkeypatch):
+    with_threads = PARENT_SPECTRUM + "threads = 2\n"
     monkeypatch.setenv("MKC_THREADS", "5")
     # command line wins over config, config over environment, environment
     # over the machine default
-    assert _resolve_threads(3, 2, True) == 3
-    assert _resolve_threads(None, 2, True) == 2
-    assert _resolve_threads(None, 8, False) == 5
+    assert parse_config(with_threads, cli_threads=3).threads == 3
+    assert parse_config(with_threads).threads == 2
+    assert parse_config(PARENT_SPECTRUM).threads == 5
     monkeypatch.setenv("MKC_THREADS", "0")
     with pytest.raises(ConfigError):
-        _resolve_threads(None, 8, False)
+        parse_config(PARENT_SPECTRUM)
+    # a bad environment value is not read when a higher source gives the count
+    assert parse_config(with_threads).threads == 2
+    rc = main(["spectrum", "--config", _config(tmp_path, PARENT_SPECTRUM), "--threads", "1"])
+    capsys.readouterr()
+    assert rc == 0
     monkeypatch.delenv("MKC_THREADS")
-    assert _resolve_threads(None, 8, False) == 8
+    assert parse_config(PARENT_SPECTRUM).threads == (os.cpu_count() or 1)
+
+
+_PARALLEL_HEAD = """\
+[model]
+kind = mkc-parallel
+t1 = 1.0
+delta1 = 1.0
+mu1 = 0.5
+t2 = 1.0
+delta2 = 1.0
+mu2 = 3.0
+"""
+
+_PERPENDICULAR_HEAD = _PARALLEL_HEAD.replace("mkc-parallel", "mkc-perpendicular")
+
+
+@pytest.mark.parametrize(
+    "task, text",
+    [
+        ("spectrum", PARENT_SPECTRUM.replace("l = 8", "l = 0")),
+        ("spectrum", _PARALLEL_HEAD + "[lattice]\nl = 2\n"),
+        ("density", _PERPENDICULAR_HEAD + "[lattice]\nlx = 2\nly = 5\n"),
+        ("symmetry-check", _PARALLEL_HEAD + "[task]\nk-points = 0\n"),
+        ("wannier", _PARALLEL_HEAD + "[task]\nloop-points = 0\n"),
+        ("winding", _PARALLEL_HEAD + "[task]\nsamples = 2\n"),
+        ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nl-step = 0\n"),
+        ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nl-step = -1\n"),
+    ],
+    ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
+         "samples-2", "l-step-0", "l-step-negative"],
+)
+def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
+    rc = main([task, "--config", _config(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("mkc: config error:")
 
 
 def test_perpendicular_symmetry_check_runs_on_kx_ky_grid(tmp_path, capsys):

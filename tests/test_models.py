@@ -156,6 +156,13 @@ def test_block_diagonalization_reproduces_components():
         assert np.max(np.abs(b2 - c2)) < 1e-10
 
 
+def test_block_basis_literal_columns():
+    r = 1.0 / np.sqrt(2.0)
+    columns = [[r, 0, 0, -r], [0, -r, r, 0], [r, 0, 0, r], [0, r, r, 0]]
+    assert BLOCK_BASIS.dtype == complex
+    assert np.array_equal(BLOCK_BASIS, np.array(columns).T)
+
+
 def test_component_dvector_matches_component_bloch():
     spec = random_child()
     for which in (1, 2):

@@ -30,7 +30,6 @@ from mkc.lattice import (
     build_slab,
     build_slab_factors,
     dense_zero_subspace,
-    zero_mode_density,
     zero_subspace,
 )
 from mkc.models import PERPENDICULAR, ChildSpec, ParentParams
@@ -222,7 +221,7 @@ def test_gapless_point_quartets_follow_from_factor_kernels():
         spec = ChildSpec(
             ParentParams(1.0, 0.1, mu), ParentParams(1.0, 0.1, mu), PERPENDICULAR
         )
-        zs = zero_mode_density(spec, lat, tol=tol)
+        zs = zero_subspace(spec, lat, tol=tol)
         assert zs.count == 4 * deg
         ev = np.abs(zs.eigenvalues)
         assert ev[ev >= tol].min() > 100.0 * tol
