@@ -176,7 +176,7 @@ def mkc_parallel_majorana_points(t, delta, L):
     sublattice (the mu = 0 slot of each family) are excluded.
     """
     if int(L) != L or L < 2:
-        raise ValueError(f"chain length must be an integer >= 2, got {L!r}")
+        raise ConfigError(f"chain length must be an integer >= 2, got {L!r}")
     at, ad = abs(t), abs(delta)
     scale = 2.0 * np.sqrt(max(at * at - ad * ad, 0.0))
     entries = []
@@ -292,7 +292,7 @@ def quantization_points(p1, p2, N, mu_range=None, grid_points=DEFAULT_SCAN_POINT
     denominator blows up, never participate in a bracket.
     """
     if int(N) != N or N < 2:
-        raise ValueError(f"lattice size must be an integer >= 2, got {N!r}")
+        raise ConfigError(f"lattice size must be an integer >= 2, got {N!r}")
     if mu_range is None:
         half = min(
             2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0)) for p in (p1, p2)
@@ -390,7 +390,7 @@ def analytic_mmzm_wavefunction(t, delta, N, n, which, edge="left"):
     if not 0.0 < delta < t:
         raise ConfigError(f"standing waves need 0 < Delta < t, got t={t}, Delta={delta}")
     if int(N) != N or N < 2:
-        raise ValueError(f"lattice size must be an integer >= 2, got {N!r}")
+        raise ConfigError(f"lattice size must be an integer >= 2, got {N!r}")
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     if edge not in ("left", "right"):

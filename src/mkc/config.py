@@ -68,7 +68,7 @@ class _Key:
             raise ConfigError(
                 f"[{section}] {name}: must be one of {', '.join(map(str, self.choices))}, got {raw!r}"
             )
-        if self.minimum is not None and value < self.minimum:
+        if self.minimum is not None and value is not None and value < self.minimum:
             raise ConfigError(f"[{section}] {name}: must be >= {self.minimum}, got {value}")
         return value
 
@@ -141,7 +141,7 @@ _TASK_KEYS = {
     "sweep-mu": {
         "mu-min": _Key(_float),
         "mu-max": _Key(_float),
-        "mu-points": _Key(_int),
+        "mu-points": _Key(_int, minimum=1),
         "link": _Key(_str, default="equal", choices=("equal", "opposite", "fixed")),
         "n-modes": _Key(_opt(_int), default=None),
     },
@@ -172,7 +172,7 @@ _TASK_KEYS = {
         "zero-tol": _Key(_float, default=1e-8),
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
-        "mu-points": _Key(_opt(_int), default=None),
+        "mu-points": _Key(_opt(_int), default=None, minimum=1),
     },
     "classify": {"zero-tol": _Key(_opt(_float), default=1e-8)},
     "symmetry-check": {"k-points": _Key(_int, default=64, minimum=1)},

@@ -6,6 +6,12 @@ the four-band models) and V_s drawn i.i.d. uniform on [-W, W].  Draws come
 from a counter-based generator keyed by (seed, realization) with the site
 index addressing the stream position, so any (seed, realization, site)
 triple reproduces its value without coordination between realizations.
+
+Every clean model is real and chiral, and every clean child commutes with
+t_x s_x (see models.symmetry_check).  BlockSolver uses whichever of these
+a channel matrix leaves intact to solve each disordered matrix in its
+smallest real blocks; apply_onsite_disorder builds the dense matrix that
+those blocks reproduce.
 """
 
 import itertools
@@ -13,16 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SymmetryError
 from .lattice import (
     LINK_EQUAL,
     SlabLattice,
+    _check_hermitian,
     _with_mu,
     _zero_tol,
     build_chain,
     build_slab,
 )
-from .models import PAULI, ParentParams
+from .models import _C1, _C2, _U, BLOCK_BASIS, PAULI, SX, ParentParams
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(
@@ -106,6 +113,140 @@ def apply_onsite_disorder(h, spec, realization, sites=None):
     return h + np.kron(np.diag(v), mat)
 
 
+# The relative size, against the clean matrix norm, up to which a block the
+# solver discards counts as zero.
+SYMMETRY_TOL = 1e-12
+
+_HX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # s_x eigenvectors, +1 then -1
+
+
+def _site_frame(internal):
+    """Real site frame of joint symmetry eigenvectors, with their labels.
+
+    Returns (frame, q, chirals): frame columns are the new site basis, q
+    their t_x s_x eigenvalues (all +1 for the parent, which has no such
+    symmetry) and chirals a list of (name, eigenvalues) per chiral
+    operator.  The child frame pairs the BLOCK_BASIS columns inside each
+    t_x s_x eigenspace (columns 0, 1 and 2, 3) into eigenvectors of both
+    chiral operators.
+    """
+    if internal == 2:
+        frame, q_op, chirals = _HX, np.eye(2), [("s_x", SX)]
+    elif internal == 4:
+        frame = BLOCK_BASIS.real @ np.kron(np.eye(2), _HX)
+        q_op, chirals = _U, [("t_0 s_x", _C1), ("t_x s_0", _C2)]
+    else:
+        raise ConfigError(f"sites must carry 2 or 4 internal components, got {internal}")
+
+    def labels(op):
+        return np.rint(np.diag(frame.T @ op.real @ frame))
+
+    return frame, labels(q_op), [(name, labels(op)) for name, op in chirals]
+
+
+def _negligible(a):
+    """True when every entry of a (channel entries, of order 1) rounds to zero."""
+    return not a.size or np.abs(a).max() < SYMMETRY_TOL
+
+
+class BlockSolver:
+    """|E| spectra of a clean lattice matrix plus site-diagonal disorder.
+
+    h is the clean matrix on `sites` sites with the internal index minor
+    (chains and slabs alike).  It is rotated once, site by site, into the
+    real frame of _site_frame.  For a channel matrix P the solver then
+    uses each of these that applies:
+
+    1. the t_x s_x split, when P commutes with t_x s_x: two blocks;
+    2. a phase i on the t_x s_x = -1 columns, when that makes P real: the
+       antiunitary t_x s_x K then keeps the whole matrix real;
+    3. a chiral operator that P anticommutes with: in its eigenbasis a
+       block is off-diagonal, and its |E| are the singular values of the
+       half-size corner, each counted twice.
+
+    Each symmetry is checked against the clean matrix on first use: the
+    blocks it discards must stay below SYMMETRY_TOL x norm, else
+    SymmetryError.  Realness and Hermiticity (the corner's mirror) are
+    checked up front.
+    """
+
+    def __init__(self, h, sites):
+        internal = h.shape[0] // sites
+        if internal * sites != h.shape[0]:
+            raise ConfigError(f"{sites} sites do not divide Hamiltonian dimension {h.shape[0]}")
+        self._frame, self._q, self._chirals = _site_frame(internal)
+        self._tol = SYMMETRY_TOL * _check_hermitian(h, SYMMETRY_TOL)
+        if np.iscomplexobj(h):
+            if np.linalg.norm(h.imag) > self._tol:
+                raise SymmetryError("clean matrix is not real")
+            h = np.ascontiguousarray(h.real)
+        # frame^T on every site's rows, frame on every site's columns
+        cols = (h.reshape(-1, internal) @ self._frame).reshape(sites, internal, -1)
+        self._h = (self._frame.T @ cols).reshape(sites, internal, sites, internal)
+        self._checked = set()
+
+    def _require(self, name, same):
+        """Check that the clean entries between columns with same[i, j] False vanish."""
+        if name in self._checked:
+            return
+        mask = np.where(same, 0.0, 1.0)
+        off = np.linalg.norm(self._h * mask[None, :, None, :])
+        if off > self._tol:
+            raise SymmetryError(
+                f"clean matrix breaks {name}: discarded blocks {off:.3e} "
+                f"exceed {SYMMETRY_TOL:.0e} x norm"
+            )
+        self._checked.add(name)
+
+    def clean(self):
+        """Ascending |E| of the clean matrix."""
+        internal = self._q.size
+        return self.channel(np.zeros((internal, internal)))(np.zeros(self._h.shape[0]))
+
+    def channel(self, mat):
+        """The solve for channel matrix mat: site potentials -> ascending |E|."""
+        q, frame = self._q, self._frame
+        p = frame.T @ mat @ frame
+        if not _negligible(p.imag):
+            phase = np.where(q < 0, 1j, 1.0)
+            turned = phase.conj()[:, None] * p * phase[None, :]
+            if _negligible(turned.imag):
+                self._require("t_x s_x", q[:, None] == q[None, :])
+                p = turned
+        if _negligible(p.imag):
+            p = p.real
+        groups = [np.ones(q.size, dtype=bool)]
+        if (q < 0).any() and _negligible(p[q[:, None] != q[None, :]]):
+            self._require("t_x s_x", q[:, None] == q[None, :])
+            groups = [q > 0, q < 0]
+        blocks = []
+        for g in groups:
+            rows, cols, corner = g, g, False
+            for name, s in self._chirals:
+                if _negligible(p[np.ix_(g, g)][s[g][:, None] == s[g][None, :]]):
+                    self._require(name, s[:, None] != s[None, :])
+                    rows, cols, corner = g & (s > 0), g & (s < 0), True
+                    break
+            clean = np.ascontiguousarray(self._h[:, rows][:, :, :, cols])
+            blocks.append((clean, p[np.ix_(rows, cols)], corner))
+        diag = np.arange(self._h.shape[0])
+
+        def solve(v):
+            out = []
+            for clean, pb, corner in blocks:
+                a = clean.astype(np.result_type(clean, pb))
+                a[diag, :, diag, :] += v[:, None, None] * pb
+                a = a.reshape(a.shape[0] * a.shape[1], -1)
+                if corner:
+                    sv = np.linalg.svd(a, compute_uv=False)
+                    out += [sv, sv]
+                else:
+                    out.append(np.abs(np.linalg.eigvalsh(a)))
+            return np.sort(np.concatenate(out))
+
+        return solve
+
+
 @dataclass
 class RobustnessReport:
     """Max zero-mode displacement per channel and grid point, with verdicts.
@@ -183,12 +324,12 @@ def robustness_sweep(
         build, sites = build_chain, lat.L
     for m, mu in enumerate(mu_values):
         spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
-        h = build(spec, lat)
-        clean = np.linalg.eigvalsh(h)
-        bw = float(clean[-1] - clean[0])
+        solver = BlockSolver(build(spec, lat), sites)
+        clean = solver.clean()
+        bw = 2.0 * float(clean[-1])  # the clean spectrum is symmetric about zero
         tol = _zero_tol(bw, zero_tol, 1e-6)
         threshold[m] = _zero_tol(bw, None, 1e-6)
-        n_zero = int((np.abs(clean) < tol).sum())
+        n_zero = int((clean < tol).sum())
         zero_counts[m] = n_zero
         if n_zero == 0:
             continue
@@ -196,10 +337,11 @@ def robustness_sweep(
             spec = DisorderSpec(
                 channel=channel, amplitude=amplitude, realizations=realizations, seed=seed
             )
+            solve = solver.channel(channel_matrix(channel))
             worst = 0.0
             for r in range(realizations):
-                ev = np.linalg.eigvalsh(apply_onsite_disorder(h, spec, r, sites=sites))
-                worst = max(worst, float(np.sort(np.abs(ev))[n_zero - 1]))
+                ev = solve(site_potentials(spec, r, sites))
+                worst = max(worst, float(ev[n_zero - 1]))
             displacement[c, m] = worst
     return RobustnessReport(
         channels=channels,

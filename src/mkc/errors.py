@@ -35,3 +35,7 @@ class CriticalCurveError(NumericalError):
 
 class SingularConfigError(NumericalError):
     """Parameters sit on a manifold where the requested formula degenerates."""
+
+
+class SymmetryError(NumericalError):
+    """A symmetry that a blocked solver relies on does not hold (beyond tolerance)."""

@@ -169,15 +169,20 @@ class SpectrumResult:
     eigenvectors: np.ndarray
 
 
-def diagonalize(h, hermiticity_tol=1e-12):
-    h = np.asarray(h)
+def _check_hermitian(h, tol=1e-12):
+    """The scale max(norm(h), 1); NonHermitianError if h - h^H exceeds tol x scale."""
     scale = max(np.linalg.norm(h), 1.0)
     dev = np.linalg.norm(h - h.conj().T)
-    if dev > hermiticity_tol * scale:
+    if dev > tol * scale:
         raise NonHermitianError(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds "
-            f"{hermiticity_tol:.1e} x norm"
+            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} x norm"
         )
+    return scale
+
+
+def diagonalize(h, hermiticity_tol=1e-12):
+    h = np.asarray(h)
+    _check_hermitian(h, hermiticity_tol)
     if np.iscomplexobj(h) and not h.imag.any():
         h = h.real  # real path is considerably faster for big slabs
     evals, evecs = np.linalg.eigh(h)

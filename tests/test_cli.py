@@ -3,11 +3,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mkc.cli import main
 from mkc.config import parse_config
+from mkc.disorder import CHILD_CHANNELS, DisorderSpec, apply_onsite_disorder
 from mkc.errors import ConfigError
+from mkc.lattice import SlabLattice, build_slab
+from mkc.models import ChildSpec, ParentParams
 
 PARENT_SPECTRUM = """\
 [model]
@@ -37,6 +41,63 @@ mu2 = 3.0
 name = wannier
 loop-points = 41
 """
+
+
+def test_perpendicular_disorder_matches_dense_slab(tmp_path, capsys):
+    text = """\
+[model]
+kind = mkc-perpendicular
+t1 = 1.0
+delta1 = 0.7
+mu1 = 0.0
+t2 = -0.8
+delta2 = 1.1
+mu2 = 0.0
+
+[lattice]
+lx = 3
+ly = 4
+bcy = periodic
+
+[task]
+name = disorder
+realizations = 3
+seed = 5
+mu-min = 0.0
+mu-max = 3.0
+mu-points = 2
+"""
+    rc = main(["disorder", "--config", _config(tmp_path, text)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    lines = [l for l in out.splitlines() if not l.startswith("# ")]
+    assert lines[0] == "channel,mu,displacement,threshold,verdict"
+    rows = [l.split(",") for l in lines[1:]]
+    assert len(rows) == len(CHILD_CHANNELS) * 2
+
+    # dense recomputation: every disordered slab matrix solved whole
+    lat = SlabLattice(3, 4, bcy="periodic")
+    for channel, mu, disp, threshold, verdict in rows:
+        mu = float(mu)
+        spec = ChildSpec(
+            ParentParams(1.0, 0.7, mu), ParentParams(-0.8, 1.1, mu), "perpendicular"
+        )
+        h = build_slab(spec, lat)
+        clean = np.linalg.eigvalsh(h)
+        assert float(threshold) == pytest.approx(1e-6 * (clean[-1] - clean[0]), rel=1e-12)
+        n_zero = int((np.abs(clean) < 1e-8).sum())
+        if n_zero == 0:
+            assert (disp, verdict) == ("", "no-zero-modes")
+            continue
+        ens = DisorderSpec(channel, 0.2, 3, 5)
+        worst = max(
+            np.sort(np.abs(np.linalg.eigvalsh(apply_onsite_disorder(h, ens, r))))[n_zero - 1]
+            for r in range(3)
+        )
+        assert abs(float(disp) - worst) < 1e-10, channel
+        assert verdict == ("robust" if worst < float(threshold) else "broken"), channel
+    # the slab's edge bands split under every channel at this size
+    assert {r[4] for r in rows} == {"broken", "no-zero-modes"}
 
 
 def _config(tmp_path, text, name="run.cfg"):
@@ -191,6 +252,20 @@ mu2 = 3.0
 
 _PERPENDICULAR_HEAD = _PARALLEL_HEAD.replace("mkc-parallel", "mkc-perpendicular")
 
+_NO_MU_POINTS = "[lattice]\nl = 6\n[task]\nmu-min = -1\nmu-max = 1\nmu-points = 0\n"
+
+# the sign-mixed class that majorana-points accepts on a chain
+_MIXED_HEAD = """\
+[model]
+kind = mkc-parallel
+t1 = 1.0
+delta1 = 0.5
+mu1 = 0.0
+t2 = -1.0
+delta2 = 0.5
+mu2 = 0.0
+"""
+
 
 @pytest.mark.parametrize(
     "task, text",
@@ -203,9 +278,14 @@ _PERPENDICULAR_HEAD = _PARALLEL_HEAD.replace("mkc-parallel", "mkc-perpendicular"
         ("winding", _PARALLEL_HEAD + "[task]\nsamples = 2\n"),
         ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nl-step = 0\n"),
         ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nl-step = -1\n"),
+        ("quantization", _PARALLEL_HEAD + "[lattice]\nl = 1\n"),
+        ("majorana-points", _MIXED_HEAD + "[lattice]\nl = 1\n"),
+        ("sweep-mu", _PARALLEL_HEAD + _NO_MU_POINTS),
+        ("disorder", _PARALLEL_HEAD + _NO_MU_POINTS),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
-         "samples-2", "l-step-0", "l-step-negative"],
+         "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
+         "l-1-majorana-points", "mu-points-0-sweep-mu", "mu-points-0-disorder"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mkc.disorder import (
     CHILD_CHANNELS,
     PARENT_CHANNELS,
+    BlockSolver,
     DisorderSpec,
     apply_onsite_disorder,
     channel_matrix,
@@ -16,9 +17,16 @@ from mkc.disorder import (
     robustness_sweep,
     site_potentials,
 )
-from mkc.errors import ConfigError
-from mkc.lattice import ChainLattice, build_chain
-from mkc.models import PAULI, ChildSpec, ParentParams
+from mkc.errors import ConfigError, SymmetryError
+from mkc.lattice import (
+    OPEN,
+    PERIODIC,
+    ChainLattice,
+    SlabLattice,
+    build_chain,
+    build_slab,
+)
+from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentParams
 
 
 def _dead_parent():
@@ -173,3 +181,95 @@ def test_displacement_grows_linearly_on_broken_channel():
         _dead_parent(), ChainLattice(12), "z", amps, realizations=2, seed=11
     )
     assert np.all(robust < 1e-10)
+
+
+_sign = st.sampled_from([-1.0, 1.0])
+_bc = st.sampled_from([OPEN, PERIODIC])
+
+
+@st.composite
+def _parent(draw):
+    """A random, critical (mu = +-2t) or flat-band (|t| = |Delta|) parent."""
+    kind = draw(st.sampled_from(["random", "critical", "flat"]))
+    t = draw(_sign) * draw(st.floats(0.3, 2.0))
+    delta = draw(_sign) * draw(st.floats(0.2, 1.5))
+    if kind == "flat":
+        delta = draw(_sign) * abs(t)
+    mu = draw(_sign) * 2.0 * abs(t) if kind == "critical" else draw(st.floats(-3.0, 3.0))
+    return ParentParams(t, delta, mu)
+
+
+@st.composite
+def _disordered_system(draw):
+    """(model, lattice) for the parent, the chain child or the slab."""
+    kind = draw(st.sampled_from(["parent", PARALLEL, PERPENDICULAR]))
+    p1 = draw(_parent())
+    if kind == "parent":
+        return p1, ChainLattice(draw(st.integers(3, 12)), draw(_bc))
+    if draw(st.booleans()):
+        p2 = draw(_parent())
+    else:
+        # the sign-mixed class: t2 = -t1 with the rest shared
+        p2 = ParentParams(-p1.t, p1.delta, p1.mu)
+    spec = ChildSpec(p1, p2, kind)
+    if kind == PARALLEL:
+        return spec, ChainLattice(draw(st.integers(3, 10)), draw(_bc))
+    return spec, SlabLattice(draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(_bc), draw(_bc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=_disordered_system(),
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_block_solver_matches_dense_disorder(system, amplitude, seed):
+    model, lat = system
+    if isinstance(lat, SlabLattice):
+        h, sites = build_slab(model, lat), lat.Lx * lat.Ly
+    else:
+        h, sites = build_chain(model, lat), lat.L
+    channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
+    realizations = 2
+    clean = np.sort(np.abs(np.linalg.eigvalsh(h)))
+    bw = 2.0 * clean[-1]
+    tol = 1e-6 * bw
+    # a level within rounding of the zero tolerance may count either way
+    assume(np.all(np.abs(clean - tol) > 1e-9 * bw))
+    n_zero = int((clean < tol).sum())
+    solver = BlockSolver(h, sites)
+    scale = max(bw, 1.0)
+    assert np.abs(solver.clean() - clean).max() < 1e-11 * scale
+
+    rep = robustness_sweep(
+        model, lat, amplitude=amplitude, realizations=realizations, seed=seed
+    )
+    assert rep.channels == channels
+    assert rep.zero_counts[0] == n_zero
+    assert rep.threshold[0] == pytest.approx(tol, rel=1e-12)
+    for c, channel in enumerate(channels):
+        spec = DisorderSpec(channel, amplitude, realizations, seed)
+        solve = solver.channel(channel_matrix(channel))
+        worst = 0.0
+        for r in range(realizations):
+            dense = np.sort(np.abs(np.linalg.eigvalsh(apply_onsite_disorder(h, spec, r, sites))))
+            blocked = solve(site_potentials(spec, r, sites))
+            assert np.abs(blocked - dense).max() < 1e-11 * scale, channel_name(channel)
+            if n_zero:
+                worst = max(worst, dense[n_zero - 1])
+        if not n_zero:
+            assert np.isnan(rep.displacement[c, 0])
+            continue
+        assert rep.displacement[c, 0] == pytest.approx(worst, abs=1e-11 * scale)
+        assume(abs(worst - tol) > 1e-9 * bw)
+        assert rep.robust[c, 0] == (worst < tol), channel_name(channel)
+
+
+def test_block_solver_rejects_clean_matrix_without_txsx_symmetry():
+    lat = ChainLattice(8)
+    h = build_chain(_mixed_child(), lat)
+    BlockSolver(h, lat.L).channel(channel_matrix("00"))
+    # t_z s_0 is real and Hermitian but anticommutes with t_x s_x
+    broken = h + 0.3 * np.kron(np.eye(lat.L), np.kron(SZ, PAULI["0"]))
+    with pytest.raises(SymmetryError, match="t_x s_x"):
+        BlockSolver(broken, lat.L).channel(channel_matrix("00"))
