@@ -143,13 +143,13 @@ _TASK_KEYS = {
         "mu-max": _Key(_float),
         "mu-points": _Key(_int, minimum=1),
         "link": _Key(_str, default="equal", choices=("equal", "opposite", "fixed")),
-        "n-modes": _Key(_opt(_int), default=None),
+        "n-modes": _Key(_opt(_int), default=None, minimum=1),
     },
     "sweep-length": {
         "l-min": _Key(_int),
         "l-max": _Key(_int),
         "l-step": _Key(_int, default=1, minimum=1),
-        "n-modes": _Key(_int, default=6),
+        "n-modes": _Key(_int, default=6, minimum=1),
         "bc": _Key(_str, default="open", choices=("open", "periodic")),
     },
     "wannier": {
@@ -159,7 +159,7 @@ _TASK_KEYS = {
     "winding": {"samples": _Key(_int, default=4096, minimum=3)},
     "majorana-points": {},
     "quantization": {
-        "grid-points": _Key(_int, default=2001),
+        "grid-points": _Key(_int, default=2001, minimum=2),
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
     },

@@ -22,14 +22,16 @@ import numpy as np
 from .errors import ConfigError, SymmetryError
 from .lattice import (
     LINK_EQUAL,
+    SYMMETRY_TOL,
     SlabLattice,
     _check_hermitian,
+    _site_frame,
     _with_mu,
     _zero_tol,
     build_chain,
     build_slab,
 )
-from .models import _C1, _C2, _U, BLOCK_BASIS, PAULI, SX, ParentParams
+from .models import PAULI, ParentParams
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(
@@ -111,37 +113,6 @@ def apply_onsite_disorder(h, spec, realization, sites=None):
         )
     v = site_potentials(spec, realization, sites)
     return h + np.kron(np.diag(v), mat)
-
-
-# The relative size, against the clean matrix norm, up to which a block the
-# solver discards counts as zero.
-SYMMETRY_TOL = 1e-12
-
-_HX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # s_x eigenvectors, +1 then -1
-
-
-def _site_frame(internal):
-    """Real site frame of joint symmetry eigenvectors, with their labels.
-
-    Returns (frame, q, chirals): frame columns are the new site basis, q
-    their t_x s_x eigenvalues (all +1 for the parent, which has no such
-    symmetry) and chirals a list of (name, eigenvalues) per chiral
-    operator.  The child frame pairs the BLOCK_BASIS columns inside each
-    t_x s_x eigenspace (columns 0, 1 and 2, 3) into eigenvectors of both
-    chiral operators.
-    """
-    if internal == 2:
-        frame, q_op, chirals = _HX, np.eye(2), [("s_x", SX)]
-    elif internal == 4:
-        frame = BLOCK_BASIS.real @ np.kron(np.eye(2), _HX)
-        q_op, chirals = _U, [("t_0 s_x", _C1), ("t_x s_0", _C2)]
-    else:
-        raise ConfigError(f"sites must carry 2 or 4 internal components, got {internal}")
-
-    def labels(op):
-        return np.rint(np.diag(frame.T @ op.real @ frame))
-
-    return frame, labels(q_op), [(name, labels(op)) for name, op in chirals]
 
 
 def _negligible(a):

@@ -11,9 +11,14 @@ import numpy as np
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError, NonHermitianError
+from .errors import ConfigError, NonHermitianError, SymmetryError
 from .models import (
+    _C1,
+    _C2,
+    _U,
+    BLOCK_BASIS,
     PARALLEL,
+    SX,
     SY,
     SZ,
     ChildSpec,
@@ -62,15 +67,7 @@ class SlabLattice:
 
 def _shift(L, r, bc):
     """L x L matrix with ones on the (j, j+r) positions, folded for PBC."""
-    s = np.zeros((L, L))
-    for j in range(L):
-        jp = j + r
-        if bc == PERIODIC:
-            jp %= L
-        elif not 0 <= jp < L:
-            continue
-        s[j, jp] += 1.0
-    return s
+    return np.roll(np.eye(L), r, axis=1) if bc == PERIODIC else np.eye(L, k=r)
 
 
 def _first_factor_blocks(p):
@@ -100,12 +97,12 @@ def chain_hopping_blocks(spec):
 
 
 def _assemble_chain(blocks, L, bc):
-    """Chain matrix of {r: block} hopping blocks on L sites."""
+    """Chain matrix of {r: block} hopping blocks on L sites, in their dtype."""
     rmax = max(blocks)
     if L < rmax + 1:
         raise ConfigError(f"chain of length {L} too short for range-{rmax} hopping")
     dim = blocks[0].shape[0]
-    h = np.zeros((L * dim, L * dim), dtype=complex)
+    h = np.zeros((L * dim, L * dim), dtype=np.result_type(*blocks.values()))
     for r, blk in blocks.items():
         h += np.kron(_shift(L, r, bc), blk)
     return h
@@ -114,6 +111,87 @@ def _assemble_chain(blocks, L, bc):
 def build_chain(spec, lat):
     """Real-space chain Hamiltonian; dim 2L for the parent, 4L for the child."""
     return _assemble_chain(chain_hopping_blocks(spec), lat.L, lat.bc)
+
+
+# The relative size, against the scale of a clean matrix or of its hopping
+# blocks, up to which an entry that a symmetry discards counts as zero.
+SYMMETRY_TOL = 1e-12
+
+_HX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # s_x eigenvectors, +1 then -1
+
+
+def _site_frame(internal):
+    """Real site frame of joint symmetry eigenvectors, with their labels.
+
+    Returns (frame, q, chirals): frame columns are the new site basis, q
+    their t_x s_x eigenvalues (all +1 for the parent, which has no such
+    symmetry) and chirals a list of (name, eigenvalues) per chiral
+    operator.  The child frame pairs the BLOCK_BASIS columns inside each
+    t_x s_x eigenspace (columns 0, 1 and 2, 3) into eigenvectors of both
+    chiral operators.
+    """
+    if internal == 2:
+        frame, q_op, chirals = _HX, np.eye(2), [("s_x", SX)]
+    elif internal == 4:
+        frame = BLOCK_BASIS.real @ np.kron(np.eye(2), _HX)
+        q_op, chirals = _U, [("t_0 s_x", _C1), ("t_x s_0", _C2)]
+    else:
+        raise ConfigError(f"sites must carry 2 or 4 internal components, got {internal}")
+
+    def labels(op):
+        return np.rint(np.diag(frame.T @ op.real @ frame))
+
+    return frame, labels(q_op), [(name, labels(op)) for name, op in chirals]
+
+
+def _chiral_corners(blocks):
+    """The hopping blocks of the chiral corners, one per t_x s_x eigenvalue.
+
+    Each block is rotated into the real frame of _site_frame, where only
+    the entry joining the + and - columns of the first chiral operator
+    inside one t_x s_x eigenspace survives: a 1x1 real block per
+    displacement.  Checks H_{-r} = H_r^H (NonHermitianError) and that every
+    block is real and every discarded entry below SYMMETRY_TOL x scale
+    (SymmetryError); the scale is max(norm of all blocks, 1).
+    """
+    scale = max(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks.values())), 1.0)
+    tol = SYMMETRY_TOL * scale
+    for r, blk in blocks.items():
+        if -r not in blocks or np.linalg.norm(blocks[-r] - blk.conj().T) > tol:
+            raise NonHermitianError(f"hopping block {-r} is not the adjoint of block {r}")
+        if np.linalg.norm(np.imag(blk)) > tol:
+            raise SymmetryError(f"hopping block {r} is not real")
+    frame, q, chirals = _site_frame(blocks[0].shape[0])
+    name, s = chirals[0]
+    rotated = {r: frame.T @ np.real(blk) @ frame for r, blk in blocks.items()}
+    same_q = q[:, None] == q[None, :]
+    for sym, discarded in (("t_x s_x", ~same_q), (name, same_q & (s[:, None] == s[None, :]))):
+        for r, blk in rotated.items():
+            off = np.abs(blk[discarded]).max(initial=0.0)
+            if off > tol:
+                raise SymmetryError(
+                    f"hopping block {r} breaks {sym}: discarded entry {off:.3e} "
+                    f"exceeds {SYMMETRY_TOL:.0e} x scale"
+                )
+    return [
+        {r: blk[np.ix_((q == v) & (s > 0), (q == v) & (s < 0))] for r, blk in rotated.items()}
+        for v in np.unique(q)
+    ]
+
+
+def chain_spectrum(spec, lat):
+    """Ascending eigenvalues of build_chain(spec, lat), without building it.
+
+    Every clean chain is real and chiral, and the child commutes with
+    t_x s_x, so in the frame of _site_frame the chain splits into one (two
+    for the child) chiral blocks [[0, A], [A^T, 0]], whose eigenvalues are
+    +-sigma for the singular values sigma of the real L x L corner A.
+    """
+    corners = _chiral_corners(chain_hopping_blocks(spec))
+    sv = np.concatenate(
+        [np.linalg.svd(_assemble_chain(c, lat.L, lat.bc), compute_uv=False) for c in corners]
+    )
+    return np.sort(np.concatenate([-sv, sv]))
 
 
 def build_slab_factors(spec, lat):
@@ -190,11 +268,17 @@ def diagonalize(h, hermiticity_tol=1e-12):
 
 
 def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
-    """Rows (L, the n_modes eigenvalues nearest zero, middle-pair splitting)."""
+    """Rows (L, the n_modes eigenvalues nearest zero, middle-pair splitting).
+
+    The spectrum comes from chain_spectrum, which returns every +-E pair
+    exactly symmetric.  When the cut splits a group of equal |E| (a +-E
+    pair when n_modes is odd), the stable argsort picks the members that
+    come first in ascending order, so the negative one of a pair; dense
+    eigenvalues used to decide such ties by rounding noise.
+    """
 
     def one(L):
-        s = diagonalize(build_chain(spec, ChainLattice(L, bc)))
-        ev = s.eigenvalues
+        ev = chain_spectrum(spec, ChainLattice(L, bc))
         half = ev.size // 2
         nearest = np.sort(ev[np.argsort(np.abs(ev), kind="stable")[:n_modes]])
         return {"L": int(L), "modes": nearest, "splitting": float(ev[half] - ev[half - 1])}
@@ -222,13 +306,15 @@ def spectrum_vs_mu(template, mu_grid, link, lat, n_modes=None, threads=1):
 
     link picks how the two child chemical potentials follow the grid value
     (equal, opposite, or second one frozen); ignored for a parent template.
+    n_modes keeps the levels nearest zero, ties broken as in
+    low_energy_vs_length.
     """
 
     def one(mu):
         spec = _with_mu(template, mu, link)
         row = {"mu": float(mu)}
         for key, bc in (("obc", OPEN), ("pbc", PERIODIC)):
-            ev = diagonalize(build_chain(spec, replace(lat, bc=bc))).eigenvalues
+            ev = chain_spectrum(spec, replace(lat, bc=bc))
             if n_modes is not None:
                 ev = np.sort(ev[np.argsort(np.abs(ev), kind="stable")[:n_modes]])
             row[key] = ev

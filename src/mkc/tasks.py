@@ -13,6 +13,7 @@ from .errors import ConfigError
 from .lattice import (
     ChainLattice,
     SlabLattice,
+    chain_spectrum,
     low_energy_vs_length,
     spectrum_vs_mu,
     zero_subspace,
@@ -35,7 +36,11 @@ def _lattice(cfg):
 
 
 def _task_spectrum(cfg):
-    ev = zero_subspace(cfg.model, _lattice(cfg)).eigenvalues
+    lat = _lattice(cfg)
+    if isinstance(lat, SlabLattice):
+        ev = zero_subspace(cfg.model, lat).eigenvalues
+    else:
+        ev = chain_spectrum(cfg.model, lat)
     rows = [[i, float(e)] for i, e in enumerate(ev)]
     return {"columns": ["index", "energy"], "rows": rows}
 
@@ -67,6 +72,10 @@ def _task_sweep_mu(cfg):
 
 def _task_sweep_length(cfg):
     opt = cfg.options
+    if opt["l-min"] > opt["l-max"]:
+        raise ConfigError(
+            f"[task] l-min must be <= l-max, got {opt['l-min']} > {opt['l-max']}"
+        )
     lengths = range(opt["l-min"], opt["l-max"] + 1, opt["l-step"])
     recs = low_energy_vs_length(
         cfg.model, lengths, bc=opt["bc"], n_modes=opt["n-modes"], threads=cfg.threads
@@ -162,6 +171,10 @@ def _task_quantization(cfg):
     if (opt["mu-min"] is None) != (opt["mu-max"] is None):
         raise ConfigError("[task] mu-min and mu-max must be given together")
     if opt["mu-min"] is not None:
+        if opt["mu-min"] >= opt["mu-max"]:
+            raise ConfigError(
+                f"[task] mu-min must be < mu-max, got {opt['mu-min']} >= {opt['mu-max']}"
+            )
         mu_range = (opt["mu-min"], opt["mu-max"])
     points = boundary.quantization_points(
         cfg.model.p1, cfg.model.p2, lat.L,

@@ -253,6 +253,7 @@ mu2 = 3.0
 _PERPENDICULAR_HEAD = _PARALLEL_HEAD.replace("mkc-parallel", "mkc-perpendicular")
 
 _NO_MU_POINTS = "[lattice]\nl = 6\n[task]\nmu-min = -1\nmu-max = 1\nmu-points = 0\n"
+_NO_N_MODES = _NO_MU_POINTS.replace("mu-points = 0", "mu-points = 3\nn-modes = 0")
 
 # the sign-mixed class that majorana-points accepts on a chain
 _MIXED_HEAD = """\
@@ -282,10 +283,17 @@ mu2 = 0.0
         ("majorana-points", _MIXED_HEAD + "[lattice]\nl = 1\n"),
         ("sweep-mu", _PARALLEL_HEAD + _NO_MU_POINTS),
         ("disorder", _PARALLEL_HEAD + _NO_MU_POINTS),
+        ("sweep-mu", _PARALLEL_HEAD + _NO_N_MODES),
+        ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nn-modes = -3\n"),
+        ("quantization", _MIXED_HEAD + "[lattice]\nl = 6\n[task]\ngrid-points = -5\n"),
+        ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 6\nl-max = 4\n"),
+        ("quantization", _MIXED_HEAD + "[lattice]\nl = 6\n[task]\nmu-min = 0.5\nmu-max = 0.5\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
-         "l-1-majorana-points", "mu-points-0-sweep-mu", "mu-points-0-disorder"],
+         "l-1-majorana-points", "mu-points-0-sweep-mu", "mu-points-0-disorder",
+         "n-modes-0-sweep-mu", "n-modes-negative-sweep-length", "grid-points-negative",
+         "l-min-above-l-max", "quantization-empty-mu-range"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])

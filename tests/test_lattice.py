@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mkc.errors import NonHermitianError
+from mkc import lattice
+from mkc.errors import NonHermitianError, SymmetryError
 from mkc.lattice import (
     OPEN,
     PERIODIC,
     ChainLattice,
     SlabLattice,
+    _zero_tol,
     build_chain,
     build_slab,
+    chain_hopping_blocks,
+    chain_spectrum,
     diagonalize,
     degeneracy_count,
     low_energy_vs_length,
@@ -20,6 +26,10 @@ from mkc.lattice import (
 from mkc.models import (
     PARALLEL,
     PERPENDICULAR,
+    S0,
+    SX,
+    SY,
+    SZ,
     ChildSpec,
     ParentParams,
     child_bloch,
@@ -154,6 +164,98 @@ def test_low_energy_vs_length_shapes_and_splitting():
     for r in rows:
         assert r["modes"].shape == (4,)
         assert r["splitting"] >= 0.0
+
+
+def test_low_energy_vs_length_matches_dense_magnitudes():
+    # odd n_modes splits a +-E pair, whose member is picked by |E| ties
+    spec = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
+    for n_modes in (3, 4):
+        for bc in (OPEN, PERIODIC):
+            rows = low_energy_vs_length(spec, range(3, 9), bc=bc, n_modes=n_modes)
+            for r in rows:
+                ev = np.linalg.eigvalsh(build_chain(spec, ChainLattice(r["L"], bc)))
+                want = np.sort(np.abs(ev))[:n_modes]
+                assert np.sort(np.abs(r["modes"])) == pytest.approx(want, abs=1e-12)
+                half = ev.size // 2
+                assert r["splitting"] == pytest.approx(ev[half] - ev[half - 1], abs=1e-12)
+
+
+_sign = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _parent(draw):
+    """A random, critical (mu = +-2t) or flat-band (|t| = |Delta|) parent."""
+    kind = draw(st.sampled_from(["random", "critical", "flat"]))
+    t = draw(_sign) * draw(st.floats(0.3, 2.0))
+    delta = draw(_sign) * draw(st.floats(0.2, 1.5))
+    if kind == "flat":
+        delta = draw(_sign) * abs(t)
+    mu = draw(_sign) * 2.0 * abs(t) if kind == "critical" else draw(st.floats(-3.0, 3.0))
+    return ParentParams(t, delta, mu)
+
+
+@st.composite
+def _chain_system(draw):
+    """(model, lattice): a parent, a child or a sign-mixed (t2 = -t1) child."""
+    p1 = draw(_parent())
+    lat = ChainLattice(draw(st.integers(3, 12)), draw(st.sampled_from([OPEN, PERIODIC])))
+    kind = draw(st.sampled_from(["parent", "child", "sign-mixed"]))
+    if kind == "parent":
+        return p1, lat
+    p2 = draw(_parent()) if kind == "child" else ParentParams(-p1.t, p1.delta, p1.mu)
+    return ChildSpec(p1, p2, PARALLEL), lat
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_chain_system())
+def test_chain_spectrum_matches_dense(system):
+    spec, lat = system
+    dense = np.linalg.eigvalsh(build_chain(spec, lat))
+    fast = chain_spectrum(spec, lat)
+    assert fast.shape == dense.shape
+    assert np.abs(fast - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
+    bw = float(dense[-1] - dense[0])
+    tol = _zero_tol(bw, None, 1e-8)
+    # a level within rounding of the zero tolerance may count either way
+    assume(np.all(np.abs(np.abs(dense) - tol) > 1e-9 * bw))
+    assert (np.abs(fast) < tol).sum() == (np.abs(dense) < tol).sum()
+
+
+_CHILD = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
+_PARENT = ParentParams(1.0, 0.5, 0.2)
+
+
+@pytest.mark.parametrize(
+    "spec, term, match",
+    [
+        # t_z s_0 is real and Hermitian but anticommutes with t_x s_x
+        (_CHILD, np.kron(SZ, S0), "t_x s_x"),
+        # t_0 s_0 commutes with t_x s_x but breaks the chiral t_0 s_x
+        (_CHILD, np.kron(S0, S0), "t_0 s_x"),
+        (_CHILD, np.kron(S0, SY), "not real"),
+        (_PARENT, SX, "s_x"),
+    ],
+    ids=["child-txsx", "child-chiral", "child-imaginary", "parent-chiral"],
+)
+def test_chain_spectrum_rejects_symmetry_breaking_block(monkeypatch, spec, term, match):
+    blocks = chain_hopping_blocks(spec)
+    blocks[0] = blocks[0] + 0.3 * term
+    monkeypatch.setattr(lattice, "chain_hopping_blocks", lambda _: blocks)
+    with pytest.raises(SymmetryError, match=match):
+        chain_spectrum(spec, ChainLattice(6))
+
+
+@pytest.mark.parametrize("spec", [_PARENT, _CHILD], ids=["parent", "child"])
+def test_chain_spectrum_rejects_unpaired_hopping_block(monkeypatch, spec):
+    blocks = chain_hopping_blocks(spec)
+    blocks[-1] = blocks[1]  # H_{-1} != H_1^H: the pairing term flips sign
+    monkeypatch.setattr(lattice, "chain_hopping_blocks", lambda _: blocks)
+    with pytest.raises(NonHermitianError):
+        chain_spectrum(spec, ChainLattice(6))
+    del blocks[-1]
+    with pytest.raises(NonHermitianError):
+        chain_spectrum(spec, ChainLattice(6))
 
 
 def test_zero_mode_density_counts_and_normalization():
