@@ -9,7 +9,7 @@ serializes back to text that reparses equal.
 """
 
 import configparser
-import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -64,6 +64,8 @@ class _Key:
             raise ConfigError(
                 f"[{section}] {name}: cannot read {raw!r} as {self.parse.__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {name}: must be a finite number, got {raw!r}")
         if self.choices is not None and value not in self.choices:
             raise ConfigError(
                 f"[{section}] {name}: must be one of {', '.join(map(str, self.choices))}, got {raw!r}"
@@ -167,7 +169,7 @@ _TASK_KEYS = {
     "disorder": {
         "channel": _Key(_opt(_str), default=None),
         "amplitude": _Key(_float, default=0.2),
-        "realizations": _Key(_int, default=50),
+        "realizations": _Key(_int, default=50, minimum=1),
         "seed": _Key(_int, default=42),
         "zero-tol": _Key(_float, default=1e-8),
         "mu-min": _Key(_opt(_float), default=None),

@@ -10,8 +10,9 @@ triple reproduces its value without coordination between realizations.
 Every clean model is real and chiral, and every clean child commutes with
 t_x s_x (see models.symmetry_check).  BlockSolver uses whichever of these
 a channel matrix leaves intact to solve each disordered matrix in its
-smallest real blocks; apply_onsite_disorder builds the dense matrix that
-those blocks reproduce.
+smallest real blocks, which it assembles from the clean model's checked
+and rotated hopping blocks (lattice._FrameBlocks) plus the site
+potentials; the full disordered matrix is never built.
 """
 
 import itertools
@@ -24,12 +25,12 @@ from .lattice import (
     LINK_EQUAL,
     SYMMETRY_TOL,
     SlabLattice,
-    _check_hermitian,
-    _site_frame,
+    _assemble,
+    _FrameBlocks,
     _with_mu,
     _zero_tol,
-    build_chain,
-    build_slab,
+    chain_hopping_blocks,
+    slab_hopping_blocks,
 )
 from .models import PAULI, ParentParams
 
@@ -80,8 +81,8 @@ class DisorderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "channel", _normalize_channel(self.channel))
-        if self.amplitude < 0.0:
-            raise ConfigError(f"disorder amplitude must be >= 0, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ConfigError(f"disorder amplitude must be finite and >= 0, got {self.amplitude}")
         if int(self.realizations) != self.realizations or self.realizations < 1:
             raise ConfigError(f"realizations must be a positive integer, got {self.realizations}")
 
@@ -92,41 +93,18 @@ def site_potentials(spec, realization, sites):
     return rng.uniform(-spec.amplitude, spec.amplitude, sites)
 
 
-def apply_onsite_disorder(h, spec, realization, sites=None):
-    """Add one disorder realization to a real-space Hamiltonian.
-
-    The channel matrix dimension must divide the Hamiltonian into whole
-    sites; pass the site count explicitly to cross-check against lattices
-    whose dimension is divisible by both internal sizes.
-    """
-    mat = channel_matrix(spec.channel)
-    d = mat.shape[0]
-    if sites is None:
-        if h.shape[0] % d:
-            raise ConfigError(
-                f"channel dimension {d} does not divide Hamiltonian dimension {h.shape[0]}"
-            )
-        sites = h.shape[0] // d
-    elif d * sites != h.shape[0]:
-        raise ConfigError(
-            f"channel dimension {d} x {sites} sites != Hamiltonian dimension {h.shape[0]}"
-        )
-    v = site_potentials(spec, realization, sites)
-    return h + np.kron(np.diag(v), mat)
-
-
 def _negligible(a):
     """True when every entry of a (channel entries, of order 1) rounds to zero."""
     return not a.size or np.abs(a).max() < SYMMETRY_TOL
 
 
 class BlockSolver:
-    """|E| spectra of a clean lattice matrix plus site-diagonal disorder.
+    """|E| spectra of a clean lattice model plus site-diagonal disorder.
 
-    h is the clean matrix on `sites` sites with the internal index minor
-    (chains and slabs alike).  It is rotated once, site by site, into the
-    real frame of _site_frame.  For a channel matrix P the solver then
-    uses each of these that applies:
+    spec and lat give the clean model on a chain or slab; its hopping
+    blocks go through lattice._FrameBlocks, which checks Hermiticity and
+    realness and rotates them into the real frame of _site_frame.  For a
+    channel matrix P the solver then uses each of these that applies:
 
     1. the t_x s_x split, when P commutes with t_x s_x: two blocks;
     2. a phase i on the t_x s_x = -1 columns, when that makes P real: the
@@ -135,72 +113,54 @@ class BlockSolver:
        block is off-diagonal, and its |E| are the singular values of the
        half-size corner, each counted twice.
 
-    Each symmetry is checked against the clean matrix on first use: the
-    blocks it discards must stay below SYMMETRY_TOL x norm, else
-    SymmetryError.  Realness and Hermiticity (the corner's mirror) are
-    checked up front.
+    Each symmetry is checked on the rotated clean blocks on first use: the
+    entries it discards must stay below SYMMETRY_TOL x scale, else
+    SymmetryError.  Each solved block is assembled from the rotated
+    hopping blocks, never cut out of a full lattice matrix.
     """
 
-    def __init__(self, h, sites):
-        internal = h.shape[0] // sites
-        if internal * sites != h.shape[0]:
-            raise ConfigError(f"{sites} sites do not divide Hamiltonian dimension {h.shape[0]}")
-        self._frame, self._q, self._chirals = _site_frame(internal)
-        self._tol = SYMMETRY_TOL * _check_hermitian(h, SYMMETRY_TOL)
-        if np.iscomplexobj(h):
-            if np.linalg.norm(h.imag) > self._tol:
-                raise SymmetryError("clean matrix is not real")
-            h = np.ascontiguousarray(h.real)
-        # frame^T on every site's rows, frame on every site's columns
-        cols = (h.reshape(-1, internal) @ self._frame).reshape(sites, internal, -1)
-        self._h = (self._frame.T @ cols).reshape(sites, internal, sites, internal)
-        self._checked = set()
-
-    def _require(self, name, same):
-        """Check that the clean entries between columns with same[i, j] False vanish."""
-        if name in self._checked:
-            return
-        mask = np.where(same, 0.0, 1.0)
-        off = np.linalg.norm(self._h * mask[None, :, None, :])
-        if off > self._tol:
-            raise SymmetryError(
-                f"clean matrix breaks {name}: discarded blocks {off:.3e} "
-                f"exceed {SYMMETRY_TOL:.0e} x norm"
-            )
-        self._checked.add(name)
+    def __init__(self, spec, lat):
+        if isinstance(lat, SlabLattice):
+            blocks, self.sites = slab_hopping_blocks(spec), lat.Lx * lat.Ly
+        else:
+            blocks, self.sites = chain_hopping_blocks(spec), lat.L
+        self._blocks = _FrameBlocks(blocks)
+        self._lat = lat
 
     def clean(self):
         """Ascending |E| of the clean matrix."""
-        internal = self._q.size
-        return self.channel(np.zeros((internal, internal)))(np.zeros(self._h.shape[0]))
+        internal = self._blocks.q.size
+        return self.channel(np.zeros((internal, internal)))(np.zeros(self.sites))
 
     def channel(self, mat):
         """The solve for channel matrix mat: site potentials -> ascending |E|."""
-        q, frame = self._q, self._frame
+        fb = self._blocks
+        q, frame = fb.q, fb.frame
         p = frame.T @ mat @ frame
         if not _negligible(p.imag):
             phase = np.where(q < 0, 1j, 1.0)
             turned = phase.conj()[:, None] * p * phase[None, :]
             if _negligible(turned.imag):
-                self._require("t_x s_x", q[:, None] == q[None, :])
+                fb.require("t_x s_x", q[:, None] == q[None, :])
                 p = turned
         if _negligible(p.imag):
             p = p.real
         groups = [np.ones(q.size, dtype=bool)]
         if (q < 0).any() and _negligible(p[q[:, None] != q[None, :]]):
-            self._require("t_x s_x", q[:, None] == q[None, :])
+            fb.require("t_x s_x", q[:, None] == q[None, :])
             groups = [q > 0, q < 0]
         blocks = []
         for g in groups:
             rows, cols, corner = g, g, False
-            for name, s in self._chirals:
+            for name, s in fb.chirals:
                 if _negligible(p[np.ix_(g, g)][s[g][:, None] == s[g][None, :]]):
-                    self._require(name, s[:, None] != s[None, :])
+                    fb.require(name, s[:, None] != s[None, :])
                     rows, cols, corner = g & (s > 0), g & (s < 0), True
                     break
-            clean = np.ascontiguousarray(self._h[:, rows][:, :, :, cols])
+            hop = {r: b[np.ix_(rows, cols)] for r, b in fb.rotated.items()}
+            clean = _assemble(hop, self._lat).reshape(self.sites, rows.sum(), self.sites, -1)
             blocks.append((clean, p[np.ix_(rows, cols)], corner))
-        diag = np.arange(self._h.shape[0])
+        diag = np.arange(self.sites)
 
         def solve(v):
             out = []
@@ -272,11 +232,21 @@ def robustness_sweep(
     for a child.  Per grid point the clean spectrum fixes the bandwidth,
     the zero tolerance (1e-6 of it unless given) and which levels count as
     zero modes; the report then tracks how far those levels move, taking
-    the worst realization.
+    the worst realization.  Every channel must act on the model's internal
+    space (2x2 for a parent, 4x4 for a child), else ConfigError.
     """
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
-    channels = tuple(_normalize_channel(c) for c in channels)
+    internal = 2 if isinstance(model, ParentParams) else 4
+    ensembles = [DisorderSpec(c, amplitude, realizations, seed) for c in channels]
+    channels = tuple(e.channel for e in ensembles)
+    for channel in channels:
+        d = channel_matrix(channel).shape[0]
+        if d != internal:
+            raise ConfigError(
+                f"channel {channel_name(channel)} acts on {d} internal components, "
+                f"the model has {internal}"
+            )
     if mu_values is None:
         mu_values = [None]
         mu_out = np.array(
@@ -289,13 +259,9 @@ def robustness_sweep(
     displacement = np.full((len(channels), len(mu_values)), np.nan)
     threshold = np.full(len(mu_values), np.nan)
     zero_counts = np.zeros(len(mu_values), dtype=int)
-    if isinstance(lat, SlabLattice):
-        build, sites = build_slab, lat.Lx * lat.Ly
-    else:
-        build, sites = build_chain, lat.L
     for m, mu in enumerate(mu_values):
         spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
-        solver = BlockSolver(build(spec, lat), sites)
+        solver = BlockSolver(spec, lat)
         clean = solver.clean()
         bw = 2.0 * float(clean[-1])  # the clean spectrum is symmetric about zero
         tol = _zero_tol(bw, zero_tol, 1e-6)
@@ -304,14 +270,11 @@ def robustness_sweep(
         zero_counts[m] = n_zero
         if n_zero == 0:
             continue
-        for c, channel in enumerate(channels):
-            spec = DisorderSpec(
-                channel=channel, amplitude=amplitude, realizations=realizations, seed=seed
-            )
-            solve = solver.channel(channel_matrix(channel))
+        for c, ens in enumerate(ensembles):
+            solve = solver.channel(channel_matrix(ens.channel))
             worst = 0.0
             for r in range(realizations):
-                ev = solve(site_potentials(spec, r, sites))
+                ev = solve(site_potentials(ens, r, solver.sites))
                 worst = max(worst, float(ev[n_zero - 1]))
             displacement[c, m] = worst
     return RobustnessReport(

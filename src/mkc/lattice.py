@@ -1,10 +1,19 @@
-"""Real-space Hamiltonians on finite chains and slabs.
+"""Clean Hamiltonians on finite chains and slabs, solved through their structure.
 
-Chains and slabs are assembled from the hopping blocks of the inverse Fourier
-transform of the Bloch matrices, H(k) = sum_r H_r e^{ikr} with H_r sitting on
-the (j, j+r) block.  Open boundaries truncate wrapped bonds, periodic ones
-fold them back with accumulation (so small periodic rings stay consistent
-with the quantized-momentum Bloch spectra).
+A model is given by the hopping blocks of the inverse Fourier transform of
+its Bloch matrix, H(k) = sum_r H_r e^{ikr} with H_r sitting on the (j, j+r)
+block.  Open boundaries truncate wrapped bonds, periodic ones fold them back
+with accumulation (so small periodic rings stay consistent with the
+quantized-momentum Bloch spectra).
+
+No solver here builds the full chain or slab matrix.  Every clean model is
+real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
+this on the hopping blocks and rotates them into one real frame, and it is
+the only way a clean model reaches a solver (disorder.BlockSolver starts
+from it too).  In that frame a chain splits into one (parent) or two
+(child) chiral blocks [[0, A], [A^T, 0]], so its spectrum and eigenvectors
+come from the SVD of the real L x L corners A.  A slab is the tensor
+product of two parent chains and is solved as those two chains.
 """
 
 import numpy as np
@@ -65,9 +74,39 @@ class SlabLattice:
         _check_bc(self.bcy)
 
 
-def _shift(L, r, bc):
-    """L x L matrix with ones on the (j, j+r) positions, folded for PBC."""
-    return np.roll(np.eye(L), r, axis=1) if bc == PERIODIC else np.eye(L, k=r)
+def _bonds(lat, r):
+    """Site pairs (j, j + r) joined by displacement r, folded for PBC.
+
+    Chain displacements are integers; slab ones are pairs (rx, ry), with
+    site = ix * Ly + iy.
+    """
+    if isinstance(lat, SlabLattice):
+        ix, jx = _bonds(ChainLattice(lat.Lx, lat.bcx), r[0])
+        iy, jy = _bonds(ChainLattice(lat.Ly, lat.bcy), r[1])
+        return (ix[:, None] * lat.Ly + iy).ravel(), (jx[:, None] * lat.Ly + jy).ravel()
+    j = np.arange(lat.L) if lat.bc == PERIODIC else np.arange(max(-r, 0), lat.L - max(r, 0))
+    return j, (j + r) % lat.L
+
+
+def _assemble(blocks, lat):
+    """Lattice matrix of {r: block} hopping blocks, in their dtype.
+
+    The block of displacement r sits on every (site j, site j + r) position
+    of _bonds, internal index minor; periodic bonds that fold onto the same
+    position accumulate.
+    """
+    if isinstance(lat, SlabLattice):
+        sites = lat.Lx * lat.Ly
+    else:
+        sites, rmax = lat.L, max(blocks)
+        if lat.L < rmax + 1:
+            raise ConfigError(f"chain of length {lat.L} too short for range-{rmax} hopping")
+    rows, cols = next(iter(blocks.values())).shape
+    h = np.zeros((sites, rows, sites, cols), dtype=np.result_type(*blocks.values()))
+    for r, blk in blocks.items():
+        i, j = _bonds(lat, r)
+        h[i, :, j, :] += blk
+    return h.reshape(sites * rows, sites * cols)
 
 
 def _first_factor_blocks(p):
@@ -96,25 +135,26 @@ def chain_hopping_blocks(spec):
     return {-2: h2.conj().T, -1: h1.conj().T, 0: h0, 1: h1, 2: h2}
 
 
-def _assemble_chain(blocks, L, bc):
-    """Chain matrix of {r: block} hopping blocks on L sites, in their dtype."""
-    rmax = max(blocks)
-    if L < rmax + 1:
-        raise ConfigError(f"chain of length {L} too short for range-{rmax} hopping")
-    dim = blocks[0].shape[0]
-    h = np.zeros((L * dim, L * dim), dtype=np.result_type(*blocks.values()))
-    for r, blk in blocks.items():
-        h += np.kron(_shift(L, r, bc), blk)
-    return h
+def slab_factor_blocks(spec):
+    """Hopping blocks of the two parent chains whose tensor product is the slab.
+
+    Returns (a, b): the first-factor chain of p1, along x, and the
+    second-factor chain of p2, along y.  The slab's block of displacement
+    (rx, ry) is kron(a[rx], b[ry]).
+    """
+    if not isinstance(spec, ChildSpec) or spec.orientation == PARALLEL:
+        raise ValueError("slab models need a perpendicular child")
+    return _first_factor_blocks(spec.p1), _second_factor_blocks(spec.p2)
 
 
-def build_chain(spec, lat):
-    """Real-space chain Hamiltonian; dim 2L for the parent, 4L for the child."""
-    return _assemble_chain(chain_hopping_blocks(spec), lat.L, lat.bc)
+def slab_hopping_blocks(spec):
+    """{(rx, ry): 4x4 block} over displacements rx, ry in {-1, 0, 1}."""
+    a, b = slab_factor_blocks(spec)
+    return {(ra, rb): np.kron(a[ra], b[rb]) for ra in (-1, 0, 1) for rb in (-1, 0, 1)}
 
 
-# The relative size, against the scale of a clean matrix or of its hopping
-# blocks, up to which an entry that a symmetry discards counts as zero.
+# The relative size, against the scale of a clean model's hopping blocks, up
+# to which an entry that a symmetry discards counts as zero.
 SYMMETRY_TOL = 1e-12
 
 _HX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # s_x eigenvectors, +1 then -1
@@ -144,127 +184,99 @@ def _site_frame(internal):
     return frame, labels(q_op), [(name, labels(op)) for name, op in chirals]
 
 
-def _chiral_corners(blocks):
-    """The hopping blocks of the chiral corners, one per t_x s_x eigenvalue.
+class _FrameBlocks:
+    """A clean model's hopping blocks, checked and rotated into its real frame.
 
-    Each block is rotated into the real frame of _site_frame, where only
-    the entry joining the + and - columns of the first chiral operator
-    inside one t_x s_x eigenspace survives: a 1x1 real block per
-    displacement.  Checks H_{-r} = H_r^H (NonHermitianError) and that every
-    block is real and every discarded entry below SYMMETRY_TOL x scale
-    (SymmetryError); the scale is max(norm of all blocks, 1).
+    Every clean Hamiltonian reaches a solver through this class.  The
+    constructor checks H_{-r} = H_r^H (NonHermitianError) and that every
+    block is real (SymmetryError), then rotates each block into the frame
+    of _site_frame: rotated[r] = frame^T H_r frame.  require() checks one
+    symmetry on the rotated blocks.  Both checks allow SYMMETRY_TOL x
+    scale, the scale being max(norm of all blocks, 1).  Keys are chain
+    displacements r or slab displacements (rx, ry).
     """
-    scale = max(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks.values())), 1.0)
-    tol = SYMMETRY_TOL * scale
-    for r, blk in blocks.items():
-        if -r not in blocks or np.linalg.norm(blocks[-r] - blk.conj().T) > tol:
-            raise NonHermitianError(f"hopping block {-r} is not the adjoint of block {r}")
-        if np.linalg.norm(np.imag(blk)) > tol:
-            raise SymmetryError(f"hopping block {r} is not real")
-    frame, q, chirals = _site_frame(blocks[0].shape[0])
-    name, s = chirals[0]
-    rotated = {r: frame.T @ np.real(blk) @ frame for r, blk in blocks.items()}
-    same_q = q[:, None] == q[None, :]
-    for sym, discarded in (("t_x s_x", ~same_q), (name, same_q & (s[:, None] == s[None, :]))):
-        for r, blk in rotated.items():
-            off = np.abs(blk[discarded]).max(initial=0.0)
-            if off > tol:
+
+    def __init__(self, blocks):
+        scale = max(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks.values())), 1.0)
+        self.tol = SYMMETRY_TOL * scale
+        for r, blk in blocks.items():
+            back = tuple(-x for x in r) if isinstance(r, tuple) else -r
+            if back not in blocks or np.linalg.norm(blocks[back] - blk.conj().T) > self.tol:
+                raise NonHermitianError(f"hopping block {back} is not the adjoint of block {r}")
+            if np.linalg.norm(np.imag(blk)) > self.tol:
+                raise SymmetryError(f"hopping block {r} is not real")
+        internal = next(iter(blocks.values())).shape[0]
+        self.frame, self.q, self.chirals = _site_frame(internal)
+        self.rotated = {r: self.frame.T @ np.real(blk) @ self.frame for r, blk in blocks.items()}
+        self._checked = set()
+
+    def require(self, name, kept):
+        """SymmetryError unless every entry outside the mask kept[i, j] vanishes."""
+        if name in self._checked:
+            return
+        for r, blk in self.rotated.items():
+            off = np.abs(blk[~kept]).max(initial=0.0)
+            if off > self.tol:
                 raise SymmetryError(
-                    f"hopping block {r} breaks {sym}: discarded entry {off:.3e} "
+                    f"hopping block {r} breaks {name}: discarded entry {off:.3e} "
                     f"exceeds {SYMMETRY_TOL:.0e} x scale"
                 )
-    return [
-        {r: blk[np.ix_((q == v) & (s > 0), (q == v) & (s < 0))] for r, blk in rotated.items()}
-        for v in np.unique(q)
-    ]
+        self._checked.add(name)
+
+
+def _chiral_corners(blocks, lat):
+    """The real chiral corners of a chain, one per t_x s_x eigenvalue.
+
+    In the frame of _FrameBlocks, after checking t_x s_x and the first
+    chiral operator, the chain splits into blocks [[0, A], [A^T, 0]]: A
+    joins the + column of that operator on every site to its - column
+    inside one t_x s_x eigenspace.  Returns [(A, plus, minus)], A the
+    L x L corner and plus, minus the two frame columns (internal, 1).
+    """
+    fb = _FrameBlocks(blocks)
+    q = fb.q
+    name, s = fb.chirals[0]
+    fb.require("t_x s_x", q[:, None] == q[None, :])
+    fb.require(name, s[:, None] != s[None, :])
+    out = []
+    for v in np.unique(q):
+        plus, minus = (q == v) & (s > 0), (q == v) & (s < 0)
+        corner = _assemble({r: b[np.ix_(plus, minus)] for r, b in fb.rotated.items()}, lat)
+        out.append((corner, fb.frame[:, plus], fb.frame[:, minus]))
+    return out
+
+
+def _chiral_eigenpairs(blocks, lat):
+    """Every eigenpair of a clean chain, from a full SVD of each corner.
+
+    For a corner A = U diag(sigma) V^T the chain has eigenvalues +-sigma_k
+    with eigenvectors (u_k, +-v_k) / sqrt(2), u_k on the + frame column
+    and v_k on the - one.  Returns (sigma, basis): sigma over all corners,
+    and basis, shape (L, internal, 2 n), whose column k holds (u_k, 0) and
+    column n + k holds (0, v_k).  These two have definite chirality and
+    span the +-sigma_k pair, so any set of levels closed under E -> -E
+    takes its orthonormal basis straight from these columns.
+    """
+    sigmas, plus_vecs, minus_vecs = [], [], []
+    for corner, plus, minus in _chiral_corners(blocks, lat):
+        u, sigma, vt = np.linalg.svd(corner)
+        sigmas.append(sigma)
+        plus_vecs.append(u[:, None, :] * plus)
+        minus_vecs.append(vt.T[:, None, :] * minus)
+    return np.concatenate(sigmas), np.concatenate(plus_vecs + minus_vecs, axis=2)
 
 
 def chain_spectrum(spec, lat):
-    """Ascending eigenvalues of build_chain(spec, lat), without building it.
+    """Ascending eigenvalues of the clean chain, from its chiral corners.
 
     Every clean chain is real and chiral, and the child commutes with
-    t_x s_x, so in the frame of _site_frame the chain splits into one (two
-    for the child) chiral blocks [[0, A], [A^T, 0]], whose eigenvalues are
-    +-sigma for the singular values sigma of the real L x L corner A.
+    t_x s_x, so the chain's eigenvalues are +-sigma for the singular values
+    sigma of its real L x L corners (see _chiral_corners): one for the
+    parent, two for the child.
     """
-    corners = _chiral_corners(chain_hopping_blocks(spec))
-    sv = np.concatenate(
-        [np.linalg.svd(_assemble_chain(c, lat.L, lat.bc), compute_uv=False) for c in corners]
-    )
+    corners = _chiral_corners(chain_hopping_blocks(spec), lat)
+    sv = np.concatenate([np.linalg.svd(c, compute_uv=False) for c, _, _ in corners])
     return np.sort(np.concatenate([-sv, sv]))
-
-
-def build_slab_factors(spec, lat):
-    """The two parent chains whose tensor product is the slab.
-
-    Returns (H_x, H_y): the first-factor chain of p1 on Lx sites and the
-    second-factor chain of p2 on Ly sites.  build_slab(spec, lat) equals
-    H_x (x) H_y with the indices reordered from (ix, s1, iy, s2) to
-    (ix, iy, s1, s2).
-    """
-    if not isinstance(spec, ChildSpec) or spec.orientation == PARALLEL:
-        raise ValueError("slab models need a perpendicular child")
-    return (
-        _assemble_chain(_first_factor_blocks(spec.p1), lat.Lx, lat.bcx),
-        _assemble_chain(_second_factor_blocks(spec.p2), lat.Ly, lat.bcy),
-    )
-
-
-def slab_hopping_blocks(spec):
-    """{(a, b): 4x4 block} over displacements a (x) and b (y) in {-1, 0, 1}."""
-    if not isinstance(spec, ChildSpec) or spec.orientation == PARALLEL:
-        raise ValueError("slab models need a perpendicular child")
-    a = _first_factor_blocks(spec.p1)
-    b = _second_factor_blocks(spec.p2)
-    return {(ra, rb): np.kron(a[ra], b[rb]) for ra in (-1, 0, 1) for rb in (-1, 0, 1)}
-
-
-def build_slab(spec, lat):
-    """Real-space slab Hamiltonian, site = ix*Ly + iy, internal index minor.
-
-    The dense reference for the factorized solver in zero_subspace, and the
-    matrix that disorder perturbs.
-    """
-    blocks = slab_hopping_blocks(spec)
-    n = lat.Lx * lat.Ly * 4
-    h = np.zeros((n, n), dtype=complex)
-    for (ra, rb), blk in blocks.items():
-        sx = _shift(lat.Lx, ra, lat.bcx)
-        sy = _shift(lat.Ly, rb, lat.bcy)
-        h += np.kron(np.kron(sx, sy), blk)
-    return h
-
-
-@dataclass
-class SpectrumResult:
-    """Ascending eigenvalues with matched eigenvector columns.
-
-    Individual vectors inside a degenerate cluster are solver-dependent;
-    downstream code works with subspace projectors only.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _check_hermitian(h, tol=1e-12):
-    """The scale max(norm(h), 1); NonHermitianError if h - h^H exceeds tol x scale."""
-    scale = max(np.linalg.norm(h), 1.0)
-    dev = np.linalg.norm(h - h.conj().T)
-    if dev > tol * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} x norm"
-        )
-    return scale
-
-
-def diagonalize(h, hermiticity_tol=1e-12):
-    h = np.asarray(h)
-    _check_hermitian(h, hermiticity_tol)
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = h.real  # real path is considerably faster for big slabs
-    evals, evecs = np.linalg.eigh(h)
-    return SpectrumResult(evals, evecs)
 
 
 def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
@@ -355,27 +367,17 @@ def _zero_tol(spread, tol, rel_tol):
     return rel_tol * max(spread, 1e-30) if tol is None else float(tol)
 
 
-def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
-    """Zero subspace of an explicit lattice matrix, by one dense solve.
-
-    tol is an absolute energy; by default it is rel_tol times the spectral
-    spread.
-    """
-    s = diagonalize(h)
-    ev = s.eigenvalues
-    tol = _zero_tol(float(ev[-1] - ev[0]), tol, rel_tol)
-    sel = np.abs(ev) < tol
-    psi = s.eigenvectors[:, sel]
-    shape = (lat.L,) if isinstance(lat, ChainLattice) else (lat.Lx, lat.Ly)
-    internal = h.shape[0] // int(np.prod(shape))
-    per_site = (np.abs(psi) ** 2).sum(axis=1).reshape(-1, internal).sum(axis=1)
-    blocks = psi.reshape(shape + (internal, psi.shape[1]))
+def _chain_zero_subspace(spec, lat, tol, rel_tol):
+    """Chain zero subspace: the chirality vectors of every sigma below tol."""
+    sigma, basis = _chiral_eigenpairs(chain_hopping_blocks(spec), lat)
+    tol = _zero_tol(2.0 * float(sigma.max()), tol, rel_tol)
+    psi = basis[:, :, np.tile(sigma < tol, 2)]
     return ZeroSubspace(
-        eigenvalues=ev,
-        weights=per_site.reshape(shape),
-        count=int(sel.sum()),
+        eigenvalues=np.sort(np.concatenate([-sigma, sigma])),
+        weights=(psi**2).sum(axis=(1, 2)),
+        count=psi.shape[2],
         tol=tol,
-        spinors=lambda site: blocks[site],
+        spinors=lambda site: psi[site],
     )
 
 
@@ -385,25 +387,26 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
     The slab eigenvalues are the products e_i f_j of the factor eigenvalues
     and the eigenvectors the tensor products u_i (x) v_j, so the zero
     subspace is spanned by the pairs whose product lies below tol; a pair
-    counts even when neither factor is zero on its own.
+    counts even when neither factor is zero on its own.  Each factor
+    column of _chiral_eigenpairs stands for both levels +-sigma, whose
+    products with a level of the other factor share one magnitude.
     """
-    sx, sy = (diagonalize(h) for h in build_slab_factors(spec, lat))
-    prod = np.multiply.outer(sx.eigenvalues, sy.eigenvalues)
-    tol = _zero_tol(float(prod.max() - prod.min()), tol, rel_tol)
-    mask = np.abs(prod) < tol
-    ux = sx.eigenvectors.reshape(lat.Lx, 2, -1)
-    uy = sy.eigenvectors.reshape(lat.Ly, 2, -1)
-    a = (np.abs(ux) ** 2).sum(axis=1)
-    b = (np.abs(uy) ** 2).sum(axis=1)
+    a, b = slab_factor_blocks(spec)
+    sx, ux = _chiral_eigenpairs(a, ChainLattice(lat.Lx, lat.bcx))
+    sy, uy = _chiral_eigenpairs(b, ChainLattice(lat.Ly, lat.bcy))
+    size = np.multiply.outer(np.tile(sx, 2), np.tile(sy, 2))
+    tol = _zero_tol(2.0 * float(size.max()), tol, rel_tol)
+    mask = size < tol
     ii, jj = np.nonzero(mask)
 
     def spinors(site):
         ix, iy = site
         return (ux[ix][:, None, ii] * uy[iy][None, :, jj]).reshape(4, ii.size)
 
+    ex, ey = np.concatenate([-sx, sx]), np.concatenate([-sy, sy])
     return ZeroSubspace(
-        eigenvalues=np.sort(prod, axis=None),
-        weights=a @ mask @ b.T,
+        eigenvalues=np.sort(np.multiply.outer(ex, ey), axis=None),
+        weights=(ux**2).sum(axis=1) @ mask @ (uy**2).sum(axis=1).T,
         count=int(ii.size),
         tol=tol,
         spinors=spinors,
@@ -413,16 +416,10 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
 def zero_subspace(spec, lat, tol=None, rel_tol=1e-8):
     """Zero subspace of the clean model on a chain or slab lattice.
 
-    Slabs are solved as their two factor chains (see build_slab_factors),
-    chains by one dense solve.  tol is an absolute energy; by default it is
-    rel_tol times the spectral spread.
+    Chains are solved by the SVD of their chiral corners, slabs as their
+    two factor chains (see slab_factor_blocks) in the same way.  tol is an
+    absolute energy; by default it is rel_tol times the spectral spread.
     """
     if isinstance(lat, SlabLattice):
         return _factor_zero_subspace(spec, lat, tol, rel_tol)
-    return dense_zero_subspace(build_chain(spec, lat), lat, tol, rel_tol)
-
-
-def degeneracy_count(s, e0, tol):
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return int(np.count_nonzero(np.abs(s.eigenvalues - e0) <= tol))
+    return _chain_zero_subspace(spec, lat, tol, rel_tol)

@@ -185,15 +185,11 @@ def _task_quantization(cfg):
 
 def _task_density(cfg):
     lat = _lattice(cfg)
-    dens = zero_subspace(cfg.model, lat, tol=cfg.options["zero-tol"])
-    rows = []
+    w = zero_subspace(cfg.model, lat, tol=cfg.options["zero-tol"]).weights.tolist()
     if isinstance(lat, SlabLattice):
-        for i in range(lat.Lx):
-            for j in range(lat.Ly):
-                rows.append([i + 1, j + 1, float(dens.weights[i, j])])
+        rows = [[i + 1, j + 1, w[i][j]] for i in range(lat.Lx) for j in range(lat.Ly)]
     else:
-        for i, w in enumerate(dens.weights):
-            rows.append([i + 1, 0, float(w)])
+        rows = [[i + 1, 0, v] for i, v in enumerate(w)]
     return {"columns": ["x", "y", "weight"], "rows": rows}
 
 

@@ -1,0 +1,176 @@
+"""Dense references for mkc's structured solvers, and the comparisons made with them.
+
+mkc never builds a full chain or slab matrix: clean models are solved
+from the chiral corners of their hopping blocks, slabs as two factor
+chains and disordered models in symmetry blocks.  The builders here
+assemble the whole matrix from the same hopping blocks with Kronecker
+products, and diagonalize it with one dense eigh, so that every fast path
+can be checked against the plain solve.  The helpers at the end compare
+zero subspaces by projectors, densities and classification decisions,
+never by single eigenvectors.
+"""
+
+import functools
+from collections import namedtuple
+from unittest import mock
+
+import numpy as np
+
+from mkc import boundary
+from mkc.boundary import classify_zero_modes, mmzm_classify
+from mkc.disorder import channel_matrix, site_potentials
+from mkc.errors import ConfigError, NonHermitianError
+from mkc.lattice import (
+    PERIODIC,
+    ChainLattice,
+    ZeroSubspace,
+    _zero_tol,
+    chain_hopping_blocks,
+    slab_factor_blocks,
+    slab_hopping_blocks,
+)
+
+Eigenpairs = namedtuple("Eigenpairs", "eigenvalues eigenvectors")
+
+
+def _shift(L, r, bc):
+    """L x L matrix with ones on the (j, j+r) positions, folded for PBC."""
+    return np.roll(np.eye(L), r, axis=1) if bc == PERIODIC else np.eye(L, k=r)
+
+
+def _assemble_chain(blocks, L, bc):
+    rmax = max(blocks)
+    if L < rmax + 1:
+        raise ConfigError(f"chain of length {L} too short for range-{rmax} hopping")
+    dim = blocks[0].shape[0]
+    h = np.zeros((L * dim, L * dim), dtype=np.result_type(*blocks.values()))
+    for r, blk in blocks.items():
+        h += np.kron(_shift(L, r, bc), blk)
+    return h
+
+
+def build_chain(spec, lat):
+    """Real-space chain Hamiltonian; dim 2L for the parent, 4L for the child."""
+    return _assemble_chain(chain_hopping_blocks(spec), lat.L, lat.bc)
+
+
+def build_slab(spec, lat):
+    """Real-space slab Hamiltonian, site = ix*Ly + iy, internal index minor."""
+    n = lat.Lx * lat.Ly * 4
+    h = np.zeros((n, n), dtype=complex)
+    for (ra, rb), blk in slab_hopping_blocks(spec).items():
+        sx = _shift(lat.Lx, ra, lat.bcx)
+        sy = _shift(lat.Ly, rb, lat.bcy)
+        h += np.kron(np.kron(sx, sy), blk)
+    return h
+
+
+def build_slab_factors(spec, lat):
+    """(H_x, H_y), the factor chains whose reordered tensor product is build_slab."""
+    a, b = slab_factor_blocks(spec)
+    return _assemble_chain(a, lat.Lx, lat.bcx), _assemble_chain(b, lat.Ly, lat.bcy)
+
+
+def diagonalize(h, hermiticity_tol=1e-12):
+    """Ascending eigenpairs by eigh; NonHermitianError past tol x max(norm, 1)."""
+    h = np.asarray(h)
+    dev = np.linalg.norm(h - h.conj().T)
+    if dev > hermiticity_tol * max(np.linalg.norm(h), 1.0):
+        raise NonHermitianError(
+            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {hermiticity_tol:.1e} x norm"
+        )
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = h.real
+    return Eigenpairs(*np.linalg.eigh(h))
+
+
+def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
+    """Zero subspace of an explicit lattice matrix, by one dense solve.
+
+    tol is an absolute energy; by default it is rel_tol times the spectral
+    spread, as in lattice.zero_subspace.
+    """
+    s = diagonalize(h)
+    ev = s.eigenvalues
+    tol = _zero_tol(float(ev[-1] - ev[0]), tol, rel_tol)
+    sel = np.abs(ev) < tol
+    psi = s.eigenvectors[:, sel]
+    shape = (lat.L,) if isinstance(lat, ChainLattice) else (lat.Lx, lat.Ly)
+    internal = h.shape[0] // int(np.prod(shape))
+    per_site = (np.abs(psi) ** 2).sum(axis=1).reshape(-1, internal).sum(axis=1)
+    blocks = psi.reshape(shape + (internal, psi.shape[1]))
+    return ZeroSubspace(
+        eigenvalues=ev,
+        weights=per_site.reshape(shape),
+        count=int(sel.sum()),
+        tol=tol,
+        spinors=lambda site: blocks[site],
+    )
+
+
+def dense_solver(spec, lat, tol=None, rel_tol=1e-8):
+    """lattice.zero_subspace's dense counterpart: the whole matrix, one eigh."""
+    build = build_chain if isinstance(lat, ChainLattice) else build_slab
+    return dense_zero_subspace(build(spec, lat), lat, tol, rel_tol)
+
+
+def apply_onsite_disorder(h, spec, realization, sites=None):
+    """Add one disorder realization to a real-space Hamiltonian.
+
+    The channel matrix dimension must divide the Hamiltonian into whole
+    sites; pass the site count explicitly to cross-check against lattices
+    whose dimension is divisible by both internal sizes.
+    """
+    mat = channel_matrix(spec.channel)
+    d = mat.shape[0]
+    if sites is None:
+        if h.shape[0] % d:
+            raise ConfigError(
+                f"channel dimension {d} does not divide Hamiltonian dimension {h.shape[0]}"
+            )
+        sites = h.shape[0] // d
+    elif d * sites != h.shape[0]:
+        raise ConfigError(
+            f"channel dimension {d} x {sites} sites != Hamiltonian dimension {h.shape[0]}"
+        )
+    v = site_potentials(spec, realization, sites)
+    return h + np.kron(np.diag(v), mat)
+
+
+def zero_basis(zs, lat):
+    """All site spinors of a zero subspace stacked into its (dim, count) basis."""
+    shape = (lat.L,) if isinstance(lat, ChainLattice) else (lat.Lx, lat.Ly)
+    return np.concatenate([zs.spinors(site) for site in np.ndindex(*shape)])
+
+
+def well_posed(ev, tol):
+    """No eigenvalue sits within rounding reach of the zero tolerance."""
+    return bool(np.all(np.abs(np.abs(ev) - tol) > 1e-3 * tol))
+
+
+def classify_with(solver, spec, lat, scale=1.0):
+    """classify_zero_modes on the given solver, or the ConfigError it raises.
+
+    scale multiplies every decision threshold of the classification: the
+    site and rank tolerances, the entropy tolerance and 1 - overlap_min.
+    """
+    mmzm = functools.partial(
+        mmzm_classify, entropy_tol=1e-6 * scale, overlap_min=1.0 - 1e-3 * scale
+    )
+    with mock.patch.object(boundary, "zero_subspace", solver), mock.patch.object(
+        boundary, "mmzm_classify", mmzm
+    ):
+        try:
+            return classify_zero_modes(spec, lat, site_tol=1e-6 * scale, rank_tol=1e-6 * scale)
+        except ConfigError as exc:
+            return type(exc)
+
+
+def decisions(result):
+    """The discrete outcome of a classification: labels, ranks and flags."""
+    if not isinstance(result, dict):
+        return result
+    return {
+        region: (res.labels, res.subspace_dimension, res.matches_table, res.row_complete)
+        for region, res in result.items()
+    }

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_reference import build_chain, build_slab
 from mkc.boundary import (
     analytic_mmzm_density,
     classify_zero_modes,
@@ -20,13 +21,7 @@ from mkc.boundary import (
     perp_obc_gapless_points,
 )
 from mkc.disorder import CHILD_CHANNELS, robustness_sweep
-from mkc.lattice import (
-    ChainLattice,
-    SlabLattice,
-    build_chain,
-    build_slab,
-    zero_subspace,
-)
+from mkc.lattice import ChainLattice, SlabLattice, zero_subspace
 from mkc.models import (
     ChildSpec,
     ParentParams,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import build_chain, diagonalize
 from mkc.boundary import (
     BELL_VECTORS,
     CLASSIFICATION_FRAME,
@@ -27,13 +28,7 @@ from mkc.boundary import (
     tau_sigma_entropy,
 )
 from mkc.errors import ConfigError, SingularConfigError
-from mkc.lattice import (
-    PERIODIC,
-    ChainLattice,
-    SlabLattice,
-    build_chain,
-    diagonalize,
-)
+from mkc.lattice import PERIODIC, ChainLattice, SlabLattice
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 
 RNG = np.random.default_rng(20240813)

@@ -6,11 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from dense_reference import apply_onsite_disorder, build_slab
 from mkc.cli import main
 from mkc.config import parse_config
-from mkc.disorder import CHILD_CHANNELS, DisorderSpec, apply_onsite_disorder
+from mkc.disorder import CHILD_CHANNELS, DisorderSpec
 from mkc.errors import ConfigError
-from mkc.lattice import SlabLattice, build_slab
+from mkc.lattice import SlabLattice
 from mkc.models import ChildSpec, ParentParams
 
 PARENT_SPECTRUM = """\
@@ -268,6 +269,15 @@ mu2 = 0.0
 """
 
 
+# a child and a parent at mu = 0 (end zero modes on 6 sites), and at
+# mu = 3 (no zero modes)
+_ZERO_CHILD = _PARALLEL_HEAD.replace("mu1 = 0.5", "mu1 = 0.0").replace("mu2 = 3.0", "mu2 = 0.0")
+_TRIVIAL_CHILD = _PARALLEL_HEAD.replace("mu1 = 0.5", "mu1 = 3.0")
+_ZERO_PARENT = "[model]\nkind = parent\nt1 = 1.0\ndelta1 = 1.0\nmu1 = 0.0\n"
+_TRIVIAL_PARENT = _ZERO_PARENT.replace("mu1 = 0.0", "mu1 = 3.0")
+_L6 = "[lattice]\nl = 6\n"
+
+
 @pytest.mark.parametrize(
     "task, text",
     [
@@ -288,12 +298,30 @@ mu2 = 0.0
         ("quantization", _MIXED_HEAD + "[lattice]\nl = 6\n[task]\ngrid-points = -5\n"),
         ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 6\nl-max = 4\n"),
         ("quantization", _MIXED_HEAD + "[lattice]\nl = 6\n[task]\nmu-min = 0.5\nmu-max = 0.5\n"),
+        ("spectrum", PARENT_SPECTRUM.replace("t1 = 1.0", "t1 = nan")),
+        ("spectrum", PARENT_SPECTRUM.replace("mu1 = 0.25", "mu1 = inf")),
+        ("sweep-mu", _PARALLEL_HEAD + _L6 + "[task]\nmu-min = nan\nmu-max = 1\nmu-points = 3\n"),
+        ("quantization", _MIXED_HEAD + _L6 + "[task]\nmu-min = 0.5\nmu-max = inf\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\namplitude = nan\n"),
+        ("wannier", _PERPENDICULAR_HEAD + "[task]\nfixed-momentum = inf\n"),
+        ("density", _ZERO_CHILD + _L6 + "[task]\nzero-tol = nan\n"),
+        ("dirac", _PERPENDICULAR_HEAD + "[task]\nkx = nan\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\nchannel = x\n"),
+        ("disorder", _ZERO_PARENT + _L6 + "[task]\nchannel = xy\n"),
+        ("disorder", _TRIVIAL_CHILD + _L6 + "[task]\nchannel = x\n"),
+        ("disorder", _TRIVIAL_PARENT + _L6 + "[task]\nchannel = xy\n"),
+        ("disorder", _TRIVIAL_CHILD + _L6 + "[task]\nrealizations = 0\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
          "l-1-majorana-points", "mu-points-0-sweep-mu", "mu-points-0-disorder",
          "n-modes-0-sweep-mu", "n-modes-negative-sweep-length", "grid-points-negative",
-         "l-min-above-l-max", "quantization-empty-mu-range"],
+         "l-min-above-l-max", "quantization-empty-mu-range", "t1-nan", "mu1-inf",
+         "sweep-mu-mu-min-nan", "quantization-mu-max-inf", "disorder-amplitude-nan",
+         "wannier-fixed-momentum-inf", "density-zero-tol-nan", "dirac-kx-nan",
+         "parent-channel-on-child", "child-channel-on-parent",
+         "parent-channel-on-trivial-child", "child-channel-on-trivial-parent",
+         "realizations-0"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import apply_onsite_disorder, build_chain, build_slab
+from mkc import disorder
 from mkc.disorder import (
     CHILD_CHANNELS,
     PARENT_CHANNELS,
     BlockSolver,
     DisorderSpec,
-    apply_onsite_disorder,
     channel_matrix,
     channel_name,
     displacement_vs_amplitude,
@@ -18,14 +19,7 @@ from mkc.disorder import (
     site_potentials,
 )
 from mkc.errors import ConfigError, SymmetryError
-from mkc.lattice import (
-    OPEN,
-    PERIODIC,
-    ChainLattice,
-    SlabLattice,
-    build_chain,
-    build_slab,
-)
+from mkc.lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, chain_hopping_blocks
 from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentParams
 
 
@@ -63,6 +57,9 @@ def test_channel_names_and_validation():
         channel_matrix(("x", "q"))
     with pytest.raises(ConfigError):
         DisorderSpec(channel="x", amplitude=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            DisorderSpec(channel="x", amplitude=bad)
     with pytest.raises(ConfigError):
         DisorderSpec(channel="x", amplitude=0.1, realizations=0)
 
@@ -237,7 +234,7 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     # a level within rounding of the zero tolerance may count either way
     assume(np.all(np.abs(clean - tol) > 1e-9 * bw))
     n_zero = int((clean < tol).sum())
-    solver = BlockSolver(h, sites)
+    solver = BlockSolver(model, lat)
     scale = max(bw, 1.0)
     assert np.abs(solver.clean() - clean).max() < 1e-11 * scale
 
@@ -265,11 +262,12 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
         assert rep.robust[c, 0] == (worst < tol), channel_name(channel)
 
 
-def test_block_solver_rejects_clean_matrix_without_txsx_symmetry():
+def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
     lat = ChainLattice(8)
-    h = build_chain(_mixed_child(), lat)
-    BlockSolver(h, lat.L).channel(channel_matrix("00"))
+    BlockSolver(_mixed_child(), lat).channel(channel_matrix("00"))
     # t_z s_0 is real and Hermitian but anticommutes with t_x s_x
-    broken = h + 0.3 * np.kron(np.eye(lat.L), np.kron(SZ, PAULI["0"]))
+    blocks = chain_hopping_blocks(_mixed_child())
+    blocks[0] = blocks[0] + 0.3 * np.kron(SZ, PAULI["0"])
+    monkeypatch.setattr(disorder, "chain_hopping_blocks", lambda _: blocks)
     with pytest.raises(SymmetryError, match="t_x s_x"):
-        BlockSolver(broken, lat.L).channel(channel_matrix("00"))
+        BlockSolver(_mixed_child(), lat).channel(channel_matrix("00"))

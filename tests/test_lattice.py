@@ -1,10 +1,20 @@
-"""Real-space builders, diagonalization contract, and parameter sweeps."""
+"""Chiral-corner chain solver against dense references, and parameter sweeps."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import (
+    build_chain,
+    build_slab,
+    classify_with,
+    decisions,
+    dense_solver,
+    diagonalize,
+    well_posed,
+    zero_basis,
+)
 from mkc import lattice
 from mkc.errors import NonHermitianError, SymmetryError
 from mkc.lattice import (
@@ -13,12 +23,8 @@ from mkc.lattice import (
     ChainLattice,
     SlabLattice,
     _zero_tol,
-    build_chain,
-    build_slab,
     chain_hopping_blocks,
     chain_spectrum,
-    diagonalize,
-    degeneracy_count,
     low_energy_vs_length,
     spectrum_vs_mu,
     zero_subspace,
@@ -222,6 +228,53 @@ def test_chain_spectrum_matches_dense(system):
     assert (np.abs(fast) < tol).sum() == (np.abs(dense) < tol).sum()
 
 
+@settings(max_examples=150, deadline=None)
+@given(system=_chain_system())
+def test_chain_zero_subspace_matches_dense(system):
+    spec, lat = system
+    fast = zero_subspace(spec, lat)
+    dense = dense_solver(spec, lat)
+    spread = float(dense.eigenvalues[-1] - dense.eigenvalues[0])
+    assert np.max(np.abs(fast.eigenvalues - dense.eigenvalues)) <= 1e-12 * max(spread, 1.0)
+    assert fast.tol == pytest.approx(dense.tol, rel=1e-12)
+
+    assume(well_posed(dense.eigenvalues, dense.tol))
+    assert fast.count == dense.count
+    if fast.count:
+        b = zero_basis(fast, lat)
+        assert np.max(np.abs(b.T @ b - np.eye(fast.count))) < 1e-13
+        # the projector moves by the rounding error over the gap; the
+        # dense span is orthonormalized first, since eigh vectors inside a
+        # tight cluster can lose orthogonality
+        ev = np.abs(dense.eigenvalues)
+        gap = ev[ev >= dense.tol].min(initial=np.inf) - ev[ev < dense.tol].max()
+        proj_tol = 1e-12 * max(spread, 1.0) / gap + 1e-12
+        q = np.linalg.qr(zero_basis(dense, lat))[0]
+        p_dense = q @ q.conj().T
+        assert np.max(np.abs(b @ b.T - p_dense)) <= proj_tol
+        dens_dense = np.real(np.diag(p_dense)).reshape(lat.L, -1).sum(axis=-1)
+        assert np.max(np.abs(fast.weights - dens_dense)) <= proj_tol
+    assert fast.weights.sum() == pytest.approx(fast.count, abs=1e-9)
+
+    if isinstance(spec, ParentParams):
+        return  # the boundary catalogue covers the child only
+    # classify reads the zero subspace at 1e-6 of the bandwidth
+    assume(well_posed(dense.eigenvalues, 1e-6 * spread))
+    got = classify_with(zero_subspace, spec, lat)
+    # a decision that a 0.1% change of its own threshold flips is ill-posed
+    assume(all(
+        decisions(classify_with(zero_subspace, spec, lat, scale)) == decisions(got)
+        for scale in (0.999, 1.001)
+    ))
+    want = classify_with(dense_solver, spec, lat)
+    assert decisions(got) == decisions(want)
+    if isinstance(want, dict):
+        for region, res in want.items():
+            for g, w in zip(got[region].states, res.states):
+                assert g.entropy == pytest.approx(w.entropy, abs=1e-9)
+                assert g.overlap == pytest.approx(w.overlap, abs=1e-9)
+
+
 _CHILD = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
 _PARENT = ParentParams(1.0, 0.5, 0.2)
 
@@ -275,12 +328,3 @@ def test_zero_mode_density_slab_shape():
     dens = zero_subspace(spec, lat, tol=1e-8)
     assert dens.weights.shape == (4, 5)
     assert dens.weights.sum() == pytest.approx(dens.count, abs=1e-9)
-
-
-def test_degeneracy_count():
-    p = ParentParams(1.0, 1.0, 0.0)
-    lat = ChainLattice(10)
-    s = diagonalize(build_chain(p, lat))
-    assert degeneracy_count(s, 0.0, 1e-8) == 2
-    with pytest.raises(ValueError):
-        degeneracy_count(s, 0.0, 0.0)

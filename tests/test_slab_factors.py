@@ -7,31 +7,22 @@ counts, zero-subspace projectors, densities and classification labels,
 never single eigenvectors.
 """
 
-import functools
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mkc import boundary
-from mkc.boundary import (
-    classify_zero_modes,
-    kc_majorana_points,
-    mmzm_classify,
-    perp_obc_gapless_points,
-)
-from mkc.errors import ConfigError
-from mkc.lattice import (
-    OPEN,
-    PERIODIC,
-    SlabLattice,
+from dense_reference import (
     build_slab,
     build_slab_factors,
-    dense_zero_subspace,
-    zero_subspace,
+    classify_with,
+    decisions,
+    dense_solver,
+    well_posed,
+    zero_basis,
 )
+from mkc.boundary import kc_majorana_points, perp_obc_gapless_points
+from mkc.lattice import OPEN, PERIODIC, SlabLattice, zero_subspace
 from mkc.models import PERPENDICULAR, ChildSpec, ParentParams
 
 _sign = st.sampled_from([-1.0, 1.0])
@@ -70,49 +61,6 @@ def _slab_case(draw):
     return spec, lat
 
 
-def _dense_solver(spec, lat, tol=None, rel_tol=1e-8):
-    return dense_zero_subspace(build_slab(spec, lat), lat, tol, rel_tol)
-
-
-def _classify(solver, spec, lat, scale=1.0):
-    """classify_zero_modes on the given solver, or the ConfigError it raises.
-
-    scale multiplies every decision threshold of the classification: the
-    site and rank tolerances, the entropy tolerance and 1 - overlap_min.
-    """
-    mmzm = functools.partial(
-        mmzm_classify, entropy_tol=1e-6 * scale, overlap_min=1.0 - 1e-3 * scale
-    )
-    with mock.patch.object(boundary, "zero_subspace", solver), mock.patch.object(
-        boundary, "mmzm_classify", mmzm
-    ):
-        try:
-            return classify_zero_modes(spec, lat, site_tol=1e-6 * scale, rank_tol=1e-6 * scale)
-        except ConfigError as exc:
-            return type(exc)
-
-
-def _decisions(result):
-    if not isinstance(result, dict):
-        return result
-    return {
-        region: (res.labels, res.subspace_dimension, res.matches_table, res.row_complete)
-        for region, res in result.items()
-    }
-
-
-def _basis(zs, lat):
-    """All site spinors stacked into the (4 Lx Ly, count) basis matrix."""
-    return np.concatenate(
-        [zs.spinors((ix, iy)) for ix in range(lat.Lx) for iy in range(lat.Ly)]
-    )
-
-
-def _well_posed(ev, tol):
-    """No eigenvalue sits within rounding reach of the zero tolerance."""
-    return bool(np.all(np.abs(np.abs(ev) - tol) > 1e-3 * tol))
-
-
 def test_slab_is_reordered_kronecker_product_of_factor_chains():
     spec = ChildSpec(
         ParentParams(0.7, -1.1, 0.4), ParentParams(-1.3, 0.6, 2.5), PERPENDICULAR
@@ -137,21 +85,31 @@ _TIGHT_CLUSTER = (
 )
 
 
+def test_tight_cluster_basis_is_orthonormal():
+    # dense eigh vectors lose orthogonality to 4e-11 inside this cluster;
+    # the factor path's tensor products of singular vectors do not
+    spec, lat = _TIGHT_CLUSTER
+    fast = zero_subspace(spec, lat)
+    assert fast.count > 0
+    b = zero_basis(fast, lat)
+    assert np.max(np.abs(b.T @ b - np.eye(fast.count))) < 1e-13
+
+
 @settings(max_examples=80, deadline=None)
 @given(_slab_case())
 @example(_TIGHT_CLUSTER)
 def test_factor_path_matches_dense_slab(case):
     spec, lat = case
     fast = zero_subspace(spec, lat)
-    dense = _dense_solver(spec, lat)
+    dense = dense_solver(spec, lat)
     spread = float(dense.eigenvalues[-1] - dense.eigenvalues[0])
     assert np.max(np.abs(fast.eigenvalues - dense.eigenvalues)) <= 1e-12 * max(spread, 1.0)
     assert fast.tol == pytest.approx(dense.tol, rel=1e-12)
 
-    assume(_well_posed(dense.eigenvalues, dense.tol))
+    assume(well_posed(dense.eigenvalues, dense.tol))
     assert fast.count == dense.count
     if fast.count:
-        b = _basis(fast, lat)
+        b = zero_basis(fast, lat)
         assert np.max(np.abs(b.conj().T @ b - np.eye(fast.count))) < 1e-12
         # Davis-Kahan: the projector moves by the rounding error over the
         # gap.  Dense eigenvectors inside a tight cluster can lose
@@ -160,7 +118,7 @@ def test_factor_path_matches_dense_slab(case):
         ev = np.abs(dense.eigenvalues)
         gap = ev[ev >= dense.tol].min(initial=np.inf) - ev[ev < dense.tol].max()
         proj_tol = 1e-12 * max(spread, 1.0) / gap + 1e-12
-        q = np.linalg.qr(_basis(dense, lat))[0]
+        q = np.linalg.qr(zero_basis(dense, lat))[0]
         p_dense = q @ q.conj().T
         assert np.max(np.abs(b @ b.conj().T - p_dense)) <= proj_tol
         dens_dense = np.real(np.diag(p_dense)).reshape(lat.Lx, lat.Ly, 4).sum(axis=-1)
@@ -168,16 +126,16 @@ def test_factor_path_matches_dense_slab(case):
     assert fast.weights.sum() == pytest.approx(fast.count, abs=1e-9)
 
     # classify reads the zero subspace at 1e-6 of the bandwidth
-    assume(_well_posed(dense.eigenvalues, 1e-6 * spread))
-    got = _classify(zero_subspace, spec, lat)
+    assume(well_posed(dense.eigenvalues, 1e-6 * spread))
+    got = classify_with(zero_subspace, spec, lat)
     # a decision that a 0.1% change of its own threshold flips is ill-posed:
     # rounding alone may send it either way
     assume(all(
-        _decisions(_classify(zero_subspace, spec, lat, scale)) == _decisions(got)
+        decisions(classify_with(zero_subspace, spec, lat, scale)) == decisions(got)
         for scale in (0.999, 1.001)
     ))
-    want = _classify(_dense_solver, spec, lat)
-    assert _decisions(got) == _decisions(want)
+    want = classify_with(dense_solver, spec, lat)
+    assert decisions(got) == decisions(want)
     if isinstance(want, dict):
         for region, res in want.items():
             for g, w in zip(got[region].states, res.states):
@@ -201,7 +159,7 @@ def test_product_of_two_nonzero_factor_levels_counts_as_zero():
     assert fast.count == 4
     ev = np.linalg.eigvalsh(build_slab(spec, lat))
     assert (np.abs(ev) < fast.tol).sum() == 4
-    dense = _dense_solver(spec, lat)
+    dense = dense_solver(spec, lat)
     assert np.max(np.abs(fast.weights - dense.weights)) < 1e-9
 
 
