@@ -12,10 +12,11 @@ off greedily and the directions left over are labeled as they are.
 """
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, SingularConfigError
-from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, zero_subspace
+from .lattice import LINK_EQUAL, OPEN, PERIODIC, ChainLattice, SlabLattice
+from .lattice import exact_zero_potentials, zero_subspace
 from .models import (
     BELL_VECTORS,
     BLOCK_BASIS,
@@ -27,8 +28,6 @@ from .models import (
 )
 
 LN2 = float(np.log(2.0))
-
-DEFAULT_SCAN_POINTS = 2001
 
 # Basis products of the two internal two-level factors, in the same
 # (00, 01, 10, 11) order as models.BELL_VECTORS.
@@ -226,118 +225,27 @@ def quantization_residual(R1, R2, theta1, theta2, N):
     return plus - minus
 
 
-def _oscillation_data(p1, p2, mu):
-    """(R1, R2, theta1, theta2) on the decaying branches at shared mu."""
-    r1 = decay_roots(replace(p1, mu=mu), decaying_branch(p1))
-    r2 = decay_roots(replace(p2, mu=mu), decaying_branch(p2))
-    if not (r1.is_oscillatory and r2.is_oscillatory):
-        return None
-    return r1.magnitude, r2.magnitude, r1.angle, r2.angle
+def quantization_points(p1, p2, N, mu_range=None, grid_points=None):
+    """Exact-zero potentials of the shared-mu product chain in the oscillatory window.
 
-
-def _bisect_sign_change(residual, a, b, fa):
-    for _ in range(200):
-        if b - a <= 1e-12:
-            break
-        m = 0.5 * (a + b)
-        fm = residual(m)
-        if fm is None:
-            return None
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _refine_touch(residual, a, b):
-    """Ternary search on |residual| for a root the mismatch touches.
-
-    Exact points of the sign-mixed classes are even-order zeros: the
-    mismatch dips to zero without changing sign, so they are found as
-    interior minima.  Accepted only when the minimum undercuts the
-    bracket ends by ten orders of magnitude.
+    The chain is the parallel child of p1 and p2 on N open sites, both
+    parents at the shared mu, and its exact-zero potentials are the real
+    roots of its chiral-corner pencil, lattice.exact_zero_potentials.  Only
+    roots strictly inside the window |mu| < 2 sqrt(t^2 - Delta^2) of both
+    parents are returned, clipped further to mu_range when given: there the
+    decay roots oscillate and the standing-wave condition
+    quantization_residual is defined.  Exact zeros outside it (mu = +-1.9781
+    for the sign-mixed child t = 1, Delta = 0.5 at N = 31) are left out.  At
+    small |Delta / t| the window also holds exact zeros that the condition
+    does not generate; they are returned too.  grid_points is not used.
     """
-    edge = min(abs(residual(a)), abs(residual(b)))
-    for _ in range(200):
-        if b - a <= 1e-12:
-            break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1, f2 = residual(m1), residual(m2)
-        if f1 is None or f2 is None:
-            return None
-        if abs(f1) < abs(f2):
-            b = m2
-        else:
-            a = m1
-    mu = 0.5 * (a + b)
-    fm = residual(mu)
-    if fm is not None and abs(fm) < 1e-10 * edge:
-        return mu
-    return None
-
-
-def quantization_points(p1, p2, N, mu_range=None, grid_points=DEFAULT_SCAN_POINTS):
-    """Locate exact-zero potentials by scanning the quantization mismatch.
-
-    Sign changes between adjacent valid grid nodes are bisected; interior
-    minima of the absolute mismatch catch the even-order zeros where the
-    curve touches without crossing.  Both refinements stop at 1e-12 in mu,
-    which pins crossing roots to that width; touching roots are limited by
-    the rounding floor of the mismatch itself to roughly 1e-9.  Nodes where
-    either parent loses its oscillatory root pair, or where a standing-wave
-    denominator blows up, never participate in a bracket.
-    """
-    if int(N) != N or N < 2:
-        raise ConfigError(f"lattice size must be an integer >= 2, got {N!r}")
-    if mu_range is None:
-        half = min(
-            2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0)) for p in (p1, p2)
-        )
-        if half <= 0.0:
-            raise ConfigError("no oscillatory window: a parent has |t| <= |Delta|")
-        half *= 1.0 - 1e-9
-        mu_range = (-half, half)
-    grid = np.linspace(mu_range[0], mu_range[1], grid_points)
-
-    def residual(mu):
-        data = _oscillation_data(p1, p2, mu)
-        if data is None:
-            return None
-        R1, R2, t1, t2 = data
-        try:
-            return quantization_residual(R1, R2, t1, t2, N)
-        except SingularConfigError:
-            return None
-
-    vals = [residual(mu) for mu in grid]
-    roots = [g for g, f in zip(grid, vals) if f == 0.0]
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa is None or fb is None or fa == 0.0 or fb == 0.0:
-            continue
-        if fa * fb < 0.0:
-            r = _bisect_sign_change(residual, grid[i], grid[i + 1], fa)
-            if r is not None:
-                roots.append(r)
-    for i in range(1, len(grid) - 1):
-        fa, fm, fb = vals[i - 1], vals[i], vals[i + 1]
-        if fa is None or fm is None or fb is None or 0.0 in (fa, fm, fb):
-            continue
-        if fa * fm < 0.0 or fm * fb < 0.0:
-            continue
-        if abs(fm) < abs(fa) and abs(fm) <= abs(fb):
-            r = _refine_touch(residual, grid[i - 1], grid[i + 1])
-            if r is not None:
-                roots.append(r)
-    deduped = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return _point_set((r, 1, "quantization-scan") for r in deduped)
+    half = min(2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0)) for p in (p1, p2))
+    if half <= 0.0:
+        raise ConfigError("no oscillatory window: a parent has |t| <= |Delta|")
+    lo, hi = (-half, half) if mu_range is None else mu_range
+    mu = exact_zero_potentials(ChildSpec(p1, p2, PARALLEL), LINK_EQUAL, N)
+    mu = mu[(np.abs(mu) < half) & (mu >= lo) & (mu <= hi)]
+    return _point_set((m, 1, "quantization-scan") for m in mu)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ _TASK_KEYS = {
     "winding": {"samples": _Key(_int, default=4096, minimum=3)},
     "majorana-points": {},
     "quantization": {
-        "grid-points": _Key(_int, default=2001, minimum=2),
+        "grid-points": _Key(_int, default=2001, minimum=2),  # validated and echoed only
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
     },

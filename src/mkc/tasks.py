@@ -176,11 +176,7 @@ def _task_quantization(cfg):
                 f"[task] mu-min must be < mu-max, got {opt['mu-min']} >= {opt['mu-max']}"
             )
         mu_range = (opt["mu-min"], opt["mu-max"])
-    points = boundary.quantization_points(
-        cfg.model.p1, cfg.model.p2, lat.L,
-        mu_range=mu_range, grid_points=opt["grid-points"],
-    )
-    return _point_rows(points)
+    return _point_rows(boundary.quantization_points(cfg.model.p1, cfg.model.p2, lat.L, mu_range))
 
 
 def _task_density(cfg):

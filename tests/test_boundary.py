@@ -1,7 +1,11 @@
 """Exact-zero loci, analytic boundary wavefunctions, and state classification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dense_reference import build_chain, diagonalize
 from mkc.boundary import (
@@ -28,7 +32,7 @@ from mkc.boundary import (
     tau_sigma_entropy,
 )
 from mkc.errors import ConfigError, SingularConfigError
-from mkc.lattice import PERIODIC, ChainLattice, SlabLattice
+from mkc.lattice import LINK_EQUAL, PERIODIC, ChainLattice, SlabLattice, exact_zero_potentials
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 
 RNG = np.random.default_rng(20240813)
@@ -159,7 +163,7 @@ def test_odd_chain_families_interleave():
     assert all(pos_o[i] < pos_e[i] for i in range(len(pos_e)))
 
 
-def test_quantization_scan_matches_closed_family():
+def test_quantization_matches_closed_family():
     t, d, N = 1.0, 0.5, 6
     family = np.sort(mkc_parallel_majorana_points(t, d, N).mu_values)
     pts = quantization_points(
@@ -167,17 +171,98 @@ def test_quantization_scan_matches_closed_family():
     )
     got = np.sort(pts.mu_values)
     assert got.size == family.size
-    # touching roots carry a ~1e-9 rounding floor; see quantization_points
     assert np.max(np.abs(got - family)) < 1e-8
 
 
-def test_quantization_scan_generic_parents_frozen():
+def test_quantization_generic_parents_frozen():
     pts = quantization_points(
         ParentParams(1.0, 0.4, 0.0), ParentParams(-0.8, 0.3, 0.0), 4
     )
     got = np.sort(pts.mu_values)
     assert got.size == len(GENERIC_N4_ROOTS)
     assert np.max(np.abs(got - np.array(GENERIC_N4_ROOTS))) < 1e-9
+
+
+def _mismatch(p1, p2, mu, N):
+    """quantization_residual on both parents' decaying branches at shared mu."""
+    r1 = decay_roots(replace(p1, mu=mu), decaying_branch(p1))
+    r2 = decay_roots(replace(p2, mu=mu), decaying_branch(p2))
+    try:
+        return quantization_residual(r1.magnitude, r2.magnitude, r1.angle, r2.angle, N)
+    except SingularConfigError:
+        return np.nan
+
+
+def _window(p1, p2):
+    return min(2.0 * np.sqrt(p.t**2 - p.delta**2) for p in (p1, p2))
+
+
+def _dense_min_energy(p1, p2, mu, N):
+    """Smallest |E| of the dense shared-mu chain, over its bandwidth."""
+    spec = ChildSpec(replace(p1, mu=mu), replace(p2, mu=mu), PARALLEL)
+    ev = np.linalg.eigvalsh(build_chain(spec, ChainLattice(N)))
+    return np.abs(ev).min() / (ev[-1] - ev[0])
+
+
+_sign = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _standing_wave_child(draw):
+    """(p1, p2, N): a sign-mixed or generic pair with 0.45 <= |Delta / t| <= 0.95.
+
+    Below 1/sqrt(5) = 0.447 the window can also hold exact zeros that the
+    standing-wave condition does not generate (see
+    test_quantization_keeps_non_standing_wave_zeros_at_small_delta).
+    """
+
+    def parent():
+        t = draw(_sign) * draw(st.floats(0.3, 2.0))
+        return ParentParams(t, draw(_sign) * draw(st.floats(0.45, 0.95)) * abs(t), 0.0)
+
+    p1 = parent()
+    mixed = draw(st.booleans())
+    p2 = ParentParams(-p1.t, p1.delta, 0.0) if mixed else parent()
+    return p1, p2, draw(st.integers(3, 40))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_standing_wave_child())
+def test_quantization_points_satisfy_standing_wave_condition(case):
+    p1, p2, N = case
+    half = _window(p1, p2)
+    mismatch = np.array([_mismatch(p1, p2, mu, N) for mu in np.linspace(-half, half, 2001) * (1 - 1e-9)])
+    # with equal decay-root moduli and angles the condition is undefined
+    assume(not np.isnan(mismatch).all())
+    scale = np.nanmedian(np.abs(mismatch))
+    for mu in quantization_points(p1, p2, N).mu_values:
+        assert abs(_mismatch(p1, p2, mu, N)) < 1e-6 * scale
+
+
+def test_quantization_leaves_out_zeros_beyond_the_window():
+    p1, p2, N = ParentParams(1.0, 0.5, 0.0), ParentParams(-1.0, 0.5, 0.0), 31
+    outside = exact_zero_potentials(ChildSpec(p1, p2, PARALLEL), LINK_EQUAL, N)
+    outside = outside[np.abs(outside) >= _window(p1, p2)]
+    assert outside == pytest.approx([-1.9781146, 1.9781146], abs=1e-6)
+    for mu in outside:
+        assert _dense_min_energy(p1, p2, mu, N) < 1e-14
+    assert np.abs(quantization_points(p1, p2, N).mu_values).max() < _window(p1, p2)
+
+
+def test_quantization_keeps_non_standing_wave_zeros_at_small_delta():
+    # at |Delta / t| = 0.15 and odd N the window also holds exact zeros of
+    # the other t_x s_x sector, which the closed forms and the standing-wave
+    # condition do not generate; quantization lists every exact zero in it
+    p1, p2, N = ParentParams(1.3, 0.2, 0.0), ParentParams(-1.3, 0.2, 0.0), 5
+    got = np.array(quantization_points(p1, p2, N).mu_values)
+    family = np.array(mkc_parallel_majorana_points(1.3, 0.2, N).mu_values)
+    assert got.size == 16 and family.size == 10
+    extra = got[np.abs(got[:, None] - family).min(axis=1) > 1e-9]
+    assert extra[extra > 0] == pytest.approx([2.0413845, 2.0597935, 2.4033331], abs=1e-6)
+    scale = np.nanmedian(np.abs([_mismatch(p1, p2, mu, N) for mu in np.linspace(-2.5, 2.5, 2001)]))
+    for mu in extra:
+        assert _dense_min_energy(p1, p2, mu, N) < 1e-14
+        assert abs(_mismatch(p1, p2, mu, N)) > 0.1 * scale
 
 
 def test_quantization_requires_oscillatory_window():

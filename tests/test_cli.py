@@ -353,3 +353,24 @@ k-points = 16
     rows = dict(l.split(",") for l in lines[1:])
     assert set(rows) == {"T", "P1", "C1", "P2", "C2", "U"}
     assert max(float(r) for r in rows.values()) < 1e-13
+
+
+def _mu_column(tmp_path, capsys, task, text):
+    rc = main([task, "--config", _config(tmp_path, text, name=f"{task}.cfg")])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    lines = [l for l in out.splitlines() if not l.startswith("# ")]
+    assert lines[0] == "mu,degeneracy,provenance"
+    return np.array([float(l.split(",")[0]) for l in lines[1:]])
+
+
+def test_quantization_lists_every_sign_mixed_point_at_odd_l(tmp_path, capsys):
+    # at l = 31 the odd-sites point n=1/(L+3), mu = +-1.7246621841757, sits
+    # 9.5e-4 from its even-sites neighbour, inside one cell of the old
+    # 2001-point scan, which listed 60 rows
+    text = _MIXED_HEAD + "[lattice]\nl = 31\n"
+    got = _mu_column(tmp_path, capsys, "quantization", text)
+    want = _mu_column(tmp_path, capsys, "majorana-points", text)
+    assert got.size == want.size == 62
+    assert np.abs(got - want).max() < 1e-9
+    assert np.abs(np.abs(got) - 1.7246621841757).min() < 1e-12

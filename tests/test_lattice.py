@@ -16,8 +16,12 @@ from dense_reference import (
     zero_basis,
 )
 from mkc import lattice
-from mkc.errors import NonHermitianError, SymmetryError
+from mkc.boundary import kc_majorana_points, mkc_parallel_majorana_points
+from mkc.errors import NonHermitianError, SingularConfigError, SymmetryError
 from mkc.lattice import (
+    LINK_EQUAL,
+    LINK_FIXED2,
+    LINK_OPPOSITE,
     OPEN,
     PERIODIC,
     ChainLattice,
@@ -25,6 +29,7 @@ from mkc.lattice import (
     _zero_tol,
     chain_hopping_blocks,
     chain_spectrum,
+    exact_zero_potentials,
     low_energy_vs_length,
     spectrum_vs_mu,
     zero_subspace,
@@ -273,6 +278,72 @@ def test_chain_zero_subspace_matches_dense(system):
             for g, w in zip(got[region].states, res.states):
                 assert g.entropy == pytest.approx(w.entropy, abs=1e-9)
                 assert g.overlap == pytest.approx(w.overlap, abs=1e-9)
+
+
+@pytest.mark.parametrize("link, a2", [(LINK_EQUAL, -1.0), (LINK_OPPOSITE, 1.0)])
+def test_mu_coefficients_reproduce_blocks_and_lead_with_identity(link, a2):
+    parent = ParentParams(0.7, -0.4, 0.3)
+    child = ChildSpec(parent, ParentParams(-1.3, 0.5, -0.8), PARALLEL)
+    for template, lead, want in ((child, 2, a2), (parent, 1, -1.0)):
+        coeffs = lattice._mu_coefficients(template, link)
+        assert len(coeffs) == lead + 1
+        for mu in (-1.7, 0.37):
+            blocks = chain_hopping_blocks(lattice._with_mu(template, mu, link))
+            for r, blk in blocks.items():
+                assert np.abs(sum(mu**i * c[r] for i, c in enumerate(coeffs)) - blk).max() < 1e-14
+        for corner, _, _ in lattice._chiral_corners(coeffs[lead], ChainLattice(5)):
+            assert np.abs(corner - want * np.eye(5)).max() < 1e-15
+
+
+@st.composite
+def _pencil_case(draw):
+    """(kind, template, link, L), |Delta| < |t|: a parent, a generic child or a sign-mixed one."""
+
+    def parent():
+        t = draw(_sign) * draw(st.floats(0.3, 2.0))
+        return ParentParams(t, draw(_sign) * draw(st.floats(0.02, 0.95)) * abs(t), 0.0)
+
+    kind = draw(st.sampled_from(["parent", "child", "sign-mixed"]))
+    p1 = parent()
+    if kind == "parent":
+        return kind, p1, LINK_EQUAL, draw(st.integers(2, 40))
+    if kind == "child":
+        link = draw(st.sampled_from([LINK_EQUAL, LINK_OPPOSITE]))
+        return kind, ChildSpec(p1, parent(), PARALLEL), link, draw(st.integers(3, 40))
+    mixed = ChildSpec(p1, ParentParams(-p1.t, p1.delta, 0.0), PARALLEL)
+    return kind, mixed, LINK_EQUAL, draw(st.integers(3, 40))
+
+
+def _nearest(roots, points):
+    """Distance from each point to the nearest root."""
+    return np.abs(np.asarray(points)[:, None] - roots[None, :]).min(axis=1, initial=np.inf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_pencil_case())
+def test_exact_zero_potentials_are_dense_zeros_and_closed_forms(case):
+    kind, template, link, L = case
+    roots = exact_zero_potentials(template, link, L)
+    assert np.all(np.diff(roots) > 0)
+    for mu in roots:
+        ev = np.linalg.eigvalsh(build_chain(lattice._with_mu(template, mu, link), ChainLattice(L)))
+        assert np.abs(ev).min() < 1e-10 * (ev[-1] - ev[0])
+    if kind == "parent":
+        want = kc_majorana_points(template, L).mu_values
+        assert roots.size == len(want) and _nearest(roots, want).max() < 1e-9
+        return
+    with pytest.raises(SingularConfigError):
+        exact_zero_potentials(template, LINK_FIXED2, L)
+    if kind == "child":
+        return
+    p = template.p1
+    want = mkc_parallel_majorana_points(p.t, p.delta, L).mu_values
+    assert _nearest(roots, want).max() < 1e-9
+    # below |Delta / t| = 1/sqrt(5) (L = 3; lower for longer odd L), exact zeros
+    # of the other t_x s_x sector, not in the closed forms, enter the window
+    if abs(p.delta / p.t) >= 0.45:
+        inside = np.abs(roots) < 2.0 * np.sqrt(p.t**2 - p.delta**2)
+        assert inside.sum() == len(want)
 
 
 _CHILD = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
