@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import ConfigError, SingularConfigError
-from .lattice import LINK_EQUAL, OPEN, PERIODIC, ChainLattice, SlabLattice
+from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice
 from .lattice import exact_zero_potentials, zero_subspace
 from .models import (
     BELL_VECTORS,
@@ -225,7 +225,7 @@ def quantization_residual(R1, R2, theta1, theta2, N):
     return plus - minus
 
 
-def quantization_points(p1, p2, N, mu_range=None, grid_points=None):
+def quantization_points(p1, p2, N, mu_range=None):
     """Exact-zero potentials of the shared-mu product chain in the oscillatory window.
 
     The chain is the parallel child of p1 and p2 on N open sites, both
@@ -237,13 +237,13 @@ def quantization_points(p1, p2, N, mu_range=None, grid_points=None):
     quantization_residual is defined.  Exact zeros outside it (mu = +-1.9781
     for the sign-mixed child t = 1, Delta = 0.5 at N = 31) are left out.  At
     small |Delta / t| the window also holds exact zeros that the condition
-    does not generate; they are returned too.  grid_points is not used.
+    does not generate; they are returned too.
     """
     half = min(2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0)) for p in (p1, p2))
     if half <= 0.0:
         raise ConfigError("no oscillatory window: a parent has |t| <= |Delta|")
     lo, hi = (-half, half) if mu_range is None else mu_range
-    mu = exact_zero_potentials(ChildSpec(p1, p2, PARALLEL), LINK_EQUAL, N)
+    mu = exact_zero_potentials(ChildSpec(p1, p2, PARALLEL), N)
     mu = mu[(np.abs(mu) < half) & (mu >= lo) & (mu <= hi)]
     return _point_set((m, 1, "quantization-scan") for m in mu)
 

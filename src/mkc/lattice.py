@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError, NonHermitianError, SingularConfigError, SymmetryError
+from .errors import ConfigError, NonHermitianError, SymmetryError
 from .models import (
     _C1,
     _C2,
@@ -301,110 +301,105 @@ def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
     return _ordered_map(one, list(L_range), threads)
 
 
-def _link_slope(template, link):
-    """(s, c) such that the second child potential is mu2 = s mu + c along the link."""
-    if link == LINK_EQUAL:
-        return 1.0, 0.0
-    if link == LINK_OPPOSITE:
-        return -1.0, 0.0
-    if link == LINK_FIXED2:
-        return 0.0, template.p2.mu
-    raise ValueError(f"unknown link {link!r}")
-
-
 def _with_mu(template, mu, link):
     if isinstance(template, ParentParams):
         return replace(template, mu=float(mu))
-    s, c = _link_slope(template, link)
-    p2 = replace(template.p2, mu=s * float(mu) + c)
-    return ChildSpec(replace(template.p1, mu=float(mu)), p2, template.orientation)
+    p1 = replace(template.p1, mu=float(mu))
+    if link == LINK_EQUAL:
+        p2 = replace(template.p2, mu=float(mu))
+    elif link == LINK_OPPOSITE:
+        p2 = replace(template.p2, mu=-float(mu))
+    elif link == LINK_FIXED2:
+        p2 = template.p2
+    else:
+        raise ValueError(f"unknown link {link!r}")
+    return ChildSpec(p1, p2, template.orientation)
 
 
-def _mu_coefficients(template, link):
-    """[C0, C1, ...], the chain's hopping blocks as sum_i mu^i C_i along the link.
+def _mu_coefficients(child):
+    """(C0, C1): the parallel child's blocks at mu1 = mu2 = mu are C0 + mu C1 + mu^2 C2.
 
     mu enters each factor chain only through its on-site -mu s_z (first
     factor) or +mu s_z (second), and the child's blocks are bilinear in the
-    factors' blocks (_product_blocks).
+    factors' blocks (_product_blocks).  So C2 is the on-site -s_z x s_z,
+    whose chiral corners are -I.
     """
     da = {-1: 0.0 * SZ, 0: -SZ, 1: 0.0 * SZ}
-    if isinstance(template, ParentParams):
-        return [_first_factor_blocks(replace(template, mu=0.0)), da]
-    s, c = _link_slope(template, link)
-    db = {r: -blk for r, blk in da.items()}
-    a = _first_factor_blocks(replace(template.p1, mu=0.0))
-    b = _second_factor_blocks(replace(template.p2, mu=c))
-    c0, c1a, c1b, c2 = (_product_blocks(x, y) for x, y in ((a, b), (da, b), (a, db), (da, db)))
-    return [c0, {r: c1a[r] + s * c1b[r] for r in c0}, {r: s * c2[r] for r in c0}]
+    a = _first_factor_blocks(replace(child.p1, mu=0.0))
+    b = _second_factor_blocks(replace(child.p2, mu=0.0))
+    c1a, c1b = _product_blocks(da, b), _product_blocks(a, {r: -d for r, d in da.items()})
+    return _product_blocks(a, b), {r: c1a[r] + c1b[r] for r in c1a}
 
 
-# Eigenvalues within ROOT_SPREAD (relative) of the real axis are candidate
-# roots, and roots that close together are reported once: the eigensolver
-# splits a double root into a real or complex pair about sqrt(eps) apart.  A
-# candidate is a root when the corner there, whose singular values are the
-# chain's levels, is singular to EXACT_ZERO_TOL of its largest one.
+# The eigensolver returns a double root as a real or complex pair up to
+# about sqrt(eps) apart, so eigenvalues within ROOT_SPREAD (relative) of
+# the real axis are candidates, and a corner's roots that close together
+# are one root.  A candidate is a root of a corner when that corner's
+# smallest singular value there, the chain's lowest level in its sector, is
+# at most EXACT_ZERO_TOL of the chain's largest level.  Inside the
+# oscillatory window the roots are accurate to about 1e-14, and roots of
+# the two corners are one root only when they agree to ROOT_MATCH.
 ROOT_SPREAD = 1e-7
+ROOT_MATCH = 1e-12
 EXACT_ZERO_TOL = 1e-10
 
 
-def _companion(pencil, tol):
-    """Companion matrix of sum_i mu^i pencil[i], made monic by its leading coefficient.
-
-    Trailing coefficients below tol are dropped, and SingularConfigError is
-    raised unless the leading one left is a multiple of the identity.
-    """
-    while len(pencil) > 1 and np.abs(pencil[-1]).max() <= tol:
-        pencil = pencil[:-1]
-    lead, n, degree = pencil[-1], len(pencil[0]), len(pencil) - 1
-    a = lead[0, 0]
-    if degree == 0 or abs(a) <= tol or np.abs(lead - a * np.eye(n)).max() > tol:
-        raise SingularConfigError("a chiral corner's leading mu coefficient is not a multiple of I")
-    comp = np.zeros((n * degree, n * degree))
-    comp[:-n, n:] = np.eye(n * (degree - 1))
-    comp[-n:] = -np.hstack(pencil[:-1]) / a
-    return comp
-
-
-def _distinct(x):
-    """x ascending, keeping the smallest value of each run closer than ROOT_SPREAD."""
+def _distinct(x, spread):
+    """x ascending, keeping the smallest value of each run closer than spread (relative)."""
     x = np.sort(x)
-    return x[np.diff(x, prepend=-np.inf) > ROOT_SPREAD * (1.0 + np.abs(x))]
+    return x[np.diff(x, prepend=-np.inf) > spread * (1.0 + np.abs(x))]
 
 
-def exact_zero_potentials(template, link, L):
-    """Ascending chemical potentials along the link where the open chain has an exact zero mode.
+def _levels(a0, a1, x):
+    """Singular values of the corner A0 + x A1 - x^2 I at each x, descending.
 
-    Each chiral corner (_chiral_corners) is A(mu) = A0 + mu A1 + mu^2 A2
-    with the corners of _mu_coefficients as coefficients, and the chain has
-    a zero mode exactly where one is singular: at the real eigenvalues of
-    -A0 / a1 when A2 = 0 and A1 = a1 I (the parent), or of the companion
-    [[0, I], [-A0 / a2, -A1 / a2]] when A2 = a2 I (the child along the equal
-    or opposite link; Tisseur & Meerbergen, SIAM Review 43 (2001) 235).  Any
-    other leading coefficient, as along the fixed link, raises
-    SingularConfigError.  The companion is built from each corner balanced
-    by the similarity diag(rho^j) that equalizes its outermost diagonals:
-    zero modes at opposite edges otherwise make the roots ill-conditioned by
-    a factor exponential in L.  Inside the oscillatory window, where each
-    parent's decay roots share one modulus, the roots are then accurate to
-    rounding; outside it, roots can be missed.  Every root returned is a
-    zero mode to EXACT_ZERO_TOL.
+    They are the chain's levels in the corner's t_x s_x sector.
     """
+    xx = x[:, None, None]
+    return np.linalg.svd(a0 + xx * (a1 - xx * np.eye(len(a0))), compute_uv=False)
+
+
+def exact_zero_potentials(child, L):
+    """Ascending mu where the open parallel child at mu1 = mu2 = mu has an exact zero mode.
+
+    Each chiral corner (_chiral_corners) is A(mu) = A0 + mu A1 - mu^2 I,
+    with A0 and A1 the corners of _mu_coefficients, and the chain has a zero
+    mode exactly where one is singular: at the real eigenvalues of the
+    companion [[0, I], [A0, A1]] (Tisseur & Meerbergen, SIAM Review 43
+    (2001) 235).  The companion is built from each corner balanced by the
+    similarity diag(rho^j) that equalizes its outermost diagonals: zero
+    modes at opposite edges otherwise make the roots ill-conditioned by a
+    factor exponential in L.  Inside the oscillatory window, where each
+    parent's decay roots share one modulus, the roots are then accurate to
+    rounding; outside it, roots can be missed.  At every root returned the
+    chain has a level below EXACT_ZERO_TOL of its largest.
+    """
+    if L < 2:
+        raise ConfigError(f"lattice size must be an integer >= 2, got {L!r}")
     lat = ChainLattice(L)
-    coeffs = _mu_coefficients(template, link)
+    # an open chain has no bond of range L or more
+    coeffs = [{r: c for r, c in blocks.items() if abs(r) < L} for blocks in _mu_coefficients(child)]
     reach = max(coeffs[0])
     # corners vanish beyond the hopping reach; clipping there keeps rho**offset finite
     offset = np.clip(np.subtract.outer(np.arange(L), np.arange(L)), -reach, reach)
     corners = [[c for c, _, _ in _chiral_corners(blocks, lat)] for blocks in coeffs]
-    tol = SYMMETRY_TOL * max(1.0, max(np.abs(c).max() for cs in corners for c in cs))
-    found = []
-    for pencil in zip(*corners):
-        outer = abs(pencil[0][0, reach]), abs(pencil[0][reach, 0])
+    pencils, found = list(zip(*corners)), []
+    for a0, a1 in pencils:
+        outer = abs(a0[0, reach]), abs(a0[reach, 0])
+        tol = SYMMETRY_TOL * max(1.0, np.abs(a0).max())
         rho = (outer[0] / outer[1]) ** (0.5 / reach) if min(outer) > tol else 1.0
-        lam = np.linalg.eigvals(_companion([c * rho**offset for c in pencil], tol))
-        x = _distinct(lam.real[np.abs(lam.imag) <= ROOT_SPREAD * (1.0 + np.abs(lam))])
-        s = np.linalg.svd(sum(c * x[:, None, None] ** i for i, c in enumerate(pencil)), compute_uv=False)
-        found.append(x[s[:, -1] <= EXACT_ZERO_TOL * s[:, 0]])
-    return _distinct(np.concatenate(found))
+        comp = np.block([[np.zeros((L, L)), np.eye(L)], [a0 * rho**offset, a1 * rho**offset]])
+        lam = np.linalg.eigvals(comp)
+        x = lam.real[np.abs(lam.imag) <= ROOT_SPREAD * (1.0 + np.abs(lam))]
+        s = _levels(a0, a1, x)
+        band = s[:, 0]
+        # the chain's largest level is usually this corner's own; candidates
+        # that fail against it, as where the whole corner vanishes (the
+        # sign-mixed child on 2 sites), read every corner
+        weak = s[:, -1] > EXACT_ZERO_TOL * band
+        band[weak] = np.max([_levels(b0, b1, x[weak])[:, 0] for b0, b1 in pencils], axis=0)
+        found.append(_distinct(x[s[:, -1] <= EXACT_ZERO_TOL * band], ROOT_SPREAD))
+    return _distinct(np.concatenate(found), ROOT_MATCH)
 
 
 def spectrum_vs_mu(template, mu_grid, link, lat, n_modes=None, threads=1):

@@ -32,7 +32,7 @@ from mkc.boundary import (
     tau_sigma_entropy,
 )
 from mkc.errors import ConfigError, SingularConfigError
-from mkc.lattice import LINK_EQUAL, PERIODIC, ChainLattice, SlabLattice, exact_zero_potentials
+from mkc.lattice import PERIODIC, ChainLattice, SlabLattice, exact_zero_potentials
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 
 RNG = np.random.default_rng(20240813)
@@ -231,17 +231,24 @@ def _standing_wave_child(draw):
 def test_quantization_points_satisfy_standing_wave_condition(case):
     p1, p2, N = case
     half = _window(p1, p2)
-    mismatch = np.array([_mismatch(p1, p2, mu, N) for mu in np.linspace(-half, half, 2001) * (1 - 1e-9)])
+    grid = np.linspace(-half, half, 2001) * (1 - 1e-9)
+    mismatch = np.array([_mismatch(p1, p2, mu, N) for mu in grid])
     # with equal decay-root moduli and angles the condition is undefined
     assume(not np.isnan(mismatch).all())
     scale = np.nanmedian(np.abs(mismatch))
-    for mu in quantization_points(p1, p2, N).mu_values:
+    roots = np.array(quantization_points(p1, p2, N).mu_values)
+    for mu in roots:
         assert abs(_mismatch(p1, p2, mu, N)) < 1e-6 * scale
+    # every sign change of the mismatch between neighbouring grid nodes is a
+    # root of the condition, and one is returned within a cell of it
+    cell = grid[1] - grid[0]
+    for i in np.flatnonzero(mismatch[:-1] * mismatch[1:] < 0.0):
+        assert np.any((roots >= grid[i] - cell) & (roots <= grid[i + 1] + cell))
 
 
 def test_quantization_leaves_out_zeros_beyond_the_window():
     p1, p2, N = ParentParams(1.0, 0.5, 0.0), ParentParams(-1.0, 0.5, 0.0), 31
-    outside = exact_zero_potentials(ChildSpec(p1, p2, PARALLEL), LINK_EQUAL, N)
+    outside = exact_zero_potentials(ChildSpec(p1, p2, PARALLEL), N)
     outside = outside[np.abs(outside) >= _window(p1, p2)]
     assert outside == pytest.approx([-1.9781146, 1.9781146], abs=1e-6)
     for mu in outside:

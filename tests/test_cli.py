@@ -366,11 +366,20 @@ def _mu_column(tmp_path, capsys, task, text):
 
 def test_quantization_lists_every_sign_mixed_point_at_odd_l(tmp_path, capsys):
     # at l = 31 the odd-sites point n=1/(L+3), mu = +-1.7246621841757, sits
-    # 9.5e-4 from its even-sites neighbour, inside one cell of the old
-    # 2001-point scan, which listed 60 rows
+    # 9.5e-4 from its even-sites neighbour, inside one cell of a 2001-point
+    # scan of the window, which lists 60 rows
     text = _MIXED_HEAD + "[lattice]\nl = 31\n"
     got = _mu_column(tmp_path, capsys, "quantization", text)
     want = _mu_column(tmp_path, capsys, "majorana-points", text)
     assert got.size == want.size == 62
     assert np.abs(got - want).max() < 1e-9
     assert np.abs(np.abs(got) - 1.7246621841757).min() < 1e-12
+
+
+def test_quantization_on_two_sites(tmp_path, capsys):
+    # the shortest chain the task takes; its points are the closed forms at l = 2
+    text = _MIXED_HEAD + "[lattice]\nl = 2\n"
+    got = _mu_column(tmp_path, capsys, "quantization", text)
+    want = _mu_column(tmp_path, capsys, "majorana-points", text)
+    assert got.size == want.size == 2
+    assert np.abs(got - want).max() < 1e-9

@@ -16,12 +16,10 @@ from dense_reference import (
     zero_basis,
 )
 from mkc import lattice
-from mkc.boundary import kc_majorana_points, mkc_parallel_majorana_points
-from mkc.errors import NonHermitianError, SingularConfigError, SymmetryError
+from mkc.boundary import mkc_parallel_majorana_points
+from mkc.errors import ConfigError, NonHermitianError, SymmetryError
 from mkc.lattice import (
     LINK_EQUAL,
-    LINK_FIXED2,
-    LINK_OPPOSITE,
     OPEN,
     PERIODIC,
     ChainLattice,
@@ -280,38 +278,35 @@ def test_chain_zero_subspace_matches_dense(system):
                 assert g.overlap == pytest.approx(w.overlap, abs=1e-9)
 
 
-@pytest.mark.parametrize("link, a2", [(LINK_EQUAL, -1.0), (LINK_OPPOSITE, 1.0)])
-def test_mu_coefficients_reproduce_blocks_and_lead_with_identity(link, a2):
-    parent = ParentParams(0.7, -0.4, 0.3)
-    child = ChildSpec(parent, ParentParams(-1.3, 0.5, -0.8), PARALLEL)
-    for template, lead, want in ((child, 2, a2), (parent, 1, -1.0)):
-        coeffs = lattice._mu_coefficients(template, link)
-        assert len(coeffs) == lead + 1
-        for mu in (-1.7, 0.37):
-            blocks = chain_hopping_blocks(lattice._with_mu(template, mu, link))
-            for r, blk in blocks.items():
-                assert np.abs(sum(mu**i * c[r] for i, c in enumerate(coeffs)) - blk).max() < 1e-14
-        for corner, _, _ in lattice._chiral_corners(coeffs[lead], ChainLattice(5)):
-            assert np.abs(corner - want * np.eye(5)).max() < 1e-15
+def test_mu_coefficients_reproduce_blocks_and_lead_with_identity():
+    child = ChildSpec(ParentParams(0.7, -0.4, 0.3), ParentParams(-1.3, 0.5, -0.8), PARALLEL)
+    c0, c1 = lattice._mu_coefficients(child)
+    c2 = {0: -np.kron(SZ, SZ)}
+    for mu in (-1.7, 0.37):
+        blocks = chain_hopping_blocks(lattice._with_mu(child, mu, LINK_EQUAL))
+        for r, blk in blocks.items():
+            assert np.abs(c0[r] + mu * c1[r] + mu**2 * c2.get(r, 0.0) - blk).max() < 1e-14
+    for corner, _, _ in lattice._chiral_corners(c2, ChainLattice(5)):
+        assert np.abs(corner + np.eye(5)).max() < 1e-15
+
+
+def _dense_open_levels(spec, L):
+    """Eigenvalues of the open chain built densely; bonds longer than L - 1 drop out."""
+    blocks = chain_hopping_blocks(spec)
+    return np.linalg.eigvalsh(sum(np.kron(np.eye(L, k=r), blk) for r, blk in blocks.items()))
 
 
 @st.composite
 def _pencil_case(draw):
-    """(kind, template, link, L), |Delta| < |t|: a parent, a generic child or a sign-mixed one."""
+    """(sign-mixed, child, L): a sign-mixed or generic child with |Delta| < |t|."""
 
     def parent():
         t = draw(_sign) * draw(st.floats(0.3, 2.0))
         return ParentParams(t, draw(_sign) * draw(st.floats(0.02, 0.95)) * abs(t), 0.0)
 
-    kind = draw(st.sampled_from(["parent", "child", "sign-mixed"]))
-    p1 = parent()
-    if kind == "parent":
-        return kind, p1, LINK_EQUAL, draw(st.integers(2, 40))
-    if kind == "child":
-        link = draw(st.sampled_from([LINK_EQUAL, LINK_OPPOSITE]))
-        return kind, ChildSpec(p1, parent(), PARALLEL), link, draw(st.integers(3, 40))
-    mixed = ChildSpec(p1, ParentParams(-p1.t, p1.delta, 0.0), PARALLEL)
-    return kind, mixed, LINK_EQUAL, draw(st.integers(3, 40))
+    p1, mixed = parent(), draw(st.booleans())
+    p2 = ParentParams(-p1.t, p1.delta, 0.0) if mixed else parent()
+    return mixed, ChildSpec(p1, p2, PARALLEL), draw(st.integers(2, 40))
 
 
 def _nearest(roots, points):
@@ -322,21 +317,15 @@ def _nearest(roots, points):
 @settings(max_examples=30, deadline=None)
 @given(case=_pencil_case())
 def test_exact_zero_potentials_are_dense_zeros_and_closed_forms(case):
-    kind, template, link, L = case
-    roots = exact_zero_potentials(template, link, L)
+    mixed, child, L = case
+    roots = exact_zero_potentials(child, L)
     assert np.all(np.diff(roots) > 0)
     for mu in roots:
-        ev = np.linalg.eigvalsh(build_chain(lattice._with_mu(template, mu, link), ChainLattice(L)))
+        ev = _dense_open_levels(lattice._with_mu(child, mu, LINK_EQUAL), L)
         assert np.abs(ev).min() < 1e-10 * (ev[-1] - ev[0])
-    if kind == "parent":
-        want = kc_majorana_points(template, L).mu_values
-        assert roots.size == len(want) and _nearest(roots, want).max() < 1e-9
+    if not mixed:
         return
-    with pytest.raises(SingularConfigError):
-        exact_zero_potentials(template, LINK_FIXED2, L)
-    if kind == "child":
-        return
-    p = template.p1
+    p = child.p1
     want = mkc_parallel_majorana_points(p.t, p.delta, L).mu_values
     assert _nearest(roots, want).max() < 1e-9
     # below |Delta / t| = 1/sqrt(5) (L = 3; lower for longer odd L), exact zeros
@@ -344,6 +333,29 @@ def test_exact_zero_potentials_are_dense_zeros_and_closed_forms(case):
     if abs(p.delta / p.t) >= 0.45:
         inside = np.abs(roots) < 2.0 * np.sqrt(p.t**2 - p.delta**2)
         assert inside.sum() == len(want)
+
+
+def test_exact_zero_potentials_keeps_close_roots_of_the_two_corners():
+    # one root in each t_x s_x sector, 7.9e-8 apart: each corner's smallest
+    # singular value falls to zero with slope about 2 at its own root, so
+    # neither is a rounding copy of the other
+    child = ChildSpec(ParentParams(-0.5, 0.005, 0.0), ParentParams(0.9, 0.055, 0.0), PARALLEL)
+    roots = exact_zero_potentials(child, 36)
+    pair = roots[np.abs(roots - 1.7903239) < 1e-6]
+    assert pair.size == 2 and 7e-8 < pair[1] - pair[0] < 9e-8
+    for mu in (*pair, pair.mean()):
+        ev = _dense_open_levels(lattice._with_mu(child, mu, LINK_EQUAL), 36)
+        level = np.abs(ev).min() / (ev[-1] - ev[0])
+        assert level < 1e-12 if mu in pair else level > 1e-9
+
+
+def test_exact_zero_potentials_on_two_sites():
+    # a 2-site open chain has no range-2 bond; the sign-mixed corner of the
+    # t_x s_x sector that holds the zeros is (1.5 - mu^2) I there
+    child = ChildSpec(ParentParams(1.0, 0.5, 0.0), ParentParams(-1.0, 0.5, 0.0), PARALLEL)
+    assert exact_zero_potentials(child, 2) == pytest.approx([-np.sqrt(1.5), np.sqrt(1.5)], abs=1e-14)
+    with pytest.raises(ConfigError):
+        exact_zero_potentials(child, 1)
 
 
 _CHILD = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
