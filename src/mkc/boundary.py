@@ -162,6 +162,18 @@ def kc_majorana_points(p, L):
     )
 
 
+def _sign_mixed_family(L, which):
+    """Denominator d and indices n of component which's standing-wave angles n pi / d.
+
+    On L sites of the sign-mixed product chain d is L + 2 for even L; for odd
+    L it is L + 1 for component 1 (even sites) and L + 3 for component 2 (odd
+    sites).  The index 2n = d, whose standing wave vanishes on its sublattice
+    (the mu = 0 slot), is excluded.
+    """
+    d = L + 2 if L % 2 == 0 else (L + 1 if which == 1 else L + 3)
+    return d, [n for n in range(1, d) if 2 * n != d]
+
+
 def mkc_parallel_majorana_points(t, delta, L):
     """Exact-zero potentials of the sign-mixed product chain.
 
@@ -178,23 +190,14 @@ def mkc_parallel_majorana_points(t, delta, L):
         raise ConfigError(f"chain length must be an integer >= 2, got {L!r}")
     at, ad = abs(t), abs(delta)
     scale = 2.0 * np.sqrt(max(at * at - ad * ad, 0.0))
-    entries = []
     if L % 2 == 0:
+        d, ns = _sign_mixed_family(L, 1)
+        return _point_set((scale * np.cos(n * np.pi / d), 2, f"n={n}/(L+2)") for n in ns)
+    entries = []
+    for which, sites in ((1, "even-sites"), (2, "odd-sites")):
+        d, ns = _sign_mixed_family(L, which)
         entries += [
-            (scale * np.cos(n * np.pi / (L + 2)), 2, f"n={n}/(L+2)")
-            for n in range(1, L + 2)
-            if 2 * n != L + 2
-        ]
-    else:
-        entries += [
-            (scale * np.cos(n * np.pi / (L + 1)), 1, f"even-sites n={n}/(L+1)")
-            for n in range(1, L + 1)
-            if 2 * n != L + 1
-        ]
-        entries += [
-            (scale * np.cos(n * np.pi / (L + 3)), 1, f"odd-sites n={n}/(L+3)")
-            for n in range(1, L + 3)
-            if 2 * n != L + 3
+            (scale * np.cos(n * np.pi / d), 1, f"{sites} n={n}/(L+{d - L})") for n in ns
         ]
     return _point_set(entries)
 
@@ -276,12 +279,8 @@ class AnalyticMode:
 
 def _mmzm_theta(N, n, which):
     """Standing-wave angle and validity for the sign-mixed product chain."""
-    if N % 2 == 0:
-        d = N + 2
-    else:
-        d = N + 1 if which == 1 else N + 3
-    if not 1 <= n <= d - 1 or 2 * n == d:
-        allowed = [m for m in range(1, d) if 2 * m != d]
+    d, allowed = _sign_mixed_family(N, which)
+    if n not in allowed:
         raise ConfigError(f"n out of range: component {which} of an N={N} chain allows n in {allowed}")
     return n * np.pi / d
 

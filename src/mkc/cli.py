@@ -12,17 +12,9 @@ import sys
 import time
 
 from . import __version__
-from .config import TASKS, parse_config
+from .config import TASKS, _format_value, parse_config
 from .errors import ConfigError, NumericalError
 from .tasks import run_task
-
-
-def _format_cell(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def render_csv(cfg, payload):
@@ -34,7 +26,7 @@ def render_csv(cfg, payload):
             lines.append(f"# {section}.{key} = {value}")
     lines.append(",".join(payload["columns"]))
     for row in payload["rows"]:
-        lines.append(",".join(_format_cell(v) for v in row))
+        lines.append(",".join(_format_value(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -43,20 +35,12 @@ def render_json(cfg, payload):
         "config": cfg.echo(),
         "payload": {
             "columns": payload["columns"],
-            "rows": [[_jsonable(v) for v in row] for row in payload["rows"]],
+            "rows": payload["rows"],
         },
         "task": cfg.task,
         "version": __version__,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _jsonable(v):
-    # floats go through their shortest round-trip repr, which json does
-    # already; just normalize numpy scalars to plain python
-    if hasattr(v, "item"):
-        return v.item()
-    return v
 
 
 def _write(path, text):

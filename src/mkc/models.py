@@ -214,44 +214,19 @@ def symmetry_check(spec, kgrid):
 
 
 def component_dvector(spec, k, which):
-    """(d_y, d_z) arrays of component 1 or 2; vectorized over momenta."""
+    """(d_y, d_z) arrays of component 1 or 2; vectorized over momenta.
+
+    Each component is a product of the factors' (M_i, R_i) at their own
+    momenta: component 1 is (M2 R1 + M1 R2, R1 R2 - M1 M2), component 2 is
+    (M2 R1 - M1 R2, -R1 R2 - M1 M2).
+    """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    t1, d1, u1 = spec.p1.t, spec.p1.delta, spec.p1.mu
-    t2, d2, u2 = spec.p2.t, spec.p2.delta, spec.p2.mu
-    if spec.orientation == PARALLEL:
-        k = reduce_momentum(k)
-        if which == 1:
-            dz = -(2.0 * (u1 * t2 + u2 * t1) * np.cos(k)
-                   + 2.0 * (t1 * t2 + d1 * d2) * np.cos(2.0 * k)
-                   + u1 * u2 + 2.0 * t1 * t2 - 2.0 * d1 * d2)
-            dy = (2.0 * (u2 * d1 + u1 * d2) * np.sin(k)
-                  + 2.0 * (t2 * d1 + t1 * d2) * np.sin(2.0 * k))
-        else:
-            dz = -(2.0 * (u1 * t2 + u2 * t1) * np.cos(k)
-                   + 2.0 * (t1 * t2 - d1 * d2) * np.cos(2.0 * k)
-                   + u1 * u2 + 2.0 * t1 * t2 + 2.0 * d1 * d2)
-            dy = (2.0 * (u2 * d1 - u1 * d2) * np.sin(k)
-                  + 2.0 * (t2 * d1 - t1 * d2) * np.sin(2.0 * k))
-        return dy, dz
-    kx, ky = _split_child_momentum(spec, k)
-    if which == 1:
-        dz = -(2.0 * u2 * t1 * np.cos(kx) + 2.0 * u1 * t2 * np.cos(ky)
-               + 2.0 * (t1 * t2 + d1 * d2) * np.cos(kx + ky)
-               + 2.0 * (t1 * t2 - d1 * d2) * np.cos(kx - ky)
-               + u1 * u2)
-        dy = (2.0 * u2 * d1 * np.sin(kx) + 2.0 * u1 * d2 * np.sin(ky)
-              + 2.0 * (t2 * d1 + t1 * d2) * np.sin(kx + ky)
-              + 2.0 * (t2 * d1 - t1 * d2) * np.sin(kx - ky))
-    else:
-        dz = -(2.0 * u2 * t1 * np.cos(kx) + 2.0 * u1 * t2 * np.cos(ky)
-               + 2.0 * (t1 * t2 - d1 * d2) * np.cos(kx + ky)
-               + 2.0 * (t1 * t2 + d1 * d2) * np.cos(kx - ky)
-               + u1 * u2)
-        dy = (2.0 * u2 * d1 * np.sin(kx) - 2.0 * u1 * d2 * np.sin(ky)
-              + 2.0 * (t2 * d1 - t1 * d2) * np.sin(kx + ky)
-              + 2.0 * (t2 * d1 + t1 * d2) * np.sin(kx - ky))
-    return dy, dz
+    ka, kb = _split_child_momentum(spec, k)
+    m1, r1 = _mr(spec.p1, ka)
+    m2, r2 = _mr(spec.p2, kb)
+    s = 1.0 if which == 1 else -1.0
+    return m2 * r1 + s * m1 * r2, s * r1 * r2 - m1 * m2
 
 
 def component_bloch(spec, k, which):

@@ -20,6 +20,7 @@ from .lattice import (
 )
 from .models import (
     PARALLEL,
+    _mr,
     dirac_expansion_parallel,
     group_velocity_perp,
     symmetry_check,
@@ -28,8 +29,6 @@ from .models import (
 
 def _lattice(cfg):
     vals = cfg.lattice_values
-    if not vals:
-        return None
     if cfg.kind == "mkc-perpendicular":
         return SlabLattice(Lx=vals["lx"], Ly=vals["ly"], bcx=vals["bcx"], bcy=vals["bcy"])
     return ChainLattice(L=vals["l"], bc=vals["bc"])
@@ -105,11 +104,8 @@ def _task_wannier(cfg):
 
 
 def _parent_winding(p, samples):
-    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
-    curve = topology.WindingCurve(
-        dy=2.0 * p.delta * np.sin(ks), dz=-(2.0 * p.t * np.cos(ks) + p.mu)
-    )
-    return topology.winding_number(curve)
+    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
+    return topology.winding_number(topology.WindingCurve(dy=r, dz=-m))
 
 
 def _task_winding(cfg):

@@ -16,6 +16,7 @@ from .models import (
     PERPENDICULAR,
     ChildSpec,
     ParentParams,
+    _mr,
     child_bloch,
     component_dvector,
     parent_bloch,
@@ -247,8 +248,7 @@ def winding_locus_check(spec, ky, samples=DEFAULT_CURVE_SAMPLES):
         raise ValueError("winding_locus_check needs a perpendicular child")
     if abs(spec.p1.t - spec.p1.delta) > 1e-12:
         raise ValueError("locus identity requires t1 = Delta1")
-    m2 = spec.p2.mu + 2.0 * spec.p2.t * np.cos(ky)
-    r2 = 2.0 * spec.p2.delta * np.sin(ky)
+    m2, r2 = _mr(spec.p2, ky)
     rho2 = float(np.hypot(m2, r2))
     if rho2 < 1e-12:
         raise SingularConfigError(

@@ -2,17 +2,41 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dense_reference import apply_onsite_disorder, build_slab
+from dense_reference import apply_onsite_disorder, build_chain, build_slab, dense_solver
+from mkc import cli
+from mkc.boundary import (
+    classify_zero_modes,
+    kc_majorana_points,
+    perp_obc_gapless_points,
+    quantization_points,
+)
 from mkc.cli import main
 from mkc.config import parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
 from mkc.errors import ConfigError
-from mkc.lattice import SlabLattice
-from mkc.models import ChildSpec, ParentParams
+from mkc.lattice import ChainLattice, SlabLattice
+from mkc.models import (
+    PARALLEL,
+    ChildSpec,
+    ParentParams,
+    dirac_expansion_parallel,
+    group_velocity_perp,
+    parent_bloch,
+)
+from mkc.tasks import run_task
+from mkc.topology import (
+    WindingCurve,
+    component_winding_parallel,
+    component_winding_perp,
+    wannier_center_parent,
+    wannier_centers_perp,
+    winding_number,
+)
 
 PARENT_SPECTRUM = """\
 [model]
@@ -311,6 +335,7 @@ _L6 = "[lattice]\nl = 6\n"
         ("disorder", _TRIVIAL_CHILD + _L6 + "[task]\nchannel = x\n"),
         ("disorder", _TRIVIAL_PARENT + _L6 + "[task]\nchannel = xy\n"),
         ("disorder", _TRIVIAL_CHILD + _L6 + "[task]\nrealizations = 0\n"),
+        ("majorana-points", _PARALLEL_HEAD + _L6),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
@@ -321,7 +346,7 @@ _L6 = "[lattice]\nl = 6\n"
          "wannier-fixed-momentum-inf", "density-zero-tol-nan", "dirac-kx-nan",
          "parent-channel-on-child", "child-channel-on-parent",
          "parent-channel-on-trivial-child", "child-channel-on-trivial-parent",
-         "realizations-0"],
+         "realizations-0", "majorana-points-generic-child"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])
@@ -383,3 +408,234 @@ def test_quantization_on_two_sites(tmp_path, capsys):
     want = _mu_column(tmp_path, capsys, "majorana-points", text)
     assert got.size == want.size == 2
     assert np.abs(got - want).max() < 1e-9
+
+
+# --- every task through main(), against the library call it wraps or a
+# dense solve
+
+_README_CHILD = _PARALLEL_HEAD.replace("mu1 = 0.5", "mu1 = 0.3").replace("mu2 = 3.0", "mu2 = 0.9")
+# away from |t| = |Delta|, so that no cut at n-modes splits a degenerate level
+_GENERIC_CHILD = _README_CHILD.replace("delta1 = 1.0", "delta1 = 0.6")
+_PERIMETER_SLAB = _PERPENDICULAR_HEAD.replace("mu1 = 0.5", "mu1 = 0.0").replace(
+    "mu2 = 3.0", "mu2 = 0.0"
+)
+_SLAB_4x5 = "[lattice]\nlx = 4\nly = 5\n"
+_SWEEP = "[task]\nmu-min = -1\nmu-max = 1\nmu-points = 3\n"
+_PARENT_HEAD = PARENT_SPECTRUM[: PARENT_SPECTRUM.index("[lattice]")]
+
+
+def _lattice_of(cfg):
+    v = cfg.lattice_values
+    if "lx" in v:
+        return SlabLattice(v["lx"], v["ly"], bcx=v["bcx"], bcy=v["bcy"])
+    return ChainLattice(v["l"], bc=v["bc"])
+
+
+def _dense_levels(model, lat, n_modes=None):
+    ev = np.linalg.eigvalsh(build_chain(model, lat))
+    if n_modes is not None:
+        ev = np.sort(ev[np.argsort(np.abs(ev))[:n_modes]])
+    return ev
+
+
+def _check_parent_winding(cfg, rows):
+    # the parent curve read off parent_bloch = -M s_z + R s_y
+    h = parent_bloch(cfg.model, np.linspace(0.0, 2.0 * np.pi, 4097))
+    w = winding_number(WindingCurve(dy=h[:, 1, 0].imag, dz=h[:, 0, 0].real)).w
+    assert abs(w) == 1  # |mu| < 2|t|
+    assert rows == [["k", "parent", "", w]]
+
+
+def _check_parallel_winding(cfg, rows):
+    # the README's (2, 0)
+    assert rows == [["k", "component-1", "", 2], ["k", "component-2", "", 0]]
+    w1, w2 = component_winding_parallel(cfg.model)
+    assert (w1.w, w2.w) == (2, 0)
+
+
+def _check_perpendicular_winding(cfg, rows):
+    lat = _lattice_of(cfg)
+    table = component_winding_perp(cfg.model, lat.Lx, lat.Ly)
+    want = []
+    for loop, recs, n in (("kx", table["rows"], lat.Ly), ("ky", table["columns"], lat.Lx)):
+        for m, rec in enumerate(recs):
+            want += [[loop, "component-1", 2 * np.pi * m / n, rec["w1"]],
+                     [loop, "component-2", 2 * np.pi * m / n, rec["w2"]]]
+    assert [[r[0], r[1], float(r[2]), r[3]] for r in rows] == want
+
+
+def _check_sweep_mu(link, n_modes=None):
+    def check(cfg, rows):
+        lat = _lattice_of(cfg)
+        groups = {}
+        for mu1, mu2, bc, i, e in rows:
+            groups.setdefault((mu1, mu2, bc), []).append((i, e))
+        assert [key[0] for key in groups][::2] == list(np.linspace(-1.0, 1.0, 3))
+        for (mu1, mu2, bc), levels in groups.items():
+            if cfg.kind == "parent":
+                assert mu2 == ""
+                model = replace(cfg.model, mu=mu1)
+            else:
+                assert mu2 == {"equal": mu1, "opposite": -mu1, "fixed": cfg.model.p2.mu}[link]
+                model = ChildSpec(
+                    replace(cfg.model.p1, mu=mu1), replace(cfg.model.p2, mu=mu2), PARALLEL
+                )
+            bc = {"obc": "open", "pbc": "periodic"}[bc]
+            want = _dense_levels(model, replace(lat, bc=bc), n_modes)
+            assert [i for i, _ in levels] == list(range(want.size))
+            assert np.abs(np.array([e for _, e in levels]) - want).max() < 1e-10
+
+    return check
+
+
+def _check_sweep_length(cfg, rows):
+    lengths = sorted({r[0] for r in rows})
+    assert lengths == [4, 5, 6, 7]
+    for L in lengths:
+        ev = _dense_levels(cfg.model, ChainLattice(L))
+        want = _dense_levels(cfg.model, ChainLattice(L), n_modes=4)
+        got = [r for r in rows if r[0] == L]
+        assert [r[1] for r in got] == [0, 1, 2, 3]
+        assert np.abs(np.array([r[2] for r in got]) - want).max() < 1e-10
+        splitting = ev[ev.size // 2] - ev[ev.size // 2 - 1]
+        assert all(abs(r[3] - splitting) < 1e-10 for r in got)
+
+
+def _check_density(cfg, rows):
+    lat = _lattice_of(cfg)
+    dense = dense_solver(cfg.model, lat, tol=1e-8)
+    assert dense.count > 0
+    if isinstance(lat, SlabLattice):
+        sites = [(i + 1, j + 1) for i in range(lat.Lx) for j in range(lat.Ly)]
+    else:
+        sites = [(i + 1, 0) for i in range(lat.L)]
+    assert [(r[0], r[1]) for r in rows] == sites
+    w = np.array([r[2] for r in rows])
+    assert np.abs(w - dense.weights.ravel()).max() < 1e-10
+
+
+def _check_classify(cfg, rows):
+    results = classify_zero_modes(cfg.model, _lattice_of(cfg), zero_tol=1e-8)
+    flag = {None: "", True: "yes", False: "no"}
+    want = [
+        [region, i, st.label, pytest.approx(st.entropy, abs=1e-12),
+         pytest.approx(st.overlap, abs=1e-12),
+         flag[results[region].matches_table], flag[results[region].row_complete]]
+        for region in sorted(results)
+        for i, st in enumerate(results[region].states)
+    ]
+    assert rows and rows == want
+
+
+def _check_dirac_parallel(cfg, rows):
+    rec = dirac_expansion_parallel(cfg.model)
+    names = ("m1", "m2", "mass", "v1", "v2", "quad")
+    assert rows == [[name, getattr(rec, name)] for name in names]
+
+
+def _check_dirac_perpendicular(cfg, rows):
+    rec = group_velocity_perp(cfg.model, 0.01, 0.01)
+    assert rows == [
+        ["velocity_x", rec.velocity[0]], ["velocity_y", rec.velocity[1]],
+        ["closed_form_x", rec.closed_form[0]], ["closed_form_y", rec.closed_form[1]],
+        ["at_critical", float(rec.at_critical)], ["one_sided", float(rec.one_sided)],
+    ]
+
+
+def _check_slab_spectrum(cfg, rows):
+    want = np.linalg.eigvalsh(build_slab(cfg.model, _lattice_of(cfg)))
+    assert [r[0] for r in rows] == list(range(want.size))
+    assert np.abs(np.array([r[1] for r in rows]) - want).max() < 1e-10
+
+
+def _check_wannier(cfg, rows):
+    if cfg.kind == "parent":
+        spectra = [wannier_center_parent(cfg.model, 41)]
+    else:
+        spectra = [wannier_centers_perp(cfg.model, d, 0.3, 41) for d in ("x", "y")]
+    want = [[ws.path, i, float(c)] for ws in spectra for i, c in enumerate(ws.centers)]
+    assert rows == want
+
+
+def _check_points(cfg, rows):
+    lat = _lattice_of(cfg)
+    if cfg.kind == "parent":
+        points = kc_majorana_points(cfg.model, lat.L)
+    else:
+        points = perp_obc_gapless_points(cfg.model, lat.Lx, lat.Ly)
+    assert rows == [
+        [mu, d, prov]
+        for mu, d, prov in zip(points.mu_values, points.degeneracies, points.provenance)
+    ]
+
+
+def _check_quantization_window(cfg, rows):
+    points = quantization_points(cfg.model.p1, cfg.model.p2, 7, (-1.0, 1.0))
+    assert rows and all(-1.0 <= r[0] <= 1.0 for r in rows)
+    assert rows == [
+        [mu, d, prov]
+        for mu, d, prov in zip(points.mu_values, points.degeneracies, points.provenance)
+    ]
+
+
+@pytest.mark.parametrize(
+    "task, text, check",
+    [
+        ("winding", _PARENT_HEAD, _check_parent_winding),
+        ("winding", _README_CHILD, _check_parallel_winding),
+        ("winding", _PERPENDICULAR_HEAD + "[lattice]\nlx = 3\nly = 4\n",
+         _check_perpendicular_winding),
+        ("sweep-mu", _PARALLEL_HEAD + _L6 + _SWEEP, _check_sweep_mu("equal")),
+        ("sweep-mu", _PARALLEL_HEAD + _L6 + _SWEEP + "link = opposite\n",
+         _check_sweep_mu("opposite")),
+        ("sweep-mu", _PARALLEL_HEAD + _L6 + _SWEEP + "link = fixed\n", _check_sweep_mu("fixed")),
+        ("sweep-mu", _PARENT_HEAD + _L6 + _SWEEP,
+         _check_sweep_mu("equal")),
+        ("sweep-mu", _GENERIC_CHILD + _L6 + _SWEEP + "n-modes = 4\n",
+         _check_sweep_mu("equal", n_modes=4)),
+        ("sweep-length", _GENERIC_CHILD + "[task]\nl-min = 4\nl-max = 7\nn-modes = 4\n",
+         _check_sweep_length),
+        ("density", _ZERO_CHILD + _L6, _check_density),
+        ("density", _PERIMETER_SLAB + _SLAB_4x5, _check_density),
+        ("classify", _README_CHILD + "[lattice]\nl = 24\n", _check_classify),
+        ("classify", _PERIMETER_SLAB + _SLAB_4x5, _check_classify),
+        ("dirac", _README_CHILD, _check_dirac_parallel),
+        ("dirac", _PERPENDICULAR_HEAD, _check_dirac_perpendicular),
+        ("spectrum", _PERPENDICULAR_HEAD + "[lattice]\nlx = 3\nly = 4\nbcy = periodic\n",
+         _check_slab_spectrum),
+        ("wannier", _ZERO_PARENT + "[task]\nloop-points = 41\n", _check_wannier),
+        ("wannier", _PERPENDICULAR_HEAD + "[task]\nloop-points = 41\nfixed-momentum = 0.3\n",
+         _check_wannier),
+        ("majorana-points", _PARENT_HEAD + _L6, _check_points),
+        ("majorana-points", _PERPENDICULAR_HEAD + _SLAB_4x5, _check_points),
+        ("quantization", _MIXED_HEAD + "[lattice]\nl = 7\n[task]\nmu-min = -1\nmu-max = 1\n",
+         _check_quantization_window),
+    ],
+    ids=["winding-parent", "winding-parallel", "winding-perpendicular",
+         "sweep-mu-equal", "sweep-mu-opposite", "sweep-mu-fixed", "sweep-mu-parent",
+         "sweep-mu-n-modes", "sweep-length", "density-chain", "density-slab",
+         "classify-chain", "classify-slab", "dirac-parallel", "dirac-perpendicular",
+         "spectrum-slab", "wannier-parent", "wannier-perpendicular",
+         "majorana-points-parent", "majorana-points-perpendicular", "quantization-window"],
+)
+def test_task_rows_match_library_and_dense_reference(
+    tmp_path, capsys, monkeypatch, task, text, check
+):
+    seen = {}
+
+    def spy(cfg):
+        seen["cfg"], seen["payload"] = cfg, run_task(cfg)
+        return seen["payload"]
+
+    monkeypatch.setattr(cli, "run_task", spy)
+    rc = main([task, "--config", _config(tmp_path, text)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    payload = seen["payload"]
+    assert all(type(v) in (float, int, str) for row in payload["rows"] for v in row)
+    # the CSV cells read back to the payload's values
+    lines = [l for l in out.splitlines() if not l.startswith("# ")]
+    assert lines[0] == ",".join(payload["columns"])
+    for line, row in zip(lines[1:], payload["rows"], strict=True):
+        assert [type(v)(c) for v, c in zip(row, line.split(","), strict=True)] == row
+    check(seen["cfg"], payload["rows"])

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_lattice import _parent
 from mkc.models import (
     PARALLEL,
     PERPENDICULAR,
@@ -163,15 +166,30 @@ def test_block_basis_literal_columns():
     assert np.array_equal(BLOCK_BASIS, np.array(columns).T)
 
 
-def test_component_dvector_matches_component_bloch():
-    spec = random_child()
-    for which in (1, 2):
-        dy, dz = component_dvector(spec, KGRID, which)
-        _, h = component_bloch(spec, KGRID, which)
-        sy = np.array([[0, -1j], [1j, 0]])
-        sz = np.diag([1.0, -1.0]).astype(complex)
+_MOMENTUM = st.floats(-7.0, 7.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p1=_parent(),
+    p2=_parent(),
+    orientation=st.sampled_from([PARALLEL, PERPENDICULAR]),
+    ks=st.lists(st.tuples(_MOMENTUM, _MOMENTUM), min_size=1, max_size=8),
+)
+def test_component_dvector_matches_block_diagonalize(p1, p2, orientation, ks):
+    # the product form against a numerical rotation of the 4x4 child
+    spec = ChildSpec(p1, p2, orientation)
+    k = np.array(ks)
+    if orientation == PARALLEL:
+        k = k[:, 0]
+    blocks = block_diagonalize(spec, k)[:2]
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    for which, block in zip((1, 2), blocks):
+        dy, dz = component_dvector(spec, k, which)
         rebuilt = dy[:, None, None] * sy + dz[:, None, None] * sz
-        assert np.max(np.abs(h - rebuilt)) < 1e-12
+        scale = max(1.0, float(np.hypot(dy, dz).max()))
+        assert np.abs(block - rebuilt).max() < 1e-13 * scale
 
 
 def test_dirac_expansion_masses_and_velocities():
