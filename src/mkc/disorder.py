@@ -8,11 +8,11 @@ index addressing the stream position, so any (seed, realization, site)
 triple reproduces its value without coordination between realizations.
 
 Every clean model is real and chiral, and every clean child commutes with
-t_x s_x (see models.symmetry_check).  BlockSolver uses whichever of these
-a channel matrix leaves intact to solve each disordered matrix in its
-smallest real blocks, which it assembles from the clean model's checked
-and rotated hopping blocks (lattice._FrameBlocks) plus the site
-potentials; the full disordered matrix is never built.
+t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
+matrix in the smallest real blocks that lattice._FrameBlocks.split picks
+for the channel matrix, assembled from the clean model's checked and
+rotated hopping blocks plus the site potentials; the full disordered
+matrix is never built.
 """
 
 import itertools
@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SymmetryError
+from .errors import ConfigError
 from .lattice import (
     LINK_EQUAL,
-    SYMMETRY_TOL,
     SlabLattice,
-    _assemble,
     _FrameBlocks,
+    _negligible,
     _with_mu,
     _zero_tol,
     chain_hopping_blocks,
     slab_hopping_blocks,
+    spectrum,
 )
 from .models import PAULI, ParentParams
 
@@ -93,30 +93,14 @@ def site_potentials(spec, realization, sites):
     return rng.uniform(-spec.amplitude, spec.amplitude, sites)
 
 
-def _negligible(a):
-    """True when every entry of a (channel entries, of order 1) rounds to zero."""
-    return not a.size or np.abs(a).max() < SYMMETRY_TOL
-
-
 class BlockSolver:
     """|E| spectra of a clean lattice model plus site-diagonal disorder.
 
-    spec and lat give the clean model on a chain or slab; its hopping
-    blocks go through lattice._FrameBlocks, which checks Hermiticity and
-    realness and rotates them into the real frame of _site_frame.  For a
-    channel matrix P the solver then uses each of these that applies:
-
-    1. the t_x s_x split, when P commutes with t_x s_x: two blocks;
-    2. a phase i on the t_x s_x = -1 columns, when that makes P real: the
-       antiunitary t_x s_x K then keeps the whole matrix real;
-    3. a chiral operator that P anticommutes with: in its eigenbasis a
-       block is off-diagonal, and its |E| are the singular values of the
-       half-size corner, each counted twice.
-
-    Each symmetry is checked on the rotated clean blocks on first use: the
-    entries it discards must stay below SYMMETRY_TOL x scale, else
-    SymmetryError.  Each solved block is assembled from the rotated
-    hopping blocks, never cut out of a full lattice matrix.
+    spec and lat give the clean model on a chain or slab, checked and
+    rotated by lattice._FrameBlocks.  For a channel matrix P the solver
+    puts a phase i on the t_x s_x = -1 columns when that makes P real (the
+    antiunitary t_x s_x K then keeps the whole matrix real), and solves
+    the blocks that _FrameBlocks.split picks for P.
     """
 
     def __init__(self, spec, lat):
@@ -127,16 +111,11 @@ class BlockSolver:
         self._blocks = _FrameBlocks(blocks)
         self._lat = lat
 
-    def clean(self):
-        """Ascending |E| of the clean matrix."""
-        internal = self._blocks.q.size
-        return self.channel(np.zeros((internal, internal)))(np.zeros(self.sites))
-
     def channel(self, mat):
         """The solve for channel matrix mat: site potentials -> ascending |E|."""
         fb = self._blocks
-        q, frame = fb.q, fb.frame
-        p = frame.T @ mat @ frame
+        q = fb.q
+        p = fb.frame.T @ mat @ fb.frame
         if not _negligible(p.imag):
             phase = np.where(q < 0, 1j, 1.0)
             turned = phase.conj()[:, None] * p * phase[None, :]
@@ -145,20 +124,10 @@ class BlockSolver:
                 p = turned
         if _negligible(p.imag):
             p = p.real
-        groups = [np.ones(q.size, dtype=bool)]
-        if (q < 0).any() and _negligible(p[q[:, None] != q[None, :]]):
-            fb.require("t_x s_x", q[:, None] == q[None, :])
-            groups = [q > 0, q < 0]
         blocks = []
-        for g in groups:
-            rows, cols, corner = g, g, False
-            for name, s in fb.chirals:
-                if _negligible(p[np.ix_(g, g)][s[g][:, None] == s[g][None, :]]):
-                    fb.require(name, s[:, None] != s[None, :])
-                    rows, cols, corner = g & (s > 0), g & (s < 0), True
-                    break
-            hop = {r: b[np.ix_(rows, cols)] for r, b in fb.rotated.items()}
-            clean = _assemble(hop, self._lat).reshape(self.sites, rows.sum(), self.sites, -1)
+        for rows, cols, corner in fb.split(p):
+            clean = fb.assemble(rows, cols, self._lat)
+            clean = clean.reshape(self.sites, rows.sum(), self.sites, -1)
             blocks.append((clean, p[np.ix_(rows, cols)], corner))
         diag = np.arange(self.sites)
 
@@ -261,8 +230,7 @@ def robustness_sweep(
     zero_counts = np.zeros(len(mu_values), dtype=int)
     for m, mu in enumerate(mu_values):
         spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
-        solver = BlockSolver(spec, lat)
-        clean = solver.clean()
+        clean = np.sort(np.abs(spectrum(spec, lat)))
         bw = 2.0 * float(clean[-1])  # the clean spectrum is symmetric about zero
         tol = _zero_tol(bw, zero_tol, 1e-6)
         threshold[m] = _zero_tol(bw, None, 1e-6)
@@ -270,6 +238,7 @@ def robustness_sweep(
         zero_counts[m] = n_zero
         if n_zero == 0:
             continue
+        solver = BlockSolver(spec, lat)
         for c, ens in enumerate(ensembles):
             solve = solver.channel(channel_matrix(ens.channel))
             worst = 0.0

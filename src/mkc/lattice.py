@@ -9,11 +9,12 @@ quantized-momentum Bloch spectra).
 No solver here builds the full chain or slab matrix.  Every clean model is
 real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
-the only way a clean model reaches a solver (disorder.BlockSolver starts
-from it too).  In that frame a chain splits into one (parent) or two
-(child) chiral blocks [[0, A], [A^T, 0]], so its spectrum and eigenvectors
-come from the SVD of the real L x L corners A.  A slab is the tensor
-product of two parent chains and is solved as those two chains.
+the only way a clean model reaches a solver; its split() picks the solver
+blocks of clean and disordered models alike.  In that frame a chain splits
+into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
+spectrum and eigenvectors come from the SVD of the real L x L corners A.
+A slab is the tensor product of two parent chains and is solved as those
+two chains.
 """
 
 import numpy as np
@@ -160,6 +161,12 @@ def slab_hopping_blocks(spec):
 # to which an entry that a symmetry discards counts as zero.
 SYMMETRY_TOL = 1e-12
 
+
+def _negligible(a):
+    """True when every entry of a (site-term entries, of order 1) rounds to zero."""
+    return not a.size or np.abs(a).max() < SYMMETRY_TOL
+
+
 _HX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # s_x eigenvectors, +1 then -1
 
 
@@ -196,7 +203,8 @@ class _FrameBlocks:
     of _site_frame: rotated[r] = frame^T H_r frame.  require() checks one
     symmetry on the rotated blocks.  Both checks allow SYMMETRY_TOL x
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
-    displacements r or slab displacements (rx, ry).
+    displacements r or slab displacements (rx, ry).  split() picks the
+    blocks every solver works on.
     """
 
     def __init__(self, blocks):
@@ -226,27 +234,50 @@ class _FrameBlocks:
                 )
         self._checked.add(name)
 
+    def split(self, p):
+        """[(rows, cols, corner)]: the smallest blocks of the model plus a site term p.
+
+        p is in frame coordinates, 0 for the clean model.  There is one part
+        per t_x s_x eigenvalue, ascending, when p keeps t_x s_x, else one
+        part.  Inside a part, rows and cols are the + and - columns of the
+        first chiral operator that p anticommutes with (corner True: the
+        block's |E| are the singular values of the rows x cols corner, each
+        twice), else both the whole part.  Each symmetry is required first.
+        """
+        q = self.q
+        p = np.broadcast_to(p, (q.size, q.size))
+        same = q[:, None] == q[None, :]
+        parts = [np.ones(q.size, dtype=bool)]
+        if _negligible(p[~same]):
+            self.require("t_x s_x", same)
+            parts = [q == v for v in np.unique(q)]
+        out = []
+        for g in parts:
+            rows, cols, corner = g, g, False
+            for name, s in self.chirals:
+                if _negligible(p[np.outer(g, g) & (s[:, None] == s[None, :])]):
+                    self.require(name, s[:, None] != s[None, :])
+                    rows, cols, corner = g & (s > 0), g & (s < 0), True
+                    break
+            out.append((rows, cols, corner))
+        return out
+
+    def assemble(self, rows, cols, lat):
+        """The lattice matrix of the rotated blocks restricted to frame rows x cols."""
+        return _assemble({r: b[np.ix_(rows, cols)] for r, b in self.rotated.items()}, lat)
+
 
 def _chiral_corners(blocks, lat):
-    """The real chiral corners of a chain, one per t_x s_x eigenvalue.
+    """[(A, plus, minus)] over the parts of _FrameBlocks.split(0) of a clean chain.
 
-    In the frame of _FrameBlocks, after checking t_x s_x and the first
-    chiral operator, the chain splits into blocks [[0, A], [A^T, 0]]: A
-    joins the + column of that operator on every site to its - column
-    inside one t_x s_x eigenspace.  Returns [(A, plus, minus)], A the
-    L x L corner and plus, minus the two frame columns (internal, 1).
+    A is the real L x L chiral corner of one t_x s_x eigenvalue, plus and
+    minus its two frame columns (internal, 1).
     """
     fb = _FrameBlocks(blocks)
-    q = fb.q
-    name, s = fb.chirals[0]
-    fb.require("t_x s_x", q[:, None] == q[None, :])
-    fb.require(name, s[:, None] != s[None, :])
-    out = []
-    for v in np.unique(q):
-        plus, minus = (q == v) & (s > 0), (q == v) & (s < 0)
-        corner = _assemble({r: b[np.ix_(plus, minus)] for r, b in fb.rotated.items()}, lat)
-        out.append((corner, fb.frame[:, plus], fb.frame[:, minus]))
-    return out
+    return [
+        (fb.assemble(plus, minus, lat), fb.frame[:, plus], fb.frame[:, minus])
+        for plus, minus, _ in fb.split(0)
+    ]
 
 
 def _chiral_eigenpairs(blocks, lat):
@@ -272,10 +303,8 @@ def _chiral_eigenpairs(blocks, lat):
 def chain_spectrum(spec, lat):
     """Ascending eigenvalues of the clean chain, from its chiral corners.
 
-    Every clean chain is real and chiral, and the child commutes with
-    t_x s_x, so the chain's eigenvalues are +-sigma for the singular values
-    sigma of its real L x L corners (see _chiral_corners): one for the
-    parent, two for the child.
+    They are +-sigma for the singular values sigma of the real L x L
+    corners of _chiral_corners: one for the parent, two for the child.
     """
     corners = _chiral_corners(chain_hopping_blocks(spec), lat)
     sv = np.concatenate([np.linalg.svd(c, compute_uv=False) for c, _, _ in corners])
@@ -512,3 +541,10 @@ def zero_subspace(spec, lat, tol=None, rel_tol=1e-8):
     if isinstance(lat, SlabLattice):
         return _factor_zero_subspace(spec, lat, tol, rel_tol)
     return _chain_zero_subspace(spec, lat, tol, rel_tol)
+
+
+def spectrum(spec, lat):
+    """Ascending eigenvalues of the clean chain (chain_spectrum) or slab (zero_subspace)."""
+    if isinstance(lat, SlabLattice):
+        return zero_subspace(spec, lat).eigenvalues
+    return chain_spectrum(spec, lat)

@@ -88,23 +88,21 @@ def _mr(p, k):
     return 2.0 * p.t * np.cos(k) + p.mu, 2.0 * p.delta * np.sin(k)
 
 
+def _factor_bloch(p, k, sign):
+    """sign M s_z + R s_y at momenta k already folded into [-pi, pi); stacked over k."""
+    m, r = _mr(p, k)
+    return (sign * np.asarray(m))[..., None, None] * SZ + np.asarray(r)[..., None, None] * SY
+
+
 def parent_bloch(p, k):
     """2x2 Bloch matrix of the parent chain; broadcasts over an array of k."""
-    k = reduce_momentum(k)
-    m, r = _mr(p, k)
-    m = np.asarray(m)[..., None, None]
-    r = np.asarray(r)[..., None, None]
-    return -m * SZ + r * SY
+    return _factor_bloch(p, reduce_momentum(k), -1.0)
 
 
 def _factor_matrices(spec, k):
     """Both 2x2 factors of the child at momentum k (stacked over k)."""
     ka, kb = _split_child_momentum(spec, k)
-    m1, r1 = _mr(spec.p1, ka)
-    m2, r2 = _mr(spec.p2, kb)
-    f1 = -np.asarray(m1)[..., None, None] * SZ + np.asarray(r1)[..., None, None] * SY
-    f2 = +np.asarray(m2)[..., None, None] * SZ + np.asarray(r2)[..., None, None] * SY
-    return f1, f2
+    return _factor_bloch(spec.p1, ka, -1.0), _factor_bloch(spec.p2, kb, 1.0)
 
 
 def child_bloch(spec, k):
@@ -176,9 +174,6 @@ class SymmetryReport:
     @property
     def ok(self):
         return {name: r < self.tol for name, r in self.residuals.items()}
-
-    def all_ok(self):
-        return all(self.ok.values())
 
 
 def _opnorm(a):

@@ -13,8 +13,9 @@ from .errors import ConfigError
 from .lattice import (
     ChainLattice,
     SlabLattice,
-    chain_spectrum,
+    _with_mu,
     low_energy_vs_length,
+    spectrum,
     spectrum_vs_mu,
     zero_subspace,
 )
@@ -35,11 +36,7 @@ def _lattice(cfg):
 
 
 def _task_spectrum(cfg):
-    lat = _lattice(cfg)
-    if isinstance(lat, SlabLattice):
-        ev = zero_subspace(cfg.model, lat).eigenvalues
-    else:
-        ev = chain_spectrum(cfg.model, lat)
+    ev = spectrum(cfg.model, _lattice(cfg))
     rows = [[i, float(e)] for i, e in enumerate(ev)]
     return {"columns": ["index", "energy"], "rows": rows}
 
@@ -51,21 +48,13 @@ def _task_sweep_mu(cfg):
         cfg.model, grid, opt["link"], _lattice(cfg),
         n_modes=opt["n-modes"], threads=cfg.threads,
     )
-    def second_mu(mu):
-        if cfg.kind == "parent":
-            return ""
-        if opt["link"] == "equal":
-            return mu
-        if opt["link"] == "opposite":
-            return -mu
-        return float(cfg.model.p2.mu)
-
     rows = []
     for rec in recs:
         mu = float(rec["mu"])
+        mu2 = "" if cfg.kind == "parent" else _with_mu(cfg.model, mu, opt["link"]).p2.mu
         for bc in ("obc", "pbc"):
             for i, e in enumerate(rec[bc]):
-                rows.append([mu, second_mu(mu), bc, i, float(e)])
+                rows.append([mu, mu2, bc, i, float(e)])
     return {"columns": ["mu1", "mu2", "bc", "level_index", "energy"], "rows": rows}
 
 
@@ -119,13 +108,12 @@ def _task_winding(cfg):
     else:
         lat = _lattice(cfg)
         table = topology.component_winding_perp(cfg.model, lat.Lx, lat.Ly, samples)
-        rows = []
-        for rec in table["rows"]:
-            rows.append(["kx", "component-1", f"{rec['fixed']:.17g}", rec["w1"]])
-            rows.append(["kx", "component-2", f"{rec['fixed']:.17g}", rec["w2"]])
-        for rec in table["columns"]:
-            rows.append(["ky", "component-1", f"{rec['fixed']:.17g}", rec["w1"]])
-            rows.append(["ky", "component-2", f"{rec['fixed']:.17g}", rec["w2"]])
+        rows = [
+            [loop, f"component-{which}", f"{rec['fixed']:.17g}", rec[f"w{which}"]]
+            for loop, key in (("kx", "rows"), ("ky", "columns"))
+            for rec in table[key]
+            for which in (1, 2)
+        ]
     return {"columns": ["loop", "component", "fixed_momentum", "winding"], "rows": rows}
 
 

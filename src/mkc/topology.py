@@ -213,27 +213,19 @@ def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
     if spec.orientation != PERPENDICULAR:
         raise ValueError("component_winding_perp needs a perpendicular child")
     ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
-
-    def curve(which, fixed, axis):
-        if axis == "x":
-            kk = np.stack([ks, np.full_like(ks, fixed)], axis=-1)
-        else:
-            kk = np.stack([np.full_like(ks, fixed), ks], axis=-1)
-        dy, dz = component_dvector(spec, kk, which)
-        return WindingCurve(dy=dy, dz=dz)
-
-    rows, cols = [], []
-    for m in range(Ly):
-        ky = 2.0 * np.pi * m / Ly
-        r1 = winding_number(curve(1, ky, "x"))
-        r2 = winding_number(curve(2, ky, "x"))
-        rows.append({"m": m, "fixed": ky, "w1": r1.w, "w2": r2.w})
-    for m in range(Lx):
-        kx = 2.0 * np.pi * m / Lx
-        r1 = winding_number(curve(1, kx, "y"))
-        r2 = winding_number(curve(2, kx, "y"))
-        cols.append({"m": m, "fixed": kx, "w1": r1.w, "w2": r2.w})
-    return {"rows": rows, "columns": cols}
+    table = {}
+    for key, axis, n in (("rows", 0, Ly), ("columns", 1, Lx)):
+        table[key] = []
+        for m in range(n):
+            fixed = 2.0 * np.pi * m / n
+            kk = np.full((ks.size, 2), fixed)
+            kk[:, axis] = ks
+            rec = {"m": m, "fixed": fixed}
+            for which in (1, 2):
+                dy, dz = component_dvector(spec, kk, which)
+                rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz)).w
+            table[key].append(rec)
+    return table
 
 
 def winding_locus_check(spec, ky, samples=DEFAULT_CURVE_SAMPLES):

@@ -19,7 +19,16 @@ from mkc.disorder import (
     site_potentials,
 )
 from mkc.errors import ConfigError, SymmetryError
-from mkc.lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, chain_hopping_blocks
+from mkc.lattice import (
+    OPEN,
+    PERIODIC,
+    ChainLattice,
+    SlabLattice,
+    _FrameBlocks,
+    chain_hopping_blocks,
+    slab_hopping_blocks,
+    spectrum,
+)
 from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentParams
 
 
@@ -236,7 +245,10 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     n_zero = int((clean < tol).sum())
     solver = BlockSolver(model, lat)
     scale = max(bw, 1.0)
-    assert np.abs(solver.clean() - clean).max() < 1e-11 * scale
+    assert np.abs(np.sort(np.abs(spectrum(model, lat))) - clean).max() < 1e-11 * scale
+    internal = h.shape[0] // sites
+    unperturbed = solver.channel(np.zeros((internal, internal)))(np.zeros(sites))
+    assert np.abs(unperturbed - clean).max() < 1e-11 * scale
 
     rep = robustness_sweep(
         model, lat, amplitude=amplitude, realizations=realizations, seed=seed
@@ -260,6 +272,48 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
         assert rep.displacement[c, 0] == pytest.approx(worst, abs=1e-11 * scale)
         assume(abs(worst - tol) > 1e-9 * bw)
         assert rep.robust[c, 0] == (worst < tol), channel_name(channel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_disordered_system())
+def test_frame_split_partitions_columns_and_keeps_every_entry(system):
+    model, lat = system
+    if isinstance(lat, SlabLattice):
+        fb, sites = _FrameBlocks(slab_hopping_blocks(model)), lat.Lx * lat.Ly
+    else:
+        fb, sites = _FrameBlocks(chain_hopping_blocks(model)), lat.L
+    n = fb.q.size
+    everything = np.ones(n, dtype=bool)
+    # internal indices first: clean[i, j] holds every site pair of frame entry (i, j)
+    clean = fb.assemble(everything, everything, lat).reshape(sites, n, sites, n)
+    clean = clean.transpose(1, 3, 0, 2)
+    scale = max(np.abs(clean).max(), 1.0)
+    channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
+    for channel in channels:
+        p = fb.frame.T @ channel_matrix(channel) @ fb.frame
+        kept = np.zeros((n, n), dtype=bool)
+        cover = np.zeros(n, dtype=int)
+        for rows, cols, corner in fb.split(p):
+            assert rows.any() and cols.any()
+            if corner:
+                assert not (rows & cols).any()
+                kept |= np.outer(rows, cols) | np.outer(cols, rows)
+            else:
+                assert np.array_equal(rows, cols)
+                kept |= np.outer(rows, rows)
+            cover += rows | cols
+        assert np.array_equal(cover, np.ones(n)), channel_name(channel)
+        # every entry the parts discard vanishes, in the clean blocks and in p
+        assert np.abs(clean[~kept]).max(initial=0.0) < 1e-12 * scale, channel_name(channel)
+        assert np.abs(p[~kept]).max(initial=0.0) < 1e-12, channel_name(channel)
+
+    parts = fb.split(0)
+    name, s = fb.chirals[0]
+    assert all(corner for _, _, corner in parts)
+    assert [fb.q[rows][0] for rows, _, _ in parts] == sorted(set(fb.q))
+    for rows, cols, _ in parts:
+        assert np.all(fb.q[rows | cols] == fb.q[rows][0])
+        assert np.all(s[rows] > 0) and np.all(s[cols] < 0), name
 
 
 def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
