@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, SingularConfigError
 from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice
-from .lattice import exact_zero_potentials, zero_subspace
+from .lattice import _with_mu, exact_zero_potentials, zero_subspace
 from .models import (
     BELL_VECTORS,
     BLOCK_BASIS,
@@ -148,6 +148,11 @@ def _point_set(entries):
     )
 
 
+def _window(p):
+    """Half-width 2 sqrt(t^2 - Delta^2) of p's oscillatory mu window; 0 when |t| <= |Delta|."""
+    return 2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0))
+
+
 def kc_majorana_points(p, L):
     """The L chain potentials mu_n = 2 sqrt(t^2 - Delta^2) cos(n pi / (L+1)).
 
@@ -156,7 +161,7 @@ def kc_majorana_points(p, L):
     """
     if int(L) != L or L < 1:
         raise ValueError(f"chain length must be a positive integer, got {L!r}")
-    scale = 2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0))
+    scale = _window(p)
     return _point_set(
         (scale * np.cos(n * np.pi / (L + 1)), 1, f"n={n}/(L+1)") for n in range(1, L + 1)
     )
@@ -188,8 +193,7 @@ def mkc_parallel_majorana_points(t, delta, L):
     """
     if int(L) != L or L < 2:
         raise ConfigError(f"chain length must be an integer >= 2, got {L!r}")
-    at, ad = abs(t), abs(delta)
-    scale = 2.0 * np.sqrt(max(at * at - ad * ad, 0.0))
+    scale = _window(ParentParams(t, delta, 0.0))
     if L % 2 == 0:
         d, ns = _sign_mixed_family(L, 1)
         return _point_set((scale * np.cos(n * np.pi / d), 2, f"n={n}/(L+2)") for n in ns)
@@ -242,7 +246,7 @@ def quantization_points(p1, p2, N, mu_range=None):
     small |Delta / t| the window also holds exact zeros that the condition
     does not generate; they are returned too.
     """
-    half = min(2.0 * np.sqrt(max(p.t * p.t - p.delta * p.delta, 0.0)) for p in (p1, p2))
+    half = min(_window(p) for p in (p1, p2))
     if half <= 0.0:
         raise ConfigError("no oscillatory window: a parent has |t| <= |Delta|")
     lo, hi = (-half, half) if mu_range is None else mu_range
@@ -738,15 +742,11 @@ def energy_scaling_near_critical(kind, delta_mu=None, t=1.0, delta=1.0):
     delta_mu = np.asarray(delta_mu, dtype=float)
     if delta_mu.min() <= 0.0 or delta_mu.max() > 0.1 * abs(t) * (1.0 + 1e-12):
         raise ValueError("delta_mu grid must sit inside (0, 0.1 |t|]")
+    parent = ParentParams(t=t, delta=delta, mu=0.0)
+    template = ChildSpec(parent, parent, PARALLEL)
     energies = []
     for d in delta_mu:
-        mu1 = -2.0 * t + d
-        mu2 = mu1 if kind == "equal" else -mu1
-        spec = ChildSpec(
-            p1=ParentParams(t=t, delta=delta, mu=mu1),
-            p2=ParentParams(t=t, delta=delta, mu=mu2),
-            orientation=PARALLEL,
-        )
+        spec = _with_mu(template, -2.0 * t + d, kind)
         ev = np.linalg.eigvalsh(child_bloch(spec, 0.0))
         energies.append(float(np.abs(ev).min()))
     energies = np.asarray(energies)

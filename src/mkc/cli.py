@@ -62,7 +62,7 @@ def build_parser():
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: config, else csv)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="sweep parallelism (overrides config and MKC_THREADS)")
+                        help="accepted and validated; no effect (sweeps run serially)")
     return parser
 
 

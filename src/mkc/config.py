@@ -292,7 +292,8 @@ def parse_config(text, cli_task=None, cli_threads=None):
 
     The thread count comes from cli_threads, else [task] threads, else the
     MKC_THREADS environment variable, else the CPU count; a source below
-    the one that gives the value is never read.
+    the one that gives the value is never read.  It is validated and
+    echoed but drives nothing: sweeps run serially.
     """
     sections = _read_sections(text)
     known = {"model", "lattice", "task", "output"}

@@ -19,7 +19,6 @@ two chains.
 
 import numpy as np
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigError, NonHermitianError, SymmetryError
 from .models import (
@@ -110,25 +109,19 @@ def _assemble(blocks, lat):
     return h.reshape(sites * rows, sites * cols)
 
 
-def _first_factor_blocks(p):
-    """Hopping blocks of -(2t cos k + mu) s_z + 2 Delta sin k s_y."""
-    a1 = -p.t * SZ - 1j * p.delta * SY
-    return {-1: a1.conj().T, 0: -p.mu * SZ, 1: a1}
-
-
-def _second_factor_blocks(p):
-    """Hopping blocks of +(2t cos k + mu) s_z + 2 Delta sin k s_y."""
-    b1 = p.t * SZ - 1j * p.delta * SY
-    return {-1: b1.conj().T, 0: p.mu * SZ, 1: b1}
+def _factor_blocks(p, sign):
+    """Hopping blocks of sign (2t cos k + mu) s_z + 2 Delta sin k s_y (models._factor_bloch)."""
+    a1 = sign * p.t * SZ - 1j * p.delta * SY
+    return {-1: a1.conj().T, 0: sign * p.mu * SZ, 1: a1}
 
 
 def chain_hopping_blocks(spec):
     """{r: block} of the inverse Fourier transform, r the site displacement."""
     if isinstance(spec, ParentParams):
-        return _first_factor_blocks(spec)
+        return _factor_blocks(spec, -1.0)
     if not isinstance(spec, ChildSpec) or spec.orientation != PARALLEL:
         raise ValueError("chain models are the parent and the parallel child")
-    return _product_blocks(_first_factor_blocks(spec.p1), _second_factor_blocks(spec.p2))
+    return _product_blocks(_factor_blocks(spec.p1, -1.0), _factor_blocks(spec.p2, 1.0))
 
 
 def _product_blocks(a, b):
@@ -148,7 +141,7 @@ def slab_factor_blocks(spec):
     """
     if not isinstance(spec, ChildSpec) or spec.orientation == PARALLEL:
         raise ValueError("slab models need a perpendicular child")
-    return _first_factor_blocks(spec.p1), _second_factor_blocks(spec.p2)
+    return _factor_blocks(spec.p1, -1.0), _factor_blocks(spec.p2, 1.0)
 
 
 def slab_hopping_blocks(spec):
@@ -311,23 +304,28 @@ def chain_spectrum(spec, lat):
     return np.sort(np.concatenate([-sv, sv]))
 
 
+def _nearest(ev, n_modes):
+    """The n_modes values of ev nearest zero, ascending.
+
+    chain_spectrum returns every +-E pair exactly symmetric; where the cut
+    splits a group of equal |E| (a +-E pair when n_modes is odd), the
+    stable argsort keeps the members that come first, so the negative one.
+    """
+    return np.sort(ev[np.argsort(np.abs(ev), kind="stable")[:n_modes]])
+
+
 def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
     """Rows (L, the n_modes eigenvalues nearest zero, middle-pair splitting).
 
-    The spectrum comes from chain_spectrum, which returns every +-E pair
-    exactly symmetric.  When the cut splits a group of equal |E| (a +-E
-    pair when n_modes is odd), the stable argsort picks the members that
-    come first in ascending order, so the negative one of a pair; dense
-    eigenvalues used to decide such ties by rounding noise.
+    The points run one after another; threads is accepted and ignored.
     """
-
-    def one(L):
+    rows = []
+    for L in L_range:
         ev = chain_spectrum(spec, ChainLattice(L, bc))
         half = ev.size // 2
-        nearest = np.sort(ev[np.argsort(np.abs(ev), kind="stable")[:n_modes]])
-        return {"L": int(L), "modes": nearest, "splitting": float(ev[half] - ev[half - 1])}
-
-    return _ordered_map(one, list(L_range), threads)
+        splitting = float(ev[half] - ev[half - 1])
+        rows.append({"L": int(L), "modes": _nearest(ev, n_modes), "splitting": splitting})
+    return rows
 
 
 def _with_mu(template, mu, link):
@@ -348,16 +346,16 @@ def _with_mu(template, mu, link):
 def _mu_coefficients(child):
     """(C0, C1): the parallel child's blocks at mu1 = mu2 = mu are C0 + mu C1 + mu^2 C2.
 
-    mu enters each factor chain only through its on-site -mu s_z (first
-    factor) or +mu s_z (second), and the child's blocks are bilinear in the
-    factors' blocks (_product_blocks).  So C2 is the on-site -s_z x s_z,
-    whose chiral corners are -I.
+    Both are read off the blocks B(m) of _with_mu(child, m, LINK_EQUAL):
+    C0 = B(0) and C1 = (B(1) - B(-1)) / 2.  mu enters each factor chain only
+    as its on-site -mu s_z (first factor) or +mu s_z (second), whose entries
+    are +-mu exactly, and the child's blocks are bilinear in the factors'
+    blocks (_product_blocks), so these differences are exact.  C2 is the
+    on-site -s_z x s_z, whose chiral corners are -I.
     """
-    da = {-1: 0.0 * SZ, 0: -SZ, 1: 0.0 * SZ}
-    a = _first_factor_blocks(replace(child.p1, mu=0.0))
-    b = _second_factor_blocks(replace(child.p2, mu=0.0))
-    c1a, c1b = _product_blocks(da, b), _product_blocks(a, {r: -d for r, d in da.items()})
-    return _product_blocks(a, b), {r: c1a[r] + c1b[r] for r in c1a}
+    plus, minus = (chain_hopping_blocks(_with_mu(child, m, LINK_EQUAL)) for m in (1.0, -1.0))
+    c1 = {r: (plus[r] - minus[r]) / 2.0 for r in plus}
+    return chain_hopping_blocks(_with_mu(child, 0.0, LINK_EQUAL)), c1
 
 
 # The eigensolver returns a double root as a real or complex pair up to
@@ -436,28 +434,18 @@ def spectrum_vs_mu(template, mu_grid, link, lat, n_modes=None, threads=1):
 
     link picks how the two child chemical potentials follow the grid value
     (equal, opposite, or second one frozen); ignored for a parent template.
-    n_modes keeps the levels nearest zero, ties broken as in
-    low_energy_vs_length.
+    n_modes keeps the levels nearest zero (_nearest).  The points run one
+    after another; threads is accepted and ignored.
     """
-
-    def one(mu):
+    rows = []
+    for mu in np.asarray(mu_grid, dtype=float):
         spec = _with_mu(template, mu, link)
         row = {"mu": float(mu)}
         for key, bc in (("obc", OPEN), ("pbc", PERIODIC)):
             ev = chain_spectrum(spec, replace(lat, bc=bc))
-            if n_modes is not None:
-                ev = np.sort(ev[np.argsort(np.abs(ev), kind="stable")[:n_modes]])
-            row[key] = ev
-        return row
-
-    return _ordered_map(one, list(np.asarray(mu_grid, dtype=float)), threads)
-
-
-def _ordered_map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+            row[key] = ev if n_modes is None else _nearest(ev, n_modes)
+        rows.append(row)
+    return rows
 
 
 @dataclass

@@ -21,7 +21,6 @@ from .lattice import (
 )
 from .models import (
     PARALLEL,
-    _mr,
     dirac_expansion_parallel,
     group_velocity_perp,
     symmetry_check,
@@ -92,15 +91,10 @@ def _task_wannier(cfg):
     return {"columns": ["loop", "index", "center"], "rows": rows}
 
 
-def _parent_winding(p, samples):
-    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
-    return topology.winding_number(topology.WindingCurve(dy=r, dz=-m))
-
-
 def _task_winding(cfg):
     samples = cfg.options["samples"]
     if cfg.kind == "parent":
-        r = _parent_winding(cfg.model, samples)
+        r = topology.parent_winding(cfg.model, samples)
         rows = [["k", "parent", "", r.w]]
     elif cfg.kind == "mkc-parallel":
         r1, r2 = topology.component_winding_parallel(cfg.model, samples)

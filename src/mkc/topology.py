@@ -187,19 +187,19 @@ def winding_number(curve):
     return WindingResult(w=w, origin_distance=dist)
 
 
-def component_curve_parallel(spec, which, samples=DEFAULT_CURVE_SAMPLES):
-    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
-    dy, dz = component_dvector(spec, ks, which)
-    return WindingCurve(dy=dy, dz=dz)
+def parent_winding(p, samples=DEFAULT_CURVE_SAMPLES):
+    """Winding of the parent's (d_y, d_z) = (R, -M) curve over one period."""
+    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
+    return winding_number(WindingCurve(dy=r, dz=-m))
 
 
 def component_winding_parallel(spec, samples=DEFAULT_CURVE_SAMPLES):
     """(w1, w2) of the two component curves of the 1D child."""
     if spec.orientation != PARALLEL:
         raise ValueError("component_winding_parallel needs a parallel child")
+    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
     return tuple(
-        winding_number(component_curve_parallel(spec, which, samples))
-        for which in (1, 2)
+        winding_number(WindingCurve(*component_dvector(spec, ks, which))) for which in (1, 2)
     )
 
 

@@ -84,6 +84,17 @@ def diagonalize(h, hermiticity_tol=1e-12):
     return Eigenpairs(*np.linalg.eigh(h))
 
 
+def dense_levels(h):
+    """Ascending eigenvalues of h, from np.linalg.eigh.
+
+    Not np.linalg.eigvalsh: with OpenBLAS 0.3.31 its eigenvalue-only path
+    returns 1.98442969 for the level 1.984375 of the complex flat-band
+    parent t = Delta = -0.9921875, mu = 8.6e-161 on 3 open sites, while
+    eigh is exact to rounding there.
+    """
+    return np.linalg.eigh(h)[0]
+
+
 def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
     """Zero subspace of an explicit lattice matrix, by one dense solve.
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import build_chain, diagonalize
+from dense_reference import build_chain, dense_levels, diagonalize
 from mkc.boundary import (
     BELL_VECTORS,
     CLASSIFICATION_FRAME,
@@ -32,7 +32,7 @@ from mkc.boundary import (
     tau_sigma_entropy,
 )
 from mkc.errors import ConfigError, SingularConfigError
-from mkc.lattice import PERIODIC, ChainLattice, SlabLattice, exact_zero_potentials
+from mkc.lattice import PERIODIC, ChainLattice, SlabLattice, exact_zero_potentials, zero_subspace
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 
 RNG = np.random.default_rng(20240813)
@@ -200,7 +200,7 @@ def _window(p1, p2):
 def _dense_min_energy(p1, p2, mu, N):
     """Smallest |E| of the dense shared-mu chain, over its bandwidth."""
     spec = ChildSpec(replace(p1, mu=mu), replace(p2, mu=mu), PARALLEL)
-    ev = np.linalg.eigvalsh(build_chain(spec, ChainLattice(N)))
+    ev = dense_levels(build_chain(spec, ChainLattice(N)))
     return np.abs(ev).min() / (ev[-1] - ev[0])
 
 
@@ -343,18 +343,41 @@ def test_analytic_density_matches_numerics():
     assert overlap > 0.9999
 
 
-def test_semi_infinite_profile_matches_root_powers():
-    spec = ChildSpec(
-        ParentParams(1.0, 0.4, 0.3), ParentParams(1.0, 0.5, 3.0), PARALLEL
-    )
+_J = np.arange(1, 33)
+# parents whose decaying branch has a double root: 0, so only the end site
+# carries weight, and -1/2, so the profile is |j (-1/2)^(j-1)|
+_DEGENERATE_ROOT_PARENTS = [ParentParams(1.0, 1.0, 0.0), ParentParams(1.25, 0.75, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "p1, want",
+    [
+        (ParentParams(1.0, 0.4, 0.3), None),
+        (_DEGENERATE_ROOT_PARENTS[0], (_J == 1).astype(float)),
+        (_DEGENERATE_ROOT_PARENTS[1], np.abs(_J * (-0.5) ** (_J - 1))),
+    ],
+)
+def test_semi_infinite_profile_matches_root_powers(p1, want):
+    spec = ChildSpec(p1, ParentParams(1.0, 0.5, 3.0), PARALLEL)
     prof = semi_infinite_edge_profile(spec, 1, length=32)
-    roots = decay_roots(spec.p1, "+")
-    want = np.abs(roots.roots[0] ** np.arange(1, 33) - roots.roots[1] ** np.arange(1, 33))
+    if want is None:
+        r1, r2 = decay_roots(p1, "+").roots
+        want = np.abs(r1**_J - r2**_J)
     want = want / np.linalg.norm(want)
     assert prof.amplitudes == pytest.approx(want)
     assert prof.internal is None
     rev = semi_infinite_edge_profile(spec, 1, edge="right", length=32)
     assert rev.amplitudes == pytest.approx(want[::-1])
+
+
+@pytest.mark.parametrize("p", _DEGENERATE_ROOT_PARENTS)
+def test_degenerate_root_profile_is_the_open_parent_edge_density(p):
+    # the left half of a 60-site open parent holds one Majorana mode
+    spec = ChildSpec(p, ParentParams(1.0, 0.5, 3.0), PARALLEL)
+    prof = semi_infinite_edge_profile(spec, 1, length=30)
+    zs = zero_subspace(p, ChainLattice(60))
+    assert zs.count == 2
+    assert np.abs(zs.weights[:30] - prof.amplitudes**2).max() < 1e-15
 
 
 def test_semi_infinite_profile_needs_topological_parent():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import apply_onsite_disorder, build_chain, build_slab
+from dense_reference import apply_onsite_disorder, build_chain, build_slab, dense_levels
 from mkc import disorder
 from mkc.disorder import (
     CHILD_CHANNELS,
@@ -237,7 +237,7 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
         h, sites = build_chain(model, lat), lat.L
     channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
     realizations = 2
-    clean = np.sort(np.abs(np.linalg.eigvalsh(h)))
+    clean = np.sort(np.abs(dense_levels(h)))
     bw = 2.0 * clean[-1]
     tol = 1e-6 * bw
     # a level within rounding of the zero tolerance may count either way
@@ -261,7 +261,7 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
         solve = solver.channel(channel_matrix(channel))
         worst = 0.0
         for r in range(realizations):
-            dense = np.sort(np.abs(np.linalg.eigvalsh(apply_onsite_disorder(h, spec, r, sites))))
+            dense = np.sort(np.abs(dense_levels(apply_onsite_disorder(h, spec, r, sites))))
             blocked = solve(site_potentials(spec, r, sites))
             assert np.abs(blocked - dense).max() < 1e-11 * scale, channel_name(channel)
             if n_zero:

@@ -232,6 +232,22 @@ def test_group_velocity_perp_closed_form_at_double_criticality():
     assert abs(abs(rec.velocity[1]) - 4 * d1 * d2 * 0.01) < 1e-6
 
 
+def test_group_velocity_perp_one_sided_where_one_mass_vanishes():
+    # mu1 = -2 t1 at kx = 0: |E| has a kink in kx, so vx is the kx -> 0+ slope
+    spec = ChildSpec(
+        ParentParams(1.0, 0.7, -2.0), ParentParams(0.6, 0.4, 0.3), PERPENDICULAR
+    )
+    ky, h = 0.02, 1e-6
+    rec = group_velocity_perp(spec, 0.0, ky)
+    assert rec.one_sided and not rec.at_critical
+    assert rec.velocity[1] == 0.0
+
+    def lowest(kx):
+        return np.abs(np.linalg.eigvalsh(child_bloch(spec, [kx, ky]))).min()
+
+    assert rec.velocity[0] == pytest.approx((lowest(h) - lowest(0.0)) / h, rel=2e-4)
+
+
 def test_group_velocity_perp_away_from_criticality():
     spec = ChildSpec(
         ParentParams(1.0, 0.7, -1.0), ParentParams(0.6, 0.4, 0.3), PERPENDICULAR
