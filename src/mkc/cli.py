@@ -19,14 +19,24 @@ from .tasks import run_task
 
 def render_csv(cfg, payload):
     """Header plus rows, 17 significant digits, with the config echoed
-    as leading comment lines."""
+    as leading comment lines.
+
+    A cell that is the very object (is, never ==) in the same column of the
+    previous row reuses that cell's text, so a value a task repeats down a
+    column is formatted once.
+    """
     lines = []
     for section, values in cfg.echo().items():
         for key, value in values.items():
             lines.append(f"# {section}.{key} = {value}")
     lines.append(",".join(payload["columns"]))
+    prev, texts = (), []
     for row in payload["rows"]:
-        lines.append(",".join(_format_value(v) for v in row))
+        texts = [t if v is p else _format_value(v) for v, p, t in zip(row, prev, texts)]
+        if len(texts) < len(row):
+            texts += map(_format_value, row[len(texts) :])
+        lines.append(",".join(texts))
+        prev = row
     return "\n".join(lines) + "\n"
 
 

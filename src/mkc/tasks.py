@@ -49,11 +49,11 @@ def _task_sweep_mu(cfg):
     )
     rows = []
     for rec in recs:
+        # one mu, mu2 and bc object per (point, bc): render_csv formats each once
         mu = float(rec["mu"])
         mu2 = "" if cfg.kind == "parent" else _with_mu(cfg.model, mu, opt["link"]).p2.mu
         for bc in ("obc", "pbc"):
-            for i, e in enumerate(rec[bc]):
-                rows.append([mu, mu2, bc, i, float(e)])
+            rows += ([mu, mu2, bc, i, e] for i, e in enumerate(rec[bc].tolist()))
     return {"columns": ["mu1", "mu2", "bc", "level_index", "energy"], "rows": rows}
 
 

@@ -2,12 +2,20 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dense_reference import apply_onsite_disorder, build_chain, build_slab, dense_solver
+from dense_reference import (
+    apply_onsite_disorder,
+    build_chain,
+    build_slab,
+    dense_levels,
+    dense_solver,
+)
 from mkc import cli
 from mkc.boundary import (
     classify_zero_modes,
@@ -16,7 +24,7 @@ from mkc.boundary import (
     quantization_points,
 )
 from mkc.cli import main
-from mkc.config import parse_config
+from mkc.config import _format_value, parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
 from mkc.errors import ConfigError
 from mkc.lattice import ChainLattice, SlabLattice
@@ -152,6 +160,38 @@ def test_spectrum_csv_to_stdout(tmp_path, capsys):
     assert out.endswith("\n")
     # timing goes to stderr only
     assert "finished in" in err and "finished in" not in out
+
+
+def test_render_csv_reuses_text_of_identical_cells_only():
+    cfg = parse_config(PARENT_SPECTRUM)
+    shared = 0.1
+    # adjacent cells that compare equal but print differently, rows of
+    # differing length, and one object repeated down a column
+    rows = [
+        [0.0, 1, "", shared, "x"],
+        [-0.0, True, None, shared, "x"],
+        [0.0, 1.0, "", shared],
+        [0.0, 1.0, "", shared, "x", 7],
+        [shared],
+        [],
+        [None, False, 0, shared],
+        [-0.0, 0, 0.0, shared],
+    ]
+    head = cli.render_csv(cfg, {"columns": ["a", "b", "c", "d", "e", "f"], "rows": []})
+    want = head + "".join(",".join(_format_value(v) for v in row) + "\n" for row in rows)
+    got = cli.render_csv(cfg, {"columns": ["a", "b", "c", "d", "e", "f"], "rows": rows})
+    assert got == want
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy.fft costs 1-2 ms at start-up; only periodic chain levels need it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, mkc.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.fft')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_out_file_and_json_format(tmp_path, capsys):
@@ -432,9 +472,17 @@ def _lattice_of(cfg):
 
 
 def _dense_levels(model, lat, n_modes=None):
-    ev = np.linalg.eigvalsh(build_chain(model, lat))
+    """Ascending dense levels; n_modes keeps +-E pairs as lattice._nearest does.
+
+    That is the (n_modes + 1) // 2 levels of the lower half and the
+    n_modes // 2 of the upper half nearest zero, so a cut through an exactly
+    degenerate |E| group does not depend on how eigh's rounding orders it.
+    """
+    ev = dense_levels(build_chain(model, lat))
     if n_modes is not None:
-        ev = np.sort(ev[np.argsort(np.abs(ev))[:n_modes]])
+        half = ev.size // 2
+        lower = ev[max(half - (n_modes + 1) // 2, 0) : half]
+        ev = np.concatenate([lower, ev[half:][: n_modes // 2]])
     return ev
 
 

@@ -1,5 +1,7 @@
 """Chiral-corner chain solver against dense references, and parameter sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -235,6 +237,45 @@ def test_chain_spectrum_matches_dense(system):
 
 
 @settings(max_examples=150, deadline=None)
+@given(p1=_parent(), p2=_parent(), child=st.booleans(), L=st.integers(2, 40))
+def test_periodic_corner_levels_match_corner_svd(p1, p2, child, L):
+    spec = ChildSpec(p1, p2, PARALLEL) if child else p1
+    lat = ChainLattice(max(L, 3) if child else L, PERIODIC)
+    for corner, _, _ in lattice._chiral_corners(chain_hopping_blocks(spec), lat):
+        want = np.linalg.svd(corner, compute_uv=False)
+        got = np.sort(lattice._corner_levels(corner, PERIODIC))[::-1]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(want[0], 1.0)
+
+
+@st.composite
+def _sweep_case(draw):
+    """(template, link, lattice, grid): L down to the minimum, grid through mu = +-2t."""
+    p1 = draw(_parent())
+    template = p1 if draw(st.booleans()) else ChildSpec(p1, draw(_parent()), PARALLEL)
+    child = isinstance(template, ChildSpec)
+    link = draw(st.sampled_from([LINK_EQUAL, "opposite", "fixed"]))
+    lat = ChainLattice(draw(st.integers(3 if child else 2, 12)), OPEN)
+    ts = (p1.t, template.p2.t) if child else (p1.t,)
+    grid = [draw(st.floats(-3.0, 3.0))] + [s * 2.0 * t for t in ts for s in (-1.0, 1.0)]
+    return template, link, lat, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sweep_case())
+def test_spectrum_vs_mu_matches_dense(case):
+    template, link, lat, grid = case
+    rows = spectrum_vs_mu(template, grid, link, lat)
+    assert [r["mu"] for r in rows] == grid
+    for row in rows:
+        spec = lattice._with_mu(template, row["mu"], link)
+        for key, bc in (("obc", OPEN), ("pbc", PERIODIC)):
+            dense = dense_levels(build_chain(spec, replace(lat, bc=bc)))
+            assert row[key].shape == dense.shape
+            assert np.abs(row[key] - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
 @given(system=_chain_system())
 def test_chain_zero_subspace_matches_dense(system):
     spec, lat = system
@@ -281,16 +322,23 @@ def test_chain_zero_subspace_matches_dense(system):
                 assert g.overlap == pytest.approx(w.overlap, abs=1e-9)
 
 
-def test_mu_coefficients_reproduce_blocks_and_lead_with_identity():
+@pytest.mark.parametrize("link", ["equal", "opposite", "fixed"])
+def test_mu_coefficients_reproduce_blocks_and_lead_with_identity(link):
     child = ChildSpec(ParentParams(0.7, -0.4, 0.3), ParentParams(-1.3, 0.5, -0.8), PARALLEL)
-    c0, c1 = lattice._mu_coefficients(child)
-    c2 = {0: -np.kron(SZ, SZ)}
-    for mu in (-1.7, 0.37):
-        blocks = chain_hopping_blocks(lattice._with_mu(child, mu, LINK_EQUAL))
-        for r, blk in blocks.items():
-            assert np.abs(c0[r] + mu * c1[r] + mu**2 * c2.get(r, 0.0) - blk).max() < 1e-14
-    for corner, _, _ in lattice._chiral_corners(c2, ChainLattice(5)):
-        assert np.abs(corner + np.eye(5)).max() < 1e-15
+    for template in (child, child.p2):
+        c0, c1, c2 = lattice._mu_coefficients(template, link)
+        for mu in (-1.7, 0.37):
+            blocks = chain_hopping_blocks(lattice._with_mu(template, mu, link))
+            for r, blk in blocks.items():
+                assert np.abs(c0[r] + mu * c1[r] + mu**2 * c2[r] - blk).max() < 1e-14
+        # mu^2 enters only through the child's on-site -mu1 mu2 s_z x s_z
+        sign = {"equal": -1.0, "opposite": 1.0, "fixed": 0.0}[link]
+        want = {0: sign * np.kron(SZ, SZ)} if template is child else {}
+        for r, blk in c2.items():
+            assert np.abs(blk - want.get(r, 0.0)).max() < 1e-15
+        if template is child and link == "equal":
+            for corner, _, _ in lattice._chiral_corners(c2, ChainLattice(5)):
+                assert np.abs(corner + np.eye(5)).max() < 1e-15
 
 
 def _dense_open_levels(spec, L):
