@@ -439,8 +439,13 @@ def exact_zero_potentials(child, L):
     modes at opposite edges otherwise make the roots ill-conditioned by a
     factor exponential in L.  Inside the oscillatory window, where each
     parent's decay roots share one modulus, the roots are then accurate to
-    rounding; outside it, roots can be missed.  At every root returned the
-    chain has a level below EXACT_ZERO_TOL of its largest.
+    rounding.  Outside it, finding every root is a non-goal: there the
+    split between end modes decays as e^{-L/xi} (Kitaev, Phys.-Usp. 44
+    (2001) 131) and falls below double precision, so the lowest level sits
+    near the rounding floor over whole intervals of mu and "exact zero" has
+    no meaning; roots there can be missed or be artefacts of rounding.  At
+    every root returned the chain has a level below EXACT_ZERO_TOL of its
+    largest.
     """
     if L < 2:
         raise ConfigError(f"lattice size must be an integer >= 2, got {L!r}")

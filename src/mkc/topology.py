@@ -4,7 +4,8 @@ The Wilson loop is the ordered product of occupied-subspace projectors around
 a closed momentum loop, sandwiched between the occupied eigenvectors at the
 anchor point and unitarized by polar decomposition; its eigenphases over 2*pi
 are the Wannier centers.  Winding numbers track the angle of (d_y, d_z)
-curves around the origin.
+curves around the origin; a child's component curves are products of its
+parents' curves, so the child's windings are read from the parents'.
 """
 
 import numpy as np
@@ -158,6 +159,16 @@ class WindingResult:
     origin_distance: float
 
 
+def _check_clear_of_origin(dist, scale):
+    """Raise CriticalCurveError when a curve comes within 1e-9 of its scale of the origin."""
+    if dist < 1e-9 * max(scale, 1e-30):
+        raise CriticalCurveError(
+            f"curve passes through the origin (min |d| = {dist:.3e}); "
+            "the model sits on a critical surface",
+            origin_distance=dist,
+        )
+
+
 def winding_number(curve):
     """Integer turns of (d_y, d_z) around the origin, by angle accumulation.
 
@@ -170,12 +181,7 @@ def winding_number(curve):
     if not curve.closed:
         raise ValueError("winding_number needs a closed curve")
     dist = float(np.abs(z).min())
-    if dist < 1e-9 * max(float(np.abs(z).max()), 1e-30):
-        raise CriticalCurveError(
-            f"curve passes through the origin (min |d| = {dist:.3e}); "
-            "the model sits on a critical surface",
-            origin_distance=dist,
-        )
+    _check_clear_of_origin(dist, float(np.abs(z).max()))
     total = float(np.angle(z[1:] / z[:-1]).sum()) / (2.0 * np.pi)
     w = int(np.rint(total))
     if abs(total - w) > 0.01:
@@ -187,44 +193,73 @@ def winding_number(curve):
     return WindingResult(w=w, origin_distance=dist)
 
 
+def _parent_loop(p, samples):
+    """The moduli of the parent's curve R - iM on the closed sampling grid, and its winding.
+
+    The curve reaches the origin only where R and M vanish together: at
+    k = 0 or pi when Delta != 0, and wherever cos k = -mu / 2t when
+    Delta = 0, which exists exactly when |mu| <= 2|t|.  Those momenta are
+    checked whether or not the grid samples them, so a gapless parent
+    raises CriticalCurveError at every sample count.
+    """
+    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
+    modulus = np.hypot(m, r)
+    if p.delta == 0.0 and abs(p.mu) <= 2.0 * abs(p.t):
+        closest = 0.0
+    else:
+        closest = float(np.abs(_mr(p, np.array([0.0, np.pi]))[0]).min())
+    _check_clear_of_origin(closest, float(modulus.max()))
+    return modulus, winding_number(WindingCurve(dy=r, dz=-m))
+
+
 def parent_winding(p, samples=DEFAULT_CURVE_SAMPLES):
     """Winding of the parent's (d_y, d_z) = (R, -M) curve over one period."""
-    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
-    return winding_number(WindingCurve(dy=r, dz=-m))
+    return _parent_loop(p, samples)[1]
+
+
+# Each child component is a product of its parents' curves z_i = R_i - i M_i:
+# d_y + i d_z = (R1 - i M1)(M2 + i s R2), that is i z1 z2 for component 1
+# (s = +1) and -i z1 conj(z2) for component 2 (s = -1).  Its windings are
+# therefore sums of the parents' windings, and are read from them.
 
 
 def component_winding_parallel(spec, samples=DEFAULT_CURVE_SAMPLES):
-    """(w1, w2) of the two component curves of the 1D child."""
+    """(w1, w2) = (w(p1) + w(p2), w(p1) - w(p2)) of the 1D child's component curves.
+
+    origin_distance is the smallest |d| of the product curves on the samples.
+    """
     if spec.orientation != PARALLEL:
         raise ValueError("component_winding_parallel needs a parallel child")
-    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
-    return tuple(
-        winding_number(WindingCurve(*component_dvector(spec, ks, which))) for which in (1, 2)
-    )
+    (a1, r1), (a2, r2) = (_parent_loop(p, samples) for p in (spec.p1, spec.p2))
+    dist = float((a1 * a2).min())
+    return WindingResult(r1.w + r2.w, dist), WindingResult(r1.w - r2.w, dist)
 
 
 def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
     """Winding of every quantized-transverse-momentum curve of the 2D child.
 
     rows: for each ky = 2pi m/Ly the windings along kx; columns: for each
-    kx = 2pi m/Lx the windings along ky.  Both components are reported; they
-    agree whenever both are defined.
+    kx = 2pi m/Lx the windings along ky.  On a kx loop the second factor is
+    frozen and both components wind as parent 1; on a ky loop component 1
+    winds as parent 2 and component 2 the opposite way.  A loop whose frozen
+    factor vanishes at its fixed momentum is critical.
     """
     if spec.orientation != PERPENDICULAR:
         raise ValueError("component_winding_perp needs a perpendicular child")
-    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    loops = {p: _parent_loop(p, samples) for p in (spec.p1, spec.p2)}
     table = {}
-    for key, axis, n in (("rows", 0, Ly), ("columns", 1, Lx)):
-        table[key] = []
-        for m in range(n):
-            fixed = 2.0 * np.pi * m / n
-            kk = np.full((ks.size, 2), fixed)
-            kk[:, axis] = ks
-            rec = {"m": m, "fixed": fixed}
-            for which in (1, 2):
-                dy, dz = component_dvector(spec, kk, which)
-                rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz)).w
-            table[key].append(rec)
+    for key, n, along, frozen, s in (
+        ("rows", Ly, spec.p1, spec.p2, 1),
+        ("columns", Lx, spec.p2, spec.p1, -1),
+    ):
+        w = loops[along][1].w
+        fixed = 2.0 * np.pi * np.arange(n) / n
+        _check_clear_of_origin(
+            float(np.hypot(*_mr(frozen, fixed)).min()), float(loops[frozen][0].max())
+        )
+        table[key] = [
+            {"m": m, "fixed": f, "w1": w, "w2": s * w} for m, f in enumerate(fixed.tolist())
+        ]
     return table
 
 

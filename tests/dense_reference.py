@@ -7,7 +7,9 @@ assemble the whole matrix from the same hopping blocks with Kronecker
 products, and diagonalize it with one dense eigh, so that every fast path
 can be checked against the plain solve.  The helpers at the end compare
 zero subspaces by projectors, densities and classification decisions,
-never by single eigenvectors.
+never by single eigenvectors.  The winding references sample every
+child component curve as the product it is, where mkc reads the child
+windings from its parents' curves.
 """
 
 import functools
@@ -29,6 +31,8 @@ from mkc.lattice import (
     slab_factor_blocks,
     slab_hopping_blocks,
 )
+from mkc.models import PARALLEL, PERPENDICULAR, component_dvector
+from mkc.topology import WindingCurve, winding_number
 
 Eigenpairs = namedtuple("Eigenpairs", "eigenvalues eigenvectors")
 
@@ -185,3 +189,31 @@ def decisions(result):
         region: (res.labels, res.subspace_dimension, res.matches_table, res.row_complete)
         for region, res in result.items()
     }
+
+
+def sampled_winding_parallel(spec, samples):
+    """(w1, w2) of the 1D child, each from its sampled product curve."""
+    assert spec.orientation == PARALLEL
+    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    return tuple(
+        winding_number(WindingCurve(*component_dvector(spec, ks, which))).w for which in (1, 2)
+    )
+
+
+def sampled_winding_perp(spec, Lx, Ly, samples):
+    """component_winding_perp's table, one sampled product curve per loop and component."""
+    assert spec.orientation == PERPENDICULAR
+    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    table = {}
+    for key, axis, n in (("rows", 0, Ly), ("columns", 1, Lx)):
+        table[key] = []
+        for m in range(n):
+            fixed = 2.0 * np.pi * m / n
+            kk = np.full((ks.size, 2), fixed)
+            kk[:, axis] = ks
+            rec = {"m": m, "fixed": fixed}
+            for which in (1, 2):
+                dy, dz = component_dvector(spec, kk, which)
+                rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz)).w
+            table[key].append(rec)
+    return table

@@ -15,6 +15,8 @@ from dense_reference import (
     build_slab,
     dense_levels,
     dense_solver,
+    sampled_winding_parallel,
+    sampled_winding_perp,
 )
 from mkc import cli
 from mkc.boundary import (
@@ -39,8 +41,6 @@ from mkc.models import (
 from mkc.tasks import run_task
 from mkc.topology import (
     WindingCurve,
-    component_winding_parallel,
-    component_winding_perp,
     wannier_center_parent,
     wannier_centers_perp,
     winding_number,
@@ -497,19 +497,37 @@ def _check_parent_winding(cfg, rows):
 def _check_parallel_winding(cfg, rows):
     # the README's (2, 0)
     assert rows == [["k", "component-1", "", 2], ["k", "component-2", "", 0]]
-    w1, w2 = component_winding_parallel(cfg.model)
-    assert (w1.w, w2.w) == (2, 0)
+    assert sampled_winding_parallel(cfg.model, cfg.options["samples"]) == (2, 0)
 
 
 def _check_perpendicular_winding(cfg, rows):
     lat = _lattice_of(cfg)
-    table = component_winding_perp(cfg.model, lat.Lx, lat.Ly)
+    table = sampled_winding_perp(cfg.model, lat.Lx, lat.Ly, cfg.options["samples"])
     want = []
     for loop, recs, n in (("kx", table["rows"], lat.Ly), ("ky", table["columns"], lat.Lx)):
         for m, rec in enumerate(recs):
             want += [[loop, "component-1", 2 * np.pi * m / n, rec["w1"]],
                      [loop, "component-2", 2 * np.pi * m / n, rec["w2"]]]
     assert [[r[0], r[1], float(r[2]), r[3]] for r in rows] == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a Delta = 0 metal: its curve crosses the origin between samples
+        "[model]\nkind = parent\nt1 = 1\ndelta1 = 0\nmu1 = 0.3\n"
+        "[task]\nname = winding\nsamples = 1023\n",
+        # parent 2 closes at k = pi, which an odd grid never samples
+        _PERPENDICULAR_HEAD.replace("mu2 = 3.0", "mu2 = 2.0")
+        + "[lattice]\nlx = 4\nly = 4\n[task]\nname = winding\nsamples = 1023\n",
+    ],
+    ids=["parent-metal", "perpendicular-odd-grid"],
+)
+def test_critical_factor_exits_3_at_any_sample_count(tmp_path, capsys, text):
+    rc = main(["winding", "--config", _config(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert "CriticalCurveError" in err
 
 
 def _check_sweep_mu(link, n_modes=None):

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dense_reference import sampled_winding_parallel, sampled_winding_perp
 from mkc.errors import CriticalCurveError, GaplessPathError, NumericalError
-from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
+from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _mr
 from mkc.topology import (
     WindingCurve,
     center_distance,
     component_winding_parallel,
     component_winding_perp,
+    parent_winding,
     wannier_center_parent,
     wannier_centers_parallel,
     wannier_centers_perp,
@@ -18,6 +22,21 @@ from mkc.topology import (
 )
 
 R = 301  # loop points: plenty for 1e-8 agreement on these gaps
+
+
+@st.composite
+def _gapped_parent(draw):
+    """A parent whose curve stays 5% of its largest modulus, and 0.05, clear of the origin.
+
+    At that margin and 96 or more samples no sampled angle step reaches
+    pi/2, so a sampled product curve winds as the sum of its factors.
+    """
+    p = ParentParams(
+        draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-4.0, 4.0))
+    )
+    d = np.hypot(*_mr(p, np.linspace(0.0, 2.0 * np.pi, 4097)))
+    assume(d.min() > 0.05 * max(d.max(), 1.0))
+    return p
 
 
 def test_center_distance_is_circle_metric():
@@ -72,6 +91,23 @@ def test_perp_wannier_centers_both_directions():
         for c in ws.centers:
             assert center_distance(c, 0.5) < 1e-8
         assert direction in ws.path
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p1=_gapped_parent(),
+    p2=_gapped_parent(),
+    loop_direction=st.sampled_from(["x", "y"]),
+    fixed=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2.0 * np.pi)),
+)
+def test_perp_wannier_centers_follow_the_dispersing_parent(p1, p2, loop_direction, fixed):
+    spec = ChildSpec(p1, p2, PERPENDICULAR)
+    dispersing = p1 if loop_direction == "x" else p2
+    want = wannier_center_parent(dispersing, R).centers[0]
+    ws = wannier_centers_perp(spec, loop_direction, fixed, R)
+    assert len(ws.centers) == 2
+    for c in ws.centers:
+        assert center_distance(c, want) < 1e-8
 
 
 def test_winding_number_synthetic_curves():
@@ -133,6 +169,65 @@ def test_component_winding_perp_critical_curve_raises():
     )
     with pytest.raises(CriticalCurveError):
         component_winding_perp(spec, 4, 5, 1024)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p1=_gapped_parent(),
+    p2=_gapped_parent(),
+    Lx=st.integers(3, 9),
+    Ly=st.integers(3, 9),
+    samples=st.builds(lambda half, odd: 2 * half + odd, st.integers(48, 512), st.integers(0, 1)),
+)
+def test_child_windings_match_sampled_product_curves(p1, p2, Lx, Ly, samples):
+    perp = ChildSpec(p1, p2, PERPENDICULAR)
+    assert component_winding_perp(perp, Lx, Ly, samples) == sampled_winding_perp(
+        perp, Lx, Ly, samples
+    )
+    r1, r2 = component_winding_parallel(ChildSpec(p1, p2, PARALLEL), samples)
+    assert (r1.w, r2.w) == sampled_winding_parallel(ChildSpec(p1, p2, PARALLEL), samples)
+
+
+@pytest.mark.parametrize(
+    "p, samples",
+    [
+        (ParentParams(1, 0, 0.3), 1024),   # a Delta = 0 metal
+        (ParentParams(1, 0, 0.3), 1023),
+        (ParentParams(1, 0, 0.0), 1024),
+        (ParentParams(1, 0, 0.0), 1023),
+        (ParentParams(1, 1, 2.0), 1024),   # closes at k = pi
+        (ParentParams(1, 1, 2.0), 1023),   # ... which this grid misses
+        (ParentParams(1, 1, -2.0), 1023),  # closes at k = 0
+    ],
+)
+def test_gapless_parent_raises_at_every_sample_count(p, samples):
+    with pytest.raises(CriticalCurveError):
+        parent_winding(p, samples)
+
+
+def test_insulating_delta_zero_parent_has_zero_winding():
+    assert parent_winding(ParentParams(1, 0, 2.5), 1023).w == 0
+
+
+@pytest.mark.parametrize("samples", [1023, 1024])
+@pytest.mark.parametrize(
+    "p2",
+    [
+        ParentParams(1, 1, 2.0),     # a gapless second parent
+        # gapped, but its factor nearly vanishes at the row ky = pi/2, which
+        # the kx loops freeze and an odd ky grid never samples
+        ParentParams(1, 1e-13, 0.0),
+    ],
+)
+def test_perpendicular_child_with_a_vanishing_factor_raises(p2, samples):
+    with pytest.raises(CriticalCurveError):
+        component_winding_perp(ChildSpec(ParentParams(1, 1, 0.5), p2, PERPENDICULAR), 4, 4, samples)
+
+
+def test_parallel_child_with_a_gapless_parent_raises_on_an_odd_grid():
+    spec = ChildSpec(ParentParams(1, 1, 0.5), ParentParams(1, 1, 2.0), PARALLEL)
+    with pytest.raises(CriticalCurveError):
+        component_winding_parallel(spec, 1023)
 
 
 def test_winding_locus_check():
