@@ -155,7 +155,7 @@ _TASK_KEYS = {
         "bc": _Key(_str, default="open", choices=("open", "periodic")),
     },
     "wannier": {
-        "loop-points": _Key(_int, default=1001, minimum=1),
+        "loop-points": _Key(_int, default=1001, minimum=4),
         "fixed-momentum": _Key(_float, default=0.0),
     },
     "winding": {"samples": _Key(_int, default=4096, minimum=3)},

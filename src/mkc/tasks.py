@@ -76,18 +76,14 @@ def _task_sweep_length(cfg):
 
 def _task_wannier(cfg):
     R = cfg.options["loop-points"]
-    rows = []
     if cfg.kind == "parent":
-        ws = topology.wannier_center_parent(cfg.model, R)
-        rows = [[ws.path, i, float(c)] for i, c in enumerate(ws.centers)]
+        spectra = [topology.wannier_center_parent(cfg.model, R)]
     elif cfg.kind == "mkc-parallel":
-        ws = topology.wannier_centers_parallel(cfg.model, R)
-        rows = [[ws.path, i, float(c)] for i, c in enumerate(ws.centers)]
+        spectra = [topology.wannier_centers_parallel(cfg.model, R)]
     else:
         fixed = cfg.options["fixed-momentum"]
-        for direction in ("x", "y"):
-            ws = topology.wannier_centers_perp(cfg.model, direction, fixed, R)
-            rows += [[ws.path, i, float(c)] for i, c in enumerate(ws.centers)]
+        spectra = [topology.wannier_centers_perp(cfg.model, d, fixed, R) for d in ("x", "y")]
+    rows = [[ws.path, i, float(c)] for ws in spectra for i, c in enumerate(ws.centers)]
     return {"columns": ["loop", "index", "center"], "rows": rows}
 
 

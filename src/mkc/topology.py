@@ -1,10 +1,14 @@
-"""Wilson loops, Wannier charge centers, and winding numbers.
+"""Wannier charge centers and winding numbers, read from the two parents.
 
-The Wilson loop is the ordered product of occupied-subspace projectors around
-a closed momentum loop, sandwiched between the occupied eigenvectors at the
-anchor point and unitarized by polar decomposition; its eigenphases over 2*pi
-are the Wannier centers.  Winding numbers track the angle of (d_y, d_z)
-curves around the origin; a child's component curves are products of its
+A child is the tensor product of two Kitaev chains, so its half-filled
+occupied pair is {u1- (x) u2+, u1+ (x) u2-} and each of its Wannier centers
+is a sum of the parents' Berry phases over 2*pi.  Each parent's single-band
+Wilson loop is built from its lower Bloch vector in closed form.  The
+parallel child's two centers are the sum of its parents' centers mod 1; the
+perpendicular child's are the center of the parent that disperses along
+the loop, provided the frozen parent's factor stays clear of the origin at
+the fixed momentum.  Winding numbers track the angle of (d_y, d_z) curves
+around the origin; a child's component curves are products of its
 parents' curves, so the child's windings are read from the parents'.
 """
 
@@ -12,19 +16,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CriticalCurveError, GaplessPathError, NumericalError, SingularConfigError
-from .models import (
-    PARALLEL,
-    PERPENDICULAR,
-    ChildSpec,
-    ParentParams,
-    _mr,
-    child_bloch,
-    component_dvector,
-    parent_bloch,
-)
+from .models import PARALLEL, PERPENDICULAR, _mr, component_dvector
 
 DEFAULT_LOOP_POINTS = 1001
 DEFAULT_CURVE_SAMPLES = 4096
+LOOP_TOL = 1e-12  # relative gap floor, and floor of a neighbour overlap, on a Wilson loop
 
 
 def center_distance(a, b):
@@ -39,99 +35,81 @@ class WannierSpectrum:
     path: str
 
 
-def _occupied(h_stack, ks, gap_tol=1e-12):
-    """Occupied projectors along a path, plus the anchor eigenvectors.
+def _loop_momenta(R):
+    """The loop grid k = 2 pi n / R; fewer than 4 points cannot resolve a winding."""
+    if R < 4:
+        raise ValueError(f"loop too coarsely sampled: need at least 4 points, got {R}")
+    return 2.0 * np.pi * np.arange(R) / R
 
-    Occupied means the lower half of the spectrum at each point; an exact
-    tie across the middle gap makes the projector ill-defined.
+
+def _parent_center(p, R):
+    """Wannier center of the parent's occupied band, from its Wilson loop on R points.
+
+    The lower eigenvector of -M s_z + R s_y is (iR, rho - M) or
+    (rho + M, -iR), rho = |(M, R)|; each point takes the one whose norm
+    2 rho (rho + |M|) is the larger.  The closed product of the neighbour
+    overlaps is gauge invariant, and its angle over 2 pi is the center.
+    One form is (imaginary, real) and the other (real, imaginary), so every
+    overlap is exactly real or imaginary and the center exactly 0 or 0.5.
     """
-    evals, evecs = np.linalg.eigh(h_stack)
-    f = evals.shape[-1] // 2
-    scale = max(float(np.abs(evals).max()), 1e-30)
-    gaps = evals[:, f] - evals[:, f - 1]
-    bad = np.nonzero(gaps <= gap_tol * scale)[0]
-    if bad.size:
-        k = float(np.atleast_1d(ks[bad[0]]).ravel()[0])
+    ks = _loop_momenta(R)
+    m, r = _mr(p, ks)
+    rho = np.hypot(m, r)
+    closed = np.nonzero(2.0 * rho <= LOOP_TOL * rho.max())[0]
+    if closed.size:
+        k = float(ks[closed[0]])
         raise GaplessPathError(
             f"occupied subspace undefined: half-filling gap closes at k={k:.6f}", k=k
         )
-    occ = evecs[:, :, :f]
-    projectors = occ @ occ.conj().swapaxes(-1, -2)
-    return projectors, occ[0]
-
-
-def wilson_loop(projectors, anchor, ks=None):
-    """Unitary Wilson matrix from ordered projectors and anchor eigenvectors.
-
-    W_mn = <u_m(k0)| P(k_{R-1}) ... P(k_1) |u_n(k0)>, polar-unitarized (the
-    raw product is sub-unitary at finite R).
-    """
-    f = anchor.shape[1]
-    acc = anchor
-    for i in range(1, len(projectors)):
-        acc = projectors[i] @ acc
-        if i % 64 == 0:
-            # renormalize occasionally so long paths do not underflow
-            nrm = np.linalg.norm(acc)
-            if nrm < 1e-30:
-                label = f" near k={ks[i]:.6f}" if ks is not None else ""
-                raise GaplessPathError(f"projector product collapsed{label}")
-            acc = acc / nrm
-    w_raw = anchor.conj().T @ acc
-    u, s, vh = np.linalg.svd(w_raw)
-    if s.min() < 1e-12 * max(s.max(), 1e-30):
-        raise GaplessPathError("Wilson matrix numerically singular on this path")
-    w = u @ vh
-    assert w.shape == (f, f)
-    return w
-
-
-def _centers_from_wilson(w):
-    phases = np.angle(np.linalg.eigvals(w)) / (2.0 * np.pi)
-    return np.sort(phases % 1.0)
-
-
-def _loop_centers(h_stack, ks, path_label):
-    projectors, anchor = _occupied(h_stack, ks)
-    w = wilson_loop(projectors, anchor, ks)
-    return WannierSpectrum(
-        centers=_centers_from_wilson(w), filling=anchor.shape[1], path=path_label
-    )
+    u = np.where(m <= 0.0, [1j * r, rho - m], [rho + m, -1j * r])
+    u /= np.sqrt(2.0 * rho * (rho + np.abs(m)))
+    overlaps = (u.conj() * np.roll(u, -1, axis=1)).sum(axis=0)
+    size = np.abs(overlaps)
+    i = int(size.argmin())
+    if size[i] < LOOP_TOL:
+        k = float(ks[i])
+        raise GaplessPathError(f"Bloch vectors collapse between k={k:.6f} and the next point", k=k)
+    return float(np.angle(np.prod(overlaps / size)) / (2.0 * np.pi)) % 1.0
 
 
 def wannier_center_parent(p, R=DEFAULT_LOOP_POINTS):
     """Single occupied-band center of the parent chain; 0 or 0.5 when gapped."""
-    ks = 2.0 * np.pi * np.arange(R) / R
-    return _loop_centers(parent_bloch(p, ks), ks, "parent loop k:0..2pi")
+    c = _parent_center(p, R)
+    return WannierSpectrum(centers=np.array([c]), filling=1, path="parent loop k:0..2pi")
 
 
 def wannier_centers_parallel(spec, R=DEFAULT_LOOP_POINTS):
-    """Two half-filling centers of the 1D child over one momentum period."""
+    """Two half-filling centers of the 1D child: both the parents' sum mod 1."""
     if spec.orientation != PARALLEL:
         raise ValueError("wannier_centers_parallel needs a parallel child")
-    ks = 2.0 * np.pi * np.arange(R) / R
-    return _loop_centers(child_bloch(spec, ks), ks, "child loop k:0..2pi")
+    c = (_parent_center(spec.p1, R) + _parent_center(spec.p2, R)) % 1.0
+    return WannierSpectrum(centers=np.array([c, c]), filling=2, path="child loop k:0..2pi")
 
 
 def wannier_centers_perp(spec, loop_direction, fixed_momentum, R=DEFAULT_LOOP_POINTS):
     """Half-filling centers of the 2D child along one momentum direction.
 
     loop_direction 'x' integrates over kx at fixed ky = fixed_momentum, and
-    vice versa.  Both centers coincide with the Wannier center of the parent
-    that disperses along the loop, whatever the fixed transverse momentum.
+    vice versa.  Both centers are the Wannier center of the parent that
+    disperses along the loop, whatever the fixed transverse momentum.  The
+    loop is gapless where the frozen parent's factor at the fixed momentum
+    is below 1e-9 of its largest modulus on the loop grid, the rule of the
+    slab's winding curves.
     """
     if spec.orientation != PERPENDICULAR:
         raise ValueError("wannier_centers_perp needs a perpendicular child")
     if loop_direction not in ("x", "y"):
         raise ValueError("loop_direction must be 'x' or 'y'")
-    ks = 2.0 * np.pi * np.arange(R) / R
-    fixed = np.full(R, float(fixed_momentum))
-    if loop_direction == "x":
-        kk = np.stack([ks, fixed], axis=-1)
-    else:
-        kk = np.stack([fixed, ks], axis=-1)
-    label = f"child loop k{loop_direction}:0..2pi @ fixed={float(fixed_momentum):.6f}"
-    return _loop_centers(child_bloch(spec, kk), ks, label)
+    along, frozen = (spec.p1, spec.p2) if loop_direction == "x" else (spec.p2, spec.p1)
+    c = _parent_center(along, R)
+    fixed = float(fixed_momentum)
+    size = float(np.hypot(*_mr(frozen, fixed)))
+    if _near_origin(size, float(np.hypot(*_mr(frozen, _loop_momenta(R))).max())):
+        raise GaplessPathError(
+            f"frozen factor vanishes at fixed momentum {fixed:.6f} (|d| = {size:.3e})", k=fixed
+        )
+    label = f"child loop k{loop_direction}:0..2pi @ fixed={fixed:.6f}"
+    return WannierSpectrum(centers=np.array([c, c]), filling=2, path=label)
 
 
 # --- winding numbers --------------------------------------------------------
@@ -159,9 +137,14 @@ class WindingResult:
     origin_distance: float
 
 
+def _near_origin(dist, scale):
+    """Whether a curve point of modulus dist lies within 1e-9 of its scale of the origin."""
+    return dist < 1e-9 * max(scale, 1e-30)
+
+
 def _check_clear_of_origin(dist, scale):
     """Raise CriticalCurveError when a curve comes within 1e-9 of its scale of the origin."""
-    if dist < 1e-9 * max(scale, 1e-30):
+    if _near_origin(dist, scale):
         raise CriticalCurveError(
             f"curve passes through the origin (min |d| = {dist:.3e}); "
             "the model sits on a critical surface",

@@ -8,8 +8,9 @@ products, and diagonalize it with one dense eigh, so that every fast path
 can be checked against the plain solve.  The helpers at the end compare
 zero subspaces by projectors, densities and classification decisions,
 never by single eigenvectors.  The winding references sample every
-child component curve as the product it is, where mkc reads the child
-windings from its parents' curves.
+child component curve as the product it is, and the Wannier references
+run the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices,
+where mkc reads the child windings and centers from its parents.
 """
 
 import functools
@@ -21,7 +22,7 @@ import numpy as np
 from mkc import boundary
 from mkc.boundary import classify_zero_modes, mmzm_classify
 from mkc.disorder import channel_matrix, site_potentials
-from mkc.errors import ConfigError, NonHermitianError
+from mkc.errors import ConfigError, GaplessPathError, NonHermitianError
 from mkc.lattice import (
     PERIODIC,
     ChainLattice,
@@ -31,8 +32,8 @@ from mkc.lattice import (
     slab_factor_blocks,
     slab_hopping_blocks,
 )
-from mkc.models import PARALLEL, PERPENDICULAR, component_dvector
-from mkc.topology import WindingCurve, winding_number
+from mkc.models import PARALLEL, PERPENDICULAR, child_bloch, component_dvector, parent_bloch
+from mkc.topology import WannierSpectrum, WindingCurve, winding_number
 
 Eigenpairs = namedtuple("Eigenpairs", "eigenvalues eigenvectors")
 
@@ -217,3 +218,80 @@ def sampled_winding_perp(spec, Lx, Ly, samples):
                 rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz)).w
             table[key].append(rec)
     return table
+
+
+def _occupied(h_stack, ks, gap_tol=1e-12):
+    """Occupied projectors along a path, plus the anchor eigenvectors.
+
+    Occupied means the lower half of the spectrum at each point; an exact
+    tie across the middle gap makes the projector ill-defined.
+    """
+    evals, evecs = np.linalg.eigh(h_stack)
+    f = evals.shape[-1] // 2
+    scale = max(float(np.abs(evals).max()), 1e-30)
+    gaps = evals[:, f] - evals[:, f - 1]
+    bad = np.nonzero(gaps <= gap_tol * scale)[0]
+    if bad.size:
+        k = float(np.atleast_1d(ks[bad[0]]).ravel()[0])
+        raise GaplessPathError(
+            f"occupied subspace undefined: half-filling gap closes at k={k:.6f}", k=k
+        )
+    occ = evecs[:, :, :f]
+    projectors = occ @ occ.conj().swapaxes(-1, -2)
+    return projectors, occ[0]
+
+
+def wilson_loop(projectors, anchor, ks=None):
+    """Unitary Wilson matrix from ordered projectors and anchor eigenvectors.
+
+    W_mn = <u_m(k0)| P(k_{R-1}) ... P(k_1) |u_n(k0)>, polar-unitarized (the
+    raw product is sub-unitary at finite R).
+    """
+    acc = anchor
+    for i in range(1, len(projectors)):
+        acc = projectors[i] @ acc
+        if i % 64 == 0:
+            # renormalize occasionally so long paths do not underflow
+            nrm = np.linalg.norm(acc)
+            if nrm < 1e-30:
+                label = f" near k={ks[i]:.6f}" if ks is not None else ""
+                raise GaplessPathError(f"projector product collapsed{label}")
+            acc = acc / nrm
+    u, s, vh = np.linalg.svd(anchor.conj().T @ acc)
+    if s.min() < 1e-12 * max(s.max(), 1e-30):
+        raise GaplessPathError("Wilson matrix numerically singular on this path")
+    return u @ vh
+
+
+def _centers_from_wilson(w):
+    phases = np.angle(np.linalg.eigvals(w)) / (2.0 * np.pi)
+    return np.sort(phases % 1.0)
+
+
+def _loop_centers(h_stack, ks, path_label):
+    projectors, anchor = _occupied(h_stack, ks)
+    w = wilson_loop(projectors, anchor, ks)
+    return WannierSpectrum(
+        centers=_centers_from_wilson(w), filling=anchor.shape[1], path=path_label
+    )
+
+
+def dense_wannier_parent(p, R):
+    """topology.wannier_center_parent by the Wilson loop of the 2x2 Bloch matrices."""
+    ks = 2.0 * np.pi * np.arange(R) / R
+    return _loop_centers(parent_bloch(p, ks), ks, "parent loop k:0..2pi")
+
+
+def dense_wannier_parallel(spec, R):
+    """topology.wannier_centers_parallel by the 4x4 Wilson loop of the child."""
+    ks = 2.0 * np.pi * np.arange(R) / R
+    return _loop_centers(child_bloch(spec, ks), ks, "child loop k:0..2pi")
+
+
+def dense_wannier_perp(spec, loop_direction, fixed_momentum, R):
+    """topology.wannier_centers_perp by the 4x4 Wilson loop of the child."""
+    ks = 2.0 * np.pi * np.arange(R) / R
+    kk = np.full((R, 2), float(fixed_momentum))
+    kk[:, "xy".index(loop_direction)] = ks
+    label = f"child loop k{loop_direction}:0..2pi @ fixed={float(fixed_momentum):.6f}"
+    return _loop_centers(child_bloch(spec, kk), ks, label)

@@ -15,6 +15,9 @@ from dense_reference import (
     build_slab,
     dense_levels,
     dense_solver,
+    dense_wannier_parallel,
+    dense_wannier_parent,
+    dense_wannier_perp,
     sampled_winding_parallel,
     sampled_winding_perp,
 )
@@ -41,7 +44,9 @@ from mkc.models import (
 from mkc.tasks import run_task
 from mkc.topology import (
     WindingCurve,
+    center_distance,
     wannier_center_parent,
+    wannier_centers_parallel,
     wannier_centers_perp,
     winding_number,
 )
@@ -350,6 +355,7 @@ _L6 = "[lattice]\nl = 6\n"
         ("density", _PERPENDICULAR_HEAD + "[lattice]\nlx = 2\nly = 5\n"),
         ("symmetry-check", _PARALLEL_HEAD + "[task]\nk-points = 0\n"),
         ("wannier", _PARALLEL_HEAD + "[task]\nloop-points = 0\n"),
+        ("wannier", _PARALLEL_HEAD + "[task]\nloop-points = 3\n"),
         ("winding", _PARALLEL_HEAD + "[task]\nsamples = 2\n"),
         ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nl-step = 0\n"),
         ("sweep-length", _PARALLEL_HEAD + "[task]\nl-min = 4\nl-max = 6\nl-step = -1\n"),
@@ -378,7 +384,7 @@ _L6 = "[lattice]\nl = 6\n"
         ("majorana-points", _PARALLEL_HEAD + _L6),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
-         "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
+         "loop-points-3", "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
          "l-1-majorana-points", "mu-points-0-sweep-mu", "mu-points-0-disorder",
          "n-modes-0-sweep-mu", "n-modes-negative-sweep-length", "grid-points-negative",
          "l-min-above-l-max", "quantization-empty-mu-range", "t1-nan", "mu1-inf",
@@ -617,10 +623,18 @@ def _check_slab_spectrum(cfg, rows):
 def _check_wannier(cfg, rows):
     if cfg.kind == "parent":
         spectra = [wannier_center_parent(cfg.model, 41)]
+        dense = [dense_wannier_parent(cfg.model, 41)]
+    elif cfg.kind == "mkc-parallel":
+        spectra = [wannier_centers_parallel(cfg.model, 41)]
+        dense = [dense_wannier_parallel(cfg.model, 41)]
     else:
         spectra = [wannier_centers_perp(cfg.model, d, 0.3, 41) for d in ("x", "y")]
+        dense = [dense_wannier_perp(cfg.model, d, 0.3, 41) for d in ("x", "y")]
     want = [[ws.path, i, float(c)] for ws in spectra for i, c in enumerate(ws.centers)]
     assert rows == want
+    assert [r[0] for r in rows] == [ws.path for ws in dense for _ in ws.centers]
+    centers = np.concatenate([ws.centers for ws in dense])
+    assert center_distance([r[2] for r in rows], centers).max() < 1e-8
 
 
 def _check_points(cfg, rows):
@@ -670,6 +684,7 @@ def _check_quantization_window(cfg, rows):
         ("spectrum", _PERPENDICULAR_HEAD + "[lattice]\nlx = 3\nly = 4\nbcy = periodic\n",
          _check_slab_spectrum),
         ("wannier", _ZERO_PARENT + "[task]\nloop-points = 41\n", _check_wannier),
+        ("wannier", _PARALLEL_HEAD + "[task]\nloop-points = 41\n", _check_wannier),
         ("wannier", _PERPENDICULAR_HEAD + "[task]\nloop-points = 41\nfixed-momentum = 0.3\n",
          _check_wannier),
         ("majorana-points", _PARENT_HEAD + _L6, _check_points),
@@ -681,7 +696,7 @@ def _check_quantization_window(cfg, rows):
          "sweep-mu-equal", "sweep-mu-opposite", "sweep-mu-fixed", "sweep-mu-parent",
          "sweep-mu-n-modes", "sweep-length", "density-chain", "density-slab",
          "classify-chain", "classify-slab", "dirac-parallel", "dirac-perpendicular",
-         "spectrum-slab", "wannier-parent", "wannier-perpendicular",
+         "spectrum-slab", "wannier-parent", "wannier-parallel", "wannier-perpendicular",
          "majorana-points-parent", "majorana-points-perpendicular", "quantization-window"],
 )
 def test_task_rows_match_library_and_dense_reference(

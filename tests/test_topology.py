@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import sampled_winding_parallel, sampled_winding_perp
+from dense_reference import (
+    dense_wannier_parallel,
+    dense_wannier_parent,
+    dense_wannier_perp,
+    sampled_winding_parallel,
+    sampled_winding_perp,
+)
 from mkc.errors import CriticalCurveError, GaplessPathError, NumericalError
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _mr
 from mkc.topology import (
@@ -93,21 +99,74 @@ def test_perp_wannier_centers_both_directions():
         assert direction in ws.path
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_loops_below_four_points_are_refused(R):
+    # at 1 or 2 points the topological parent would read center 0
+    spec = ChildSpec(ParentParams(1, 1, 0.5), ParentParams(1, 1, 3.0), PARALLEL)
+    with pytest.raises(ValueError, match="coarsely"):
+        wannier_center_parent(spec.p1, R)
+    with pytest.raises(ValueError, match="coarsely"):
+        wannier_centers_parallel(spec, R)
+    with pytest.raises(ValueError, match="coarsely"):
+        wannier_centers_perp(ChildSpec(spec.p1, spec.p2, PERPENDICULAR), "x", 0.3, R)
+    assert center_distance(wannier_center_parent(spec.p1, 4).centers[0], 0.5) < 1e-12
+
+
+def test_coarse_parallel_loop_keeps_the_pair_degenerate():
+    # the parents wind -1 and +1; the 4x4 loop on 41 points mixes the
+    # degenerate occupied pair and splits it into (0, 0.5)
+    spec = ChildSpec(
+        ParentParams(1.3324, -1.7933, 2.6208), ParentParams(1.2510, 1.6959, 1.3152), PARALLEL
+    )
+    assert (parent_winding(spec.p1).w, parent_winding(spec.p2).w) == (-1, 1)
+    assert center_distance(dense_wannier_parallel(spec, 41).centers, [0.0, 0.5]).max() < 1e-12
+    assert center_distance(wannier_centers_parallel(spec, 41).centers, 0.0).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "p2, ky",
+    [
+        (ParentParams(1, 1, 2.0), np.pi),          # closes at k = pi
+        (ParentParams(1, 0, 1.0), 2 * np.pi / 3),  # a Delta = 0 metal at its Fermi point
+    ],
+)
+def test_perp_loop_with_a_vanishing_frozen_factor_raises(p2, ky):
+    # the 4x4 loop reads [0.5, 0.5] off a Bloch matrix of norm ~1e-16 there
+    spec = ChildSpec(ParentParams(1, 1, 0.5), p2, PERPENDICULAR)
+    with pytest.raises(GaplessPathError):
+        wannier_centers_perp(spec, "x", ky, R)
+    flipped = ChildSpec(p2, ParentParams(1, 1, 0.5), PERPENDICULAR)
+    with pytest.raises(GaplessPathError):
+        wannier_centers_perp(flipped, "y", ky, R)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     p1=_gapped_parent(),
     p2=_gapped_parent(),
     loop_direction=st.sampled_from(["x", "y"]),
     fixed=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2.0 * np.pi)),
+    R=st.integers(96, 1001),
 )
-def test_perp_wannier_centers_follow_the_dispersing_parent(p1, p2, loop_direction, fixed):
+def test_wannier_centers_match_dense_loop_and_windings(p1, p2, loop_direction, fixed, R):
+    half = {p: parent_winding(p).w / 2.0 for p in (p1, p2)}
+    parent = wannier_center_parent(p1, R)
+    assert parent.filling == 1
+    assert center_distance(parent.centers, dense_wannier_parent(p1, R).centers).max() < 1e-8
+    assert center_distance(parent.centers, half[p1]).max() < 1e-8
+
+    spec = ChildSpec(p1, p2, PARALLEL)
+    ws = wannier_centers_parallel(spec, R)
+    assert ws.filling == 2
+    assert center_distance(ws.centers, dense_wannier_parallel(spec, R).centers).max() < 1e-8
+    assert center_distance(ws.centers, half[p1] + half[p2]).max() < 1e-8
+
     spec = ChildSpec(p1, p2, PERPENDICULAR)
-    dispersing = p1 if loop_direction == "x" else p2
-    want = wannier_center_parent(dispersing, R).centers[0]
     ws = wannier_centers_perp(spec, loop_direction, fixed, R)
-    assert len(ws.centers) == 2
-    for c in ws.centers:
-        assert center_distance(c, want) < 1e-8
+    want = dense_wannier_perp(spec, loop_direction, fixed, R)
+    assert ws.filling == 2 and ws.path == want.path
+    assert center_distance(ws.centers, want.centers).max() < 1e-8
+    assert center_distance(ws.centers, half[p1 if loop_direction == "x" else p2]).max() < 1e-8
 
 
 def test_winding_number_synthetic_curves():
