@@ -24,7 +24,7 @@ from .models import (
     PERPENDICULAR,
     ChildSpec,
     ParentParams,
-    child_bloch,
+    dispersion_parallel,
 )
 
 LN2 = float(np.log(2.0))
@@ -747,8 +747,7 @@ def energy_scaling_near_critical(kind, delta_mu=None, t=1.0, delta=1.0):
     energies = []
     for d in delta_mu:
         spec = _with_mu(template, -2.0 * t + d, kind)
-        ev = np.linalg.eigvalsh(child_bloch(spec, 0.0))
-        energies.append(float(np.abs(ev).min()))
+        energies.append(float(dispersion_parallel(spec, 0.0)[0]))
     energies = np.asarray(energies)
     exponent = float(np.polyfit(np.log(delta_mu), np.log(energies), 1)[0])
     return ScalingFit(kind=kind, exponent=exponent, delta_mu=delta_mu, energies=energies)

@@ -103,3 +103,7 @@ def main(argv=None):
     print(f"mkc: {args.task} finished in {time.perf_counter() - started:.3f}s",
           file=sys.stderr)
     return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -137,6 +137,8 @@ _NEEDS_LATTICE = {
     "disorder",
     "classify",
 }
+# tasks whose closed forms hold for open boundaries only
+_OPEN_ONLY = ("majorana-points", "quantization")
 
 _TASK_KEYS = {
     "spectrum": {},
@@ -346,6 +348,8 @@ def parse_config(text, cli_task=None, cli_threads=None):
             raise ConfigError(f"task {task} needs a [lattice] section")
         schema = _SLAB_KEYS if kind == "mkc-perpendicular" else _CHAIN_KEYS
         lattice_values = _take("lattice", dict(sections["lattice"]), schema)
+    if task in _OPEN_ONLY and "periodic" in lattice_values.values():
+        raise ConfigError(f"task {task} computes open-boundary points: [lattice] must be open")
 
     out_raw = dict(sections.get("output", {}))
     out_schema = {

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps ConfigError to exit code 2 and the numerical errors to exit
-code 3; everything else is a plain bug.
+code 3; everything else is a plain bug.  A winding curve through the origin
+is a gap closing, so CriticalCurveError is a GaplessPathError: the Wannier
+centers and the windings share one gap rule and one exception.
 """
 
 
@@ -25,7 +27,7 @@ class GaplessPathError(NumericalError):
         self.k = k
 
 
-class CriticalCurveError(NumericalError):
+class CriticalCurveError(GaplessPathError):
     """A winding curve passes through (or too close to) the origin."""
 
     def __init__(self, message, origin_distance=None):

@@ -53,7 +53,7 @@ class ParentParams:
         return abs(self.mu) < 2.0 * abs(self.t) - tol
 
     def is_critical(self, tol=1e-12):
-        return abs(abs(self.mu) - 2.0 * abs(self.t)) <= tol
+        return _closing_distance(self) <= tol
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,18 @@ def _split_child_momentum(spec, k):
 def _mr(p, k):
     """The two scalar functions entering a factor: M = 2t cos k + mu, R = 2 Delta sin k."""
     return 2.0 * p.t * np.cos(k) + p.mu, 2.0 * p.delta * np.sin(k)
+
+
+def _closing_distance(p):
+    """Smallest |(M, R)| of a parent over the momenta where its gap can close.
+
+    Where Delta != 0 only k = 0 and pi qualify (R vanishes there), giving
+    ||mu| - 2|t||.  A Delta = 0 parent with |mu| <= 2|t| is a metal: M
+    vanishes at cos k = -mu / 2t, so the distance is 0.
+    """
+    if p.delta == 0.0 and abs(p.mu) <= 2.0 * abs(p.t):
+        return 0.0
+    return abs(abs(p.mu) - 2.0 * abs(p.t))
 
 
 def _factor_bloch(p, k, sign):

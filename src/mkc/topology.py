@@ -1,26 +1,27 @@
 """Wannier charge centers and winding numbers, read from the two parents.
 
-A child is the tensor product of two Kitaev chains, so its half-filled
-occupied pair is {u1- (x) u2+, u1+ (x) u2-} and each of its Wannier centers
-is a sum of the parents' Berry phases over 2*pi.  Each parent's single-band
-Wilson loop is built from its lower Bloch vector in closed form.  The
-parallel child's two centers are the sum of its parents' centers mod 1; the
-perpendicular child's are the center of the parent that disperses along
-the loop, provided the frozen parent's factor stays clear of the origin at
-the fixed momentum.  Winding numbers track the angle of (d_y, d_z) curves
-around the origin; a child's component curves are products of its
-parents' curves, so the child's windings are read from the parents'.
+A parent is a chiral two-band chain, so its occupied band's Zak phase is
+pi times the winding of its (d_y, d_z) = (R, -M) curve: its Wannier center
+is half that winding, mod 1.  A child is the tensor product of two parents,
+so its half-filled occupied pair is {u1- (x) u2+, u1+ (x) u2-} and its
+centers are sums of its parents'.  The parallel child's two centers are the
+sum of its parents' centers mod 1; the perpendicular child's are the center
+of the parent that disperses along the loop, provided the frozen parent's
+factor stays clear of the origin at the fixed momentum.  A child's
+component curves are products of its parents' curves, so the child's
+windings are read from the parents' too.  One sampler of a parent's curve,
+`_parent_loop`, and one gap rule, `models._closing_distance`, serve both
+invariants.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import CriticalCurveError, GaplessPathError, NumericalError, SingularConfigError
-from .models import PARALLEL, PERPENDICULAR, _mr, component_dvector
+from .errors import CriticalCurveError, NumericalError, SingularConfigError
+from .models import PARALLEL, PERPENDICULAR, _closing_distance, _mr, component_dvector
 
 DEFAULT_LOOP_POINTS = 1001
 DEFAULT_CURVE_SAMPLES = 4096
-LOOP_TOL = 1e-12  # relative gap floor, and floor of a neighbour overlap, on a Wilson loop
 
 
 def center_distance(a, b):
@@ -35,46 +36,16 @@ class WannierSpectrum:
     path: str
 
 
-def _loop_momenta(R):
-    """The loop grid k = 2 pi n / R; fewer than 4 points cannot resolve a winding."""
+def _zak_center(p, R):
+    """Wannier center of the parent's occupied band: half its winding on R loop points, mod 1."""
     if R < 4:
         raise ValueError(f"loop too coarsely sampled: need at least 4 points, got {R}")
-    return 2.0 * np.pi * np.arange(R) / R
-
-
-def _parent_center(p, R):
-    """Wannier center of the parent's occupied band, from its Wilson loop on R points.
-
-    The lower eigenvector of -M s_z + R s_y is (iR, rho - M) or
-    (rho + M, -iR), rho = |(M, R)|; each point takes the one whose norm
-    2 rho (rho + |M|) is the larger.  The closed product of the neighbour
-    overlaps is gauge invariant, and its angle over 2 pi is the center.
-    One form is (imaginary, real) and the other (real, imaginary), so every
-    overlap is exactly real or imaginary and the center exactly 0 or 0.5.
-    """
-    ks = _loop_momenta(R)
-    m, r = _mr(p, ks)
-    rho = np.hypot(m, r)
-    closed = np.nonzero(2.0 * rho <= LOOP_TOL * rho.max())[0]
-    if closed.size:
-        k = float(ks[closed[0]])
-        raise GaplessPathError(
-            f"occupied subspace undefined: half-filling gap closes at k={k:.6f}", k=k
-        )
-    u = np.where(m <= 0.0, [1j * r, rho - m], [rho + m, -1j * r])
-    u /= np.sqrt(2.0 * rho * (rho + np.abs(m)))
-    overlaps = (u.conj() * np.roll(u, -1, axis=1)).sum(axis=0)
-    size = np.abs(overlaps)
-    i = int(size.argmin())
-    if size[i] < LOOP_TOL:
-        k = float(ks[i])
-        raise GaplessPathError(f"Bloch vectors collapse between k={k:.6f} and the next point", k=k)
-    return float(np.angle(np.prod(overlaps / size)) / (2.0 * np.pi)) % 1.0
+    return _parent_loop(p, R)[1].w / 2.0 % 1.0
 
 
 def wannier_center_parent(p, R=DEFAULT_LOOP_POINTS):
-    """Single occupied-band center of the parent chain; 0 or 0.5 when gapped."""
-    c = _parent_center(p, R)
+    """Single occupied-band center of the parent chain: half its winding, so 0 or 0.5."""
+    c = _zak_center(p, R)
     return WannierSpectrum(centers=np.array([c]), filling=1, path="parent loop k:0..2pi")
 
 
@@ -82,7 +53,7 @@ def wannier_centers_parallel(spec, R=DEFAULT_LOOP_POINTS):
     """Two half-filling centers of the 1D child: both the parents' sum mod 1."""
     if spec.orientation != PARALLEL:
         raise ValueError("wannier_centers_parallel needs a parallel child")
-    c = (_parent_center(spec.p1, R) + _parent_center(spec.p2, R)) % 1.0
+    c = (_zak_center(spec.p1, R) + _zak_center(spec.p2, R)) % 1.0
     return WannierSpectrum(centers=np.array([c, c]), filling=2, path="child loop k:0..2pi")
 
 
@@ -93,21 +64,16 @@ def wannier_centers_perp(spec, loop_direction, fixed_momentum, R=DEFAULT_LOOP_PO
     vice versa.  Both centers are the Wannier center of the parent that
     disperses along the loop, whatever the fixed transverse momentum.  The
     loop is gapless where the frozen parent's factor at the fixed momentum
-    is below 1e-9 of its largest modulus on the loop grid, the rule of the
-    slab's winding curves.
+    nearly vanishes, by the rule of the slab's winding curves.
     """
     if spec.orientation != PERPENDICULAR:
         raise ValueError("wannier_centers_perp needs a perpendicular child")
     if loop_direction not in ("x", "y"):
         raise ValueError("loop_direction must be 'x' or 'y'")
     along, frozen = (spec.p1, spec.p2) if loop_direction == "x" else (spec.p2, spec.p1)
-    c = _parent_center(along, R)
+    c = _zak_center(along, R)
     fixed = float(fixed_momentum)
-    size = float(np.hypot(*_mr(frozen, fixed)))
-    if _near_origin(size, float(np.hypot(*_mr(frozen, _loop_momenta(R))).max())):
-        raise GaplessPathError(
-            f"frozen factor vanishes at fixed momentum {fixed:.6f} (|d| = {size:.3e})", k=fixed
-        )
+    _check_frozen(frozen, fixed, R)
     label = f"child loop k{loop_direction}:0..2pi @ fixed={fixed:.6f}"
     return WannierSpectrum(centers=np.array([c, c]), filling=2, path=label)
 
@@ -137,14 +103,9 @@ class WindingResult:
     origin_distance: float
 
 
-def _near_origin(dist, scale):
-    """Whether a curve point of modulus dist lies within 1e-9 of its scale of the origin."""
-    return dist < 1e-9 * max(scale, 1e-30)
-
-
 def _check_clear_of_origin(dist, scale):
     """Raise CriticalCurveError when a curve comes within 1e-9 of its scale of the origin."""
-    if _near_origin(dist, scale):
+    if dist < 1e-9 * max(scale, 1e-30):
         raise CriticalCurveError(
             f"curve passes through the origin (min |d| = {dist:.3e}); "
             "the model sits on a critical surface",
@@ -179,20 +140,33 @@ def winding_number(curve):
 def _parent_loop(p, samples):
     """The moduli of the parent's curve R - iM on the closed sampling grid, and its winding.
 
-    The curve reaches the origin only where R and M vanish together: at
-    k = 0 or pi when Delta != 0, and wherever cos k = -mu / 2t when
-    Delta = 0, which exists exactly when |mu| <= 2|t|.  Those momenta are
-    checked whether or not the grid samples them, so a gapless parent
-    raises CriticalCurveError at every sample count.
+    The curve is judged at the momenta where it can reach the origin
+    (`models._closing_distance`), whether or not the grid samples them, so
+    a gapless parent raises CriticalCurveError at every sample count.  A
+    gapped parent winds once when topological (|mu| < 2|t|), else not at
+    all; a sampled winding of any other size means too coarse a grid, and
+    raises NumericalError.
     """
     m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
     modulus = np.hypot(m, r)
-    if p.delta == 0.0 and abs(p.mu) <= 2.0 * abs(p.t):
-        closest = 0.0
-    else:
-        closest = float(np.abs(_mr(p, np.array([0.0, np.pi]))[0]).min())
-    _check_clear_of_origin(closest, float(modulus.max()))
-    return modulus, winding_number(WindingCurve(dy=r, dz=-m))
+    _check_clear_of_origin(_closing_distance(p), float(modulus.max()))
+    result = winding_number(WindingCurve(dy=r, dz=-m))
+    if abs(result.w) != int(p.is_topological(tol=0.0)):
+        raise NumericalError(
+            f"{samples} samples too few: the sampled winding {result.w} misses the closed form"
+        )
+    return modulus, result
+
+
+def _check_frozen(frozen, fixed, samples):
+    """Raise CriticalCurveError where a frozen parent's factor nearly vanishes at a fixed momentum.
+
+    Nearly is within 1e-9 of the parent's largest modulus on the closed
+    sampling grid.  The parent's own closing momenta are not checked:
+    loops whose fixed momenta miss them are gapped.
+    """
+    scale = np.hypot(*_mr(frozen, np.linspace(0.0, 2.0 * np.pi, samples + 1))).max()
+    _check_clear_of_origin(float(np.hypot(*_mr(frozen, fixed)).min()), float(scale))
 
 
 def parent_winding(p, samples=DEFAULT_CURVE_SAMPLES):
@@ -229,17 +203,15 @@ def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
     """
     if spec.orientation != PERPENDICULAR:
         raise ValueError("component_winding_perp needs a perpendicular child")
-    loops = {p: _parent_loop(p, samples) for p in (spec.p1, spec.p2)}
+    windings = {p: _parent_loop(p, samples)[1].w for p in (spec.p1, spec.p2)}
     table = {}
     for key, n, along, frozen, s in (
         ("rows", Ly, spec.p1, spec.p2, 1),
         ("columns", Lx, spec.p2, spec.p1, -1),
     ):
-        w = loops[along][1].w
+        w = windings[along]
         fixed = 2.0 * np.pi * np.arange(n) / n
-        _check_clear_of_origin(
-            float(np.hypot(*_mr(frozen, fixed)).min()), float(loops[frozen][0].max())
-        )
+        _check_frozen(frozen, fixed, samples)
         table[key] = [
             {"m": m, "fixed": f, "w1": w, "w2": s * w} for m, f in enumerate(fixed.tolist())
         ]

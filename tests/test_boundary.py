@@ -632,6 +632,9 @@ def test_perp_edge_prediction_cases():
     assert perp_edge_prediction(mk(3.0, 0.0)) == "y-edges"
     assert perp_edge_prediction(mk(3.0, 3.0)) == "none"
     assert perp_edge_prediction(mk(2.0, 0.0)) == "critical"
+    # a Delta = 0 metal: the 12x30 slab has no zero modes, not x-edge ones
+    metal = ChildSpec(ParentParams(1.0, 0.0, 0.5), ParentParams(1.0, 1.0, 3.0), PERPENDICULAR)
+    assert perp_edge_prediction(metal) == "critical"
 
 
 def test_perp_gapless_points_merge_and_quartets():

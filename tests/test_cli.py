@@ -199,6 +199,19 @@ def test_import_leaves_numpy_fft_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_entry_point_runs(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    text = _MIXED_HEAD + "[lattice]\nl = 7\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mkc.cli", "majorana-points", "--config", _config(tmp_path, text)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert [l for l in proc.stdout.splitlines() if not l.startswith("# ")][0] == (
+        "mu,degeneracy,provenance"
+    )
+
+
 def test_out_file_and_json_format(tmp_path, capsys):
     target = tmp_path / "res.json"
     rc = main([
@@ -382,6 +395,9 @@ _L6 = "[lattice]\nl = 6\n"
         ("disorder", _TRIVIAL_PARENT + _L6 + "[task]\nchannel = xy\n"),
         ("disorder", _TRIVIAL_CHILD + _L6 + "[task]\nrealizations = 0\n"),
         ("majorana-points", _PARALLEL_HEAD + _L6),
+        ("majorana-points", _MIXED_HEAD + _L6 + "bc = periodic\n"),
+        ("quantization", _MIXED_HEAD + _L6 + "bc = periodic\n"),
+        ("majorana-points", _PERPENDICULAR_HEAD + "[lattice]\nlx = 4\nly = 5\nbcy = periodic\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "loop-points-3", "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
@@ -392,7 +408,8 @@ _L6 = "[lattice]\nl = 6\n"
          "wannier-fixed-momentum-inf", "density-zero-tol-nan", "dirac-kx-nan",
          "parent-channel-on-child", "child-channel-on-parent",
          "parent-channel-on-trivial-child", "child-channel-on-trivial-parent",
-         "realizations-0", "majorana-points-generic-child"],
+         "realizations-0", "majorana-points-generic-child", "majorana-points-periodic",
+         "quantization-periodic", "majorana-points-periodic-bcy"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])
@@ -534,6 +551,28 @@ def test_critical_factor_exits_3_at_any_sample_count(tmp_path, capsys, text):
     out, err = capsys.readouterr()
     assert rc == 3 and out == ""
     assert "CriticalCurveError" in err
+
+
+def test_wannier_on_a_critical_parent_exits_3(tmp_path, capsys):
+    # the parent closes at k = pi, which 301 loop points never sample
+    text = "[model]\nkind = parent\nt1 = 1\ndelta1 = 0.5\nmu1 = 2.0\n[task]\nloop-points = 301\n"
+    rc = main(["wannier", "--config", _config(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert "CriticalCurveError" in err
+
+
+@pytest.mark.parametrize("task, key", [("wannier", "loop-points"), ("winding", "samples")])
+def test_undersampled_parent_loop_exits_3(tmp_path, capsys, task, key):
+    # a topological parent (winding -1) whose curve 5 samples read as winding 0
+    text = (
+        "[model]\nkind = parent\nt1 = 0.8620648185190225\ndelta1 = -0.6291570250874932\n"
+        f"mu1 = 1.5780077134830899\n[task]\n{key} = 5\n"
+    )
+    rc = main([task, "--config", _config(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert "NumericalError" in err and "too few" in err
 
 
 def _check_sweep_mu(link, n_modes=None):

@@ -60,6 +60,8 @@ def test_parent_params_validation():
     assert not ParentParams(1.0, 0.5, 2.5).is_topological()
     assert ParentParams(1.0, 0.5, 2.0).is_critical()
     assert ParentParams(1.0, 0.5, -2.0).is_critical()
+    assert ParentParams(1.0, 0.0, 0.5).is_critical()  # a Delta = 0 metal
+    assert not ParentParams(1.0, 0.0, 2.5).is_critical()
 
 
 def test_parent_bloch_closed_form_spectrum():

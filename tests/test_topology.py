@@ -68,6 +68,32 @@ def test_parent_wannier_center_fails_at_criticality():
         wannier_center_parent(ParentParams(1.0, 0.5, 2.0), 300)
 
 
+@pytest.mark.parametrize("R", [300, 301, 1001])
+def test_critical_parent_has_no_center_whether_or_not_the_grid_hits_k_pi(R):
+    critical = ParentParams(1.0, 0.5, 2.0)
+    with pytest.raises(GaplessPathError):
+        wannier_center_parent(critical, R)
+    with pytest.raises(GaplessPathError):
+        wannier_centers_parallel(ChildSpec(ParentParams(1, 1, 0.3), critical, PARALLEL), R)
+    perp = ChildSpec(ParentParams(1, 1, 0.3), critical, PERPENDICULAR)
+    with pytest.raises(GaplessPathError):
+        wannier_centers_perp(perp, "y", 0.3, R)
+    # frozen at ky = 0.3, away from its closing momentum, the critical
+    # parent leaves the x loop gapped
+    assert center_distance(wannier_centers_perp(perp, "x", 0.3, R).centers, 0.5).max() == 0.0
+
+
+def test_undersampled_parent_loop_is_refused():
+    # topological (winding -1), but 5 samples read its curve as winding 0
+    p = ParentParams(0.8620648185190225, -0.6291570250874932, 1.5780077134830899)
+    assert parent_winding(p).w == -1
+    assert wannier_center_parent(p).centers[0] == 0.5
+    with pytest.raises(NumericalError, match="too few"):
+        wannier_center_parent(p, 5)
+    with pytest.raises(NumericalError, match="too few"):
+        parent_winding(p, 5)
+
+
 @pytest.mark.parametrize(
     "mu1, mu2, want",
     [
