@@ -2,10 +2,18 @@
 
 Disorder enters as a site-diagonal term V_s P with P one internal channel
 matrix (a Pauli matrix for the two-band chain, a Pauli tensor product for
-the four-band models) and V_s drawn i.i.d. uniform on [-W, W].  Draws come
-from a counter-based generator keyed by (seed, realization) with the site
-index addressing the stream position, so any (seed, realization, site)
-triple reproduces its value without coordination between realizations.
+the four-band models) and V_s drawn i.i.d. uniform on [-W, W].
+
+The draws are numpy's Philox4x64-10 stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), reproduced here bit for bit
+without importing numpy's random module: realization r of seed s is
+Generator(Philox(key=[s, r])).uniform(-W, W, sites).  The key is
+(s mod 2**64, r), each 64-bit output x becomes the double
+u = (x >> 11) 2**-53 and the site value is low + (high - low) u with
+low = -W, high = W.  Seeds lie in [-2**63, 2**63) and W >= 0 with 2W
+finite.  The potentials depend only on (seed, W, realization, site
+count), so robustness_sweep draws every realization once per sweep and
+every channel and grid point reads the same array.
 
 Every clean model is real and chiral, and every clean child commutes with
 t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
@@ -16,6 +24,7 @@ matrix is never built.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +51,12 @@ CHILD_CHANNELS = tuple(
 DEFAULT_AMPLITUDE = 0.2
 DEFAULT_REALIZATIONS = 50
 DEFAULT_SEED = 42
+
+# Philox4x64-10 multipliers and Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = 0xFFFFFFFF
 
 
 def _normalize_channel(channel):
@@ -81,16 +96,61 @@ class DisorderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "channel", _normalize_channel(self.channel))
-        if not 0.0 <= self.amplitude < np.inf:
-            raise ConfigError(f"disorder amplitude must be finite and >= 0, got {self.amplitude}")
+        # numpy's uniform draws low + (high - low) u, so 2W must be finite too
+        if not (0.0 <= self.amplitude and math.isfinite(2.0 * float(self.amplitude))):
+            raise ConfigError(
+                f"disorder amplitude W must be >= 0 with 2W finite, got {self.amplitude}"
+            )
         if int(self.realizations) != self.realizations or self.realizations < 1:
             raise ConfigError(f"realizations must be a positive integer, got {self.realizations}")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ConfigError(f"seed must lie in [-2**63, 2**63), got {self.seed}")
+
+
+def _mulhilo(a, m):
+    """(high, low) 64-bit words of the 128-bit products of uint64 array a and m.
+
+    The high word is summed from 32-bit halves, each partial product fitting
+    uint64.
+    """
+    a0, a1 = a & _LOW32, a >> 32
+    m0, m1 = np.uint64(m & _LOW32), np.uint64(m >> 32)
+    lh, hl = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    return a1 * m1 + (lh >> 32) + (hl >> 32) + (mid >> 32), a * np.uint64(m)
+
+
+def _philox_uniform(seed, amplitude, realizations, sites):
+    """Uniform [-W, W] draws, one row of sites values per realization.
+
+    Row i is numpy's Generator(Philox(key=[seed, realizations[i]]))
+    .uniform(-W, W, sites) bit for bit: block b of four outputs encrypts
+    the counter (b + 1, 0, 0, 0), since numpy bumps the counter before its
+    first block, under the key (seed mod 2**64, realization), bumped by the
+    Weyl increments after each of the ten rounds.
+    """
+    k1 = np.asarray(realizations, dtype=np.uint64)[:, None]
+    k0 = np.full_like(k1, int(seed) % 2**64)
+    ctr = np.zeros((4, k1.size, -(-sites // 4)), dtype=np.uint64)
+    ctr[0] = np.arange(1, ctr.shape[2] + 1, dtype=np.uint64)
+    c0, c1, c2, c3 = ctr
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+    x = np.stack([c0, c1, c2, c3], axis=-1).reshape(k1.size, -1)[:, :sites]
+    low, high = -amplitude, amplitude
+    return low + (high - low) * ((x >> 11) * 2.0**-53)
 
 
 def site_potentials(spec, realization, sites):
     """The uniform [-W, W] draws of one realization, one value per site."""
-    rng = np.random.Generator(np.random.Philox(key=[spec.seed, realization]))
-    return rng.uniform(-spec.amplitude, spec.amplitude, sites)
+    return _philox_uniform(spec.seed, spec.amplitude, [realization], sites)[0]
+
+
+def _site_count(lat):
+    return lat.Lx * lat.Ly if isinstance(lat, SlabLattice) else lat.L
 
 
 class BlockSolver:
@@ -105,9 +165,10 @@ class BlockSolver:
 
     def __init__(self, spec, lat):
         if isinstance(lat, SlabLattice):
-            blocks, self.sites = slab_hopping_blocks(spec), lat.Lx * lat.Ly
+            blocks = slab_hopping_blocks(spec)
         else:
-            blocks, self.sites = chain_hopping_blocks(spec), lat.L
+            blocks = chain_hopping_blocks(spec)
+        self.sites = _site_count(lat)
         self._blocks = _FrameBlocks(blocks)
         self._lat = lat
 
@@ -202,7 +263,9 @@ def robustness_sweep(
     the zero tolerance (1e-6 of it unless given) and which levels count as
     zero modes; the report then tracks how far those levels move, taking
     the worst realization.  Every channel must act on the model's internal
-    space (2x2 for a parent, 4x4 for a child), else ConfigError.
+    space (2x2 for a parent, 4x4 for a child), else ConfigError.  The
+    realizations are drawn once and shared by every channel and grid
+    point.
     """
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
@@ -225,6 +288,7 @@ def robustness_sweep(
         mu_values = list(np.asarray(mu_values, dtype=float))
         mu_out = np.asarray(mu_values, dtype=float)
 
+    potentials = _philox_uniform(seed, amplitude, range(realizations), _site_count(lat))
     displacement = np.full((len(channels), len(mu_values)), np.nan)
     threshold = np.full(len(mu_values), np.nan)
     zero_counts = np.zeros(len(mu_values), dtype=int)
@@ -239,12 +303,11 @@ def robustness_sweep(
         if n_zero == 0:
             continue
         solver = BlockSolver(spec, lat)
-        for c, ens in enumerate(ensembles):
-            solve = solver.channel(channel_matrix(ens.channel))
+        for c, channel in enumerate(channels):
+            solve = solver.channel(channel_matrix(channel))
             worst = 0.0
-            for r in range(realizations):
-                ev = solve(site_potentials(ens, r, solver.sites))
-                worst = max(worst, float(ev[n_zero - 1]))
+            for v in potentials:
+                worst = max(worst, float(solve(v)[n_zero - 1]))
             displacement[c, m] = worst
     return RobustnessReport(
         channels=channels,

@@ -13,9 +13,9 @@ the only way a clean model reaches a solver; its split() picks the solver
 blocks of clean and disordered models alike.  In that frame a chain splits
 into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
 spectrum and eigenvectors come from the SVD of the real L x L corners A; a
-periodic corner is circulant, and its levels come from one DFT.  Chemical
-potential enters the corners as one quadratic pencil, which sweeps
-evaluate instead of rebuilding the chain.
+periodic corner is circulant, and its levels are the moduli of its symbol
+at the momenta 2 pi n / L.  Chemical potential enters the corners as one
+quadratic pencil, which sweeps evaluate instead of rebuilding the chain.
 A slab is the tensor product of two parent chains and is solved as those
 two chains.
 """
@@ -254,7 +254,7 @@ class _FrameBlocks:
         parts = [np.ones(q.size, dtype=bool)]
         if _negligible(p[~same]):
             self.require("t_x s_x", same)
-            parts = [q == v for v in np.unique(q)]
+            parts = [q == v for v in sorted(set(q.tolist()))]
         out = []
         for g in parts:
             rows, cols, corner = g, g, False
@@ -309,14 +309,20 @@ def _corner_levels(corner, bc):
 
     Open corners take the SVD.  A periodic corner is circulant, since
     _assemble wraps bond j -> (j + r) mod L with one entry per displacement,
-    so its singular values are the moduli of the DFT of its first column,
-    the levels at momenta 2 pi n / L.  n and L - n share one modulus:
-    n = 1 ... ceil(L/2) - 1 of the rfft are mirrored, so the k/-k
-    degeneracy is exact.
+    so its singular values are the moduli of its symbol
+    sum_d c_d exp(-2 pi i n d / L) over the nonzero entries c_d of its first
+    column (signed displacements d), the levels at momenta 2 pi n / L.
+    n and L - n share one modulus: the symbol is evaluated for
+    n = 0 ... floor(L/2) only and n = 1 ... ceil(L/2) - 1 are mirrored, so
+    the k/-k degeneracy is exact.
     """
     if bc == PERIODIC:
-        f = np.abs(np.fft.rfft(corner[:, 0]))
-        return np.concatenate([f, f[1 : (len(corner) + 1) // 2]])
+        L = len(corner)
+        j = np.flatnonzero(corner[:, 0])
+        c, d = corner[j, 0], np.where(j > L // 2, j - L, j)
+        theta = np.outer(np.arange(L // 2 + 1), d) * (2 * np.pi / L)
+        f = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c)
+        return np.concatenate([f, f[1 : (L + 1) // 2]])
     return np.linalg.svd(corner, compute_uv=False)
 
 
@@ -331,7 +337,7 @@ def chain_spectrum(spec, lat):
 
     They are +-sigma for the levels sigma of the real L x L corners of
     _chiral_corners, one for the parent and two for the child: singular
-    values of open corners, DFT moduli of periodic (circulant) ones
+    values of open corners, symbol moduli of periodic (circulant) ones
     (_corner_levels).
     """
     corners = _chiral_corners(chain_hopping_blocks(spec), lat)

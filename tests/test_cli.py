@@ -34,6 +34,7 @@ from mkc.disorder import CHILD_CHANNELS, DisorderSpec
 from mkc.errors import ConfigError
 from mkc.lattice import ChainLattice, SlabLattice
 from mkc.models import (
+    PAULI,
     PARALLEL,
     ChildSpec,
     ParentParams,
@@ -188,15 +189,52 @@ def test_render_csv_reuses_text_of_identical_cells_only():
     assert got == want
 
 
-def test_import_leaves_numpy_fft_unloaded():
-    # numpy.fft costs 1-2 ms at start-up; only periodic chain levels need it
+def test_tasks_leave_numpy_random_ma_and_fft_unloaded(tmp_path):
+    # about 6, 1.3 and 0.4 MB of peak RSS that no task needs: the disorder
+    # draws, the frame block picker and the periodic levels avoid them
+    chain = _ZERO_CHILD + "[lattice]\nl = 8\n[task]\nrealizations = 1\n"
+    ring = PARENT_SPECTRUM.replace("l = 8", "l = 8\nbc = periodic")
+    slab = _config(tmp_path, _ZERO_CHILD.replace("parallel", "perpendicular") + _SMALL_SLAB, "slab.cfg")
+    runs = [
+        ("disorder", _config(tmp_path, chain, "chain.cfg")),
+        ("spectrum", _config(tmp_path, ring, "ring.cfg")),
+        ("density", slab),
+        ("classify", slab),
+    ]
+    code = "\n".join([
+        "import os, sys",
+        "from mkc.cli import main",
+        f"for task, path in {runs!r}:",
+        "    assert main([task, '--config', path, '--out', os.devnull]) == 0",
+        "heavy = ('numpy.random', 'numpy.ma', 'numpy.fft')",
+        "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))",
+    ])
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, mkc.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.fft')))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=120, check=True,
+        capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_negative_seed_keys_the_stream_with_seed_mod_2_64(tmp_path, capsys):
+    lat, parent = ChainLattice(8), ParentParams(1.0, 1.0, 0.0)
+    h = build_chain(parent, lat)
+    for seed in (-1, -(2**63)):
+        task = f"[task]\nchannel = x\nrealizations = 2\nseed = {seed}\n"
+        text = _ZERO_PARENT + "[lattice]\nl = 8\n" + task
+        rc = main(["disorder", "--config", _config(tmp_path, text)])
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        row = [l for l in out.splitlines() if not l.startswith("# ")][1].split(",")
+        worst = 0.0
+        for r in range(2):
+            key = np.array([seed % 2**64, r], dtype=np.uint64)
+            v = np.random.Generator(np.random.Philox(key=key)).uniform(-0.2, 0.2, 8)
+            levels = np.sort(np.abs(np.linalg.eigvalsh(h + np.kron(np.diag(v), PAULI["x"]))))
+            worst = max(worst, levels[1])  # the dead parent's two end modes
+        assert abs(float(row[2]) - worst) < 1e-12, seed
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -358,6 +396,7 @@ _TRIVIAL_CHILD = _PARALLEL_HEAD.replace("mu1 = 0.5", "mu1 = 3.0")
 _ZERO_PARENT = "[model]\nkind = parent\nt1 = 1.0\ndelta1 = 1.0\nmu1 = 0.0\n"
 _TRIVIAL_PARENT = _ZERO_PARENT.replace("mu1 = 0.0", "mu1 = 3.0")
 _L6 = "[lattice]\nl = 6\n"
+_SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
 
 
 @pytest.mark.parametrize(
@@ -398,6 +437,11 @@ _L6 = "[lattice]\nl = 6\n"
         ("majorana-points", _MIXED_HEAD + _L6 + "bc = periodic\n"),
         ("quantization", _MIXED_HEAD + _L6 + "bc = periodic\n"),
         ("majorana-points", _PERPENDICULAR_HEAD + "[lattice]\nlx = 4\nly = 5\nbcy = periodic\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\namplitude = 1e308\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = 9223372036854775808\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = 18446744073709551615\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = 18446744073709551616\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = -9223372036854775809\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "loop-points-3", "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
@@ -409,7 +453,8 @@ _L6 = "[lattice]\nl = 6\n"
          "parent-channel-on-child", "child-channel-on-parent",
          "parent-channel-on-trivial-child", "child-channel-on-trivial-parent",
          "realizations-0", "majorana-points-generic-child", "majorana-points-periodic",
-         "quantization-periodic", "majorana-points-periodic-bcy"],
+         "quantization-periodic", "majorana-points-periodic-bcy", "disorder-amplitude-1e308",
+         "seed-2**63", "seed-2**64-1", "seed-2**64", "seed-below-2**63"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import apply_onsite_disorder, build_chain, build_slab, dense_levels
@@ -20,11 +20,13 @@ from mkc.disorder import (
 )
 from mkc.errors import ConfigError, SymmetryError
 from mkc.lattice import (
+    LINK_EQUAL,
     OPEN,
     PERIODIC,
     ChainLattice,
     SlabLattice,
     _FrameBlocks,
+    _with_mu,
     chain_hopping_blocks,
     slab_hopping_blocks,
     spectrum,
@@ -71,6 +73,16 @@ def test_channel_names_and_validation():
             DisorderSpec(channel="x", amplitude=bad)
     with pytest.raises(ConfigError):
         DisorderSpec(channel="x", amplitude=0.1, realizations=0)
+    # the draws are low + (high - low) u, so 2W must stay finite
+    DisorderSpec(channel="x", amplitude=8e307)
+    with pytest.raises(ConfigError, match="amplitude"):
+        DisorderSpec(channel="x", amplitude=1e308)
+    # the key takes seed mod 2**64, so only one representative per key is accepted
+    for seed in (-(2**63), 2**63 - 1):
+        DisorderSpec(channel="x", amplitude=0.1, seed=seed)
+    for seed in (-(2**63) - 1, 2**63, 2**64 - 1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            DisorderSpec(channel="x", amplitude=0.1, seed=seed)
 
 
 def test_site_potentials_deterministic():
@@ -96,6 +108,66 @@ def test_site_potentials_bounded(seed, realization, sites, amplitude):
     v = site_potentials(spec, realization, sites)
     assert v.shape == (sites,)
     assert np.all(np.abs(v) <= amplitude)
+
+
+_AMPLITUDES = st.sampled_from([0.0, 5e-324, 0.2, 1e307]) | st.floats(0.0, 1e307)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**63 - 1),
+    realizations=st.lists(st.integers(0, 500), min_size=1, max_size=3),
+    sites=st.integers(1, 2000),
+    amplitude=_AMPLITUDES,
+)
+@example(seed=-(2**63), realizations=[0], sites=1, amplitude=0.2)
+@example(seed=2**63 - 1, realizations=[500, 3], sites=1441, amplitude=1e307)
+@example(seed=-1, realizations=[7], sites=2000, amplitude=5e-324)
+@example(seed=42, realizations=[0, 1, 2], sites=82, amplitude=0.0)
+def test_draws_match_numpy_philox_bit_for_bit(seed, realizations, sites, amplitude):
+    got = disorder._philox_uniform(seed, amplitude, realizations, sites)
+    assert got.shape == (len(realizations), sites)
+    for row, r in zip(got, realizations):
+        rng = np.random.Generator(np.random.Philox(key=[seed, r]))
+        want = rng.uniform(-amplitude, amplitude, sites)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), r
+    spec = DisorderSpec("x", amplitude, seed=seed)
+    one = site_potentials(spec, realizations[-1], sites)
+    assert np.array_equal(one.view(np.uint64), got[-1].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "model, lat",
+    [
+        (_mixed_child(), ChainLattice(7)),
+        (
+            ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
+            SlabLattice(3, 4, OPEN, PERIODIC),
+        ),
+    ],
+    ids=["chain", "slab"],
+)
+def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
+    # the reference draws every (channel, realization) anew, as the sweep once did
+    realizations, seed, mu_values = 3, -11, [0.0, 0.2]
+    rep = robustness_sweep(
+        model, lat, amplitude=0.3, realizations=realizations, seed=seed, mu_values=mu_values
+    )
+    assert rep.zero_counts[0] > 0
+    want = np.full_like(rep.displacement, np.nan)
+    for m, mu in enumerate(mu_values):
+        n_zero = rep.zero_counts[m]
+        if n_zero == 0:
+            continue
+        solver = BlockSolver(_with_mu(model, mu, LINK_EQUAL), lat)
+        for c, channel in enumerate(rep.channels):
+            ens = DisorderSpec(channel, 0.3, realizations, seed)
+            solve = solver.channel(channel_matrix(channel))
+            want[c, m] = max(
+                float(solve(site_potentials(ens, r, solver.sites))[n_zero - 1])
+                for r in range(realizations)
+            )
+    assert np.array_equal(rep.displacement, want, equal_nan=True)
 
 
 def test_apply_onsite_disorder_shapes_and_hermiticity():
