@@ -7,6 +7,7 @@ byte-identical.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -17,48 +18,75 @@ from .errors import ConfigError, NumericalError
 from .tasks import run_task
 
 
-def render_csv(cfg, payload):
-    """Header plus rows, 17 significant digits, with the config echoed
-    as leading comment lines.
+# the %-format that _format_value amounts to for a column of one exact type
+_COLUMN_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
 
-    A cell that is the very object (is, never ==) in the same column of the
-    previous row reuses that cell's text, so a value a task repeats down a
-    column is formatted once.
+
+def _block_lines(cells, cols):
+    """The CSV lines of one Rows block, as in _format_value cell by cell.
+
+    Each shared cell is formatted once into a line template, and the
+    template fills the block's rows with one map over its columns.  A
+    column of one exact type is formatted by the template itself; any
+    other column goes through _format_value per cell first.
     """
-    lines = []
-    for section, values in cfg.echo().items():
-        for key, value in values.items():
-            lines.append(f"# {section}.{key} = {value}")
-    lines.append(",".join(payload["columns"]))
-    prev, texts = (), []
-    for row in payload["rows"]:
-        texts = [t if v is p else _format_value(v) for v, p, t in zip(row, prev, texts)]
-        if len(texts) < len(row):
-            texts += map(_format_value, row[len(texts) :])
-        lines.append(",".join(texts))
-        prev = row
-    return "\n".join(lines) + "\n"
+    spec, columns = [], []
+    for k, cell in enumerate(cells):
+        if k not in cols:
+            spec.append(_format_value(cell).replace("%", "%%"))
+            continue
+        types = set(map(type, cell))
+        fmt = _COLUMN_FORMATS.get(types.pop()) if len(types) == 1 else None
+        if fmt is None:
+            fmt, cell = "%s", list(map(_format_value, cell))
+        spec.append(fmt)
+        columns.append(cell)
+    line = ",".join(spec) + "\n"
+    if not columns:
+        return line % ()
+    return "".join(map(line.__mod__, zip(*columns)))
 
 
-def render_json(cfg, payload):
+def render_csv(cfg, payload, out):
+    """Write the config as leading comment lines, the header and the rows,
+    17 significant digits, to the text stream out.
+
+    The rows go out block by block (tasks.Rows): each block's text is
+    written before the next block is formatted.
+    """
+    head = [
+        f"# {section}.{key} = {value}"
+        for section, values in cfg.echo().items()
+        for key, value in values.items()
+    ]
+    head.append(",".join(payload["columns"]))
+    out.write("\n".join(head) + "\n")
+    for block in payload["rows"].blocks:
+        out.write(_block_lines(*block))
+
+
+def render_json(cfg, payload, out):
+    """Write the config, the payload and the version as one JSON document."""
     doc = {
         "config": cfg.echo(),
         "payload": {
             "columns": payload["columns"],
-            "rows": payload["rows"],
+            "rows": list(payload["rows"]),
         },
         "task": cfg.task,
         "version": __version__,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write(path, text):
+def _open_sink(path):
+    """The output stream for path ("-" is stdout); ConfigError if it cannot be opened."""
     if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot open output {path!r}: {exc}")
 
 
 def build_parser():
@@ -84,7 +112,7 @@ def main(argv=None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
         cfg = parse_config(text, cli_task=args.task, cli_threads=args.threads)
         if args.out is not None:
@@ -93,7 +121,8 @@ def main(argv=None):
             cfg.output_format = args.format
         payload = run_task(cfg)
         render = render_csv if cfg.output_format == "csv" else render_json
-        _write(cfg.output_path, render(cfg, payload))
+        with _open_sink(cfg.output_path) as out:
+            render(cfg, payload, out)
     except ConfigError as exc:
         print(f"mkc: config error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,12 @@
 """Task dispatch: turn a validated RunConfig into a tabular payload.
 
-Every task produces {"columns": [...], "rows": [[...], ...]} with plain
+Every task produces {"columns": [...], "rows": Rows} with plain
 float/int/str cells, in an order fixed by the configuration alone, so the
-serialized output is reproducible byte for byte.
+serialized output is reproducible byte for byte.  Rows holds the rows as
+blocks of shared and column cells (one block per sweep point and boundary
+condition, say), so no task builds one list per output row; it still
+reads as the list of rows it stands for: len() counts the rows and
+iteration yields each as a plain list.
 """
 
 import numpy as np
@@ -27,6 +31,46 @@ from .models import (
 )
 
 
+class Rows:
+    """A task's output rows, stored as blocks that share cells.
+
+    add(*cells) appends one block.  A cell that is a list or a range is a
+    column cell, holding one value per row of the block; any other cell is
+    a shared cell, the same value on every row.  The columns of a block
+    have one length, its row count; a block without columns is one row.
+    """
+
+    def __init__(self):
+        self.blocks = []    # (cells, column positions)
+        self._count = 0
+
+    def add(self, *cells):
+        cols = tuple(k for k, c in enumerate(cells) if isinstance(c, (list, range)))
+        sizes = {len(cells[k]) for k in cols}
+        if len(sizes) > 1:
+            raise ValueError(f"the columns of one block differ in length: {sorted(sizes)}")
+        self.blocks.append((cells, cols))
+        self._count += sizes.pop() if sizes else 1
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        for cells, cols in self.blocks:
+            for values in zip(*(cells[k] for k in cols)) if cols else [()]:
+                row = list(cells)
+                for k, v in zip(cols, values):
+                    row[k] = v
+                yield row
+
+    def __getitem__(self, i):
+        """Row i as a live list, so editing it edits the table; the table
+        is split into one block per row first."""
+        if any(cols for _, cols in self.blocks):
+            self.blocks = [(row, ()) for row in self]
+        return self.blocks[i][0]
+
+
 def _lattice(cfg):
     vals = cfg.lattice_values
     if cfg.kind == "mkc-perpendicular":
@@ -35,8 +79,9 @@ def _lattice(cfg):
 
 
 def _task_spectrum(cfg):
-    ev = spectrum(cfg.model, _lattice(cfg))
-    rows = [[i, float(e)] for i, e in enumerate(ev)]
+    ev = spectrum(cfg.model, _lattice(cfg)).tolist()
+    rows = Rows()
+    rows.add(range(len(ev)), ev)
     return {"columns": ["index", "energy"], "rows": rows}
 
 
@@ -47,13 +92,13 @@ def _task_sweep_mu(cfg):
         cfg.model, grid, opt["link"], _lattice(cfg),
         n_modes=opt["n-modes"], threads=cfg.threads,
     )
-    rows = []
+    rows = Rows()
     for rec in recs:
-        # one mu, mu2 and bc object per (point, bc): render_csv formats each once
         mu = float(rec["mu"])
         mu2 = "" if cfg.kind == "parent" else _with_mu(cfg.model, mu, opt["link"]).p2.mu
         for bc in ("obc", "pbc"):
-            rows += ([mu, mu2, bc, i, e] for i, e in enumerate(rec[bc].tolist()))
+            levels = rec[bc].tolist()
+            rows.add(mu, mu2, bc, range(len(levels)), levels)
     return {"columns": ["mu1", "mu2", "bc", "level_index", "energy"], "rows": rows}
 
 
@@ -67,10 +112,10 @@ def _task_sweep_length(cfg):
     recs = low_energy_vs_length(
         cfg.model, lengths, bc=opt["bc"], n_modes=opt["n-modes"], threads=cfg.threads
     )
-    rows = []
+    rows = Rows()
     for rec in recs:
-        for i, e in enumerate(rec["modes"]):
-            rows.append([rec["L"], i, float(e), rec["splitting"]])
+        modes = [float(e) for e in rec["modes"]]
+        rows.add(rec["L"], range(len(modes)), modes, rec["splitting"])
     return {"columns": ["L", "level_index", "energy", "splitting"], "rows": rows}
 
 
@@ -83,35 +128,37 @@ def _task_wannier(cfg):
     else:
         fixed = cfg.options["fixed-momentum"]
         spectra = [topology.wannier_centers_perp(cfg.model, d, fixed, R) for d in ("x", "y")]
-    rows = [[ws.path, i, float(c)] for ws in spectra for i, c in enumerate(ws.centers)]
+    rows = Rows()
+    for ws in spectra:
+        rows.add(ws.path, range(len(ws.centers)), [float(c) for c in ws.centers])
     return {"columns": ["loop", "index", "center"], "rows": rows}
 
 
 def _task_winding(cfg):
     samples = cfg.options["samples"]
+    rows = Rows()
+    components = ["component-1", "component-2"]
     if cfg.kind == "parent":
-        r = topology.parent_winding(cfg.model, samples)
-        rows = [["k", "parent", "", r.w]]
+        rows.add("k", "parent", "", topology.parent_winding(cfg.model, samples).w)
     elif cfg.kind == "mkc-parallel":
         r1, r2 = topology.component_winding_parallel(cfg.model, samples)
-        rows = [["k", "component-1", "", r1.w], ["k", "component-2", "", r2.w]]
+        rows.add("k", components, "", [r1.w, r2.w])
     else:
         lat = _lattice(cfg)
         table = topology.component_winding_perp(cfg.model, lat.Lx, lat.Ly, samples)
-        rows = [
-            [loop, f"component-{which}", f"{rec['fixed']:.17g}", rec[f"w{which}"]]
-            for loop, key in (("kx", "rows"), ("ky", "columns"))
-            for rec in table[key]
-            for which in (1, 2)
-        ]
+        for loop, key in (("kx", "rows"), ("ky", "columns")):
+            for rec in table[key]:
+                rows.add(loop, components, f"{rec['fixed']:.17g}", [rec["w1"], rec["w2"]])
     return {"columns": ["loop", "component", "fixed_momentum", "winding"], "rows": rows}
 
 
 def _point_rows(points):
-    rows = [
-        [float(mu), int(d), prov]
-        for mu, d, prov in zip(points.mu_values, points.degeneracies, points.provenance)
-    ]
+    rows = Rows()
+    rows.add(
+        [float(mu) for mu in points.mu_values],
+        [int(d) for d in points.degeneracies],
+        list(points.provenance),
+    )
     return {"columns": ["mu", "degeneracy", "provenance"], "rows": rows}
 
 
@@ -156,10 +203,12 @@ def _task_quantization(cfg):
 def _task_density(cfg):
     lat = _lattice(cfg)
     w = zero_subspace(cfg.model, lat, tol=cfg.options["zero-tol"]).weights.tolist()
+    rows = Rows()
     if isinstance(lat, SlabLattice):
-        rows = [[i + 1, j + 1, w[i][j]] for i in range(lat.Lx) for j in range(lat.Ly)]
+        for i in range(lat.Lx):
+            rows.add(i + 1, range(1, lat.Ly + 1), w[i])
     else:
-        rows = [[i + 1, 0, v] for i, v in enumerate(w)]
+        rows.add(range(1, len(w) + 1), 0, w)
     return {"columns": ["x", "y", "weight"], "rows": rows}
 
 
@@ -184,20 +233,19 @@ def _task_disorder(cfg):
         seed=opt["seed"],
         zero_tol=opt["zero-tol"],
     )
-    rows = []
-    robust = report.robust
+    rows = Rows()
+    mus = [float(mu) for mu in report.mu_values]
+    thresholds = [float(v) for v in report.threshold]
     for c, channel in enumerate(report.channels):
-        name = disorder.channel_name(channel)
-        for m, mu in enumerate(report.mu_values):
-            disp = report.displacement[c, m]
-            verdict = "no-zero-modes" if np.isnan(disp) else (
-                "robust" if robust[c, m] else "broken"
-            )
-            rows.append([
-                name, float(mu),
-                float(disp) if not np.isnan(disp) else "",
-                float(report.threshold[m]), verdict,
-            ])
+        disp = report.displacement[c].tolist()
+        verdicts = [
+            "no-zero-modes" if np.isnan(d) else ("robust" if ok else "broken")
+            for d, ok in zip(disp, report.robust[c])
+        ]
+        rows.add(
+            disorder.channel_name(channel), mus,
+            ["" if np.isnan(d) else d for d in disp], thresholds, verdicts,
+        )
     return {
         "columns": ["channel", "mu", "displacement", "threshold", "verdict"],
         "rows": rows,
@@ -207,15 +255,17 @@ def _task_disorder(cfg):
 def _task_classify(cfg):
     lat = _lattice(cfg)
     results = boundary.classify_zero_modes(cfg.model, lat, zero_tol=cfg.options["zero-tol"])
-    rows = []
+    rows = Rows()
+    flag = lambda v: "" if v is None else ("yes" if v else "no")
     for region in sorted(results):
         res = results[region]
-        flag = lambda v: "" if v is None else ("yes" if v else "no")
-        for i, st in enumerate(res.states):
-            rows.append([
-                region, i, st.label, float(st.entropy), float(st.overlap),
-                flag(res.matches_table), flag(res.row_complete),
-            ])
+        rows.add(
+            region, range(len(res.states)),
+            [st.label for st in res.states],
+            [float(st.entropy) for st in res.states],
+            [float(st.overlap) for st in res.states],
+            flag(res.matches_table), flag(res.row_complete),
+        )
     return {
         "columns": [
             "region", "state_index", "label", "entropy",
@@ -233,26 +283,26 @@ def _task_symmetry_check(cfg):
         kx, ky = np.meshgrid(kgrid, kgrid, indexing="ij")
         kgrid = np.stack([kx.ravel(), ky.ravel()], axis=-1)
     report = symmetry_check(cfg.model, kgrid)
-    order = ("T", "P1", "C1", "P2", "C2", "U")
-    rows = [[name, float(report.residuals[name])] for name in order]
+    order = ["T", "P1", "C1", "P2", "C2", "U"]
+    rows = Rows()
+    rows.add(order, [float(report.residuals[name]) for name in order])
     return {"columns": ["symmetry", "residual"], "rows": rows}
 
 
 def _task_dirac(cfg):
     if cfg.model.orientation == PARALLEL:
         rec = dirac_expansion_parallel(cfg.model)
-        rows = [
-            ["m1", rec.m1], ["m2", rec.m2], ["mass", rec.mass],
-            ["v1", rec.v1], ["v2", rec.v2], ["quad", rec.quad],
-        ]
+        names = ["m1", "m2", "mass", "v1", "v2", "quad"]
+        values = [rec.m1, rec.m2, rec.mass, rec.v1, rec.v2, rec.quad]
     else:
         rec = group_velocity_perp(cfg.model, cfg.options["kx"], cfg.options["ky"])
-        rows = [
-            ["velocity_x", rec.velocity[0]], ["velocity_y", rec.velocity[1]],
-            ["closed_form_x", rec.closed_form[0]], ["closed_form_y", rec.closed_form[1]],
-            ["at_critical", int(rec.at_critical)], ["one_sided", int(rec.one_sided)],
+        names = [
+            "velocity_x", "velocity_y", "closed_form_x", "closed_form_y",
+            "at_critical", "one_sided",
         ]
-    rows = [[name, float(v)] for name, v in rows]
+        values = [*rec.velocity, *rec.closed_form, rec.at_critical, rec.one_sided]
+    rows = Rows()
+    rows.add(names, [float(v) for v in values])
     return {"columns": ["coefficient", "value"], "rows": rows}
 
 
@@ -273,7 +323,11 @@ _DISPATCH = {
 
 
 def run_task(cfg):
-    """Execute cfg's task and return its {"columns", "rows"} payload."""
+    """Execute cfg's task and return its {"columns": [...], "rows": Rows} payload.
+
+    len(payload["rows"]) is the number of data rows, and iterating it
+    yields each row as a plain list of float, int or str cells.
+    """
     if not isinstance(cfg, RunConfig):
         raise TypeError(f"run_task needs a RunConfig, got {type(cfg)!r}")
     return _DISPATCH[cfg.task](cfg)

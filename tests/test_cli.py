@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -42,7 +43,7 @@ from mkc.models import (
     group_velocity_perp,
     parent_bloch,
 )
-from mkc.tasks import run_task
+from mkc.tasks import Rows, run_task
 from mkc.topology import (
     WindingCurve,
     center_distance,
@@ -168,25 +169,46 @@ def test_spectrum_csv_to_stdout(tmp_path, capsys):
     assert "finished in" in err and "finished in" not in out
 
 
-def test_render_csv_reuses_text_of_identical_cells_only():
+def _csv(cfg, rows, columns=("a", "b", "c", "d", "e", "f", "g")):
+    out = io.StringIO()
+    cli.render_csv(cfg, {"columns": list(columns), "rows": rows}, out)
+    return out.getvalue()
+
+
+def test_render_csv_blocks_match_per_cell_format():
     cfg = parse_config(PARENT_SPECTRUM)
-    shared = 0.1
-    # adjacent cells that compare equal but print differently, rows of
-    # differing length, and one object repeated down a column
-    rows = [
-        [0.0, 1, "", shared, "x"],
-        [-0.0, True, None, shared, "x"],
-        [0.0, 1.0, "", shared],
-        [0.0, 1.0, "", shared, "x", 7],
-        [shared],
-        [],
-        [None, False, 0, shared],
-        [-0.0, 0, 0.0, shared],
+    head = _csv(cfg, Rows())
+    assert head.endswith("\na,b,c,d,e,f,g\n")
+    rows = Rows()
+    # cells that compare equal but print differently, shared and down columns
+    rows.add(0.0, -0.0, 1, True, 1.0, "", None)
+    rows.add(-0.0, [0.0, -0.0, 0.5], range(3), [1, 2**70, -1], [True, False, True])
+    rows.add([1, True, 1.0, 0, -0.0, "", None], "%s")
+    # a % in shared and column str cells, rows of differing width, an empty row
+    rows.add("100%", ["x", "%s", "%d", "%%"], 0.1)
+    rows.add("%")
+    rows.add()
+    rows.add(None, [], range(0))
+    rows.add([False, None], ["", "y"], [0.25, 1e-300])
+    assert len(rows) == 1 + 3 + 7 + 4 + 1 + 1 + 0 + 2 == len(list(rows))
+    want = head + "".join(
+        ",".join(_format_value(v) for v in row) + "\n" for row in list(rows)
+    )
+    assert _csv(cfg, rows) == want
+
+
+def test_rows_index_returns_a_live_row_and_rejects_ragged_blocks():
+    cfg = parse_config(PARENT_SPECTRUM)
+    rows = Rows()
+    rows.add("a", range(3), [0.5, 1.5, 2.5])
+    rows.add("b", range(2), [3.5, 4.5])
+    rows[3][2] += 1.0
+    assert list(rows) == [
+        ["a", 0, 0.5], ["a", 1, 1.5], ["a", 2, 2.5], ["b", 0, 4.5], ["b", 1, 4.5],
     ]
-    head = cli.render_csv(cfg, {"columns": ["a", "b", "c", "d", "e", "f"], "rows": []})
-    want = head + "".join(",".join(_format_value(v) for v in row) + "\n" for row in rows)
-    got = cli.render_csv(cfg, {"columns": ["a", "b", "c", "d", "e", "f"], "rows": rows})
-    assert got == want
+    assert _csv(cfg, rows, "xyz").endswith("\nb,0,4.5\nb,1,4.5\n")
+    with pytest.raises(ValueError, match="differ in length"):
+        rows.add(range(2), [1.0])
 
 
 def test_tasks_leave_numpy_random_ma_and_fft_unloaded(tmp_path):
@@ -300,10 +322,9 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert rc == 2 and "cannot read config" in err
 
 
-def test_numerical_error_exits_3(tmp_path, capsys):
-    # a critical first parent drags the perpendicular winding curves
-    # through the origin
-    text = """\
+# a critical first parent drags the perpendicular winding curves through
+# the origin
+_CRITICAL_WINDING = """\
 [model]
 kind = mkc-perpendicular
 t1 = 1.0
@@ -321,10 +342,34 @@ ly = 4
 name = winding
 samples = 512
 """
-    rc = main(["winding", "--config", _config(tmp_path, text)])
+
+
+def test_numerical_error_exits_3(tmp_path, capsys):
+    rc = main(["winding", "--config", _config(tmp_path, _CRITICAL_WINDING)])
     _, err = capsys.readouterr()
     assert rc == 3
     assert "numerical error" in err and "CriticalCurveError" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"[model]\nkind = parent\xff\n", b"# caf\xc3\n[model]\nkind = parent\n"],
+    ids=["invalid-start-byte", "truncated-sequence"],
+)
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(data)
+    rc = main(["spectrum", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("mkc: config error: cannot read config")
+
+
+def test_numerical_error_creates_no_output_file(tmp_path, capsys):
+    target = tmp_path / "winding.csv"
+    rc = main(["winding", "--config", _config(tmp_path, _CRITICAL_WINDING), "--out", str(target)])
+    out, _ = capsys.readouterr()
+    assert rc == 3 and out == "" and not target.exists()
 
 
 def test_bad_env_threads_exits_2(tmp_path, capsys, monkeypatch):
@@ -442,6 +487,9 @@ _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
         ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = 18446744073709551615\n"),
         ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = 18446744073709551616\n"),
         ("disorder", _ZERO_CHILD + _L6 + "[task]\nseed = -9223372036854775809\n"),
+        ("spectrum", PARENT_SPECTRUM + "\n[output]\npath = /nonexistent/dir/x.csv\n"),
+        ("spectrum", PARENT_SPECTRUM + "\n[output]\npath =\n"),
+        ("spectrum", PARENT_SPECTRUM + "\n[output]\npath = .\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "loop-points-3", "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
@@ -454,7 +502,8 @@ _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
          "parent-channel-on-trivial-child", "child-channel-on-trivial-parent",
          "realizations-0", "majorana-points-generic-child", "majorana-points-periodic",
          "quantization-periodic", "majorana-points-periodic-bcy", "disorder-amplitude-1e308",
-         "seed-2**63", "seed-2**64-1", "seed-2**64", "seed-below-2**63"],
+         "seed-2**63", "seed-2**64-1", "seed-2**64", "seed-below-2**63",
+         "output-path-in-missing-dir", "output-path-empty", "output-path-directory"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])
@@ -793,14 +842,20 @@ def test_task_rows_match_library_and_dense_reference(
         return seen["payload"]
 
     monkeypatch.setattr(cli, "run_task", spy)
-    rc = main([task, "--config", _config(tmp_path, text)])
+    path = _config(tmp_path, text)
+    rc = main([task, "--config", path])
     out, _ = capsys.readouterr()
     assert rc == 0
     payload = seen["payload"]
-    assert all(type(v) in (float, int, str) for row in payload["rows"] for v in row)
+    rows = list(payload["rows"])
+    assert all(type(v) in (float, int, str) for row in rows for v in row)
     # the CSV cells read back to the payload's values
     lines = [l for l in out.splitlines() if not l.startswith("# ")]
     assert lines[0] == ",".join(payload["columns"])
-    for line, row in zip(lines[1:], payload["rows"], strict=True):
+    assert len(payload["rows"]) == len(lines) - 1
+    for line, row in zip(lines[1:], rows, strict=True):
         assert [type(v)(c) for v, c in zip(row, line.split(","), strict=True)] == row
-    check(seen["cfg"], payload["rows"])
+    if task.startswith("sweep-"):
+        assert main([task, "--config", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr()[0])["payload"]["rows"] == rows
+    check(seen["cfg"], rows)
