@@ -21,6 +21,14 @@ matrix in the smallest real blocks that lattice._FrameBlocks.split picks
 for the channel matrix, assembled from the clean model's checked and
 rotated hopping blocks plus the site potentials; the full disordered
 matrix is never built.
+
+The same symmetries make channels come in twins with one |E| spectrum:
+the twin of a child channel P is the Pauli pair proportional to t_x s_x P
+(_solve_owners says when the two spectra agree and why).  Seven such pairs
+hold, so a sweep over all sixteen child channels solves nine per
+realization and grid point, and each twin reads its partner's
+displacement.  yy and zz stay apart: both are real and anticommute with
+both chiral operators, and their spectra differ.
 """
 
 import itertools
@@ -41,7 +49,7 @@ from .lattice import (
     slab_hopping_blocks,
     spectrum,
 )
-from .models import PAULI, ParentParams
+from .models import _C1, _C2, _U, PAULI, ParentParams
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(
@@ -208,6 +216,49 @@ class BlockSolver:
         return solve
 
 
+def _solve_owners(mats):
+    """For each channel matrix, the index of the channel whose solve it reads.
+
+    That is its own index, or the first earlier one with the same |E|
+    spectrum for every clean child H0 and real site potential V.  H0 is
+    real, commutes with X = t_x s_x and anticommutes with C1 = t_0 s_x and
+    C2 = t_x s_0.  The twin of a Pauli pair P is the pair P' proportional
+    to X P, and the two share a spectrum by one of three arguments:
+
+    - {X, P} = 0: U = (1 + iX) / sqrt(2) commutes with H0 and maps P to
+      i X P = +-P'.  A sign, read as V -> -V, is undone by the chiral
+      operator that commutes with P' (P commutes with exactly one of C1
+      and C2, X being their product), which maps E to -E.
+    - [X, P] = 0 and P commutes with a chiral operator C: P' = +-P in one
+      X sector and -+P in the other, where C maps h - V P to -(h + V P).
+    - [X, P] = 0 and P imaginary (so in the real site frame too): in the
+      sector where P' = -P the block h - V P is the complex conjugate of
+      h + V P, h being real, so the two have the same eigenvalues.
+
+    None applies to a real P that anticommutes with both chiral operators
+    (yy and zz), and those spectra differ.  A parent has no X: every
+    2x2 channel owns its solve.
+    """
+
+    def commutes(a, b):
+        return _negligible(a @ b - b @ a)
+
+    def twins(p, q):
+        if p.shape != _U.shape or abs(np.trace(q.conj().T @ _U @ p)) < 2.0:
+            return False  # distinct Pauli pairs are trace-orthogonal
+        return (
+            _negligible(_U @ p + p @ _U)
+            or commutes(p, _C1)
+            or commutes(p, _C2)
+            or _negligible(p.real)
+        )
+
+    owners = []
+    for c, q in enumerate(mats):
+        owners.append(next((o for o in owners if twins(mats[o], q)), c))
+    return owners
+
+
 @dataclass
 class RobustnessReport:
     """Max zero-mode displacement per channel and grid point, with verdicts.
@@ -265,15 +316,17 @@ def robustness_sweep(
     the worst realization.  Every channel must act on the model's internal
     space (2x2 for a parent, 4x4 for a child), else ConfigError.  The
     realizations are drawn once and shared by every channel and grid
-    point.
+    point, and a channel whose twin (_solve_owners) came earlier reads the
+    twin's displacement instead of solving again.
     """
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
     internal = 2 if isinstance(model, ParentParams) else 4
     ensembles = [DisorderSpec(c, amplitude, realizations, seed) for c in channels]
     channels = tuple(e.channel for e in ensembles)
-    for channel in channels:
-        d = channel_matrix(channel).shape[0]
+    mats = [channel_matrix(channel) for channel in channels]
+    for channel, mat in zip(channels, mats):
+        d = mat.shape[0]
         if d != internal:
             raise ConfigError(
                 f"channel {channel_name(channel)} acts on {d} internal components, "
@@ -288,6 +341,7 @@ def robustness_sweep(
         mu_values = list(np.asarray(mu_values, dtype=float))
         mu_out = np.asarray(mu_values, dtype=float)
 
+    owners = _solve_owners(mats)
     potentials = _philox_uniform(seed, amplitude, range(realizations), _site_count(lat))
     displacement = np.full((len(channels), len(mu_values)), np.nan)
     threshold = np.full(len(mu_values), np.nan)
@@ -303,8 +357,17 @@ def robustness_sweep(
         if n_zero == 0:
             continue
         solver = BlockSolver(spec, lat)
-        for c, channel in enumerate(channels):
-            solve = solver.channel(channel_matrix(channel))
+        if owners != list(range(len(channels))):
+            # twins share a solve only while the clean model keeps all three symmetries
+            fb = solver._blocks
+            fb.require("t_x s_x", fb.q[:, None] == fb.q[None, :])
+            for name, s in fb.chirals:
+                fb.require(name, s[:, None] != s[None, :])
+        for c, mat in enumerate(mats):
+            if owners[c] != c:
+                displacement[c, m] = displacement[owners[c], m]
+                continue
+            solve = solver.channel(mat)
             worst = 0.0
             for v in potentials:
                 worst = max(worst, float(solve(v)[n_zero - 1]))
@@ -319,33 +382,3 @@ def robustness_sweep(
         threshold=threshold,
         zero_counts=zero_counts,
     )
-
-
-def displacement_vs_amplitude(
-    model,
-    lat,
-    channel,
-    amplitudes,
-    realizations=DEFAULT_REALIZATIONS,
-    seed=DEFAULT_SEED,
-    zero_tol=None,
-):
-    """Worst zero-mode displacement as a function of the disorder bound.
-
-    Broken channels grow linearly in W on this curve while robust ones
-    stay at the splitting floor, which is what makes the fixed verdict
-    threshold defensible.
-    """
-    out = []
-    for w in np.asarray(amplitudes, dtype=float):
-        rep = robustness_sweep(
-            model,
-            lat,
-            amplitude=w,
-            channels=[channel],
-            realizations=realizations,
-            seed=seed,
-            zero_tol=zero_tol,
-        )
-        out.append(rep.displacement[0, 0])
-    return np.asarray(out)

@@ -532,8 +532,16 @@ class ZeroSubspace:
 
 
 def _zero_tol(spread, tol, rel_tol):
-    """The zero tolerance: tol as an absolute energy, else rel_tol x spread."""
-    return rel_tol * max(spread, 1e-30) if tol is None else float(tol)
+    """The zero tolerance: tol as an absolute energy, else rel_tol x spread.
+
+    A given tol must be positive (ConfigError): no |E| lies below zero, so
+    a tolerance at or below it would count no zero modes at all.
+    """
+    if tol is None:
+        return rel_tol * max(spread, 1e-30)
+    if not tol > 0:
+        raise ConfigError(f"zero tolerance must be positive, got {tol}")
+    return float(tol)
 
 
 def _chain_zero_subspace(spec, lat, tol, rel_tol):

@@ -5,7 +5,8 @@ from the chiral corners of their hopping blocks, slabs as two factor
 chains and disordered models in symmetry blocks.  The builders here
 assemble the whole matrix from the same hopping blocks with Kronecker
 products, and diagonalize it with one dense eigh, so that every fast path
-can be checked against the plain solve.  The helpers at the end compare
+can be checked against the plain solve.  displacement_vs_amplitude checks
+the disorder verdict's fixed threshold by its linear growth in W.  The helpers at the end compare
 zero subspaces by projectors, densities and classification decisions,
 never by single eigenvectors.  The winding references sample every
 child component curve as the product it is, and the Wannier references
@@ -21,7 +22,13 @@ import numpy as np
 
 from mkc import boundary
 from mkc.boundary import classify_zero_modes, mmzm_classify
-from mkc.disorder import channel_matrix, site_potentials
+from mkc.disorder import (
+    DEFAULT_REALIZATIONS,
+    DEFAULT_SEED,
+    channel_matrix,
+    robustness_sweep,
+    site_potentials,
+)
 from mkc.errors import ConfigError, GaplessPathError, NonHermitianError
 from mkc.lattice import (
     PERIODIC,
@@ -151,6 +158,36 @@ def apply_onsite_disorder(h, spec, realization, sites=None):
         )
     v = site_potentials(spec, realization, sites)
     return h + np.kron(np.diag(v), mat)
+
+
+def displacement_vs_amplitude(
+    model,
+    lat,
+    channel,
+    amplitudes,
+    realizations=DEFAULT_REALIZATIONS,
+    seed=DEFAULT_SEED,
+    zero_tol=None,
+):
+    """Worst zero-mode displacement of robustness_sweep as a function of the bound W.
+
+    Broken channels grow linearly in W on this curve while robust ones
+    stay at the splitting floor, which is what makes the fixed verdict
+    threshold defensible.
+    """
+    out = []
+    for w in np.asarray(amplitudes, dtype=float):
+        rep = robustness_sweep(
+            model,
+            lat,
+            amplitude=w,
+            channels=[channel],
+            realizations=realizations,
+            seed=seed,
+            zero_tol=zero_tol,
+        )
+        out.append(rep.displacement[0, 0])
+    return np.asarray(out)
 
 
 def zero_basis(zs, lat):

@@ -441,6 +441,7 @@ _TRIVIAL_CHILD = _PARALLEL_HEAD.replace("mu1 = 0.5", "mu1 = 3.0")
 _ZERO_PARENT = "[model]\nkind = parent\nt1 = 1.0\ndelta1 = 1.0\nmu1 = 0.0\n"
 _TRIVIAL_PARENT = _ZERO_PARENT.replace("mu1 = 0.0", "mu1 = 3.0")
 _L6 = "[lattice]\nl = 6\n"
+_L12 = "[lattice]\nl = 12\n"
 _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
 
 
@@ -490,6 +491,10 @@ _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
         ("spectrum", PARENT_SPECTRUM + "\n[output]\npath = /nonexistent/dir/x.csv\n"),
         ("spectrum", PARENT_SPECTRUM + "\n[output]\npath =\n"),
         ("spectrum", PARENT_SPECTRUM + "\n[output]\npath = .\n"),
+        ("density", _ZERO_CHILD + _L12 + "[task]\nzero-tol = -1\n"),
+        ("density", _ZERO_CHILD + _L12 + "[task]\nzero-tol = 0\n"),
+        ("classify", _ZERO_CHILD + _L12 + "[task]\nzero-tol = -1\n"),
+        ("disorder", _ZERO_CHILD + _L12 + "[task]\nzero-tol = 0\nrealizations = 1\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "loop-points-3", "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
@@ -503,7 +508,9 @@ _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
          "realizations-0", "majorana-points-generic-child", "majorana-points-periodic",
          "quantization-periodic", "majorana-points-periodic-bcy", "disorder-amplitude-1e308",
          "seed-2**63", "seed-2**64-1", "seed-2**64", "seed-below-2**63",
-         "output-path-in-missing-dir", "output-path-empty", "output-path-directory"],
+         "output-path-in-missing-dir", "output-path-empty", "output-path-directory",
+         "density-zero-tol-negative", "density-zero-tol-0", "classify-zero-tol-negative",
+         "disorder-zero-tol-0"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import apply_onsite_disorder, build_chain, build_slab, dense_levels
+from dense_reference import (
+    apply_onsite_disorder,
+    build_chain,
+    build_slab,
+    dense_levels,
+    displacement_vs_amplitude,
+)
 from mkc import disorder
 from mkc.disorder import (
     CHILD_CHANNELS,
@@ -14,7 +20,6 @@ from mkc.disorder import (
     DisorderSpec,
     channel_matrix,
     channel_name,
-    displacement_vs_amplitude,
     robustness_sweep,
     site_potentials,
 )
@@ -32,6 +37,10 @@ from mkc.lattice import (
     spectrum,
 )
 from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentParams
+
+
+# each child channel that shares its |E| spectrum with an earlier one, and that one
+_TWIN_OF = {"x0": "0x", "xx": "00", "xy": "0z", "xz": "0y", "z0": "yx", "zx": "y0", "zy": "yz"}
 
 
 def _dead_parent():
@@ -148,26 +157,35 @@ def test_draws_match_numpy_philox_bit_for_bit(seed, realizations, sites, amplitu
     ids=["chain", "slab"],
 )
 def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
-    # the reference draws every (channel, realization) anew, as the sweep once did
+    # the reference draws every (channel, realization) anew, as the sweep once did;
+    # each twin class solves once, so only its first channel is bitwise its own solve
     realizations, seed, mu_values = 3, -11, [0.0, 0.2]
     rep = robustness_sweep(
         model, lat, amplitude=0.3, realizations=realizations, seed=seed, mu_values=mu_values
     )
     assert rep.zero_counts[0] > 0
-    want = np.full_like(rep.displacement, np.nan)
+    names = [channel_name(c) for c in rep.channels]
     for m, mu in enumerate(mu_values):
         n_zero = rep.zero_counts[m]
         if n_zero == 0:
+            assert np.all(np.isnan(rep.displacement[:, m]))
             continue
-        solver = BlockSolver(_with_mu(model, mu, LINK_EQUAL), lat)
+        spec = _with_mu(model, mu, LINK_EQUAL)
+        scale = max(2.0 * np.abs(spectrum(spec, lat)).max(), 1.0)
+        solver = BlockSolver(spec, lat)
         for c, channel in enumerate(rep.channels):
             ens = DisorderSpec(channel, 0.3, realizations, seed)
             solve = solver.channel(channel_matrix(channel))
-            want[c, m] = max(
+            want = max(
                 float(solve(site_potentials(ens, r, solver.sites))[n_zero - 1])
                 for r in range(realizations)
             )
-    assert np.array_equal(rep.displacement, want, equal_nan=True)
+            got = rep.displacement[c, m]
+            if names[c] in _TWIN_OF:
+                assert got == rep.displacement[names.index(_TWIN_OF[names[c]]), m]
+                assert abs(got - want) < 1e-11 * scale, names[c]
+            else:
+                assert got == want, names[c]
 
 
 def test_apply_onsite_disorder_shapes_and_hermiticity():
@@ -278,9 +296,9 @@ def _parent(draw):
 
 
 @st.composite
-def _disordered_system(draw):
+def _disordered_system(draw, kinds=("parent", PARALLEL, PERPENDICULAR)):
     """(model, lattice) for the parent, the chain child or the slab."""
-    kind = draw(st.sampled_from(["parent", PARALLEL, PERPENDICULAR]))
+    kind = draw(st.sampled_from(kinds))
     p1 = draw(_parent())
     if kind == "parent":
         return p1, ChainLattice(draw(st.integers(3, 12)), draw(_bc))
@@ -346,6 +364,94 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
         assert rep.robust[c, 0] == (worst < tol), channel_name(channel)
 
 
+def _dense_channel_levels(model, lat, channels, amplitude, seed):
+    """|E| of the dense child plus one shared draw V in each channel, and the clean scale."""
+    build = build_slab if isinstance(lat, SlabLattice) else build_chain
+    h = build(model, lat)
+    levels = {}
+    for c in channels:
+        hd = apply_onsite_disorder(h, DisorderSpec(c, amplitude, 1, seed), 0)
+        levels[c] = np.sort(np.abs(dense_levels(hd)))
+    return levels, max(2.0 * np.abs(dense_levels(h)).max(), 1.0)
+
+
+def test_twin_pairs_follow_from_the_symmetries():
+    def owners(channels):
+        return disorder._solve_owners([channel_matrix(c) for c in channels])
+
+    names = [channel_name(c) for c in CHILD_CHANNELS]
+    child = owners(CHILD_CHANNELS)
+    assert {names[c]: names[o] for c, o in enumerate(child) if o != c} == _TWIN_OF
+    assert len(set(child)) == 9
+    # order decides which twin solves; a parent has no t_x s_x and no twins
+    assert owners(("xx", "zz", "yy", "00")) == [0, 1, 2, 0]
+    assert owners(PARENT_CHANNELS) == [0, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=_disordered_system(kinds=(PARALLEL, PERPENDICULAR)),
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(system=(_mixed_child(), ChainLattice(7, PERIODIC)), amplitude=0.7, seed=5)
+@example(
+    system=(
+        ChildSpec(ParentParams(1.0, 0.6, 0.1), ParentParams(-1.0, 0.6, 0.1), PERPENDICULAR),
+        SlabLattice(3, 4, OPEN, PERIODIC),
+    ),
+    amplitude=0.9,
+    seed=8,
+)
+def test_twin_channels_share_dense_spectra(system, amplitude, seed):
+    model, lat = system
+    levels, scale = _dense_channel_levels(
+        model, lat, list(_TWIN_OF) + list(_TWIN_OF.values()), amplitude, seed
+    )
+    for channel, twin in _TWIN_OF.items():
+        assert np.abs(levels[channel] - levels[twin]).max() < 1e-11 * scale, (channel, twin)
+
+
+def test_yy_and_zz_are_not_twins():
+    # both are real and anticommute with both chiral operators: no argument pairs them
+    model = ChildSpec(ParentParams(1.0, 0.7, 0.3), ParentParams(-0.8, 1.1, 0.5), PARALLEL)
+    levels, scale = _dense_channel_levels(model, ChainLattice(8), ["yy", "zz"], 0.5, 3)
+    assert np.abs(levels["yy"] - levels["zz"]).max() > 1e-2 * scale
+    assert disorder._solve_owners([channel_matrix("yy"), channel_matrix("zz")]) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "model, lat, channels, per_point",
+    [
+        (_mixed_child(), ChainLattice(8), None, 9),
+        (
+            ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
+            SlabLattice(3, 4),
+            None,
+            9,
+        ),
+        (_dead_parent(), ChainLattice(8), None, 3),
+        (_mixed_child(), ChainLattice(8), ["xx"], 1),
+    ],
+    ids=["child-chain", "child-slab", "parent", "one-channel"],
+)
+def test_sweep_solves_each_twin_class_once(monkeypatch, model, lat, channels, per_point):
+    calls = []
+    channel = BlockSolver.channel
+
+    def counted(self, mat):
+        solve = channel(self, mat)
+        return lambda v: calls.append(1) or solve(v)
+
+    monkeypatch.setattr(BlockSolver, "channel", counted)
+    rep = robustness_sweep(
+        model, lat, amplitude=0.2, channels=channels, realizations=2, seed=4, mu_values=[0.0, 0.1]
+    )
+    solved = np.count_nonzero(rep.zero_counts)
+    assert solved > 0
+    assert len(calls) == per_point * 2 * solved
+
+
 @settings(max_examples=40, deadline=None)
 @given(system=_disordered_system())
 def test_frame_split_partitions_columns_and_keeps_every_entry(system):
@@ -397,3 +503,15 @@ def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
     monkeypatch.setattr(disorder, "chain_hopping_blocks", lambda _: blocks)
     with pytest.raises(SymmetryError, match="t_x s_x"):
         BlockSolver(_mixed_child(), lat).channel(channel_matrix("00"))
+
+
+def test_twins_share_a_solve_only_while_the_clean_child_keeps_its_symmetries(monkeypatch):
+    # t_0 s_z keeps t_0 s_x chirality, which is all that the real xz solve needs,
+    # but breaks t_x s_x and t_x s_0, on which its twin 0y relies
+    blocks = chain_hopping_blocks(_mixed_child())
+    blocks[0] = blocks[0] + 0.3 * np.kron(PAULI["0"], SZ)
+    monkeypatch.setattr(disorder, "chain_hopping_blocks", lambda _: blocks)
+    lat = ChainLattice(8)
+    robustness_sweep(_mixed_child(), lat, channels=["xz"], realizations=1)
+    with pytest.raises(SymmetryError, match="t_x s_x"):
+        robustness_sweep(_mixed_child(), lat, channels=["xz", "0y"], realizations=1)

@@ -19,7 +19,8 @@ from dense_reference import (
     zero_basis,
 )
 from mkc import lattice
-from mkc.boundary import mkc_parallel_majorana_points
+from mkc.boundary import classify_zero_modes, mkc_parallel_majorana_points
+from mkc.disorder import robustness_sweep
 from mkc.errors import ConfigError, NonHermitianError, SymmetryError
 from mkc.lattice import (
     LINK_EQUAL,
@@ -462,3 +463,20 @@ def test_zero_mode_density_slab_shape():
     dens = zero_subspace(spec, lat, tol=1e-8)
     assert dens.weights.shape == (4, 5)
     assert dens.weights.sum() == pytest.approx(dens.count, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_non_positive_zero_tolerance_raises(tol):
+    # no |E| lies below zero, so such a tolerance would silently count no zero modes
+    child = ChildSpec(ParentParams(1, 1, 0), ParentParams(1, 1, 0), PARALLEL)
+    assert zero_subspace(child, ChainLattice(12)).count == 4
+    with pytest.raises(ConfigError, match="zero tolerance"):
+        _zero_tol(1.0, tol, 1e-6)
+    with pytest.raises(ConfigError, match="zero tolerance"):
+        zero_subspace(child, ChainLattice(12), tol=tol)
+    with pytest.raises(ConfigError, match="zero tolerance"):
+        zero_subspace(replace(child, orientation=PERPENDICULAR), SlabLattice(4, 5), tol=tol)
+    with pytest.raises(ConfigError, match="zero tolerance"):
+        classify_zero_modes(child, ChainLattice(12), zero_tol=tol)
+    with pytest.raises(ConfigError, match="zero tolerance"):
+        robustness_sweep(child, ChainLattice(12), channels=["xx"], realizations=1, zero_tol=tol)
