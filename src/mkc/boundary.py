@@ -135,9 +135,6 @@ class MajoranaPointSet:
     degeneracies: tuple
     provenance: tuple
 
-    def __len__(self):
-        return len(self.mu_values)
-
 
 def _point_set(entries):
     entries = sorted(entries, key=lambda e: e[0])

@@ -20,7 +20,11 @@ t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
 matrix in the smallest real blocks that lattice._FrameBlocks.split picks
 for the channel matrix, assembled from the clean model's checked and
 rotated hopping blocks plus the site potentials; the full disordered
-matrix is never built.
+matrix is never built.  Each block is solved once per site class of
+_FrameBlocks.site_classes, since site-diagonal disorder joins no two
+classes: the parallel child at mu1 = mu2 = 0 hops only by 0 and +-2, so
+on an open chain or an even ring its even and odd sites are two chains of
+about L/2 sites, and every block is solved as two of half the size.
 
 The same symmetries make channels come in twins with one |E| spectrum:
 the twin of a child channel P is the Pauli pair proportional to t_x s_x P
@@ -168,7 +172,8 @@ class BlockSolver:
     rotated by lattice._FrameBlocks.  For a channel matrix P the solver
     puts a phase i on the t_x s_x = -1 columns when that makes P real (the
     antiunitary t_x s_x K then keeps the whole matrix real), and solves
-    the blocks that _FrameBlocks.split picks for P.
+    the blocks that _FrameBlocks.split picks for P, each restricted to one
+    site class of _FrameBlocks.site_classes at a time.
     """
 
     def __init__(self, spec, lat):
@@ -179,6 +184,7 @@ class BlockSolver:
         self.sites = _site_count(lat)
         self._blocks = _FrameBlocks(blocks)
         self._lat = lat
+        self._classes = self._blocks.site_classes(lat)
 
     def channel(self, mat):
         """The solve for channel matrix mat: site potentials -> ascending |E|."""
@@ -197,14 +203,16 @@ class BlockSolver:
         for rows, cols, corner in fb.split(p):
             clean = fb.assemble(rows, cols, self._lat)
             clean = clean.reshape(self.sites, rows.sum(), self.sites, -1)
-            blocks.append((clean, p[np.ix_(rows, cols)], corner))
-        diag = np.arange(self.sites)
+            pb = p[np.ix_(rows, cols)]
+            for sites in self._classes:
+                blocks.append((sites, clean[sites][:, :, sites], pb, corner))
 
         def solve(v):
             out = []
-            for clean, pb, corner in blocks:
+            for sites, clean, pb, corner in blocks:
                 a = clean.astype(np.result_type(clean, pb))
-                a[diag, :, diag, :] += v[:, None, None] * pb
+                diag = np.arange(sites.size)
+                a[diag, :, diag, :] += v[sites, None, None] * pb
                 a = a.reshape(a.shape[0] * a.shape[1], -1)
                 if corner:
                     sv = np.linalg.svd(a, compute_uv=False)

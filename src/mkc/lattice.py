@@ -10,18 +10,21 @@ No solver here builds the full chain or slab matrix.  Every clean model is
 real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
 the only way a clean model reaches a solver; its split() picks the solver
-blocks of clean and disordered models alike.  In that frame a chain splits
-into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
-spectrum and eigenvectors come from the SVD of the real L x L corners A; a
-periodic corner is circulant, and its levels are the moduli of its symbol
-at the momenta 2 pi n / L.  Chemical potential enters the corners as one
-quadratic pencil, which sweeps evaluate instead of rebuilding the chain.
-A slab is the tensor product of two parent chains and is solved as those
-two chains.
+blocks of clean and disordered models alike, and its site_classes() the
+sets of sites that no hopping joins (the even and odd sites of the child
+at mu1 = mu2 = 0, which hops only by 0 and +-2).  In that frame a chain
+splits into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]],
+so its spectrum and eigenvectors come from the SVD of the real L x L
+corners A; a periodic corner is circulant, and its levels are the moduli
+of its symbol at the momenta 2 pi n / L.  Chemical potential enters the
+corners as one quadratic pencil, which sweeps evaluate instead of
+rebuilding the chain.  A slab is the tensor product of two parent chains
+and is solved as those two chains.
 """
 
 import numpy as np
 from dataclasses import dataclass, replace
+from math import gcd
 
 from .errors import ConfigError, NonHermitianError, SymmetryError
 from .models import (
@@ -208,7 +211,8 @@ class _FrameBlocks:
     symmetry on the rotated blocks.  Both checks allow SYMMETRY_TOL x
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
-    blocks every solver works on.
+    blocks every solver works on; site_classes() the sites that disorder
+    solves may take apart.
     """
 
     def __init__(self, blocks):
@@ -265,6 +269,25 @@ class _FrameBlocks:
                     break
             out.append((rows, cols, corner))
         return out
+
+    def site_classes(self, lat):
+        """Index arrays of the sites that no hopping joins across: the classes mod g.
+
+        g is the gcd of the displacements whose rotated block has an entry
+        != 0, and of L on a ring; sites j and j + r share a class exactly
+        when g divides r.  Zero blocks are decided exactly, so the classes
+        discard no coupling: the child at mu1 = mu2 = 0 hops only by 0 and
+        +-2 (_product_blocks), and its even and odd sites come apart.  A
+        slab is one class.
+        """
+        if isinstance(lat, SlabLattice):
+            return [np.arange(lat.Lx * lat.Ly)]
+        g = lat.L if lat.bc == PERIODIC else 0
+        for r, blk in self.rotated.items():
+            if np.any(blk != 0):
+                g = gcd(g, r)
+        g = min(g or lat.L, lat.L)
+        return [np.arange(c, lat.L, g) for c in range(g)]
 
     def assemble(self, rows, cols, lat):
         """The lattice matrix of the rotated blocks restricted to frame rows x cols."""

@@ -181,11 +181,6 @@ class SymmetryReport:
     """Max operator-norm residual of each symmetry relation over a k-grid."""
 
     residuals: dict
-    tol: float = 1e-12
-
-    @property
-    def ok(self):
-        return {name: r < self.tol for name, r in self.residuals.items()}
 
 
 def _opnorm(a):

@@ -1,5 +1,8 @@
 """Seeded disorder channels and zero-mode robustness verdicts."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -297,13 +300,24 @@ def _parent(draw):
 
 @st.composite
 def _disordered_system(draw, kinds=("parent", PARALLEL, PERPENDICULAR)):
-    """(model, lattice) for the parent, the chain child or the slab."""
+    """(model, lattice) for the parent, the chain child or the slab.
+
+    About half the draws put every chemical potential at exactly 0, where
+    the chain child hops only by 0 and +-2 and its disorder solves split
+    into even and odd sites (unless the ring is odd).
+    """
     kind = draw(st.sampled_from(kinds))
-    p1 = draw(_parent())
+    zero_mu = draw(st.booleans())
+
+    def parent():
+        p = draw(_parent())
+        return replace(p, mu=0.0) if zero_mu else p
+
+    p1 = parent()
     if kind == "parent":
         return p1, ChainLattice(draw(st.integers(3, 12)), draw(_bc))
     if draw(st.booleans()):
-        p2 = draw(_parent())
+        p2 = parent()
     else:
         # the sign-mixed class: t2 = -t1 with the rest shared
         p2 = ParentParams(-p1.t, p1.delta, p1.mu)
@@ -313,12 +327,25 @@ def _disordered_system(draw, kinds=("parent", PARALLEL, PERPENDICULAR)):
     return spec, SlabLattice(draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(_bc), draw(_bc))
 
 
+def _zero_mu_child():
+    return ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PARALLEL)
+
+
+def _with_zero_mu_examples(test):
+    """The mu = 0 child with its sites split 2 + 1, 4 + 4 and not at all (odd ring)."""
+    for lat in (ChainLattice(3), ChainLattice(8, PERIODIC), ChainLattice(7, PERIODIC)):
+        test = example(system=(_zero_mu_child(), lat), amplitude=0.6, seed=9)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     system=_disordered_system(),
     amplitude=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**31 - 1),
 )
+@_with_zero_mu_examples
+@example(system=(_dead_parent(), ChainLattice(5)), amplitude=0.6, seed=9)
 def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     model, lat = system
     if isinstance(lat, SlabLattice):
@@ -395,6 +422,7 @@ def test_twin_pairs_follow_from_the_symmetries():
     seed=st.integers(0, 2**31 - 1),
 )
 @example(system=(_mixed_child(), ChainLattice(7, PERIODIC)), amplitude=0.7, seed=5)
+@_with_zero_mu_examples
 @example(
     system=(
         ChildSpec(ParentParams(1.0, 0.6, 0.1), ParentParams(-1.0, 0.6, 0.1), PERPENDICULAR),
@@ -492,6 +520,68 @@ def test_frame_split_partitions_columns_and_keeps_every_entry(system):
     for rows, cols, _ in parts:
         assert np.all(fb.q[rows | cols] == fb.q[rows][0])
         assert np.all(s[rows] > 0) and np.all(s[cols] < 0), name
+
+
+@pytest.mark.parametrize(
+    "model, lat, sizes",
+    [
+        (_dead_parent(), ChainLattice(7), [7]),
+        (ParentParams(1.0, 0.7, 0.3), ChainLattice(8, PERIODIC), [8]),
+        (ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.4), PARALLEL),
+         ChainLattice(8), [8]),
+        (_zero_mu_child(), ChainLattice(3), [2, 1]),
+        (_zero_mu_child(), ChainLattice(9), [5, 4]),
+        (_zero_mu_child(), ChainLattice(8, PERIODIC), [4, 4]),
+        (_zero_mu_child(), ChainLattice(7, PERIODIC), [7]),
+        (
+            ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
+            SlabLattice(3, 4),
+            [12],
+        ),
+    ],
+    ids=["parent", "parent-ring", "child-mu", "child-3", "child-9", "ring-8", "ring-7", "slab"],
+)
+def test_site_classes_split_the_clean_matrix_exactly(model, lat, sizes):
+    if isinstance(lat, SlabLattice):
+        fb, n_sites = _FrameBlocks(slab_hopping_blocks(model)), lat.Lx * lat.Ly
+    else:
+        fb, n_sites = _FrameBlocks(chain_hopping_blocks(model)), lat.L
+    classes = fb.site_classes(lat)
+    assert [c.size for c in classes] == sizes
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n_sites))
+    everything = np.ones(fb.q.size, dtype=bool)
+    clean = fb.assemble(everything, everything, lat).reshape(n_sites, fb.q.size, n_sites, -1)
+    for i, a in enumerate(classes):
+        for b in classes[i + 1 :]:
+            assert not clean[np.ix_(a, everything, b, everything)].any()
+
+
+def test_canonical_child_solves_halved_blocks(monkeypatch):
+    # t = Delta = 1 and mu = 0 on 80 open sites: every disorder block splits into even and odd sites
+    child = ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 0.0), PARALLEL)
+    lat = ChainLattice(80)
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, a.dtype.kind, max(a.shape[-2:])))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(realizations):
+        calls.clear()
+        robustness_sweep(child, lat, amplitude=0.2, realizations=realizations, seed=4)
+        assert max(dim for _, _, dim in calls) <= 80
+        return Counter(calls)
+
+    assert count(2) - count(1) == {
+        ("eigvalsh", "f", 80): 8,
+        ("svd", "f", 80): 8,
+        ("svd", "f", 40): 8,
+        ("svd", "c", 40): 4,
+    }
 
 
 def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
