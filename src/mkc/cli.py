@@ -8,6 +8,7 @@ byte-identical.
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -89,7 +90,9 @@ def _open_sink(path):
         raise ConfigError(f"cannot open output {path!r}: {exc}")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: main may run many times."""
     parser = argparse.ArgumentParser(
         prog="mkc",
         description="Kitaev-chain and product-chain numerical tasks",

@@ -20,11 +20,13 @@ t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
 matrix in the smallest real blocks that lattice._FrameBlocks.split picks
 for the channel matrix, assembled from the clean model's checked and
 rotated hopping blocks plus the site potentials; the full disordered
-matrix is never built.  Each block is solved once per site class of
-_FrameBlocks.site_classes, since site-diagonal disorder joins no two
-classes: the parallel child at mu1 = mu2 = 0 hops only by 0 and +-2, so
-on an open chain or an even ring its even and odd sites are two chains of
-about L/2 sites, and every block is solved as two of half the size.
+matrix is never built.  Each block is cut into the site classes that
+_FrameBlocks.site_classes finds for it, since site-diagonal disorder joins
+no two classes, and the classes of one size are solved in one stacked
+LAPACK call.  The parallel child at mu1 = mu2 = 0 hops only by 0 and
++-2, so on an open chain or an even ring its even and odd sites are two
+chains of about L/2 sites; when also |t| = |Delta| in both parents, one
+t_x s_x sector hops not at all and is solved site by site.
 
 The same symmetries make channels come in twins with one |E| spectrum:
 the twin of a child channel P is the Pauli pair proportional to t_x s_x P
@@ -35,6 +37,7 @@ displacement.  yy and zz stay apart: both are real and anticommute with
 both chiral operators, and their spectra differ.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -172,8 +175,10 @@ class BlockSolver:
     rotated by lattice._FrameBlocks.  For a channel matrix P the solver
     puts a phase i on the t_x s_x = -1 columns when that makes P real (the
     antiunitary t_x s_x K then keeps the whole matrix real), and solves
-    the blocks that _FrameBlocks.split picks for P, each restricted to one
-    site class of _FrameBlocks.site_classes at a time.
+    the blocks that _FrameBlocks.split picks for P.  Each block is cut
+    into the site classes that _FrameBlocks.site_classes finds for its
+    rows x cols, and each group of equal-size classes takes one stacked
+    svd or eigvalsh call per realization.
     """
 
     def __init__(self, spec, lat):
@@ -184,7 +189,27 @@ class BlockSolver:
         self.sites = _site_count(lat)
         self._blocks = _FrameBlocks(blocks)
         self._lat = lat
-        self._classes = self._blocks.site_classes(lat)
+        self._parts = {}
+
+    def _part(self, rows, cols):
+        """[(sites, clean)] of the clean part rows x cols, one per class group.
+
+        sites is a (k, n) group of site classes (_FrameBlocks.site_classes)
+        and clean its k blocks, shape (k, n, rows, n, cols).  Parts recur
+        across channels, so each is assembled once per solver.
+        """
+        key = (rows.tobytes(), cols.tobytes())
+        if key not in self._parts:
+            fb = self._blocks
+            clean = fb.assemble(rows, cols, self._lat)
+            # site indices first: clean[i, j] is the rows x cols block of sites i, j
+            clean = clean.reshape(self.sites, rows.sum(), self.sites, -1).transpose(0, 2, 1, 3)
+            groups = []
+            for sites in fb.site_classes(self._lat, rows, cols):
+                stack = clean[sites[:, :, None], sites[:, None, :]]  # (k, n, n, rows, cols)
+                groups.append((sites, np.ascontiguousarray(stack.transpose(0, 1, 3, 2, 4))))
+            self._parts[key] = groups
+        return self._parts[key]
 
     def channel(self, mat):
         """The solve for channel matrix mat: site potentials -> ascending |E|."""
@@ -201,31 +226,31 @@ class BlockSolver:
             p = p.real
         blocks = []
         for rows, cols, corner in fb.split(p):
-            clean = fb.assemble(rows, cols, self._lat)
-            clean = clean.reshape(self.sites, rows.sum(), self.sites, -1)
             pb = p[np.ix_(rows, cols)]
-            for sites in self._classes:
-                blocks.append((sites, clean[sites][:, :, sites], pb, corner))
+            for sites, clean in self._part(rows, cols):
+                blocks.append((sites, clean, pb, corner))
 
         def solve(v):
             out = []
             for sites, clean, pb, corner in blocks:
                 a = clean.astype(np.result_type(clean, pb))
-                diag = np.arange(sites.size)
-                a[diag, :, diag, :] += v[sites, None, None] * pb
-                a = a.reshape(a.shape[0] * a.shape[1], -1)
+                k, n, r, _, c = a.shape
+                diag = np.arange(n)
+                a[:, diag, :, diag, :] += v[sites].T[:, :, None, None] * pb
+                a = a.reshape(k, n * r, n * c)
                 if corner:
-                    sv = np.linalg.svd(a, compute_uv=False)
+                    sv = np.linalg.svd(a, compute_uv=False).ravel()
                     out += [sv, sv]
                 else:
-                    out.append(np.abs(np.linalg.eigvalsh(a)))
+                    out.append(np.abs(np.linalg.eigvalsh(a)).ravel())
             return np.sort(np.concatenate(out))
 
         return solve
 
 
-def _solve_owners(mats):
-    """For each channel matrix, the index of the channel whose solve it reads.
+@functools.lru_cache(maxsize=16)
+def _solve_owners(channels):
+    """For each channel of the tuple, the index of the channel whose solve it reads.
 
     That is its own index, or the first earlier one with the same |E|
     spectrum for every clean child H0 and real site potential V.  H0 is
@@ -245,7 +270,8 @@ def _solve_owners(mats):
 
     None applies to a real P that anticommutes with both chiral operators
     (yy and zz), and those spectra differ.  A parent has no X: every
-    2x2 channel owns its solve.
+    2x2 channel owns its solve.  Sweeps over one channel tuple share the
+    answer, which is cached.
     """
 
     def commutes(a, b):
@@ -261,10 +287,11 @@ def _solve_owners(mats):
             or _negligible(p.real)
         )
 
+    mats = [channel_matrix(channel) for channel in channels]
     owners = []
     for c, q in enumerate(mats):
         owners.append(next((o for o in owners if twins(mats[o], q)), c))
-    return owners
+    return tuple(owners)
 
 
 @dataclass
@@ -349,7 +376,7 @@ def robustness_sweep(
         mu_values = list(np.asarray(mu_values, dtype=float))
         mu_out = np.asarray(mu_values, dtype=float)
 
-    owners = _solve_owners(mats)
+    owners = _solve_owners(channels)
     potentials = _philox_uniform(seed, amplitude, range(realizations), _site_count(lat))
     displacement = np.full((len(channels), len(mu_values)), np.nan)
     threshold = np.full(len(mu_values), np.nan)
@@ -365,7 +392,7 @@ def robustness_sweep(
         if n_zero == 0:
             continue
         solver = BlockSolver(spec, lat)
-        if owners != list(range(len(channels))):
+        if owners != tuple(range(len(channels))):
             # twins share a solve only while the clean model keeps all three symmetries
             fb = solver._blocks
             fb.require("t_x s_x", fb.q[:, None] == fb.q[None, :])

@@ -11,15 +11,15 @@ real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
 the only way a clean model reaches a solver; its split() picks the solver
 blocks of clean and disordered models alike, and its site_classes() the
-sets of sites that no hopping joins (the even and odd sites of the child
-at mu1 = mu2 = 0, which hops only by 0 and +-2).  In that frame a chain
-splits into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]],
-so its spectrum and eigenvectors come from the SVD of the real L x L
-corners A; a periodic corner is circulant, and its levels are the moduli
-of its symbol at the momenta 2 pi n / L.  Chemical potential enters the
-corners as one quadratic pencil, which sweeps evaluate instead of
-rebuilding the chain.  A slab is the tensor product of two parent chains
-and is solved as those two chains.
+sets of sites that no hopping of one such block joins (the even and odd
+sites of the child at mu1 = mu2 = 0, which hops only by 0 and +-2).  In
+that frame a chain splits into one (parent) or two (child) chiral blocks
+[[0, A], [A^T, 0]], so its spectrum and eigenvectors come from the SVD of
+the real L x L corners A; a periodic corner is circulant, and its levels
+are the moduli of its symbol at the momenta 2 pi n / L.  Chemical
+potential enters the corners as one quadratic pencil, which sweeps
+evaluate instead of rebuilding the chain.  A slab is the tensor product
+of two parent chains and is solved as those two chains.
 """
 
 import numpy as np
@@ -212,7 +212,7 @@ class _FrameBlocks:
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
     blocks every solver works on; site_classes() the sites that disorder
-    solves may take apart.
+    solves may take apart in one of those blocks.
     """
 
     def __init__(self, blocks):
@@ -270,24 +270,33 @@ class _FrameBlocks:
             out.append((rows, cols, corner))
         return out
 
-    def site_classes(self, lat):
-        """Index arrays of the sites that no hopping joins across: the classes mod g.
+    def site_classes(self, lat, rows, cols):
+        """Site classes that no hopping of the part rows x cols joins: the classes mod g.
 
-        g is the gcd of the displacements whose rotated block has an entry
-        != 0, and of L on a ring; sites j and j + r share a class exactly
-        when g divides r.  Zero blocks are decided exactly, so the classes
-        discard no coupling: the child at mu1 = mu2 = 0 hops only by 0 and
-        +-2 (_product_blocks), and its even and odd sites come apart.  A
-        slab is one class.
+        g is the gcd of the displacements whose rotated block, restricted to
+        frame rows x cols, has an entry != 0, and of L on a ring; sites j and
+        j + r share a class exactly when g divides r.  Zero entries are
+        decided exactly, so the classes discard no coupling.  Classes of one
+        size come as the rows of one (k, n) index array, larger size first.
+        The child at mu1 = mu2 = 0 hops only by 0 and +-2 (_product_blocks),
+        so its even and odd sites come apart; when also |t| = |Delta| in
+        both parents, the symbol of one t_x s_x sector (z1 z2 or
+        z1 conj(z2)) is constant, that sector hops not at all, and each of
+        its sites is a class of its own.  A slab is one class.
         """
         if isinstance(lat, SlabLattice):
-            return [np.arange(lat.Lx * lat.Ly)]
-        g = lat.L if lat.bc == PERIODIC else 0
+            return [np.arange(lat.Lx * lat.Ly)[None, :]]
+        L = lat.L
+        g = L if lat.bc == PERIODIC else 0
         for r, blk in self.rotated.items():
-            if np.any(blk != 0):
+            if np.any(blk[np.ix_(rows, cols)] != 0):
                 g = gcd(g, r)
-        g = min(g or lat.L, lat.L)
-        return [np.arange(c, lat.L, g) for c in range(g)]
+        g = min(g or L, L)
+        sizes = -(-(L - np.arange(g)) // g)
+        return [
+            np.flatnonzero(sizes == n)[:, None] + g * np.arange(n)
+            for n in sorted(set(sizes.tolist()), reverse=True)
+        ]
 
     def assemble(self, rows, cols, lat):
         """The lattice matrix of the rotated blocks restricted to frame rows x cols."""

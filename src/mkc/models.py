@@ -17,7 +17,6 @@ For the 1D child both factors see the same momentum (ka = kb = k); for the
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import SingularConfigError
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -257,25 +256,6 @@ BLOCK_BASIS = np.stack(
     [BELL_VECTORS["00-11"], -BELL_VECTORS["01-10"], BELL_VECTORS["00+11"], BELL_VECTORS["01+10"]],
     axis=1,
 ).astype(complex)
-
-
-def block_diagonalize(spec, k):
-    """Rotate the child into the fixed Bell-type basis and split into blocks.
-
-    Returns (block1, block2, basis); block1 acts on the subspace built from
-    the odd combinations and reproduces component 1, block2 reproduces
-    component 2.  The off-diagonal 2x2 corners vanish identically because
-    the child commutes with t_x s_x.
-    """
-    h = child_bloch(spec, k)
-    ht = BLOCK_BASIS.conj().T @ h @ BLOCK_BASIS
-    off = max(_opnorm(ht[..., :2, 2:]), _opnorm(ht[..., 2:, :2]))
-    scale = max(1.0, _opnorm(h))
-    if off > 1e-9 * scale:
-        raise SingularConfigError(
-            f"block structure violated: off-block norm {off:.3e}"
-        )
-    return ht[..., :2, :2], ht[..., 2:, 2:], BLOCK_BASIS.copy()
 
 
 # --- small-momentum expansions ---------------------------------------------

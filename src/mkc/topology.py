@@ -17,8 +17,8 @@ invariants.
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import CriticalCurveError, NumericalError, SingularConfigError
-from .models import PARALLEL, PERPENDICULAR, _closing_distance, _mr, component_dvector
+from .errors import CriticalCurveError, NumericalError
+from .models import PARALLEL, PERPENDICULAR, _closing_distance, _mr
 
 DEFAULT_LOOP_POINTS = 1001
 DEFAULT_CURVE_SAMPLES = 4096
@@ -216,30 +216,3 @@ def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
             {"m": m, "fixed": f, "w1": w, "w2": s * w} for m, f in enumerate(fixed.tolist())
         ]
     return table
-
-
-def winding_locus_check(spec, ky, samples=DEFAULT_CURVE_SAMPLES):
-    """Residual of the circular-locus identity of the first component curve.
-
-    For t1 = Delta1 the (d_y, d_z) curve at fixed ky lies on a circle of
-    radius 2 t1 rho2 centered at (0, -mu1 rho2) after rotating by the angle
-    theta with tan theta = R2/M2, where M2 = mu2 + 2 t2 cos ky and
-    R2 = 2 Delta2 sin ky, rho2 = sqrt(M2^2 + R2^2).
-    """
-    if spec.orientation != PERPENDICULAR:
-        raise ValueError("winding_locus_check needs a perpendicular child")
-    if abs(spec.p1.t - spec.p1.delta) > 1e-12:
-        raise ValueError("locus identity requires t1 = Delta1")
-    m2, r2 = _mr(spec.p2, ky)
-    rho2 = float(np.hypot(m2, r2))
-    if rho2 < 1e-12:
-        raise SingularConfigError(
-            "second-factor modulation vanishes at this ky; rotation angle undefined"
-        )
-    ct, st = m2 / rho2, r2 / rho2
-    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
-    kk = np.stack([ks, np.full_like(ks, float(ky))], axis=-1)
-    dy, dz = component_dvector(spec, kk, 1)
-    lhs = (ct * dy + st * dz) ** 2 + (ct * dz - st * dy + spec.p1.mu * rho2) ** 2
-    rhs = (2.0 * spec.p1.t * rho2) ** 2
-    return float(np.abs(lhs - rhs).max())

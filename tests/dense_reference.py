@@ -12,6 +12,9 @@ never by single eigenvectors.  The winding references sample every
 child component curve as the product it is, and the Wannier references
 run the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices,
 where mkc reads the child windings and centers from its parents.
+block_diagonalize checks the component Bloch matrices and d-vectors by
+rotating the full 4x4 child into the Bell basis, and winding_locus_check
+the circle identity of a perpendicular component curve.
 """
 
 import functools
@@ -29,7 +32,7 @@ from mkc.disorder import (
     robustness_sweep,
     site_potentials,
 )
-from mkc.errors import ConfigError, GaplessPathError, NonHermitianError
+from mkc.errors import ConfigError, GaplessPathError, NonHermitianError, SingularConfigError
 from mkc.lattice import (
     PERIODIC,
     ChainLattice,
@@ -39,8 +42,17 @@ from mkc.lattice import (
     slab_factor_blocks,
     slab_hopping_blocks,
 )
-from mkc.models import PARALLEL, PERPENDICULAR, child_bloch, component_dvector, parent_bloch
-from mkc.topology import WannierSpectrum, WindingCurve, winding_number
+from mkc.models import (
+    BLOCK_BASIS,
+    PARALLEL,
+    PERPENDICULAR,
+    _mr,
+    _opnorm,
+    child_bloch,
+    component_dvector,
+    parent_bloch,
+)
+from mkc.topology import DEFAULT_CURVE_SAMPLES, WannierSpectrum, WindingCurve, winding_number
 
 Eigenpairs = namedtuple("Eigenpairs", "eigenvalues eigenvectors")
 
@@ -255,6 +267,50 @@ def sampled_winding_perp(spec, Lx, Ly, samples):
                 rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz)).w
             table[key].append(rec)
     return table
+
+
+def block_diagonalize(spec, k):
+    """Rotate the child into the fixed Bell-type basis and split into blocks.
+
+    Returns (block1, block2, basis); block1 acts on the subspace built from
+    the odd combinations and reproduces component 1, block2 reproduces
+    component 2.  The off-diagonal 2x2 corners vanish identically because
+    the child commutes with t_x s_x; SingularConfigError if they do not.
+    """
+    h = child_bloch(spec, k)
+    ht = BLOCK_BASIS.conj().T @ h @ BLOCK_BASIS
+    off = max(_opnorm(ht[..., :2, 2:]), _opnorm(ht[..., 2:, :2]))
+    scale = max(1.0, _opnorm(h))
+    if off > 1e-9 * scale:
+        raise SingularConfigError(f"block structure violated: off-block norm {off:.3e}")
+    return ht[..., :2, :2], ht[..., 2:, 2:], BLOCK_BASIS.copy()
+
+
+def winding_locus_check(spec, ky, samples=DEFAULT_CURVE_SAMPLES):
+    """Residual of the circular-locus identity of the first component curve.
+
+    For t1 = Delta1 the (d_y, d_z) curve at fixed ky lies on a circle of
+    radius 2 t1 rho2 centered at (0, -mu1 rho2) after rotating by the angle
+    theta with tan theta = R2/M2, where M2 = mu2 + 2 t2 cos ky and
+    R2 = 2 Delta2 sin ky, rho2 = sqrt(M2^2 + R2^2).
+    """
+    if spec.orientation != PERPENDICULAR:
+        raise ValueError("winding_locus_check needs a perpendicular child")
+    if abs(spec.p1.t - spec.p1.delta) > 1e-12:
+        raise ValueError("locus identity requires t1 = Delta1")
+    m2, r2 = _mr(spec.p2, ky)
+    rho2 = float(np.hypot(m2, r2))
+    if rho2 < 1e-12:
+        raise SingularConfigError(
+            "second-factor modulation vanishes at this ky; rotation angle undefined"
+        )
+    ct, st = m2 / rho2, r2 / rho2
+    ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    kk = np.stack([ks, np.full_like(ks, float(ky))], axis=-1)
+    dy, dz = component_dvector(spec, kk, 1)
+    lhs = (ct * dy + st * dz) ** 2 + (ct * dz - st * dy + spec.p1.mu * rho2) ** 2
+    rhs = (2.0 * spec.p1.t * rho2) ** 2
+    return float(np.abs(lhs - rhs).max())
 
 
 def _occupied(h_stack, ks, gap_tol=1e-12):

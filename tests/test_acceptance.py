@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import build_chain, build_slab
+from dense_reference import block_diagonalize, build_chain, build_slab
 from mkc.boundary import (
     analytic_mmzm_density,
     classify_zero_modes,
@@ -25,7 +25,6 @@ from mkc.lattice import ChainLattice, SlabLattice, zero_subspace
 from mkc.models import (
     ChildSpec,
     ParentParams,
-    block_diagonalize,
     child_bloch,
     component_bloch,
     dispersion_parallel,

@@ -58,6 +58,11 @@ def _mixed_child():
     )
 
 
+def _canonical_child():
+    """Both parents at t = Delta = 1, mu = 0: one t_x s_x sector has no hopping at all."""
+    return ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 0.0), PARALLEL)
+
+
 def test_channel_matrices():
     assert np.array_equal(channel_matrix("z"), np.diag([1.0, -1.0]))
     xy = channel_matrix(("x", "y"))
@@ -332,9 +337,14 @@ def _zero_mu_child():
 
 
 def _with_zero_mu_examples(test):
-    """The mu = 0 child with its sites split 2 + 1, 4 + 4 and not at all (odd ring)."""
-    for lat in (ChainLattice(3), ChainLattice(8, PERIODIC), ChainLattice(7, PERIODIC)):
-        test = example(system=(_zero_mu_child(), lat), amplitude=0.6, seed=9)(test)
+    """mu = 0 children with their sites split 2 + 1, 4 + 4 and not at all (odd ring).
+
+    The canonical and the sign-mixed child (|t| = |Delta|) also have a
+    t_x s_x sector without hopping, whose sites come apart one by one.
+    """
+    for model in (_zero_mu_child(), _canonical_child(), _mixed_child()):
+        for lat in (ChainLattice(3), ChainLattice(8, PERIODIC), ChainLattice(7, PERIODIC)):
+            test = example(system=(model, lat), amplitude=0.6, seed=9)(test)
     return test
 
 
@@ -404,7 +414,7 @@ def _dense_channel_levels(model, lat, channels, amplitude, seed):
 
 def test_twin_pairs_follow_from_the_symmetries():
     def owners(channels):
-        return disorder._solve_owners([channel_matrix(c) for c in channels])
+        return list(disorder._solve_owners(tuple(channels)))
 
     names = [channel_name(c) for c in CHILD_CHANNELS]
     child = owners(CHILD_CHANNELS)
@@ -445,7 +455,7 @@ def test_yy_and_zz_are_not_twins():
     model = ChildSpec(ParentParams(1.0, 0.7, 0.3), ParentParams(-0.8, 1.1, 0.5), PARALLEL)
     levels, scale = _dense_channel_levels(model, ChainLattice(8), ["yy", "zz"], 0.5, 3)
     assert np.abs(levels["yy"] - levels["zz"]).max() > 1e-2 * scale
-    assert disorder._solve_owners([channel_matrix("yy"), channel_matrix("zz")]) == [0, 1]
+    assert disorder._solve_owners(("yy", "zz")) == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -523,64 +533,85 @@ def test_frame_split_partitions_columns_and_keeps_every_entry(system):
 
 
 @pytest.mark.parametrize(
-    "model, lat, sizes",
+    "model, lat, shapes",
     [
-        (_dead_parent(), ChainLattice(7), [7]),
-        (ParentParams(1.0, 0.7, 0.3), ChainLattice(8, PERIODIC), [8]),
+        (_dead_parent(), ChainLattice(7), [[(1, 7)]]),
+        (ParentParams(1.0, 0.7, 0.3), ChainLattice(8, PERIODIC), [[(1, 8)]]),
         (ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.4), PARALLEL),
-         ChainLattice(8), [8]),
-        (_zero_mu_child(), ChainLattice(3), [2, 1]),
-        (_zero_mu_child(), ChainLattice(9), [5, 4]),
-        (_zero_mu_child(), ChainLattice(8, PERIODIC), [4, 4]),
-        (_zero_mu_child(), ChainLattice(7, PERIODIC), [7]),
+         ChainLattice(8), [[(1, 8)]] * 2),
+        (_zero_mu_child(), ChainLattice(3), [[(1, 2), (1, 1)]] * 2),
+        (_zero_mu_child(), ChainLattice(9), [[(1, 5), (1, 4)]] * 2),
+        (_zero_mu_child(), ChainLattice(8, PERIODIC), [[(2, 4)]] * 2),
+        (_zero_mu_child(), ChainLattice(7, PERIODIC), [[(1, 7)]] * 2),
+        (_canonical_child(), ChainLattice(9), [[(1, 5), (1, 4)], [(9, 1)]]),
+        (_canonical_child(), ChainLattice(8, PERIODIC), [[(2, 4)], [(8, 1)]]),
+        (_mixed_child(), ChainLattice(9), [[(9, 1)], [(1, 5), (1, 4)]]),
         (
             ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
             SlabLattice(3, 4),
-            [12],
+            [[(1, 12)]] * 2,
         ),
     ],
-    ids=["parent", "parent-ring", "child-mu", "child-3", "child-9", "ring-8", "ring-7", "slab"],
+    ids=[
+        "parent", "parent-ring", "child-mu", "child-3", "child-9", "ring-8", "ring-7",
+        "canonical-9", "canonical-ring-8", "mixed-9", "slab",
+    ],
 )
-def test_site_classes_split_the_clean_matrix_exactly(model, lat, sizes):
+def test_site_classes_split_the_clean_matrix_exactly(model, lat, shapes):
+    # shapes: the (count, size) class groups of each clean part, by ascending t_x s_x
     if isinstance(lat, SlabLattice):
         fb, n_sites = _FrameBlocks(slab_hopping_blocks(model)), lat.Lx * lat.Ly
     else:
         fb, n_sites = _FrameBlocks(chain_hopping_blocks(model)), lat.L
-    classes = fb.site_classes(lat)
-    assert [c.size for c in classes] == sizes
-    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n_sites))
-    everything = np.ones(fb.q.size, dtype=bool)
-    clean = fb.assemble(everything, everything, lat).reshape(n_sites, fb.q.size, n_sites, -1)
-    for i, a in enumerate(classes):
-        for b in classes[i + 1 :]:
-            assert not clean[np.ix_(a, everything, b, everything)].any()
+    got = [[g.shape for g in fb.site_classes(lat, rows, cols)] for rows, cols, _ in fb.split(0)]
+    assert got == shapes
+    channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
+    for channel in channels:
+        p = fb.frame.T @ channel_matrix(channel) @ fb.frame
+        for rows, cols, _ in fb.split(p):
+            groups = fb.site_classes(lat, rows, cols)
+            assert [g.shape[1] for g in groups] == sorted({g.shape[1] for g in groups}, reverse=True)
+            label = np.full(n_sites, -1)
+            for c, sites in enumerate(row for g in groups for row in g):
+                assert np.all(label[sites] == -1)
+                label[sites] = c
+            assert np.all(label >= 0), channel_name(channel)
+            # no entry of the part, however small, joins two classes
+            part = fb.assemble(rows, cols, lat).reshape(n_sites, rows.sum(), n_sites, -1)
+            joined = part.any(axis=(1, 3)) & (label[:, None] != label[None, :])
+            assert not joined.any(), channel_name(channel)
 
 
 def test_canonical_child_solves_halved_blocks(monkeypatch):
-    # t = Delta = 1 and mu = 0 on 80 open sites: every disorder block splits into even and odd sites
-    child = ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 0.0), PARALLEL)
+    # t = Delta = 1 and mu = 0 on 80 open sites: every disorder block of the hopping sector
+    # splits into even and odd sites, and the flat sector into single sites
     lat = ChainLattice(80)
     calls = []
     for name in ("svd", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, a.dtype.kind, max(a.shape[-2:])))
+            calls.append((_name, a.dtype.kind, a.shape[:-2], max(a.shape[-2:])))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def count(realizations):
         calls.clear()
-        robustness_sweep(child, lat, amplitude=0.2, realizations=realizations, seed=4)
-        assert max(dim for _, _, dim in calls) <= 80
+        robustness_sweep(_canonical_child(), lat, amplitude=0.2, realizations=realizations, seed=4)
+        assert max(dim for _, _, _, dim in calls) <= 80
+        assert max(dim for _, _, stack, dim in calls if stack == (80,)) <= 2
         return Counter(calls)
 
+    # one stacked call per class group of each part a realization solves
     assert count(2) - count(1) == {
-        ("eigvalsh", "f", 80): 8,
-        ("svd", "f", 80): 8,
-        ("svd", "f", 40): 8,
-        ("svd", "c", 40): 4,
+        ("eigvalsh", "f", (2,), 80): 2,
+        ("eigvalsh", "f", (80,), 2): 2,
+        ("svd", "f", (2,), 80): 4,
+        ("svd", "f", (2,), 40): 2,
+        ("svd", "f", (80,), 1): 2,
+        ("svd", "c", (2,), 40): 1,
+        ("svd", "c", (80,), 1): 1,
     }
 
 

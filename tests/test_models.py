@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import block_diagonalize
 from test_lattice import _parent
 from mkc.models import (
     PARALLEL,
@@ -12,7 +13,6 @@ from mkc.models import (
     BLOCK_BASIS,
     ChildSpec,
     ParentParams,
-    block_diagonalize,
     child_bloch,
     component_bloch,
     component_dvector,

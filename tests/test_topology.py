@@ -11,6 +11,7 @@ from dense_reference import (
     dense_wannier_perp,
     sampled_winding_parallel,
     sampled_winding_perp,
+    winding_locus_check,
 )
 from mkc.errors import CriticalCurveError, GaplessPathError, NumericalError
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _mr
@@ -23,7 +24,6 @@ from mkc.topology import (
     wannier_center_parent,
     wannier_centers_parallel,
     wannier_centers_perp,
-    winding_locus_check,
     winding_number,
 )
 
