@@ -207,28 +207,6 @@ def mkc_parallel_majorana_points(t, delta, L):
 # standing-wave quantization
 
 
-def _standing_wave_ratio(R1, R2, theta, N):
-    den = R1 * R1 + R2 * R2 - 2.0 * R1 * R2 * np.cos(2.0 * theta)
-    if abs(den) < 1e-14:
-        raise SingularConfigError(f"standing-wave denominator vanishes at theta={theta!r}")
-    num = R1 ** (2 * (N + 2)) + R2 ** (2 * (N + 2)) - 2.0 * (R1 * R2) ** (N + 2) * np.cos(
-        2.0 * (N + 2) * theta
-    )
-    return num / den
-
-
-def quantization_residual(R1, R2, theta1, theta2, N):
-    """Mismatch of the two closed standing-wave ratios; zero at exact points.
-
-    The two ratios are evaluated at the half-sum and half-difference of the
-    branch angles; equality is the condition for a zero-energy standing wave
-    on N sites with next-nearest-neighbour boundary conditions.
-    """
-    plus = _standing_wave_ratio(R1, R2, 0.5 * (theta1 + theta2), N)
-    minus = _standing_wave_ratio(R1, R2, 0.5 * (theta1 - theta2), N)
-    return plus - minus
-
-
 def quantization_points(p1, p2, N, mu_range=None):
     """Exact-zero potentials of the shared-mu product chain in the oscillatory window.
 
@@ -237,8 +215,8 @@ def quantization_points(p1, p2, N, mu_range=None):
     roots of its chiral-corner pencil, lattice.exact_zero_potentials.  Only
     roots strictly inside the window |mu| < 2 sqrt(t^2 - Delta^2) of both
     parents are returned, clipped further to mu_range when given: there the
-    decay roots oscillate and the standing-wave condition
-    quantization_residual is defined.  Exact zeros outside it (mu = +-1.9781
+    decay roots oscillate and the paper's standing-wave condition is
+    defined.  Exact zeros outside it (mu = +-1.9781
     for the sign-mixed child t = 1, Delta = 0.5 at N = 31) are left out.  At
     small |Delta / t| the window also holds exact zeros that the condition
     does not generate; they are returned too.

@@ -210,20 +210,17 @@ class RunConfig:
     output_format: str
     threads: int
 
-    def echo(self, include_execution=False):
+    def echo(self):
         """Effective key = value map per section, suitable for re-parsing.
 
-        The default view covers only the keys that determine the numbers
-        (model, lattice, task options); thread count and output routing are
-        execution detail and must not alter emitted bytes, so they join
-        only when include_execution is set.
+        It covers only the keys that determine the numbers (model, lattice,
+        task options); thread count and output routing are execution detail
+        and must not alter emitted bytes, so they are left out.
         """
         model = {"kind": self.kind, **{
             k: _format_value(v) for k, v in self._model_values().items()
         }}
         task = {"name": self.task}
-        if include_execution:
-            task["threads"] = _format_value(self.threads)
         task.update({k: _format_value(v) for k, v in sorted(self.options.items())})
         out = {"model": model}
         if self.lattice_values:
@@ -231,8 +228,6 @@ class RunConfig:
                 k: _format_value(v) for k, v in sorted(self.lattice_values.items())
             }
         out["task"] = task
-        if include_execution:
-            out["output"] = {"path": self.output_path, "format": self.output_format}
         return out
 
     def _model_values(self):
@@ -376,13 +371,3 @@ def parse_config(text, cli_task=None, cli_threads=None):
         threads=threads,
     )
 
-
-def serialize_config(cfg):
-    """Canonical text for a RunConfig; parse_config round-trips it."""
-    lines = []
-    for section, values in cfg.echo(include_execution=True).items():
-        lines.append(f"[{section}]")
-        for key, value in values.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

@@ -20,13 +20,17 @@ t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
 matrix in the smallest real blocks that lattice._FrameBlocks.split picks
 for the channel matrix, assembled from the clean model's checked and
 rotated hopping blocks plus the site potentials; the full disordered
-matrix is never built.  Each block is cut into the site classes that
-_FrameBlocks.site_classes finds for it, since site-diagonal disorder joins
-no two classes, and the classes of one size are solved in one stacked
-LAPACK call.  The parallel child at mu1 = mu2 = 0 hops only by 0 and
-+-2, so on an open chain or an even ring its even and odd sites are two
-chains of about L/2 sites; when also |t| = |Delta| in both parents, one
-t_x s_x sector hops not at all and is solved site by site.
+matrix is never built.  Each block is cut into the classes of
+(site, frame column) nodes that _FrameBlocks.node_classes finds for it
+and the channel, which neither the clean block nor the site term joins,
+and the classes of one size are solved in one stacked LAPACK call.  The
+parallel child at mu1 = mu2 = 0 hops only by 0 and +-2, so on an open
+chain or an even ring its even and odd sites are two chains of about L/2
+sites.  At Kitaev's dead point, |t| = |Delta| in both parents as well,
+one t_x s_x sector hops not at all and is solved site by site, and the
+other pairs each node with one two sites away, so a channel that keeps
+that sector's columns apart (00, 0x and their twins) solves it as 2x2
+dimers and 1x1 end nodes.
 
 The same symmetries make channels come in twins with one |E| spectrum:
 the twin of a child channel P is the Pauli pair proportional to t_x s_x P
@@ -50,6 +54,7 @@ from .lattice import (
     SlabLattice,
     _FrameBlocks,
     _negligible,
+    _support,
     _with_mu,
     _zero_tol,
     chain_hopping_blocks,
@@ -176,9 +181,10 @@ class BlockSolver:
     puts a phase i on the t_x s_x = -1 columns when that makes P real (the
     antiunitary t_x s_x K then keeps the whole matrix real), and solves
     the blocks that _FrameBlocks.split picks for P.  Each block is cut
-    into the site classes that _FrameBlocks.site_classes finds for its
-    rows x cols, and each group of equal-size classes takes one stacked
-    svd or eigvalsh call per realization.
+    into the node classes that _FrameBlocks.node_classes finds for its
+    rows x cols and the support of P there, and each group of equal-size
+    classes takes one stacked svd or eigvalsh call per realization.  The
+    site term adds only P's entries that do not round to zero (_support).
     """
 
     def __init__(self, spec, lat):
@@ -191,23 +197,34 @@ class BlockSolver:
         self._lat = lat
         self._parts = {}
 
-    def _part(self, rows, cols):
-        """[(sites, clean)] of the clean part rows x cols, one per class group.
+    def _part(self, rows, cols, joins):
+        """[(clean, idx, site, entry)] of the clean part rows x cols, one per class group.
 
-        sites is a (k, n) group of site classes (_FrameBlocks.site_classes)
-        and clean its k blocks, shape (k, n, rows, n, cols).  Parts recur
-        across channels, so each is assembled once per solver.
+        clean, shape (k, n, n), stacks the part's node classes of size n
+        (_FrameBlocks.node_classes) for the site term support joins; the
+        site term adds v[site] times its entry-th nonzero (in the order of
+        np.nonzero(joins)) at the flat indices idx of that stack.  Parts
+        recur across channels, so each is built once per solver.
         """
-        key = (rows.tobytes(), cols.tobytes())
+        key = (rows.tobytes(), cols.tobytes(), joins.tobytes())
         if key not in self._parts:
             fb = self._blocks
             clean = fb.assemble(rows, cols, self._lat)
-            # site indices first: clean[i, j] is the rows x cols block of sites i, j
-            clean = clean.reshape(self.sites, rows.sum(), self.sites, -1).transpose(0, 2, 1, 3)
+            nr, nc = clean.shape[0] // self.sites, clean.shape[1] // self.sites
+            a, b = np.nonzero(joins)
+            site = np.repeat(np.arange(self.sites), a.size)
+            entry = np.tile(np.arange(a.size), self.sites)
+            row, col = site * nr + a[entry], site * nc + b[entry]
             groups = []
-            for sites in fb.site_classes(self._lat, rows, cols):
-                stack = clean[sites[:, :, None], sites[:, None, :]]  # (k, n, n, rows, cols)
-                groups.append((sites, np.ascontiguousarray(stack.transpose(0, 1, 3, 2, 4))))
+            for ri, ci in fb.node_classes(self._lat, rows, cols, joins):
+                n = ri.shape[1]
+                at_r, at_c = np.full(clean.shape[0], -1), np.zeros(clean.shape[1], dtype=np.intp)
+                at_r[ri.ravel()] = np.arange(ri.size)
+                at_c[ci.ravel()] = np.arange(ci.size)
+                # a site term entry joins a row and a column node of one class
+                hit = at_r[row] >= 0
+                idx = at_r[row[hit]] * n + at_c[col[hit]] % n
+                groups.append((clean[ri[:, :, None], ci[:, None, :]], idx, site[hit], entry[hit]))
             self._parts[key] = groups
         return self._parts[key]
 
@@ -227,17 +244,15 @@ class BlockSolver:
         blocks = []
         for rows, cols, corner in fb.split(p):
             pb = p[np.ix_(rows, cols)]
-            for sites, clean in self._part(rows, cols):
-                blocks.append((sites, clean, pb, corner))
+            joins = _support(pb)
+            for clean, idx, site, entry in self._part(rows, cols, joins):
+                blocks.append((clean, idx, site, pb[joins][entry], corner))
 
         def solve(v):
             out = []
-            for sites, clean, pb, corner in blocks:
-                a = clean.astype(np.result_type(clean, pb))
-                k, n, r, _, c = a.shape
-                diag = np.arange(n)
-                a[:, diag, :, diag, :] += v[sites].T[:, :, None, None] * pb
-                a = a.reshape(k, n * r, n * c)
+            for clean, idx, site, coef, corner in blocks:
+                a = clean.astype(np.result_type(clean, coef))
+                a.reshape(-1)[idx] += v[site] * coef
                 if corner:
                     sv = np.linalg.svd(a, compute_uv=False).ravel()
                     out += [sv, sv]

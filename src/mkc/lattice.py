@@ -10,13 +10,15 @@ No solver here builds the full chain or slab matrix.  Every clean model is
 real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
 the only way a clean model reaches a solver; its split() picks the solver
-blocks of clean and disordered models alike, and its site_classes() the
-sets of sites that no hopping of one such block joins (the even and odd
-sites of the child at mu1 = mu2 = 0, which hops only by 0 and +-2).  In
-that frame a chain splits into one (parent) or two (child) chiral blocks
-[[0, A], [A^T, 0]], so its spectrum and eigenvectors come from the SVD of
-the real L x L corners A; a periodic corner is circulant, and its levels
-are the moduli of its symbol at the momenta 2 pi n / L.  Chemical
+blocks of clean and disordered models alike, and its node_classes() the
+sets of (site, frame column) nodes that neither the hopping of one such
+block nor a site term joins (the even and odd sites of the child at
+mu1 = mu2 = 0, which hops only by 0 and +-2, or the dimers of Kitaev's
+dead point).  In that frame a chain splits into one (parent) or two
+(child) chiral blocks [[0, A], [A^T, 0]], so its spectrum and
+eigenvectors come from the SVD of the real L x L corners A; a periodic
+corner is circulant, and its levels are the moduli of its symbol at the
+momenta 2 pi n / L.  Chemical
 potential enters the corners as one quadratic pencil, which sweeps
 evaluate instead of rebuilding the chain.  A slab is the tensor product
 of two parent chains and is solved as those two chains.
@@ -169,6 +171,11 @@ def slab_hopping_blocks(spec):
 SYMMETRY_TOL = 1e-12
 
 
+def _support(a):
+    """The entries of a that do not round to zero: where _negligible fails."""
+    return np.abs(a) >= SYMMETRY_TOL
+
+
 def _negligible(a):
     """True when every entry of a (site-term entries, of order 1) rounds to zero."""
     return not a.size or np.abs(a).max() < SYMMETRY_TOL
@@ -211,7 +218,7 @@ class _FrameBlocks:
     symmetry on the rotated blocks.  Both checks allow SYMMETRY_TOL x
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
-    blocks every solver works on; site_classes() the sites that disorder
+    blocks every solver works on; node_classes() the nodes that disorder
     solves may take apart in one of those blocks.
     """
 
@@ -270,33 +277,67 @@ class _FrameBlocks:
             out.append((rows, cols, corner))
         return out
 
-    def site_classes(self, lat, rows, cols):
-        """Site classes that no hopping of the part rows x cols joins: the classes mod g.
+    def node_classes(self, lat, rows, cols, joins):
+        """The (site, frame column) nodes of the part rows x cols, cut where nothing joins them.
 
-        g is the gcd of the displacements whose rotated block, restricted to
-        frame rows x cols, has an entry != 0, and of L on a ring; sites j and
-        j + r share a class exactly when g divides r.  Zero entries are
-        decided exactly, so the classes discard no coupling.  Classes of one
-        size come as the rows of one (k, n) index array, larger size first.
-        The child at mu1 = mu2 = 0 hops only by 0 and +-2 (_product_blocks),
-        so its even and odd sites come apart; when also |t| = |Delta| in
-        both parents, the symbol of one t_x s_x sector (z1 z2 or
-        z1 conj(z2)) is constant, that sector hops not at all, and each of
-        its sites is a class of its own.  A slab is one class.
+        joins is the support (_support) of a site term on frame rows x cols.
+        Node (j, a) meets (j + r, b) where |rotated[r][a, b]| > tol, the
+        tolerance of require(), and (j, b) where joins[a, b], so the cuts
+        discard only entries that require() and split() already treat as
+        zero.  One search of the quotient graph of the part's frame columns
+        gives each column a component and a potential phi; a component's
+        period g is the gcd of its cycle values phi(a) + r - phi(b), and of
+        L on a ring.  Node (j, a) lies in class (component,
+        (j - phi(a)) mod g), or (component, j - phi(a)) when g = 0 (a tree).
+        Returns [(ri, ci)], one per class size n, larger first: ri and ci,
+        shape (k, n), hold the row and column nodes of k classes as indices
+        into the part's lattice matrix, site-major.  Every class must be
+        square (ValueError): a corner's site term is an invertible block of
+        a unitary, so its support holds a perfect matching.  A slab is one
+        class.
         """
+        nr, nc = int(rows.sum()), int(cols.sum())
         if isinstance(lat, SlabLattice):
-            return [np.arange(lat.Lx * lat.Ly)[None, :]]
-        L = lat.L
-        g = L if lat.bc == PERIODIC else 0
-        for r, blk in self.rotated.items():
-            if np.any(blk[np.ix_(rows, cols)] != 0):
-                g = gcd(g, r)
-        g = min(g or L, L)
-        sizes = -(-(L - np.arange(g)) // g)
-        return [
-            np.flatnonzero(sizes == n)[:, None] + g * np.arange(n)
-            for n in sorted(set(sizes.tolist()), reverse=True)
-        ]
+            sites = lat.Lx * lat.Ly
+            return [(np.arange(sites * nr)[None, :], np.arange(sites * nc)[None, :])]
+        ra, ca = np.flatnonzero(rows).tolist(), np.flatnonzero(cols).tolist()
+        disp = list(self.rotated)
+        hops = np.abs(np.stack(list(self.rotated.values()))[:, rows][:, :, cols]) > self.tol
+        edges = [(ra[a], ca[b], 0) for a, b in np.argwhere(joins).tolist()]
+        edges += [(ra[a], ca[b], disp[d]) for d, a, b in np.argwhere(hops).tolist()]
+        comp, phi = [-1] * rows.size, [0] * rows.size
+        for root in ra + ca:
+            if comp[root] >= 0:
+                continue
+            comp[root], todo = root, [root]
+            while todo:
+                x = todo.pop()
+                for a, b, r in edges:
+                    for u, w, d in ((a, b, r), (b, a, -r)):
+                        if u == x and comp[w] < 0:
+                            comp[w], phi[w] = root, phi[x] + d
+                            todo.append(w)
+        period = [lat.L if lat.bc == PERIODIC else 0] * rows.size
+        for a, b, r in edges:
+            period[comp[a]] = gcd(period[comp[a]], phi[a] + r - phi[b])
+        # class keys, one row per site: the part's row columns, then its column columns
+        side = ra + ca
+        g = np.array([period[comp[a]] for a in side])
+        shift = np.arange(lat.L)[:, None] - np.array([phi[a] for a in side])
+        shift = np.where(g > 0, shift % np.maximum(g, 1), shift)
+        shift -= shift.min()
+        key = np.array([comp[a] for a in side]) * (shift.max() + 1) + shift
+        kr, kc = key[:, :nr].ravel(), key[:, nr:].ravel()
+        size = np.bincount(kr, minlength=key.max() + 1)
+        if np.any(size != np.bincount(kc, minlength=size.size)):
+            raise ValueError("the site term leaves a class with unequal row and column counts")
+        start = np.cumsum(size) - size
+        by_r, by_c = np.argsort(kr, kind="stable"), np.argsort(kc, kind="stable")
+        out = []
+        for n in sorted(set(size.tolist()) - {0}, reverse=True):
+            first = start[size == n][:, None] + np.arange(n)
+            out.append((by_r[first], by_c[first]))
+        return out
 
     def assemble(self, rows, cols, lat):
         """The lattice matrix of the rotated blocks restricted to frame rows x cols."""

@@ -211,32 +211,6 @@ def symmetry_check(spec, kgrid):
     return SymmetryReport(residuals=res)
 
 
-# --- two-band components and block diagonalization -------------------------
-
-
-def component_dvector(spec, k, which):
-    """(d_y, d_z) arrays of component 1 or 2; vectorized over momenta.
-
-    Each component is a product of the factors' (M_i, R_i) at their own
-    momenta: component 1 is (M2 R1 + M1 R2, R1 R2 - M1 M2), component 2 is
-    (M2 R1 - M1 R2, -R1 R2 - M1 M2).
-    """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    ka, kb = _split_child_momentum(spec, k)
-    m1, r1 = _mr(spec.p1, ka)
-    m2, r2 = _mr(spec.p2, kb)
-    s = 1.0 if which == 1 else -1.0
-    return m2 * r1 + s * m1 * r2, s * r1 * r2 - m1 * m2
-
-
-def component_bloch(spec, k, which):
-    """One 2x2 component block d_y s_y + d_z s_z, returned as ((d_y, d_z), matrix)."""
-    dy, dz = component_dvector(spec, k, which)
-    mat = np.asarray(dy)[..., None, None] * SY + np.asarray(dz)[..., None, None] * SZ
-    return (dy, dz), mat
-
-
 # Maximally entangled pairs of the two internal two-level factors, written
 # in the (00, 01, 10, 11) order.  Both Bell frames of the package, BLOCK_BASIS
 # here and boundary.CLASSIFICATION_FRAME, are signed selections of these.

@@ -12,9 +12,13 @@ never by single eigenvectors.  The winding references sample every
 child component curve as the product it is, and the Wannier references
 run the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices,
 where mkc reads the child windings and centers from its parents.
-block_diagonalize checks the component Bloch matrices and d-vectors by
+component_dvector and component_bloch give each two-band child component
+as the product of its parents' (M, R); block_diagonalize checks them by
 rotating the full 4x4 child into the Bell basis, and winding_locus_check
 the circle identity of a perpendicular component curve.
+quantization_residual is the paper's standing-wave condition, the oracle
+of the exact-zero potentials, and serialize_config writes a run config
+back as text, execution keys included.
 """
 
 import functools
@@ -32,6 +36,7 @@ from mkc.disorder import (
     robustness_sweep,
     site_potentials,
 )
+from mkc.config import _format_value
 from mkc.errors import ConfigError, GaplessPathError, NonHermitianError, SingularConfigError
 from mkc.lattice import (
     PERIODIC,
@@ -46,10 +51,12 @@ from mkc.models import (
     BLOCK_BASIS,
     PARALLEL,
     PERPENDICULAR,
+    SY,
+    SZ,
     _mr,
     _opnorm,
+    _split_child_momentum,
     child_bloch,
-    component_dvector,
     parent_bloch,
 )
 from mkc.topology import DEFAULT_CURVE_SAMPLES, WannierSpectrum, WindingCurve, winding_number
@@ -241,6 +248,29 @@ def decisions(result):
     }
 
 
+def component_dvector(spec, k, which):
+    """(d_y, d_z) arrays of component 1 or 2; vectorized over momenta.
+
+    Each component is a product of the factors' (M_i, R_i) at their own
+    momenta: component 1 is (M2 R1 + M1 R2, R1 R2 - M1 M2), component 2 is
+    (M2 R1 - M1 R2, -R1 R2 - M1 M2).
+    """
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    ka, kb = _split_child_momentum(spec, k)
+    m1, r1 = _mr(spec.p1, ka)
+    m2, r2 = _mr(spec.p2, kb)
+    s = 1.0 if which == 1 else -1.0
+    return m2 * r1 + s * m1 * r2, s * r1 * r2 - m1 * m2
+
+
+def component_bloch(spec, k, which):
+    """One 2x2 component block d_y s_y + d_z s_z, returned as ((d_y, d_z), matrix)."""
+    dy, dz = component_dvector(spec, k, which)
+    mat = np.asarray(dy)[..., None, None] * SY + np.asarray(dz)[..., None, None] * SZ
+    return (dy, dz), mat
+
+
 def sampled_winding_parallel(spec, samples):
     """(w1, w2) of the 1D child, each from its sampled product curve."""
     assert spec.orientation == PARALLEL
@@ -388,3 +418,39 @@ def dense_wannier_perp(spec, loop_direction, fixed_momentum, R):
     kk[:, "xy".index(loop_direction)] = ks
     label = f"child loop k{loop_direction}:0..2pi @ fixed={float(fixed_momentum):.6f}"
     return _loop_centers(child_bloch(spec, kk), ks, label)
+
+
+def _standing_wave_ratio(R1, R2, theta, N):
+    den = R1 * R1 + R2 * R2 - 2.0 * R1 * R2 * np.cos(2.0 * theta)
+    if abs(den) < 1e-14:
+        raise SingularConfigError(f"standing-wave denominator vanishes at theta={theta!r}")
+    num = R1 ** (2 * (N + 2)) + R2 ** (2 * (N + 2)) - 2.0 * (R1 * R2) ** (N + 2) * np.cos(
+        2.0 * (N + 2) * theta
+    )
+    return num / den
+
+
+def quantization_residual(R1, R2, theta1, theta2, N):
+    """Mismatch of the two closed standing-wave ratios; zero at exact points.
+
+    The two ratios are evaluated at the half-sum and half-difference of the
+    branch angles; equality is the condition for a zero-energy standing wave
+    on N sites with next-nearest-neighbour boundary conditions.
+    """
+    plus = _standing_wave_ratio(R1, R2, 0.5 * (theta1 + theta2), N)
+    minus = _standing_wave_ratio(R1, R2, 0.5 * (theta1 - theta2), N)
+    return plus - minus
+
+
+def serialize_config(cfg):
+    """Canonical text for a RunConfig, threads and output included; parse_config reads it back."""
+    sections = cfg.echo()
+    sections["task"]["threads"] = _format_value(cfg.threads)
+    sections["output"] = {"path": cfg.output_path, "format": cfg.output_format}
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            lines.append(f"{key} = {value}")
+        lines.append("")
+    return "\n".join(lines)

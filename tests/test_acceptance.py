@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import block_diagonalize, build_chain, build_slab
+from dense_reference import block_diagonalize, build_chain, build_slab, component_bloch
 from mkc.boundary import (
     analytic_mmzm_density,
     classify_zero_modes,
@@ -26,7 +26,6 @@ from mkc.models import (
     ChildSpec,
     ParentParams,
     child_bloch,
-    component_bloch,
     dispersion_parallel,
     group_velocity_perp,
     symmetry_check,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import build_chain, dense_levels, diagonalize
+from dense_reference import build_chain, dense_levels, diagonalize, quantization_residual
 from mkc.boundary import (
     BELL_VECTORS,
     CLASSIFICATION_FRAME,
@@ -27,7 +27,6 @@ from mkc.boundary import (
     perp_edge_prediction,
     perp_obc_gapless_points,
     quantization_points,
-    quantization_residual,
     semi_infinite_edge_profile,
     tau_sigma_entropy,
 )

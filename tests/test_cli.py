@@ -30,7 +30,7 @@ from mkc.boundary import (
     quantization_points,
 )
 from mkc.cli import main
-from mkc.config import _format_value, parse_config
+from mkc.config import TASKS, _format_value, parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
 from mkc.errors import ConfigError
 from mkc.lattice import ChainLattice, SlabLattice
@@ -213,16 +213,30 @@ def test_rows_index_returns_a_live_row_and_rejects_ragged_blocks():
 
 def test_tasks_leave_numpy_random_ma_and_fft_unloaded(tmp_path):
     # about 6, 1.3 and 0.4 MB of peak RSS that no task needs: the disorder
-    # draws, the frame block picker and the periodic levels avoid them
+    # draws, the frame block picker and the periodic levels avoid them;
+    # every task kind runs once
     chain = _ZERO_CHILD + "[lattice]\nl = 8\n[task]\nrealizations = 1\n"
     ring = PARENT_SPECTRUM.replace("l = 8", "l = 8\nbc = periodic")
     slab = _config(tmp_path, _ZERO_CHILD.replace("parallel", "perpendicular") + _SMALL_SLAB, "slab.cfg")
+    perpendicular = _config(tmp_path, _PERPENDICULAR_HEAD + _SMALL_SLAB, "perpendicular.cfg")
+    texts = {
+        "sweep-mu": _PARALLEL_HEAD + _L6 + "[task]\nmu-min = -3\nmu-max = 3\nmu-points = 5\n",
+        "sweep-length": _ZERO_PARENT + "[task]\nl-min = 4\nl-max = 8\nbc = periodic\n",
+        "quantization": _MIXED_HEAD + "[lattice]\nl = 12\n",
+        "wannier": CHILD_WANNIER,
+        "winding": _PARALLEL_HEAD,
+        "majorana-points": _MIXED_HEAD + "[lattice]\nl = 12\n",
+        "dirac": _PARALLEL_HEAD,
+    }
     runs = [
         ("disorder", _config(tmp_path, chain, "chain.cfg")),
         ("spectrum", _config(tmp_path, ring, "ring.cfg")),
         ("density", slab),
         ("classify", slab),
-    ]
+        ("symmetry-check", perpendicular),
+        ("winding", perpendicular),
+    ] + [(task, _config(tmp_path, text, f"{task}.cfg")) for task, text in texts.items()]
+    assert {task for task, _ in runs} == set(TASKS)
     code = "\n".join([
         "import os, sys",
         "from mkc.cli import main",

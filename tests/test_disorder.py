@@ -31,9 +31,11 @@ from mkc.lattice import (
     LINK_EQUAL,
     OPEN,
     PERIODIC,
+    SYMMETRY_TOL,
     ChainLattice,
     SlabLattice,
     _FrameBlocks,
+    _support,
     _with_mu,
     chain_hopping_blocks,
     slab_hopping_blocks,
@@ -332,6 +334,26 @@ def _disordered_system(draw, kinds=("parent", PARALLEL, PERPENDICULAR)):
     return spec, SlabLattice(draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(_bc), draw(_bc))
 
 
+@st.composite
+def _dead_point_system(draw, kinds=("parent", PARALLEL)):
+    """(model, chain) at Kitaev's dead point: |t| = |Delta| and mu = 0, random signs.
+
+    Each parent pairs every Majorana with one partner a site away, and the
+    child's hopping t_x s_x sector every node with one two sites away, so
+    potential-like channels leave node classes of one or two nodes, finer
+    than any site class.
+    """
+
+    def parent():
+        a = draw(st.floats(0.3, 2.0))
+        return ParentParams(draw(_sign) * a, draw(_sign) * a, 0.0)
+
+    model = parent()
+    if draw(st.sampled_from(kinds)) == PARALLEL:
+        model = ChildSpec(model, parent(), PARALLEL)
+    return model, ChainLattice(draw(st.integers(3, 12)), draw(_bc))
+
+
 def _zero_mu_child():
     return ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PARALLEL)
 
@@ -350,7 +372,7 @@ def _with_zero_mu_examples(test):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    system=_disordered_system(),
+    system=_disordered_system() | _dead_point_system(),
     amplitude=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**31 - 1),
 )
@@ -373,9 +395,6 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     solver = BlockSolver(model, lat)
     scale = max(bw, 1.0)
     assert np.abs(np.sort(np.abs(spectrum(model, lat))) - clean).max() < 1e-11 * scale
-    internal = h.shape[0] // sites
-    unperturbed = solver.channel(np.zeros((internal, internal)))(np.zeros(sites))
-    assert np.abs(unperturbed - clean).max() < 1e-11 * scale
 
     rep = robustness_sweep(
         model, lat, amplitude=amplitude, realizations=realizations, seed=seed
@@ -386,6 +405,8 @@ def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     for c, channel in enumerate(channels):
         spec = DisorderSpec(channel, amplitude, realizations, seed)
         solve = solver.channel(channel_matrix(channel))
+        # every channel's blocks and node classes hold the clean spectrum
+        assert np.abs(solve(np.zeros(sites)) - clean).max() < 1e-11 * scale, channel_name(channel)
         worst = 0.0
         for r in range(realizations):
             dense = np.sort(np.abs(dense_levels(apply_onsite_disorder(h, spec, r, sites))))
@@ -427,7 +448,7 @@ def test_twin_pairs_follow_from_the_symmetries():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    system=_disordered_system(kinds=(PARALLEL, PERPENDICULAR)),
+    system=_disordered_system(kinds=(PARALLEL, PERPENDICULAR)) | _dead_point_system((PARALLEL,)),
     amplitude=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**31 - 1),
 )
@@ -535,56 +556,82 @@ def test_frame_split_partitions_columns_and_keeps_every_entry(system):
 @pytest.mark.parametrize(
     "model, lat, shapes",
     [
-        (_dead_parent(), ChainLattice(7), [[(1, 7)]]),
-        (ParentParams(1.0, 0.7, 0.3), ChainLattice(8, PERIODIC), [[(1, 8)]]),
+        (_dead_parent(), ChainLattice(7), [[(6, 2), (2, 1)]]),
+        # 1e-7 from the dead point: the small hopping t - Delta still joins the
+        # dimers, into the parent's two Majorana chains
+        (ParentParams(1.0, 1.0 - 1e-7, 0.0), ChainLattice(7), [[(2, 7)]]),
+        (ParentParams(1.0, 0.7, 0.3), ChainLattice(8, PERIODIC), [[(1, 16)]]),
         (ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.4), PARALLEL),
-         ChainLattice(8), [[(1, 8)]] * 2),
-        (_zero_mu_child(), ChainLattice(3), [[(1, 2), (1, 1)]] * 2),
-        (_zero_mu_child(), ChainLattice(9), [[(1, 5), (1, 4)]] * 2),
-        (_zero_mu_child(), ChainLattice(8, PERIODIC), [[(2, 4)]] * 2),
-        (_zero_mu_child(), ChainLattice(7, PERIODIC), [[(1, 7)]] * 2),
-        (_canonical_child(), ChainLattice(9), [[(1, 5), (1, 4)], [(9, 1)]]),
-        (_canonical_child(), ChainLattice(8, PERIODIC), [[(2, 4)], [(8, 1)]]),
-        (_mixed_child(), ChainLattice(9), [[(9, 1)], [(1, 5), (1, 4)]]),
+         ChainLattice(8), [[(1, 16)]] * 2),
+        (_zero_mu_child(), ChainLattice(3), [[(1, 4), (1, 2)]] * 2),
+        (_zero_mu_child(), ChainLattice(9), [[(1, 10), (1, 8)]] * 2),
+        (_zero_mu_child(), ChainLattice(8, PERIODIC), [[(2, 8)]] * 2),
+        (_zero_mu_child(), ChainLattice(7, PERIODIC), [[(1, 14)]] * 2),
+        (_canonical_child(), ChainLattice(9), [[(7, 2), (4, 1)], [(9, 2)]]),
+        (_canonical_child(), ChainLattice(8, PERIODIC), [[(8, 2)], [(8, 2)]]),
+        (_canonical_child(), ChainLattice(7, PERIODIC), [[(7, 2)], [(7, 2)]]),
+        (_mixed_child(), ChainLattice(9), [[(9, 2)], [(7, 2), (4, 1)]]),
         (
             ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
             SlabLattice(3, 4),
-            [[(1, 12)]] * 2,
+            [[(1, 24)]] * 2,
         ),
     ],
     ids=[
-        "parent", "parent-ring", "child-mu", "child-3", "child-9", "ring-8", "ring-7",
-        "canonical-9", "canonical-ring-8", "mixed-9", "slab",
+        "parent", "near-dead-parent", "parent-ring", "child-mu", "child-3", "child-9", "ring-8", "ring-7",
+        "canonical-9", "canonical-ring-8", "canonical-ring-7", "mixed-9", "slab",
     ],
 )
-def test_site_classes_split_the_clean_matrix_exactly(model, lat, shapes):
-    # shapes: the (count, size) class groups of each clean part, by ascending t_x s_x
+def test_node_classes_split_every_part_up_to_its_tolerance(model, lat, shapes):
+    # shapes: the (count, size) class groups of each split part of channel x (parent) or 00
+    # (child), by ascending t_x s_x; at the dead point 00 leaves dimers and end singletons
     if isinstance(lat, SlabLattice):
         fb, n_sites = _FrameBlocks(slab_hopping_blocks(model)), lat.Lx * lat.Ly
     else:
         fb, n_sites = _FrameBlocks(chain_hopping_blocks(model)), lat.L
-    got = [[g.shape for g in fb.site_classes(lat, rows, cols)] for rows, cols, _ in fb.split(0)]
-    assert got == shapes
     channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
     for channel in channels:
         p = fb.frame.T @ channel_matrix(channel) @ fb.frame
-        for rows, cols, _ in fb.split(p):
-            groups = fb.site_classes(lat, rows, cols)
-            assert [g.shape[1] for g in groups] == sorted({g.shape[1] for g in groups}, reverse=True)
-            label = np.full(n_sites, -1)
-            for c, sites in enumerate(row for g in groups for row in g):
-                assert np.all(label[sites] == -1)
-                label[sites] = c
-            assert np.all(label >= 0), channel_name(channel)
-            # no entry of the part, however small, joins two classes
-            part = fb.assemble(rows, cols, lat).reshape(n_sites, rows.sum(), n_sites, -1)
-            joined = part.any(axis=(1, 3)) & (label[:, None] != label[None, :])
-            assert not joined.any(), channel_name(channel)
+        got = []
+        for rows, cols, corner in fb.split(p):
+            pb = p[np.ix_(rows, cols)]
+            groups = fb.node_classes(lat, rows, cols, _support(pb))
+            got.append([ri.shape for ri, _ in groups])
+            sizes = [ri.shape[1] for ri, _ in groups]
+            assert sizes == sorted(set(sizes), reverse=True), channel_name(channel)
+            part = fb.assemble(rows, cols, lat)
+            label_r, label_c = np.full(part.shape[0], -1), np.full(part.shape[1], -1)
+            for c, (r_nodes, c_nodes) in enumerate(
+                pair for ri, ci in groups for pair in zip(ri, ci)
+            ):
+                # a symmetric part keeps one order of its nodes on both sides
+                assert corner or np.array_equal(r_nodes, c_nodes), channel_name(channel)
+                assert np.all(label_r[r_nodes] == -1) and np.all(label_c[c_nodes] == -1)
+                label_r[r_nodes] = label_c[c_nodes] = c
+            assert np.all(label_r >= 0) and np.all(label_c >= 0), channel_name(channel)
+            # what joins two classes lies within the tolerance that decided it
+            cross = label_r[:, None] != label_c[None, :]
+            assert np.abs(part[cross]).max(initial=0.0) <= fb.tol, channel_name(channel)
+            term = np.kron(np.eye(n_sites), pb)
+            assert np.abs(term[cross]).max(initial=0.0) < SYMMETRY_TOL, channel_name(channel)
+        if channel == channels[0]:
+            assert got == shapes
+
+
+def test_node_classes_need_a_site_term_that_fills_each_corner():
+    # the dead parent's corner hops by one site only, so without a site term
+    # the first column node and the last row node have no partner
+    fb = _FrameBlocks(chain_hopping_blocks(_dead_parent()))
+    ((rows, cols, corner),) = fb.split(0)
+    assert corner
+    with pytest.raises(ValueError, match="unequal row and column counts"):
+        fb.node_classes(ChainLattice(5), rows, cols, np.zeros((1, 1), dtype=bool))
 
 
 def test_canonical_child_solves_halved_blocks(monkeypatch):
     # t = Delta = 1 and mu = 0 on 80 open sites: every disorder block of the hopping sector
-    # splits into even and odd sites, and the flat sector into single sites
+    # splits into even and odd sites, or into dimers and end singletons where the channel
+    # keeps the sector's columns apart (00 and 0x), and the flat sector into single sites
     lat = ChainLattice(80)
     calls = []
     for name in ("svd", "eigvalsh"):
@@ -601,11 +648,14 @@ def test_canonical_child_solves_halved_blocks(monkeypatch):
         robustness_sweep(_canonical_child(), lat, amplitude=0.2, realizations=realizations, seed=4)
         assert max(dim for _, _, _, dim in calls) <= 80
         assert max(dim for _, _, stack, dim in calls if stack == (80,)) <= 2
+        assert max(dim for name, _, stack, dim in calls
+                   if name == "eigvalsh" and stack in ((78,), (80,))) <= 2
         return Counter(calls)
 
     # one stacked call per class group of each part a realization solves
     assert count(2) - count(1) == {
-        ("eigvalsh", "f", (2,), 80): 2,
+        ("eigvalsh", "f", (78,), 2): 2,
+        ("eigvalsh", "f", (4,), 1): 2,
         ("eigvalsh", "f", (80,), 2): 2,
         ("svd", "f", (2,), 80): 4,
         ("svd", "f", (2,), 40): 2,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import block_diagonalize
+from dense_reference import block_diagonalize, component_bloch, component_dvector
 from test_lattice import _parent
 from mkc.models import (
     PARALLEL,
@@ -14,8 +14,6 @@ from mkc.models import (
     ChildSpec,
     ParentParams,
     child_bloch,
-    component_bloch,
-    component_dvector,
     dirac_expansion_parallel,
     dispersion_parallel,
     gap_closures,
