@@ -36,9 +36,14 @@ The same symmetries make channels come in twins with one |E| spectrum:
 the twin of a child channel P is the Pauli pair proportional to t_x s_x P
 (_solve_owners says when the two spectra agree and why).  Seven such pairs
 hold, so a sweep over all sixteen child channels solves nine per
-realization and grid point, and each twin reads its partner's
-displacement.  yy and zz stay apart: both are real and anticommute with
-both chiral operators, and their spectra differ.
+realization and grid point.  Where the two factors are one chain up to a
+Pauli frame and a real scale, as at t = Delta = 1, mu = 0 in both parents,
+exchanging them keeps the clean child too (lattice._FrameBlocks.exchange
+decides it on the hopping blocks at each grid point), and it pairs channel
+ab with ba: the sixteen channels then take seven solves.  Each channel
+reads the displacement of the first channel of its class.  yy and zz stay
+apart: both are real, anticommute with both chiral operators and are
+their own exchange partners, and their spectra differ.
 """
 
 import functools
@@ -61,7 +66,7 @@ from .lattice import (
     slab_hopping_blocks,
     spectrum,
 )
-from .models import _C1, _C2, _U, PAULI, ParentParams
+from .models import _C1, _C2, _U, PAULI, ParentParams, _EXCHANGES
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(
@@ -183,7 +188,8 @@ class BlockSolver:
     the blocks that _FrameBlocks.split picks for P.  Each block is cut
     into the node classes that _FrameBlocks.node_classes finds for its
     rows x cols and the support of P there, and each group of equal-size
-    classes takes one stacked svd or eigvalsh call per realization.  The
+    classes takes one stacked svd or eigvalsh call per realization; a
+    group of 1x1 classes takes the moduli of its entries instead.  The
     site term adds only P's entries that do not round to zero (_support).
     """
 
@@ -253,7 +259,11 @@ class BlockSolver:
             for clean, idx, site, coef, corner in blocks:
                 a = clean.astype(np.result_type(clean, coef))
                 a.reshape(-1)[idx] += v[site] * coef
-                if corner:
+                if a.shape[-1] == 1:
+                    # eigvalsh of a 1x1 returns its real part, svd |a| up to rounding
+                    e = np.abs(a if corner else a.real).ravel()
+                    out += [e, e] if corner else [e]
+                elif corner:
                     sv = np.linalg.svd(a, compute_uv=False).ravel()
                     out += [sv, sv]
                 else:
@@ -264,49 +274,79 @@ class BlockSolver:
 
 
 @functools.lru_cache(maxsize=16)
-def _solve_owners(channels):
+def _solve_owners(channels, exchange):
     """For each channel of the tuple, the index of the channel whose solve it reads.
 
-    That is its own index, or the first earlier one with the same |E|
-    spectrum for every clean child H0 and real site potential V.  H0 is
-    real, commutes with X = t_x s_x and anticommutes with C1 = t_0 s_x and
-    C2 = t_x s_0.  The twin of a Pauli pair P is the pair P' proportional
-    to X P, and the two share a spectrum by one of three arguments:
+    That is the first channel of its orbit: the channels that share its |E|
+    spectrum for every clean child H0 and real site potential V by the
+    relations below, closed under composition (0y reaches zx only through
+    both).  H0 is real, commutes with X = t_x s_x and anticommutes with
+    C1 = t_0 s_x and C2 = t_x s_0.  H0 - V P then has the |E| spectrum of
+    H0 + V P when P commutes with a chiral operator C, which maps one to
+    minus the other, or when P is imaginary, which makes one the complex
+    conjugate of the other; call such a P flippable.
+
+    The twin of a Pauli pair P is the pair P' proportional to X P, and the
+    two share a spectrum by one of three arguments:
 
     - {X, P} = 0: U = (1 + iX) / sqrt(2) commutes with H0 and maps P to
-      i X P = +-P'.  A sign, read as V -> -V, is undone by the chiral
-      operator that commutes with P' (P commutes with exactly one of C1
-      and C2, X being their product), which maps E to -E.
+      i X P = +-P'.  A sign, read as V -> -V, is undone because P' is
+      flippable: P commutes with exactly one of C1 and C2, X being their
+      product, and P' with the same one.
     - [X, P] = 0 and P commutes with a chiral operator C: P' = +-P in one
       X sector and -+P in the other, where C maps h - V P to -(h + V P).
     - [X, P] = 0 and P imaginary (so in the real site frame too): in the
       sector where P' = -P the block h - V P is the complex conjugate of
       h + V P, h being real, so the two have the same eigenvalues.
 
-    None applies to a real P that anticommutes with both chiral operators
-    (yy and zz), and those spectra differ.  A parent has no X: every
-    2x2 channel owns its solve.  Sweeps over one channel tuple share the
-    answer, which is cached.
+    exchange is None or the Pauli index s of a factor exchange W_s that
+    keeps H0 (lattice._FrameBlocks.exchange), with the site gauge (-1)^j
+    where it needs one, which commutes with every site term.  W_s maps
+    a x b to +-b x a: with the + sign the two channels share a spectrum
+    outright, and with the - sign when b x a is flippable.  A channel that
+    is its own partner (00, xx, yy, zz) always has the + sign.
+
+    Without the exchange the sixteen child channels fall into nine
+    classes; with it into seven.  yy and zz stay apart: both are real,
+    anticommute with both chiral operators and are their own partners.
+    A parent has no X and no exchange: every 2x2 channel owns its solve.
+    Sweeps over one channel tuple and exchange share the answer, which is
+    cached.
     """
 
     def commutes(a, b):
         return _negligible(a @ b - b @ a)
 
+    def flippable(p):
+        return commutes(p, _C1) or commutes(p, _C2) or _negligible(p.real)
+
     def twins(p, q):
         if p.shape != _U.shape or abs(np.trace(q.conj().T @ _U @ p)) < 2.0:
             return False  # distinct Pauli pairs are trace-orthogonal
-        return (
-            _negligible(_U @ p + p @ _U)
-            or commutes(p, _C1)
-            or commutes(p, _C2)
-            or _negligible(p.real)
-        )
+        return _negligible(_U @ p + p @ _U) or flippable(p)
+
+    w = None if exchange is None else _EXCHANGES[exchange]
+
+    def partners(p, q):
+        if w is None:
+            return False
+        image = w @ p @ w.T
+        return _negligible(image - q) or (_negligible(image + q) and flippable(q))
 
     mats = [channel_matrix(channel) for channel in channels]
-    owners = []
+    owners = list(range(len(mats)))
+
+    def find(c):
+        while owners[c] != c:
+            c = owners[c]
+        return c
+
     for c, q in enumerate(mats):
-        owners.append(next((o for o in owners if twins(mats[o], q)), c))
-    return tuple(owners)
+        for o in range(c):
+            if twins(mats[o], q) or partners(mats[o], q):
+                a, b = sorted((find(o), find(c)))
+                owners[b] = a
+    return tuple(find(c) for c in range(len(mats)))
 
 
 @dataclass
@@ -366,8 +406,9 @@ def robustness_sweep(
     the worst realization.  Every channel must act on the model's internal
     space (2x2 for a parent, 4x4 for a child), else ConfigError.  The
     realizations are drawn once and shared by every channel and grid
-    point, and a channel whose twin (_solve_owners) came earlier reads the
-    twin's displacement instead of solving again.
+    point.  A channel whose class (_solve_owners, with the factor exchange
+    found at that grid point) has an earlier member reads that member's
+    displacement instead of solving again.
     """
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
@@ -391,7 +432,6 @@ def robustness_sweep(
         mu_values = list(np.asarray(mu_values, dtype=float))
         mu_out = np.asarray(mu_values, dtype=float)
 
-    owners = _solve_owners(channels)
     potentials = _philox_uniform(seed, amplitude, range(realizations), _site_count(lat))
     displacement = np.full((len(channels), len(mu_values)), np.nan)
     threshold = np.full(len(mu_values), np.nan)
@@ -407,9 +447,10 @@ def robustness_sweep(
         if n_zero == 0:
             continue
         solver = BlockSolver(spec, lat)
+        fb = solver._blocks
+        owners = _solve_owners(channels, fb.exchange(lat))
         if owners != tuple(range(len(channels))):
-            # twins share a solve only while the clean model keeps all three symmetries
-            fb = solver._blocks
+            # channels share a solve only while the clean model keeps all three symmetries
             fb.require("t_x s_x", fb.q[:, None] == fb.q[None, :])
             for name, s in fb.chirals:
                 fb.require(name, s[:, None] != s[None, :])

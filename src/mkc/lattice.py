@@ -33,6 +33,7 @@ from .models import (
     _C1,
     _C2,
     _U,
+    _EXCHANGES,
     BLOCK_BASIS,
     PARALLEL,
     SX,
@@ -219,7 +220,8 @@ class _FrameBlocks:
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
     blocks every solver works on; node_classes() the nodes that disorder
-    solves may take apart in one of those blocks.
+    solves may take apart in one of those blocks; exchange() whether
+    exchanging a child's two factors keeps it.
     """
 
     def __init__(self, blocks):
@@ -338,6 +340,31 @@ class _FrameBlocks:
             first = start[size == n][:, None] + np.arange(n)
             out.append((by_r[first], by_c[first]))
         return out
+
+    def exchange(self, lat):
+        """The Pauli index s of a factor exchange that keeps the clean model, else None.
+
+        The exchange W_s (models._EXCHANGES) keeps it when W_s H_r W_s^T =
+        eps^r H_r for every hopping block, within tol: eps = 1, or on an
+        open chain or an even ring eps = -1, which the site gauge (-1)^j
+        turns back into 1.  W_s is site-local and real, so it is checked on
+        the rotated blocks, one displacement at a time: on a slab the
+        exchange would also swap x and y, and so permute the sites, and it
+        passes only where no block tells the two apart.  A parent has no
+        second factor.  The first s in 0, x, y, z that holds is returned.
+        """
+        if self.q.size != 4:
+            return None
+        gauge = isinstance(lat, ChainLattice) and (lat.bc == OPEN or lat.L % 2 == 0)
+        blocks = np.stack(list(self.rotated.values()))
+        odd = np.array([np.sum(r) % 2 == 1 for r in self.rotated])[:, None, None]
+        for s in "0xyz":
+            w = self.frame.T @ _EXCHANGES[s] @ self.frame
+            image = w @ blocks @ w.T
+            for eps in (1.0, -1.0) if gauge else (1.0,):
+                if np.abs(image - np.where(odd, eps, 1.0) * blocks).max() <= self.tol:
+                    return s
+        return None
 
     def assemble(self, rows, cols, lat):
         """The lattice matrix of the rotated blocks restricted to frame rows x cols."""

@@ -173,6 +173,10 @@ def gap_closures(spec, tol=1e-9):
 _C1 = np.kron(S0, SX)   # chiral op of factor 2 slot
 _C2 = np.kron(SX, S0)   # chiral op of factor 1 slot
 _U = np.kron(SX, SX)    # unitary symmetry, [U, H] = 0
+# Factor exchanges W_S = (S x S) SWAP by Pauli index: SWAP exchanges the two
+# factor slots, then S turns both.  W_S maps a x b to (S b S) x (S a S),
+# which is +-b x a; it is real for every S (S x S is real even for s_y).
+_EXCHANGES = {s: (np.kron(PAULI[s], PAULI[s]) @ np.eye(4)[[0, 2, 1, 3]]).real for s in PAULI}
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentPara
 
 # each child channel that shares its |E| spectrum with an earlier one, and that one
 _TWIN_OF = {"x0": "0x", "xx": "00", "xy": "0z", "xz": "0y", "z0": "yx", "zx": "y0", "zy": "yz"}
+# the classes of the twins joined with the factor exchange partners ab, ba
+_EXCHANGE_CLASSES = [
+    ["00", "xx"], ["0x", "x0"], ["0y", "xz", "y0", "zx"], ["0z", "xy", "yx", "z0"],
+    ["yy"], ["yz", "zy"], ["zz"],
+]
 
 
 def _dead_parent():
@@ -168,7 +173,8 @@ def test_draws_match_numpy_philox_bit_for_bit(seed, realizations, sites, amplitu
 )
 def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
     # the reference draws every (channel, realization) anew, as the sweep once did;
-    # each twin class solves once, so only its first channel is bitwise its own solve
+    # each class of _solve_owners solves once, so only its first channel is bitwise
+    # its own solve, and the classes follow the exchange found at each grid point
     realizations, seed, mu_values = 3, -11, [0.0, 0.2]
     rep = robustness_sweep(
         model, lat, amplitude=0.3, realizations=realizations, seed=seed, mu_values=mu_values
@@ -183,6 +189,7 @@ def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
         spec = _with_mu(model, mu, LINK_EQUAL)
         scale = max(2.0 * np.abs(spectrum(spec, lat)).max(), 1.0)
         solver = BlockSolver(spec, lat)
+        owners = disorder._solve_owners(rep.channels, solver._blocks.exchange(lat))
         for c, channel in enumerate(rep.channels):
             ens = DisorderSpec(channel, 0.3, realizations, seed)
             solve = solver.channel(channel_matrix(channel))
@@ -191,8 +198,8 @@ def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
                 for r in range(realizations)
             )
             got = rep.displacement[c, m]
-            if names[c] in _TWIN_OF:
-                assert got == rep.displacement[names.index(_TWIN_OF[names[c]]), m]
+            if owners[c] != c:
+                assert got == rep.displacement[owners[c], m]
                 assert abs(got - want) < 1e-11 * scale, names[c]
             else:
                 assert got == want, names[c]
@@ -354,6 +361,23 @@ def _dead_point_system(draw, kinds=("parent", PARALLEL)):
     return model, ChainLattice(draw(st.integers(3, 12)), draw(_bc))
 
 
+@st.composite
+def _related_child(draw):
+    """(child, chain) with p2 = lambda (sigma t1, tau Delta1, sigma mu1), lambda in +-[0.3, 2].
+
+    The two factors are then one chain up to a Pauli frame and a real
+    scale, so exchanging them keeps the clean child.  p1 may sit at the
+    dead point or at a critical mu.
+    """
+    p1 = draw(_parent())
+    if draw(st.booleans()):
+        p1 = replace(p1, mu=0.0)
+    lam = draw(_sign) * draw(st.floats(0.3, 2.0))
+    sigma, tau = draw(_sign), draw(_sign)
+    p2 = ParentParams(lam * sigma * p1.t, lam * tau * p1.delta, lam * sigma * p1.mu)
+    return ChildSpec(p1, p2, PARALLEL), ChainLattice(draw(st.integers(3, 10)), draw(_bc))
+
+
 def _zero_mu_child():
     return ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PARALLEL)
 
@@ -370,13 +394,34 @@ def _with_zero_mu_examples(test):
     return test
 
 
+_P1 = ParentParams(0.9, 0.6, 0.4)
+
+# children whose factors are alike but whose exchange fails, so each keeps nine
+# solves: on a slab the exchange would also swap x and y; 1e-6 in Delta2 tells the
+# factors apart; the sign-mixed child at mu != 0 needs the gauge (-1)^j, which an
+# odd ring forbids
+_EXCHANGE_FAILS = [
+    (ChildSpec(ParentParams(-2.0, -1.0, 0.0), ParentParams(-2.0, -1.0, 0.0), PERPENDICULAR),
+     SlabLattice(3, 3)),
+    (ChildSpec(_P1, replace(_P1, delta=_P1.delta + 1e-6), PARALLEL), ChainLattice(8)),
+    (_with_mu(_mixed_child(), 0.1, LINK_EQUAL), ChainLattice(7, PERIODIC)),
+]
+
+
+def _exchange_fails_examples(test):
+    for system in _EXCHANGE_FAILS:
+        test = example(system=system, amplitude=1.0, seed=0)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    system=_disordered_system() | _dead_point_system(),
+    system=_disordered_system() | _dead_point_system() | _related_child(),
     amplitude=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**31 - 1),
 )
 @_with_zero_mu_examples
+@_exchange_fails_examples
 @example(system=(_dead_parent(), ChainLattice(5)), amplitude=0.6, seed=9)
 def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     model, lat = system
@@ -434,15 +479,27 @@ def _dense_channel_levels(model, lat, channels, amplitude, seed):
 
 
 def test_twin_pairs_follow_from_the_symmetries():
-    def owners(channels):
-        return list(disorder._solve_owners(tuple(channels)))
+    def owners(channels, exchange=None):
+        return list(disorder._solve_owners(tuple(channels), exchange))
 
     names = [channel_name(c) for c in CHILD_CHANNELS]
     child = owners(CHILD_CHANNELS)
     assert {names[c]: names[o] for c, o in enumerate(child) if o != c} == _TWIN_OF
     assert len(set(child)) == 9
+    # the factor exchange joins ab and ba, whichever Pauli frame S it takes
+    for s in "0xyz":
+        paired = owners(CHILD_CHANNELS, s)
+        classes = {}
+        for c, o in enumerate(paired):
+            classes.setdefault(names[o], []).append(names[c])
+        assert sorted(classes.values()) == sorted(_EXCHANGE_CLASSES), s
+        # 0y reaches zx only through a twin and a partner, xz, which may come last
+        assert owners(("0y", "zx"), s) == [0, 1]
+        assert owners(("0y", "xz", "zx"), s) == [0, 0, 0]
+        assert owners(("0y", "zx", "xz"), s) == [0, 0, 0]
     # order decides which twin solves; a parent has no t_x s_x and no twins
     assert owners(("xx", "zz", "yy", "00")) == [0, 1, 2, 0]
+    assert owners(("zx", "xz", "y0", "0y"), "y") == [0, 0, 0, 0]
     assert owners(PARENT_CHANNELS) == [0, 1, 2]
 
 
@@ -471,30 +528,85 @@ def test_twin_channels_share_dense_spectra(system, amplitude, seed):
         assert np.abs(levels[channel] - levels[twin]).max() < 1e-11 * scale, (channel, twin)
 
 
+def _related_examples(test):
+    """The six relations of p2 to p1 = (0.9, 0.6, 0.4), and the sign-mixed child, on even and odd L."""
+    t, d, mu = _P1.t, _P1.delta, _P1.mu
+    related = [(t, d, mu), (1.7 * t, 1.7 * d, 1.7 * mu), (-0.6 * t, -0.6 * d, -0.6 * mu),
+               (t, -d, mu), (-t, -d, -mu), (-t, d, -mu)]
+    for p2 in related:
+        for lat in (ChainLattice(7), ChainLattice(8), ChainLattice(7, PERIODIC), ChainLattice(8, PERIODIC)):
+            system = (ChildSpec(_P1, ParentParams(*p2), PARALLEL), lat)
+            test = example(system=system, amplitude=0.8, seed=2)(test)
+    mixed = _with_mu(_mixed_child(), 0.1, LINK_EQUAL)
+    for lat in (ChainLattice(7), ChainLattice(8, PERIODIC)):
+        test = example(system=(mixed, lat), amplitude=0.8, seed=2)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_related_child(), amplitude=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+@_related_examples
+def test_exchange_partners_share_dense_spectra(system, amplitude, seed):
+    model, lat = system
+    exchange = _FrameBlocks(chain_hopping_blocks(model)).exchange(lat)
+    assert exchange is not None
+    owners = disorder._solve_owners(CHILD_CHANNELS, exchange)
+    assert len(set(owners)) == 7
+    levels, scale = _dense_channel_levels(model, lat, CHILD_CHANNELS, amplitude, seed)
+    for c, o in enumerate(owners):
+        channel, owner = CHILD_CHANNELS[c], CHILD_CHANNELS[o]
+        assert np.abs(levels[channel] - levels[owner]).max() < 1e-11 * scale, (channel, owner)
+
+
+@pytest.mark.parametrize("model, lat", _EXCHANGE_FAILS, ids=["slab", "near-equal", "mixed-ring-7"])
+def test_exchange_fails_where_the_blocks_tell_the_factors_apart(model, lat):
+    if isinstance(lat, SlabLattice):
+        blocks = slab_hopping_blocks(model)
+    else:
+        blocks = chain_hopping_blocks(model)
+    exchange = _FrameBlocks(blocks).exchange(lat)
+    assert exchange is None
+    assert len(set(disorder._solve_owners(CHILD_CHANNELS, exchange))) == 9
+
+
 def test_yy_and_zz_are_not_twins():
     # both are real and anticommute with both chiral operators: no argument pairs them
     model = ChildSpec(ParentParams(1.0, 0.7, 0.3), ParentParams(-0.8, 1.1, 0.5), PARALLEL)
     levels, scale = _dense_channel_levels(model, ChainLattice(8), ["yy", "zz"], 0.5, 3)
     assert np.abs(levels["yy"] - levels["zz"]).max() > 1e-2 * scale
-    assert disorder._solve_owners(("yy", "zz")) == (0, 1)
+    for exchange in (None, "0", "y"):
+        assert disorder._solve_owners(("yy", "zz"), exchange) == (0, 1)
 
 
 @pytest.mark.parametrize(
-    "model, lat, channels, per_point",
+    "model, lat, channels, per_point, zero_tol",
     [
-        (_mixed_child(), ChainLattice(8), None, 9),
+        (_mixed_child(), ChainLattice(8), None, [7, 7], None),
+        (_canonical_child(), ChainLattice(9), None, [7, 7], None),
+        (_zero_mu_child(), ChainLattice(16), None, [9, 9], None),
         (
             ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
             SlabLattice(3, 4),
             None,
-            9,
+            [9, 0],
+            None,
         ),
-        (_dead_parent(), ChainLattice(8), None, 3),
-        (_mixed_child(), ChainLattice(8), ["xx"], 1),
+        (_dead_parent(), ChainLattice(8), None, [3, 3], None),
+        (_mixed_child(), ChainLattice(8), ["xx"], [1, 1], None),
+        # the sign-mixed exchange needs the gauge (-1)^j once mu != 0, which an odd
+        # ring forbids; its ring levels are gapped, so a zero tolerance counts some
+        (
+            ChildSpec(ParentParams(1.0, 0.2, 0.0), ParentParams(-1.0, 0.2, 0.0), PARALLEL),
+            ChainLattice(7, PERIODIC),
+            None,
+            [7, 9],
+            1.0,
+        ),
     ],
-    ids=["child-chain", "child-slab", "parent", "one-channel"],
+    ids=["child-chain", "canonical", "unrelated", "child-slab", "parent", "one-channel", "mixed-ring-7"],
 )
-def test_sweep_solves_each_twin_class_once(monkeypatch, model, lat, channels, per_point):
+def test_sweep_solves_each_twin_class_once(monkeypatch, model, lat, channels, per_point, zero_tol):
+    # per_point: solves per realization at mu = 0 and mu = 0.1, none without zero modes
     calls = []
     channel = BlockSolver.channel
 
@@ -504,11 +616,11 @@ def test_sweep_solves_each_twin_class_once(monkeypatch, model, lat, channels, pe
 
     monkeypatch.setattr(BlockSolver, "channel", counted)
     rep = robustness_sweep(
-        model, lat, amplitude=0.2, channels=channels, realizations=2, seed=4, mu_values=[0.0, 0.1]
+        model, lat, amplitude=0.2, channels=channels, realizations=2, seed=4,
+        mu_values=[0.0, 0.1], zero_tol=zero_tol,
     )
-    solved = np.count_nonzero(rep.zero_counts)
-    assert solved > 0
-    assert len(calls) == per_point * 2 * solved
+    assert list(rep.zero_counts > 0) == [n > 0 for n in per_point]
+    assert len(calls) == 2 * sum(per_point)
 
 
 @settings(max_examples=40, deadline=None)
@@ -653,15 +765,14 @@ def test_canonical_child_solves_halved_blocks(monkeypatch):
         return Counter(calls)
 
     # one stacked call per class group of each part a realization solves
+    # and no LAPACK call for the 1x1 classes, whose |E| is the modulus of their entry;
+    # the factor exchange leaves y0 and yx to 0y and 0z
     assert count(2) - count(1) == {
         ("eigvalsh", "f", (78,), 2): 2,
-        ("eigvalsh", "f", (4,), 1): 2,
         ("eigvalsh", "f", (80,), 2): 2,
-        ("svd", "f", (2,), 80): 4,
+        ("svd", "f", (2,), 80): 2,
         ("svd", "f", (2,), 40): 2,
-        ("svd", "f", (80,), 1): 2,
         ("svd", "c", (2,), 40): 1,
-        ("svd", "c", (80,), 1): 1,
     }
 
 
