@@ -157,10 +157,10 @@ _TASK_KEYS = {
         "bc": _Key(_str, default="open", choices=("open", "periodic")),
     },
     "wannier": {
-        "loop-points": _Key(_int, default=1001, minimum=4),
+        "loop-points": _Key(_int, default=1001, minimum=4),  # validated and echoed only
         "fixed-momentum": _Key(_float, default=0.0),
     },
-    "winding": {"samples": _Key(_int, default=4096, minimum=3)},
+    "winding": {"samples": _Key(_int, default=4096, minimum=3)},  # validated and echoed only
     "majorana-points": {},
     "quantization": {
         "grid-points": _Key(_int, default=2001, minimum=2),  # validated and echoed only

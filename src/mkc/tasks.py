@@ -120,14 +120,13 @@ def _task_sweep_length(cfg):
 
 
 def _task_wannier(cfg):
-    R = cfg.options["loop-points"]
     if cfg.kind == "parent":
-        spectra = [topology.wannier_center_parent(cfg.model, R)]
+        spectra = [topology.wannier_center_parent(cfg.model)]
     elif cfg.kind == "mkc-parallel":
-        spectra = [topology.wannier_centers_parallel(cfg.model, R)]
+        spectra = [topology.wannier_centers_parallel(cfg.model)]
     else:
         fixed = cfg.options["fixed-momentum"]
-        spectra = [topology.wannier_centers_perp(cfg.model, d, fixed, R) for d in ("x", "y")]
+        spectra = [topology.wannier_centers_perp(cfg.model, d, fixed) for d in ("x", "y")]
     rows = Rows()
     for ws in spectra:
         rows.add(ws.path, range(len(ws.centers)), [float(c) for c in ws.centers])
@@ -135,17 +134,15 @@ def _task_wannier(cfg):
 
 
 def _task_winding(cfg):
-    samples = cfg.options["samples"]
     rows = Rows()
     components = ["component-1", "component-2"]
     if cfg.kind == "parent":
-        rows.add("k", "parent", "", topology.parent_winding(cfg.model, samples).w)
+        rows.add("k", "parent", "", topology.parent_winding(cfg.model))
     elif cfg.kind == "mkc-parallel":
-        r1, r2 = topology.component_winding_parallel(cfg.model, samples)
-        rows.add("k", components, "", [r1.w, r2.w])
+        rows.add("k", components, "", list(topology.component_winding_parallel(cfg.model)))
     else:
         lat = _lattice(cfg)
-        table = topology.component_winding_perp(cfg.model, lat.Lx, lat.Ly, samples)
+        table = topology.component_winding_perp(cfg.model, lat.Lx, lat.Ly)
         for loop, key in (("kx", "rows"), ("ky", "columns")):
             for rec in table[key]:
                 rows.add(loop, components, f"{rec['fixed']:.17g}", [rec["w1"], rec["w2"]])

@@ -1,27 +1,24 @@
-"""Wannier charge centers and winding numbers, read from the two parents.
+"""Wannier charge centers and winding numbers, in closed form from the two parents.
 
-A parent is a chiral two-band chain, so its occupied band's Zak phase is
-pi times the winding of its (d_y, d_z) = (R, -M) curve: its Wannier center
-is half that winding, mod 1.  A child is the tensor product of two parents,
-so its half-filled occupied pair is {u1- (x) u2+, u1+ (x) u2-} and its
-centers are sums of its parents'.  The parallel child's two centers are the
-sum of its parents' centers mod 1; the perpendicular child's are the center
-of the parent that disperses along the loop, provided the frozen parent's
-factor stays clear of the origin at the fixed momentum.  A child's
-component curves are products of its parents' curves, so the child's
-windings are read from the parents' too.  One sampler of a parent's curve,
-`_parent_loop`, and one gap rule, `models._closing_distance`, serve both
-invariants.
+A parent is a chiral two-band chain.  Its (d_y, d_z) = (R, -M) curve winds
+w = sign(t Delta) times around the origin when Delta != 0 and |mu| < 2|t|,
+and not at all otherwise (Kitaev 2001), so its occupied band's Zak phase is
+pi w and its Wannier center is w/2 mod 1.  A child is the tensor product of
+two parents, so its half-filled occupied pair is {u1- (x) u2+, u1+ (x) u2-}
+and its centers are sums of its parents': the parallel child's two centers
+are the parents' sum mod 1, the perpendicular child's are the center of the
+parent that disperses along the loop.  A child component's curve is a
+product of its parents' curves z_i = R_i - i M_i: d_y + i d_z is i z1 z2
+for component 1 and -i z1 conj(z2) for component 2, so its windings are
+sums of its parents' windings too.  Nothing is sampled, and one gap rule,
+`_check_clear_of_origin`, serves every invariant.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import CriticalCurveError, NumericalError
+from .errors import CriticalCurveError
 from .models import PARALLEL, PERPENDICULAR, _closing_distance, _mr
-
-DEFAULT_LOOP_POINTS = 1001
-DEFAULT_CURVE_SAMPLES = 4096
 
 
 def center_distance(a, b):
@@ -36,28 +33,64 @@ class WannierSpectrum:
     path: str
 
 
-def _zak_center(p, R):
-    """Wannier center of the parent's occupied band: half its winding on R loop points, mod 1."""
-    if R < 4:
-        raise ValueError(f"loop too coarsely sampled: need at least 4 points, got {R}")
-    return _parent_loop(p, R)[1].w / 2.0 % 1.0
+def _largest_modulus(p):
+    """max_k |(M, R)| of a parent.
+
+    |(M, R)|^2 = 4 (t^2 - Delta^2) c^2 + 4 t mu c + mu^2 + 4 Delta^2 is a
+    quadratic in c = cos k, so its maximum sits at k = 0, at k = pi, or at
+    the vertex c* = -t mu / (2 (t^2 - Delta^2)) when that lies in [-1, 1];
+    c* is scale free, so it is found from the parameters over their largest.
+    """
+    ks = [0.0, np.pi]
+    v = np.array([p.t, p.delta, p.mu])
+    t, delta, mu = v / max(np.abs(v).max(), 1e-300)
+    a = t * t - delta * delta
+    if a != 0.0 and abs(t * mu) <= 2.0 * abs(a):
+        ks.append(np.arccos(-t * mu / (2.0 * a)))
+    return float(np.hypot(*_mr(p, np.array(ks))).max())
 
 
-def wannier_center_parent(p, R=DEFAULT_LOOP_POINTS):
+def _check_clear_of_origin(p, k=None):
+    """Raise CriticalCurveError where the parent's curve comes within 1e-9 of the origin.
+
+    Within is relative to the curve's largest modulus.  With k None the
+    curve is judged at the momenta where it can close
+    (`models._closing_distance`); else at the momenta k, where a
+    perpendicular loop freezes it: a loop whose fixed momentum misses the
+    parent's closing momenta is gapped.
+    """
+    dist = _closing_distance(p) if k is None else float(np.hypot(*_mr(p, k)).min())
+    if dist < 1e-9 * max(_largest_modulus(p), 1e-30):
+        raise CriticalCurveError(
+            f"curve passes through the origin (min |d| = {dist:.3e}); "
+            "the model sits on a critical surface",
+            origin_distance=dist,
+        )
+
+
+def parent_winding(p):
+    """Winding of the parent's (d_y, d_z) = (R, -M) curve over one period: -1, 0 or 1."""
+    _check_clear_of_origin(p)
+    if not p.is_topological(tol=0.0):
+        return 0
+    return int(np.sign(p.t) * np.sign(p.delta))
+
+
+def wannier_center_parent(p):
     """Single occupied-band center of the parent chain: half its winding, so 0 or 0.5."""
-    c = _zak_center(p, R)
+    c = parent_winding(p) / 2.0 % 1.0
     return WannierSpectrum(centers=np.array([c]), filling=1, path="parent loop k:0..2pi")
 
 
-def wannier_centers_parallel(spec, R=DEFAULT_LOOP_POINTS):
+def wannier_centers_parallel(spec):
     """Two half-filling centers of the 1D child: both the parents' sum mod 1."""
     if spec.orientation != PARALLEL:
         raise ValueError("wannier_centers_parallel needs a parallel child")
-    c = (_zak_center(spec.p1, R) + _zak_center(spec.p2, R)) % 1.0
+    c = (parent_winding(spec.p1) / 2.0 + parent_winding(spec.p2) / 2.0) % 1.0
     return WannierSpectrum(centers=np.array([c, c]), filling=2, path="child loop k:0..2pi")
 
 
-def wannier_centers_perp(spec, loop_direction, fixed_momentum, R=DEFAULT_LOOP_POINTS):
+def wannier_centers_perp(spec, loop_direction, fixed_momentum):
     """Half-filling centers of the 2D child along one momentum direction.
 
     loop_direction 'x' integrates over kx at fixed ky = fixed_momentum, and
@@ -71,128 +104,22 @@ def wannier_centers_perp(spec, loop_direction, fixed_momentum, R=DEFAULT_LOOP_PO
     if loop_direction not in ("x", "y"):
         raise ValueError("loop_direction must be 'x' or 'y'")
     along, frozen = (spec.p1, spec.p2) if loop_direction == "x" else (spec.p2, spec.p1)
-    c = _zak_center(along, R)
+    c = parent_winding(along) / 2.0 % 1.0
     fixed = float(fixed_momentum)
-    _check_frozen(frozen, fixed, R)
+    _check_clear_of_origin(frozen, fixed)
     label = f"child loop k{loop_direction}:0..2pi @ fixed={fixed:.6f}"
     return WannierSpectrum(centers=np.array([c, c]), filling=2, path=label)
 
 
-# --- winding numbers --------------------------------------------------------
-
-
-@dataclass
-class WindingCurve:
-    """Closed sampled curve of (d_y, d_z) over one momentum period."""
-
-    dy: np.ndarray
-    dz: np.ndarray
-
-    @property
-    def closed(self):
-        scale = max(float(np.hypot(self.dy, self.dz).max()), 1e-30)
-        return (
-            abs(self.dy[0] - self.dy[-1]) <= 1e-9 * scale
-            and abs(self.dz[0] - self.dz[-1]) <= 1e-9 * scale
-        )
-
-
-@dataclass
-class WindingResult:
-    w: int
-    origin_distance: float
-
-
-def _check_clear_of_origin(dist, scale):
-    """Raise CriticalCurveError when a curve comes within 1e-9 of its scale of the origin."""
-    if dist < 1e-9 * max(scale, 1e-30):
-        raise CriticalCurveError(
-            f"curve passes through the origin (min |d| = {dist:.3e}); "
-            "the model sits on a critical surface",
-            origin_distance=dist,
-        )
-
-
-def winding_number(curve):
-    """Integer turns of (d_y, d_z) around the origin, by angle accumulation.
-
-    Increments between consecutive samples are forced into (-pi, pi]; the
-    accumulated total must land on an integer multiple of 2*pi within 1%.
-    """
-    z = np.asarray(curve.dy, dtype=float) + 1j * np.asarray(curve.dz, dtype=float)
-    if z.size < 4:
-        raise ValueError("curve too coarsely sampled")
-    if not curve.closed:
-        raise ValueError("winding_number needs a closed curve")
-    dist = float(np.abs(z).min())
-    _check_clear_of_origin(dist, float(np.abs(z).max()))
-    total = float(np.angle(z[1:] / z[:-1]).sum()) / (2.0 * np.pi)
-    w = int(np.rint(total))
-    if abs(total - w) > 0.01:
-        raise NumericalError(
-            f"winding did not accumulate to an integer: {total:.6f} turns"
-        )
-    if abs(w) > z.size // 4:
-        raise NumericalError("winding exceeds the resolvable bound for this sampling")
-    return WindingResult(w=w, origin_distance=dist)
-
-
-def _parent_loop(p, samples):
-    """The moduli of the parent's curve R - iM on the closed sampling grid, and its winding.
-
-    The curve is judged at the momenta where it can reach the origin
-    (`models._closing_distance`), whether or not the grid samples them, so
-    a gapless parent raises CriticalCurveError at every sample count.  A
-    gapped parent winds once when topological (|mu| < 2|t|), else not at
-    all; a sampled winding of any other size means too coarse a grid, and
-    raises NumericalError.
-    """
-    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
-    modulus = np.hypot(m, r)
-    _check_clear_of_origin(_closing_distance(p), float(modulus.max()))
-    result = winding_number(WindingCurve(dy=r, dz=-m))
-    if abs(result.w) != int(p.is_topological(tol=0.0)):
-        raise NumericalError(
-            f"{samples} samples too few: the sampled winding {result.w} misses the closed form"
-        )
-    return modulus, result
-
-
-def _check_frozen(frozen, fixed, samples):
-    """Raise CriticalCurveError where a frozen parent's factor nearly vanishes at a fixed momentum.
-
-    Nearly is within 1e-9 of the parent's largest modulus on the closed
-    sampling grid.  The parent's own closing momenta are not checked:
-    loops whose fixed momenta miss them are gapped.
-    """
-    scale = np.hypot(*_mr(frozen, np.linspace(0.0, 2.0 * np.pi, samples + 1))).max()
-    _check_clear_of_origin(float(np.hypot(*_mr(frozen, fixed)).min()), float(scale))
-
-
-def parent_winding(p, samples=DEFAULT_CURVE_SAMPLES):
-    """Winding of the parent's (d_y, d_z) = (R, -M) curve over one period."""
-    return _parent_loop(p, samples)[1]
-
-
-# Each child component is a product of its parents' curves z_i = R_i - i M_i:
-# d_y + i d_z = (R1 - i M1)(M2 + i s R2), that is i z1 z2 for component 1
-# (s = +1) and -i z1 conj(z2) for component 2 (s = -1).  Its windings are
-# therefore sums of the parents' windings, and are read from them.
-
-
-def component_winding_parallel(spec, samples=DEFAULT_CURVE_SAMPLES):
-    """(w1, w2) = (w(p1) + w(p2), w(p1) - w(p2)) of the 1D child's component curves.
-
-    origin_distance is the smallest |d| of the product curves on the samples.
-    """
+def component_winding_parallel(spec):
+    """(w1, w2) = (w(p1) + w(p2), w(p1) - w(p2)) of the 1D child's component curves."""
     if spec.orientation != PARALLEL:
         raise ValueError("component_winding_parallel needs a parallel child")
-    (a1, r1), (a2, r2) = (_parent_loop(p, samples) for p in (spec.p1, spec.p2))
-    dist = float((a1 * a2).min())
-    return WindingResult(r1.w + r2.w, dist), WindingResult(r1.w - r2.w, dist)
+    w1, w2 = parent_winding(spec.p1), parent_winding(spec.p2)
+    return w1 + w2, w1 - w2
 
 
-def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
+def component_winding_perp(spec, Lx, Ly):
     """Winding of every quantized-transverse-momentum curve of the 2D child.
 
     rows: for each ky = 2pi m/Ly the windings along kx; columns: for each
@@ -203,7 +130,7 @@ def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
     """
     if spec.orientation != PERPENDICULAR:
         raise ValueError("component_winding_perp needs a perpendicular child")
-    windings = {p: _parent_loop(p, samples)[1].w for p in (spec.p1, spec.p2)}
+    windings = {p: parent_winding(p) for p in (spec.p1, spec.p2)}
     table = {}
     for key, n, along, frozen, s in (
         ("rows", Ly, spec.p1, spec.p2, 1),
@@ -211,7 +138,7 @@ def component_winding_perp(spec, Lx, Ly, samples=DEFAULT_CURVE_SAMPLES):
     ):
         w = windings[along]
         fixed = 2.0 * np.pi * np.arange(n) / n
-        _check_frozen(frozen, fixed, samples)
+        _check_clear_of_origin(frozen, fixed)
         table[key] = [
             {"m": m, "fixed": f, "w1": w, "w2": s * w} for m, f in enumerate(fixed.tolist())
         ]

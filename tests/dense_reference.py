@@ -8,10 +8,12 @@ products, and diagonalize it with one dense eigh, so that every fast path
 can be checked against the plain solve.  displacement_vs_amplitude checks
 the disorder verdict's fixed threshold by its linear growth in W.  The helpers at the end compare
 zero subspaces by projectors, densities and classification decisions,
-never by single eigenvectors.  The winding references sample every
-child component curve as the product it is, and the Wannier references
-run the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices,
-where mkc reads the child windings and centers from its parents.
+never by single eigenvectors.  The winding references sample each
+parent curve, and each child component curve as the product it is, and
+count their turns by angle accumulation (winding_number), where mkc reads
+every winding from the parents' closed form.  The Wannier references run
+the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices, where
+mkc reads the centers from the parents' windings.
 component_dvector and component_bloch give each two-band child component
 as the product of its parents' (M, R); block_diagonalize checks them by
 rotating the full 4x4 child into the Bell basis, and winding_locus_check
@@ -23,6 +25,7 @@ back as text, execution keys included.
 
 import functools
 from collections import namedtuple
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -37,7 +40,14 @@ from mkc.disorder import (
     site_potentials,
 )
 from mkc.config import _format_value
-from mkc.errors import ConfigError, GaplessPathError, NonHermitianError, SingularConfigError
+from mkc.errors import (
+    ConfigError,
+    CriticalCurveError,
+    GaplessPathError,
+    NonHermitianError,
+    NumericalError,
+    SingularConfigError,
+)
 from mkc.lattice import (
     PERIODIC,
     ChainLattice,
@@ -59,7 +69,7 @@ from mkc.models import (
     child_bloch,
     parent_bloch,
 )
-from mkc.topology import DEFAULT_CURVE_SAMPLES, WannierSpectrum, WindingCurve, winding_number
+from mkc.topology import WannierSpectrum
 
 Eigenpairs = namedtuple("Eigenpairs", "eigenvalues eigenvectors")
 
@@ -248,6 +258,58 @@ def decisions(result):
     }
 
 
+@dataclass
+class WindingCurve:
+    """Closed sampled curve of (d_y, d_z) over one momentum period."""
+
+    dy: np.ndarray
+    dz: np.ndarray
+
+    @property
+    def closed(self):
+        scale = max(float(np.hypot(self.dy, self.dz).max()), 1e-30)
+        return (
+            abs(self.dy[0] - self.dy[-1]) <= 1e-9 * scale
+            and abs(self.dz[0] - self.dz[-1]) <= 1e-9 * scale
+        )
+
+
+def winding_number(curve):
+    """Integer turns of (d_y, d_z) around the origin, by angle accumulation.
+
+    A sample within 1e-9 of the curve's largest modulus of the origin
+    raises CriticalCurveError.  Increments between consecutive samples are
+    forced into (-pi, pi]; the accumulated total must land on an integer
+    multiple of 2*pi within 1%.
+    """
+    z = np.asarray(curve.dy, dtype=float) + 1j * np.asarray(curve.dz, dtype=float)
+    if z.size < 4:
+        raise ValueError("curve too coarsely sampled")
+    if not curve.closed:
+        raise ValueError("winding_number needs a closed curve")
+    dist = float(np.abs(z).min())
+    if dist < 1e-9 * max(float(np.abs(z).max()), 1e-30):
+        raise CriticalCurveError(
+            f"sampled curve passes through the origin (min |d| = {dist:.3e})",
+            origin_distance=dist,
+        )
+    total = float(np.angle(z[1:] / z[:-1]).sum()) / (2.0 * np.pi)
+    w = int(np.rint(total))
+    if abs(total - w) > 0.01:
+        raise NumericalError(
+            f"winding did not accumulate to an integer: {total:.6f} turns"
+        )
+    if abs(w) > z.size // 4:
+        raise NumericalError("winding exceeds the resolvable bound for this sampling")
+    return w
+
+
+def sampled_parent_winding(p, samples):
+    """topology.parent_winding, counted along the parent's sampled (d_y, d_z) = (R, -M) curve."""
+    m, r = _mr(p, np.linspace(0.0, 2.0 * np.pi, samples + 1))
+    return winding_number(WindingCurve(dy=r, dz=-m))
+
+
 def component_dvector(spec, k, which):
     """(d_y, d_z) arrays of component 1 or 2; vectorized over momenta.
 
@@ -276,7 +338,7 @@ def sampled_winding_parallel(spec, samples):
     assert spec.orientation == PARALLEL
     ks = np.linspace(0.0, 2.0 * np.pi, samples + 1)
     return tuple(
-        winding_number(WindingCurve(*component_dvector(spec, ks, which))).w for which in (1, 2)
+        winding_number(WindingCurve(*component_dvector(spec, ks, which))) for which in (1, 2)
     )
 
 
@@ -294,7 +356,7 @@ def sampled_winding_perp(spec, Lx, Ly, samples):
             rec = {"m": m, "fixed": fixed}
             for which in (1, 2):
                 dy, dz = component_dvector(spec, kk, which)
-                rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz)).w
+                rec[f"w{which}"] = winding_number(WindingCurve(dy=dy, dz=dz))
             table[key].append(rec)
     return table
 
@@ -316,7 +378,7 @@ def block_diagonalize(spec, k):
     return ht[..., :2, :2], ht[..., 2:, 2:], BLOCK_BASIS.copy()
 
 
-def winding_locus_check(spec, ky, samples=DEFAULT_CURVE_SAMPLES):
+def winding_locus_check(spec, ky, samples=4096):
     """Residual of the circular-locus identity of the first component curve.
 
     For t1 = Delta1 the (d_y, d_z) curve at fixed ky lies on a circle of

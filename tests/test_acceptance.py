@@ -143,12 +143,12 @@ def test_criterion_05_wannier_sum_law():
         ((3.0, 3.5), (0.0, 0.0)),
     ]
     for (mu1, mu2), expected in quadrants:
-        centers = np.sort(wannier_centers_parallel(_child(mu1, mu2), R=1001).centers)
+        centers = np.sort(wannier_centers_parallel(_child(mu1, mu2)).centers)
         for got, want in zip(centers, np.sort(expected)):
             assert center_distance(got, want) < 1e-6
     perp = _child(0.5, 0.5, orientation="perpendicular")
     for direction in ("x", "y"):
-        spec = wannier_centers_perp(perp, direction, 0.3, R=1001)
+        spec = wannier_centers_perp(perp, direction, 0.3)
         assert all(center_distance(c, 0.5) < 1e-6 for c in spec.centers)
     done()
 
@@ -157,16 +157,11 @@ def test_criterion_06_winding_table():
     done = _clock(10.0)
     table = [((0.5, 0.5), (2, 0)), ((0.5, 3.0), (1, 1)), ((3.0, 3.5), (0, 0))]
     for mus, expected in table:
-        w1, w2 = component_winding_parallel(_child(*mus), samples=4096)
-        assert (w1.w, w2.w) == expected
+        assert component_winding_parallel(_child(*mus)) == expected
     # perpendicular: on a topological slab every quantized curve winds with
     # matching component magnitudes; on a trivial one none do
-    wound = component_winding_perp(
-        _child(0.5, 0.5, orientation="perpendicular"), 4, 5, samples=2048
-    )
-    flat = component_winding_perp(
-        _child(3.0, 3.5, orientation="perpendicular"), 4, 5, samples=2048
-    )
+    wound = component_winding_perp(_child(0.5, 0.5, orientation="perpendicular"), 4, 5)
+    flat = component_winding_perp(_child(3.0, 3.5, orientation="perpendicular"), 4, 5)
     for curve in wound["rows"] + wound["columns"]:
         assert abs(curve["w1"]) == 1 and abs(curve["w2"]) == 1
     for curve in flat["rows"] + flat["columns"]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (
+    WindingCurve,
     apply_onsite_disorder,
     build_chain,
     build_slab,
@@ -21,6 +22,7 @@ from dense_reference import (
     dense_wannier_perp,
     sampled_winding_parallel,
     sampled_winding_perp,
+    winding_number,
 )
 from mkc import cli
 from mkc.boundary import (
@@ -45,12 +47,10 @@ from mkc.models import (
 )
 from mkc.tasks import Rows, run_task
 from mkc.topology import (
-    WindingCurve,
     center_distance,
     wannier_center_parent,
     wannier_centers_parallel,
     wannier_centers_perp,
-    winding_number,
 )
 
 PARENT_SPECTRUM = """\
@@ -627,7 +627,7 @@ def _dense_levels(model, lat, n_modes=None):
 def _check_parent_winding(cfg, rows):
     # the parent curve read off parent_bloch = -M s_z + R s_y
     h = parent_bloch(cfg.model, np.linspace(0.0, 2.0 * np.pi, 4097))
-    w = winding_number(WindingCurve(dy=h[:, 1, 0].imag, dz=h[:, 0, 0].real)).w
+    w = winding_number(WindingCurve(dy=h[:, 1, 0].imag, dz=h[:, 0, 0].real))
     assert abs(w) == 1  # |mu| < 2|t|
     assert rows == [["k", "parent", "", w]]
 
@@ -677,17 +677,25 @@ def test_wannier_on_a_critical_parent_exits_3(tmp_path, capsys):
     assert "CriticalCurveError" in err
 
 
-@pytest.mark.parametrize("task, key", [("wannier", "loop-points"), ("winding", "samples")])
-def test_undersampled_parent_loop_exits_3(tmp_path, capsys, task, key):
-    # a topological parent (winding -1) whose curve 5 samples read as winding 0
+@pytest.mark.parametrize(
+    "task, key, row",
+    [
+        ("wannier", "loop-points", "parent loop k:0..2pi,0,0.5"),
+        ("winding", "samples", "k,parent,,-1"),
+    ],
+)
+def test_undersampled_parent_loop_exits_0(tmp_path, capsys, task, key, row):
+    # a topological parent (winding -1) whose curve 5 samples read as winding 0;
+    # the key is echoed, and the invariant comes from the closed form
     text = (
         "[model]\nkind = parent\nt1 = 0.8620648185190225\ndelta1 = -0.6291570250874932\n"
         f"mu1 = 1.5780077134830899\n[task]\n{key} = 5\n"
     )
     rc = main([task, "--config", _config(tmp_path, text)])
-    out, err = capsys.readouterr()
-    assert rc == 3 and out == ""
-    assert "NumericalError" in err and "too few" in err
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert f"# task.{key} = 5" in out.splitlines()
+    assert out.splitlines()[-1] == row
 
 
 def _check_sweep_mu(link, n_modes=None):
@@ -776,13 +784,13 @@ def _check_slab_spectrum(cfg, rows):
 
 def _check_wannier(cfg, rows):
     if cfg.kind == "parent":
-        spectra = [wannier_center_parent(cfg.model, 41)]
+        spectra = [wannier_center_parent(cfg.model)]
         dense = [dense_wannier_parent(cfg.model, 41)]
     elif cfg.kind == "mkc-parallel":
-        spectra = [wannier_centers_parallel(cfg.model, 41)]
+        spectra = [wannier_centers_parallel(cfg.model)]
         dense = [dense_wannier_parallel(cfg.model, 41)]
     else:
-        spectra = [wannier_centers_perp(cfg.model, d, 0.3, 41) for d in ("x", "y")]
+        spectra = [wannier_centers_perp(cfg.model, d, 0.3) for d in ("x", "y")]
         dense = [dense_wannier_perp(cfg.model, d, 0.3, 41) for d in ("x", "y")]
     want = [[ws.path, i, float(c)] for ws in spectra for i, c in enumerate(ws.centers)]
     assert rows == want

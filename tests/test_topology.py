@@ -6,17 +6,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    WindingCurve,
     dense_wannier_parallel,
     dense_wannier_parent,
     dense_wannier_perp,
+    sampled_parent_winding,
     sampled_winding_parallel,
     sampled_winding_perp,
     winding_locus_check,
+    winding_number,
 )
-from mkc.errors import CriticalCurveError, GaplessPathError, NumericalError
+from mkc.errors import CriticalCurveError, GaplessPathError
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _mr
 from mkc.topology import (
-    WindingCurve,
+    _largest_modulus,
     center_distance,
     component_winding_parallel,
     component_winding_perp,
@@ -24,10 +27,7 @@ from mkc.topology import (
     wannier_center_parent,
     wannier_centers_parallel,
     wannier_centers_perp,
-    winding_number,
 )
-
-R = 301  # loop points: plenty for 1e-8 agreement on these gaps
 
 
 @st.composite
@@ -45,6 +45,39 @@ def _gapped_parent(draw):
     return p
 
 
+@st.composite
+def _any_parent(draw):
+    """A parent of any kind, t^2 = Delta^2 included."""
+    t = draw(st.floats(-2.0, 2.0))
+    delta = draw(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([t, -t])))
+    return ParentParams(t, delta, draw(st.floats(-4.0, 4.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_any_parent())
+def test_largest_modulus_bounds_a_dense_sample(p):
+    sampled = float(np.hypot(*_mr(p, np.linspace(0.0, 2.0 * np.pi, 4097))).max())
+    closed = _largest_modulus(p)
+    # k = 0 and pi are on the grid; a sample may meet the vertex only to rounding
+    assert closed >= sampled - 4.0 * np.spacing(sampled)
+    assert closed - sampled <= 1e-6 * closed
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        (ParentParams(1, 0.5, 0.3), 1),
+        (ParentParams(-1, 0.5, 0.3), -1),
+        (ParentParams(1, -0.5, -0.3), -1),
+        (ParentParams(-1, -0.5, 1.9), 1),
+        (ParentParams(1, 0.5, 2.5), 0),
+        (ParentParams(-1, 0.5, -2.5), 0),
+    ],
+)
+def test_parent_winding_is_the_sign_of_t_delta_inside_the_topological_range(p, want):
+    assert parent_winding(p) == want
+
+
 def test_center_distance_is_circle_metric():
     assert center_distance(0.0, 1.0) == pytest.approx(0.0)
     assert center_distance(0.1, 0.9) == pytest.approx(0.2)
@@ -57,41 +90,39 @@ def test_center_distance_is_circle_metric():
 )
 def test_parent_wannier_center_quantized(mu, want):
     p = ParentParams(t=1.0, delta=0.5, mu=mu)
-    ws = wannier_center_parent(p, R)
+    ws = wannier_center_parent(p)
     assert ws.filling == 1
     assert center_distance(ws.centers[0], want) < 1e-8
 
 
-def test_parent_wannier_center_fails_at_criticality():
-    # even loop count puts k = pi on the grid, where the gap closes exactly
-    with pytest.raises((GaplessPathError, NumericalError)):
-        wannier_center_parent(ParentParams(1.0, 0.5, 2.0), 300)
-
-
-@pytest.mark.parametrize("R", [300, 301, 1001])
-def test_critical_parent_has_no_center_whether_or_not_the_grid_hits_k_pi(R):
-    critical = ParentParams(1.0, 0.5, 2.0)
+@pytest.mark.parametrize(
+    "critical",
+    [
+        ParentParams(1.0, 0.5, 2.0),   # closes at k = pi
+        ParentParams(1.0, 0.5, -2.0),  # closes at k = 0
+        ParentParams(1.0, 0.0, 0.3),   # a Delta = 0 metal, closed at cos k = -0.15
+    ],
+)
+def test_critical_parent_has_no_center(critical):
     with pytest.raises(GaplessPathError):
-        wannier_center_parent(critical, R)
+        wannier_center_parent(critical)
     with pytest.raises(GaplessPathError):
-        wannier_centers_parallel(ChildSpec(ParentParams(1, 1, 0.3), critical, PARALLEL), R)
+        wannier_centers_parallel(ChildSpec(ParentParams(1, 1, 0.3), critical, PARALLEL))
     perp = ChildSpec(ParentParams(1, 1, 0.3), critical, PERPENDICULAR)
     with pytest.raises(GaplessPathError):
-        wannier_centers_perp(perp, "y", 0.3, R)
+        wannier_centers_perp(perp, "y", 0.3)
     # frozen at ky = 0.3, away from its closing momentum, the critical
     # parent leaves the x loop gapped
-    assert center_distance(wannier_centers_perp(perp, "x", 0.3, R).centers, 0.5).max() == 0.0
+    assert center_distance(wannier_centers_perp(perp, "x", 0.3).centers, 0.5).max() == 0.0
 
 
-def test_undersampled_parent_loop_is_refused():
-    # topological (winding -1), but 5 samples read its curve as winding 0
+def test_undersampled_parent_loop_reads_the_closed_form():
+    # topological (winding -1), though its curve sampled at 5 points winds 0
     p = ParentParams(0.8620648185190225, -0.6291570250874932, 1.5780077134830899)
-    assert parent_winding(p).w == -1
+    assert sampled_parent_winding(p, 5) == 0
+    assert sampled_parent_winding(p, 4096) == -1
+    assert parent_winding(p) == -1
     assert wannier_center_parent(p).centers[0] == 0.5
-    with pytest.raises(NumericalError, match="too few"):
-        wannier_center_parent(p, 5)
-    with pytest.raises(NumericalError, match="too few"):
-        parent_winding(p, 5)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +137,7 @@ def test_parallel_wannier_center_pairs(mu1, mu2, want):
     spec = ChildSpec(
         ParentParams(1.0, 0.5, mu1), ParentParams(0.8, 0.6, mu2), PARALLEL
     )
-    ws = wannier_centers_parallel(spec, R)
+    ws = wannier_centers_parallel(spec)
     assert ws.filling == 2
     got = sorted(ws.centers)
     for g, w in zip(got, sorted(want)):
@@ -118,24 +149,11 @@ def test_perp_wannier_centers_both_directions():
         ParentParams(1.0, 1.0, 0.5), ParentParams(1.0, 1.0, -0.5), PERPENDICULAR
     )
     for direction in ("x", "y"):
-        ws = wannier_centers_perp(spec, direction, 0.3, R)
+        ws = wannier_centers_perp(spec, direction, 0.3)
         assert len(ws.centers) == 2
         for c in ws.centers:
             assert center_distance(c, 0.5) < 1e-8
         assert direction in ws.path
-
-
-@pytest.mark.parametrize("R", [1, 2, 3])
-def test_loops_below_four_points_are_refused(R):
-    # at 1 or 2 points the topological parent would read center 0
-    spec = ChildSpec(ParentParams(1, 1, 0.5), ParentParams(1, 1, 3.0), PARALLEL)
-    with pytest.raises(ValueError, match="coarsely"):
-        wannier_center_parent(spec.p1, R)
-    with pytest.raises(ValueError, match="coarsely"):
-        wannier_centers_parallel(spec, R)
-    with pytest.raises(ValueError, match="coarsely"):
-        wannier_centers_perp(ChildSpec(spec.p1, spec.p2, PERPENDICULAR), "x", 0.3, R)
-    assert center_distance(wannier_center_parent(spec.p1, 4).centers[0], 0.5) < 1e-12
 
 
 def test_coarse_parallel_loop_keeps_the_pair_degenerate():
@@ -144,9 +162,9 @@ def test_coarse_parallel_loop_keeps_the_pair_degenerate():
     spec = ChildSpec(
         ParentParams(1.3324, -1.7933, 2.6208), ParentParams(1.2510, 1.6959, 1.3152), PARALLEL
     )
-    assert (parent_winding(spec.p1).w, parent_winding(spec.p2).w) == (-1, 1)
+    assert (parent_winding(spec.p1), parent_winding(spec.p2)) == (-1, 1)
     assert center_distance(dense_wannier_parallel(spec, 41).centers, [0.0, 0.5]).max() < 1e-12
-    assert center_distance(wannier_centers_parallel(spec, 41).centers, 0.0).max() < 1e-12
+    assert center_distance(wannier_centers_parallel(spec).centers, 0.0).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -160,10 +178,10 @@ def test_perp_loop_with_a_vanishing_frozen_factor_raises(p2, ky):
     # the 4x4 loop reads [0.5, 0.5] off a Bloch matrix of norm ~1e-16 there
     spec = ChildSpec(ParentParams(1, 1, 0.5), p2, PERPENDICULAR)
     with pytest.raises(GaplessPathError):
-        wannier_centers_perp(spec, "x", ky, R)
+        wannier_centers_perp(spec, "x", ky)
     flipped = ChildSpec(p2, ParentParams(1, 1, 0.5), PERPENDICULAR)
     with pytest.raises(GaplessPathError):
-        wannier_centers_perp(flipped, "y", ky, R)
+        wannier_centers_perp(flipped, "y", ky)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,20 +193,20 @@ def test_perp_loop_with_a_vanishing_frozen_factor_raises(p2, ky):
     R=st.integers(96, 1001),
 )
 def test_wannier_centers_match_dense_loop_and_windings(p1, p2, loop_direction, fixed, R):
-    half = {p: parent_winding(p).w / 2.0 for p in (p1, p2)}
-    parent = wannier_center_parent(p1, R)
+    half = {p: parent_winding(p) / 2.0 for p in (p1, p2)}
+    parent = wannier_center_parent(p1)
     assert parent.filling == 1
     assert center_distance(parent.centers, dense_wannier_parent(p1, R).centers).max() < 1e-8
     assert center_distance(parent.centers, half[p1]).max() < 1e-8
 
     spec = ChildSpec(p1, p2, PARALLEL)
-    ws = wannier_centers_parallel(spec, R)
+    ws = wannier_centers_parallel(spec)
     assert ws.filling == 2
     assert center_distance(ws.centers, dense_wannier_parallel(spec, R).centers).max() < 1e-8
     assert center_distance(ws.centers, half[p1] + half[p2]).max() < 1e-8
 
     spec = ChildSpec(p1, p2, PERPENDICULAR)
-    ws = wannier_centers_perp(spec, loop_direction, fixed, R)
+    ws = wannier_centers_perp(spec, loop_direction, fixed)
     want = dense_wannier_perp(spec, loop_direction, fixed, R)
     assert ws.filling == 2 and ws.path == want.path
     assert center_distance(ws.centers, want.centers).max() < 1e-8
@@ -197,11 +215,9 @@ def test_wannier_centers_match_dense_loop_and_windings(p1, p2, loop_direction, f
 
 def test_winding_number_synthetic_curves():
     th = np.linspace(0.0, 2 * np.pi, 501)
-    assert winding_number(WindingCurve(np.sin(th), np.cos(th))).w in (-1, 1)
-    two = winding_number(WindingCurve(np.sin(2 * th), np.cos(2 * th)))
-    assert abs(two.w) == 2
-    shifted = winding_number(WindingCurve(np.sin(th), np.cos(th) + 2.0))
-    assert shifted.w == 0
+    assert winding_number(WindingCurve(np.sin(th), np.cos(th))) in (-1, 1)
+    assert abs(winding_number(WindingCurve(np.sin(2 * th), np.cos(2 * th)))) == 2
+    assert winding_number(WindingCurve(np.sin(th), np.cos(th) + 2.0)) == 0
     with pytest.raises(CriticalCurveError):
         winding_number(WindingCurve(np.sin(th), np.cos(th) + 1.0))
     with pytest.raises(ValueError):
@@ -219,10 +235,7 @@ def test_winding_number_synthetic_curves():
     ],
 )
 def test_component_winding_parallel_cases(p1, p2, want):
-    spec = ChildSpec(p1, p2, PARALLEL)
-    r1, r2 = component_winding_parallel(spec, 2048)
-    assert (r1.w, r2.w) == want
-    assert r1.origin_distance > 0 and r2.origin_distance > 0
+    assert component_winding_parallel(ChildSpec(p1, p2, PARALLEL)) == want
 
 
 def test_total_winding_counts_edge_pairs():
@@ -232,15 +245,15 @@ def test_total_winding_counts_edge_pairs():
     one = ChildSpec(ParentParams(1, 0.5, 0.3), ParentParams(1, 0.5, 3.0), PARALLEL)
     none = ChildSpec(ParentParams(1, 0.5, 2.7), ParentParams(1, 0.5, -3.0), PARALLEL)
     for spec, n in ((both, 2), (one, 2), (none, 0)):
-        r1, r2 = component_winding_parallel(spec, 2048)
-        assert abs(r1.w + r2.w) == n
+        w1, w2 = component_winding_parallel(spec)
+        assert abs(w1 + w2) == n
 
 
 def test_component_winding_perp_quantized_curves():
     spec = ChildSpec(
         ParentParams(1, 1, 3.0), ParentParams(1, 1, 3.0), PERPENDICULAR
     )
-    table = component_winding_perp(spec, 4, 5, 1024)
+    table = component_winding_perp(spec, 4, 5)
     assert len(table["rows"]) == 5 and len(table["columns"]) == 4
     for rec in table["rows"] + table["columns"]:
         assert rec["w1"] == rec["w2"] == 0  # fully trivial slab
@@ -253,7 +266,7 @@ def test_component_winding_perp_critical_curve_raises():
         ParentParams(1, 1, -2.0), ParentParams(1, 1, 0.3), PERPENDICULAR
     )
     with pytest.raises(CriticalCurveError):
-        component_winding_perp(spec, 4, 5, 1024)
+        component_winding_perp(spec, 4, 5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,54 +278,54 @@ def test_component_winding_perp_critical_curve_raises():
     samples=st.builds(lambda half, odd: 2 * half + odd, st.integers(48, 512), st.integers(0, 1)),
 )
 def test_child_windings_match_sampled_product_curves(p1, p2, Lx, Ly, samples):
+    for p in (p1, p2):
+        assert parent_winding(p) == sampled_parent_winding(p, samples)
     perp = ChildSpec(p1, p2, PERPENDICULAR)
-    assert component_winding_perp(perp, Lx, Ly, samples) == sampled_winding_perp(
-        perp, Lx, Ly, samples
-    )
-    r1, r2 = component_winding_parallel(ChildSpec(p1, p2, PARALLEL), samples)
-    assert (r1.w, r2.w) == sampled_winding_parallel(ChildSpec(p1, p2, PARALLEL), samples)
+    assert component_winding_perp(perp, Lx, Ly) == sampled_winding_perp(perp, Lx, Ly, samples)
+    parallel = ChildSpec(p1, p2, PARALLEL)
+    assert component_winding_parallel(parallel) == sampled_winding_parallel(parallel, samples)
 
 
 @pytest.mark.parametrize(
-    "p, samples",
+    "p",
     [
-        (ParentParams(1, 0, 0.3), 1024),   # a Delta = 0 metal
-        (ParentParams(1, 0, 0.3), 1023),
-        (ParentParams(1, 0, 0.0), 1024),
-        (ParentParams(1, 0, 0.0), 1023),
-        (ParentParams(1, 1, 2.0), 1024),   # closes at k = pi
-        (ParentParams(1, 1, 2.0), 1023),   # ... which this grid misses
-        (ParentParams(1, 1, -2.0), 1023),  # closes at k = 0
+        ParentParams(1, 0, 0.3),     # a Delta = 0 metal
+        ParentParams(1, 0, 0.0),
+        ParentParams(1, 0, -2.0),    # a Delta = 0 chain at its band edge
+        ParentParams(1, 1, 2.0),     # closes at k = pi
+        ParentParams(-1, 0.5, 2.0),  # closes at k = 0
+        ParentParams(1, 1, -2.0),
+        ParentParams(0, 1, 0.0),     # no hopping: closes at k = 0 and pi
     ],
 )
-def test_gapless_parent_raises_at_every_sample_count(p, samples):
+def test_gapless_parent_raises_at_every_sample_count(p):
+    # nothing is sampled, so no grid can step over the closing momentum
     with pytest.raises(CriticalCurveError):
-        parent_winding(p, samples)
+        parent_winding(p)
 
 
 def test_insulating_delta_zero_parent_has_zero_winding():
-    assert parent_winding(ParentParams(1, 0, 2.5), 1023).w == 0
+    assert parent_winding(ParentParams(1, 0, 2.5)) == 0
 
 
-@pytest.mark.parametrize("samples", [1023, 1024])
 @pytest.mark.parametrize(
     "p2",
     [
         ParentParams(1, 1, 2.0),     # a gapless second parent
         # gapped, but its factor nearly vanishes at the row ky = pi/2, which
-        # the kx loops freeze and an odd ky grid never samples
+        # the kx loops freeze
         ParentParams(1, 1e-13, 0.0),
     ],
 )
-def test_perpendicular_child_with_a_vanishing_factor_raises(p2, samples):
+def test_perpendicular_child_with_a_vanishing_factor_raises(p2):
     with pytest.raises(CriticalCurveError):
-        component_winding_perp(ChildSpec(ParentParams(1, 1, 0.5), p2, PERPENDICULAR), 4, 4, samples)
+        component_winding_perp(ChildSpec(ParentParams(1, 1, 0.5), p2, PERPENDICULAR), 4, 4)
 
 
-def test_parallel_child_with_a_gapless_parent_raises_on_an_odd_grid():
+def test_parallel_child_with_a_gapless_parent_raises():
     spec = ChildSpec(ParentParams(1, 1, 0.5), ParentParams(1, 1, 2.0), PARALLEL)
     with pytest.raises(CriticalCurveError):
-        component_winding_parallel(spec, 1023)
+        component_winding_parallel(spec)
 
 
 def test_winding_locus_check():
