@@ -10,11 +10,9 @@ No solver here builds the full chain or slab matrix.  Every clean model is
 real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
 the only way a clean model reaches a solver; its split() picks the solver
-blocks of clean and disordered models alike, and its node_classes() the
-sets of (site, frame column) nodes that neither the hopping of one such
-block nor a site term joins (the even and odd sites of the child at
-mu1 = mu2 = 0, which hops only by 0 and +-2, or the dimers of Kitaev's
-dead point).  In that frame a chain splits into one (parent) or two
+blocks of clean and disordered models alike, and disorder cuts each such
+block further into the connected components of its assembled matrix.
+In that frame a chain splits into one (parent) or two
 (child) chiral blocks [[0, A], [A^T, 0]], so its spectrum and
 eigenvectors come from the SVD of the real L x L corners A; a periodic
 corner is circulant, and its levels are the moduli of its symbol at the
@@ -26,7 +24,6 @@ of two parent chains and is solved as those two chains.
 
 import numpy as np
 from dataclasses import dataclass, replace
-from math import gcd
 
 from .errors import ConfigError, NonHermitianError, SymmetryError
 from .models import (
@@ -219,9 +216,9 @@ class _FrameBlocks:
     symmetry on the rotated blocks.  Both checks allow SYMMETRY_TOL x
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
-    blocks every solver works on; node_classes() the nodes that disorder
-    solves may take apart in one of those blocks; exchange() whether
-    exchanging a child's two factors keeps it.
+    blocks every solver works on, and assemble() gives one as a lattice
+    matrix; exchange() says whether exchanging a child's two factors
+    keeps the model.
     """
 
     def __init__(self, blocks):
@@ -277,68 +274,6 @@ class _FrameBlocks:
                     rows, cols, corner = g & (s > 0), g & (s < 0), True
                     break
             out.append((rows, cols, corner))
-        return out
-
-    def node_classes(self, lat, rows, cols, joins):
-        """The (site, frame column) nodes of the part rows x cols, cut where nothing joins them.
-
-        joins is the support (_support) of a site term on frame rows x cols.
-        Node (j, a) meets (j + r, b) where |rotated[r][a, b]| > tol, the
-        tolerance of require(), and (j, b) where joins[a, b], so the cuts
-        discard only entries that require() and split() already treat as
-        zero.  One search of the quotient graph of the part's frame columns
-        gives each column a component and a potential phi; a component's
-        period g is the gcd of its cycle values phi(a) + r - phi(b), and of
-        L on a ring.  Node (j, a) lies in class (component,
-        (j - phi(a)) mod g), or (component, j - phi(a)) when g = 0 (a tree).
-        Returns [(ri, ci)], one per class size n, larger first: ri and ci,
-        shape (k, n), hold the row and column nodes of k classes as indices
-        into the part's lattice matrix, site-major.  Every class must be
-        square (ValueError): a corner's site term is an invertible block of
-        a unitary, so its support holds a perfect matching.  A slab is one
-        class.
-        """
-        nr, nc = int(rows.sum()), int(cols.sum())
-        if isinstance(lat, SlabLattice):
-            sites = lat.Lx * lat.Ly
-            return [(np.arange(sites * nr)[None, :], np.arange(sites * nc)[None, :])]
-        ra, ca = np.flatnonzero(rows).tolist(), np.flatnonzero(cols).tolist()
-        disp = list(self.rotated)
-        hops = np.abs(np.stack(list(self.rotated.values()))[:, rows][:, :, cols]) > self.tol
-        edges = [(ra[a], ca[b], 0) for a, b in np.argwhere(joins).tolist()]
-        edges += [(ra[a], ca[b], disp[d]) for d, a, b in np.argwhere(hops).tolist()]
-        comp, phi = [-1] * rows.size, [0] * rows.size
-        for root in ra + ca:
-            if comp[root] >= 0:
-                continue
-            comp[root], todo = root, [root]
-            while todo:
-                x = todo.pop()
-                for a, b, r in edges:
-                    for u, w, d in ((a, b, r), (b, a, -r)):
-                        if u == x and comp[w] < 0:
-                            comp[w], phi[w] = root, phi[x] + d
-                            todo.append(w)
-        period = [lat.L if lat.bc == PERIODIC else 0] * rows.size
-        for a, b, r in edges:
-            period[comp[a]] = gcd(period[comp[a]], phi[a] + r - phi[b])
-        # class keys, one row per site: the part's row columns, then its column columns
-        side = ra + ca
-        g = np.array([period[comp[a]] for a in side])
-        shift = np.arange(lat.L)[:, None] - np.array([phi[a] for a in side])
-        shift = np.where(g > 0, shift % np.maximum(g, 1), shift)
-        shift -= shift.min()
-        key = np.array([comp[a] for a in side]) * (shift.max() + 1) + shift
-        kr, kc = key[:, :nr].ravel(), key[:, nr:].ravel()
-        size = np.bincount(kr, minlength=key.max() + 1)
-        if np.any(size != np.bincount(kc, minlength=size.size)):
-            raise ValueError("the site term leaves a class with unequal row and column counts")
-        start = np.cumsum(size) - size
-        by_r, by_c = np.argsort(kr, kind="stable"), np.argsort(kc, kind="stable")
-        out = []
-        for n in sorted(set(size.tolist()) - {0}, reverse=True):
-            first = start[size == n][:, None] + np.arange(n)
-            out.append((by_r[first], by_c[first]))
         return out
 
     def exchange(self, lat):

@@ -362,6 +362,25 @@ def _dead_point_system(draw, kinds=("parent", PARALLEL)):
 
 
 @st.composite
+def _zero_mu_slab_system(draw):
+    """(slab child, slab) with mu = 0 in both parents, each at Kitaev's dead point or not.
+
+    A dead-point factor hops only inside dimers along its side and a mu = 0
+    slab only by (+-1, +-1), so the disorder blocks come apart into many
+    components; odd and even sides, open or periodic, from 3x4 to 5x6.
+    """
+
+    def parent():
+        t = draw(_sign) * draw(st.floats(0.3, 2.0))
+        delta = abs(t) if draw(st.booleans()) else draw(st.floats(0.2, 1.5))
+        return ParentParams(t, draw(_sign) * delta, 0.0)
+
+    spec = ChildSpec(parent(), parent(), PERPENDICULAR)
+    lx, ly = draw(st.integers(3, 5)), draw(st.integers(4, 6))
+    return spec, SlabLattice(lx, ly, draw(_bc), draw(_bc))
+
+
+@st.composite
 def _related_child(draw):
     """(child, chain) with p2 = lambda (sigma t1, tau Delta1, sigma mu1), lambda in +-[0.3, 2].
 
@@ -380,6 +399,15 @@ def _related_child(draw):
 
 def _zero_mu_child():
     return ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PARALLEL)
+
+
+def _zero_mu_slab():
+    return ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR)
+
+
+def _canonical_slab():
+    """Parent 1 at Kitaev's dead point, parent 2 at mu = 3: x hops only inside dimers."""
+    return ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 3.0), PERPENDICULAR)
 
 
 def _with_zero_mu_examples(test):
@@ -416,13 +444,17 @@ def _exchange_fails_examples(test):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    system=_disordered_system() | _dead_point_system() | _related_child(),
+    system=_disordered_system() | _dead_point_system() | _related_child() | _zero_mu_slab_system(),
     amplitude=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**31 - 1),
 )
 @_with_zero_mu_examples
 @_exchange_fails_examples
 @example(system=(_dead_parent(), ChainLattice(5)), amplitude=0.6, seed=9)
+# 1e-7 from the dead point: the small hopping t - Delta must still join the dimers
+@example(system=(ParentParams(1.0, 1.0 - 1e-7, 0.0), ChainLattice(7)), amplitude=0.6, seed=9)
+@example(system=(_canonical_slab(), SlabLattice(3, 4)), amplitude=0.6, seed=9)
+@example(system=(_zero_mu_slab(), SlabLattice(4, 4, PERIODIC, PERIODIC)), amplitude=0.6, seed=9)
 def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     model, lat = system
     if isinstance(lat, SlabLattice):
@@ -683,20 +715,22 @@ def test_frame_split_partitions_columns_and_keeps_every_entry(system):
         (_canonical_child(), ChainLattice(8, PERIODIC), [[(8, 2)], [(8, 2)]]),
         (_canonical_child(), ChainLattice(7, PERIODIC), [[(7, 2)], [(7, 2)]]),
         (_mixed_child(), ChainLattice(9), [[(9, 2)], [(7, 2), (4, 1)]]),
-        (
-            ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
-            SlabLattice(3, 4),
-            [[(1, 24)]] * 2,
-        ),
+        (_zero_mu_slab(), SlabLattice(3, 4), [[(4, 6)]] * 2),
+        (_zero_mu_slab(), SlabLattice(4, 4, PERIODIC, PERIODIC), [[(4, 8)]] * 2),
+        (_zero_mu_slab(), SlabLattice(3, 4, PERIODIC, PERIODIC), [[(2, 12)]] * 2),
+        (_canonical_slab(), SlabLattice(3, 4), [[(2, 8), (8, 1)]] * 2),
     ],
     ids=[
         "parent", "near-dead-parent", "parent-ring", "child-mu", "child-3", "child-9", "ring-8", "ring-7",
-        "canonical-9", "canonical-ring-8", "canonical-ring-7", "mixed-9", "slab",
+        "canonical-9", "canonical-ring-8", "canonical-ring-7", "mixed-9", "slab", "slab-ring-4x4",
+        "slab-ring-3x4", "canonical-slab",
     ],
 )
 def test_node_classes_split_every_part_up_to_its_tolerance(model, lat, shapes):
     # shapes: the (count, size) class groups of each split part of channel x (parent) or 00
     # (child), by ascending t_x s_x; at the dead point 00 leaves dimers and end singletons
+    # (on the canonical slab, x dimers stretched along y), and an odd ring joins
+    # classes that an even one keeps apart
     if isinstance(lat, SlabLattice):
         fb, n_sites = _FrameBlocks(slab_hopping_blocks(model)), lat.Lx * lat.Ly
     else:
@@ -707,11 +741,13 @@ def test_node_classes_split_every_part_up_to_its_tolerance(model, lat, shapes):
         got = []
         for rows, cols, corner in fb.split(p):
             pb = p[np.ix_(rows, cols)]
-            groups = fb.node_classes(lat, rows, cols, _support(pb))
+            part = fb.assemble(rows, cols, lat)
+            term = np.kron(np.eye(n_sites), pb)
+            joined = (np.abs(part) > fb.tol) | _support(term)
+            groups = disorder._components(joined, not corner)
             got.append([ri.shape for ri, _ in groups])
             sizes = [ri.shape[1] for ri, _ in groups]
             assert sizes == sorted(set(sizes), reverse=True), channel_name(channel)
-            part = fb.assemble(rows, cols, lat)
             label_r, label_c = np.full(part.shape[0], -1), np.full(part.shape[1], -1)
             for c, (r_nodes, c_nodes) in enumerate(
                 pair for ri, ci in groups for pair in zip(ri, ci)
@@ -724,7 +760,6 @@ def test_node_classes_split_every_part_up_to_its_tolerance(model, lat, shapes):
             # what joins two classes lies within the tolerance that decided it
             cross = label_r[:, None] != label_c[None, :]
             assert np.abs(part[cross]).max(initial=0.0) <= fb.tol, channel_name(channel)
-            term = np.kron(np.eye(n_sites), pb)
             assert np.abs(term[cross]).max(initial=0.0) < SYMMETRY_TOL, channel_name(channel)
         if channel == channels[0]:
             assert got == shapes
@@ -736,8 +771,19 @@ def test_node_classes_need_a_site_term_that_fills_each_corner():
     fb = _FrameBlocks(chain_hopping_blocks(_dead_parent()))
     ((rows, cols, corner),) = fb.split(0)
     assert corner
+    joined = np.abs(fb.assemble(rows, cols, ChainLattice(5))) > fb.tol
     with pytest.raises(ValueError, match="unequal row and column counts"):
-        fb.node_classes(ChainLattice(5), rows, cols, np.zeros((1, 1), dtype=bool))
+        disorder._components(joined, False)
+
+
+def test_node_classes_of_a_symmetric_part_share_one_node_set():
+    # a path 0 - 1 - 2 without diagonal entries stays whole on one node set, while
+    # read as a corner its row and column nodes fall into mirror classes of unequal counts
+    joined = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    ((ri, ci),) = disorder._components(joined, True)
+    assert ri.tolist() == ci.tolist() == [[0, 1, 2]]
+    with pytest.raises(ValueError, match="unequal row and column counts"):
+        disorder._components(joined, False)
 
 
 def test_canonical_child_solves_halved_blocks(monkeypatch):
@@ -774,6 +820,36 @@ def test_canonical_child_solves_halved_blocks(monkeypatch):
         ("svd", "f", (2,), 40): 2,
         ("svd", "c", (2,), 40): 1,
     }
+
+
+def test_canonical_slab_solves_dimer_strips(monkeypatch):
+    # (1, 1, 0) x (1, 1, 3) on 6x10 sites: parent 1 at Kitaev's dead point hops along x
+    # only inside dimers, so channel 00 solves 2 x 10 strips and single end nodes, never
+    # a block as large as its 60-site corner; the verdicts are those of 12x30 and 20x50
+    lat = SlabLattice(6, 10)
+    rep = robustness_sweep(_canonical_slab(), lat, realizations=1, seed=42)
+    broken = [channel_name(c) for c, robust in zip(rep.channels, rep.robust[:, 0]) if not robust]
+    assert broken == ["00", "0x", "0y", "0z", "x0", "xx", "xy", "xz"]
+    assert len(rep.channels) == 16 and rep.zero_counts[0] > 0
+
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, a.dtype.kind, a.shape[:-2], max(a.shape[-2:])))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(realizations):
+        calls.clear()
+        robustness_sweep(_canonical_slab(), lat, channels=["00"], realizations=realizations, seed=4)
+        assert max(dim for _, _, _, dim in calls) < lat.Lx * lat.Ly
+        return Counter(calls)
+
+    # per realization one stacked call per t_x s_x sector, the end nodes by their moduli
+    assert count(2) - count(1) == {("eigvalsh", "f", (5,), 20): 2}
 
 
 def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
