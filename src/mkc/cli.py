@@ -102,8 +102,6 @@ def build_parser():
     parser.add_argument("--out", default=None, help="output path (default: config, else stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: config, else csv)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and validated; no effect (sweeps run serially)")
     return parser
 
 
@@ -117,7 +115,7 @@ def main(argv=None):
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        cfg = parse_config(text, cli_task=args.task, cli_threads=args.threads)
+        cfg = parse_config(text, cli_task=args.task)
         if args.out is not None:
             cfg.output_path = args.out
         if args.format is not None:

@@ -10,43 +10,17 @@ serializes back to text that reparses equal.
 
 import configparser
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
+from .lattice import ChainLattice, SlabLattice
 from .models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 
 MODEL_KINDS = ("parent", "mkc-parallel", "mkc-perpendicular")
-TASKS = (
-    "spectrum",
-    "sweep-mu",
-    "sweep-length",
-    "wannier",
-    "winding",
-    "majorana-points",
-    "quantization",
-    "density",
-    "disorder",
-    "classify",
-    "symmetry-check",
-    "dirac",
-)
+_CHAIN_KINDS = ("parent", "mkc-parallel")
+_CHILD_KINDS = ("mkc-parallel", "mkc-perpendicular")
 
 _REQUIRED = object()
-
-
-def _env_threads():
-    """MKC_THREADS when set, else the CPU count."""
-    env = os.environ.get("MKC_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise ConfigError(f"MKC_THREADS: cannot read {env!r} as an integer")
-    if n < 1:
-        raise ConfigError(f"MKC_THREADS: must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -110,11 +84,12 @@ _MODEL_KEYS = {
     "t1": _Key(_float),
     "delta1": _Key(_float),
     "mu1": _Key(_float),
-    "t2": _Key(_float, kinds=("mkc-parallel", "mkc-perpendicular")),
-    "delta2": _Key(_float, kinds=("mkc-parallel", "mkc-perpendicular")),
-    "mu2": _Key(_float, kinds=("mkc-parallel", "mkc-perpendicular")),
+    "t2": _Key(_float, kinds=_CHILD_KINDS),
+    "delta2": _Key(_float, kinds=_CHILD_KINDS),
+    "mu2": _Key(_float, kinds=_CHILD_KINDS),
 }
 
+# keys in the field order of the lattice they build
 _CHAIN_KEYS = {
     "l": _Key(_int),
     "bc": _Key(_str, default="open", choices=("open", "periodic")),
@@ -126,49 +101,47 @@ _SLAB_KEYS = {
     "bcy": _Key(_str, default="open", choices=("open", "periodic")),
 }
 
-# tasks whose lattice section is required (chain kinds use L/bc, the
-# perpendicular kind uses Lx/Ly/bcx/bcy)
-_NEEDS_LATTICE = {
-    "spectrum",
-    "sweep-mu",
-    "majorana-points",
-    "quantization",
-    "density",
-    "disorder",
-    "classify",
-}
-# tasks whose closed forms hold for open boundaries only
-_OPEN_ONLY = ("majorana-points", "quantization")
 
-_TASK_KEYS = {
-    "spectrum": {},
-    "sweep-mu": {
+@dataclass(frozen=True)
+class _Task:
+    keys: dict                  # the [task] keys besides name
+    kinds: tuple = MODEL_KINDS  # the model kinds the task applies to
+    lattice: tuple = ()         # the model kinds whose [lattice] section is required
+    open_only: bool = False     # its closed forms hold for open boundaries only
+
+
+_TASKS = {
+    "spectrum": _Task({}, lattice=MODEL_KINDS),
+    "sweep-mu": _Task({
         "mu-min": _Key(_float),
         "mu-max": _Key(_float),
         "mu-points": _Key(_int, minimum=1),
         "link": _Key(_str, default="equal", choices=("equal", "opposite", "fixed")),
         "n-modes": _Key(_opt(_int), default=None, minimum=1),
-    },
-    "sweep-length": {
+    }, _CHAIN_KINDS, MODEL_KINDS),
+    "sweep-length": _Task({
         "l-min": _Key(_int),
         "l-max": _Key(_int),
         "l-step": _Key(_int, default=1, minimum=1),
         "n-modes": _Key(_int, default=6, minimum=1),
         "bc": _Key(_str, default="open", choices=("open", "periodic")),
-    },
-    "wannier": {
+    }, _CHAIN_KINDS),
+    "wannier": _Task({
         "loop-points": _Key(_int, default=1001, minimum=4),  # validated and echoed only
         "fixed-momentum": _Key(_float, default=0.0),
-    },
-    "winding": {"samples": _Key(_int, default=4096, minimum=3)},  # validated and echoed only
-    "majorana-points": {},
-    "quantization": {
+    }),
+    "winding": _Task(
+        {"samples": _Key(_int, default=4096, minimum=3)},  # validated and echoed only
+        lattice=("mkc-perpendicular",),
+    ),
+    "majorana-points": _Task({}, lattice=MODEL_KINDS, open_only=True),
+    "quantization": _Task({
         "grid-points": _Key(_int, default=2001, minimum=2),  # validated and echoed only
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
-    },
-    "density": {"zero-tol": _Key(_float, default=1e-8)},
-    "disorder": {
+    }, ("mkc-parallel",), MODEL_KINDS, open_only=True),
+    "density": _Task({"zero-tol": _Key(_float, default=1e-8)}, lattice=MODEL_KINDS),
+    "disorder": _Task({
         "channel": _Key(_opt(_str), default=None),
         "amplitude": _Key(_float, default=0.2),
         "realizations": _Key(_int, default=50, minimum=1),
@@ -177,70 +150,55 @@ _TASK_KEYS = {
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
         "mu-points": _Key(_opt(_int), default=None, minimum=1),
-    },
-    "classify": {"zero-tol": _Key(_opt(_float), default=1e-8)},
-    "symmetry-check": {"k-points": _Key(_int, default=64, minimum=1)},
-    "dirac": {
+    }, lattice=MODEL_KINDS),
+    "classify": _Task({"zero-tol": _Key(_opt(_float), default=1e-8)}, _CHILD_KINDS, MODEL_KINDS),
+    "symmetry-check": _Task({"k-points": _Key(_int, default=64, minimum=1)}, _CHILD_KINDS),
+    "dirac": _Task({
         "kx": _Key(_float, default=0.01),
         "ky": _Key(_float, default=0.01),
-    },
+    }, _CHILD_KINDS),
 }
-
-# tasks that only make sense for some model kinds
-_TASK_KINDS = {
-    "sweep-mu": ("parent", "mkc-parallel"),
-    "sweep-length": ("parent", "mkc-parallel"),
-    "quantization": ("mkc-parallel",),
-    "classify": ("mkc-parallel", "mkc-perpendicular"),
-    "symmetry-check": ("mkc-parallel", "mkc-perpendicular"),
-    "dirac": ("mkc-parallel", "mkc-perpendicular"),
-}
+TASKS = tuple(_TASKS)
 
 
 @dataclass
 class RunConfig:
     """Effective configuration: every default resolved and recorded."""
 
-    kind: str
-    model: object
-    lattice_values: dict
+    model: object       # ParentParams or ChildSpec
+    lattice: object     # ChainLattice, SlabLattice or None
     task: str
     options: dict
     output_path: str
     output_format: str
-    threads: int
+
+    # Sweeps run serially; the constant stays only for bench/worker.py.
+    threads = 1
+
+    @property
+    def kind(self):
+        if isinstance(self.model, ParentParams):
+            return "parent"
+        return "mkc-parallel" if self.model.orientation == PARALLEL else "mkc-perpendicular"
 
     def echo(self):
         """Effective key = value map per section, suitable for re-parsing.
 
         It covers only the keys that determine the numbers (model, lattice,
-        task options); thread count and output routing are execution detail
-        and must not alter emitted bytes, so they are left out.
+        task options); output routing is execution detail and must not
+        alter emitted bytes, so it is left out.
         """
-        model = {"kind": self.kind, **{
-            k: _format_value(v) for k, v in self._model_values().items()
-        }}
-        task = {"name": self.task}
-        task.update({k: _format_value(v) for k, v in sorted(self.options.items())})
-        out = {"model": model}
-        if self.lattice_values:
-            out["lattice"] = {
-                k: _format_value(v) for k, v in sorted(self.lattice_values.items())
-            }
-        out["task"] = task
+        model = {"kind": self.kind}
+        parents = [self.model] if self.kind == "parent" else [self.model.p1, self.model.p2]
+        for i, p in enumerate(parents, 1):
+            model.update({f"t{i}": p.t, f"delta{i}": p.delta, f"mu{i}": p.mu})
+        out = {"model": {k: _format_value(v) for k, v in model.items()}}
+        if self.lattice is not None:
+            fields = sorted((k.lower(), v) for k, v in vars(self.lattice).items())
+            out["lattice"] = {k: _format_value(v) for k, v in fields}
+        options = sorted(self.options.items())
+        out["task"] = {"name": self.task, **{k: _format_value(v) for k, v in options}}
         return out
-
-    def _model_values(self):
-        if self.kind == "parent":
-            return {"t1": self.model.t, "delta1": self.model.delta, "mu1": self.model.mu}
-        return {
-            "t1": self.model.p1.t,
-            "delta1": self.model.p1.delta,
-            "mu1": self.model.p1.mu,
-            "t2": self.model.p2.t,
-            "delta2": self.model.p2.delta,
-            "mu2": self.model.p2.mu,
-        }
 
 
 def _format_value(v):
@@ -284,34 +242,32 @@ def _take(section_name, raw, schema, kind=None):
     return out
 
 
-def parse_config(text, cli_task=None, cli_threads=None):
+def _model(raw):
+    """The kind and the ParentParams or ChildSpec of a [model] section."""
+    if "kind" not in raw:
+        raise ConfigError("[model] missing required key kind")
+    kind = _MODEL_KEYS["kind"].convert("model", "kind", raw["kind"])
+    vals = _take("model", raw, _MODEL_KEYS, kind=kind)
+    p1 = ParentParams(t=vals["t1"], delta=vals["delta1"], mu=vals["mu1"])
+    if kind == "parent":
+        return kind, p1
+    p2 = ParentParams(t=vals["t2"], delta=vals["delta2"], mu=vals["mu2"])
+    return kind, ChildSpec(p1, p2, PARALLEL if kind == "mkc-parallel" else PERPENDICULAR)
+
+
+def parse_config(text, cli_task=None):
     """Validate config text into a RunConfig with all defaults resolved.
 
-    The thread count comes from cli_threads, else [task] threads, else the
-    MKC_THREADS environment variable, else the CPU count; a source below
-    the one that gives the value is never read.  It is validated and
-    echoed but drives nothing: sweeps run serially.
+    A [lattice] section is validated whenever it is given, and required
+    where the task's record asks for it.
     """
     sections = _read_sections(text)
-    known = {"model", "lattice", "task", "output"}
     for name in sections:
-        if name not in known:
+        if name not in ("model", "lattice", "task", "output"):
             raise ConfigError(f"unknown section [{name}]")
     if "model" not in sections:
         raise ConfigError("missing section [model]")
-
-    model_raw = dict(sections["model"])
-    if "kind" not in model_raw:
-        raise ConfigError("[model] missing required key kind")
-    kind = _MODEL_KEYS["kind"].convert("model", "kind", model_raw["kind"])
-    model_vals = _take("model", model_raw, _MODEL_KEYS, kind=kind)
-    p1 = ParentParams(t=model_vals["t1"], delta=model_vals["delta1"], mu=model_vals["mu1"])
-    if kind == "parent":
-        model = p1
-    else:
-        p2 = ParentParams(t=model_vals["t2"], delta=model_vals["delta2"], mu=model_vals["mu2"])
-        orientation = PARALLEL if kind == "mkc-parallel" else PERPENDICULAR
-        model = ChildSpec(p1=p1, p2=p2, orientation=orientation)
+    kind, model = _model(dict(sections["model"]))
 
     task_raw = dict(sections.get("task", {}))
     task = task_raw.pop("name", None)
@@ -325,49 +281,26 @@ def parse_config(text, cli_task=None, cli_threads=None):
         task = cli_task
     if task is None:
         raise ConfigError("[task] missing required key name")
-    if task not in TASKS:
+    if task not in _TASKS:
         raise ConfigError(f"[task] name: unknown task {task!r}")
-    if task in _TASK_KINDS and kind not in _TASK_KINDS[task]:
+    spec = _TASKS[task]
+    if kind not in spec.kinds:
         raise ConfigError(f"task {task} does not apply to a {kind} model")
-    threads = task_raw.pop("threads", None)
-    if threads is not None:
-        threads = _Key(_int, minimum=1).convert("task", "threads", threads)
-    options = _take("task", task_raw, _TASK_KEYS[task])
+    options = _take("task", task_raw, spec.keys)
 
-    lattice_values = {}
-    needs_lattice = task in _NEEDS_LATTICE or (
-        task == "winding" and kind == "mkc-perpendicular"
-    )
-    if needs_lattice or "lattice" in sections:
-        if "lattice" not in sections:
-            raise ConfigError(f"task {task} needs a [lattice] section")
-        schema = _SLAB_KEYS if kind == "mkc-perpendicular" else _CHAIN_KEYS
-        lattice_values = _take("lattice", dict(sections["lattice"]), schema)
-    if task in _OPEN_ONLY and "periodic" in lattice_values.values():
-        raise ConfigError(f"task {task} computes open-boundary points: [lattice] must be open")
+    lattice = None
+    if "lattice" in sections:
+        slab = kind == "mkc-perpendicular"
+        vals = _take("lattice", dict(sections["lattice"]), _SLAB_KEYS if slab else _CHAIN_KEYS)
+        lattice = (SlabLattice if slab else ChainLattice)(*vals.values())
+        if spec.open_only and "periodic" in vals.values():
+            raise ConfigError(f"task {task} computes open-boundary points: [lattice] must be open")
+    elif kind in spec.lattice:
+        raise ConfigError(f"task {task} needs a [lattice] section")
 
-    out_raw = dict(sections.get("output", {}))
     out_schema = {
         "path": _Key(_str, default="-"),
         "format": _Key(_str, default="csv", choices=("csv", "json")),
     }
-    out_vals = _take("output", out_raw, out_schema)
-
-    if cli_threads is not None:
-        if cli_threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {cli_threads}")
-        threads = cli_threads
-    elif threads is None:
-        threads = _env_threads()
-
-    return RunConfig(
-        kind=kind,
-        model=model,
-        lattice_values=lattice_values,
-        task=task,
-        options=options,
-        output_path=out_vals["path"],
-        output_format=out_vals["format"],
-        threads=threads,
-    )
-
+    out = _take("output", dict(sections.get("output", {})), out_schema)
+    return RunConfig(model, lattice, task, options, out["path"], out["format"])

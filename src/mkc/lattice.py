@@ -395,7 +395,8 @@ def _nearest(ev, n_modes):
 def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
     """Rows (L, the n_modes eigenvalues nearest zero (_nearest), middle-pair splitting).
 
-    The points run one after another; threads is accepted and ignored.
+    The points run one after another.  threads is ignored: it stays only
+    because bench/tracer.py binds it, and goes with the next benchmark change.
     """
     rows = []
     for L in L_range:
@@ -528,7 +529,8 @@ def spectrum_vs_mu(template, mu_grid, link, lat, n_modes=None, threads=1):
     the pencil A0 + mu (A1 + mu A2) of the corners of _mu_coefficients, and
     each point takes its levels (_corner_levels) from that pencil.  n_modes
     keeps the levels nearest zero in +-E pairs (_nearest).  The points run
-    one after another; threads is accepted and ignored.
+    one after another.  threads is ignored: it stays only because
+    bench/tracer.py binds it, and goes with the next benchmark change.
     """
     coeffs = _mu_coefficients(template, link)
     pencils = {}

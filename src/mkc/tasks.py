@@ -15,7 +15,6 @@ from . import boundary, disorder, topology
 from .config import RunConfig
 from .errors import ConfigError
 from .lattice import (
-    ChainLattice,
     SlabLattice,
     _with_mu,
     low_energy_vs_length,
@@ -71,15 +70,8 @@ class Rows:
         return self.blocks[i][0]
 
 
-def _lattice(cfg):
-    vals = cfg.lattice_values
-    if cfg.kind == "mkc-perpendicular":
-        return SlabLattice(Lx=vals["lx"], Ly=vals["ly"], bcx=vals["bcx"], bcy=vals["bcy"])
-    return ChainLattice(L=vals["l"], bc=vals["bc"])
-
-
 def _task_spectrum(cfg):
-    ev = spectrum(cfg.model, _lattice(cfg)).tolist()
+    ev = spectrum(cfg.model, cfg.lattice).tolist()
     rows = Rows()
     rows.add(range(len(ev)), ev)
     return {"columns": ["index", "energy"], "rows": rows}
@@ -88,10 +80,7 @@ def _task_spectrum(cfg):
 def _task_sweep_mu(cfg):
     opt = cfg.options
     grid = np.linspace(opt["mu-min"], opt["mu-max"], opt["mu-points"])
-    recs = spectrum_vs_mu(
-        cfg.model, grid, opt["link"], _lattice(cfg),
-        n_modes=opt["n-modes"], threads=cfg.threads,
-    )
+    recs = spectrum_vs_mu(cfg.model, grid, opt["link"], cfg.lattice, n_modes=opt["n-modes"])
     rows = Rows()
     for rec in recs:
         mu = float(rec["mu"])
@@ -109,9 +98,7 @@ def _task_sweep_length(cfg):
             f"[task] l-min must be <= l-max, got {opt['l-min']} > {opt['l-max']}"
         )
     lengths = range(opt["l-min"], opt["l-max"] + 1, opt["l-step"])
-    recs = low_energy_vs_length(
-        cfg.model, lengths, bc=opt["bc"], n_modes=opt["n-modes"], threads=cfg.threads
-    )
+    recs = low_energy_vs_length(cfg.model, lengths, bc=opt["bc"], n_modes=opt["n-modes"])
     rows = Rows()
     for rec in recs:
         modes = [float(e) for e in rec["modes"]]
@@ -141,7 +128,7 @@ def _task_winding(cfg):
     elif cfg.kind == "mkc-parallel":
         rows.add("k", components, "", list(topology.component_winding_parallel(cfg.model)))
     else:
-        lat = _lattice(cfg)
+        lat = cfg.lattice
         table = topology.component_winding_perp(cfg.model, lat.Lx, lat.Ly)
         for loop, key in (("kx", "rows"), ("ky", "columns")):
             for rec in table[key]:
@@ -160,7 +147,7 @@ def _point_rows(points):
 
 
 def _task_majorana_points(cfg):
-    lat = _lattice(cfg)
+    lat = cfg.lattice
     if cfg.kind == "parent":
         return _point_rows(boundary.kc_majorana_points(cfg.model, lat.L))
     if cfg.kind == "mkc-parallel":
@@ -184,7 +171,7 @@ def _task_majorana_points(cfg):
 
 def _task_quantization(cfg):
     opt = cfg.options
-    lat = _lattice(cfg)
+    lat = cfg.lattice
     mu_range = None
     if (opt["mu-min"] is None) != (opt["mu-max"] is None):
         raise ConfigError("[task] mu-min and mu-max must be given together")
@@ -198,7 +185,7 @@ def _task_quantization(cfg):
 
 
 def _task_density(cfg):
-    lat = _lattice(cfg)
+    lat = cfg.lattice
     w = zero_subspace(cfg.model, lat, tol=cfg.options["zero-tol"]).weights.tolist()
     rows = Rows()
     if isinstance(lat, SlabLattice):
@@ -222,7 +209,7 @@ def _task_disorder(cfg):
         mu_values = np.linspace(trio[0], trio[1], trio[2])
     report = disorder.robustness_sweep(
         cfg.model,
-        _lattice(cfg),
+        cfg.lattice,
         amplitude=opt["amplitude"],
         channels=channels,
         realizations=opt["realizations"],
@@ -250,7 +237,7 @@ def _task_disorder(cfg):
 
 
 def _task_classify(cfg):
-    lat = _lattice(cfg)
+    lat = cfg.lattice
     results = boundary.classify_zero_modes(cfg.model, lat, zero_tol=cfg.options["zero-tol"])
     rows = Rows()
     flag = lambda v: "" if v is None else ("yes" if v else "no")

@@ -18,7 +18,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CriticalCurveError
-from .models import PARALLEL, PERPENDICULAR, _closing_distance, _mr
+from .models import PARALLEL, PERPENDICULAR, _mr
 
 
 def center_distance(a, b):
@@ -33,11 +33,11 @@ class WannierSpectrum:
     path: str
 
 
-def _largest_modulus(p):
-    """max_k |(M, R)| of a parent.
+def _modulus_bounds(p):
+    """(min_k, max_k) of |(M, R)| over a parent's curve.
 
     |(M, R)|^2 = 4 (t^2 - Delta^2) c^2 + 4 t mu c + mu^2 + 4 Delta^2 is a
-    quadratic in c = cos k, so its maximum sits at k = 0, at k = pi, or at
+    quadratic in c = cos k, so both extremes sit at k = 0, at k = pi, or at
     the vertex c* = -t mu / (2 (t^2 - Delta^2)) when that lies in [-1, 1];
     c* is scale free, so it is found from the parameters over their largest.
     """
@@ -47,20 +47,21 @@ def _largest_modulus(p):
     a = t * t - delta * delta
     if a != 0.0 and abs(t * mu) <= 2.0 * abs(a):
         ks.append(np.arccos(-t * mu / (2.0 * a)))
-    return float(np.hypot(*_mr(p, np.array(ks))).max())
+    d = np.hypot(*_mr(p, np.array(ks)))
+    return float(d.min()), float(d.max())
 
 
 def _check_clear_of_origin(p, k=None):
     """Raise CriticalCurveError where the parent's curve comes within 1e-9 of the origin.
 
     Within is relative to the curve's largest modulus.  With k None the
-    curve is judged at the momenta where it can close
-    (`models._closing_distance`); else at the momenta k, where a
-    perpendicular loop freezes it: a loop whose fixed momentum misses the
+    whole curve is judged, by its exact minimum; else the momenta k, where
+    a perpendicular loop freezes it: a loop whose fixed momentum misses the
     parent's closing momenta is gapped.
     """
-    dist = _closing_distance(p) if k is None else float(np.hypot(*_mr(p, k)).min())
-    if dist < 1e-9 * max(_largest_modulus(p), 1e-30):
+    closest, largest = _modulus_bounds(p)
+    dist = closest if k is None else float(np.hypot(*_mr(p, k)).min())
+    if dist < 1e-9 * max(largest, 1e-30):
         raise CriticalCurveError(
             f"curve passes through the origin (min |d| = {dist:.3e}); "
             "the model sits on a critical surface",

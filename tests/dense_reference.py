@@ -20,7 +20,7 @@ rotating the full 4x4 child into the Bell basis, and winding_locus_check
 the circle identity of a perpendicular component curve.
 quantization_residual is the paper's standing-wave condition, the oracle
 of the exact-zero potentials, and serialize_config writes a run config
-back as text, execution keys included.
+back as text, output routing included.
 """
 
 import functools
@@ -39,7 +39,6 @@ from mkc.disorder import (
     robustness_sweep,
     site_potentials,
 )
-from mkc.config import _format_value
 from mkc.errors import (
     ConfigError,
     CriticalCurveError,
@@ -505,9 +504,8 @@ def quantization_residual(R1, R2, theta1, theta2, N):
 
 
 def serialize_config(cfg):
-    """Canonical text for a RunConfig, threads and output included; parse_config reads it back."""
+    """Canonical text for a RunConfig, output routing included; parse_config reads it back."""
     sections = cfg.echo()
-    sections["task"]["threads"] = _format_value(cfg.threads)
     sections["output"] = {"path": cfg.output_path, "format": cfg.output_format}
     lines = []
     for section, values in sections.items():

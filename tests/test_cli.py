@@ -34,7 +34,6 @@ from mkc.boundary import (
 from mkc.cli import main
 from mkc.config import TASKS, _format_value, parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
-from mkc.errors import ConfigError
 from mkc.lattice import ChainLattice, SlabLattice
 from mkc.models import (
     PAULI,
@@ -305,17 +304,6 @@ def test_out_file_and_json_format(tmp_path, capsys):
     assert target.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def test_output_bytes_ignore_thread_count(tmp_path, monkeypatch):
-    cfg = _config(tmp_path, CHILD_WANNIER)
-    paths = [tmp_path / f"r{i}.csv" for i in range(3)]
-    assert main(["wannier", "--config", cfg, "--out", str(paths[0]), "--threads", "1"]) == 0
-    assert main(["wannier", "--config", cfg, "--out", str(paths[1]), "--threads", "4"]) == 0
-    monkeypatch.setenv("MKC_THREADS", "2")
-    assert main(["wannier", "--config", cfg, "--out", str(paths[2])]) == 0
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 def test_config_error_exits_2(tmp_path, capsys):
     bad = PARENT_SPECTRUM.replace("l = 8", "l = 8\nlz = 3")
     rc = main(["spectrum", "--config", _config(tmp_path, bad)])
@@ -386,37 +374,20 @@ def test_numerical_error_creates_no_output_file(tmp_path, capsys):
     assert rc == 3 and out == "" and not target.exists()
 
 
-def test_bad_env_threads_exits_2(tmp_path, capsys, monkeypatch):
+def test_thread_knobs_are_gone(tmp_path, capsys, monkeypatch):
+    cfg = _config(tmp_path, CHILD_WANNIER)
+    with pytest.raises(SystemExit) as exit_:
+        main(["wannier", "--config", cfg, "--threads", "1"])
+    assert exit_.value.code == 2 and "--threads" in capsys.readouterr().err
+    keyed = _config(tmp_path, CHILD_WANNIER + "threads = 2\n", name="keyed.cfg")
+    rc = main(["wannier", "--config", keyed])
+    assert rc == 2 and "[task] unknown key threads" in capsys.readouterr().err
+    # the environment is not read: a value that once exited 2 changes no byte
+    paths = [tmp_path / f"r{i}.csv" for i in range(2)]
+    assert main(["wannier", "--config", cfg, "--out", str(paths[0])]) == 0
     monkeypatch.setenv("MKC_THREADS", "many")
-    rc = main(["spectrum", "--config", _config(tmp_path, PARENT_SPECTRUM)])
-    _, err = capsys.readouterr()
-    assert rc == 2 and "MKC_THREADS" in err
-
-
-def test_bad_cli_threads_exits_2(tmp_path, capsys):
-    rc = main(["spectrum", "--config", _config(tmp_path, PARENT_SPECTRUM), "--threads", "0"])
-    _, err = capsys.readouterr()
-    assert rc == 2 and "--threads" in err
-
-
-def test_thread_precedence(tmp_path, capsys, monkeypatch):
-    with_threads = PARENT_SPECTRUM + "threads = 2\n"
-    monkeypatch.setenv("MKC_THREADS", "5")
-    # command line wins over config, config over environment, environment
-    # over the machine default
-    assert parse_config(with_threads, cli_threads=3).threads == 3
-    assert parse_config(with_threads).threads == 2
-    assert parse_config(PARENT_SPECTRUM).threads == 5
-    monkeypatch.setenv("MKC_THREADS", "0")
-    with pytest.raises(ConfigError):
-        parse_config(PARENT_SPECTRUM)
-    # a bad environment value is not read when a higher source gives the count
-    assert parse_config(with_threads).threads == 2
-    rc = main(["spectrum", "--config", _config(tmp_path, PARENT_SPECTRUM), "--threads", "1"])
-    capsys.readouterr()
-    assert rc == 0
-    monkeypatch.delenv("MKC_THREADS")
-    assert parse_config(PARENT_SPECTRUM).threads == (os.cpu_count() or 1)
+    assert main(["wannier", "--config", cfg, "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 _PARALLEL_HEAD = """\
@@ -509,6 +480,9 @@ _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
         ("density", _ZERO_CHILD + _L12 + "[task]\nzero-tol = 0\n"),
         ("classify", _ZERO_CHILD + _L12 + "[task]\nzero-tol = -1\n"),
         ("disorder", _ZERO_CHILD + _L12 + "[task]\nzero-tol = 0\nrealizations = 1\n"),
+        ("quantization", _MIXED_HEAD + _L6 + "[task]\nmu-min = 0.5\n"),
+        ("disorder", _ZERO_CHILD + _L6 + "[task]\nmu-min = -1\nmu-max = 1\n"),
+        ("wannier", _PARALLEL_HEAD + "[lattice]\nl = 0\n"),
     ],
     ids=["l-0", "l-2-range-2-hopping", "lx-2", "k-points-0", "loop-points-0",
          "loop-points-3", "samples-2", "l-step-0", "l-step-negative", "l-1-quantization",
@@ -524,7 +498,8 @@ _SMALL_SLAB = "[lattice]\nlx = 4\nly = 5\n"
          "seed-2**63", "seed-2**64-1", "seed-2**64", "seed-below-2**63",
          "output-path-in-missing-dir", "output-path-empty", "output-path-directory",
          "density-zero-tol-negative", "density-zero-tol-0", "classify-zero-tol-negative",
-         "disorder-zero-tol-0"],
+         "disorder-zero-tol-0", "quantization-mu-min-alone", "disorder-mu-points-missing",
+         "wannier-unread-lattice-l-0"],
 )
 def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     rc = main([task, "--config", _config(tmp_path, text)])
@@ -602,13 +577,6 @@ _SWEEP = "[task]\nmu-min = -1\nmu-max = 1\nmu-points = 3\n"
 _PARENT_HEAD = PARENT_SPECTRUM[: PARENT_SPECTRUM.index("[lattice]")]
 
 
-def _lattice_of(cfg):
-    v = cfg.lattice_values
-    if "lx" in v:
-        return SlabLattice(v["lx"], v["ly"], bcx=v["bcx"], bcy=v["bcy"])
-    return ChainLattice(v["l"], bc=v["bc"])
-
-
 def _dense_levels(model, lat, n_modes=None):
     """Ascending dense levels; n_modes keeps +-E pairs as lattice._nearest does.
 
@@ -639,7 +607,7 @@ def _check_parallel_winding(cfg, rows):
 
 
 def _check_perpendicular_winding(cfg, rows):
-    lat = _lattice_of(cfg)
+    lat = cfg.lattice
     table = sampled_winding_perp(cfg.model, lat.Lx, lat.Ly, cfg.options["samples"])
     want = []
     for loop, recs, n in (("kx", table["rows"], lat.Ly), ("ky", table["columns"], lat.Lx)):
@@ -669,12 +637,15 @@ def test_critical_factor_exits_3_at_any_sample_count(tmp_path, capsys, text):
 
 
 def test_wannier_on_a_critical_parent_exits_3(tmp_path, capsys):
-    # the parent closes at k = pi, which 301 loop points never sample
-    text = "[model]\nkind = parent\nt1 = 1\ndelta1 = 0.5\nmu1 = 2.0\n[task]\nloop-points = 301\n"
-    rc = main(["wannier", "--config", _config(tmp_path, text)])
-    out, err = capsys.readouterr()
-    assert rc == 3 and out == ""
-    assert "CriticalCurveError" in err
+    for params in (
+        "t1 = 1\ndelta1 = 0.5\nmu1 = 2.0",   # closes at k = pi, which 301 loop points never sample
+        "t1 = 1\ndelta1 = 1e-13\nmu1 = 0",   # near a metal: 2e-13 from the origin at k = pi/2
+    ):
+        text = f"[model]\nkind = parent\n{params}\n[task]\nloop-points = 301\n"
+        rc = main(["wannier", "--config", _config(tmp_path, text)])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "CriticalCurveError" in err
 
 
 @pytest.mark.parametrize(
@@ -700,7 +671,7 @@ def test_undersampled_parent_loop_exits_0(tmp_path, capsys, task, key, row):
 
 def _check_sweep_mu(link, n_modes=None):
     def check(cfg, rows):
-        lat = _lattice_of(cfg)
+        lat = cfg.lattice
         groups = {}
         for mu1, mu2, bc, i, e in rows:
             groups.setdefault((mu1, mu2, bc), []).append((i, e))
@@ -736,7 +707,7 @@ def _check_sweep_length(cfg, rows):
 
 
 def _check_density(cfg, rows):
-    lat = _lattice_of(cfg)
+    lat = cfg.lattice
     dense = dense_solver(cfg.model, lat, tol=1e-8)
     assert dense.count > 0
     if isinstance(lat, SlabLattice):
@@ -749,7 +720,7 @@ def _check_density(cfg, rows):
 
 
 def _check_classify(cfg, rows):
-    results = classify_zero_modes(cfg.model, _lattice_of(cfg), zero_tol=1e-8)
+    results = classify_zero_modes(cfg.model, cfg.lattice, zero_tol=1e-8)
     flag = {None: "", True: "yes", False: "no"}
     want = [
         [region, i, st.label, pytest.approx(st.entropy, abs=1e-12),
@@ -777,7 +748,7 @@ def _check_dirac_perpendicular(cfg, rows):
 
 
 def _check_slab_spectrum(cfg, rows):
-    want = np.linalg.eigvalsh(build_slab(cfg.model, _lattice_of(cfg)))
+    want = np.linalg.eigvalsh(build_slab(cfg.model, cfg.lattice))
     assert [r[0] for r in rows] == list(range(want.size))
     assert np.abs(np.array([r[1] for r in rows]) - want).max() < 1e-10
 
@@ -800,7 +771,7 @@ def _check_wannier(cfg, rows):
 
 
 def _check_points(cfg, rows):
-    lat = _lattice_of(cfg)
+    lat = cfg.lattice
     if cfg.kind == "parent":
         points = kc_majorana_points(cfg.model, lat.L)
     else:

@@ -1,14 +1,14 @@
 """Config parsing: validation messages, defaults, round-tripping."""
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import serialize_config
-from mkc.config import MODEL_KINDS, TASKS, parse_config
+from mkc import tasks
+from mkc.config import _TASKS, MODEL_KINDS, TASKS, parse_config
 from mkc.errors import ConfigError
+from mkc.lattice import ChainLattice, SlabLattice
 from mkc.models import ChildSpec, ParentParams
 
 PARENT_HEAD = """
@@ -38,10 +38,9 @@ def test_minimal_spectrum_config():
     assert cfg.kind == "parent"
     assert isinstance(cfg.model, ParentParams)
     assert cfg.model.mu == 0.25
-    assert cfg.lattice_values == {"l": 10, "bc": "open"}
+    assert cfg.lattice == ChainLattice(10, "open")
     assert cfg.options == {}
     assert cfg.output_path == "-" and cfg.output_format == "csv"
-    assert cfg.threads == (os.cpu_count() or 1)
 
 
 def test_child_model_and_task_defaults():
@@ -68,7 +67,7 @@ def test_child_model_and_task_defaults():
         (PARENT_HEAD + "[lattice]\nl = 10\nbc = wrapped\n[task]\nname = spectrum\n", "[lattice] bc"),
         (PARENT_HEAD + "t2 = 1.0\n[task]\nname = wannier\n", "[model] t2: not a parent parameter"),
         (PARENT_HEAD + "[task]\nname = frobnicate\n", "unknown task"),
-        (PARENT_HEAD + "[task]\nname = wannier\nthreads = 0\n", "[task] threads"),
+        (PARENT_HEAD + "[task]\nname = wannier\nthreads = 1\n", "[task] unknown key threads"),
         ("[task]\nname = wannier\n", "missing section [model]"),
         (PARENT_HEAD.replace("mu1 = 0.25\n", "") + "[task]\nname = wannier\n", "[model] missing required key mu1"),
         (CHILD_HEAD.replace("t2 = -0.8\n", "") + "[task]\nname = wannier\n", "[model] missing required key t2"),
@@ -109,23 +108,15 @@ def test_cli_task_interaction():
 
 
 def test_winding_lattice_requirement_depends_on_kind():
-    assert parse_config(PARENT_HEAD + "[task]\nname = winding\n").lattice_values == {}
+    assert parse_config(PARENT_HEAD + "[task]\nname = winding\n").lattice is None
     perp = CHILD_HEAD.replace("mkc-parallel", "mkc-perpendicular")
     with pytest.raises(ConfigError, match="needs a \\[lattice\\] section"):
         parse_config(perp + "[task]\nname = winding\n")
     cfg = parse_config(
         perp + "[lattice]\nlx = 6\nly = 7\nbcy = periodic\n[task]\nname = winding\n"
     )
-    assert cfg.lattice_values == {"lx": 6, "ly": 7, "bcx": "open", "bcy": "periodic"}
-
-
-def test_threads_stay_out_of_scientific_echo():
-    cfg = parse_config(PARENT_HEAD + "[task]\nname = winding\nthreads = 3\n")
-    assert cfg.threads == 3
-    echo = cfg.echo()
-    assert "threads" not in echo["task"] and "output" not in echo
-    full = serialize_config(cfg)
-    assert "threads = 3\n" in full and "[output]\n" in full and "format = csv\n" in full
+    assert cfg.lattice == SlabLattice(6, 7, "open", "periodic")
+    assert cfg.echo()["lattice"] == {"bcx": "open", "bcy": "periodic", "lx": "6", "ly": "7"}
 
 
 def test_serialize_round_trip_examples():
@@ -140,6 +131,8 @@ def test_serialize_round_trip_examples():
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+        # output routing stays out of the scientific echo
+        assert "output" not in cfg.echo() and "[output]\n" in serialize_config(cfg)
         # optional keys echo as empty strings and come back as None
         if cfg.task == "disorder":
             assert again.options["channel"] is None
@@ -181,4 +174,7 @@ def test_round_trip_property(t1, d1, mu1, t2, d2, mu2, s1, s2, kind, length, fmt
 
 
 def test_all_tasks_are_dispatchable_names():
-    assert len(TASKS) == 12 and len(set(TASKS)) == 12
+    assert set(tasks._DISPATCH) == set(TASKS) and len(TASKS) == 12
+    for record in _TASKS.values():
+        assert set(record.kinds) <= set(MODEL_KINDS)
+        assert set(record.lattice) <= set(MODEL_KINDS)

@@ -19,7 +19,7 @@ from dense_reference import (
 from mkc.errors import CriticalCurveError, GaplessPathError
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _mr
 from mkc.topology import (
-    _largest_modulus,
+    _modulus_bounds,
     center_distance,
     component_winding_parallel,
     component_winding_perp,
@@ -56,11 +56,16 @@ def _any_parent(draw):
 @settings(max_examples=300, deadline=None)
 @given(p=_any_parent())
 def test_largest_modulus_bounds_a_dense_sample(p):
-    sampled = float(np.hypot(*_mr(p, np.linspace(0.0, 2.0 * np.pi, 4097))).max())
-    closed = _largest_modulus(p)
+    d = np.hypot(*_mr(p, np.linspace(0.0, 2.0 * np.pi, 4097)))
+    low, high = _modulus_bounds(p)
     # k = 0 and pi are on the grid; a sample may meet the vertex only to rounding
-    assert closed >= sampled - 4.0 * np.spacing(sampled)
-    assert closed - sampled <= 1e-6 * closed
+    assert high >= d.max() - 4.0 * np.spacing(d.max())
+    assert high - d.max() <= 1e-6 * high
+    # |(M, R)|^2 is quadratic in cos k, and a grid step moves cos k by at
+    # most 2pi/4096, so the squared sampled minimum lies within 1e-5 of
+    # the squared largest modulus above the closed one
+    assert low <= d.min() + 8.0 * np.spacing(high)
+    assert d.min() ** 2 - low**2 <= 1e-5 * high**2
 
 
 @pytest.mark.parametrize(
@@ -101,6 +106,7 @@ def test_parent_wannier_center_quantized(mu, want):
         ParentParams(1.0, 0.5, 2.0),   # closes at k = pi
         ParentParams(1.0, 0.5, -2.0),  # closes at k = 0
         ParentParams(1.0, 0.0, 0.3),   # a Delta = 0 metal, closed at cos k = -0.15
+        ParentParams(1.0, 1e-13, 0.0),  # near a metal: 2e-13 from the origin at k = pi/2
     ],
 )
 def test_critical_parent_has_no_center(critical):
