@@ -91,12 +91,12 @@ _MODEL_KEYS = {
 
 # keys in the field order of the lattice they build
 _CHAIN_KEYS = {
-    "l": _Key(_int),
+    "l": _Key(_int, minimum=1),
     "bc": _Key(_str, default="open", choices=("open", "periodic")),
 }
 _SLAB_KEYS = {
-    "lx": _Key(_int),
-    "ly": _Key(_int),
+    "lx": _Key(_int, minimum=3),
+    "ly": _Key(_int, minimum=3),
     "bcx": _Key(_str, default="open", choices=("open", "periodic")),
     "bcy": _Key(_str, default="open", choices=("open", "periodic")),
 }
@@ -108,6 +108,22 @@ class _Task:
     kinds: tuple = MODEL_KINDS  # the model kinds the task applies to
     lattice: tuple = ()         # the model kinds whose [lattice] section is required
     open_only: bool = False     # its closed forms hold for open boundaries only
+    together: tuple = ()        # optional keys given all or none
+    ordered: tuple = ()         # (low, "<" or "<=", high): their order where both are given
+
+    def check(self, options):
+        """ConfigError unless options keep the rules that join keys."""
+        given = [options[k] is not None for k in self.together]
+        if any(given) and not all(given):
+            *first, last = self.together
+            raise ConfigError(f"[task] {', '.join(first)} and {last} must be given together")
+        if self.ordered:
+            low, op, high = self.ordered
+            a, b = options[low], options[high]
+            if a is not None and b is not None and not (a < b if op == "<" else a <= b):
+                raise ConfigError(
+                    f"[task] {low} must be {op} {high}, got {a} {'>=' if op == '<' else '>'} {b}"
+                )
 
 
 _TASKS = {
@@ -125,7 +141,7 @@ _TASKS = {
         "l-step": _Key(_int, default=1, minimum=1),
         "n-modes": _Key(_int, default=6, minimum=1),
         "bc": _Key(_str, default="open", choices=("open", "periodic")),
-    }, _CHAIN_KINDS),
+    }, _CHAIN_KINDS, ordered=("l-min", "<=", "l-max")),
     "wannier": _Task({
         "loop-points": _Key(_int, default=1001, minimum=4),  # validated and echoed only
         "fixed-momentum": _Key(_float, default=0.0),
@@ -139,7 +155,8 @@ _TASKS = {
         "grid-points": _Key(_int, default=2001, minimum=2),  # validated and echoed only
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
-    }, ("mkc-parallel",), MODEL_KINDS, open_only=True),
+    }, ("mkc-parallel",), MODEL_KINDS, open_only=True,
+        together=("mu-min", "mu-max"), ordered=("mu-min", "<", "mu-max")),
     "density": _Task({"zero-tol": _Key(_float, default=1e-8)}, lattice=MODEL_KINDS),
     "disorder": _Task({
         "channel": _Key(_opt(_str), default=None),
@@ -150,7 +167,7 @@ _TASKS = {
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
         "mu-points": _Key(_opt(_int), default=None, minimum=1),
-    }, lattice=MODEL_KINDS),
+    }, lattice=MODEL_KINDS, together=("mu-min", "mu-max", "mu-points")),
     "classify": _Task({"zero-tol": _Key(_opt(_float), default=1e-8)}, _CHILD_KINDS, MODEL_KINDS),
     "symmetry-check": _Task({"k-points": _Key(_int, default=64, minimum=1)}, _CHILD_KINDS),
     "dirac": _Task({
@@ -259,7 +276,8 @@ def parse_config(text, cli_task=None):
     """Validate config text into a RunConfig with all defaults resolved.
 
     A [lattice] section is validated whenever it is given, and required
-    where the task's record asks for it.
+    where the task's record asks for it.  The rules that join task keys
+    (_Task.check) are checked here too, so every config that parses runs.
     """
     sections = _read_sections(text)
     for name in sections:
@@ -287,6 +305,7 @@ def parse_config(text, cli_task=None):
     if kind not in spec.kinds:
         raise ConfigError(f"task {task} does not apply to a {kind} model")
     options = _take("task", task_raw, spec.keys)
+    spec.check(options)
 
     lattice = None
     if "lattice" in sections:

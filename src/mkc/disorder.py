@@ -21,13 +21,15 @@ matrix in the smallest real blocks that lattice._FrameBlocks.split picks
 for the channel matrix, assembled from the clean model's checked and
 rotated hopping blocks plus the site potentials; the full disordered
 matrix is never built.  Each block is cut into the connected components
-of its graph of (site, frame column) nodes (_components), which meet
-where the assembled clean block has an entry above the tolerance of the
-symmetry checks or where the channel's site term sits, and components of
-one size are solved in one stacked LAPACK call.  The one rule serves
-chains and slabs alike.  The parallel child at mu1 = mu2 = 0 hops only by
-0 and +-2, so on an open chain or an even ring its even and odd sites are
-two chains of about L/2 sites; the perpendicular slab there hops only by
+of its graph of (site, frame column) nodes (lattice._components, the rule
+that also cuts the quantization pencils of lattice.exact_zero_potentials),
+which meet where the assembled clean block has an entry above the
+tolerance of the symmetry checks or where the channel's site term sits,
+and components of one size are solved in one stacked LAPACK call.  The
+one rule serves chains and slabs alike.  The parallel child at
+mu1 = mu2 = 0 hops only by 0 and +-2, so on an open chain or an even ring
+its even and odd sites are two chains of about L/2 sites; the
+perpendicular slab there hops only by
 (+-1, +-1), so on open sides and even rings it comes apart at least into
 its sites with ix + iy even and those with ix + iy odd.  At Kitaev's
 dead point, |t| = |Delta| in both parents as well, one t_x s_x sector
@@ -64,6 +66,7 @@ from .lattice import (
     LINK_EQUAL,
     SlabLattice,
     _FrameBlocks,
+    _components,
     _negligible,
     _support,
     _with_mu,
@@ -184,47 +187,6 @@ def _site_count(lat):
     return lat.Lx * lat.Ly if isinstance(lat, SlabLattice) else lat.L
 
 
-def _components(joined, symmetric):
-    """[(ri, ci)]: the connected components of a part's node graph, grouped by size.
-
-    Row node i meets column node j where joined[i, j]: where the part's
-    assembled clean matrix has an entry above the tolerance of
-    _FrameBlocks.require, or where the site term sits.  A symmetric part
-    has one node set, row i being column i.  Every node starts labelled by
-    itself; each round points the larger label of every edge's two ends
-    at the smaller one and replaces each label by its label's label,
-    until every edge joins equal labels.  Labels only fall and only point
-    inside a component, so each component ends labelled by its smallest
-    node.  Returns one (ri, ci) per component size n, larger first: ri
-    and ci, shape (k, n), hold the row and column indices into joined of
-    k components, each ascending.  Every component must be square
-    (ValueError): a corner's site term is an invertible block of a
-    unitary, so its support holds a perfect matching.
-    """
-    nr, nc = joined.shape
-    u, v = np.nonzero(joined)
-    if not symmetric:
-        v = v + nr
-    label = np.arange(nr if symmetric else nr + nc)
-    while True:
-        lu, lv = label[u], label[v]
-        if np.array_equal(lu, lv):
-            break
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        label = label[label]
-    kr, kc = (label, label) if symmetric else (label[:nr], label[nr:])
-    size = np.bincount(kr, minlength=label.size)
-    if np.any(size != np.bincount(kc, minlength=label.size)):
-        raise ValueError("the site term leaves a class with unequal row and column counts")
-    start = np.cumsum(size) - size
-    by_r, by_c = np.argsort(kr, kind="stable"), np.argsort(kc, kind="stable")
-    out = []
-    for n in sorted(set(size.tolist()) - {0}, reverse=True):
-        first = start[size == n][:, None] + np.arange(n)
-        out.append((by_r[first], by_c[first]))
-    return out
-
-
 class BlockSolver:
     """|E| spectra of a clean lattice model plus site-diagonal disorder.
 
@@ -233,8 +195,8 @@ class BlockSolver:
     puts a phase i on the t_x s_x = -1 columns when that makes P real (the
     antiunitary t_x s_x K then keeps the whole matrix real), and solves
     the blocks that _FrameBlocks.split picks for P.  Each block is cut
-    into the connected components (_components) of its clean entries and
-    the support of P there, and each group of equal-size components
+    into the connected components (lattice._components) of its clean
+    entries and the support of P there, and each group of equal-size components
     takes one stacked svd or eigvalsh call per realization; a group of
     1x1 components takes the moduli of its entries instead.  The site
     term adds only P's entries that do not round to zero (_support).
@@ -254,8 +216,8 @@ class BlockSolver:
         """[(clean, idx, site, entry)] of the clean part rows x cols, one per class group.
 
         clean, shape (k, n, n), stacks the part's node classes of size n
-        (_components) for the site term support joins; the site term adds
-        v[site] times its entry-th nonzero (in the order of
+        (lattice._components) for the site term support joins; the site
+        term adds v[site] times its entry-th nonzero (in the order of
         np.nonzero(joins)) at the flat indices idx of that stack.  Parts
         recur across channels, so each is built once per solver.
         """

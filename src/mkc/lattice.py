@@ -10,16 +10,18 @@ No solver here builds the full chain or slab matrix.  Every clean model is
 real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
 the only way a clean model reaches a solver; its split() picks the solver
-blocks of clean and disordered models alike, and disorder cuts each such
-block further into the connected components of its assembled matrix.
-In that frame a chain splits into one (parent) or two
-(child) chiral blocks [[0, A], [A^T, 0]], so its spectrum and
-eigenvectors come from the SVD of the real L x L corners A; a periodic
-corner is circulant, and its levels are the moduli of its symbol at the
-momenta 2 pi n / L.  Chemical
-potential enters the corners as one quadratic pencil, which sweeps
-evaluate instead of rebuilding the chain.  A slab is the tensor product
-of two parent chains and is solved as those two chains.
+blocks of clean and disordered models alike.  One rule (_components)
+cuts a block further into the connected components of its assembled
+matrices: disorder cuts each disordered block so, and exact_zero_potentials
+each corner's quantization pencil, so the sign-mixed child solves the
+sector of its zeros as its two sublattices.  In that frame a chain splits
+into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
+spectrum and eigenvectors come from the SVD of the real L x L corners A; a
+periodic corner is circulant, and its levels are the moduli of its symbol
+at the momenta 2 pi n / L.  Chemical potential enters the corners as one
+quadratic pencil, which sweeps evaluate instead of rebuilding the chain.
+A slab is the tensor product of two parent chains and is solved as those
+two chains.
 """
 
 import numpy as np
@@ -306,6 +308,50 @@ class _FrameBlocks:
         return _assemble({r: b[np.ix_(rows, cols)] for r, b in self.rotated.items()}, lat)
 
 
+def _components(joined, symmetric):
+    """[(ri, ci)]: the connected components of a block's node graph, grouped by size.
+
+    Row node i meets column node j where joined[i, j]: where the block's
+    assembled matrices have an entry above the tolerance of
+    _FrameBlocks.require, or where a disorder site term sits.  A
+    symmetric block has one node set, row i being column i.  Every node
+    starts labelled by itself; each round points the larger label of
+    every edge's two ends at the smaller one and replaces each label by
+    its label's label, until every edge joins equal labels.  Labels only
+    fall and only point inside a component, so each component ends
+    labelled by its smallest node.  Returns one (ri, ci) per component
+    size n, larger first: ri and ci, shape (k, n), hold the row and
+    column indices into joined of k components, each ascending.  Every
+    component must be square (ValueError): a corner's site term is an
+    invertible block of a unitary, so its support holds a perfect
+    matching, and a pencil joins each site to itself.  Disorder blocks
+    (disorder.BlockSolver) and quantization pencils
+    (exact_zero_potentials) are cut by this one rule.
+    """
+    nr, nc = joined.shape
+    u, v = np.nonzero(joined)
+    if not symmetric:
+        v = v + nr
+    label = np.arange(nr if symmetric else nr + nc)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        label = label[label]
+    kr, kc = (label, label) if symmetric else (label[:nr], label[nr:])
+    size = np.bincount(kr, minlength=label.size)
+    if np.any(size != np.bincount(kc, minlength=label.size)):
+        raise ValueError("the site term leaves a class with unequal row and column counts")
+    start = np.cumsum(size) - size
+    by_r, by_c = np.argsort(kr, kind="stable"), np.argsort(kc, kind="stable")
+    out = []
+    for n in sorted(set(size.tolist()) - {0}, reverse=True):
+        first = start[size == n][:, None] + np.arange(n)
+        out.append((by_r[first], by_c[first]))
+    return out
+
+
 def _chiral_corners(blocks, lat):
     """[(A, plus, minus)] over the parts of _FrameBlocks.split(0) of a clean chain.
 
@@ -443,12 +489,12 @@ def _mu_coefficients(template, link):
 
 # The eigensolver returns a double root as a real or complex pair up to
 # about sqrt(eps) apart, so eigenvalues within ROOT_SPREAD (relative) of
-# the real axis are candidates, and a corner's roots that close together
-# are one root.  A candidate is a root of a corner when that corner's
-# smallest singular value there, the chain's lowest level in its sector, is
+# the real axis are candidates, and a pencil piece's roots that close
+# together are one root.  A candidate is a root of a piece when the
+# piece's smallest singular value there, a chain level in its sector, is
 # at most EXACT_ZERO_TOL of the chain's largest level.  Inside the
 # oscillatory window the roots are accurate to about 1e-14, and roots of
-# the two corners are one root only when they agree to ROOT_MATCH.
+# two pieces are one root only when they agree to ROOT_MATCH.
 ROOT_SPREAD = 1e-7
 ROOT_MATCH = 1e-12
 EXACT_ZERO_TOL = 1e-10
@@ -461,62 +507,116 @@ def _distinct(x, spread):
 
 
 def _levels(a0, a1, x):
-    """Singular values of the corner A0 + x A1 - x^2 I at each x, descending.
+    """Singular values of the pencil A0 + x A1 - x^2 I at each x, descending.
 
-    They are the chain's levels in the corner's t_x s_x sector.
+    a0 and a1 are one piece of a chiral corner, or a stack of pieces that
+    broadcasts against x[:, None, None].  The values are chain levels in
+    the corner's t_x s_x sector.
     """
     xx = x[:, None, None]
-    return np.linalg.svd(a0 + xx * (a1 - xx * np.eye(len(a0))), compute_uv=False)
+    return np.linalg.svd(a0 + xx * (a1 - xx * np.eye(a0.shape[-1])), compute_uv=False)
+
+
+def _pencil_pieces(child, L):
+    """[[(sites, B0, B1)]]: each chiral corner's quantization pencil, cut into components.
+
+    A corner of the open child at mu1 = mu2 = mu is A0 + mu A1 - mu^2 I,
+    A0 and A1 the corners of _mu_coefficients' C0 and C1.  It is cut by
+    the rule of disorder blocks: into the connected components
+    (_components, one node per site) of |A0| > tol | |A1| > tol | I, tol
+    the _FrameBlocks tolerance of each coefficient.  A corner gives one
+    entry per component size n, larger first: sites, shape (k, n), the
+    sites of k components, and B0, B1, shape (k, n, n), their pieces.  A
+    generic child keeps each corner whole; the sign-mixed child hops by
+    0 and +-2 only in the sector that holds its zeros, which comes apart
+    into its even and its odd sites.
+    """
+    lat = ChainLattice(L)
+    # an open chain has no bond of range L or more
+    frames = [
+        _FrameBlocks({r: c for r, c in blocks.items() if abs(r) < L})
+        for blocks in _mu_coefficients(child, LINK_EQUAL)[:2]
+    ]
+    out = []
+    for parts in zip(*(fb.split(0) for fb in frames)):
+        a0, a1 = (fb.assemble(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
+        joined = (np.abs(a0) > frames[0].tol) | (np.abs(a1) > frames[1].tol) | np.eye(L, dtype=bool)
+        out.append([
+            (ri, a0[ri[:, :, None], ri[:, None, :]], a1[ri[:, :, None], ri[:, None, :]])
+            for ri, _ in _components(joined, True)
+        ])
+    return out
+
+
+def _balance(b0):
+    """Weights rho^(i - j) on each piece of the stack b0: the similarity diag(rho^i).
+
+    rho equalizes the piece's outermost diagonals, at its own reach: the
+    largest |i - j| of an entry of B0 above SYMMETRY_TOL x its scale.
+    Where the piece has no such entries, or one of the two outermost
+    corners rounds to zero, rho is 1.  Offsets are clipped at the reach,
+    where the piece vanishes, which keeps the weights finite.
+    """
+    d = np.subtract.outer(np.arange(b0.shape[-1]), np.arange(b0.shape[-1]))
+    weights = []
+    for a0 in b0:
+        tol = SYMMETRY_TOL * max(1.0, np.abs(a0).max())
+        reach = np.abs(d)[np.abs(a0) > tol].max(initial=0)
+        outer = abs(a0[0, reach]), abs(a0[reach, 0])
+        rho = (outer[0] / outer[1]) ** (0.5 / reach) if reach and min(outer) > tol else 1.0
+        weights.append(rho ** np.clip(d, -reach, reach))
+    return np.stack(weights)
 
 
 def exact_zero_potentials(child, L):
     """Ascending mu where the open parallel child at mu1 = mu2 = mu has an exact zero mode.
 
-    Each chiral corner (_chiral_corners) is A(mu) = A0 + mu A1 - mu^2 I,
-    with A0 and A1 the corners of _mu_coefficients' C0 and C1; the chain has
-    a zero mode exactly where one is singular: at the real eigenvalues of the
-    companion [[0, I], [A0, A1]] (Tisseur & Meerbergen, SIAM Review 43
-    (2001) 235).  The companion is built from each corner balanced by the
-    similarity diag(rho^j) that equalizes its outermost diagonals: zero
+    Each chiral corner is A(mu) = A0 + mu A1 - mu^2 I, cut into the
+    pieces of _pencil_pieces by the component rule of disorder blocks: one
+    piece per corner for a generic child, and the two sublattices of the
+    sector that holds the zeros for the sign-mixed child.  The chain has a
+    zero mode exactly where a piece is singular: at the real eigenvalues
+    of its companion [[0, I], [B0, B1]] (Tisseur & Meerbergen, SIAM
+    Review 43 (2001) 235), one stacked solve per piece size.  Each
+    companion is built from its piece balanced by the similarity
+    diag(rho^j) that equalizes its outermost diagonals (_balance): zero
     modes at opposite edges otherwise make the roots ill-conditioned by a
     factor exponential in L.  Inside the oscillatory window, where each
     parent's decay roots share one modulus, the roots are then accurate to
-    rounding.  Outside it, finding every root is a non-goal: there the
-    split between end modes decays as e^{-L/xi} (Kitaev, Phys.-Usp. 44
-    (2001) 131) and falls below double precision, so the lowest level sits
-    near the rounding floor over whole intervals of mu and "exact zero" has
-    no meaning; roots there can be missed or be artefacts of rounding.  At
-    every root returned the chain has a level below EXACT_ZERO_TOL of its
-    largest.
+    rounding, and each sign-mixed root is simple in its piece.  Outside
+    it, finding every root is a non-goal: there the split between end
+    modes decays as e^{-L/xi} (Kitaev, Phys.-Usp. 44 (2001) 131) and falls
+    below double precision, so the lowest level sits near the rounding
+    floor over whole intervals of mu and "exact zero" has no meaning;
+    roots there can be missed or be artefacts of rounding.  At every root
+    returned the chain has a level below EXACT_ZERO_TOL of its largest.
     """
     if L < 2:
         raise ConfigError(f"lattice size must be an integer >= 2, got {L!r}")
-    lat = ChainLattice(L)
-    # an open chain has no bond of range L or more
-    coeffs = [
-        {r: c for r, c in blocks.items() if abs(r) < L}
-        for blocks in _mu_coefficients(child, LINK_EQUAL)[:2]
-    ]
-    reach = max(coeffs[0])
-    # corners vanish beyond the hopping reach; clipping there keeps rho**offset finite
-    offset = np.clip(np.subtract.outer(np.arange(L), np.arange(L)), -reach, reach)
-    corners = [[c for c, _, _ in _chiral_corners(blocks, lat)] for blocks in coeffs]
-    pencils, found = list(zip(*corners)), []
-    for a0, a1 in pencils:
-        outer = abs(a0[0, reach]), abs(a0[reach, 0])
-        tol = SYMMETRY_TOL * max(1.0, np.abs(a0).max())
-        rho = (outer[0] / outer[1]) ** (0.5 / reach) if min(outer) > tol else 1.0
-        comp = np.block([[np.zeros((L, L)), np.eye(L)], [a0 * rho**offset, a1 * rho**offset]])
+    pieces = [(b0, b1) for corner in _pencil_pieces(child, L) for _, b0, b1 in corner]
+    found = []
+    for b0, b1 in pieces:
+        k, n = b0.shape[:2]
+        weight = _balance(b0)
+        comp = np.zeros((k, 2 * n, 2 * n))
+        comp[:, :n, n:] = np.eye(n)
+        comp[:, n:, :n] = b0 * weight
+        comp[:, n:, n:] = b1 * weight
         lam = np.linalg.eigvals(comp)
-        x = lam.real[np.abs(lam.imag) <= ROOT_SPREAD * (1.0 + np.abs(lam))]
-        s = _levels(a0, a1, x)
-        band = s[:, 0]
-        # the chain's largest level is usually this corner's own; candidates
-        # that fail against it, as where the whole corner vanishes (the
-        # sign-mixed child on 2 sites), read every corner
+        piece, col = np.nonzero(np.abs(lam.imag) <= ROOT_SPREAD * (1.0 + np.abs(lam)))
+        x = lam.real[piece, col]
+        s = _levels(b0[piece], b1[piece], x)
+        # a copy: on a 1x1 piece s[:, 0] is also the smallest level s[:, -1]
+        band = s[:, 0].copy()
+        # passing against its own piece's largest level passes against the
+        # chain's; candidates that fail, as where a whole corner vanishes
+        # (the sign-mixed child on 2 sites), read every piece of every corner
         weak = s[:, -1] > EXACT_ZERO_TOL * band
-        band[weak] = np.max([_levels(b0, b1, x[weak])[:, 0] for b0, b1 in pencils], axis=0)
-        found.append(_distinct(x[s[:, -1] <= EXACT_ZERO_TOL * band], ROOT_SPREAD))
+        if weak.any():
+            tops = [_levels(c0[:, None], c1[:, None], x[weak])[..., 0] for c0, c1 in pieces]
+            band[weak] = np.concatenate(tops).max(axis=0)
+        root = s[:, -1] <= EXACT_ZERO_TOL * band
+        found += [_distinct(x[root & (piece == i)], ROOT_SPREAD) for i in range(k)]
     return _distinct(np.concatenate(found), ROOT_MATCH)
 
 

@@ -93,10 +93,6 @@ def _task_sweep_mu(cfg):
 
 def _task_sweep_length(cfg):
     opt = cfg.options
-    if opt["l-min"] > opt["l-max"]:
-        raise ConfigError(
-            f"[task] l-min must be <= l-max, got {opt['l-min']} > {opt['l-max']}"
-        )
     lengths = range(opt["l-min"], opt["l-max"] + 1, opt["l-step"])
     recs = low_energy_vs_length(cfg.model, lengths, bc=opt["bc"], n_modes=opt["n-modes"])
     rows = Rows()
@@ -171,17 +167,9 @@ def _task_majorana_points(cfg):
 
 def _task_quantization(cfg):
     opt = cfg.options
-    lat = cfg.lattice
-    mu_range = None
-    if (opt["mu-min"] is None) != (opt["mu-max"] is None):
-        raise ConfigError("[task] mu-min and mu-max must be given together")
-    if opt["mu-min"] is not None:
-        if opt["mu-min"] >= opt["mu-max"]:
-            raise ConfigError(
-                f"[task] mu-min must be < mu-max, got {opt['mu-min']} >= {opt['mu-max']}"
-            )
-        mu_range = (opt["mu-min"], opt["mu-max"])
-    return _point_rows(boundary.quantization_points(cfg.model.p1, cfg.model.p2, lat.L, mu_range))
+    mu_range = None if opt["mu-min"] is None else (opt["mu-min"], opt["mu-max"])
+    p1, p2 = cfg.model.p1, cfg.model.p2
+    return _point_rows(boundary.quantization_points(p1, p2, cfg.lattice.L, mu_range))
 
 
 def _task_density(cfg):
@@ -201,12 +189,9 @@ def _task_disorder(cfg):
     channels = None
     if opt["channel"] is not None:
         channels = [opt["channel"]]
-    trio = [opt["mu-min"], opt["mu-max"], opt["mu-points"]]
-    if any(v is not None for v in trio) and any(v is None for v in trio):
-        raise ConfigError("[task] mu-min, mu-max and mu-points must be given together")
     mu_values = None
-    if trio[0] is not None:
-        mu_values = np.linspace(trio[0], trio[1], trio[2])
+    if opt["mu-min"] is not None:
+        mu_values = np.linspace(opt["mu-min"], opt["mu-max"], opt["mu-points"])
     report = disorder.robustness_sweep(
         cfg.model,
         cfg.lattice,

@@ -19,7 +19,9 @@ as the product of its parents' (M, R); block_diagonalize checks them by
 rotating the full 4x4 child into the Bell basis, and winding_locus_check
 the circle identity of a perpendicular component curve.
 quantization_residual is the paper's standing-wave condition, the oracle
-of the exact-zero potentials, and serialize_config writes a run config
+of the exact-zero potentials, and whole_corner_potentials finds them with
+one companion per chiral corner, where mkc solves each connected
+component of the corner's pencil.  serialize_config writes a run config
 back as text, output routing included.
 """
 
@@ -48,9 +50,18 @@ from mkc.errors import (
     SingularConfigError,
 )
 from mkc.lattice import (
+    EXACT_ZERO_TOL,
+    LINK_EQUAL,
     PERIODIC,
+    ROOT_MATCH,
+    ROOT_SPREAD,
+    SYMMETRY_TOL,
     ChainLattice,
     ZeroSubspace,
+    _chiral_corners,
+    _distinct,
+    _levels,
+    _mu_coefficients,
     _zero_tol,
     chain_hopping_blocks,
     slab_factor_blocks,
@@ -501,6 +512,40 @@ def quantization_residual(R1, R2, theta1, theta2, N):
     plus = _standing_wave_ratio(R1, R2, 0.5 * (theta1 + theta2), N)
     minus = _standing_wave_ratio(R1, R2, 0.5 * (theta1 - theta2), N)
     return plus - minus
+
+
+def whole_corner_potentials(child, L):
+    """Exact-zero potentials of the open shared-mu child, each chiral corner as one pencil.
+
+    The reference for lattice.exact_zero_potentials, which cuts each
+    corner into its connected components first: here every L x L corner
+    A0 + mu A1 - mu^2 I takes one companion [[0, I], [A0, A1]], balanced
+    at the hopping reach of the whole chain, and every candidate is
+    level-tested against the whole corner, so a sign-mixed root is a
+    double root of its corner, once per sublattice.
+    """
+    lat = ChainLattice(L)
+    coeffs = [
+        {r: c for r, c in blocks.items() if abs(r) < L}
+        for blocks in _mu_coefficients(child, LINK_EQUAL)[:2]
+    ]
+    reach = max(coeffs[0])
+    offset = np.clip(np.subtract.outer(np.arange(L), np.arange(L)), -reach, reach)
+    corners = [[c for c, _, _ in _chiral_corners(blocks, lat)] for blocks in coeffs]
+    pencils, found = list(zip(*corners)), []
+    for a0, a1 in pencils:
+        outer = abs(a0[0, reach]), abs(a0[reach, 0])
+        tol = SYMMETRY_TOL * max(1.0, np.abs(a0).max())
+        rho = (outer[0] / outer[1]) ** (0.5 / reach) if min(outer) > tol else 1.0
+        comp = np.block([[np.zeros((L, L)), np.eye(L)], [a0 * rho**offset, a1 * rho**offset]])
+        lam = np.linalg.eigvals(comp)
+        x = lam.real[np.abs(lam.imag) <= ROOT_SPREAD * (1.0 + np.abs(lam))]
+        s = _levels(a0, a1, x)
+        band = s[:, 0].copy()
+        weak = s[:, -1] > EXACT_ZERO_TOL * band
+        band[weak] = np.max([_levels(b0, b1, x[weak])[:, 0] for b0, b1 in pencils], axis=0)
+        found.append(_distinct(x[s[:, -1] <= EXACT_ZERO_TOL * band], ROOT_SPREAD))
+    return _distinct(np.concatenate(found), ROOT_MATCH)
 
 
 def serialize_config(cfg):

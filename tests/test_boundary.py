@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import build_chain, dense_levels, diagonalize, quantization_residual
@@ -227,6 +227,8 @@ def _standing_wave_child(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(case=_standing_wave_child())
+# the sector of the zeros is the pieces {1, 3} and {2}: the 1x1 piece holds +-sqrt(1.5)
+@example(case=(ParentParams(1.0, -0.5, 0.0), ParentParams(-1.0, -0.5, 0.0), 3))
 def test_quantization_points_satisfy_standing_wave_condition(case):
     p1, p2, N = case
     half = _window(p1, p2)

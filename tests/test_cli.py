@@ -508,6 +508,23 @@ def test_out_of_range_sizes_and_counts_exit_2(tmp_path, capsys, task, text):
     assert err.startswith("mkc: config error:")
 
 
+@pytest.mark.parametrize(
+    "task, text, message",
+    [
+        ("wannier", _PARALLEL_HEAD + "[lattice]\nl = 0\n", "[lattice] l: must be >= 1, got 0"),
+        ("spectrum", PARENT_SPECTRUM.replace("l = 8", "l = 0"), "[lattice] l: must be >= 1, got 0"),
+        ("density", _PERPENDICULAR_HEAD + "[lattice]\nlx = 2\nly = 5\n", "[lattice] lx: must be >= 3, got 2"),
+        ("density", _PERPENDICULAR_HEAD + "[lattice]\nlx = 4\nly = -1\n", "[lattice] ly: must be >= 3, got -1"),
+    ],
+    ids=["wannier-l-0", "spectrum-l-0", "lx-2", "ly-negative"],
+)
+def test_lattice_size_errors_name_their_key(tmp_path, capsys, task, text, message):
+    rc = main([task, "--config", _config(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"mkc: config error: {message}\n"
+
+
 def test_perpendicular_symmetry_check_runs_on_kx_ky_grid(tmp_path, capsys):
     text = """\
 [model]

@@ -80,6 +80,41 @@ def test_rejects_with_named_key(text, fragment):
     assert fragment in str(err.value)
 
 
+_QUANTIZATION = CHILD_HEAD + "[lattice]\nl = 6\n[task]\nname = quantization\n"
+_DISORDER = CHILD_HEAD + "[lattice]\nl = 6\n[task]\nname = disorder\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            PARENT_HEAD + "[task]\nname = sweep-length\nl-min = 6\nl-max = 4\n",
+            "[task] l-min must be <= l-max, got 6 > 4",
+        ),
+        (_QUANTIZATION + "mu-min = 0.5\n", "[task] mu-min and mu-max must be given together"),
+        (_QUANTIZATION + "mu-max = 0.5\n", "[task] mu-min and mu-max must be given together"),
+        (_QUANTIZATION + "mu-min = 0.5\nmu-max = 0.5\n", "[task] mu-min must be < mu-max, got 0.5 >= 0.5"),
+        (
+            _DISORDER + "mu-min = -1\nmu-max = 1\n",
+            "[task] mu-min, mu-max and mu-points must be given together",
+        ),
+        (_DISORDER + "mu-points = 3\n", "[task] mu-min, mu-max and mu-points must be given together"),
+    ],
+)
+def test_cross_key_rules_fail_in_parse_config(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+def test_cross_key_rules_pass_ordered_and_complete_keys():
+    assert parse_config(PARENT_HEAD + "[task]\nname = sweep-length\nl-min = 4\nl-max = 4\n")
+    assert parse_config(_QUANTIZATION + "mu-min = -0.5\nmu-max = 0.5\n").options["mu-max"] == 0.5
+    # a disorder grid may run downwards: linspace takes the bounds in either order
+    cfg = parse_config(_DISORDER + "mu-min = 1\nmu-max = -1\nmu-points = 3\n")
+    assert (cfg.options["mu-min"], cfg.options["mu-max"]) == (1.0, -1.0)
+
+
 @pytest.mark.parametrize(
     "head,task",
     [
@@ -163,7 +198,8 @@ def test_round_trip_property(t1, d1, mu1, t2, d2, mu2, s1, s2, kind, length, fmt
         lines += [f"t2 = {s2 * t2!r}", f"delta2 = {d2!r}", f"mu2 = {mu2!r}"]
     lines += ["[lattice]"]
     if kind == "mkc-perpendicular":
-        lines += [f"lx = {length}", f"ly = {length + 1}"]
+        # slab sides start at 3
+        lines += [f"lx = {length + 1}", f"ly = {length + 2}"]
     else:
         lines += [f"l = {length}"]
     lines += ["[task]", "name = spectrum", "[output]", f"format = {fmt}"]

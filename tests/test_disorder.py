@@ -35,6 +35,7 @@ from mkc.lattice import (
     ChainLattice,
     SlabLattice,
     _FrameBlocks,
+    _components,
     _support,
     _with_mu,
     chain_hopping_blocks,
@@ -744,7 +745,7 @@ def test_node_classes_split_every_part_up_to_its_tolerance(model, lat, shapes):
             part = fb.assemble(rows, cols, lat)
             term = np.kron(np.eye(n_sites), pb)
             joined = (np.abs(part) > fb.tol) | _support(term)
-            groups = disorder._components(joined, not corner)
+            groups = _components(joined, not corner)
             got.append([ri.shape for ri, _ in groups])
             sizes = [ri.shape[1] for ri, _ in groups]
             assert sizes == sorted(set(sizes), reverse=True), channel_name(channel)
@@ -773,17 +774,17 @@ def test_node_classes_need_a_site_term_that_fills_each_corner():
     assert corner
     joined = np.abs(fb.assemble(rows, cols, ChainLattice(5))) > fb.tol
     with pytest.raises(ValueError, match="unequal row and column counts"):
-        disorder._components(joined, False)
+        _components(joined, False)
 
 
 def test_node_classes_of_a_symmetric_part_share_one_node_set():
     # a path 0 - 1 - 2 without diagonal entries stays whole on one node set, while
     # read as a corner its row and column nodes fall into mirror classes of unequal counts
     joined = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    ((ri, ci),) = disorder._components(joined, True)
+    ((ri, ci),) = _components(joined, True)
     assert ri.tolist() == ci.tolist() == [[0, 1, 2]]
     with pytest.raises(ValueError, match="unequal row and column counts"):
-        disorder._components(joined, False)
+        _components(joined, False)
 
 
 def test_canonical_child_solves_halved_blocks(monkeypatch):

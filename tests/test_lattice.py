@@ -16,6 +16,7 @@ from dense_reference import (
     dense_solver,
     diagonalize,
     well_posed,
+    whole_corner_potentials,
     zero_basis,
 )
 from mkc import lattice
@@ -26,6 +27,7 @@ from mkc.lattice import (
     LINK_EQUAL,
     OPEN,
     PERIODIC,
+    ROOT_MATCH,
     ChainLattice,
     SlabLattice,
     _zero_tol,
@@ -385,6 +387,42 @@ def test_exact_zero_potentials_are_dense_zeros_and_closed_forms(case):
     if abs(p.delta / p.t) >= 0.45:
         inside = np.abs(roots) < 2.0 * np.sqrt(p.t**2 - p.delta**2)
         assert inside.sum() == len(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_pencil_case())
+@example(case=(True, ChildSpec(ParentParams(1.0, 0.5, 0.0), ParentParams(-1.0, 0.5, 0.0), PARALLEL), 2))
+@example(case=(True, ChildSpec(ParentParams(-1.3, 0.2, 0.0), ParentParams(1.3, 0.2, 0.0), PARALLEL), 5))
+def test_exact_zero_potentials_match_whole_corner_companions(case):
+    _, child, L = case
+    roots, want = exact_zero_potentials(child, L), whole_corner_potentials(child, L)
+    assert roots.size == want.size
+    assert np.all(np.abs(roots - want) <= ROOT_MATCH * (1.0 + np.abs(want)))
+    # a child whose second parent is (-t1, +-Delta1) hops by 0 and +-2 only in one
+    # sector, which comes apart into its even and odd sites; every other corner is whole
+    whole = [[list(range(L))]]
+    pieces = [
+        [sites.tolist() for sites, _, _ in corner] for corner in lattice._pencil_pieces(child, L)
+    ]
+    p1, p2 = child.p1, child.p2
+    if p2.t == -p1.t and abs(p2.delta) == abs(p1.delta):
+        even, odd = list(range(0, L, 2)), list(range(1, L, 2))
+        split = [[even, odd]] if L % 2 == 0 else [[even], [odd]]
+        assert sorted(pieces) == sorted([whole, split])
+    else:
+        # one piece per corner: the whole-corner solve, bit for bit
+        assert pieces == [whole, whole]
+        assert np.array_equal(roots, want)
+
+
+def test_exact_zero_potentials_keeps_roots_of_a_one_site_piece():
+    # at L = 3 the sector of the zeros is the pieces {0, 2} and {1}; the level
+    # test of the 1x1 piece must not overwrite its one level, the smallest,
+    # with the chain's largest, or its roots +-sqrt(1.5) go missing
+    child = ChildSpec(ParentParams(1.0, -0.5, 0.0), ParentParams(-1.0, -0.5, 0.0), PARALLEL)
+    want = np.array([np.sqrt(0.75), np.sqrt(1.5), 1.5, np.sqrt(13.0) / 2.0])
+    roots = exact_zero_potentials(child, 3)
+    assert roots == pytest.approx(np.concatenate([-want[::-1], want]), abs=1e-14)
 
 
 def test_exact_zero_potentials_keeps_close_roots_of_the_two_corners():
