@@ -41,17 +41,11 @@ dead point, as (1, 1, 0) x (1, 1, 3) does, hops along x only inside
 dimers, so those channels solve it as strips along y.
 
 The same symmetries make channels come in twins with one |E| spectrum:
-the twin of a child channel P is the Pauli pair proportional to t_x s_x P
-(_solve_owners says when the two spectra agree and why).  Seven such pairs
-hold, so a sweep over all sixteen child channels solves nine per
-realization and grid point.  Where the two factors are one chain up to a
-Pauli frame and a real scale, as at t = Delta = 1, mu = 0 in both parents,
-exchanging them keeps the clean child too (lattice._FrameBlocks.exchange
-decides it on the hopping blocks at each grid point), and it pairs channel
-ab with ba: the sixteen channels then take seven solves.  Each channel
-reads the displacement of the first channel of its class.  yy and zz stay
-apart: both are real, anticommute with both chiral operators and are
-their own exchange partners, and their spectra differ.
+the twin of a child channel P is the Pauli pair proportional to t_x s_x P.
+Site-local symmetries of the clean hopping blocks (_site_symmetries,
+searched at each grid point) join more channels.  _solve_owners says when
+and why two channels share a spectrum; each channel reads the
+displacement of the first channel of its class.
 """
 
 import functools
@@ -64,9 +58,11 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import (
     LINK_EQUAL,
+    OPEN,
     SlabLattice,
     _FrameBlocks,
     _components,
+    _kron2,
     _negligible,
     _support,
     _with_mu,
@@ -75,12 +71,14 @@ from .lattice import (
     slab_hopping_blocks,
     spectrum,
 )
-from .models import _C1, _C2, _U, PAULI, ParentParams, _EXCHANGES
+from .models import _C1, _C2, _U, PAULI, ParentParams
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(
     (a, b) for a, b in itertools.product("0xyz", repeat=2)
 )
+# the sixteen child channel matrices, in CHILD_CHANNELS order
+_PAIRS = np.stack([_kron2(PAULI[a], PAULI[b]) for a, b in CHILD_CHANNELS])
 
 DEFAULT_AMPLITUDE = 0.2
 DEFAULT_REALIZATIONS = 50
@@ -91,6 +89,7 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = 0xFFFFFFFF
+
 
 
 def _normalize_channel(channel):
@@ -284,8 +283,64 @@ class BlockSolver:
         return solve
 
 
+def _site_turns():
+    """(tp, ts): the 24 one-factor Cliffords, turn t taking s_j to ts[t, j] s_tp[t, j].
+
+    Each maps (s_x, s_y, s_z) to a signed permutation of itself with
+    determinant +1 (Gottesman, arXiv:quant-ph/9807006) and keeps s_0.
+    """
+    turns = [
+        ((0,) + p, (1.0,) + s)
+        for p in itertools.permutations((1, 2, 3)) for s in itertools.product((1.0, -1.0), repeat=3)
+        if math.prod(s) * (p[1] - p[0]) * (p[2] - p[0]) * (p[2] - p[1]) > 0
+    ]
+    return tuple(np.array(t) for t in zip(*turns))
+
+
+def _site_symmetries(fb, lat):
+    """Links (a, b, s) of child channel names by the site-local symmetries of a clean child.
+
+    A symmetry turns each factor by one of _site_turns, after swapping the
+    factors or not (a map W, 1152 in all), with a sign eps and a gauge w^r,
+    w^4 = 1 (w^L = 1 on a ring of L sites; wx^rx wy^ry on a slab), such that
+    W H_r W^H = eps w^r H_r for each of fb's blocks within fb.tol on their
+    Pauli coefficients.  With the site gauge w^-j it maps H0 + V P_a to
+    eps (H0 + s V P_b), where W P_a W^H = eps s P_b.  Maps are pruned on
+    each block's support first.
+    """
+    if fb.q.size != 4:
+        return frozenset()
+    pairs = fb.frame.T @ _PAIRS @ fb.frame
+    blocks = np.stack(list(fb.rotated.values()))
+    coef = 0.25 * (pairs[None] * blocks.transpose(0, 2, 1)[:, None]).sum(axis=(2, 3))
+    # map (w, t1, t2) turns factor 1 by t1 and factor 2 by t2, after swapping them if w
+    tp, ts = _site_turns()
+    # a map must keep each block's support: bit r of code marks block r's nonzeros
+    code = ((np.abs(coef) > fb.tol) << np.arange(len(coef))[:, None]).sum(axis=0).reshape(4, 4)
+    moved = code[tp[:, None, :, None], tp[None, :, None, :]]
+    w, t1, t2 = np.nonzero(np.stack([moved == code, moved == code.T]).all(axis=(3, 4)))
+    # the survivors take Pauli pair i, 4a + b over 0xyz, to sign[k, i] pair perm[k, i]
+    a, b = np.divmod(np.arange(16), 4)
+    x, y = np.where(w[:, None], b, a), np.where(w[:, None], a, b)
+    perm = 4 * tp[t1[:, None], x] + tp[t2[:, None], y]
+    sign = ts[t1[:, None], x] * ts[t2[:, None], y]
+    # fits[r, m, k]: map k takes block r to i^m times itself
+    roots = np.array([1, 1j, -1, -1j])[:, None, None]
+    fits = np.stack([np.abs(sign * c - roots * c[perm]).max(axis=2) <= fb.tol for c in coef])
+    slab = isinstance(lat, SlabLattice)
+    sides = ((lat.Lx, lat.bcx), (lat.Ly, lat.bcy)) if slab else ((lat.L, lat.bc),)
+    exps = [[e for e in range(4) if bc == OPEN or e * n % 4 == 0] for n, bc in sides]
+    # eps w^r = i^m for eps = i^f and w = i^e per direction
+    options = np.array(list(itertools.product((0, 2), *exps)))
+    m = (options[:, :1] + options[:, 1:] @ np.reshape(list(fb.rotated), (len(coef), -1)).T) % 4
+    g, k = np.nonzero(fits[np.arange(len(coef)), m].all(axis=1))
+    names = np.array(["".join(c) for c in CHILD_CHANNELS])
+    signs = ((1 - options[g, :1]) * sign[k]).astype(int).ravel().tolist()
+    return frozenset(zip(np.tile(names, k.size).tolist(), names[perm[k]].ravel().tolist(), signs))
+
+
 @functools.lru_cache(maxsize=16)
-def _solve_owners(channels, exchange):
+def _solve_owners(channels, links):
     """For each channel of the tuple, the index of the channel whose solve it reads.
 
     That is the first channel of its orbit: the channels that share its |E|
@@ -310,19 +365,14 @@ def _solve_owners(channels, exchange):
       sector where P' = -P the block h - V P is the complex conjugate of
       h + V P, h being real, so the two have the same eigenvalues.
 
-    exchange is None or the Pauli index s of a factor exchange W_s that
-    keeps H0 (lattice._FrameBlocks.exchange), with the site gauge (-1)^j
-    where it needs one, which commutes with every site term.  W_s maps
-    a x b to +-b x a: with the + sign the two channels share a spectrum
-    outright, and with the - sign when b x a is flippable.  A channel that
-    is its own partner (00, xx, yy, zz) always has the + sign.
+    links holds the (a, b, s) of _site_symmetries: a site-local symmetry
+    maps H0 + V P_a to +-(H0 + s V P_b).  With s = 1 the two channels
+    share a spectrum outright, with s = -1 when P_b is flippable.
 
-    Without the exchange the sixteen child channels fall into nine
-    classes; with it into seven.  yy and zz stay apart: both are real,
-    anticommute with both chiral operators and are their own partners.
-    A parent has no X and no exchange: every 2x2 channel owns its solve.
-    Sweeps over one channel tuple and exchange share the answer, which is
-    cached.
+    The twins alone leave the sixteen child channels nine classes; the
+    README lists the classes the links leave at the dead point.  A parent
+    has no X and no links: every 2x2 channel owns its solve.  Sweeps over
+    one channel tuple and link set share the answer, which is cached.
     """
 
     def commutes(a, b):
@@ -336,13 +386,9 @@ def _solve_owners(channels, exchange):
             return False  # distinct Pauli pairs are trace-orthogonal
         return _negligible(_U @ p + p @ _U) or flippable(p)
 
-    w = None if exchange is None else _EXCHANGES[exchange]
-
-    def partners(p, q):
-        if w is None:
-            return False
-        image = w @ p @ w.T
-        return _negligible(image - q) or (_negligible(image + q) and flippable(q))
+    def linked(o, c):
+        edge = (channel_name(channels[o]), channel_name(channels[c]))
+        return edge + (1,) in links or (edge + (-1,) in links and flippable(mats[c]))
 
     mats = [channel_matrix(channel) for channel in channels]
     owners = list(range(len(mats)))
@@ -354,7 +400,7 @@ def _solve_owners(channels, exchange):
 
     for c, q in enumerate(mats):
         for o in range(c):
-            if twins(mats[o], q) or partners(mats[o], q):
+            if twins(mats[o], q) or linked(o, c):
                 a, b = sorted((find(o), find(c)))
                 owners[b] = a
     return tuple(find(c) for c in range(len(mats)))
@@ -417,9 +463,9 @@ def robustness_sweep(
     the worst realization.  Every channel must act on the model's internal
     space (2x2 for a parent, 4x4 for a child), else ConfigError.  The
     realizations are drawn once and shared by every channel and grid
-    point.  A channel whose class (_solve_owners, with the factor exchange
-    found at that grid point) has an earlier member reads that member's
-    displacement instead of solving again.
+    point.  A channel whose class (_solve_owners, with the site-local
+    symmetries found at that grid point) has an earlier member reads that
+    member's displacement instead of solving again.
     """
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
@@ -459,7 +505,7 @@ def robustness_sweep(
             continue
         solver = BlockSolver(spec, lat)
         fb = solver._blocks
-        owners = _solve_owners(channels, fb.exchange(lat))
+        owners = _solve_owners(channels, _site_symmetries(fb, lat))
         if owners != tuple(range(len(channels))):
             # channels share a solve only while the clean model keeps all three symmetries
             fb.require("t_x s_x", fb.q[:, None] == fb.q[None, :])

@@ -32,7 +32,6 @@ from .models import (
     _C1,
     _C2,
     _U,
-    _EXCHANGES,
     BLOCK_BASIS,
     PARALLEL,
     SX,
@@ -219,8 +218,8 @@ class _FrameBlocks:
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
     blocks every solver works on, and assemble() gives one as a lattice
-    matrix; exchange() says whether exchanging a child's two factors
-    keeps the model.
+    matrix; disorder._site_symmetries searches them, within tol, for the
+    site-local symmetries that pair disorder channels.
     """
 
     def __init__(self, blocks):
@@ -277,31 +276,6 @@ class _FrameBlocks:
                     break
             out.append((rows, cols, corner))
         return out
-
-    def exchange(self, lat):
-        """The Pauli index s of a factor exchange that keeps the clean model, else None.
-
-        The exchange W_s (models._EXCHANGES) keeps it when W_s H_r W_s^T =
-        eps^r H_r for every hopping block, within tol: eps = 1, or on an
-        open chain or an even ring eps = -1, which the site gauge (-1)^j
-        turns back into 1.  W_s is site-local and real, so it is checked on
-        the rotated blocks, one displacement at a time: on a slab the
-        exchange would also swap x and y, and so permute the sites, and it
-        passes only where no block tells the two apart.  A parent has no
-        second factor.  The first s in 0, x, y, z that holds is returned.
-        """
-        if self.q.size != 4:
-            return None
-        gauge = isinstance(lat, ChainLattice) and (lat.bc == OPEN or lat.L % 2 == 0)
-        blocks = np.stack(list(self.rotated.values()))
-        odd = np.array([np.sum(r) % 2 == 1 for r in self.rotated])[:, None, None]
-        for s in "0xyz":
-            w = self.frame.T @ _EXCHANGES[s] @ self.frame
-            image = w @ blocks @ w.T
-            for eps in (1.0, -1.0) if gauge else (1.0,):
-                if np.abs(image - np.where(odd, eps, 1.0) * blocks).max() <= self.tol:
-                    return s
-        return None
 
     def assemble(self, rows, cols, lat):
         """The lattice matrix of the rotated blocks restricted to frame rows x cols."""
@@ -596,6 +570,9 @@ def exact_zero_potentials(child, L):
     pieces = [(b0, b1) for corner in _pencil_pieces(child, L) for _, b0, b1 in corner]
     found = []
     for b0, b1 in pieces:
+        # bitwise equal pieces, as the sign-mixed sublattices at even L, share their roots
+        keep = list({p.tobytes() + q.tobytes(): i for i, (p, q) in enumerate(zip(b0, b1))}.values())
+        b0, b1 = b0[keep], b1[keep]
         k, n = b0.shape[:2]
         weight = _balance(b0)
         comp = np.zeros((k, 2 * n, 2 * n))

@@ -21,11 +21,15 @@ the circle identity of a perpendicular component curve.
 quantization_residual is the paper's standing-wave condition, the oracle
 of the exact-zero potentials, and whole_corner_potentials finds them with
 one companion per chiral corner, where mkc solves each connected
-component of the corner's pencil.  serialize_config writes a run config
-back as text, output routing included.
+component of the corner's pencil.  site_symmetry_links finds the
+channel links of disorder._site_symmetries by brute force: every
+Clifford unitary, site gauge and sign on the whole lattice matrix.
+serialize_config writes a run config back as text, output routing
+included.
 """
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from unittest import mock
@@ -57,6 +61,7 @@ from mkc.lattice import (
     ROOT_SPREAD,
     SYMMETRY_TOL,
     ChainLattice,
+    SlabLattice,
     ZeroSubspace,
     _chiral_corners,
     _distinct,
@@ -105,21 +110,82 @@ def build_chain(spec, lat):
     return _assemble_chain(chain_hopping_blocks(spec), lat.L, lat.bc)
 
 
-def build_slab(spec, lat):
-    """Real-space slab Hamiltonian, site = ix*Ly + iy, internal index minor."""
+def _assemble_slab(blocks, lat):
     n = lat.Lx * lat.Ly * 4
     h = np.zeros((n, n), dtype=complex)
-    for (ra, rb), blk in slab_hopping_blocks(spec).items():
+    for (ra, rb), blk in blocks.items():
         sx = _shift(lat.Lx, ra, lat.bcx)
         sy = _shift(lat.Ly, rb, lat.bcy)
         h += np.kron(np.kron(sx, sy), blk)
     return h
 
 
+def build_slab(spec, lat):
+    """Real-space slab Hamiltonian, site = ix*Ly + iy, internal index minor."""
+    return _assemble_slab(slab_hopping_blocks(spec), lat)
+
+
 def build_slab_factors(spec, lat):
     """(H_x, H_y), the factor chains whose reordered tensor product is build_slab."""
     a, b = slab_factor_blocks(spec)
     return _assemble_chain(a, lat.Lx, lat.bcx), _assemble_chain(b, lat.Ly, lat.bcy)
+
+
+def _one_factor_cliffords():
+    """The 24 single-qubit Clifford unitaries up to a phase: the closure of H and S."""
+    gens = (np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.diag([1, 1j]))
+    group, todo = {}, [np.eye(2, dtype=complex)]
+    while todo:
+        u = todo.pop()
+        first = u.flat[np.argmax(np.abs(u) > 0.5)]  # fix the phase on one entry
+        u = u * abs(first) / first
+        key = (np.round(u, 8) + 0.0).tobytes()
+        if key not in group:
+            group[key] = u
+            todo += [g @ u for g in gens]
+    return list(group.values())
+
+
+def site_symmetry_links(blocks, lat):
+    """disorder._site_symmetries of 4x4 hopping blocks, by brute force on the dense lattice matrix.
+
+    Every W = (U1 x U2) SWAP^w over the single-qubit Cliffords U1, U2 and
+    w in {0, 1}, every site gauge g_j = w^j with w^4 = 1 (w^L = 1 on a
+    ring, one w per slab direction) and eps = +-1 with G H G^H = eps H for
+    G = diag(g) x W, within 1e-9 x scale; each gives the links (a, b, eps s)
+    with W P_a W^H = s P_b.
+    """
+    slab = isinstance(lat, SlabLattice)
+    h = _assemble_slab(blocks, lat) if slab else _assemble_chain(blocks, lat.L, lat.bc)
+    sides = [(lat.Lx, lat.bcx), (lat.Ly, lat.bcy)] if slab else [(lat.L, lat.bc)]
+    n = h.shape[0] // 4
+    h4 = h.reshape(n, 4, n, 4)
+    tol = 1e-9 * max(np.abs(h).max(), 1.0)
+    allowed = [[w for w in (1, 1j, -1, -1j) if bc != PERIODIC or abs(w**size - 1) < 1e-9]
+               for size, bc in sides]
+    gauges = []
+    for ws in itertools.product(*allowed):
+        g = np.ones(1, dtype=complex)
+        for w, (size, _) in zip(ws, sides):
+            g = np.kron(g, w ** np.arange(size))
+        gauges.append(np.outer(g, g.conj())[:, None, :, None])
+    names = ["".join(p) for p in itertools.product("0xyz", repeat=2)]
+    pairs = [channel_matrix(name) for name in names]
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    links = set()
+    cliffords = _one_factor_cliffords()
+    for u1, u2, w in itertools.product(cliffords, cliffords, (np.eye(4), swap)):
+        big = np.kron(u1, u2) @ w
+        turned = np.einsum("ab,ibjc,dc->iajd", big, h4, big.conj())
+        for phase in gauges:
+            for eps in (1, -1):
+                if np.abs(phase * turned - eps * h4).max() <= tol:
+                    for a, p in zip(names, pairs):
+                        image = big @ p @ big.conj().T
+                        coef = [np.trace(q.conj().T @ image).real / 4.0 for q in pairs]
+                        b = int(np.argmax(np.abs(coef)))
+                        links.add((a, names[b], eps * int(np.sign(coef[b]))))
+    return frozenset(links)
 
 
 def diagonalize(h, hermiticity_tol=1e-12):

@@ -14,6 +14,7 @@ from dense_reference import (
     build_slab,
     dense_levels,
     displacement_vs_amplitude,
+    site_symmetry_links,
 )
 from mkc import disorder
 from mkc.disorder import (
@@ -47,10 +48,25 @@ from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentPara
 
 # each child channel that shares its |E| spectrum with an earlier one, and that one
 _TWIN_OF = {"x0": "0x", "xx": "00", "xy": "0z", "xz": "0y", "z0": "yx", "zx": "y0", "zy": "yz"}
-# the classes of the twins joined with the factor exchange partners ab, ba
+# the classes of the twins joined by the site-local symmetries: of a child whose two
+# factors are one chain up to a Pauli frame and a real scale, which exchanging the
+# factors keeps; of the canonical child, whose dead-point gauge i^j also joins 0y with
+# 0z; of the sign-mixed one, which also joins yy with zz; and of the canonical slab
 _EXCHANGE_CLASSES = [
     ["00", "xx"], ["0x", "x0"], ["0y", "xz", "y0", "zx"], ["0z", "xy", "yx", "z0"],
     ["yy"], ["yz", "zy"], ["zz"],
+]
+_CANONICAL_CLASSES = [
+    ["00", "xx"], ["0x", "x0"], ["0y", "0z", "xy", "xz", "y0", "yx", "z0", "zx"],
+    ["yy"], ["yz", "zy"], ["zz"],
+]
+_MIXED_CLASSES = [
+    ["00", "xx"], ["0x", "x0"], ["0y", "0z", "xy", "xz", "y0", "yx", "z0", "zx"],
+    ["yy", "zz"], ["yz", "zy"],
+]
+_SLAB_CLASSES = [
+    ["00", "xx"], ["0x", "x0"], ["0y", "xz"], ["0z", "xy"], ["y0", "yx", "z0", "zx"],
+    ["yy", "yz", "zy", "zz"],
 ]
 
 
@@ -175,7 +191,7 @@ def test_draws_match_numpy_philox_bit_for_bit(seed, realizations, sites, amplitu
 def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
     # the reference draws every (channel, realization) anew, as the sweep once did;
     # each class of _solve_owners solves once, so only its first channel is bitwise
-    # its own solve, and the classes follow the exchange found at each grid point
+    # its own solve, and the classes follow the symmetries found at each grid point
     realizations, seed, mu_values = 3, -11, [0.0, 0.2]
     rep = robustness_sweep(
         model, lat, amplitude=0.3, realizations=realizations, seed=seed, mu_values=mu_values
@@ -190,7 +206,7 @@ def test_sweep_draws_once_like_per_channel_site_potentials(model, lat):
         spec = _with_mu(model, mu, LINK_EQUAL)
         scale = max(2.0 * np.abs(spectrum(spec, lat)).max(), 1.0)
         solver = BlockSolver(spec, lat)
-        owners = disorder._solve_owners(rep.channels, solver._blocks.exchange(lat))
+        owners = disorder._solve_owners(rep.channels, _links(spec, lat))
         for c, channel in enumerate(rep.channels):
             ens = DisorderSpec(channel, 0.3, realizations, seed)
             solve = solver.channel(channel_matrix(channel))
@@ -425,11 +441,11 @@ def _with_zero_mu_examples(test):
 
 _P1 = ParentParams(0.9, 0.6, 0.4)
 
-# children whose factors are alike but whose exchange fails, so each keeps nine
-# solves: on a slab the exchange would also swap x and y; 1e-6 in Delta2 tells the
-# factors apart; the sign-mixed child at mu != 0 needs the gauge (-1)^j, which an
-# odd ring forbids
-_EXCHANGE_FAILS = [
+# children whose factors are alike but that no site-local symmetry pairs beyond the
+# twins, so each keeps nine solves: on a slab exchanging the factors would also swap
+# x and y; 1e-6 in Delta2 tells the factors apart; the sign-mixed child at mu != 0
+# needs the gauge (-1)^j, which an odd ring forbids
+_UNPAIRED = [
     (ChildSpec(ParentParams(-2.0, -1.0, 0.0), ParentParams(-2.0, -1.0, 0.0), PERPENDICULAR),
      SlabLattice(3, 3)),
     (ChildSpec(_P1, replace(_P1, delta=_P1.delta + 1e-6), PARALLEL), ChainLattice(8)),
@@ -437,8 +453,8 @@ _EXCHANGE_FAILS = [
 ]
 
 
-def _exchange_fails_examples(test):
-    for system in _EXCHANGE_FAILS:
+def _unpaired_examples(test):
+    for system in _UNPAIRED:
         test = example(system=system, amplitude=1.0, seed=0)(test)
     return test
 
@@ -450,7 +466,7 @@ def _exchange_fails_examples(test):
     seed=st.integers(0, 2**31 - 1),
 )
 @_with_zero_mu_examples
-@_exchange_fails_examples
+@_unpaired_examples
 @example(system=(_dead_parent(), ChainLattice(5)), amplitude=0.6, seed=9)
 # 1e-7 from the dead point: the small hopping t - Delta must still join the dimers
 @example(system=(ParentParams(1.0, 1.0 - 1e-7, 0.0), ChainLattice(7)), amplitude=0.6, seed=9)
@@ -511,28 +527,69 @@ def _dense_channel_levels(model, lat, channels, amplitude, seed):
     return levels, max(2.0 * np.abs(dense_levels(h)).max(), 1.0)
 
 
+def _links(model, lat):
+    slab = isinstance(lat, SlabLattice)
+    blocks = slab_hopping_blocks(model) if slab else chain_hopping_blocks(model)
+    return disorder._site_symmetries(_FrameBlocks(blocks), lat)
+
+
+def _classes(owners, channels=CHILD_CHANNELS):
+    classes = {}
+    for c, o in enumerate(owners):
+        classes.setdefault(channel_name(channels[o]), []).append(channel_name(channels[c]))
+    return sorted(classes.values())
+
+
+def test_site_turns_are_the_one_factor_cliffords():
+    # 24 distinct signed permutations of (s_x, s_y, s_z), each keeping s_x s_y = i s_z
+    # and its cyclic images, so each is conjugation by a unitary
+    tp, ts = disorder._site_turns()
+    assert len({(tuple(p), tuple(s)) for p, s in zip(tp, ts)}) == 24
+    paulis = np.stack([PAULI[c] for c in "0xyz"])
+    for p, s in zip(tp, ts):
+        assert p[0] == 0 and s[0] == 1 and sorted(p[1:]) == [1, 2, 3]
+        image = s[:, None, None] * paulis[p]
+        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            assert np.array_equal(image[i] @ image[j], 1j * image[k])
+    # without hopping every map keeps the child, and so does -1: s_0 x s_0 goes to
+    # itself and each Pauli pair to each of its weight (6 of weight one, 9 of weight
+    # two), all with either sign
+    blocks = {r: np.zeros((4, 4)) for r in (-1, 0, 1)}
+    links = disorder._site_symmetries(_FrameBlocks(blocks), ChainLattice(5))
+    assert len(links) == 2 * (1 + 6 * 6 + 9 * 9)
+    assert ("00", "00", 1) in links and ("xx", "zy", -1) in links and ("0x", "yy", 1) not in links
+
+
 def test_twin_pairs_follow_from_the_symmetries():
-    def owners(channels, exchange=None):
-        return list(disorder._solve_owners(tuple(channels), exchange))
+    def owners(channels, links=frozenset()):
+        return list(disorder._solve_owners(tuple(channels), links))
 
     names = [channel_name(c) for c in CHILD_CHANNELS]
     child = owners(CHILD_CHANNELS)
     assert {names[c]: names[o] for c, o in enumerate(child) if o != c} == _TWIN_OF
     assert len(set(child)) == 9
-    # the factor exchange joins ab and ba, whichever Pauli frame S it takes
-    for s in "0xyz":
-        paired = owners(CHILD_CHANNELS, s)
-        classes = {}
-        for c, o in enumerate(paired):
-            classes.setdefault(names[o], []).append(names[c])
-        assert sorted(classes.values()) == sorted(_EXCHANGE_CLASSES), s
-        # 0y reaches zx only through a twin and a partner, xz, which may come last
-        assert owners(("0y", "zx"), s) == [0, 1]
-        assert owners(("0y", "xz", "zx"), s) == [0, 0, 0]
-        assert owners(("0y", "zx", "xz"), s) == [0, 0, 0]
-    # order decides which twin solves; a parent has no t_x s_x and no twins
+    # the site-local symmetries join twin classes: exchanging equal factors joins ab
+    # with ba, and the dead-point gauge i^j also joins 0y with 0z
+    related = ChildSpec(_P1, ParentParams(-1.7 * _P1.t, 1.7 * _P1.delta, -1.7 * _P1.mu), PARALLEL)
+    for model, lat, want in [
+        (related, ChainLattice(8), _EXCHANGE_CLASSES),
+        (_canonical_child(), ChainLattice(80), _CANONICAL_CLASSES),
+        (_canonical_child(), ChainLattice(12, PERIODIC), _CANONICAL_CLASSES),
+        (_canonical_child(), ChainLattice(10, PERIODIC), _EXCHANGE_CLASSES),
+        (_mixed_child(), ChainLattice(8), _MIXED_CLASSES),
+        (_canonical_slab(), SlabLattice(12, 30), _SLAB_CLASSES),
+    ]:
+        links = _links(model, lat)
+        assert _classes(owners(CHILD_CHANNELS, links)) == sorted(want), (model, lat)
+    # 0y reaches zx only through a twin and a partner, xz, which may come last
+    links = _links(related, ChainLattice(8))
+    assert owners(("0y", "zx"), links) == [0, 1]
+    assert owners(("0y", "xz", "zx"), links) == [0, 0, 0]
+    assert owners(("0y", "zx", "xz"), links) == [0, 0, 0]
+    # order decides which twin solves; a parent has no t_x s_x, no links and no twins
     assert owners(("xx", "zz", "yy", "00")) == [0, 1, 2, 0]
-    assert owners(("zx", "xz", "y0", "0y"), "y") == [0, 0, 0, 0]
+    assert owners(("zx", "xz", "y0", "0y"), links) == [0, 0, 0, 0]
+    assert _links(_dead_parent(), ChainLattice(8)) == frozenset()
     assert owners(PARENT_CHANNELS) == [0, 1, 2]
 
 
@@ -561,85 +618,178 @@ def test_twin_channels_share_dense_spectra(system, amplitude, seed):
         assert np.abs(levels[channel] - levels[twin]).max() < 1e-11 * scale, (channel, twin)
 
 
-def _related_examples(test):
-    """The six relations of p2 to p1 = (0.9, 0.6, 0.4), and the sign-mixed child, on even and odd L."""
+@st.composite
+def _near_dead_system(draw):
+    """(child, chain or slab) with each parent at Kitaev's dead point or 1e-7 from it, mu = 0.
+
+    Random signs and scales; the slab's second parent may sit at mu = 3, as
+    in the canonical slab.  Chains and sides run over open ends and rings of
+    every L mod 4.  Returns the system and "off-dead" where a parent is off the
+    dead point, else "dead".
+    """
+
+    def parent():
+        a = draw(st.floats(0.3, 2.0))
+        off = draw(st.booleans())
+        return ParentParams(draw(_sign) * a, draw(_sign) * (a - 1e-7 if off else a), 0.0), off
+
+    (p1, off1), (p2, off2) = parent(), parent()
+    if draw(st.booleans()):
+        lat = ChainLattice(draw(st.integers(4, 12)), draw(_bc))
+        return (ChildSpec(p1, p2, PARALLEL), lat), "off-dead" if off1 or off2 else "dead"
+    if draw(st.booleans()):
+        p2, off2 = replace(p2, mu=3.0), True
+    lat = SlabLattice(draw(st.integers(3, 6)), draw(st.integers(3, 6)), draw(_bc), draw(_bc))
+    return (ChildSpec(p1, p2, PERPENDICULAR), lat), "off-dead" if off1 or off2 else "dead"
+
+
+def _paired_examples(test):
+    """The six relations of p2 to p1 = (0.9, 0.6, 0.4), and the sign-mixed child, on even and odd L.
+
+    Then the canonical and sign-mixed children on rings of every L mod 4
+    and 1e-7 from the dead point, and the canonical slab on open and
+    periodic sides.
+    """
     t, d, mu = _P1.t, _P1.delta, _P1.mu
     related = [(t, d, mu), (1.7 * t, 1.7 * d, 1.7 * mu), (-0.6 * t, -0.6 * d, -0.6 * mu),
                (t, -d, mu), (-t, -d, -mu), (-t, d, -mu)]
     for p2 in related:
         for lat in (ChainLattice(7), ChainLattice(8), ChainLattice(7, PERIODIC), ChainLattice(8, PERIODIC)):
             system = (ChildSpec(_P1, ParentParams(*p2), PARALLEL), lat)
-            test = example(system=system, amplitude=0.8, seed=2)(test)
+            test = example(system=(system, "related"), amplitude=0.8, seed=2)(test)
     mixed = _with_mu(_mixed_child(), 0.1, LINK_EQUAL)
     for lat in (ChainLattice(7), ChainLattice(8, PERIODIC)):
-        test = example(system=(mixed, lat), amplitude=0.8, seed=2)(test)
+        test = example(system=((mixed, lat), "related"), amplitude=0.8, seed=2)(test)
+    near = ParentParams(1.0, 1.0 - 1e-7, 0.0)
+    for model in (_canonical_child(), _mixed_child()):
+        for L in (6, 7, 8, 10, 12):
+            # exchanging the factors keeps the canonical child on every ring, the
+            # sign-mixed one only with the gauge (-1)^j, on even rings
+            kind = "related" if model == _canonical_child() or L % 2 == 0 else "dead"
+            test = example(system=((model, ChainLattice(L, PERIODIC)), kind), amplitude=0.8, seed=2)(test)
+        for p2 in (near, replace(near, t=-1.0)):
+            system = (replace(model, p2=p2), ChainLattice(8))
+            test = example(system=(system, "off-dead"), amplitude=0.8, seed=2)(test)
+    for lat in (SlabLattice(4, 5), SlabLattice(4, 5, PERIODIC, OPEN),
+                SlabLattice(5, 4, PERIODIC, PERIODIC)):
+        test = example(system=((_canonical_slab(), lat), "off-dead"), amplitude=0.8, seed=2)(test)
     return test
 
 
 @settings(max_examples=40, deadline=None)
-@given(system=_related_child(), amplitude=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
-@_related_examples
-def test_exchange_partners_share_dense_spectra(system, amplitude, seed):
-    model, lat = system
-    exchange = _FrameBlocks(chain_hopping_blocks(model)).exchange(lat)
-    assert exchange is not None
-    owners = disorder._solve_owners(CHILD_CHANNELS, exchange)
-    assert len(set(owners)) == 7
+@given(
+    system=_related_child().map(lambda s: (s, "related")) | _near_dead_system(),
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+@_paired_examples
+def test_site_symmetry_partners_share_dense_spectra(system, amplitude, seed):
+    (model, lat), kind = system
+    owners = disorder._solve_owners(CHILD_CHANNELS, _links(model, lat))
     levels, scale = _dense_channel_levels(model, lat, CHILD_CHANNELS, amplitude, seed)
     for c, o in enumerate(owners):
         channel, owner = CHILD_CHANNELS[c], CHILD_CHANNELS[o]
         assert np.abs(levels[channel] - levels[owner]).max() < 1e-11 * scale, (channel, owner)
-
-
-@pytest.mark.parametrize("model, lat", _EXCHANGE_FAILS, ids=["slab", "near-equal", "mixed-ring-7"])
-def test_exchange_fails_where_the_blocks_tell_the_factors_apart(model, lat):
-    if isinstance(lat, SlabLattice):
-        blocks = slab_hopping_blocks(model)
-    else:
-        blocks = chain_hopping_blocks(model)
-    exchange = _FrameBlocks(blocks).exchange(lat)
-    assert exchange is None
-    assert len(set(disorder._solve_owners(CHILD_CHANNELS, exchange))) == 9
-
-
-def test_yy_and_zz_are_not_twins():
-    # both are real and anticommute with both chiral operators: no argument pairs them
-    model = ChildSpec(ParentParams(1.0, 0.7, 0.3), ParentParams(-0.8, 1.1, 0.5), PARALLEL)
-    levels, scale = _dense_channel_levels(model, ChainLattice(8), ["yy", "zz"], 0.5, 3)
-    assert np.abs(levels["yy"] - levels["zz"]).max() > 1e-2 * scale
-    for exchange in (None, "0", "y"):
-        assert disorder._solve_owners(("yy", "zz"), exchange) == (0, 1)
+    name = dict(zip([channel_name(c) for c in CHILD_CHANNELS], owners))
+    # where exchanging the factors keeps the child, each of its seven classes has one owner
+    if kind == "related":
+        for cls in _EXCHANGE_CLASSES:
+            assert len({name[c] for c in cls}) == 1, (model, lat, cls)
+    # only the dead-point gauge i^j joins 0y with 0z and yy with zz: it needs every
+    # chain parent at the dead point, and on a ring 4 | L
+    if isinstance(lat, ChainLattice) and (kind == "off-dead" or (lat.bc == PERIODIC and lat.L % 4)):
+        assert name["0y"] != name["0z"] and name["yy"] != name["zz"], (model, lat)
 
 
 @pytest.mark.parametrize(
-    "model, lat, channels, per_point, zero_tol",
+    "model, lat",
     [
-        (_mixed_child(), ChainLattice(8), None, [7, 7], None),
-        (_canonical_child(), ChainLattice(9), None, [7, 7], None),
-        (_zero_mu_child(), ChainLattice(16), None, [9, 9], None),
+        (_canonical_child(), ChainLattice(5)),
+        (_canonical_child(), ChainLattice(6, PERIODIC)),
+        (_mixed_child(), ChainLattice(5)),
+        (ChildSpec(_P1, ParentParams(-1.7 * _P1.t, 1.7 * _P1.delta, -1.7 * _P1.mu), PARALLEL),
+         ChainLattice(6)),
+        (ChildSpec(_P1, ParentParams(0.5 * _P1.t, -0.5 * _P1.delta, 0.5 * _P1.mu), PARALLEL),
+         ChainLattice(5, PERIODIC)),
+        (replace(_canonical_child(), p2=ParentParams(1.0, 1.0 - 1e-7, 0.0)), ChainLattice(5)),
+        (_canonical_slab(), SlabLattice(4, 3, PERIODIC, PERIODIC)),
+    ],
+    ids=["canonical", "canonical-ring-6", "mixed", "related", "related-ring-5", "near-dead", "slab"],
+)
+def test_site_symmetries_match_a_dense_search(model, lat):
+    # the pruned search on Pauli coefficients finds what a brute force over every
+    # Clifford unitary, gauge and sign finds on the whole lattice matrix
+    slab = isinstance(lat, SlabLattice)
+    assert _links(model, lat) == site_symmetry_links(
+        slab_hopping_blocks(model) if slab else chain_hopping_blocks(model), lat
+    )
+
+
+def test_site_symmetries_find_swaps_that_transpose_the_support():
+    # s_0 x s_x + s_z x s_0 is kept only by maps that swap the factors and turn them
+    # apart (Hadamard on both): a support that the factor swap transposes
+    onsite = np.kron(np.eye(2), PAULI["x"].real) + np.kron(SZ.real, np.eye(2))
+    blocks = {-1: np.zeros((4, 4)), 0: onsite, 1: np.zeros((4, 4))}
+    links = disorder._site_symmetries(_FrameBlocks(blocks), ChainLattice(3))
+    assert links == site_symmetry_links(blocks, ChainLattice(3))
+    assert ("0x", "z0", 1) in links
+
+
+@pytest.mark.parametrize("model, lat", _UNPAIRED, ids=["slab", "near-equal", "mixed-ring-7"])
+def test_site_symmetries_pair_no_channels_where_the_blocks_tell_the_factors_apart(model, lat):
+    assert len(set(disorder._solve_owners(CHILD_CHANNELS, _links(model, lat)))) == 9
+
+
+def test_yy_and_zz_pair_only_at_the_sign_mixed_dead_point():
+    # both are real and anticommute with both chiral operators: no twin argument
+    # pairs them, and their spectra differ, unless a site-local symmetry does
+    model = ChildSpec(ParentParams(1.0, 0.7, 0.3), ParentParams(-0.8, 1.1, 0.5), PARALLEL)
+    levels, scale = _dense_channel_levels(model, ChainLattice(8), ["yy", "zz"], 0.5, 3)
+    assert np.abs(levels["yy"] - levels["zz"]).max() > 1e-2 * scale
+    for system in [(model, ChainLattice(8)), (_canonical_child(), ChainLattice(8))] + _UNPAIRED:
+        assert disorder._solve_owners(("yy", "zz"), _links(*system)) == (0, 1)
+    assert disorder._solve_owners(("yy", "zz"), _links(_mixed_child(), ChainLattice(8))) == (0, 0)
+
+
+_MU = [0.0, 0.1]
+
+
+@pytest.mark.parametrize(
+    "model, lat, channels, mu_values, per_point, zero_tol",
+    [
+        (_mixed_child(), ChainLattice(8), None, _MU, [5, 7], None),
+        (_canonical_child(), ChainLattice(9), None, _MU, [6, 7], None),
+        (_zero_mu_child(), ChainLattice(16), None, _MU, [9, 9], None),
         (
             ChildSpec(ParentParams(1.0, 0.7, 0.0), ParentParams(-0.8, 1.1, 0.0), PERPENDICULAR),
             SlabLattice(3, 4),
             None,
+            _MU,
             [9, 0],
             None,
         ),
-        (_dead_parent(), ChainLattice(8), None, [3, 3], None),
-        (_mixed_child(), ChainLattice(8), ["xx"], [1, 1], None),
-        # the sign-mixed exchange needs the gauge (-1)^j once mu != 0, which an odd
+        # at its own mu1 = 0, mu2 = 3: the gauge along x joins its nine classes into six
+        (_canonical_slab(), SlabLattice(12, 30), None, None, [6], None),
+        (_dead_parent(), ChainLattice(8), None, _MU, [3, 3], None),
+        (_mixed_child(), ChainLattice(8), ["xx"], _MU, [1, 1], None),
+        # the sign-mixed factor swap needs the gauge (-1)^j once mu != 0, which an odd
         # ring forbids; its ring levels are gapped, so a zero tolerance counts some
         (
             ChildSpec(ParentParams(1.0, 0.2, 0.0), ParentParams(-1.0, 0.2, 0.0), PARALLEL),
             ChainLattice(7, PERIODIC),
             None,
+            _MU,
             [7, 9],
             1.0,
         ),
     ],
-    ids=["child-chain", "canonical", "unrelated", "child-slab", "parent", "one-channel", "mixed-ring-7"],
+    ids=["child-chain", "canonical", "unrelated", "child-slab", "canonical-slab", "parent",
+         "one-channel", "mixed-ring-7"],
 )
-def test_sweep_solves_each_twin_class_once(monkeypatch, model, lat, channels, per_point, zero_tol):
-    # per_point: solves per realization at mu = 0 and mu = 0.1, none without zero modes
+def test_sweep_solves_each_twin_class_once(
+    monkeypatch, model, lat, channels, mu_values, per_point, zero_tol
+):
+    # per_point: solves per realization at each grid point, none without zero modes
     calls = []
     channel = BlockSolver.channel
 
@@ -650,7 +800,7 @@ def test_sweep_solves_each_twin_class_once(monkeypatch, model, lat, channels, pe
     monkeypatch.setattr(BlockSolver, "channel", counted)
     rep = robustness_sweep(
         model, lat, amplitude=0.2, channels=channels, realizations=2, seed=4,
-        mu_values=[0.0, 0.1], zero_tol=zero_tol,
+        mu_values=mu_values, zero_tol=zero_tol,
     )
     assert list(rep.zero_counts > 0) == [n > 0 for n in per_point]
     assert len(calls) == 2 * sum(per_point)
@@ -813,11 +963,11 @@ def test_canonical_child_solves_halved_blocks(monkeypatch):
 
     # one stacked call per class group of each part a realization solves
     # and no LAPACK call for the 1x1 classes, whose |E| is the modulus of their entry;
-    # the factor exchange leaves y0 and yx to 0y and 0z
+    # the site-local symmetries leave y0, yx and 0z, and so their twins, to 0y
     assert count(2) - count(1) == {
         ("eigvalsh", "f", (78,), 2): 2,
         ("eigvalsh", "f", (80,), 2): 2,
-        ("svd", "f", (2,), 80): 2,
+        ("svd", "f", (2,), 80): 1,
         ("svd", "f", (2,), 40): 2,
         ("svd", "c", (2,), 40): 1,
     }

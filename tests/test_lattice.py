@@ -415,6 +415,26 @@ def test_exact_zero_potentials_match_whole_corner_companions(case):
         assert np.array_equal(roots, want)
 
 
+def test_exact_zero_potentials_solves_equal_pieces_once(monkeypatch):
+    # at even L the sign-mixed sector of the zeros splits into two bitwise equal
+    # sublattices, so one companion of L/2 sites serves both; at odd L they differ
+    child = ChildSpec(ParentParams(1.0, 0.5, 0.0), ParentParams(-1.0, 0.5, 0.0), PARALLEL)
+    shapes, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    stacks = {30: [(1, 60, 60), (1, 30, 30)], 31: [(1, 62, 62), (1, 32, 32), (1, 30, 30)]}
+    for L, want in stacks.items():
+        shapes.clear()
+        roots = exact_zero_potentials(child, L)
+        assert sorted(shapes, reverse=True) == want
+        oracle = whole_corner_potentials(child, L)
+        assert np.all(np.abs(roots - oracle) <= ROOT_MATCH * (1.0 + np.abs(oracle)))
+
+
 def test_exact_zero_potentials_keeps_roots_of_a_one_site_piece():
     # at L = 3 the sector of the zeros is the pieces {0, 2} and {1}; the level
     # test of the 1x1 piece must not overwrite its one level, the smallest,
