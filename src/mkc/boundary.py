@@ -5,12 +5,13 @@ chemical potentials at which finite lattices host exact zero modes,
 standing-wave quantization that generates those potentials for general
 parameter classes, and closed-form edge wavefunctions.  On top of these
 sits the entanglement classification of the zero-energy subspace: the
-spinor content at the dominant edge sites is rotated into a frame where
-it splits into product states and maximally entangled pairs of the two
-internal two-level factors; reference states inside the span are peeled
-off greedily and the directions left over are labeled as they are.
+spinor content at the dominant edge sites, read from its 4x4 Gram matrix,
+is rotated into a frame where it splits into product states and maximally
+entangled pairs of the two internal two-level factors; reference states
+are peeled off its 4x4 projector greedily, and what is left is kept as is.
 """
 
+import math
 import numpy as np
 from dataclasses import dataclass
 
@@ -371,15 +372,21 @@ def semi_infinite_edge_profile(spec, topological_parent, edge="left", length=64)
 
 
 def tau_sigma_entropy(vec):
-    """Entanglement entropy of a 4-vector across its 2x2 factor cut."""
-    v = np.asarray(vec, dtype=complex).reshape(2, 2)
-    sv = np.linalg.svd(v, compute_uv=False)
-    total = float((sv**2).sum())
+    """Entanglement entropy of a 4-vector across its 2x2 factor cut.
+
+    With d = |v00 v11 - v01 v10|^2 / |v|^4 the Schmidt weights are
+    (1 +- sqrt(1 - 4d)) / 2 (Wootters, PRL 80 (1998) 2245).  The small one
+    is taken as d over the large one: exact down to a product's +0.0.
+    """
+    v00, v01, v10, v11 = np.asarray(vec, dtype=complex).reshape(4).tolist()
+    total = abs(v00) ** 2 + abs(v01) ** 2 + abs(v10) ** 2 + abs(v11) ** 2
     if total <= 0.0:
         raise ValueError("cannot take the entropy of a null vector")
-    prob = sv**2 / total
-    prob = prob[prob > 1e-300]
-    return float(-(prob * np.log(prob)).sum())
+    d = abs(v00 * v11 - v01 * v10) ** 2 / total**2
+    big = 0.5 * (1.0 + math.sqrt(max(1.0 - 4.0 * d, 0.0)))
+    small = d / big
+    # both terms are >= 0 and a product's is +0.0, never -(1 log 1) = -0.0
+    return (-small * math.log(small) if small > 0.0 else 0.0) - big * math.log(big)
 
 
 @dataclass
@@ -418,29 +425,27 @@ def _orthonormal_columns(mat, rel_tol=1e-8):
     return u[:, sv > rel_tol * sv[0]]
 
 
-def _deflate(basis, v):
-    # basis columns are orthonormal: surviving directions keep sv near 1,
-    # so an absolute cut is the right one (a relative cut would resurrect
-    # noise once the last direction is removed)
-    resid = basis - np.outer(v, v.conj() @ basis)
-    u, sv, _ = np.linalg.svd(resid, full_matrices=False)
-    return u[:, sv > 1e-8]
-
-
 def _greedy_reference_states(basis, overlap_min):
-    """Peel off reference directions fully contained in the subspace."""
+    """Peel off reference directions fully contained in the subspace.
+
+    On the span's 4x4 projector P, r is accepted when |P r|^2 > overlap_min
+    and v = P r / |P r| removed as P - v v^H; the leftover basis comes from
+    the final P, or is the input basis unchanged when nothing is peeled.
+    """
+    proj = basis @ basis.conj().T
     accepted = []
     for kind, name in _REFERENCE_ORDER:
-        if basis.shape[1] == 0:
+        if len(accepted) == basis.shape[1]:
             break
-        ref = _reference_vector(f"{kind}:{name}")
-        coeff = basis.conj().T @ ref
-        if float((np.abs(coeff) ** 2).sum()) > overlap_min:
-            v = basis @ coeff
-            v = v / np.linalg.norm(v)
-            accepted.append(v)
-            basis = _deflate(basis, v)
-    return accepted, basis
+        v = proj @ _reference_vector(f"{kind}:{name}")
+        norm = np.linalg.norm(v)
+        if norm**2 > overlap_min:
+            accepted.append(v / norm)
+            proj = proj - np.outer(accepted[-1], accepted[-1].conj())
+    rest = basis.shape[1] - len(accepted)
+    if accepted and rest:
+        basis = np.linalg.svd(proj)[0]
+    return accepted, basis[:, :rest]
 
 
 def _label_state(v, entropy_tol, overlap_min):
@@ -609,10 +614,10 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
 
     The zero subspace collects eigenvectors below zero_tol (default 1e-6
     of the bandwidth, absolute energy otherwise), from lattice.zero_subspace.
-    Per region, the spinor content of the maximum-density sites (within
-    site_tol of the regional maximum) is stacked and reduced by singular
-    values above rank_tol of the leading one, then classified against the
-    expected catalogue row.
+    Per region, the spinors M of the maximum-density sites (within site_tol
+    of the regional maximum) enter through the 4x4 Gram matrix M M^H: its
+    singular vectors above rank_tol^2 of the leading one, passed once more
+    through M M^H, span the content classified against the catalogue row.
     """
     zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
     if zs.count == 0:
@@ -625,10 +630,14 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
             continue
         idx = np.argwhere(sub >= (1.0 - site_tol) * peak)
         offset = np.array([s0.start or 0 for s0 in sl])
-        mats = np.concatenate([zs.spinors(tuple(i + offset)) for i in idx], axis=1)
-        content = _orthonormal_columns(mats, rel_tol=rank_tol)
-        if content.shape[1] == 0:
-            continue
+        m = np.concatenate(zs.spinors(tuple((idx + offset).T)), axis=1)
+        # mh is a copy and u keeps all four columns, so each product is a
+        # 4-wide gemm: syrk or skinny kernels would load code that peak RSS
+        # counts.  The power step undoes the Gram's rounding tilt of weak ones.
+        mh = m.conj().T.copy()
+        u, sv, _ = np.linalg.svd(m @ mh)
+        keep = sv > rank_tol**2 * sv[0]
+        content = (u.conj().T @ m @ mh).conj().T[:, keep] / sv[keep]
         expected = expected_boundary_states(spec, lat, region)
         out[region] = mmzm_classify(content.T, expected=expected)
     return out

@@ -633,9 +633,9 @@ class ZeroSubspace:
     below tol in magnitude.  weights is the per-site weight of the zero
     subspace, internal indices summed, with shape (L,) for chains and
     (Lx, Ly) for slabs (array index i is site i+1 in 1-based reporting); it
-    sums to count.  spinors(site) returns the internal components at one
-    site (an index tuple) of an orthonormal basis of the subspace, shape
-    (internal, count).
+    sums to count.  spinors(sites) takes a tuple of index arrays, one per
+    axis, and returns an orthonormal basis of the subspace at those k sites,
+    shape (k, internal, count); integer indices drop the k axis.
     """
 
     eigenvalues: np.ndarray
@@ -690,9 +690,10 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
     mask = size < tol
     ii, jj = np.nonzero(mask)
 
-    def spinors(site):
-        ix, iy = site
-        return (ux[ix][:, None, ii] * uy[iy][None, :, jj]).reshape(4, ii.size)
+    def spinors(sites):
+        ix, iy = sites
+        pairs = ux[ix][..., None, ii] * uy[iy][..., None, :, jj]
+        return pairs.reshape(np.shape(ix) + (4, ii.size))
 
     ex, ey = np.concatenate([-sx, sx]), np.concatenate([-sy, sy])
     return ZeroSubspace(

@@ -8,7 +8,9 @@ products, and diagonalize it with one dense eigh, so that every fast path
 can be checked against the plain solve.  displacement_vs_amplitude checks
 the disorder verdict's fixed threshold by its linear growth in W.  The helpers at the end compare
 zero subspaces by projectors, densities and classification decisions,
-never by single eigenvectors.  The winding references sample each
+never by single eigenvectors; svd_classify_zero_modes classifies by the
+wide SVD of each region's per-site spinor stack, where mkc reads the
+region's 4x4 Gram matrix.  The winding references sample each
 parent curve, and each child component curve as the product it is, and
 count their turns by angle accumulation (winding_number), where mkc reads
 every winding from the parents' closed form.  The Wannier references run
@@ -37,7 +39,12 @@ from unittest import mock
 import numpy as np
 
 from mkc import boundary
-from mkc.boundary import classify_zero_modes, mmzm_classify
+from mkc.boundary import (
+    _orthonormal_columns,
+    classify_zero_modes,
+    expected_boundary_states,
+    mmzm_classify,
+)
 from mkc.disorder import (
     DEFAULT_REALIZATIONS,
     DEFAULT_SEED,
@@ -71,6 +78,7 @@ from mkc.lattice import (
     chain_hopping_blocks,
     slab_factor_blocks,
     slab_hopping_blocks,
+    zero_subspace,
 )
 from mkc.models import (
     BLOCK_BASIS,
@@ -298,7 +306,7 @@ def displacement_vs_amplitude(
 def zero_basis(zs, lat):
     """All site spinors of a zero subspace stacked into its (dim, count) basis."""
     shape = (lat.L,) if isinstance(lat, ChainLattice) else (lat.Lx, lat.Ly)
-    return np.concatenate([zs.spinors(site) for site in np.ndindex(*shape)])
+    return zs.spinors(tuple(np.indices(shape).reshape(len(shape), -1))).reshape(-1, zs.count)
 
 
 def well_posed(ev, tol):
@@ -332,6 +340,70 @@ def decisions(result):
         region: (res.labels, res.subspace_dimension, res.matches_table, res.row_complete)
         for region, res in result.items()
     }
+
+
+def svd_entropy(vec):
+    """Factor-cut entropy from the singular values of the 2x2 reshaped 4-vector."""
+    sv = np.linalg.svd(np.asarray(vec, dtype=complex).reshape(2, 2), compute_uv=False)
+    prob = sv**2 / float((sv**2).sum())
+    prob = prob[prob > 1e-300]
+    return float(-(prob * np.log(prob)).sum())
+
+
+def _deflate_peel(basis, overlap_min):
+    """boundary._greedy_reference_states on the basis itself, one SVD per peeled reference.
+
+    The basis columns are orthonormal: surviving directions keep singular
+    values near 1, so an absolute cut is the right one (a relative cut
+    would resurrect noise once the last direction is removed).
+    """
+    accepted = []
+    for kind, name in boundary._REFERENCE_ORDER:
+        if basis.shape[1] == 0:
+            break
+        coeff = basis.conj().T @ boundary._reference_vector(f"{kind}:{name}")
+        if float((np.abs(coeff) ** 2).sum()) > overlap_min:
+            v = basis @ coeff
+            v = v / np.linalg.norm(v)
+            accepted.append(v)
+            u, sv, _ = np.linalg.svd(basis - np.outer(v, v.conj() @ basis), full_matrices=False)
+            basis = u[:, sv > 1e-8]
+    return accepted, basis
+
+
+def peak_site_stacks(zs, lat, site_tol=1e-6):
+    """Per region, the spinors of its peak-density sites side by side, shape (internal, N)."""
+    out = {}
+    for region, sl in boundary._region_slices(lat).items():
+        sub = zs.weights[sl]
+        peak = float(sub.max())
+        if peak > 0.0:
+            offset = np.array([s0.start or 0 for s0 in sl])
+            idx = np.argwhere(sub >= (1.0 - site_tol) * peak) + offset
+            out[region] = np.concatenate([zs.spinors(tuple(i)) for i in idx], axis=1)
+    return out
+
+
+def svd_classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
+    """classify_zero_modes by the wide SVD of each region's per-site spinor stack.
+
+    The content is the left singular vectors of the stack above rank_tol
+    of the leading one, the peel deflates its basis by an SVD per accepted
+    reference, and entropies come from 2x2 SVDs; the catalogue match is
+    mmzm_classify's.
+    """
+    zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
+    if zs.count == 0:
+        return {}
+    out = {}
+    with mock.patch.object(boundary, "_greedy_reference_states", _deflate_peel), \
+            mock.patch.object(boundary, "tau_sigma_entropy", svd_entropy):
+        for region, stack in peak_site_stacks(zs, lat, site_tol).items():
+            content = _orthonormal_columns(stack, rel_tol=rank_tol)
+            if content.shape[1]:
+                expected = expected_boundary_states(spec, lat, region)
+                out[region] = mmzm_classify(content.T, expected=expected)
+    return out
 
 
 @dataclass

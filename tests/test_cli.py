@@ -749,6 +749,17 @@ def _check_classify(cfg, rows):
     assert rows and rows == want
 
 
+def test_classify_prints_no_negative_zero_entropy(tmp_path, capsys):
+    # at zero-tol = 100 every quadrant of the dead-point slab holds all four
+    # products; an exact product's entropy is 0, never the -0 of -(1 log 1)
+    text = _PERIMETER_SLAB + _SLAB_4x5 + "[task]\nzero-tol = 100\n"
+    assert main(["classify", "--config", _config(tmp_path, text)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("# ")]
+    col = lines[0].split(",").index("entropy")
+    cells = [line.split(",")[col] for line in lines[1:]]
+    assert len(cells) == 16 and not any(c.startswith("-") for c in cells)
+
+
 def _check_dirac_parallel(cfg, rows):
     rec = dirac_expansion_parallel(cfg.model)
     names = ("m1", "m2", "mass", "v1", "v2", "quad")
