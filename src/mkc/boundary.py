@@ -477,7 +477,8 @@ def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
     With an expected state set the result is checked two ways: every
     classified state must lie in the span of the expected set
     (matches_table), and every expected entangled pair must be present in
-    the subspace span (row_complete).
+    the subspace span (row_complete).  The expected references must be
+    orthonormal, as every catalogue row is (ValueError otherwise).
     """
     raw = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if raw.shape[1] != 4:
@@ -496,16 +497,16 @@ def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
         matches = all(s.label != "unclassified" for s in states)
         complete = True
         if expected:
-            refs = np.stack([_reference_vector(lbl) for lbl in expected], axis=1)
-            span = _orthonormal_columns(refs.astype(complex))
+            # complex: a real product would load BLAS code that peak RSS counts
+            refs = np.stack([_reference_vector(lbl) for lbl in expected], axis=1).astype(complex)
+            if np.linalg.norm(refs.conj().T @ refs - np.eye(len(expected))) > 1e-12:
+                raise ValueError(f"expected states must be orthonormal, got {expected}")
             for s in states:
-                if float((np.abs(span.conj().T @ s.vector) ** 2).sum()) <= overlap_min:
+                if float((np.abs(refs.conj().T @ s.vector) ** 2).sum()) <= overlap_min:
                     matches = False
             for lbl in expected:
                 if lbl.startswith("bell:"):
-                    proj = float(
-                        (np.abs(ct.conj().T @ _reference_vector(lbl)) ** 2).sum()
-                    )
+                    proj = float((np.abs(ct.conj().T @ _reference_vector(lbl)) ** 2).sum())
                     if proj <= overlap_min:
                         complete = False
         else:

@@ -48,7 +48,6 @@ and why two channels share a spectrum; each channel reads the
 displacement of the first channel of its class.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,6 +58,7 @@ from .errors import ConfigError
 from .lattice import (
     LINK_EQUAL,
     OPEN,
+    SYMMETRY_TOL,
     SlabLattice,
     _FrameBlocks,
     _components,
@@ -74,9 +74,7 @@ from .lattice import (
 from .models import _C1, _C2, _U, PAULI, ParentParams
 
 PARENT_CHANNELS = ("x", "y", "z")
-CHILD_CHANNELS = tuple(
-    (a, b) for a, b in itertools.product("0xyz", repeat=2)
-)
+CHILD_CHANNELS = tuple(itertools.product("0xyz", repeat=2))
 # the sixteen child channel matrices, in CHILD_CHANNELS order
 _PAIRS = np.stack([_kron2(PAULI[a], PAULI[b]) for a, b in CHILD_CHANNELS])
 
@@ -89,7 +87,6 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = 0xFFFFFFFF
-
 
 
 def _normalize_channel(channel):
@@ -339,7 +336,34 @@ def _site_symmetries(fb, lat):
     return frozenset(zip(np.tile(names, k.size).tolist(), names[perm[k]].ravel().tolist(), signs))
 
 
-@functools.lru_cache(maxsize=16)
+def _channel_algebra():
+    """The twin pairs (P, P') and the flippable channels of _solve_owners, by name."""
+
+    # broadcast sums and squared moduli: matmul, numpy reductions and complex
+    # abs would load code at import that some tasks never run
+    def times(a, b):
+        return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+    ops = np.stack([_C1, _C2, _U])[:, None]
+    left, right = times(ops, _PAIRS), times(_PAIRS, ops)  # C P and P C, stacked (3, 16, 4, 4)
+    # rows that must vanish: Re P, [P, C1], [P, C2] and {P, U}; distinct Pauli
+    # pairs are trace-orthogonal, so |tr(Q^H U P)| is 4 for the twin Q of P, else 0
+    checks = np.concatenate([_PAIRS.real[None], right[:2] - left[:2], right[2:] + left[2:]])
+    row, pair = np.nonzero(checks.real**2 + checks.imag**2 >= SYMMETRY_TOL**2)[:2]
+    fails = set(zip(row.tolist(), pair.tolist()))
+    trace = (_PAIRS.conj() * left[2][:, None]).sum(axis=(-2, -1))
+    names = ["".join(c) for c in CHILD_CHANNELS]
+    flippable = {names[p] for p in range(len(names)) if {(0, p), (1, p), (2, p)} - fails}
+    twins = {
+        (names[p], names[q]) for p, q in zip(*np.nonzero(trace.real**2 + trace.imag**2 >= 4.0))
+        if (3, p) not in fails or names[p] in flippable
+    }
+    return frozenset(twins), frozenset(flippable)
+
+
+_TWINS, _FLIPPABLE = _channel_algebra()
+
+
 def _solve_owners(channels, links):
     """For each channel of the tuple, the index of the channel whose solve it reads.
 
@@ -365,45 +389,31 @@ def _solve_owners(channels, links):
       sector where P' = -P the block h - V P is the complex conjugate of
       h + V P, h being real, so the two have the same eigenvalues.
 
-    links holds the (a, b, s) of _site_symmetries: a site-local symmetry
-    maps H0 + V P_a to +-(H0 + s V P_b).  With s = 1 the two channels
-    share a spectrum outright, with s = -1 when P_b is flippable.
+    No model enters these, so the twin pairs and flippable channels are
+    tabulated once, as _TWINS and _FLIPPABLE.  links holds the (a, b, s) of
+    _site_symmetries: a site-local symmetry maps H0 + V P_a to
+    +-(H0 + s V P_b).  With s = 1 the two channels share a spectrum
+    outright, with s = -1 when P_b is flippable.
 
     The twins alone leave the sixteen child channels nine classes; the
     README lists the classes the links leave at the dead point.  A parent
-    has no X and no links: every 2x2 channel owns its solve.  Sweeps over
-    one channel tuple and link set share the answer, which is cached.
+    has no X and no links: every 2x2 channel owns its solve.
     """
-
-    def commutes(a, b):
-        return _negligible(a @ b - b @ a)
-
-    def flippable(p):
-        return commutes(p, _C1) or commutes(p, _C2) or _negligible(p.real)
-
-    def twins(p, q):
-        if p.shape != _U.shape or abs(np.trace(q.conj().T @ _U @ p)) < 2.0:
-            return False  # distinct Pauli pairs are trace-orthogonal
-        return _negligible(_U @ p + p @ _U) or flippable(p)
-
-    def linked(o, c):
-        edge = (channel_name(channels[o]), channel_name(channels[c]))
-        return edge + (1,) in links or (edge + (-1,) in links and flippable(mats[c]))
-
-    mats = [channel_matrix(channel) for channel in channels]
-    owners = list(range(len(mats)))
+    names = ["".join(c) for c in channels]  # the channel names, from tuples or names
+    pairs = _TWINS.union([(a, b) for a, b, s in links if s == 1 or b in _FLIPPABLE])
+    owners = list(range(len(names)))
 
     def find(c):
         while owners[c] != c:
             c = owners[c]
         return c
 
-    for c, q in enumerate(mats):
+    for c, b in enumerate(names):
         for o in range(c):
-            if twins(mats[o], q) or linked(o, c):
-                a, b = sorted((find(o), find(c)))
-                owners[b] = a
-    return tuple(find(c) for c in range(len(mats)))
+            if (names[o], b) in pairs:
+                low, high = sorted((find(o), find(c)))
+                owners[high] = low
+    return tuple(find(c) for c in range(len(names)))
 
 
 @dataclass
@@ -470,21 +480,17 @@ def robustness_sweep(
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
     internal = 2 if isinstance(model, ParentParams) else 4
-    ensembles = [DisorderSpec(c, amplitude, realizations, seed) for c in channels]
-    channels = tuple(e.channel for e in ensembles)
+    channels = tuple(DisorderSpec(c, amplitude, realizations, seed).channel for c in channels)
     mats = [channel_matrix(channel) for channel in channels]
     for channel, mat in zip(channels, mats):
-        d = mat.shape[0]
-        if d != internal:
+        if len(mat) != internal:
             raise ConfigError(
-                f"channel {channel_name(channel)} acts on {d} internal components, "
+                f"channel {channel_name(channel)} acts on {len(mat)} internal components, "
                 f"the model has {internal}"
             )
     if mu_values is None:
         mu_values = [None]
-        mu_out = np.array(
-            [model.mu if isinstance(model, ParentParams) else model.p1.mu]
-        )
+        mu_out = np.array([model.mu if isinstance(model, ParentParams) else model.p1.mu])
     else:
         mu_values = list(np.asarray(mu_values, dtype=float))
         mu_out = np.asarray(mu_values, dtype=float)
@@ -516,10 +522,7 @@ def robustness_sweep(
                 displacement[c, m] = displacement[owners[c], m]
                 continue
             solve = solver.channel(mat)
-            worst = 0.0
-            for v in potentials:
-                worst = max(worst, float(solve(v)[n_zero - 1]))
-            displacement[c, m] = worst
+            displacement[c, m] = max(float(solve(v)[n_zero - 1]) for v in potentials)
     return RobustnessReport(
         channels=channels,
         mu_values=mu_out,

@@ -14,8 +14,10 @@ For the 1D child both factors see the same momentum (ka = kb = k); for the
 2D child ka = kx and kb = ky.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 PARALLEL = "parallel"
@@ -52,7 +54,8 @@ class ParentParams:
         return abs(self.mu) < 2.0 * abs(self.t) - tol
 
     def is_critical(self, tol=1e-12):
-        return _closing_distance(self) <= tol
+        """Whether the curve's exact closest approach to the origin is within tol."""
+        return _modulus_bounds(self)[0] <= tol
 
 
 @dataclass(frozen=True)
@@ -87,16 +90,22 @@ def _mr(p, k):
     return 2.0 * p.t * np.cos(k) + p.mu, 2.0 * p.delta * np.sin(k)
 
 
-def _closing_distance(p):
-    """Smallest |(M, R)| of a parent over the momenta where its gap can close.
+def _modulus_bounds(p):
+    """(min_k, max_k) of |(M, R)| over a parent's curve.
 
-    Where Delta != 0 only k = 0 and pi qualify (R vanishes there), giving
-    ||mu| - 2|t||.  A Delta = 0 parent with |mu| <= 2|t| is a metal: M
-    vanishes at cos k = -mu / 2t, so the distance is 0.
+    |(M, R)|^2 = 4 (t^2 - Delta^2) c^2 + 4 t mu c + mu^2 + 4 Delta^2 is a
+    quadratic in c = cos k, so both extremes sit at k = 0, at k = pi, or at
+    the vertex c* = -t mu / (2 (t^2 - Delta^2)) if that lies in [-1, 1], where
+    |(M, R)|^2 = 4 Delta^2 - mu^2 Delta^2 / (t^2 - Delta^2), exactly 0 for a
+    metal.  It is scale free, found from the parameters over their largest.
     """
-    if p.delta == 0.0 and abs(p.mu) <= 2.0 * abs(p.t):
-        return 0.0
-    return abs(abs(p.mu) - 2.0 * abs(p.t))
+    d = [abs(2.0 * p.t + p.mu), abs(p.mu - 2.0 * p.t)]  # R vanishes at k = 0 and pi
+    scale = max(abs(p.t), abs(p.delta), abs(p.mu), 1e-300)
+    t, delta, mu = p.t / scale, p.delta / scale, p.mu / scale
+    a = t * t - delta * delta
+    if a != 0.0 and abs(t * mu) <= 2.0 * abs(a):
+        d.append(scale * math.sqrt(max(4.0 * delta * delta - mu * mu * (delta * delta / a), 0.0)))
+    return float(min(d)), float(max(d))
 
 
 def _factor_bloch(p, k, sign):

@@ -10,15 +10,17 @@ are the parents' sum mod 1, the perpendicular child's are the center of the
 parent that disperses along the loop.  A child component's curve is a
 product of its parents' curves z_i = R_i - i M_i: d_y + i d_z is i z1 z2
 for component 1 and -i z1 conj(z2) for component 2, so its windings are
-sums of its parents' windings too.  Nothing is sampled, and one gap rule,
-`_check_clear_of_origin`, serves every invariant.
+sums of its parents' windings too.  Nothing is sampled, and one gap rule
+serves every invariant: `_check_clear_of_origin` reads the curve's exact
+closest approach, `models._modulus_bounds`, which is also where
+`ParentParams.is_critical` reads it.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .errors import CriticalCurveError
-from .models import PARALLEL, PERPENDICULAR, _mr
+from .models import PARALLEL, PERPENDICULAR, _modulus_bounds, _mr
 
 
 def center_distance(a, b):
@@ -31,24 +33,6 @@ class WannierSpectrum:
     centers: np.ndarray      # values in [0, 1), one per occupied band
     filling: int
     path: str
-
-
-def _modulus_bounds(p):
-    """(min_k, max_k) of |(M, R)| over a parent's curve.
-
-    |(M, R)|^2 = 4 (t^2 - Delta^2) c^2 + 4 t mu c + mu^2 + 4 Delta^2 is a
-    quadratic in c = cos k, so both extremes sit at k = 0, at k = pi, or at
-    the vertex c* = -t mu / (2 (t^2 - Delta^2)) when that lies in [-1, 1];
-    c* is scale free, so it is found from the parameters over their largest.
-    """
-    ks = [0.0, np.pi]
-    v = np.array([p.t, p.delta, p.mu])
-    t, delta, mu = v / max(np.abs(v).max(), 1e-300)
-    a = t * t - delta * delta
-    if a != 0.0 and abs(t * mu) <= 2.0 * abs(a):
-        ks.append(np.arccos(-t * mu / (2.0 * a)))
-    d = np.hypot(*_mr(p, np.array(ks)))
-    return float(d.min()), float(d.max())
 
 
 def _check_clear_of_origin(p, k=None):

@@ -25,7 +25,9 @@ of the exact-zero potentials, and whole_corner_potentials finds them with
 one companion per chiral corner, where mkc solves each connected
 component of the corner's pencil.  site_symmetry_links finds the
 channel links of disorder._site_symmetries by brute force: every
-Clifford unitary, site gauge and sign on the whole lattice matrix.
+Clifford unitary, site gauge and sign on the whole lattice matrix, and
+pairwise_solve_owners tests each pair of channel matrices for the
+relations of disorder._solve_owners, which reads them from a table.
 serialize_config writes a run config back as text, output routing
 included.
 """
@@ -49,6 +51,7 @@ from mkc.disorder import (
     DEFAULT_REALIZATIONS,
     DEFAULT_SEED,
     channel_matrix,
+    channel_name,
     robustness_sweep,
     site_potentials,
 )
@@ -74,6 +77,7 @@ from mkc.lattice import (
     _distinct,
     _levels,
     _mu_coefficients,
+    _negligible,
     _zero_tol,
     chain_hopping_blocks,
     slab_factor_blocks,
@@ -86,6 +90,9 @@ from mkc.models import (
     PERPENDICULAR,
     SY,
     SZ,
+    _C1,
+    _C2,
+    _U,
     _mr,
     _opnorm,
     _split_child_momentum,
@@ -194,6 +201,47 @@ def site_symmetry_links(blocks, lat):
                         b = int(np.argmax(np.abs(coef)))
                         links.add((a, names[b], eps * int(np.sign(coef[b]))))
     return frozenset(links)
+
+
+def pairwise_solve_owners(channels, links):
+    """disorder._solve_owners by pairwise tests on the channel matrices.
+
+    Channel c joins every earlier channel o that is its twin (P_c
+    proportional to U P_o, with {U, P_o} = 0 or P_o flippable) or that a
+    link (o, c, 1), or (o, c, -1) with P_c flippable, reaches; flippable
+    means commuting with C1 or C2, or imaginary.  Each test runs on the
+    4x4 matrices at every call, where mkc reads a table built at import.
+    """
+
+    def commutes(a, b):
+        return _negligible(a @ b - b @ a)
+
+    def flippable(p):
+        return commutes(p, _C1) or commutes(p, _C2) or _negligible(p.real)
+
+    def twins(p, q):
+        if p.shape != _U.shape or abs(np.trace(q.conj().T @ _U @ p)) < 2.0:
+            return False  # distinct Pauli pairs are trace-orthogonal
+        return _negligible(_U @ p + p @ _U) or flippable(p)
+
+    def linked(o, c):
+        edge = (channel_name(channels[o]), channel_name(channels[c]))
+        return edge + (1,) in links or (edge + (-1,) in links and flippable(mats[c]))
+
+    mats = [channel_matrix(channel) for channel in channels]
+    owners = list(range(len(mats)))
+
+    def find(c):
+        while owners[c] != c:
+            c = owners[c]
+        return c
+
+    for c, q in enumerate(mats):
+        for o in range(c):
+            if twins(mats[o], q) or linked(o, c):
+                a, b = sorted((find(o), find(c)))
+                owners[b] = a
+    return tuple(find(c) for c in range(len(mats)))
 
 
 def diagonalize(h, hermiticity_tol=1e-12):

@@ -468,6 +468,45 @@ def test_mmzm_classify_unclassified_content():
     assert res.labels[0] in ("unclassified", "prod:other")
 
 
+def _raw(*coords):
+    """Raw spinors whose classification-frame coordinates are the given rows."""
+    return np.stack([CLASSIFICATION_FRAME @ np.asarray(c, dtype=complex) for c in coords])
+
+
+def test_mmzm_classify_keeps_what_a_peel_leaves_inside_the_span():
+    # prod:00 is peeled off the span; the one leftover direction is the unit
+    # vector of the span orthogonal to it, which holds no reference state
+    other = np.array([0.0, 0.6, 0.8j, 0.0])
+    res = mmzm_classify(_raw(PRODUCT_VECTORS["00"] + other, PRODUCT_VECTORS["00"] - other))
+    assert res.subspace_dimension == 2
+    assert res.labels == ("prod:00", "unclassified")
+    left = res.states[1].vector
+    assert abs(np.linalg.norm(left) - 1.0) < 1e-12
+    assert abs(left[0]) < 1e-12
+    assert abs(abs(other.conj() @ left) - 1.0) < 1e-12
+
+
+def test_mmzm_classify_leaves_unnamed_entangled_and_product_states_unnamed():
+    # (00 + i 11) / sqrt(2) is maximally entangled but half on each named Bell
+    # pair; (00 + 01) / sqrt(2) is a product but half on each basis product
+    bell = mmzm_classify(_raw(np.array([1.0, 0.0, 0.0, 1j]) / np.sqrt(2.0)))
+    assert bell.labels == ("unclassified",)
+    assert bell.states[0].entropy == pytest.approx(LN2)
+    assert bell.states[0].overlap == pytest.approx(0.5)
+    prod = mmzm_classify(_raw(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)))
+    assert prod.labels == ("prod:other",)
+    assert prod.states[0].entropy == pytest.approx(0.0, abs=1e-12)
+    assert prod.states[0].overlap == pytest.approx(0.5)
+
+
+def test_mmzm_classify_needs_orthonormal_expected_states():
+    raw = _raw(PRODUCT_VECTORS["00"])
+    for expected in (("prod:00", "bell:00-11"), ("prod:00", "prod:00")):
+        with pytest.raises(ValueError, match="orthonormal"):
+            mmzm_classify(raw, expected=expected)
+    assert mmzm_classify(raw, expected=("prod:00", "bell:01-10")).matches_table
+
+
 def test_raw_edge_spinors_map_to_opposite_bells():
     # the two internal edge vectors of the mixed chain are Bell-type in the
     # classification frame, of opposite symmetry

@@ -153,4 +153,4 @@ def test_slab_classify_factors_no_matrix_beyond_4x4_and_the_corners(mu1, mu2):
     assert corners and all(s[0] == s[1] <= max(lat.Lx, lat.Ly) for s in corners)
     assert shapes[: len(corners)] == corners
     assert all(max(s) <= 4 for s in shapes[len(corners):])
-    assert len(shapes) <= 18
+    assert len(shapes) <= 10

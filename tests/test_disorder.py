@@ -14,6 +14,7 @@ from dense_reference import (
     build_slab,
     dense_levels,
     displacement_vs_amplitude,
+    pairwise_solve_owners,
     site_symmetry_links,
 )
 from mkc import disorder
@@ -568,6 +569,10 @@ def test_twin_pairs_follow_from_the_symmetries():
     child = owners(CHILD_CHANNELS)
     assert {names[c]: names[o] for c, o in enumerate(child) if o != c} == _TWIN_OF
     assert len(set(child)) == 9
+    # the tables behind them: seven twin pairs, both ways round, and every channel
+    # but yy and zz flippable
+    assert disorder._TWINS == set(_TWIN_OF.items()) | {(b, a) for a, b in _TWIN_OF.items()}
+    assert disorder._FLIPPABLE == set(names) - {"yy", "zz"}
     # the site-local symmetries join twin classes: exchanging equal factors joins ab
     # with ba, and the dead-point gauge i^j also joins 0y with 0z
     related = ChildSpec(_P1, ParentParams(-1.7 * _P1.t, 1.7 * _P1.delta, -1.7 * _P1.mu), PARALLEL)
@@ -591,6 +596,54 @@ def test_twin_pairs_follow_from_the_symmetries():
     assert owners(("zx", "xz", "y0", "0y"), links) == [0, 0, 0, 0]
     assert _links(_dead_parent(), ChainLattice(8)) == frozenset()
     assert owners(PARENT_CHANNELS) == [0, 1, 2]
+
+
+@st.composite
+def _near_critical_child(draw):
+    """(child, chain or slab) with a parent 1e-9 from its gap closing at mu = +-2t."""
+    spec, lat = draw(_disordered_system(kinds=(PARALLEL, PERPENDICULAR)))
+    p1 = spec.p1
+    mu = draw(_sign) * 2.0 * abs(p1.t) * (1.0 + draw(st.sampled_from([-1e-9, 1e-9])))
+    return replace(spec, p1=replace(p1, mu=mu)), lat
+
+
+@st.composite
+def _owner_case(draw):
+    """(channels, links) of a sweep, or channel tuples and links no sweep makes.
+
+    Child channels mostly take the links of a random, dead-point,
+    sign-mixed, near-dead or near-critical child on an open chain, a ring
+    or a slab, else random links, which need not come both ways round or
+    with both signs; the tuple holds all sixteen channels, a subset or
+    repeats, each as a name or a tuple.  Parent channels take no links.
+    """
+    if draw(st.integers(0, 7)) == 0:
+        return tuple(draw(st.lists(st.sampled_from("0xyz"), max_size=6))), frozenset()
+    names = [channel_name(c) for c in CHILD_CHANNELS]
+    picked = draw(st.one_of(
+        st.just(names),
+        st.permutations(names),
+        st.lists(st.sampled_from(names), unique=True, max_size=16),
+        st.lists(st.sampled_from(names), min_size=1, max_size=12).map(lambda c: c + c[:1]),
+    ))
+    channels = tuple(tuple(c) if draw(st.booleans()) else c for c in picked)
+    if draw(st.integers(0, 3)) == 0:
+        link = st.tuples(st.sampled_from(names), st.sampled_from(names), st.sampled_from([1, -1]))
+        return channels, draw(st.frozensets(link, max_size=24))
+    model, lat = draw(
+        _disordered_system(kinds=(PARALLEL, PERPENDICULAR))
+        | _dead_point_system((PARALLEL,))
+        | _near_dead_system().map(lambda s: s[0])
+        | _near_critical_child()
+    )
+    return channels, _links(model, lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_owner_case())
+def test_solve_owners_match_the_pairwise_tests(case):
+    channels, links = case
+    assert disorder._solve_owners(channels, links) == pairwise_solve_owners(channels, links)
 
 
 @settings(max_examples=60, deadline=None)

@@ -59,6 +59,8 @@ def test_parent_params_validation():
     assert ParentParams(1.0, 0.5, 2.0).is_critical()
     assert ParentParams(1.0, 0.5, -2.0).is_critical()
     assert ParentParams(1.0, 0.0, 0.5).is_critical()  # a Delta = 0 metal
+    # a near-metal closes to 2e-13 at k = pi/2, away from k = 0 and pi
+    assert ParentParams(1.0, 1e-13, 0.0).is_critical()
     assert not ParentParams(1.0, 0.0, 2.5).is_critical()
 
 

@@ -17,9 +17,8 @@ from dense_reference import (
     winding_number,
 )
 from mkc.errors import CriticalCurveError, GaplessPathError
-from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _mr
+from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _modulus_bounds, _mr
 from mkc.topology import (
-    _modulus_bounds,
     center_distance,
     component_winding_parallel,
     component_winding_perp,
