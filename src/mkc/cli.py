@@ -12,40 +12,58 @@ import functools
 import json
 import sys
 import time
+from itertools import repeat
 
 from . import __version__
 from .config import TASKS, _format_value, parse_config
 from .errors import ConfigError, NumericalError
-from .tasks import run_task
+from .tasks import ChiralLevels, run_task
 
 
-# the %-format that _format_value amounts to for a column of one exact type
-_COLUMN_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+# what _format_value does to a cell of one of these exact types
+_TEXT = {float: "%.17g".__mod__, int: str, str: str}
 
 
-def _block_lines(cells, cols):
-    """The CSV lines of one Rows block, as in _format_value cell by cell.
+def _column_text(cell, ranges):
+    """The text of each value of one column cell, as _format_value gives it.
 
-    Each shared cell is formatted once into a line template, and the
-    template fills the block's rows with one map over its columns.  A
-    column of one exact type is formatted by the template itself; any
-    other column goes through _format_value per cell first.
+    A ChiralLevels column formats each magnitude once with %.17g and
+    writes its negative as "-" + that text.  A range is formatted once per
+    ranges dict, which the blocks of one render share.  A list of one
+    exact type in _TEXT is mapped through its function, any other list
+    through _format_value.
     """
-    spec, columns = [], []
-    for k, cell in enumerate(cells):
-        if k not in cols:
-            spec.append(_format_value(cell).replace("%", "%%"))
-            continue
-        types = set(map(type, cell))
-        fmt = _COLUMN_FORMATS.get(types.pop()) if len(types) == 1 else None
-        if fmt is None:
-            fmt, cell = "%s", list(map(_format_value, cell))
-        spec.append(fmt)
-        columns.append(cell)
-    line = ",".join(spec) + "\n"
-    if not columns:
-        return line % ()
-    return "".join(map(line.__mod__, zip(*columns)))
+    if isinstance(cell, ChiralLevels):
+        # the positives are never more than the negatives
+        text = list(map(_TEXT[float], cell.magnitudes[: cell.negatives]))
+        return [*map("-".__add__, reversed(text)), *text[: cell.positives]]
+    if isinstance(cell, range):
+        if cell not in ranges:
+            ranges[cell] = list(map(str, cell))
+        return ranges[cell]
+    types = set(map(type, cell))
+    fmt = _TEXT.get(types.pop(), _format_value) if len(types) == 1 else _format_value
+    return list(map(fmt, cell))
+
+
+def _block_lines(cells, cols, ranges):
+    """The CSV lines of one Rows block, as _format_value makes them cell by cell.
+
+    Each shared cell is formatted once.  Those before the first column
+    (a sweep point's mu, mu2 and bc) join the line breaks between rows;
+    each later one is repeated into every row.
+    """
+    if not cols:
+        return ",".join(map(_format_value, cells)) + "\n"
+    first = cols[0]
+    parts = [
+        _column_text(c, ranges) if k in cols else repeat(_format_value(c))
+        for k, c in enumerate(cells[first:], first)
+    ]
+    if not len(parts[0]):
+        return ""
+    head = ",".join([*map(_format_value, cells[:first]), ""])
+    return head + ("\n" + head).join(map(",".join, zip(*parts))) + "\n"
 
 
 def render_csv(cfg, payload, out):
@@ -53,7 +71,9 @@ def render_csv(cfg, payload, out):
     17 significant digits, to the text stream out.
 
     The rows go out block by block (tasks.Rows): each block's text is
-    written before the next block is formatted.
+    written before the next block is formatted.  The bytes are those of
+    _format_value on every cell; each +-E level of a ChiralLevels column
+    is formatted once, and each range column once per call.
     """
     head = [
         f"# {section}.{key} = {value}"
@@ -62,8 +82,9 @@ def render_csv(cfg, payload, out):
     ]
     head.append(",".join(payload["columns"]))
     out.write("\n".join(head) + "\n")
+    ranges = {}
     for block in payload["rows"].blocks:
-        out.write(_block_lines(*block))
+        out.write(_block_lines(*block, ranges))
 
 
 def render_json(cfg, payload, out):

@@ -281,6 +281,21 @@ class _FrameBlocks:
         """The lattice matrix of the rotated blocks restricted to frame rows x cols."""
         return _assemble({r: b[np.ix_(rows, cols)] for r, b in self.rotated.items()}, lat)
 
+    def ring_column(self, rows, cols, L):
+        """The first column of assemble(rows, cols, lat) on a periodic chain of L sites.
+
+        rows x cols picks one frame entry, as a chain's chiral corner does.
+        The corner is circulant and the matrix is never built: bond r puts
+        its entry on row -r mod L, and bonds that fold onto one row
+        accumulate in the order assemble() adds them, so the column is
+        bitwise the matrix's.
+        """
+        (i,), (j,) = np.flatnonzero(rows), np.flatnonzero(cols)
+        col = np.zeros(L)
+        for r, b in self.rotated.items():
+            col[-r % L] += b[i, j]
+        return col
+
 
 def _components(joined, symmetric):
     """[(ri, ci)]: the connected components of a block's node graph, grouped by size.
@@ -366,64 +381,57 @@ def _corner_levels(corner, bc):
     _assemble wraps bond j -> (j + r) mod L with one entry per displacement,
     so its singular values are the moduli of its symbol
     sum_d c_d exp(-2 pi i n d / L) over the nonzero entries c_d of its first
-    column (signed displacements d), the levels at momenta 2 pi n / L.
+    column (signed displacements d), the levels at momenta 2 pi n / L.  A
+    periodic corner may be given as that first column alone
+    (_FrameBlocks.ring_column), with the same result to the bit.
     n and L - n share one modulus: the symbol is evaluated for
     n = 0 ... floor(L/2) only and n = 1 ... ceil(L/2) - 1 are mirrored, so
     the k/-k degeneracy is exact.
     """
     if bc == PERIODIC:
-        L = len(corner)
-        j = np.flatnonzero(corner[:, 0])
-        c, d = corner[j, 0], np.where(j > L // 2, j - L, j)
+        col = corner if corner.ndim == 1 else corner[:, 0]
+        L = len(col)
+        j = np.flatnonzero(col)
+        c, d = col[j], np.where(j > L // 2, j - L, j)
         theta = np.outer(np.arange(L // 2 + 1), d) * (2 * np.pi / L)
         f = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c)
         return np.concatenate([f, f[1 : (L + 1) // 2]])
     return np.linalg.svd(corner, compute_uv=False)
 
 
-def _corner_spectrum(corners, bc):
-    """Ascending chain eigenvalues +-sigma over the levels sigma of its chiral corners."""
-    sv = np.concatenate([_corner_levels(c, bc) for c in corners])
-    return np.sort(np.concatenate([-sv, sv]))
+def _chain_levels(corners, bc):
+    """Ascending levels of a chain over its chiral corners: one |E| per +-E pair."""
+    return np.sort(np.concatenate([_corner_levels(c, bc) for c in corners]))
+
+
+def chain_levels(spec, lat):
+    """Ascending |E| of the clean chain, one per +-E pair: its spectrum is
+    -levels[::-1] then levels.
+
+    They are the levels of the real L x L corners of _chiral_corners, one
+    for the parent and two for the child: singular values of open corners,
+    symbol moduli of periodic (circulant) ones (_corner_levels).
+    """
+    corners = _chiral_corners(chain_hopping_blocks(spec), lat)
+    return _chain_levels([c for c, _, _ in corners], lat.bc)
 
 
 def chain_spectrum(spec, lat):
-    """Ascending eigenvalues of the clean chain, from its chiral corners.
-
-    They are +-sigma for the levels sigma of the real L x L corners of
-    _chiral_corners, one for the parent and two for the child: singular
-    values of open corners, symbol moduli of periodic (circulant) ones
-    (_corner_levels).
-    """
-    corners = _chiral_corners(chain_hopping_blocks(spec), lat)
-    return _corner_spectrum([c for c, _, _ in corners], lat.bc)
+    """Ascending eigenvalues of the clean chain: +-chain_levels."""
+    levels = chain_levels(spec, lat)
+    return np.concatenate([-levels[::-1], levels])
 
 
-def _nearest(ev, n_modes):
-    """The n_modes values of the symmetric spectrum ev nearest zero, ascending.
-
-    ev is ascending and closed under E -> -E, as chain_spectrum returns it.
-    The cut keeps whole +-E pairs: the n_modes // 2 smallest levels of the
-    upper half with their negatives and, for odd n_modes, the negative
-    member of the next pair.  So a cut through a group of equal |E| never
-    depends on how rounding orders the group.
-    """
-    upper = ev[ev.size // 2 :]
-    return np.concatenate([-upper[: (n_modes + 1) // 2][::-1], upper[: n_modes // 2]])
-
-
-def low_energy_vs_length(spec, L_range, bc=OPEN, n_modes=6, threads=1):
-    """Rows (L, the n_modes eigenvalues nearest zero (_nearest), middle-pair splitting).
+def low_energy_vs_length(spec, L_range, bc=OPEN, threads=1):
+    """Rows {L, levels: chain_levels, splitting: the middle pair's gap, twice the lowest level}.
 
     The points run one after another.  threads is ignored: it stays only
     because bench/tracer.py binds it, and goes with the next benchmark change.
     """
     rows = []
     for L in L_range:
-        ev = chain_spectrum(spec, ChainLattice(L, bc))
-        half = ev.size // 2
-        splitting = float(ev[half] - ev[half - 1])
-        rows.append({"L": int(L), "modes": _nearest(ev, n_modes), "splitting": splitting})
+        levels = chain_levels(spec, ChainLattice(L, bc))
+        rows.append({"L": int(L), "levels": levels, "splitting": 2.0 * abs(float(levels[0]))})
     return rows
 
 
@@ -459,6 +467,18 @@ def _mu_coefficients(template, link):
     c1 = {r: (plus[r] - minus[r]) / 2.0 for r in plus}
     c2 = {r: (plus[r] + minus[r]) / 2.0 - b0[r] for r in plus}
     return b0, c1, c2
+
+
+def _mu_frames(template, link, terms=3, L=None):
+    """_FrameBlocks of the first terms of _mu_coefficients(template, link).
+
+    With L given, bonds of range L or more are dropped first: an open chain
+    of L sites has none.
+    """
+    return [
+        _FrameBlocks(blocks if L is None else {r: c for r, c in blocks.items() if abs(r) < L})
+        for blocks in _mu_coefficients(template, link)[:terms]
+    ]
 
 
 # The eigensolver returns a double root as a real or complex pair up to
@@ -506,11 +526,7 @@ def _pencil_pieces(child, L):
     into its even and its odd sites.
     """
     lat = ChainLattice(L)
-    # an open chain has no bond of range L or more
-    frames = [
-        _FrameBlocks({r: c for r, c in blocks.items() if abs(r) < L})
-        for blocks in _mu_coefficients(child, LINK_EQUAL)[:2]
-    ]
+    frames = _mu_frames(child, LINK_EQUAL, terms=2, L=L)
     out = []
     for parts in zip(*(fb.split(0) for fb in frames)):
         a0, a1 = (fb.assemble(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
@@ -597,30 +613,34 @@ def exact_zero_potentials(child, L):
     return _distinct(np.concatenate(found), ROOT_MATCH)
 
 
-def spectrum_vs_mu(template, mu_grid, link, lat, n_modes=None, threads=1):
-    """Open- and periodic-boundary spectra along a chemical-potential grid.
+def spectrum_vs_mu(template, mu_grid, link, lat, threads=1):
+    """Open- and periodic-boundary levels along a chemical-potential grid.
 
     link picks how the two child chemical potentials follow the grid value
     (equal, opposite, or second one frozen); ignored for a parent template.
-    The chain is built once per boundary condition: each chiral corner is
-    the pencil A0 + mu (A1 + mu A2) of the corners of _mu_coefficients, and
-    each point takes its levels (_corner_levels) from that pencil.  n_modes
-    keeps the levels nearest zero in +-E pairs (_nearest).  The points run
+    Each row holds mu and, under "obc" and "pbc", the chain's ascending
+    levels there (chain_levels: one |E| per +-E pair, the spectrum being
+    -levels[::-1] then levels).  Each chiral corner is the pencil
+    A0 + mu (A1 + mu A2) of one _FrameBlocks per mu coefficient
+    (_mu_frames), shared by both boundary conditions: open corners are
+    assembled once, periodic ones kept as their first columns
+    (_FrameBlocks.ring_column, all that _corner_levels reads of a circulant
+    corner), and each point evaluates the pencil on them.  The points run
     one after another.  threads is ignored: it stays only because
     bench/tracer.py binds it, and goes with the next benchmark change.
     """
-    coeffs = _mu_coefficients(template, link)
-    pencils = {}
-    for key, bc in (("obc", OPEN), ("pbc", PERIODIC)):
-        blat = replace(lat, bc=bc)
-        corners = [[c for c, _, _ in _chiral_corners(blocks, blat)] for blocks in coeffs]
-        pencils[key] = bc, list(zip(*corners))
+    frames = _mu_frames(template, link)
+    chain = replace(lat, bc=OPEN)
+    opened, rings = [], []
+    for parts in zip(*(fb.split(0) for fb in frames)):
+        pieces = [(fb, rows, cols) for fb, (rows, cols, _) in zip(frames, parts)]
+        opened.append([fb.assemble(rows, cols, chain) for fb, rows, cols in pieces])
+        rings.append([fb.ring_column(rows, cols, lat.L) for fb, rows, cols in pieces])
     rows = []
     for mu in np.asarray(mu_grid, dtype=float):
         row = {"mu": float(mu)}
-        for key, (bc, pencil) in pencils.items():
-            ev = _corner_spectrum([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in pencil], bc)
-            row[key] = ev if n_modes is None else _nearest(ev, n_modes)
+        for key, bc, pencil in (("obc", OPEN, opened), ("pbc", PERIODIC, rings)):
+            row[key] = _chain_levels([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in pencil], bc)
         rows.append(row)
     return rows
 

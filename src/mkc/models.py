@@ -53,9 +53,9 @@ class ParentParams:
     def is_topological(self, tol=1e-12):
         return abs(self.mu) < 2.0 * abs(self.t) - tol
 
-    def is_critical(self, tol=1e-12):
-        """Whether the curve's exact closest approach to the origin is within tol."""
-        return _modulus_bounds(self)[0] <= tol
+    def is_critical(self):
+        """Whether the curve's exact closest approach to the origin closes its gap (_gap_closed)."""
+        return _gap_closed(*_modulus_bounds(self))
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,15 @@ def _modulus_bounds(p):
     if a != 0.0 and abs(t * mu) <= 2.0 * abs(a):
         d.append(scale * math.sqrt(max(4.0 * delta * delta - mu * mu * (delta * delta / a), 0.0)))
     return float(min(d)), float(max(d))
+
+
+def _gap_closed(dist, largest):
+    """Whether a parent's curve at distance dist from the origin closes its gap.
+
+    It does within 1e-9 of the curve's largest modulus: the one gap rule
+    of ParentParams.is_critical and of topology's invariants.
+    """
+    return dist < 1e-9 * max(largest, 1e-30)
 
 
 def _factor_bloch(p, k, sign):

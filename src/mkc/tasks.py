@@ -6,7 +6,8 @@ serialized output is reproducible byte for byte.  Rows holds the rows as
 blocks of shared and column cells (one block per sweep point and boundary
 condition, say), so no task builds one list per output row; it still
 reads as the list of rows it stands for: len() counts the rows and
-iteration yields each as a plain list.
+iteration yields each as a plain list.  A spectrum closed under E -> -E
+goes in as a ChiralLevels column, its magnitudes held once.
 """
 
 import numpy as np
@@ -30,13 +31,41 @@ from .models import (
 )
 
 
+class ChiralLevels:
+    """A column of the ascending levels of a spectrum closed under E -> -E.
+
+    It is built from the spectrum's ascending magnitudes, one per +-E pair
+    (lattice.chain_levels), as +0.0 and up: np.abs turns a -0.0 from LAPACK
+    into 0.0.  Iterating it yields the full ascending floats,
+    -magnitudes[::-1] then magnitudes.  n_modes keeps the n_modes levels
+    nearest zero in whole +-E pairs: the (n_modes + 1) // 2 smallest
+    magnitudes negated and the n_modes // 2 smallest, so a cut through a
+    group of equal |E| never depends on how rounding orders the group.
+    """
+
+    def __init__(self, magnitudes, n_modes=None):
+        self.magnitudes = np.abs(magnitudes).tolist()
+        m = len(self.magnitudes)
+        self.negatives = m if n_modes is None else min(m, (n_modes + 1) // 2)
+        self.positives = m if n_modes is None else min(m, n_modes // 2)
+
+    def __len__(self):
+        return self.negatives + self.positives
+
+    def __iter__(self):
+        m = self.magnitudes
+        yield from (-v for v in reversed(m[: self.negatives]))
+        yield from m[: self.positives]
+
+
 class Rows:
     """A task's output rows, stored as blocks that share cells.
 
-    add(*cells) appends one block.  A cell that is a list or a range is a
-    column cell, holding one value per row of the block; any other cell is
-    a shared cell, the same value on every row.  The columns of a block
-    have one length, its row count; a block without columns is one row.
+    add(*cells) appends one block.  A cell that is a list, a range or a
+    ChiralLevels is a column cell, holding one value per row of the block;
+    any other cell is a shared cell, the same value on every row.  The
+    columns of a block have one length, its row count; a block without
+    columns is one row.
     """
 
     def __init__(self):
@@ -44,7 +73,9 @@ class Rows:
         self._count = 0
 
     def add(self, *cells):
-        cols = tuple(k for k, c in enumerate(cells) if isinstance(c, (list, range)))
+        cols = tuple(
+            k for k, c in enumerate(cells) if isinstance(c, (list, range, ChiralLevels))
+        )
         sizes = {len(cells[k]) for k in cols}
         if len(sizes) > 1:
             raise ValueError(f"the columns of one block differ in length: {sorted(sizes)}")
@@ -71,22 +102,23 @@ class Rows:
 
 
 def _task_spectrum(cfg):
-    ev = spectrum(cfg.model, cfg.lattice).tolist()
+    ev = spectrum(cfg.model, cfg.lattice)
     rows = Rows()
-    rows.add(range(len(ev)), ev)
+    # the upper half of an ascending chiral spectrum: its magnitudes
+    rows.add(range(ev.size), ChiralLevels(ev[ev.size // 2 :]))
     return {"columns": ["index", "energy"], "rows": rows}
 
 
 def _task_sweep_mu(cfg):
     opt = cfg.options
     grid = np.linspace(opt["mu-min"], opt["mu-max"], opt["mu-points"])
-    recs = spectrum_vs_mu(cfg.model, grid, opt["link"], cfg.lattice, n_modes=opt["n-modes"])
+    recs = spectrum_vs_mu(cfg.model, grid, opt["link"], cfg.lattice)
     rows = Rows()
     for rec in recs:
-        mu = float(rec["mu"])
+        mu = rec["mu"]
         mu2 = "" if cfg.kind == "parent" else _with_mu(cfg.model, mu, opt["link"]).p2.mu
         for bc in ("obc", "pbc"):
-            levels = rec[bc].tolist()
+            levels = ChiralLevels(rec[bc], opt["n-modes"])
             rows.add(mu, mu2, bc, range(len(levels)), levels)
     return {"columns": ["mu1", "mu2", "bc", "level_index", "energy"], "rows": rows}
 
@@ -94,10 +126,9 @@ def _task_sweep_mu(cfg):
 def _task_sweep_length(cfg):
     opt = cfg.options
     lengths = range(opt["l-min"], opt["l-max"] + 1, opt["l-step"])
-    recs = low_energy_vs_length(cfg.model, lengths, bc=opt["bc"], n_modes=opt["n-modes"])
     rows = Rows()
-    for rec in recs:
-        modes = [float(e) for e in rec["modes"]]
+    for rec in low_energy_vs_length(cfg.model, lengths, bc=opt["bc"]):
+        modes = ChiralLevels(rec["levels"], opt["n-modes"])
         rows.add(rec["L"], range(len(modes)), modes, rec["splitting"])
     return {"columns": ["L", "level_index", "energy", "splitting"], "rows": rows}
 

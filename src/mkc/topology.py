@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CriticalCurveError
-from .models import PARALLEL, PERPENDICULAR, _modulus_bounds, _mr
+from .models import PARALLEL, PERPENDICULAR, _gap_closed, _modulus_bounds, _mr
 
 
 def center_distance(a, b):
@@ -36,16 +36,16 @@ class WannierSpectrum:
 
 
 def _check_clear_of_origin(p, k=None):
-    """Raise CriticalCurveError where the parent's curve comes within 1e-9 of the origin.
+    """Raise CriticalCurveError where the parent's curve closes its gap (models._gap_closed).
 
-    Within is relative to the curve's largest modulus.  With k None the
-    whole curve is judged, by its exact minimum; else the momenta k, where
-    a perpendicular loop freezes it: a loop whose fixed momentum misses the
+    With k None the whole curve is judged, by its exact minimum, as
+    ParentParams.is_critical judges it; else the momenta k, where a
+    perpendicular loop freezes it: a loop whose fixed momentum misses the
     parent's closing momenta is gapped.
     """
     closest, largest = _modulus_bounds(p)
     dist = closest if k is None else float(np.hypot(*_mr(p, k)).min())
-    if dist < 1e-9 * max(largest, 1e-30):
+    if _gap_closed(dist, largest):
         raise CriticalCurveError(
             f"curve passes through the origin (min |d| = {dist:.3e}); "
             "the model sits on a critical surface",

@@ -29,7 +29,9 @@ Clifford unitary, site gauge and sign on the whole lattice matrix, and
 pairwise_solve_owners tests each pair of channel matrices for the
 relations of disorder._solve_owners, which reads them from a table.
 serialize_config writes a run config back as text, output routing
-included.
+included, and plain_csv writes a task's CSV with one _format_value per
+cell, where the command line formats a block's shared cells and each
++-E level once.
 """
 
 import functools
@@ -41,6 +43,7 @@ from unittest import mock
 import numpy as np
 
 from mkc import boundary
+from mkc.config import _format_value
 from mkc.boundary import (
     _orthonormal_columns,
     classify_zero_modes,
@@ -745,3 +748,15 @@ def serialize_config(cfg):
             lines.append(f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)
+
+
+def plain_csv(cfg, payload):
+    """The CSV text of cli.render_csv, one _format_value per cell of every row."""
+    lines = [
+        f"# {section}.{key} = {value}"
+        for section, values in cfg.echo().items()
+        for key, value in values.items()
+    ]
+    lines.append(",".join(payload["columns"]))
+    lines += [",".join(map(_format_value, row)) for row in payload["rows"]]
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import (
     WindingCurve,
@@ -20,11 +23,12 @@ from dense_reference import (
     dense_wannier_parallel,
     dense_wannier_parent,
     dense_wannier_perp,
+    plain_csv,
     sampled_winding_parallel,
     sampled_winding_perp,
     winding_number,
 )
-from mkc import cli
+from mkc import __version__, cli
 from mkc.boundary import (
     classify_zero_modes,
     kc_majorana_points,
@@ -32,7 +36,7 @@ from mkc.boundary import (
     quantization_points,
 )
 from mkc.cli import main
-from mkc.config import TASKS, _format_value, parse_config
+from mkc.config import TASKS, parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
 from mkc.lattice import ChainLattice, SlabLattice
 from mkc.models import (
@@ -44,7 +48,7 @@ from mkc.models import (
     group_velocity_perp,
     parent_bloch,
 )
-from mkc.tasks import Rows, run_task
+from mkc.tasks import ChiralLevels, Rows, run_task
 from mkc.topology import (
     center_distance,
     wannier_center_parent,
@@ -189,11 +193,18 @@ def test_render_csv_blocks_match_per_cell_format():
     rows.add()
     rows.add(None, [], range(0))
     rows.add([False, None], ["", "y"], [0.25, 1e-300])
-    assert len(rows) == 1 + 3 + 7 + 4 + 1 + 1 + 0 + 2 == len(list(rows))
-    want = head + "".join(
-        ",".join(_format_value(v) for v in row) + "\n" for row in list(rows)
+    # level columns: a -0.0 magnitude, cuts that keep one more negative, the same range twice
+    rows.add("lv", range(4), ChiralLevels(np.array([-0.0, 0.0])), 1e-17)
+    rows.add(range(3), ChiralLevels(np.array([0.0, 0.5, 2.0]), 3), "%")
+    rows.add(range(2), ChiralLevels(np.array([1e-300]), 5), [1, 2])
+    assert len(rows) == 1 + 3 + 7 + 4 + 1 + 1 + 0 + 2 + 4 + 3 + 2 == len(list(rows))
+    assert _csv(cfg, rows) == plain_csv(cfg, {"columns": list("abcdefg"), "rows": rows})
+    assert _csv(cfg, rows).endswith(
+        "\nlv,0,-0,1.0000000000000001e-17\nlv,1,-0,1.0000000000000001e-17"
+        "\nlv,2,0,1.0000000000000001e-17\nlv,3,0,1.0000000000000001e-17"
+        "\n0,-0.5,%\n1,-0,%\n2,0,%"
+        "\n0,-1e-300,1\n1,1e-300,2\n"
     )
-    assert _csv(cfg, rows) == want
 
 
 def test_rows_index_returns_a_live_row_and_rejects_ragged_blocks():
@@ -208,6 +219,109 @@ def test_rows_index_returns_a_live_row_and_rejects_ragged_blocks():
     assert _csv(cfg, rows, "xyz").endswith("\nb,0,4.5\nb,1,4.5\n")
     with pytest.raises(ValueError, match="differ in length"):
         rows.add(range(2), [1.0])
+
+
+def test_chiral_levels_cut_whole_pairs_nearest_zero():
+    # the n_modes levels nearest zero of the ascending -m[::-1], m: whole
+    # +-E pairs, and for odd n_modes the negative member of the next pair
+    m = np.array([0.0, 0.25, 0.25, 1.0])
+    full = [-1.0, -0.25, -0.25, -0.0, 0.0, 0.25, 0.25, 1.0]
+    assert list(ChiralLevels(m)) == full
+    for n_modes in range(1, 11):
+        levels = ChiralLevels(m, n_modes)
+        neg, pos = min((n_modes + 1) // 2, 4), min(n_modes // 2, 4)
+        assert (levels.negatives, levels.positives, len(levels)) == (neg, pos, neg + pos)
+        assert list(levels) == full[4 - neg : 4 + pos]
+        assert all(type(v) is float for v in levels)
+
+
+def _check_writers(cfg, payload):
+    """render_csv writes plain_csv's bytes, and render_json those of one json.dumps."""
+    out = io.StringIO()
+    cli.render_csv(cfg, payload, out)
+    assert out.getvalue() == plain_csv(cfg, payload)
+    out = io.StringIO()
+    cli.render_json(cfg, payload, out)
+    doc = {
+        "config": cfg.echo(),
+        "payload": {"columns": payload["columns"], "rows": list(payload["rows"])},
+        "task": cfg.task,
+        "version": __version__,
+    }
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _parent_lines(i, t, delta, mu):
+    return f"t{i} = {t!r}\ndelta{i} = {delta!r}\nmu{i} = {mu!r}\n"
+
+
+@st.composite
+def _writer_case(draw):
+    """(task, config text, n-modes): sweep-mu and spectrum runs, many at dead points.
+
+    A dead parent has t = delta and mu = 0; a grid starting at mu = 0
+    puts a dead chain's levels at exact zeros there.
+    """
+    num = st.floats(-3.0, 3.0)
+    sign = st.sampled_from([-1.0, 1.0])
+
+    def parent():
+        if draw(st.booleans()):
+            t = draw(sign)
+            return t, t * draw(sign), 0.0
+        return draw(num), draw(num), draw(num)
+
+    task = draw(st.sampled_from(["sweep-mu", "spectrum"]))
+    slab = ["slab"] if task == "spectrum" else []
+    template = draw(st.sampled_from(["parent", "child", "sign-mixed"] + slab))
+    p1 = parent()
+    if template == "parent":
+        text = "[model]\nkind = parent\n" + _parent_lines(1, *p1)
+    else:
+        p2 = (-p1[0], p1[1], p1[2]) if template == "sign-mixed" else parent()
+        kind = "mkc-perpendicular" if template == "slab" else "mkc-parallel"
+        text = f"[model]\nkind = {kind}\n" + _parent_lines(1, *p1) + _parent_lines(2, *p2)
+    bc = st.sampled_from(["open", "periodic"])
+    if template == "slab":
+        text += f"[lattice]\nlx = {draw(st.integers(3, 4))}\nly = {draw(st.integers(3, 4))}\n"
+        text += f"bcx = {draw(bc)}\nbcy = {draw(bc)}\n"
+    else:
+        text += f"[lattice]\nl = {draw(st.integers(2 if template == 'parent' else 3, 7))}\n"
+    n_modes = None
+    if task == "spectrum":
+        if template != "slab":
+            text += f"bc = {draw(bc)}\n"
+    else:
+        grid = [draw(st.one_of(st.just(0.0), num)) for _ in range(2)]
+        text += f"[task]\nmu-min = {grid[0]!r}\nmu-max = {grid[1]!r}\n"
+        text += f"mu-points = {draw(st.integers(1, 3))}\n"
+        text += f"link = {draw(st.sampled_from(['equal', 'opposite', 'fixed']))}\n"
+        n_modes = draw(st.one_of(st.none(), st.integers(1, 30)))
+        if n_modes is not None:
+            text += f"n-modes = {n_modes}\n"
+    return task, text, n_modes
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_writer_case())
+def test_writers_match_plain_oracle(case):
+    task, text, n_modes = case
+    cfg = parse_config(text, cli_task=task)
+    payload = run_task(cfg)
+    _check_writers(cfg, payload)
+    # each level column iterates as the sorted +-E spectrum, cut as
+    # lattice sweeps cut it before: negatives (-0.0 included) then the rest
+    for cells, _ in payload["rows"].blocks:
+        col = cells[-1]
+        m = np.array(col.magnitudes)
+        ev = np.sort(np.concatenate([-m, m]))
+        if n_modes is not None:
+            upper = ev[ev.size // 2 :]
+            ev = np.concatenate([-upper[: (n_modes + 1) // 2][::-1], upper[: n_modes // 2]])
+        got = list(col)
+        assert got == ev.tolist()
+        signs = [math.copysign(1.0, v) for v in got]
+        assert signs == [-1.0] * col.negatives + [1.0] * col.positives
 
 
 def test_tasks_leave_numpy_random_ma_and_fft_unloaded(tmp_path):
@@ -883,6 +997,8 @@ def test_task_rows_match_library_and_dense_reference(
     assert len(payload["rows"]) == len(lines) - 1
     for line, row in zip(lines[1:], rows, strict=True):
         assert [type(v)(c) for v, c in zip(row, line.split(","), strict=True)] == row
+    assert out == plain_csv(seen["cfg"], payload)
+    _check_writers(seen["cfg"], payload)
     if task.startswith("sweep-"):
         assert main([task, "--config", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr()[0])["payload"]["rows"] == rows

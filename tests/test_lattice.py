@@ -146,6 +146,11 @@ def test_particle_hole_pairing_of_spectrum():
         assert np.max(np.abs(np.sort(ev) + np.sort(-ev)[::-1])) < 1e-10
 
 
+def _signed(levels):
+    """The ascending spectrum of a chain's ascending levels (one |E| per +-E pair)."""
+    return np.concatenate([-levels[::-1], levels])
+
+
 def test_spectrum_vs_mu_links():
     lat = ChainLattice(6)
     template = ChildSpec(ParentParams(1, 0.5, 0), ParentParams(-1, 0.5, 0), PARALLEL)
@@ -157,8 +162,8 @@ def test_spectrum_vs_mu_links():
             ParentParams(1, 0.5, 0.7), ParentParams(-1, 0.5, mu2), PARALLEL
         )
         want = np.linalg.eigvalsh(build_chain(probe, lat))
-        assert rows[2]["obc"] == pytest.approx(list(want), abs=1e-12)
-        assert rows[2]["pbc"].shape == want.shape
+        assert _signed(rows[2]["obc"]) == pytest.approx(list(want), abs=1e-12)
+        assert _signed(rows[2]["pbc"]).shape == want.shape
 
 
 def test_spectrum_vs_mu_threads_do_not_change_values():
@@ -175,25 +180,25 @@ def test_spectrum_vs_mu_threads_do_not_change_values():
 
 def test_low_energy_vs_length_shapes_and_splitting():
     spec = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
-    rows = low_energy_vs_length(spec, range(4, 9, 2), n_modes=4)
+    rows = low_energy_vs_length(spec, range(4, 9, 2))
     assert [r["L"] for r in rows] == [4, 6, 8]
     for r in rows:
-        assert r["modes"].shape == (4,)
-        assert r["splitting"] >= 0.0
+        assert r["levels"].shape == (2 * r["L"],)
+        assert np.all(np.diff(r["levels"]) >= 0.0)
+        assert r["splitting"] == 2.0 * r["levels"][0] >= 0.0
 
 
 def test_low_energy_vs_length_matches_dense_magnitudes():
-    # odd n_modes splits a +-E pair, whose member is picked by |E| ties
+    # each level stands for one +-E pair, so twice over it is the sorted |E|
     spec = ChildSpec(ParentParams(1, 0.5, 0.2), ParentParams(-1, 0.5, 0.2), PARALLEL)
-    for n_modes in (3, 4):
-        for bc in (OPEN, PERIODIC):
-            rows = low_energy_vs_length(spec, range(3, 9), bc=bc, n_modes=n_modes)
-            for r in rows:
-                ev = np.linalg.eigvalsh(build_chain(spec, ChainLattice(r["L"], bc)))
-                want = np.sort(np.abs(ev))[:n_modes]
-                assert np.sort(np.abs(r["modes"])) == pytest.approx(want, abs=1e-12)
-                half = ev.size // 2
-                assert r["splitting"] == pytest.approx(ev[half] - ev[half - 1], abs=1e-12)
+    for bc in (OPEN, PERIODIC):
+        rows = low_energy_vs_length(spec, range(3, 9), bc=bc)
+        for r in rows:
+            ev = np.linalg.eigvalsh(build_chain(spec, ChainLattice(r["L"], bc)))
+            want = np.sort(np.abs(ev))
+            assert np.repeat(r["levels"], 2) == pytest.approx(want, abs=1e-12)
+            half = ev.size // 2
+            assert r["splitting"] == pytest.approx(ev[half] - ev[half - 1], abs=1e-12)
 
 
 _sign = st.sampled_from([-1.0, 1.0])
@@ -245,11 +250,17 @@ def test_chain_spectrum_matches_dense(system):
 def test_periodic_corner_levels_match_corner_svd(p1, p2, child, L):
     spec = ChildSpec(p1, p2, PARALLEL) if child else p1
     lat = ChainLattice(max(L, 3) if child else L, PERIODIC)
-    for corner, _, _ in lattice._chiral_corners(chain_hopping_blocks(spec), lat):
+    fb = lattice._FrameBlocks(chain_hopping_blocks(spec))
+    for rows, cols, _ in fb.split(0):
+        corner = fb.assemble(rows, cols, lat)
         want = np.linalg.svd(corner, compute_uv=False)
-        got = np.sort(lattice._corner_levels(corner, PERIODIC))[::-1]
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * max(want[0], 1.0)
+        got = lattice._corner_levels(corner, PERIODIC)
+        assert np.abs(np.sort(got)[::-1] - want).max() <= 1e-13 * max(want[0], 1.0)
+        # the first column alone, as sweeps keep it, gives the same bits
+        column = fb.ring_column(rows, cols, lat.L)
+        assert column.tobytes() == corner[:, 0].tobytes()
+        assert lattice._corner_levels(column, PERIODIC).tobytes() == got.tobytes()
+        assert lattice._corner_levels(corner[:, 0].copy(), PERIODIC).tobytes() == got.tobytes()
 
 
 @st.composite
@@ -275,8 +286,43 @@ def test_spectrum_vs_mu_matches_dense(case):
         spec = lattice._with_mu(template, row["mu"], link)
         for key, bc in (("obc", OPEN), ("pbc", PERIODIC)):
             dense = dense_levels(build_chain(spec, replace(lat, bc=bc)))
-            assert row[key].shape == dense.shape
-            assert np.abs(row[key] - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
+            got = _signed(row[key])
+            assert got.shape == dense.shape
+            assert np.abs(got - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
+    # the periodic levels are those of the whole circulant pencils, to the bit
+    frames = lattice._mu_frames(template, link)
+    ring = replace(lat, bc=PERIODIC)
+    whole = [
+        [fb.assemble(rows, cols, ring) for fb, (rows, cols, _) in zip(frames, parts)]
+        for parts in zip(*(fb.split(0) for fb in frames))
+    ]
+    for row in rows:
+        mu = row["mu"]
+        want = lattice._chain_levels([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in whole], PERIODIC)
+        assert row["pbc"].tobytes() == want.tobytes()
+
+
+def test_spectrum_vs_mu_builds_one_frame_per_coefficient(monkeypatch):
+    # three frames for the three mu coefficients, shared by both boundary
+    # conditions, and only open corners assembled: periodic ones stay columns
+    built, assembled = [], []
+    init, assemble = lattice._FrameBlocks.__init__, lattice._assemble
+
+    def counted_init(self, blocks):
+        built.append(len(blocks))
+        init(self, blocks)
+
+    def counted_assemble(blocks, lat):
+        assembled.append(lat.bc)
+        return assemble(blocks, lat)
+
+    monkeypatch.setattr(lattice._FrameBlocks, "__init__", counted_init)
+    monkeypatch.setattr(lattice, "_assemble", counted_assemble)
+    child = ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 0.0), PARALLEL)
+    rows = spectrum_vs_mu(child, np.linspace(-3.0, 3.0, 11), LINK_EQUAL, ChainLattice(8))
+    assert len(rows) == 11
+    assert built == [5, 5, 5]
+    assert assembled == [OPEN] * 6
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import block_diagonalize, component_bloch, component_dvector
+from mkc.boundary import perp_edge_prediction
+from mkc.errors import CriticalCurveError
 from test_lattice import _parent
 from mkc.models import (
     PARALLEL,
@@ -22,6 +24,7 @@ from mkc.models import (
     reduce_momentum,
     symmetry_check,
 )
+from mkc.topology import parent_winding
 
 RNG = np.random.default_rng(20240811)
 KGRID = np.linspace(-np.pi, np.pi, 65)[:-1]
@@ -62,6 +65,25 @@ def test_parent_params_validation():
     # a near-metal closes to 2e-13 at k = pi/2, away from k = 0 and pi
     assert ParentParams(1.0, 1e-13, 0.0).is_critical()
     assert not ParentParams(1.0, 0.0, 2.5).is_critical()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ParentParams(1.0, 1e-11, 0.0),
+        ParentParams(1.0, 1e-10, 0.0),
+        ParentParams(1.0, 0.5, 2.0 + 1e-11),
+    ],
+    ids=["near-metal-1e-11", "near-metal-1e-10", "near-closing-at-pi"],
+)
+def test_near_critical_parents_read_one_gap_rule(p):
+    # within 1e-9 of the largest modulus, but farther than 1e-12 from the origin
+    assert p.is_critical()
+    with pytest.raises(CriticalCurveError):
+        parent_winding(p)
+    other = ParentParams(1.0, 1.0, 0.5)
+    for p1, p2 in ((p, other), (other, p)):
+        assert perp_edge_prediction(ChildSpec(p1, p2, PERPENDICULAR)) == "critical"
 
 
 def test_parent_bloch_closed_form_spectrum():
