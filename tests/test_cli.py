@@ -709,7 +709,7 @@ _PARENT_HEAD = PARENT_SPECTRUM[: PARENT_SPECTRUM.index("[lattice]")]
 
 
 def _dense_levels(model, lat, n_modes=None):
-    """Ascending dense levels; n_modes keeps +-E pairs as lattice._nearest does.
+    """Ascending dense levels; n_modes keeps +-E pairs as tasks.ChiralLevels does.
 
     That is the (n_modes + 1) // 2 levels of the lower half and the
     n_modes // 2 of the upper half nearest zero, so a cut through an exactly
