@@ -4,16 +4,12 @@ Disorder enters as a site-diagonal term V_s P with P one internal channel
 matrix (a Pauli matrix for the two-band chain, a Pauli tensor product for
 the four-band models) and V_s drawn i.i.d. uniform on [-W, W].
 
-The draws are numpy's Philox4x64-10 stream (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), reproduced here bit for bit
-without importing numpy's random module: realization r of seed s is
-Generator(Philox(key=[s, r])).uniform(-W, W, sites).  The key is
-(s mod 2**64, r), each 64-bit output x becomes the double
-u = (x >> 11) 2**-53 and the site value is low + (high - low) u with
-low = -W, high = W.  Seeds lie in [-2**63, 2**63) and W >= 0 with 2W
-finite.  The potentials depend only on (seed, W, realization, site
-count), so robustness_sweep draws every realization once per sweep and
-every channel and grid point reads the same array.
+The draws are numpy's Philox4x64-10 stream, reproduced bit for bit in
+mkc.philox: realization r of seed s is
+Generator(Philox(key=[s, r])).uniform(-W, W, sites).  The potentials
+depend only on (seed, W, realization, site count), so robustness_sweep
+draws every realization once per sweep and every channel and grid point
+reads the same array.
 
 Every clean model is real and chiral, and every clean child commutes with
 t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
@@ -40,6 +36,14 @@ end nodes.  A slab whose first parent sits at the
 dead point, as (1, 1, 0) x (1, 1, 3) does, hops along x only inside
 dimers, so those channels solve it as strips along y.
 
+Channels also share solves below their classes: a group of equal-size
+components is solved once per draw for every channel whose group key, the
+part and its site-term coefficients, matches.  Where the components are
+trees, the key takes the moduli of the coefficients that sit on clean
+zeros, since a forest's singular values depend on its entry moduli alone;
+at the dead point yy, yz and zz so share one hopping-sector solve.  A
+chain sweep reads its clean levels from the same solver's corners.
+
 The same symmetries make channels come in twins with one |E| spectrum:
 the twin of a child channel P is the Pauli pair proportional to t_x s_x P.
 Site-local symmetries of the clean hopping blocks (_site_symmetries,
@@ -61,6 +65,7 @@ from .lattice import (
     SYMMETRY_TOL,
     SlabLattice,
     _FrameBlocks,
+    _chain_levels,
     _components,
     _kron2,
     _negligible,
@@ -72,6 +77,7 @@ from .lattice import (
     spectrum,
 )
 from .models import _C1, _C2, _U, PAULI, ParentParams
+from .philox import _check_ensemble, _philox_uniform
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(itertools.product("0xyz", repeat=2))
@@ -81,13 +87,6 @@ _PAIRS = np.stack([_kron2(PAULI[a], PAULI[b]) for a, b in CHILD_CHANNELS])
 DEFAULT_AMPLITUDE = 0.2
 DEFAULT_REALIZATIONS = 50
 DEFAULT_SEED = 42
-
-# Philox4x64-10 multipliers and Weyl key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = 0xFFFFFFFF
-
 
 def _normalize_channel(channel):
     if isinstance(channel, str) and len(channel) == 2:
@@ -106,7 +105,7 @@ def channel_matrix(channel):
     """Internal-space matrix of a disorder channel; 2x2 or 4x4."""
     channel = _normalize_channel(channel)
     if isinstance(channel, tuple):
-        return np.kron(PAULI[channel[0]], PAULI[channel[1]])
+        return _PAIRS[CHILD_CHANNELS.index(channel)].copy()
     return PAULI[channel].copy()
 
 
@@ -126,52 +125,7 @@ class DisorderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "channel", _normalize_channel(self.channel))
-        # numpy's uniform draws low + (high - low) u, so 2W must be finite too
-        if not (0.0 <= self.amplitude and math.isfinite(2.0 * float(self.amplitude))):
-            raise ConfigError(
-                f"disorder amplitude W must be >= 0 with 2W finite, got {self.amplitude}"
-            )
-        if int(self.realizations) != self.realizations or self.realizations < 1:
-            raise ConfigError(f"realizations must be a positive integer, got {self.realizations}")
-        if not -(2**63) <= self.seed < 2**63:
-            raise ConfigError(f"seed must lie in [-2**63, 2**63), got {self.seed}")
-
-
-def _mulhilo(a, m):
-    """(high, low) 64-bit words of the 128-bit products of uint64 array a and m.
-
-    The high word is summed from 32-bit halves, each partial product fitting
-    uint64.
-    """
-    a0, a1 = a & _LOW32, a >> 32
-    m0, m1 = np.uint64(m & _LOW32), np.uint64(m >> 32)
-    lh, hl = a0 * m1, a1 * m0
-    mid = (a0 * m0 >> 32) + (lh & _LOW32) + (hl & _LOW32)
-    return a1 * m1 + (lh >> 32) + (hl >> 32) + (mid >> 32), a * np.uint64(m)
-
-
-def _philox_uniform(seed, amplitude, realizations, sites):
-    """Uniform [-W, W] draws, one row of sites values per realization.
-
-    Row i is numpy's Generator(Philox(key=[seed, realizations[i]]))
-    .uniform(-W, W, sites) bit for bit: block b of four outputs encrypts
-    the counter (b + 1, 0, 0, 0), since numpy bumps the counter before its
-    first block, under the key (seed mod 2**64, realization), bumped by the
-    Weyl increments after each of the ten rounds.
-    """
-    k1 = np.asarray(realizations, dtype=np.uint64)[:, None]
-    k0 = np.full_like(k1, int(seed) % 2**64)
-    ctr = np.zeros((4, k1.size, -(-sites // 4)), dtype=np.uint64)
-    ctr[0] = np.arange(1, ctr.shape[2] + 1, dtype=np.uint64)
-    c0, c1, c2, c3 = ctr
-    for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-    x = np.stack([c0, c1, c2, c3], axis=-1).reshape(k1.size, -1)[:, :sites]
-    low, high = -amplitude, amplitude
-    return low + (high - low) * ((x >> 11) * 2.0**-53)
+        _check_ensemble(self.amplitude, self.realizations, self.seed)
 
 
 def site_potentials(spec, realization, sites):
@@ -193,9 +147,22 @@ class BlockSolver:
     the blocks that _FrameBlocks.split picks for P.  Each block is cut
     into the connected components (lattice._components) of its clean
     entries and the support of P there, and each group of equal-size components
-    takes one stacked svd or eigvalsh call per realization; a group of
+    takes one stacked svd or eigvalsh call per draw; a group of
     1x1 components takes the moduli of its entries instead.  The site
     term adds only P's entries that do not round to zero (_support).
+
+    A group's levels are fixed by its key: its part (the clean stack and
+    the site-term positions) and the site-term coefficients.  Where every
+    corner component's exact nonzero pattern (clean entries != 0 and the
+    site-term positions) is a tree, 2n - 1 edges on n row and n column
+    nodes, diagonal unitaries take the block to its moduli, D1 A D2 = |A|,
+    so its singular values depend on the entry moduli alone; there the
+    key and the solve take |coef| for each entry that sits only on clean
+    zeros.  An entry on a nonzero clean entry keeps its exact coefficient,
+    and so does every symmetric (eigvalsh) group.  Each key is solved once
+    per draw V, and every channel with that key reads that result.  Each
+    (rows, cols) assembly is built once per solver, so channels whose
+    parts are the corners of levels(), as yy's are, reuse them.
     """
 
     def __init__(self, spec, lat):
@@ -206,30 +173,50 @@ class BlockSolver:
         self.sites = _site_count(lat)
         self._blocks = _FrameBlocks(blocks)
         self._lat = lat
+        self._assembled = {}
         self._parts = {}
+        # the levels of each group key solved for the draw whose bytes are _drawn
+        self._drawn, self._solved = None, {}
+
+    def _assemble(self, rows, cols):
+        """The clean lattice matrix of frame rows x cols, assembled once per solver."""
+        key = (rows.tobytes(), cols.tobytes())
+        if key not in self._assembled:
+            self._assembled[key] = self._blocks.assemble(rows, cols, self._lat)
+        return self._assembled[key]
+
+    def levels(self):
+        """Ascending |E| of the clean chain, one per +-E pair (lattice.chain_levels).
+
+        They are read from the chiral corners of split(0); chains only.
+        """
+        corners = [self._assemble(rows, cols) for rows, cols, _ in self._blocks.split(0)]
+        return _chain_levels(corners, self._lat.bc)
 
     def _part(self, rows, cols, joins):
-        """[(clean, idx, site, entry)] of the clean part rows x cols, one per class group.
+        """(key, [(clean, idx, site, entry, free)]) of the clean part rows x cols.
 
-        clean, shape (k, n, n), stacks the part's node classes of size n
-        (lattice._components) for the site term support joins; the site
-        term adds v[site] times its entry-th nonzero (in the order of
-        np.nonzero(joins)) at the flat indices idx of that stack.  Parts
-        recur across channels, so each is built once per solver.
+        There is one tuple per class group.  clean, shape (k, n, n), stacks
+        the part's node classes of size n (lattice._components) for the site
+        term support joins; the site term adds v[site] times its entry-th
+        nonzero (in the order of np.nonzero(joins)) at the flat indices idx
+        of that stack.  free[e] is True where the group is a corner whose
+        classes are trees and its e-th nonzero sits only on clean zeros.
+        Parts recur across channels, so each is built once per solver.
         """
         key = (rows.tobytes(), cols.tobytes(), joins.tobytes())
         if key not in self._parts:
-            fb = self._blocks
-            clean = fb.assemble(rows, cols, self._lat)
+            clean = self._assemble(rows, cols)
             nr, nc = clean.shape[0] // self.sites, clean.shape[1] // self.sites
             a, b = np.nonzero(joins)
             site = np.repeat(np.arange(self.sites), a.size)
             entry = np.tile(np.arange(a.size), self.sites)
             row, col = site * nr + a[entry], site * nc + b[entry]
-            joined = np.abs(clean) > fb.tol
+            joined = np.abs(clean) > self._blocks.tol
             joined[row, col] = True
+            symmetric = np.array_equal(rows, cols)
             groups = []
-            for ri, ci in _components(joined, np.array_equal(rows, cols)):
+            for ri, ci in _components(joined, symmetric):
                 n = ri.shape[1]
                 at_r, at_c = np.full(clean.shape[0], -1), np.zeros(clean.shape[1], dtype=np.intp)
                 at_r[ri.ravel()] = np.arange(ri.size)
@@ -237,8 +224,14 @@ class BlockSolver:
                 # a site term entry joins a row and a column node of one class
                 hit = at_r[row] >= 0
                 idx = at_r[row[hit]] * n + at_c[col[hit]] % n
-                groups.append((clean[ri[:, :, None], ci[:, None, :]], idx, site[hit], entry[hit]))
-            self._parts[key] = groups
+                stack = clean[ri[:, :, None], ci[:, None, :]]
+                edges = stack != 0
+                edges.reshape(-1)[idx] = True
+                trees = not symmetric and np.all(edges.sum(axis=(1, 2)) == 2 * n - 1)
+                free = np.full(a.size, trees)
+                free[entry[hit][stack.reshape(-1)[idx] != 0]] = False
+                groups.append((stack, idx, site[hit], entry[hit], free))
+            self._parts[key] = key, groups
         return self._parts[key]
 
     def channel(self, mat):
@@ -258,26 +251,40 @@ class BlockSolver:
         for rows, cols, corner in fb.split(p):
             pb = p[np.ix_(rows, cols)]
             joins = _support(pb)
-            for clean, idx, site, entry in self._part(rows, cols, joins):
-                blocks.append((clean, idx, site, pb[joins][entry], corner))
+            part, groups = self._part(rows, cols, joins)
+            for g, (clean, idx, site, entry, free) in enumerate(groups):
+                coef = np.where(free, np.abs(pb[joins]), pb[joins])
+                if not coef.imag.any():
+                    coef = coef.real
+                key = (part, g, coef.dtype.char, coef.tobytes())
+                blocks.append((key, (clean, idx, site, coef[entry], corner)))
 
         def solve(v):
+            drawn = v.tobytes()
+            if drawn != self._drawn:
+                self._drawn, self._solved = drawn, {}
             out = []
-            for clean, idx, site, coef, corner in blocks:
-                a = clean.astype(np.result_type(clean, coef))
-                a.reshape(-1)[idx] += v[site] * coef
-                if a.shape[-1] == 1:
-                    # eigvalsh of a 1x1 returns its real part, svd |a| up to rounding
-                    e = np.abs(a if corner else a.real).ravel()
-                    out += [e, e] if corner else [e]
-                elif corner:
-                    sv = np.linalg.svd(a, compute_uv=False).ravel()
-                    out += [sv, sv]
-                else:
-                    out.append(np.abs(np.linalg.eigvalsh(a)).ravel())
+            for key, block in blocks:
+                if key not in self._solved:
+                    self._solved[key] = _group_levels(v, *block)
+                out += self._solved[key]
             return np.sort(np.concatenate(out))
 
         return solve
+
+
+def _group_levels(v, clean, idx, site, coef, corner):
+    """[|E|] of a class group plus the site term v[site] coef at idx, a corner's twice."""
+    a = clean.astype(np.result_type(clean, coef))
+    a.reshape(-1)[idx] += v[site] * coef
+    if a.shape[-1] == 1:
+        # eigvalsh of a 1x1 returns its real part, svd |a| up to rounding
+        e = np.abs(a if corner else a.real).ravel()
+        return [e, e] if corner else [e]
+    if corner:
+        sv = np.linalg.svd(a, compute_uv=False).ravel()
+        return [sv, sv]
+    return [np.abs(np.linalg.eigvalsh(a)).ravel()]
 
 
 def _site_turns():
@@ -467,7 +474,8 @@ def robustness_sweep(
     The chemical potential grid replaces mu on both parents together (the
     diagonal of the child phase diagram); None keeps the model's own mu.
     Channels default to x, y, z for a parent and all sixteen tensor pairs
-    for a child.  Per grid point the clean spectrum fixes the bandwidth,
+    for a child.  Per grid point the clean spectrum (a chain's from
+    BlockSolver.levels, a slab's from lattice.spectrum) fixes the bandwidth,
     the zero tolerance (1e-6 of it unless given) and which levels count as
     zero modes; the report then tracks how far those levels move, taking
     the worst realization.  Every channel must act on the model's internal
@@ -475,12 +483,14 @@ def robustness_sweep(
     realizations are drawn once and shared by every channel and grid
     point.  A channel whose class (_solve_owners, with the site-local
     symmetries found at that grid point) has an earlier member reads that
-    member's displacement instead of solving again.
+    member's displacement instead of solving again, and the owners of the
+    classes share each group solve of equal key (BlockSolver).
     """
     if channels is None:
         channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
     internal = 2 if isinstance(model, ParentParams) else 4
-    channels = tuple(DisorderSpec(c, amplitude, realizations, seed).channel for c in channels)
+    channels = tuple(_normalize_channel(c) for c in channels)
+    _check_ensemble(amplitude, realizations, seed)
     mats = [channel_matrix(channel) for channel in channels]
     for channel, mat in zip(channels, mats):
         if len(mat) != internal:
@@ -501,7 +511,12 @@ def robustness_sweep(
     zero_counts = np.zeros(len(mu_values), dtype=int)
     for m, mu in enumerate(mu_values):
         spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
-        clean = np.sort(np.abs(spectrum(spec, lat)))
+        solver = BlockSolver(spec, lat)
+        if isinstance(lat, SlabLattice):
+            clean = np.sort(np.abs(spectrum(spec, lat)))
+        else:
+            # the solver's own corners; each level stands for a +-E pair
+            clean = np.repeat(solver.levels(), 2)
         bw = 2.0 * float(clean[-1])  # the clean spectrum is symmetric about zero
         tol = _zero_tol(bw, zero_tol, 1e-6)
         threshold[m] = _zero_tol(bw, None, 1e-6)
@@ -509,7 +524,6 @@ def robustness_sweep(
         zero_counts[m] = n_zero
         if n_zero == 0:
             continue
-        solver = BlockSolver(spec, lat)
         fb = solver._blocks
         owners = _solve_owners(channels, _site_symmetries(fb, lat))
         if owners != tuple(range(len(channels))):
@@ -517,12 +531,12 @@ def robustness_sweep(
             fb.require("t_x s_x", fb.q[:, None] == fb.q[None, :])
             for name, s in fb.chirals:
                 fb.require(name, s[:, None] != s[None, :])
-        for c, mat in enumerate(mats):
-            if owners[c] != c:
-                displacement[c, m] = displacement[owners[c], m]
-                continue
-            solve = solver.channel(mat)
-            displacement[c, m] = max(float(solve(v)[n_zero - 1]) for v in potentials)
+        solves = [(c, solver.channel(mat)) for c, mat in enumerate(mats) if owners[c] == c]
+        # realizations outermost, so the solver solves each group key once per draw
+        reached = [[float(solve(v)[n_zero - 1]) for _, solve in solves] for v in potentials]
+        for (c, _), worst in zip(solves, zip(*reached)):
+            displacement[c, m] = max(worst)
+        displacement[:, m] = displacement[list(owners), m]
     return RobustnessReport(
         channels=channels,
         mu_values=mu_out,

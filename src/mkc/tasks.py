@@ -236,11 +236,12 @@ def _task_disorder(cfg):
     rows = Rows()
     mus = [float(mu) for mu in report.mu_values]
     thresholds = [float(v) for v in report.threshold]
+    robust = report.robust
     for c, channel in enumerate(report.channels):
         disp = report.displacement[c].tolist()
         verdicts = [
             "no-zero-modes" if np.isnan(d) else ("robust" if ok else "broken")
-            for d, ok in zip(disp, report.robust[c])
+            for d, ok in zip(disp, robust[c])
         ]
         rows.add(
             disorder.channel_name(channel), mus,

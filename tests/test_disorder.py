@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    _assemble_chain,
     apply_onsite_disorder,
     build_chain,
     build_slab,
@@ -17,7 +18,7 @@ from dense_reference import (
     pairwise_solve_owners,
     site_symmetry_links,
 )
-from mkc import disorder
+from mkc import disorder, lattice
 from mkc.disorder import (
     CHILD_CHANNELS,
     PARENT_CHANNELS,
@@ -428,6 +429,11 @@ def _canonical_slab():
     return ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 3.0), PERPENDICULAR)
 
 
+# both parents (-0.5, -0.5, 0) on 3 sites: there the site term of some channels sits on
+# a nonzero clean entry of a tree, whose exact coefficient the key must keep
+_OVERLAP = ChildSpec(ParentParams(-0.5, -0.5, 0.0), ParentParams(-0.5, -0.5, 0.0), PARALLEL)
+
+
 def _with_zero_mu_examples(test):
     """mu = 0 children with their sites split 2 + 1, 4 + 4 and not at all (odd ring).
 
@@ -473,6 +479,8 @@ def _unpaired_examples(test):
 @example(system=(ParentParams(1.0, 1.0 - 1e-7, 0.0), ChainLattice(7)), amplitude=0.6, seed=9)
 @example(system=(_canonical_slab(), SlabLattice(3, 4)), amplitude=0.6, seed=9)
 @example(system=(_zero_mu_slab(), SlabLattice(4, 4, PERIODIC, PERIODIC)), amplitude=0.6, seed=9)
+# a site term on a nonzero clean entry of a tree keeps its exact coefficient
+@example(system=(_OVERLAP, ChainLattice(3)), amplitude=1.0, seed=0)
 def test_block_solver_matches_dense_disorder(system, amplitude, seed):
     model, lat = system
     if isinstance(lat, SlabLattice):
@@ -859,6 +867,126 @@ def test_sweep_solves_each_twin_class_once(
     assert len(calls) == 2 * sum(per_point)
 
 
+@st.composite
+def _bipartite_tree(draw):
+    """(n, edges): a tree on n row and n column nodes, edges a list of (row, col).
+
+    A path, a double star (row 0 meets every column, column 0 every row) or
+    a tree grown from the edge (0, 0) by hanging each further node, rows and
+    columns in a random order, on a random node of the other side.
+    """
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["path", "star", "random"]))
+    if kind == "path":
+        rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        edges = [(rows[i], cols[i]) for i in range(n)] + [(rows[i + 1], cols[i]) for i in range(n - 1)]
+    elif kind == "star":
+        edges = [(0, j) for j in range(n)] + [(i, 0) for i in range(1, n)]
+    else:
+        order = draw(st.permutations([("r", i) for i in range(1, n)] + [("c", j) for j in range(1, n)]))
+        rows, cols, edges = [0], [0], [(0, 0)]
+        for side, node in order:
+            if side == "r":
+                edges.append((node, draw(st.sampled_from(cols))))
+                rows.append(node)
+            else:
+                edges.append((draw(st.sampled_from(rows)), node))
+                cols.append(node)
+    return n, edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tree=_bipartite_tree(),
+    moduli=st.lists(st.floats(1e-3, 1e3), min_size=79, max_size=79),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=79, max_size=79),
+    real=st.booleans(),
+)
+def test_tree_levels_depend_only_on_the_moduli(tree, moduli, phases, real):
+    # BlockSolver keys a corner whose classes are trees by its entry moduli: diagonal
+    # unitaries D1 A D2 = |A| exist on a forest, so A and |A| share their singular values
+    n, edges = tree
+    assert len(set(edges)) == 2 * n - 1
+    r, c = np.array(edges).T
+    phase = np.sign(np.cos(phases[: r.size])) if real else np.exp(1j * np.array(phases[: r.size]))
+    a = np.zeros((n, n), dtype=phase.dtype)
+    a[r, c] = np.array(moduli[: r.size]) * phase
+    got = np.linalg.svd(a, compute_uv=False)
+    want = np.linalg.svd(np.abs(a), compute_uv=False)
+    assert np.abs(got - want).max() <= 1e-12 * max(want[0], 1.0)
+
+
+class _Unshared(BlockSolver):
+    """A BlockSolver that takes no moduli: each group solves its channel's own coefficients."""
+
+    def _part(self, rows, cols, joins):
+        key, groups = super()._part(rows, cols, joins)
+        return key, [(clean, idx, site, entry, np.zeros_like(free)) for clean, idx, site, entry, free in groups]
+
+
+@st.composite
+def _sweep_case(draw):
+    """(model, lattice, channels, mu_values) of a sweep; half the children at the dead point.
+
+    Those sit at Kitaev's dead point (t = +-Delta, mu = 0) on open chains and
+    rings, or on rings with L mod 4 of 0 and of not 0; the rest are any
+    system of _disordered_system or a mu = 0 slab.  Channels are all of the
+    model's, one, or a few; the grid is the model's own mu or two points.
+    """
+    kind = draw(st.sampled_from(["dead", "dead-ring", "any", "slab"]))
+    if kind == "slab":
+        model, lat = draw(_zero_mu_slab_system())
+    elif kind == "any":
+        model, lat = draw(_disordered_system())
+    else:
+        model, lat = draw(_dead_point_system((PARALLEL,)))
+        if kind == "dead-ring":
+            lat = ChainLattice(draw(st.sampled_from([4, 8, 12, 5, 6, 7, 10])), PERIODIC)
+    parent = isinstance(model, ParentParams)
+    names = list(PARENT_CHANNELS) if parent else [channel_name(c) for c in CHILD_CHANNELS]
+    channels = draw(st.none() | st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    mu_values = draw(st.none() | st.tuples(st.just(0.0), st.floats(-0.5, 0.5)).map(list))
+    return model, lat, channels, mu_values
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_sweep_case(), amplitude=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+@example(case=(_OVERLAP, ChainLattice(3), None, None), amplitude=1.0, seed=0)
+@example(case=(_canonical_child(), ChainLattice(12), None, [0.0, 0.1]), amplitude=0.6, seed=9)
+@example(case=(_mixed_child(), ChainLattice(8, PERIODIC), None, None), amplitude=0.6, seed=9)
+@example(case=(_mixed_child(), ChainLattice(9), None, [0.0]), amplitude=0.2, seed=3)
+@example(case=(_canonical_slab(), SlabLattice(3, 4), None, None), amplitude=0.6, seed=9)
+def test_sweep_shares_group_solves_like_unshared_channel_solves(case, amplitude, seed):
+    # each channel's displacement, read from the solves that equal group keys share,
+    # against a fresh per-channel solve that shares nothing and takes no moduli; the
+    # chain's clean levels, read from the solver's own corners, are the spectrum's
+    model, lat, channels, mu_values = case
+    realizations = 2
+    rep = robustness_sweep(
+        model, lat, amplitude=amplitude, channels=channels, realizations=realizations,
+        mu_values=mu_values, seed=seed,
+    )
+    sites = lat.Lx * lat.Ly if isinstance(lat, SlabLattice) else lat.L
+    for m, mu in enumerate(mu_values or [None]):
+        spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
+        clean = np.sort(np.abs(spectrum(spec, lat)))
+        bw = 2.0 * clean[-1]
+        assert rep.threshold[m] == 1e-6 * max(bw, 1e-30)
+        n_zero = int((clean < rep.threshold[m]).sum())
+        assert rep.zero_counts[m] == n_zero
+        if not n_zero:
+            assert np.all(np.isnan(rep.displacement[:, m]))
+            continue
+        for c, channel in enumerate(rep.channels):
+            ens = DisorderSpec(channel, amplitude, realizations, seed)
+            solve = _Unshared(spec, lat).channel(channel_matrix(channel))
+            want = max(
+                float(solve(site_potentials(ens, r, sites))[n_zero - 1]) for r in range(realizations)
+            )
+            got = rep.displacement[c, m]
+            assert abs(got - want) < 1e-11 * max(bw, 1.0), (channel_name(channel), mu)
+
+
 @settings(max_examples=40, deadline=None)
 @given(system=_disordered_system())
 def test_frame_split_partitions_columns_and_keeps_every_entry(system):
@@ -1014,16 +1142,36 @@ def test_canonical_child_solves_halved_blocks(monkeypatch):
                    if name == "eigvalsh" and stack in ((78,), (80,))) <= 2
         return Counter(calls)
 
-    # one stacked call per class group of each part a realization solves
+    # one stacked call per distinct class group a realization solves
     # and no LAPACK call for the 1x1 classes, whose |E| is the modulus of their entry;
-    # the site-local symmetries leave y0, yx and 0z, and so their twins, to 0y
+    # the site-local symmetries leave y0, yx and 0z, and so their twins, to 0y; the
+    # hopping sector of yy, yz and zz is a pair of paths, whose levels depend on the
+    # moduli of their entries only, so yz and zz read yy's one real solve
     assert count(2) - count(1) == {
         ("eigvalsh", "f", (78,), 2): 2,
         ("eigvalsh", "f", (80,), 2): 2,
         ("svd", "f", (2,), 80): 1,
-        ("svd", "f", (2,), 40): 2,
-        ("svd", "c", (2,), 40): 1,
+        ("svd", "f", (2,), 40): 1,
     }
+
+
+def test_chain_grid_point_builds_one_frame(monkeypatch):
+    # the clean levels come from the solver's own corners, so a chain grid point
+    # checks and rotates its hopping blocks once, with or without zero modes
+    built = []
+
+    class Counted(_FrameBlocks):
+        def __init__(self, blocks):
+            built.append(1)
+            super().__init__(blocks)
+
+    monkeypatch.setattr(disorder, "_FrameBlocks", Counted)
+    monkeypatch.setattr(lattice, "_FrameBlocks", Counted)
+    rep = robustness_sweep(
+        _canonical_child(), ChainLattice(12), realizations=1, mu_values=[0.0, 0.1, 5.0]
+    )
+    assert list(rep.zero_counts > 0) == [True, True, False]
+    assert len(built) == 3
 
 
 def test_canonical_slab_solves_dimer_strips(monkeypatch):
@@ -1069,11 +1217,25 @@ def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
 
 def test_twins_share_a_solve_only_while_the_clean_child_keeps_its_symmetries(monkeypatch):
     # t_0 s_z keeps t_0 s_x chirality, which is all that the real xz solve needs,
-    # but breaks t_x s_x and t_x s_0, on which its twin 0y relies
+    # but breaks t_x s_x and t_x s_0, on which its twin 0y relies: the two part
     blocks = chain_hopping_blocks(_mixed_child())
     blocks[0] = blocks[0] + 0.3 * np.kron(PAULI["0"], SZ)
     monkeypatch.setattr(disorder, "chain_hopping_blocks", lambda _: blocks)
     lat = ChainLattice(8)
-    robustness_sweep(_mixed_child(), lat, channels=["xz"], realizations=1)
+    h = _assemble_chain(blocks, lat.L, lat.bc)
+    scale = max(2.0 * np.abs(dense_levels(h)).max(), 1.0)
+    solver = BlockSolver(_mixed_child(), lat)
+    dense = {}
+    for name in ("xz", "0y"):
+        spec = DisorderSpec(name, 0.5, 1, 3)
+        dense[name] = np.sort(np.abs(dense_levels(apply_onsite_disorder(h, spec, 0))))
+    v = site_potentials(DisorderSpec("xz", 0.5, 1, 3), 0, lat.L)
+    blocked = solver.channel(channel_matrix("xz"))(v)
+    assert np.abs(blocked - dense["xz"]).max() < 1e-11 * scale
+    assert np.abs(dense["xz"] - dense["0y"]).max() > 1e-2 * scale
+    # so 0y must not read xz; its own solve makes it real by t_x s_x, and a chain sweep
+    # reads its clean levels from the corners of split(0), which requires t_x s_x too
+    with pytest.raises(SymmetryError, match="t_x s_x"):
+        solver.channel(channel_matrix("0y"))
     with pytest.raises(SymmetryError, match="t_x s_x"):
         robustness_sweep(_mixed_child(), lat, channels=["xz", "0y"], realizations=1)
