@@ -160,18 +160,16 @@ class BlockSolver:
     key and the solve take |coef| for each entry that sits only on clean
     zeros.  An entry on a nonzero clean entry keeps its exact coefficient,
     and so does every symmetric (eigvalsh) group.  Each key is solved once
-    per draw V, and every channel with that key reads that result.  Each
-    (rows, cols) assembly is built once per solver, so channels whose
-    parts are the corners of levels(), as yy's are, reuse them.
+    per draw V, and every channel with that key reads that result.  An
+    assembly is kept only until a part is cut from it: the corners of
+    levels() wait for the part that is one of them, as yy's is, and no
+    slab assembly outlives its part.
     """
 
     def __init__(self, spec, lat):
-        if isinstance(lat, SlabLattice):
-            blocks = slab_hopping_blocks(spec)
-        else:
-            blocks = chain_hopping_blocks(spec)
+        hopping = slab_hopping_blocks if isinstance(lat, SlabLattice) else chain_hopping_blocks
         self.sites = _site_count(lat)
-        self._blocks = _FrameBlocks(blocks)
+        self._blocks = _FrameBlocks(hopping(spec))
         self._lat = lat
         self._assembled = {}
         self._parts = {}
@@ -179,7 +177,7 @@ class BlockSolver:
         self._drawn, self._solved = None, {}
 
     def _assemble(self, rows, cols):
-        """The clean lattice matrix of frame rows x cols, assembled once per solver."""
+        """The clean lattice matrix of frame rows x cols, kept until _part cuts it."""
         key = (rows.tobytes(), cols.tobytes())
         if key not in self._assembled:
             self._assembled[key] = self._blocks.assemble(rows, cols, self._lat)
@@ -232,6 +230,7 @@ class BlockSolver:
                 free[entry[hit][stack.reshape(-1)[idx] != 0]] = False
                 groups.append((stack, idx, site[hit], entry[hit], free))
             self._parts[key] = key, groups
+            del self._assembled[key[:2]]
         return self._parts[key]
 
     def channel(self, mat):
@@ -525,7 +524,8 @@ def robustness_sweep(
         if n_zero == 0:
             continue
         fb = solver._blocks
-        owners = _solve_owners(channels, _site_symmetries(fb, lat))
+        # a link joins two channels, so a single channel skips the search
+        owners = _solve_owners(channels, channels[1:] and _site_symmetries(fb, lat))
         if owners != tuple(range(len(channels))):
             # channels share a solve only while the clean model keeps all three symmetries
             fb.require("t_x s_x", fb.q[:, None] == fb.q[None, :])

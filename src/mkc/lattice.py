@@ -16,7 +16,11 @@ matrices: disorder cuts each disordered block so, and exact_zero_potentials
 each corner's quantization pencil, so the sign-mixed child solves the
 sector of its zeros as its two sublattices.  In that frame a chain splits
 into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
-spectrum and eigenvectors come from the SVD of the real L x L corners A; a
+spectrum comes from the singular values of the real L x L corners A and
+its eigenvectors from their SVD.  No level takes an SVD: an open corner
+is Toeplitz, so persymmetric, and its levels are the |eigenvalues| of the
+symmetric J A (J the reversal), of its two reflection halves when A is
+symmetric too, or the entry moduli of a weighted matching, exactly; a
 periodic corner is circulant, and its levels are the moduli of its symbol
 at the momenta 2 pi n / L.  Chemical potential enters the corners as one
 quadratic pencil, which sweeps evaluate instead of rebuilding the chain.
@@ -40,6 +44,7 @@ from .models import (
     ChildSpec,
     ParentParams,
 )
+from .toeplitz import persymmetric_levels
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -375,18 +380,20 @@ def _chiral_eigenpairs(blocks, lat):
 
 
 def _corner_levels(corner, bc):
-    """Singular values of one chiral corner: the chain's levels in its sector.
+    """Singular values of one chiral corner, in no order: the chain's levels in its sector.
 
-    Open corners take the SVD.  A periodic corner is circulant, since
-    _assemble wraps bond j -> (j + r) mod L with one entry per displacement,
-    so its singular values are the moduli of its symbol
-    sum_d c_d exp(-2 pi i n d / L) over the nonzero entries c_d of its first
-    column (signed displacements d), the levels at momenta 2 pi n / L.  A
-    periodic corner may be given as that first column alone
-    (_FrameBlocks.ring_column), with the same result to the bit.
-    n and L - n share one modulus: the symbol is evaluated for
-    n = 0 ... floor(L/2) only and n = 1 ... ceil(L/2) - 1 are mirrored, so
-    the k/-k degeneracy is exact.
+    A periodic corner is circulant, since _assemble wraps bond
+    j -> (j + r) mod L with one entry per displacement, so its singular
+    values are the moduli of its symbol sum_d c_d exp(-2 pi i n d / L) over
+    the nonzero entries c_d of its first column (signed displacements d),
+    the levels at momenta 2 pi n / L.  A periodic corner may be given as
+    that first column alone (_FrameBlocks.ring_column), with the same
+    result to the bit.  n and L - n share one modulus: the symbol is
+    evaluated for n = 0 ... floor(L/2) only and n = 1 ... ceil(L/2) - 1 are
+    mirrored, so the k/-k degeneracy is exact.
+
+    An open corner is Toeplitz, so persymmetric, and takes
+    toeplitz.persymmetric_levels.
     """
     if bc == PERIODIC:
         col = corner if corner.ndim == 1 else corner[:, 0]
@@ -396,7 +403,7 @@ def _corner_levels(corner, bc):
         theta = np.outer(np.arange(L // 2 + 1), d) * (2 * np.pi / L)
         f = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c)
         return np.concatenate([f, f[1 : (L + 1) // 2]])
-    return np.linalg.svd(corner, compute_uv=False)
+    return persymmetric_levels(corner)
 
 
 def _chain_levels(corners, bc):
@@ -409,8 +416,9 @@ def chain_levels(spec, lat):
     -levels[::-1] then levels.
 
     They are the levels of the real L x L corners of _chiral_corners, one
-    for the parent and two for the child: singular values of open corners,
-    symbol moduli of periodic (circulant) ones (_corner_levels).
+    for the parent and two for the child: singular values of open
+    (persymmetric) corners, symbol moduli of periodic (circulant) ones
+    (_corner_levels).
     """
     corners = _chiral_corners(chain_hopping_blocks(spec), lat)
     return _chain_levels([c for c, _, _ in corners], lat.bc)

@@ -28,7 +28,7 @@ from dense_reference import (
     sampled_winding_perp,
     winding_number,
 )
-from mkc import __version__, cli
+from mkc import __version__, cli, disorder
 from mkc.boundary import (
     classify_zero_modes,
     kc_majorana_points,
@@ -1003,3 +1003,74 @@ def test_task_rows_match_library_and_dense_reference(
         assert main([task, "--config", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr()[0])["payload"]["rows"] == rows
     check(seen["cfg"], rows)
+
+
+def test_one_channel_disorder_skips_the_site_symmetry_search(tmp_path, capsys, monkeypatch):
+    # a site-local symmetry links two channels, so a one-channel sweep has nothing
+    # to join: it prints the bytes of a sweep that searched, without searching
+    sweep, search = disorder.robustness_sweep, disorder._site_symmetries
+    searched = []
+
+    def counted(fb, lat):
+        searched.append(1)
+        return search(fb, lat)
+
+    def doubled(model, lat, channels=None, **kwargs):
+        # the channel twice runs the search; the copy reads the first one's solve
+        rep = sweep(model, lat, channels=list(channels) * 2, **kwargs)
+        return replace(rep, channels=rep.channels[:1], displacement=rep.displacement[:1])
+
+    def unsearched(fb, lat):
+        raise AssertionError("a one-channel sweep searched the site-local symmetries")
+
+    grid = "mu-min = -0.5\nmu-max = 0.5\nmu-points = 3\nrealizations = 2\n"
+    cases = [
+        (_ZERO_CHILD + _L12 + f"[task]\nchannel = yz\n{grid}", 3),
+        (_PERIMETER_SLAB + _SLAB_4x5 + "[task]\nchannel = 0y\nrealizations = 2\n", 1),
+    ]
+    for i, (text, points) in enumerate(cases):
+        path = _config(tmp_path, text, f"one{i}.cfg")
+        monkeypatch.setattr(disorder, "_site_symmetries", unsearched)
+        assert main(["disorder", "--config", path]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(disorder, "_site_symmetries", counted)
+        monkeypatch.setattr(disorder, "robustness_sweep", doubled)
+        searched.clear()
+        assert main(["disorder", "--config", path]) == 0
+        monkeypatch.setattr(disorder, "robustness_sweep", sweep)
+        assert len(searched) == points
+        assert capsys.readouterr().out == plain
+
+
+_CANONICAL_CHAIN = _ZERO_CHILD + "[lattice]\nl = 80\n"
+
+
+def test_chain_sweeps_and_disorder_print_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """The canonical L = 80 child's sweep-mu at 11 and 201 points and its
+    full-size disorder sweep (16 channels x 50 realizations), run at one and
+    at two OpenBLAS threads, print the same bytes.
+
+    The 20x50 slab disorder sweep is left out: it is known to differ, because
+    its robust displacements are rounding noise that a threaded SVD of its
+    unsplit corners rounds differently, and it waits for displacements
+    stated against their resolution floor (ROADMAP).
+    """
+    sweep = "[task]\nmu-min = -3\nmu-max = 3\nmu-points = {}\nlink = equal\n"
+    runs = [
+        ("sweep-mu", _CANONICAL_CHAIN + sweep.format(11)),
+        ("sweep-mu", _CANONICAL_CHAIN + sweep.format(201)),
+        ("disorder", _CANONICAL_CHAIN),
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for i, (task, text) in enumerate(runs):
+        path = _config(tmp_path, text, f"threads{i}.cfg")
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mkc.cli", task, "--config", path],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], (task, text)

@@ -1204,6 +1204,43 @@ def test_canonical_slab_solves_dimer_strips(monkeypatch):
     assert count(2) - count(1) == {("eigvalsh", "f", (5,), 20): 2}
 
 
+def _held_bytes(x, seen):
+    """Bytes of the distinct array buffers that x reaches through dicts, tuples and lists."""
+    if isinstance(x, np.ndarray):
+        while isinstance(x.base, np.ndarray):
+            x = x.base
+        if id(x) in seen:
+            return 0
+        seen.add(id(x))
+        return x.nbytes
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (tuple, list)):
+        return sum(_held_bytes(v, seen) for v in x)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _canonical_slab(),
+        ChildSpec(ParentParams(1.0, 0.6, 0.3), ParentParams(0.8, 0.5, 0.2), PERPENDICULAR),
+    ],
+    ids=["canonical", "generic"],
+)
+def test_block_solver_keeps_no_slab_assembly(model):
+    # a part keeps the groups it cuts from its assembly and drops the assembly: after
+    # channel 00, whose parts are the two t_x s_x sectors, the solver holds at most
+    # about one copy of each assembled part (a generic slab's sectors stay whole)
+    lat = SlabLattice(6, 10)
+    solver = BlockSolver(model, lat)
+    solver.channel(channel_matrix("00"))
+    fb = solver._blocks
+    parts = [fb.assemble(rows, cols, lat).nbytes for rows, cols, _ in fb.split(np.eye(4))]
+    held = _held_bytes([v for k, v in vars(solver).items() if k != "_blocks"], set())
+    assert len(parts) == 2 and held <= 1.1 * sum(parts)
+
+
 def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
     lat = ChainLattice(8)
     BlockSolver(_mixed_child(), lat).channel(channel_matrix("00"))

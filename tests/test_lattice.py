@@ -1,6 +1,7 @@
 """Chiral-corner chain solver against dense references, and parameter sweeps."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,10 +205,21 @@ def test_low_energy_vs_length_matches_dense_magnitudes():
 _sign = st.sampled_from([-1.0, 1.0])
 
 
+# |t| = |Delta| values whose rotated dead-point blocks keep their zeros exact
+_DEAD_SCALES = (0.5, 0.75, 1.0, 1.5, 2.0)
+
+
 @st.composite
 def _parent(draw):
-    """A random, critical (mu = +-2t) or flat-band (|t| = |Delta|) parent."""
-    kind = draw(st.sampled_from(["random", "critical", "flat"]))
+    """A random, critical (mu = +-2t), flat-band (|t| = |Delta|) or dead-point parent.
+
+    A dead-point parent (|t| = |Delta|, mu = 0) takes a scale from
+    _DEAD_SCALES, so that its open corners are exact weighted matchings.
+    """
+    kind = draw(st.sampled_from(["random", "critical", "flat", "dead"]))
+    if kind == "dead":
+        t = draw(_sign) * draw(st.sampled_from(_DEAD_SCALES))
+        return ParentParams(t, draw(_sign) * abs(t), 0.0)
     t = draw(_sign) * draw(st.floats(0.3, 2.0))
     delta = draw(_sign) * draw(st.floats(0.2, 1.5))
     if kind == "flat":
@@ -216,22 +228,36 @@ def _parent(draw):
     return ParentParams(t, delta, mu)
 
 
+_GENERIC = ParentParams(1.0, 0.6, 0.4)
+_HALF_DEAD = ParentParams(0.5, 0.5, 0.0)
+
+
+def _is_dead(p):
+    return p.mu == 0.0 and abs(p.t) == abs(p.delta) in _DEAD_SCALES
+
+
 @st.composite
 def _chain_system(draw):
-    """(model, lattice): a parent, a child or a sign-mixed (t2 = -t1) child."""
+    """(model, lattice): a parent, a child, a child of equal parents or a sign-mixed (t2 = -t1) one."""
     p1 = draw(_parent())
-    lat = ChainLattice(draw(st.integers(3, 12)), draw(st.sampled_from([OPEN, PERIODIC])))
-    kind = draw(st.sampled_from(["parent", "child", "sign-mixed"]))
+    kind = draw(st.sampled_from(["parent", "child", "equal", "sign-mixed"]))
+    L = draw(st.integers(2 if kind == "parent" else 3, 12))
+    lat = ChainLattice(L, draw(st.sampled_from([OPEN, PERIODIC])))
     if kind == "parent":
         return p1, lat
-    p2 = draw(_parent()) if kind == "child" else ParentParams(-p1.t, p1.delta, p1.mu)
-    return ChildSpec(p1, p2, PARALLEL), lat
+    p2 = {"child": draw(_parent()), "equal": p1, "sign-mixed": ParentParams(-p1.t, p1.delta, p1.mu)}
+    return ChildSpec(p1, p2[kind], PARALLEL), lat
 
 
 @settings(max_examples=150, deadline=None)
 @given(system=_chain_system())
 # a flat-band parent whose complex eigvalsh level is off by 5e-5 (dense_levels)
 @example((ParentParams(-0.9921875, -0.9921875, 8.6e-161), ChainLattice(3, OPEN)))
+# dead points (weighted matchings) and equal parents (reflection halves) at both parities
+@example((ParentParams(1.0, -1.0, 0.0), ChainLattice(2, OPEN)))
+@example((ChildSpec(_HALF_DEAD, ParentParams(-1.5, 1.5, 0.0), PARALLEL), ChainLattice(7)))
+@example((ChildSpec(_GENERIC, _GENERIC, PARALLEL), ChainLattice(3)))
+@example((ChildSpec(_GENERIC, _GENERIC, PARALLEL), ChainLattice(8)))
 def test_chain_spectrum_matches_dense(system):
     spec, lat = system
     dense = dense_levels(build_chain(spec, lat))
@@ -240,27 +266,66 @@ def test_chain_spectrum_matches_dense(system):
     assert np.abs(fast - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
     bw = float(dense[-1] - dense[0])
     tol = _zero_tol(bw, None, 1e-8)
+    parents = (spec.p1, spec.p2) if isinstance(spec, ChildSpec) else (spec,)
+    if lat.bc == OPEN and all(map(_is_dead, parents)):
+        # dead-point corners are weighted matchings, whose zero levels are exact
+        assert np.all(fast[np.abs(dense) < tol] == 0.0)
     # a level within rounding of the zero tolerance may count either way
     assume(np.all(np.abs(np.abs(dense) - tol) > 1e-9 * bw))
     assert (np.abs(fast) < tol).sum() == (np.abs(dense) < tol).sum()
 
 
-@settings(max_examples=150, deadline=None)
-@given(p1=_parent(), p2=_parent(), child=st.booleans(), L=st.integers(2, 40))
-def test_periodic_corner_levels_match_corner_svd(p1, p2, child, L):
-    spec = ChildSpec(p1, p2, PARALLEL) if child else p1
-    lat = ChainLattice(max(L, 3) if child else L, PERIODIC)
-    fb = lattice._FrameBlocks(chain_hopping_blocks(spec))
+@settings(max_examples=200, deadline=None)
+@given(
+    p1=_parent(), p2=_parent(), child=st.sampled_from(["no", "yes", "equal"]),
+    bc=st.sampled_from([OPEN, PERIODIC]), L=st.integers(1, 40),
+)
+@example(p1=_GENERIC, p2=_HALF_DEAD, child="equal", bc=OPEN, L=1)
+@example(p1=_GENERIC, p2=_HALF_DEAD, child="equal", bc=OPEN, L=2)
+@example(p1=_GENERIC, p2=_HALF_DEAD, child="equal", bc=OPEN, L=3)
+@example(p1=ParentParams(-1.5, 1.5, 0.0), p2=_HALF_DEAD, child="yes", bc=OPEN, L=6)
+def test_corner_levels_match_corner_svd(p1, p2, child, bc, L):
+    spec = p1 if child == "no" else ChildSpec(p1, p1 if child == "equal" else p2, PARALLEL)
+    blocks = chain_hopping_blocks(spec)
+    if bc == OPEN:
+        # an open chain of L sites has no bond of range L or more
+        blocks = {r: b for r, b in blocks.items() if abs(r) < L}
+    else:
+        L = max(L, 2 if child == "no" else 3)
+    lat = ChainLattice(L, bc)
+    fb = lattice._FrameBlocks(blocks)
     for rows, cols, _ in fb.split(0):
         corner = fb.assemble(rows, cols, lat)
         want = np.linalg.svd(corner, compute_uv=False)
-        got = lattice._corner_levels(corner, PERIODIC)
+        got = lattice._corner_levels(corner, bc)
         assert np.abs(np.sort(got)[::-1] - want).max() <= 1e-13 * max(want[0], 1.0)
+        if bc == OPEN:
+            hit = corner != 0
+            if hit.sum(axis=0).max() <= 1 and hit.sum(axis=1).max() <= 1:
+                # a weighted matching: its entry moduli and exact zeros, with no LAPACK call
+                with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+                    assert lattice._corner_levels(corner, bc).tobytes() == got.tobytes()
+                zeros = [0.0] * (L - hit.sum())
+                assert np.sort(got).tolist() == sorted(np.abs(corner[hit]).tolist() + zeros)
+            continue
         # the first column alone, as sweeps keep it, gives the same bits
         column = fb.ring_column(rows, cols, lat.L)
         assert column.tobytes() == corner[:, 0].tobytes()
         assert lattice._corner_levels(column, PERIODIC).tobytes() == got.tobytes()
         assert lattice._corner_levels(corner[:, 0].copy(), PERIODIC).tobytes() == got.tobytes()
+
+
+def test_open_corner_levels_need_a_persymmetric_corner():
+    # eigvalsh reads one triangle of J A, so a corner that is not persymmetric
+    # to the bit raises instead of returning levels of another matrix
+    toeplitz = np.array([[2.0, 1.0, 0.5], [0.25, 2.0, 1.0], [0.0, 0.25, 2.0]])
+    assert np.allclose(np.sort(lattice._corner_levels(toeplitz, OPEN))[::-1],
+                       np.linalg.svd(toeplitz, compute_uv=False), rtol=0, atol=1e-14)
+    off = toeplitz.copy()
+    off[0, 1] = np.nextafter(1.0, 2.0)
+    for corner in (off, np.diag([1.0, 2.0, 3.0]), np.arange(16.0).reshape(4, 4)):
+        with pytest.raises(SymmetryError, match="persymmetric"):
+            lattice._corner_levels(corner, OPEN)
 
 
 @st.composite
