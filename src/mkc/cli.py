@@ -132,7 +132,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")

@@ -6,9 +6,18 @@ computation plus its knobs, [output] where results go.  Unknown keys are
 rejected by name, every default is filled in explicitly so the effective
 configuration can be echoed verbatim, and a parsed configuration
 serializes back to text that reparses equal.
+
+The text is read in one pass over its lines.  A line is a [name] header on
+its own, a key = value pair, blank, or a comment whose first non-blank
+character is # or ;.  The key ends at the first = and is stripped and
+lowercased; the value is stripped and may be empty.  Text after a value,
+; included, belongs to the value.  ConfigError names the line of a key line
+before any header, a line that is neither a header nor has an =, an empty
+key, text after a header, a repeated section or key, and a line indented
+deeper than the key line before it (there are no multi-line values).
+There is no [DEFAULT] section and no interpolation.
 """
 
-import configparser
 import math
 from dataclasses import dataclass
 
@@ -229,15 +238,42 @@ def _format_value(v):
 
 
 def _read_sections(text):
-    parser = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), strict=True
-    )
-    parser.optionxform = lambda name: name.strip().lower()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}")
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    """{section: {key: value}} of config text, read in one pass over its lines."""
+    sections = {}
+    section = key_indent = None
+    for number, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key_indent is not None and indent > key_indent:
+            raise _unreadable(number, "indented line continues a value", line)
+        if stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name:
+                raise _unreadable(number, "a section header must be [name] alone", line)
+            if name in sections:
+                raise _unreadable(number, f"repeated section [{name}]", line)
+            section = sections[name] = {}
+            key_indent = None
+            continue
+        if section is None:
+            raise _unreadable(number, "no section header before this line", line)
+        key, eq, value = stripped.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise _unreadable(number, "expected key = value", line)
+        if not key:
+            raise _unreadable(number, "empty key", line)
+        if key in section:
+            raise _unreadable(number, f"repeated key {key}", line)
+        section[key] = value.strip()
+        key_indent = indent
+    return sections
+
+
+def _unreadable(number, problem, line):
+    return ConfigError(f"cannot parse config: line {number}: {problem}: {line.strip()!r}")
 
 
 def _take(section_name, raw, schema, kind=None):

@@ -481,6 +481,15 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, data):
     assert err.startswith("mkc: config error: cannot read config")
 
 
+def test_config_with_a_utf8_byte_order_mark_runs(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + PARENT_SPECTRUM.encode("utf-8"))
+    assert main(["spectrum", "--config", str(path)]) == 0
+    bom_out = capsys.readouterr().out
+    assert main(["spectrum", "--config", _config(tmp_path, PARENT_SPECTRUM)]) == 0
+    assert bom_out == capsys.readouterr().out
+
+
 def test_numerical_error_creates_no_output_file(tmp_path, capsys):
     target = tmp_path / "winding.csv"
     rc = main(["winding", "--config", _config(tmp_path, _CRITICAL_WINDING), "--out", str(target)])

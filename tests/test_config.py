@@ -1,12 +1,17 @@
 """Config parsing: validation messages, defaults, round-tripping."""
 
+import configparser
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import serialize_config
-from mkc import tasks
-from mkc.config import _TASKS, MODEL_KINDS, TASKS, parse_config
+from mkc import config, tasks
+from mkc.config import _TASKS, MODEL_KINDS, TASKS, _read_sections, parse_config
 from mkc.errors import ConfigError
 from mkc.lattice import ChainLattice, SlabLattice
 from mkc.models import ChildSpec, ParentParams
@@ -72,12 +77,103 @@ def test_child_model_and_task_defaults():
         (PARENT_HEAD.replace("mu1 = 0.25\n", "") + "[task]\nname = wannier\n", "[model] missing required key mu1"),
         (CHILD_HEAD.replace("t2 = -0.8\n", "") + "[task]\nname = wannier\n", "[model] missing required key t2"),
         (PARENT_HEAD + "[task]\n", "[task] missing required key name"),
+        # configparser merged [DEFAULT] into every section: "[task] unknown key t1"
+        ("[DEFAULT]\nt1 = 1\n" + PARENT_HEAD + "[task]\nname = wannier\n", "unknown section [DEFAULT]"),
     ],
 )
 def test_rejects_with_named_key(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+_WANNIER = "[task]\nname = wannier\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # PARENT_HEAD holds lines 1-6: a blank line, [model] and four keys
+        (PARENT_HEAD + _WANNIER + "[task]\n", "line 9: repeated section [task]: '[task]'"),
+        (PARENT_HEAD + "T1 = 2\n" + _WANNIER, "line 7: repeated key t1: 'T1 = 2'"),
+        ("kind = parent\n" + PARENT_HEAD + _WANNIER, "line 1: no section header before this line: 'kind = parent'"),
+        (PARENT_HEAD + "garbage\n" + _WANNIER, "line 7: expected key = value: 'garbage'"),
+        (PARENT_HEAD + "= 1\n" + _WANNIER, "line 7: empty key: '= 1'"),
+        (PARENT_HEAD + "  5\n" + _WANNIER, "line 7: indented line continues a value: '5'"),
+        (PARENT_HEAD + "\n# note\n\t5\n" + _WANNIER, "line 9: indented line continues a value: '5'"),
+        (
+            PARENT_HEAD.replace("[model]", "[model] trailing") + _WANNIER,
+            "line 2: a section header must be [name] alone: '[model] trailing'",
+        ),
+        (PARENT_HEAD + "[]\n", "line 7: a section header must be [name] alone: '[]'"),
+    ],
+)
+def test_unreadable_lines_fail_with_their_number(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == "cannot parse config: " + message
+
+
+def _stdlib_sections(text):
+    """The sections configparser reads, configured as the reader was before it."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), strict=True)
+    parser.optionxform = lambda name: name.strip().lower()
+    parser.read_string(text)
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+_NAME = st.from_regex(r"[A-Za-z0-9_.-]([A-Za-z0-9_. -]*[A-Za-z0-9_.-])?", fullmatch=True)
+_VALUE = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _config_texts(draw):
+    """Valid config text with blank lines, whole-line comments, key case and padding."""
+    names = draw(st.lists(_NAME.filter(lambda n: n != "DEFAULT"), max_size=4, unique=True))
+    lines = []
+    floor = None  # no line may sit deeper than the key line before it
+
+    def fillers():
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                lines.append(draw(_PAD))
+            else:
+                lines.append(draw(_PAD) + draw(st.sampled_from("#;")) + draw(_VALUE))
+
+    def indent():
+        pad = draw(_PAD)
+        return pad if floor is None or len(pad) <= floor else ""
+
+    fillers()
+    for name in names:
+        lines.append(indent() + f"[{name}]")
+        fillers()
+        floor = None
+        keys = draw(st.lists(_NAME, max_size=4, unique_by=str.lower))
+        for key in keys:
+            pad = indent()
+            if draw(st.booleans()):
+                key = key.upper() if draw(st.booleans()) else key.swapcase()
+            lines.append(pad + key + draw(_PAD) + "=" + draw(_PAD) + draw(_VALUE) + draw(_PAD))
+            floor = len(pad)
+            fillers()
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_reader_matches_configparser_on_valid_text(text):
+    assert _read_sections(text) == _stdlib_sections(text)
+
+
+def test_cli_import_leaves_configparser_unloaded():
+    src = os.path.dirname(os.path.dirname(config.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mkc.cli, sys; assert 'configparser' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 _QUANTIZATION = CHILD_HEAD + "[lattice]\nl = 6\n[task]\nname = quantization\n"

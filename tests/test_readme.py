@@ -1,5 +1,6 @@
 """The README's library quick-start runs and prints what its comments promise,
-and its command-line section names the tasks the parser takes."""
+its command-line section names the tasks the parser takes, and its config
+example runs."""
 
 import re
 from pathlib import Path
@@ -28,6 +29,15 @@ def test_readme_task_list_and_options_match_the_parser():
     assert [a.dest for a in actions if not a.option_strings] == ["task"]
     options = {s for a in actions for s in a.option_strings}
     assert options == {"-h", "--help", "--config", "--out", "--format"}
+
+
+def test_readme_config_example_runs(tmp_path):
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    path, out = tmp_path / "run.cfg", tmp_path / "density.csv"
+    path.write_text(blocks[0], encoding="utf-8")
+    assert cli.main(["density", "--config", str(path), "--out", str(out)]) == 0
+    assert "# model.kind = mkc-parallel" in out.read_text(encoding="utf-8")
 
 
 def test_readme_canonical_channel_classes_match_the_sweep():
