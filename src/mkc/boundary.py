@@ -1,55 +1,46 @@
-"""Closed-form boundary-mode machinery for finite chains and slabs.
+"""Exact-zero potentials and zero-mode classification for finite chains and slabs.
 
-Four strands: decay roots of the localized (k -> iq) bulk problem, the
-chemical potentials at which finite lattices host exact zero modes,
-standing-wave quantization that generates those potentials for general
-parameter classes, and closed-form edge wavefunctions.  On top of these
-sits the entanglement classification of the zero-energy subspace: the
-spinor content at the dominant edge sites, read from its 4x4 Gram matrix,
-is rotated into a frame where it splits into product states and maximally
+Three strands: the chemical potentials at which finite lattices host
+exact zero modes, standing-wave quantization that generates those
+potentials for general parameter classes, and the entanglement
+classification of the zero-energy subspace.  Each boundary region's
+spinor content at its dominant sites is read from its 4x4 Gram matrix and
+rotated into a frame where it splits into product states and maximally
 entangled pairs of the two internal two-level factors; reference states
-are peeled off its 4x4 projector greedily, and what is left is kept as is.
+are peeled off its 4x4 projector greedily, and what is left is kept as
+is.  All regions go through these steps together, as one stack of 4x4
+matrices.  The closed-form decay roots and edge wavefunctions that the
+tests hold these against live in mkc.analytic, which no task imports.
 """
 
 import math
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import ConfigError, SingularConfigError
+from .errors import ConfigError
 from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice
-from .lattice import _with_mu, exact_zero_potentials, zero_subspace
-from .models import (
-    BELL_VECTORS,
-    BLOCK_BASIS,
-    PARALLEL,
-    PERPENDICULAR,
-    ChildSpec,
-    ParentParams,
-    dispersion_parallel,
-)
+from .lattice import exact_zero_potentials, zero_subspace
+from .models import BELL_VECTORS, BLOCK_BASIS, PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 
 LN2 = float(np.log(2.0))
 
 # Basis products of the two internal two-level factors, in the same
 # (00, 01, 10, 11) order as models.BELL_VECTORS.
-PRODUCT_VECTORS = {
-    "00": np.array([1.0, 0.0, 0.0, 0.0]),
-    "01": np.array([0.0, 1.0, 0.0, 0.0]),
-    "10": np.array([0.0, 0.0, 1.0, 0.0]),
-    "11": np.array([0.0, 0.0, 0.0, 1.0]),
-}
+PRODUCT_VECTORS = dict(zip(("00", "01", "10", "11"), np.eye(4)))
 
-# Products first: when a degenerate subspace admits both a product and an
-# entangled description, the tabulated sets keep the products explicit.
-_REFERENCE_ORDER = [("prod", n) for n in ("00", "01", "10", "11")] + [
-    ("bell", n) for n in ("00-11", "00+11", "01-10", "01+10")
-]
+# The catalogue as the rows of one matrix, in peel order.  Products come
+# first: when a degenerate subspace admits both a product and an entangled
+# description, the tabulated sets keep the products explicit.  Every
+# reference is real, so a row times a state is their overlap.
+_REFERENCE_LABELS = tuple(f"prod:{n}" for n in PRODUCT_VECTORS) + tuple(
+    f"bell:{n}" for n in BELL_VECTORS
+)
+_REFERENCES = np.stack([*PRODUCT_VECTORS.values(), *BELL_VECTORS.values()]).astype(complex)
 
 
-def _reference_vector(label):
-    kind, name = label.split(":", 1)
-    table = PRODUCT_VECTORS if kind == "prod" else BELL_VECTORS
-    return table[name]
+def _references(labels):
+    """The named catalogue states as the rows of one matrix."""
+    return _REFERENCES[[_REFERENCE_LABELS.index(label) for label in labels]]
 
 
 # Frame in which raw zero-subspace spinors assume the tabulated forms:
@@ -57,66 +48,6 @@ def _reference_vector(label):
 # {|00-11>, -|00+11>, |01+10>, |01-10>}.  Coordinates in this frame are what
 # the product/Bell catalogue refers to.
 CLASSIFICATION_FRAME = BLOCK_BASIS[:, [0, 2, 3, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
-
-
-# ---------------------------------------------------------------------------
-# decay roots
-
-
-@dataclass
-class DecayRoots:
-    """Roots of one branch of the localized zero-energy condition.
-
-    The branch quadratics are (t + Delta) x^2 + mu x + (t - Delta) = 0 for
-    "+" and (t - Delta) x^2 + mu x + (t + Delta) = 0 for "-"; x stands for
-    e^{-q}.  A complex-conjugate pair is also reported in polar form.
-    """
-
-    branch: str
-    roots: tuple
-    magnitude: float = None
-    angle: float = None
-
-    @property
-    def is_oscillatory(self):
-        return self.magnitude is not None
-
-    @property
-    def is_degenerate(self):
-        r1, r2 = self.roots
-        scale = max(abs(r1), abs(r2), 1.0)
-        return abs(r1 - r2) < 1e-12 * scale
-
-
-def decay_roots(p, branch="+"):
-    """Solve one branch quadratic of the k -> iq zero-energy condition."""
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    a = p.t + p.delta if branch == "+" else p.t - p.delta
-    c = p.t - p.delta if branch == "+" else p.t + p.delta
-    if abs(a) < 1e-14:
-        raise SingularConfigError(
-            f"branch {branch} quadratic degenerates: leading coefficient t{'+' if branch == '+' else '-'}Delta vanishes"
-        )
-    disc = p.mu * p.mu - 4.0 * (p.t * p.t - p.delta * p.delta)
-    if disc < 0.0:
-        root = (-p.mu + 1j * np.sqrt(-disc)) / (2.0 * a)
-        up = root if root.imag > 0 else root.conjugate()
-        return DecayRoots(
-            branch=branch,
-            roots=(up, up.conjugate()),
-            magnitude=float(abs(up)),
-            angle=float(np.angle(up)),
-        )
-    sq = np.sqrt(disc)
-    return DecayRoots(branch=branch, roots=((-p.mu + sq) / (2.0 * a), (-p.mu - sq) / (2.0 * a)))
-
-
-def decaying_branch(p):
-    """Branch whose roots stay inside the unit circle for a left edge mode."""
-    if p.t * p.delta == 0.0:
-        raise SingularConfigError("decaying branch undefined without both hopping and pairing")
-    return "+" if p.t * p.delta > 0.0 else "-"
 
 
 # ---------------------------------------------------------------------------
@@ -232,143 +163,18 @@ def quantization_points(p1, p2, N, mu_range=None):
 
 
 # ---------------------------------------------------------------------------
-# closed-form edge wavefunctions
-
-
-@dataclass
-class AnalyticMode:
-    """Closed-form zero mode: site amplitudes times one internal 4-vector.
-
-    The amplitudes cover sites 1..L; the internal vector is None when the
-    expression pins the decay profile only.  The label records branch
-    bookkeeping (sublattice, standing-wave index, decay branch).
-    """
-
-    amplitudes: np.ndarray
-    internal: np.ndarray
-    edge: str
-    label: str
-    mu: float = None
-
-    def lattice_vector(self):
-        if self.internal is None:
-            raise ConfigError("profile-only mode has no internal vector")
-        v = np.kron(self.amplitudes.astype(complex), self.internal.astype(complex))
-        return v / np.linalg.norm(v)
-
-
-def _mmzm_theta(N, n, which):
-    """Standing-wave angle and validity for the sign-mixed product chain."""
-    d, allowed = _sign_mixed_family(N, which)
-    if n not in allowed:
-        raise ConfigError(f"n out of range: component {which} of an N={N} chain allows n in {allowed}")
-    return n * np.pi / d
-
-
-def analytic_mmzm_wavefunction(t, delta, N, n, which, edge="left"):
-    """Standing-wave zero mode of the sign-mixed product chain.
-
-    Component 1 lives on even sites with amplitude R^l sin(l theta),
-    component 2 on odd sites with amplitude R^(l+1) sin((l+1) theta),
-    R = sqrt((t - Delta)/(t + Delta)).  Both left modes share the internal
-    vector (1,-1,-1,1)/2; the right-edge modes are the site reflection
-    l -> N+1-l carrying (1,1,1,1)/2.
-    """
-    if not 0.0 < delta < t:
-        raise ConfigError(f"standing waves need 0 < Delta < t, got t={t}, Delta={delta}")
-    if int(N) != N or N < 2:
-        raise ConfigError(f"lattice size must be an integer >= 2, got {N!r}")
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if edge not in ("left", "right"):
-        raise ValueError(f"edge must be 'left' or 'right', got {edge!r}")
-    theta = _mmzm_theta(N, n, which)
-    R = np.sqrt((t - delta) / (t + delta))
-    l = np.arange(1, N + 1)
-    if which == 1:
-        amps = np.where(l % 2 == 0, R**l * np.sin(l * theta), 0.0)
-        sublattice = "even-sites"
-    else:
-        amps = np.where(l % 2 == 1, R ** (l + 1.0) * np.sin((l + 1) * theta), 0.0)
-        sublattice = "odd-sites"
-    if edge == "right":
-        amps = amps[::-1].copy()
-        internal = np.array([1.0, 1.0, 1.0, 1.0]) / 2.0
-    else:
-        internal = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
-    nrm = np.linalg.norm(amps)
-    if nrm == 0.0:
-        raise ConfigError(f"standing wave vanishes identically for n={n}")
-    amps = amps / nrm
-    if amps[np.argmax(np.abs(amps))] < 0:
-        amps = -amps
-    return AnalyticMode(
-        amplitudes=amps,
-        internal=internal,
-        edge=edge,
-        label=f"standing-wave {sublattice} n={n}",
-        mu=float(2.0 * np.sqrt(t * t - delta * delta) * np.cos(theta)),
-    )
-
-
-def analytic_mmzm_density(t, delta, N, n):
-    """Summed site density of the four standing-wave modes at one point."""
-    rho = np.zeros(N)
-    for which in (1, 2):
-        for edge in ("left", "right"):
-            mode = analytic_mmzm_wavefunction(t, delta, N, n, which, edge=edge)
-            rho += np.abs(mode.amplitudes) ** 2
-    return rho / rho.sum()
-
-
-def semi_infinite_edge_profile(spec, topological_parent, edge="left", length=64):
-    """Decay profile of the edge mode contributed by one topological parent.
-
-    The profile is the difference of the two decaying-branch root powers,
-    x^j difference for non-degenerate roots and j x^(j-1) at a degenerate
-    root (a lattice delta when the root is zero).  For perpendicular
-    parents the profile decays along that parent's finite direction and is
-    constant along the other.
-    """
-    if topological_parent not in (1, 2):
-        raise ValueError(f"topological_parent must be 1 or 2, got {topological_parent!r}")
-    p = spec.p1 if topological_parent == 1 else spec.p2
-    if not p.is_topological():
-        raise ConfigError(f"parent {topological_parent} is not topological")
-    if int(length) != length or length < 1:
-        raise ValueError(f"length must be a positive integer, got {length!r}")
-    branch = decaying_branch(p)
-    roots = decay_roots(p, branch)
-    x = np.arange(1, length + 1, dtype=float)
-    r1, r2 = roots.roots
-    if roots.is_degenerate:
-        r = 0.5 * (r1 + r2)
-        prof = np.abs(x * np.asarray(r, complex) ** (x - 1.0))
-        prof[0] = 1.0 if abs(r) == 0.0 else prof[0]
-    else:
-        prof = np.abs(np.asarray(r1, complex) ** x - np.asarray(r2, complex) ** x)
-    if edge == "right":
-        prof = prof[::-1].copy()
-    elif edge != "left":
-        raise ValueError(f"edge must be 'left' or 'right', got {edge!r}")
-    nrm = np.linalg.norm(prof)
-    if nrm == 0.0:
-        raise SingularConfigError("decay profile vanishes identically")
-    direction = ""
-    if spec.orientation == PERPENDICULAR:
-        axis = "x" if topological_parent == 1 else "y"
-        direction = f", decaying along {axis}, uniform along the other axis"
-    return AnalyticMode(
-        amplitudes=prof / nrm,
-        internal=None,
-        edge=edge,
-        label=f"decay profile, parent {topological_parent}, branch {branch}{direction}",
-        mu=float(p.mu),
-    )
-
-
-# ---------------------------------------------------------------------------
 # zero-subspace entanglement classification
+
+
+def _entropy(v00, v01, v10, v11):
+    total = abs(v00) ** 2 + abs(v01) ** 2 + abs(v10) ** 2 + abs(v11) ** 2
+    if total <= 0.0:
+        raise ValueError("cannot take the entropy of a null vector")
+    d = abs(v00 * v11 - v01 * v10) ** 2 / total**2
+    big = 0.5 * (1.0 + math.sqrt(max(1.0 - 4.0 * d, 0.0)))
+    small = d / big
+    # both terms are >= 0 and a product's is +0.0, never -(1 log 1) = -0.0
+    return (-small * math.log(small) if small > 0.0 else 0.0) - big * math.log(big)
 
 
 def tau_sigma_entropy(vec):
@@ -378,15 +184,7 @@ def tau_sigma_entropy(vec):
     (1 +- sqrt(1 - 4d)) / 2 (Wootters, PRL 80 (1998) 2245).  The small one
     is taken as d over the large one: exact down to a product's +0.0.
     """
-    v00, v01, v10, v11 = np.asarray(vec, dtype=complex).reshape(4).tolist()
-    total = abs(v00) ** 2 + abs(v01) ** 2 + abs(v10) ** 2 + abs(v11) ** 2
-    if total <= 0.0:
-        raise ValueError("cannot take the entropy of a null vector")
-    d = abs(v00 * v11 - v01 * v10) ** 2 / total**2
-    big = 0.5 * (1.0 + math.sqrt(max(1.0 - 4.0 * d, 0.0)))
-    small = d / big
-    # both terms are >= 0 and a product's is +0.0, never -(1 log 1) = -0.0
-    return (-small * math.log(small) if small > 0.0 else 0.0) - big * math.log(big)
+    return _entropy(*np.asarray(vec, dtype=complex).reshape(4).tolist())
 
 
 @dataclass
@@ -418,108 +216,6 @@ class MmzmClass:
         return tuple(s.label for s in self.states)
 
 
-def _orthonormal_columns(mat, rel_tol=1e-8):
-    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return u[:, :0]
-    return u[:, sv > rel_tol * sv[0]]
-
-
-def _greedy_reference_states(basis, overlap_min):
-    """Peel off reference directions fully contained in the subspace.
-
-    On the span's 4x4 projector P, r is accepted when |P r|^2 > overlap_min
-    and v = P r / |P r| removed as P - v v^H; the leftover basis comes from
-    the final P, or is the input basis unchanged when nothing is peeled.
-    """
-    proj = basis @ basis.conj().T
-    accepted = []
-    for kind, name in _REFERENCE_ORDER:
-        if len(accepted) == basis.shape[1]:
-            break
-        v = proj @ _reference_vector(f"{kind}:{name}")
-        norm = np.linalg.norm(v)
-        if norm**2 > overlap_min:
-            accepted.append(v / norm)
-            proj = proj - np.outer(accepted[-1], accepted[-1].conj())
-    rest = basis.shape[1] - len(accepted)
-    if accepted and rest:
-        basis = np.linalg.svd(proj)[0]
-    return accepted, basis[:, :rest]
-
-
-def _label_state(v, entropy_tol, overlap_min):
-    S = tau_sigma_entropy(v)
-    if abs(S - LN2) < entropy_tol:
-        scores = {n: float(abs(b.conj() @ v) ** 2) for n, b in BELL_VECTORS.items()}
-        name = max(scores, key=scores.get)
-        if scores[name] > overlap_min:
-            return StateLabel(f"bell:{name}", S, scores[name], v)
-        return StateLabel("unclassified", S, max(scores.values()), v)
-    if S < entropy_tol:
-        scores = {n: float(abs(b.conj() @ v) ** 2) for n, b in PRODUCT_VECTORS.items()}
-        name = max(scores, key=scores.get)
-        if scores[name] > overlap_min:
-            return StateLabel(f"prod:{name}", S, scores[name], v)
-        return StateLabel("prod:other", S, max(scores.values()), v)
-    return StateLabel("unclassified", S, 0.0, v)
-
-
-def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
-    """Classify zero-subspace spinor content against the state catalogue.
-
-    The raw 4-vectors (rows) are orthonormalized and moved to the
-    classification frame.  Reference states wholly inside their span are
-    peeled off greedily (products before entangled pairs); the directions
-    left over are kept as they are.  Each resulting state is labeled by its
-    factor-cut entropy and best reference overlap.
-
-    With an expected state set the result is checked two ways: every
-    classified state must lie in the span of the expected set
-    (matches_table), and every expected entangled pair must be present in
-    the subspace span (row_complete).  The expected references must be
-    orthonormal, as every catalogue row is (ValueError otherwise).
-    """
-    raw = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    if raw.shape[1] != 4:
-        raise ValueError(f"expected internal 4-vectors, got shape {raw.shape}")
-    basis = _orthonormal_columns(raw.T)
-    if basis.shape[1] == 0:
-        raise ConfigError("zero subspace is empty")
-    ct = CLASSIFICATION_FRAME.conj().T @ basis
-    accepted, residual = _greedy_reference_states(ct, overlap_min)
-    cols = accepted + [residual[:, k] for k in range(residual.shape[1])]
-    states = tuple(_label_state(v, entropy_tol, overlap_min) for v in cols)
-
-    matches = complete = None
-    if expected is not None:
-        expected = tuple(expected)
-        matches = all(s.label != "unclassified" for s in states)
-        complete = True
-        if expected:
-            # complex: a real product would load BLAS code that peak RSS counts
-            refs = np.stack([_reference_vector(lbl) for lbl in expected], axis=1).astype(complex)
-            if np.linalg.norm(refs.conj().T @ refs - np.eye(len(expected))) > 1e-12:
-                raise ValueError(f"expected states must be orthonormal, got {expected}")
-            for s in states:
-                if float((np.abs(refs.conj().T @ s.vector) ** 2).sum()) <= overlap_min:
-                    matches = False
-            for lbl in expected:
-                if lbl.startswith("bell:"):
-                    proj = float((np.abs(ct.conj().T @ _reference_vector(lbl)) ** 2).sum())
-                    if proj <= overlap_min:
-                        complete = False
-        else:
-            matches = matches and len(states) == 0
-    return MmzmClass(
-        states=states,
-        subspace_dimension=basis.shape[1],
-        expected=expected,
-        matches_table=matches,
-        row_complete=complete,
-    )
-
-
 def _sign_class(p, index):
     s = p.t * p.delta
     if s == 0.0:
@@ -545,6 +241,25 @@ _BOTH_TOPO_ROWS = {
 }
 _FIRST_TOPO_ROWS = {1: ("bell:00-11", "bell:01-10"), -1: ("bell:00+11", "bell:01+10")}
 _SECOND_TOPO_ROWS = {1: ("bell:00-11", "bell:01+10"), -1: ("bell:00+11", "bell:01-10")}
+
+
+
+def _row_table(row):
+    """A state set's references as the rows of a zero-padded 4x4 matrix.
+
+    An orthonormal set of 4-vectors has at most four members.
+    """
+    refs = np.zeros((4, 4), complex)
+    refs[: len(row)] = _references(row)
+    return refs
+
+
+# Every catalogue row's table, built once; each row is orthonormal.
+_ROW_TABLES = {
+    row: _row_table(row)
+    for row in [(), *_FIRST_TOPO_ROWS.values(), *_SECOND_TOPO_ROWS.values()]
+    + [row for pair in _BOTH_TOPO_ROWS.values() for row in pair]
+}
 
 
 def _row_for_signs(spec, s1, s2, open1=True, open2=True, corner=False):
@@ -597,6 +312,123 @@ def expected_boundary_states(spec, lat, region):
     return _row_for_signs(spec, s1, s2, lat.bcx == OPEN, lat.bcy == OPEN, corner=True)
 
 
+def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
+    """Classify the spinor content of R regions at once; content is (R, 4, K).
+
+    Each region's columns are orthonormalized (relative cut 1e-8) and
+    moved to the classification frame.  Reference states wholly inside a
+    span are peeled off its 4x4 projector P greedily, in catalogue order: r
+    is accepted when |P r|^2 > overlap_min and v = P r / |P r| removed as
+    P - v v^H.  The directions left over come from the final P, or are the
+    frame columns unchanged when nothing was peeled.  Each state is labeled
+    by its factor-cut entropy and best reference overlap.  Every step is
+    one call on the whole stack; a region of lower rank carries zero
+    columns.  rows holds each region's expected state set (see
+    mmzm_classify), or is None for no catalogue check.
+    """
+    u, sv, _ = np.linalg.svd(np.asarray(content, dtype=complex), full_matrices=False)
+    keep = (sv > 1e-8 * sv[:, :1])[:, None, :]
+    rank = keep.sum(axis=2)[:, 0]
+    if not rank.all():
+        raise ConfigError("zero subspace is empty")
+    count = len(content)
+    ct = np.zeros((count, 4, 4), complex)
+    ct[..., : u.shape[2]] = CLASSIFICATION_FRAME.conj().T @ np.where(keep, u, 0.0)
+
+    proj = ct @ ct.conj().transpose(0, 2, 1)
+    # P only shrinks, so a reference out of the first P's reach in every
+    # region is never accepted, and a full region's P is zero
+    reach = (np.abs(proj @ _REFERENCES.T) ** 2).sum(axis=1) > overlap_min
+    peeled = np.zeros((count, len(_REFERENCES), 4), complex)
+    taken = np.zeros((count, len(_REFERENCES)), dtype=bool)
+    slot, found = np.zeros(taken.shape, dtype=int), np.zeros(count, dtype=int)
+    for k in np.flatnonzero(reach.any(axis=0)):
+        v = proj @ _REFERENCES[k]
+        norm = np.sqrt((np.abs(v) ** 2).sum(axis=1))
+        take = norm**2 > overlap_min
+        if take.any():
+            w = v / np.where(take, norm, np.inf)[:, None]
+            proj -= w[:, :, None] * w[:, None, :].conj()
+            peeled[:, k], taken[:, k], slot[:, k] = w, take, found
+            found += take
+            if (found == rank).all():
+                break
+    # each region's accepted states in peel order, then what is left
+    states = np.zeros_like(ct)
+    reg, ref = np.nonzero(taken)
+    states[reg, :, slot[reg, ref]] = peeled[reg, ref]
+    rest = rank - found
+    redo = np.flatnonzero((found > 0) & (rest > 0))
+    if redo.size:
+        at, col = np.nonzero(np.arange(4) < rest[redo, None])
+        left = np.linalg.svd(proj[redo])[0]
+        states[redo[at], :, found[redo[at]] + col] = left[at, :, col]
+    states[found == 0] = ct[found == 0]
+
+    # per state, its overlaps with the catalogue: products, then Bell pairs
+    over = (np.abs(_REFERENCES @ states) ** 2).transpose(0, 2, 1).tolist()
+    if rows is not None:
+        refs = np.array([_ROW_TABLES[row] if row in _ROW_TABLES else _row_table(row) for row in rows])
+        # an entangled pair's entries are 1/sqrt(2), a product's 1
+        peak = np.abs(refs).max(axis=2)
+        bell = (peak > 0.0) & (peak < 1.0)
+        in_row = (np.abs(refs @ states) ** 2).sum(axis=1) > overlap_min
+        in_span = (np.abs(refs @ ct) ** 2).sum(axis=2) > overlap_min
+        matches = (in_row.sum(axis=1) == rank).tolist()
+        complete = (in_span | ~bell).all(axis=1).tolist()
+
+    out = []
+    for r, coords in enumerate(states.transpose(0, 2, 1).tolist()):
+        labels = []
+        for i in range(rank[r]):
+            S = _entropy(*coords[i])
+            kind = 1 if abs(S - LN2) < entropy_tol else 0 if S < entropy_tol else None
+            if kind is None:
+                label, score = "unclassified", 0.0
+            else:
+                scores = over[r][i][4 * kind : 4 * kind + 4]
+                score = max(scores)
+                if score > overlap_min:
+                    label = _REFERENCE_LABELS[4 * kind + scores.index(score)]
+                else:
+                    label = "unclassified" if kind else "prod:other"
+            labels.append(StateLabel(label, S, score, states[r, :, i]))
+        flags = {}
+        if rows is not None:
+            named = all(s.label != "unclassified" for s in labels)
+            flags = dict(expected=rows[r], matches_table=named and matches[r], row_complete=complete[r])
+        out.append(MmzmClass(states=tuple(labels), subspace_dimension=int(rank[r]), **flags))
+    return out
+
+
+def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
+    """Classify zero-subspace spinor content against the state catalogue.
+
+    The raw 4-vectors (rows) are orthonormalized and moved to the
+    classification frame.  Reference states wholly inside their span are
+    peeled off greedily (products before entangled pairs); the directions
+    left over are kept as they are.  Each resulting state is labeled by its
+    factor-cut entropy and best reference overlap.  This is the one-region
+    case of the stack that classify_zero_modes classifies.
+
+    With an expected state set the result is checked two ways: every
+    classified state must lie in the span of the expected set
+    (matches_table), and every expected entangled pair must be present in
+    the subspace span (row_complete).  The expected references must be
+    orthonormal, as every catalogue row is (ValueError otherwise).
+    """
+    raw = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    if raw.shape[1] != 4:
+        raise ValueError(f"expected internal 4-vectors, got shape {raw.shape}")
+    rows = None
+    if expected is not None:
+        rows = [tuple(expected)]
+        refs = _references(rows[0])
+        if np.linalg.norm(refs @ refs.conj().T - np.eye(len(refs))) > 1e-12:
+            raise ValueError(f"expected states must be orthonormal, got {rows[0]}")
+    return _classify_stack(raw.T[None], rows, entropy_tol, overlap_min)[0]
+
+
 def _region_slices(lat):
     if isinstance(lat, ChainLattice):
         half = lat.L // 2
@@ -619,49 +451,40 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
     of the regional maximum) enter through the 4x4 Gram matrix M M^H: its
     singular vectors above rank_tol^2 of the leading one, passed once more
     through M M^H, span the content classified against the catalogue row.
+    A region whose density vanishes is left out.  The regions' spinors are
+    gathered into one stack, zero-padded to the widest, and every later
+    step is one call on that stack.
     """
     zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
     if zs.count == 0:
         return {}
-    out = {}
+    regions, spinors = [], []
     for region, sl in _region_slices(lat).items():
         sub = zs.weights[sl]
         peak = float(sub.max())
-        if peak <= 0.0:
-            continue
-        idx = np.argwhere(sub >= (1.0 - site_tol) * peak)
-        offset = np.array([s0.start or 0 for s0 in sl])
-        m = np.concatenate(zs.spinors(tuple((idx + offset).T)), axis=1)
-        # mh is a copy and u keeps all four columns, so each product is a
-        # 4-wide gemm: syrk or skinny kernels would load code that peak RSS
-        # counts.  The power step undoes the Gram's rounding tilt of weak ones.
-        mh = m.conj().T.copy()
-        u, sv, _ = np.linalg.svd(m @ mh)
-        keep = sv > rank_tol**2 * sv[0]
-        content = (u.conj().T @ m @ mh).conj().T[:, keep] / sv[keep]
-        expected = expected_boundary_states(spec, lat, region)
-        out[region] = mmzm_classify(content.T, expected=expected)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# perpendicular edge geometry
-
-
-def perp_edge_prediction(spec):
-    """Where zero modes sit on a fully open slab: edges, perimeter, or none."""
-    if spec.orientation != PERPENDICULAR:
-        raise ValueError("edge prediction applies to the perpendicular child")
-    if spec.p1.is_critical() or spec.p2.is_critical():
-        return "critical"
-    topo1, topo2 = spec.p1.is_topological(), spec.p2.is_topological()
-    if topo1 and topo2:
-        return "perimeter"
-    if topo1:
-        return "x-edges"
-    if topo2:
-        return "y-edges"
-    return "none"
+        if peak > 0.0:
+            idx = np.argwhere(sub >= (1.0 - site_tol) * peak) + [s0.start or 0 for s0 in sl]
+            regions.append(region)
+            spinors.append(zs.spinors(tuple(idx.T)))
+    # each region's sites side by side, (4, sites x modes), zero-padded;
+    # real spinors stay real
+    m = np.zeros((len(regions), 4, max(map(len, spinors)), zs.count), np.result_type(*spinors))
+    for r, spin in enumerate(spinors):
+        m[r, :, : len(spin)] = spin.transpose(1, 0, 2)
+    m = m.reshape(len(regions), 4, -1)
+    # mh is a copy and u keeps all four columns, so each product is a
+    # 4-wide gemm: syrk or skinny kernels would load code that peak RSS
+    # counts.  The power step (u^H M) M^H undoes the Gram's rounding tilt of
+    # weak ones; u^H M, the conjugate of M^H u, takes M's storage.  Dropped
+    # directions divide by inf and leave zero columns.
+    mh = np.conj(m.transpose(0, 2, 1), out=np.empty(m.shape[::2] + (4,), m.dtype))
+    u, sv, _ = np.linalg.svd(m @ mh)
+    sv = np.where(sv > rank_tol**2 * sv[:, :1], sv, np.inf)
+    uhm = np.matmul(mh, u, out=m.reshape(mh.shape))
+    np.conj(uhm, out=uhm)
+    content = (uhm.transpose(0, 2, 1) @ mh).conj().transpose(0, 2, 1) / sv[:, None, :]
+    rows = [expected_boundary_states(spec, lat, region) for region in regions]
+    return dict(zip(regions, _classify_stack(content, rows)))
 
 
 def perp_obc_gapless_points(spec, Lx, Ly):
@@ -699,40 +522,3 @@ def perp_obc_gapless_points(spec, Lx, Ly):
         else:
             entries.append((key, Lx, fams["y"]))
     return _point_set(entries)
-
-
-# ---------------------------------------------------------------------------
-# critical-point energy scaling
-
-
-@dataclass
-class ScalingFit:
-    kind: str
-    exponent: float
-    delta_mu: np.ndarray
-    energies: np.ndarray
-
-
-def energy_scaling_near_critical(kind, delta_mu=None, t=1.0, delta=1.0):
-    """Fitted power of the k = 0 gap against the distance from criticality.
-
-    "equal" drives both parents through mu = -2t + delta_mu together and
-    the gap opens quadratically; "opposite" holds mu2 = -mu1 and the gap
-    opens linearly.
-    """
-    if kind not in ("equal", "opposite"):
-        raise ValueError(f"kind must be 'equal' or 'opposite', got {kind!r}")
-    if delta_mu is None:
-        delta_mu = np.logspace(-3.0, -1.0, 25) * abs(t)
-    delta_mu = np.asarray(delta_mu, dtype=float)
-    if delta_mu.min() <= 0.0 or delta_mu.max() > 0.1 * abs(t) * (1.0 + 1e-12):
-        raise ValueError("delta_mu grid must sit inside (0, 0.1 |t|]")
-    parent = ParentParams(t=t, delta=delta, mu=0.0)
-    template = ChildSpec(parent, parent, PARALLEL)
-    energies = []
-    for d in delta_mu:
-        spec = _with_mu(template, -2.0 * t + d, kind)
-        energies.append(float(dispersion_parallel(spec, 0.0)[0]))
-    energies = np.asarray(energies)
-    exponent = float(np.polyfit(np.log(delta_mu), np.log(energies), 1)[0])
-    return ScalingFit(kind=kind, exponent=exponent, delta_mu=delta_mu, energies=energies)

@@ -45,10 +45,13 @@ import numpy as np
 from mkc import boundary
 from mkc.config import _format_value
 from mkc.boundary import (
-    _orthonormal_columns,
+    CLASSIFICATION_FRAME,
+    LN2,
+    PRODUCT_VECTORS,
+    MmzmClass,
+    StateLabel,
     classify_zero_modes,
     expected_boundary_states,
-    mmzm_classify,
 )
 from mkc.disorder import (
     DEFAULT_REALIZATIONS,
@@ -88,6 +91,7 @@ from mkc.lattice import (
     zero_subspace,
 )
 from mkc.models import (
+    BELL_VECTORS,
     BLOCK_BASIS,
     PARALLEL,
     PERPENDICULAR,
@@ -371,11 +375,11 @@ def classify_with(solver, spec, lat, scale=1.0):
     scale multiplies every decision threshold of the classification: the
     site and rank tolerances, the entropy tolerance and 1 - overlap_min.
     """
-    mmzm = functools.partial(
-        mmzm_classify, entropy_tol=1e-6 * scale, overlap_min=1.0 - 1e-3 * scale
+    stack = functools.partial(
+        boundary._classify_stack, entropy_tol=1e-6 * scale, overlap_min=1.0 - 1e-3 * scale
     )
     with mock.patch.object(boundary, "zero_subspace", solver), mock.patch.object(
-        boundary, "mmzm_classify", mmzm
+        boundary, "_classify_stack", stack
     ):
         try:
             return classify_zero_modes(spec, lat, site_tol=1e-6 * scale, rank_tol=1e-6 * scale)
@@ -401,18 +405,37 @@ def svd_entropy(vec):
     return float(-(prob * np.log(prob)).sum())
 
 
-def _deflate_peel(basis, overlap_min):
-    """boundary._greedy_reference_states on the basis itself, one SVD per peeled reference.
+# The catalogue in peel order: products before entangled pairs.
+REFERENCE_ORDER = [f"prod:{n}" for n in PRODUCT_VECTORS] + [f"bell:{n}" for n in BELL_VECTORS]
 
-    The basis columns are orthonormal: surviving directions keep singular
-    values near 1, so an absolute cut is the right one (a relative cut
-    would resurrect noise once the last direction is removed).
+
+def reference_vector(label):
+    """The catalogue state named "prod:<name>" or "bell:<name>"."""
+    kind, name = label.split(":", 1)
+    return (PRODUCT_VECTORS if kind == "prod" else BELL_VECTORS)[name]
+
+
+def orthonormal_columns(mat, rel_tol=1e-8):
+    """Left singular vectors of mat above rel_tol of its leading singular value."""
+    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
+    if sv.size == 0 or sv[0] <= 0.0:
+        return u[:, :0]
+    return u[:, sv > rel_tol * sv[0]]
+
+
+def _deflate_peel(basis, overlap_min):
+    """The greedy peel on the basis itself, one SVD per peeled reference.
+
+    mkc peels a 4x4 projector instead.  The basis columns are orthonormal:
+    surviving directions keep singular values near 1, so an absolute cut is
+    the right one (a relative cut would resurrect noise once the last
+    direction is removed).
     """
     accepted = []
-    for kind, name in boundary._REFERENCE_ORDER:
+    for label in REFERENCE_ORDER:
         if basis.shape[1] == 0:
             break
-        coeff = basis.conj().T @ boundary._reference_vector(f"{kind}:{name}")
+        coeff = basis.conj().T @ reference_vector(label)
         if float((np.abs(coeff) ** 2).sum()) > overlap_min:
             v = basis @ coeff
             v = v / np.linalg.norm(v)
@@ -420,6 +443,59 @@ def _deflate_peel(basis, overlap_min):
             u, sv, _ = np.linalg.svd(basis - np.outer(v, v.conj() @ basis), full_matrices=False)
             basis = u[:, sv > 1e-8]
     return accepted, basis
+
+
+def label_state(v, entropy_tol=1e-6, overlap_min=0.999, entropy=svd_entropy):
+    """One state's label by its factor-cut entropy and best overlap, scored per reference."""
+    S = entropy(v)
+    if abs(S - LN2) < entropy_tol:
+        scores = {n: float(abs(b.conj() @ v) ** 2) for n, b in BELL_VECTORS.items()}
+        name = max(scores, key=scores.get)
+        if scores[name] > overlap_min:
+            return StateLabel(f"bell:{name}", S, scores[name], v)
+        return StateLabel("unclassified", S, max(scores.values()), v)
+    if S < entropy_tol:
+        scores = {n: float(abs(b.conj() @ v) ** 2) for n, b in PRODUCT_VECTORS.items()}
+        name = max(scores, key=scores.get)
+        if scores[name] > overlap_min:
+            return StateLabel(f"prod:{name}", S, scores[name], v)
+        return StateLabel("prod:other", S, max(scores.values()), v)
+    return StateLabel("unclassified", S, 0.0, v)
+
+
+def svd_mmzm_classify(content, expected=None, entropy_tol=1e-6, overlap_min=0.999):
+    """mmzm_classify of one region's content columns, one region at a time.
+
+    The columns are orthonormalized by an SVD, peeled by _deflate_peel and
+    labeled by label_state with 2x2-SVD entropies; the catalogue checks
+    score each state and each expected pair separately.
+    """
+    basis = orthonormal_columns(content)
+    if basis.shape[1] == 0:
+        raise ConfigError("zero subspace is empty")
+    ct = CLASSIFICATION_FRAME.conj().T @ basis
+    accepted, residual = _deflate_peel(ct, overlap_min)
+    cols = accepted + [residual[:, k] for k in range(residual.shape[1])]
+    states = tuple(label_state(v, entropy_tol, overlap_min) for v in cols)
+    matches = complete = None
+    if expected is not None:
+        expected = tuple(expected)
+        refs = np.stack([reference_vector(lbl) for lbl in expected] or [np.zeros(4)], axis=1)
+        matches = all(s.label != "unclassified" for s in states) and all(
+            float((np.abs(refs.conj().T @ s.vector) ** 2).sum()) > overlap_min for s in states
+        )
+        complete = all(
+            float((np.abs(ct.conj().T @ reference_vector(lbl)) ** 2).sum()) > overlap_min
+            for lbl in expected
+            if lbl.startswith("bell:")
+        )
+    return MmzmClass(
+        states=states,
+        subspace_dimension=basis.shape[1],
+        expected=expected,
+        matches_table=matches,
+        row_complete=complete,
+    )
 
 
 def peak_site_stacks(zs, lat, site_tol=1e-6):
@@ -439,21 +515,16 @@ def svd_classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e
     """classify_zero_modes by the wide SVD of each region's per-site spinor stack.
 
     The content is the left singular vectors of the stack above rank_tol
-    of the leading one, the peel deflates its basis by an SVD per accepted
-    reference, and entropies come from 2x2 SVDs; the catalogue match is
-    mmzm_classify's.
+    of the leading one, classified region by region by svd_mmzm_classify.
     """
     zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
     if zs.count == 0:
         return {}
     out = {}
-    with mock.patch.object(boundary, "_greedy_reference_states", _deflate_peel), \
-            mock.patch.object(boundary, "tau_sigma_entropy", svd_entropy):
-        for region, stack in peak_site_stacks(zs, lat, site_tol).items():
-            content = _orthonormal_columns(stack, rel_tol=rank_tol)
-            if content.shape[1]:
-                expected = expected_boundary_states(spec, lat, region)
-                out[region] = mmzm_classify(content.T, expected=expected)
+    for region, stack in peak_site_stacks(zs, lat, site_tol).items():
+        content = orthonormal_columns(stack, rel_tol=rank_tol)
+        if content.shape[1]:
+            out[region] = svd_mmzm_classify(content, expected_boundary_states(spec, lat, region))
     return out
 
 

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from dense_reference import block_diagonalize, build_chain, build_slab, component_bloch
+from mkc.analytic import analytic_mmzm_density, energy_scaling_near_critical
 from mkc.boundary import (
-    analytic_mmzm_density,
     classify_zero_modes,
-    energy_scaling_near_critical,
     expected_boundary_states,
     kc_majorana_points,
     mkc_parallel_majorana_points,

@@ -7,27 +7,34 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import build_chain, dense_levels, diagonalize, quantization_residual
+from dense_reference import (
+    build_chain,
+    dense_levels,
+    diagonalize,
+    label_state,
+    orthonormal_columns,
+    quantization_residual,
+)
+from mkc.analytic import (
+    analytic_mmzm_density,
+    analytic_mmzm_wavefunction,
+    decay_roots,
+    decaying_branch,
+    energy_scaling_near_critical,
+    perp_edge_prediction,
+    semi_infinite_edge_profile,
+)
 from mkc.boundary import (
     BELL_VECTORS,
     CLASSIFICATION_FRAME,
     PRODUCT_VECTORS,
-    _label_state,
-    _orthonormal_columns,
-    analytic_mmzm_density,
-    analytic_mmzm_wavefunction,
     classify_zero_modes,
-    decay_roots,
-    decaying_branch,
-    energy_scaling_near_critical,
     expected_boundary_states,
     kc_majorana_points,
     mkc_parallel_majorana_points,
     mmzm_classify,
-    perp_edge_prediction,
     perp_obc_gapless_points,
     quantization_points,
-    semi_infinite_edge_profile,
     tau_sigma_entropy,
 )
 from mkc.errors import ConfigError, SingularConfigError
@@ -452,8 +459,8 @@ def test_mmzm_classify_keeps_leftover_directions_unrotated():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     res = mmzm_classify(raw)
-    ct = CLASSIFICATION_FRAME.conj().T @ _orthonormal_columns(raw.T)
-    expected = [_label_state(ct[:, k], 1e-6, 0.999) for k in range(2)]
+    ct = CLASSIFICATION_FRAME.conj().T @ orthonormal_columns(raw.T)
+    expected = [label_state(ct[:, k], entropy=tau_sigma_entropy) for k in range(2)]
     assert res.subspace_dimension == 2
     assert res.labels == tuple(s.label for s in expected)
     for got, want in zip(res.states, expected):

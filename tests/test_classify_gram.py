@@ -2,12 +2,14 @@
 
 classify_zero_modes reads each region's spinor content from a 4x4 Gram
 matrix, peels reference states off a 4x4 projector and takes entropies in
-closed form.  svd_classify_zero_modes in dense_reference does the same by
-the wide SVD of the per-site spinor stack, an SVD per peeled reference and
-a 2x2 SVD per entropy; the two must reach the same decisions.
+closed form, all regions at once as one stack.  svd_classify_zero_modes in
+dense_reference does the same region by region, by the wide SVD of the
+per-site spinor stack, an SVD per peeled reference and a 2x2 SVD per
+entropy; the two must reach the same decisions.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,8 +17,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import decisions, peak_site_stacks, svd_classify_zero_modes, svd_entropy
-from mkc.boundary import BELL_VECTORS, classify_zero_modes, kc_majorana_points, tau_sigma_entropy
+from dense_reference import (
+    decisions,
+    orthonormal_columns,
+    peak_site_stacks,
+    reference_vector,
+    svd_classify_zero_modes,
+    svd_entropy,
+    svd_mmzm_classify,
+)
+from mkc import boundary
+from mkc.boundary import (
+    BELL_VECTORS,
+    CLASSIFICATION_FRAME,
+    PRODUCT_VECTORS,
+    classify_zero_modes,
+    kc_majorana_points,
+    tau_sigma_entropy,
+)
 from mkc.errors import ConfigError
 from mkc.lattice import OPEN, PERIODIC, ChainLattice, SlabLattice, zero_subspace
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
@@ -152,5 +170,86 @@ def test_slab_classify_factors_no_matrix_beyond_4x4_and_the_corners(mu1, mu2):
     # the factor chains' corners are square and no larger than their chain
     assert corners and all(s[0] == s[1] <= max(lat.Lx, lat.Ly) for s in corners)
     assert shapes[: len(corners)] == corners
-    assert all(max(s) <= 4 for s in shapes[len(corners):])
-    assert len(shapes) <= 10
+    # one svd of the four quadrants' Gram stack and one orthonormalization
+    # of their content; a peel that leaves directions would add a third
+    assert shapes[len(corners):] == [(4, 4, 4), (4, 4, 4)]
+
+
+def _stack(*regions):
+    """Regions' raw spinor columns, zero-padded side by side into one (R, 4, 4) stack."""
+    out = np.zeros((len(regions), 4, 4), complex)
+    for r, cols in enumerate(regions):
+        out[r, :, : len(cols)] = np.transpose(cols)
+    return out
+
+
+def _frame(*coords):
+    """Raw spinors whose classification-frame coordinates are the given vectors."""
+    return [CLASSIFICATION_FRAME @ np.asarray(c, dtype=complex) for c in coords]
+
+
+def test_stacked_regions_classify_as_they_do_alone():
+    # unequal ranks (1 and 3, as in the slab's edge and perimeter phases), a
+    # span whose peel accepts nothing, and one whose peel leaves a direction
+    other = np.array([0.0, 0.6, 0.8j, 0.0])
+    prod = dict(PRODUCT_VECTORS)
+    regions = [
+        _frame(BELL_VECTORS["01+10"]),
+        _frame(prod["00"], prod["11"], BELL_VECTORS["01-10"]),
+        list(_random_complex(4) for _ in range(2)),
+        _frame(prod["00"] + other, prod["00"] - other),
+    ]
+    rows = [("bell:01+10", "bell:00-11"), ("bell:01-10", "prod:00", "prod:11"), (), ()]
+    stacked = boundary._classify_stack(_stack(*regions), rows)
+    assert [res.subspace_dimension for res in stacked] == [1, 3, 2, 2]
+    assert stacked[0].labels == ("bell:01+10",)
+    assert stacked[1].labels == ("prod:00", "prod:11", "bell:01-10")
+    assert stacked[3].labels == ("prod:00", "unclassified")
+    for r, (cols, row) in enumerate(zip(regions, rows)):
+        alone = boundary._classify_stack(_stack(cols), [row])[0]
+        assert alone.labels == stacked[r].labels
+        assert (alone.matches_table, alone.row_complete) == (
+            stacked[r].matches_table, stacked[r].row_complete
+        )
+        for a, s in zip(alone.states, stacked[r].states, strict=True):
+            assert np.array_equal(a.vector, s.vector)
+            assert (a.entropy, a.overlap) == (s.entropy, s.overlap)
+        want = svd_mmzm_classify(np.transpose(cols), row)
+        assert decisions({0: stacked[r]}) == decisions({0: want})
+        for s, w in zip(stacked[r].states, want.states, strict=True):
+            assert abs(s.entropy - w.entropy) <= 1e-12
+            assert abs(s.overlap - w.overlap) <= 1e-12
+    assert stacked[0].row_complete is False and stacked[1].matches_table
+    # the generic span is kept as its orthonormalized frame columns, each
+    # up to the phase that the padded stack's svd gives it
+    ct = CLASSIFICATION_FRAME.conj().T @ orthonormal_columns(np.transpose(regions[2]))
+    for k, s in enumerate(stacked[2].states):
+        assert abs(abs(np.vdot(ct[:, k], s.vector)) - 1.0) <= 1e-12
+
+
+def test_region_without_density_is_left_out():
+    spec = ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 0.0), PARALLEL)
+    lat = ChainLattice(8)
+
+    def right_end_only(*args, **kwargs):
+        zs = zero_subspace(*args, **kwargs)
+        return replace(zs, weights=np.where(np.arange(lat.L) < lat.L // 2, 0.0, zs.weights))
+
+    full = classify_zero_modes(spec, lat)
+    with mock.patch.object(boundary, "zero_subspace", right_end_only):
+        got = classify_zero_modes(spec, lat)
+    assert set(full) == {"left", "right"} and set(got) == {"right"}
+    assert decisions(got)["right"] == decisions(full)["right"]
+    for g, f in zip(got["right"].states, full["right"].states, strict=True):
+        assert np.array_equal(g.vector, f.vector)
+
+
+def test_every_catalogue_row_is_orthonormal():
+    rows = [*boundary._FIRST_TOPO_ROWS.values(), *boundary._SECOND_TOPO_ROWS.values()]
+    rows += [row for pair in boundary._BOTH_TOPO_ROWS.values() for row in pair]
+    assert set(rows) | {()} == set(boundary._ROW_TABLES)
+    for row in rows:
+        refs = np.stack([reference_vector(label) for label in row])
+        assert np.linalg.norm(refs @ refs.T - np.eye(len(row))) <= 1e-15
+        table = boundary._ROW_TABLES[row]
+        assert np.array_equal(table[: len(row)], refs) and not table[len(row):].any()

@@ -367,6 +367,16 @@ def test_tasks_leave_numpy_random_ma_and_fft_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_analytic_library_unloaded():
+    # no task reads the closed-form edge modes, so the CLI does not compile them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mkc.cli, sys; assert 'mkc.analytic' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_negative_seed_keys_the_stream_with_seed_mod_2_64(tmp_path, capsys):
     lat, parent = ChainLattice(8), ParentParams(1.0, 1.0, 0.0)
     h = build_chain(parent, lat)

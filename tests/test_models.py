@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import block_diagonalize, component_bloch, component_dvector
-from mkc.boundary import perp_edge_prediction
+from mkc.analytic import perp_edge_prediction
 from mkc.errors import CriticalCurveError
 from test_lattice import _parent
 from mkc.models import (
