@@ -14,14 +14,15 @@ reads the same array.
 Every clean model is real and chiral, and every clean child commutes with
 t_x s_x (see models.symmetry_check).  BlockSolver solves each disordered
 matrix in the smallest real blocks that lattice._FrameBlocks.split picks
-for the channel matrix, assembled from the clean model's checked and
-rotated hopping blocks plus the site potentials; the full disordered
-matrix is never built.  Each block is cut into the connected components
-of its graph of (site, frame column) nodes (lattice._components, the rule
-that also cuts the quantization pencils of lattice.exact_zero_potentials),
-which meet where the assembled clean block has an entry above the
-tolerance of the symmetry checks or where the channel's site term sits,
-and components of one size are solved in one stacked LAPACK call.  The
+for the channel matrix, from the clean model's checked and rotated
+hopping blocks plus the site potentials; neither the disordered matrix
+nor any of its blocks is ever assembled.  Each block is cut into the
+connected components of its graph of (site, frame column) nodes
+(lattice._components, the rule that also cuts the quantization pencils
+of lattice.exact_zero_potentials), which meet where a lattice entry of
+the clean block (a rotated hopping block's entry on a bond) lies above
+the tolerance of the symmetry checks or where the channel's site term
+sits, and components of one size are solved in one stacked LAPACK call.  The
 one rule serves chains and slabs alike.  The parallel child at
 mu1 = mu2 = 0 hops only by 0 and +-2, so on an open chain or an even ring
 its even and odd sites are two chains of about L/2 sites; the
@@ -66,7 +67,6 @@ from .lattice import (
     SlabLattice,
     _FrameBlocks,
     _chain_levels,
-    _components,
     _kron2,
     _negligible,
     _support,
@@ -77,6 +77,7 @@ from .lattice import (
     spectrum,
 )
 from .models import _C1, _C2, _U, PAULI, ParentParams
+from .parts import bond_folds, part_groups
 from .philox import _check_ensemble, _philox_uniform
 
 PARENT_CHANNELS = ("x", "y", "z")
@@ -146,10 +147,11 @@ class BlockSolver:
     antiunitary t_x s_x K then keeps the whole matrix real), and solves
     the blocks that _FrameBlocks.split picks for P.  Each block is cut
     into the connected components (lattice._components) of its clean
-    entries and the support of P there, and each group of equal-size components
-    takes one stacked svd or eigvalsh call per draw; a group of
-    1x1 components takes the moduli of its entries instead.  The site
-    term adds only P's entries that do not round to zero (_support).
+    lattice entries and the support of P there (mkc.parts; no block is
+    assembled), and each group of equal-size components takes one stacked
+    svd or eigvalsh call per draw; a group of 1x1 components takes the
+    moduli of its entries instead.  The site term adds only P's entries
+    that do not round to zero (_support).
 
     A group's levels are fixed by its key: its part (the clean stack and
     the site-term positions) and the site-term coefficients.  Where every
@@ -160,10 +162,7 @@ class BlockSolver:
     key and the solve take |coef| for each entry that sits only on clean
     zeros.  An entry on a nonzero clean entry keeps its exact coefficient,
     and so does every symmetric (eigvalsh) group.  Each key is solved once
-    per draw V, and every channel with that key reads that result.  An
-    assembly is kept only until a part is cut from it: the corners of
-    levels() wait for the part that is one of them, as yy's is, and no
-    slab assembly outlives its part.
+    per draw V, and every channel with that key reads that result.
     """
 
     def __init__(self, spec, lat):
@@ -171,66 +170,31 @@ class BlockSolver:
         self.sites = _site_count(lat)
         self._blocks = _FrameBlocks(hopping(spec))
         self._lat = lat
-        self._assembled = {}
+        self._folds = bond_folds(self._blocks.rotated, lat)
         self._parts = {}
         # the levels of each group key solved for the draw whose bytes are _drawn
         self._drawn, self._solved = None, {}
 
-    def _assemble(self, rows, cols):
-        """The clean lattice matrix of frame rows x cols, kept until _part cuts it."""
-        key = (rows.tobytes(), cols.tobytes())
-        if key not in self._assembled:
-            self._assembled[key] = self._blocks.assemble(rows, cols, self._lat)
-        return self._assembled[key]
-
     def levels(self):
         """Ascending |E| of the clean chain, one per +-E pair (lattice.chain_levels).
 
-        They are read from the chiral corners of split(0); chains only.
+        They are read from the chiral corners of split(0), assembled for
+        this call only; chains only.
         """
-        corners = [self._assemble(rows, cols) for rows, cols, _ in self._blocks.split(0)]
+        fb = self._blocks
+        corners = [fb.assemble(rows, cols, self._lat) for rows, cols, _ in fb.split(0)]
         return _chain_levels(corners, self._lat.bc)
 
     def _part(self, rows, cols, joins):
-        """(key, [(clean, idx, site, entry, free)]) of the clean part rows x cols.
+        """(key, groups) of the clean part rows x cols for the site term support joins.
 
-        There is one tuple per class group.  clean, shape (k, n, n), stacks
-        the part's node classes of size n (lattice._components) for the site
-        term support joins; the site term adds v[site] times its entry-th
-        nonzero (in the order of np.nonzero(joins)) at the flat indices idx
-        of that stack.  free[e] is True where the group is a corner whose
-        classes are trees and its e-th nonzero sits only on clean zeros.
-        Parts recur across channels, so each is built once per solver.
+        groups are parts.part_groups, cut from the part's lattice entries.
+        Parts recur across channels, so each is cut once per solver.
         """
         key = (rows.tobytes(), cols.tobytes(), joins.tobytes())
         if key not in self._parts:
-            clean = self._assemble(rows, cols)
-            nr, nc = clean.shape[0] // self.sites, clean.shape[1] // self.sites
-            a, b = np.nonzero(joins)
-            site = np.repeat(np.arange(self.sites), a.size)
-            entry = np.tile(np.arange(a.size), self.sites)
-            row, col = site * nr + a[entry], site * nc + b[entry]
-            joined = np.abs(clean) > self._blocks.tol
-            joined[row, col] = True
-            symmetric = np.array_equal(rows, cols)
-            groups = []
-            for ri, ci in _components(joined, symmetric):
-                n = ri.shape[1]
-                at_r, at_c = np.full(clean.shape[0], -1), np.zeros(clean.shape[1], dtype=np.intp)
-                at_r[ri.ravel()] = np.arange(ri.size)
-                at_c[ci.ravel()] = np.arange(ci.size)
-                # a site term entry joins a row and a column node of one class
-                hit = at_r[row] >= 0
-                idx = at_r[row[hit]] * n + at_c[col[hit]] % n
-                stack = clean[ri[:, :, None], ci[:, None, :]]
-                edges = stack != 0
-                edges.reshape(-1)[idx] = True
-                trees = not symmetric and np.all(edges.sum(axis=(1, 2)) == 2 * n - 1)
-                free = np.full(a.size, trees)
-                free[entry[hit][stack.reshape(-1)[idx] != 0]] = False
-                groups.append((stack, idx, site[hit], entry[hit], free))
+            groups = part_groups(self._folds, self.sites, self._blocks.tol, rows, cols, joins)
             self._parts[key] = key, groups
-            del self._assembled[key[:2]]
         return self._parts[key]
 
     def channel(self, mat):
@@ -446,16 +410,6 @@ class RobustnessReport:
     def robust(self):
         with np.errstate(invalid="ignore"):
             return self.displacement < self.threshold[None, :]
-
-    def channel_index(self, channel):
-        name = channel_name(channel)
-        for i, c in enumerate(self.channels):
-            if channel_name(c) == name:
-                return i
-        raise KeyError(f"channel {name!r} not in report")
-
-    def displacement_for(self, channel):
-        return self.displacement[self.channel_index(channel)]
 
 
 def robustness_sweep(

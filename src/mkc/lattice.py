@@ -11,8 +11,8 @@ real and chiral, and the child commutes with t_x s_x: _FrameBlocks checks
 this on the hopping blocks and rotates them into one real frame, and it is
 the only way a clean model reaches a solver; its split() picks the solver
 blocks of clean and disordered models alike.  One rule (_components)
-cuts a block further into the connected components of its assembled
-matrices: disorder cuts each disordered block so, and exact_zero_potentials
+cuts a block further into the connected components of its node graph:
+disorder cuts each disordered block so, and exact_zero_potentials
 each corner's quantization pencil, so the sign-mixed child solves the
 sector of its zeros as its two sublattices.  In that frame a chain splits
 into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
@@ -90,12 +90,14 @@ def _bonds(lat, r):
     """Site pairs (j, j + r) joined by displacement r, folded for PBC.
 
     Chain displacements are integers; slab ones are pairs (rx, ry), with
-    site = ix * Ly + iy.
+    site = ix * Ly + iy.  ConfigError for a chain of at most |r| sites.
     """
     if isinstance(lat, SlabLattice):
         ix, jx = _bonds(ChainLattice(lat.Lx, lat.bcx), r[0])
         iy, jy = _bonds(ChainLattice(lat.Ly, lat.bcy), r[1])
         return (ix[:, None] * lat.Ly + iy).ravel(), (jx[:, None] * lat.Ly + jy).ravel()
+    if lat.L < abs(r) + 1:
+        raise ConfigError(f"chain of length {lat.L} too short for range-{abs(r)} hopping")
     j = np.arange(lat.L) if lat.bc == PERIODIC else np.arange(max(-r, 0), lat.L - max(r, 0))
     return j, (j + r) % lat.L
 
@@ -107,12 +109,7 @@ def _assemble(blocks, lat):
     of _bonds, internal index minor; periodic bonds that fold onto the same
     position accumulate.
     """
-    if isinstance(lat, SlabLattice):
-        sites = lat.Lx * lat.Ly
-    else:
-        sites, rmax = lat.L, max(blocks)
-        if lat.L < rmax + 1:
-            raise ConfigError(f"chain of length {lat.L} too short for range-{rmax} hopping")
+    sites = lat.Lx * lat.Ly if isinstance(lat, SlabLattice) else lat.L
     rows, cols = next(iter(blocks.values())).shape
     h = np.zeros((sites, rows, sites, cols), dtype=np.result_type(*blocks.values()))
     for r, blk in blocks.items():
@@ -302,28 +299,27 @@ class _FrameBlocks:
         return col
 
 
-def _components(joined, symmetric):
+def _components(u, v, nr, nc, symmetric):
     """[(ri, ci)]: the connected components of a block's node graph, grouped by size.
 
-    Row node i meets column node j where joined[i, j]: where the block's
-    assembled matrices have an entry above the tolerance of
-    _FrameBlocks.require, or where a disorder site term sits.  A
-    symmetric block has one node set, row i being column i.  Every node
+    The graph has nr row and nc column nodes, and row node u[e] meets
+    column node v[e] for each edge e: where the block has a lattice entry
+    above the tolerance of _FrameBlocks.require, or where a disorder site
+    term sits.  Edges may repeat and come in any order.  A symmetric block
+    has one node set (nr == nc), row i being column i.  Every node
     starts labelled by itself; each round points the larger label of
     every edge's two ends at the smaller one and replaces each label by
     its label's label, until every edge joins equal labels.  Labels only
     fall and only point inside a component, so each component ends
     labelled by its smallest node.  Returns one (ri, ci) per component
     size n, larger first: ri and ci, shape (k, n), hold the row and
-    column indices into joined of k components, each ascending.  Every
+    column nodes of k components, each ascending.  Every
     component must be square (ValueError): a corner's site term is an
     invertible block of a unitary, so its support holds a perfect
     matching, and a pencil joins each site to itself.  Disorder blocks
     (disorder.BlockSolver) and quantization pencils
     (exact_zero_potentials) are cut by this one rule.
     """
-    nr, nc = joined.shape
-    u, v = np.nonzero(joined)
     if not symmetric:
         v = v + nr
     label = np.arange(nr if symmetric else nr + nc)
@@ -541,7 +537,7 @@ def _pencil_pieces(child, L):
         joined = (np.abs(a0) > frames[0].tol) | (np.abs(a1) > frames[1].tol) | np.eye(L, dtype=bool)
         out.append([
             (ri, a0[ri[:, :, None], ri[:, None, :]], a1[ri[:, :, None], ri[:, None, :]])
-            for ri, _ in _components(joined, True)
+            for ri, _ in _components(*np.nonzero(joined), L, L, True)
         ])
     return out
 

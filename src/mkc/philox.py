@@ -35,16 +35,16 @@ def _check_ensemble(amplitude, realizations, seed):
 
 
 def _mulhilo(a, m):
-    """(high, low) 64-bit words of the 128-bit products of uint64 array a and m.
+    """(high, low) 64-bit words of the 128-bit products of uint64 arrays a and m.
 
     The high word is summed from 32-bit halves, each partial product fitting
     uint64.
     """
     a0, a1 = a & _LOW32, a >> 32
-    m0, m1 = np.uint64(m & _LOW32), np.uint64(m >> 32)
+    m0, m1 = m & _LOW32, m >> 32
     lh, hl = a0 * m1, a1 * m0
     mid = (a0 * m0 >> 32) + (lh & _LOW32) + (hl & _LOW32)
-    return a1 * m1 + (lh >> 32) + (hl >> 32) + (mid >> 32), a * np.uint64(m)
+    return a1 * m1 + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
 
 
 def _philox_uniform(seed, amplitude, realizations, sites):
@@ -54,18 +54,20 @@ def _philox_uniform(seed, amplitude, realizations, sites):
     .uniform(-W, W, sites) bit for bit: block b of four outputs encrypts
     the counter (b + 1, 0, 0, 0), since numpy bumps the counter before its
     first block, under the key (seed mod 2**64, realization), bumped by the
-    Weyl increments after each of the ten rounds.
+    Weyl increments after each of the ten rounds.  Each round multiplies
+    the even words (c0, c2) in one (2, R, B) product.
     """
-    k1 = np.asarray(realizations, dtype=np.uint64)[:, None]
-    k0 = np.full_like(k1, int(seed) % 2**64)
-    ctr = np.zeros((4, k1.size, -(-sites // 4)), dtype=np.uint64)
-    ctr[0] = np.arange(1, ctr.shape[2] + 1, dtype=np.uint64)
-    c0, c1, c2, c3 = ctr
+    k1 = np.asarray(realizations, dtype=np.uint64)
+    key = np.stack([np.full_like(k1, int(seed) % 2**64), k1])[:, :, None]
+    m, w = (np.array(c, dtype=np.uint64)[:, None, None] for c in (_PHILOX_M, _PHILOX_W))
+    even = np.zeros((2, k1.size, -(-sites // 4)), dtype=np.uint64)
+    even[0] = np.arange(1, even.shape[2] + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
     for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-    x = np.stack([c0, c1, c2, c3], axis=-1).reshape(k1.size, -1)[:, :sites]
+        hi, lo = _mulhilo(even, m)
+        # (c0, c1, c2, c3) <- (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        key = key + w
+    x = np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(k1.size, -1)[:, :sites]
     low, high = -amplitude, amplitude
     return low + (high - low) * ((x >> 11) * 2.0**-53)

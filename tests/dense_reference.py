@@ -6,7 +6,9 @@ chains and disordered models in symmetry blocks.  The builders here
 assemble the whole matrix from the same hopping blocks with Kronecker
 products, and diagonalize it with one dense eigh, so that every fast path
 can be checked against the plain solve.  displacement_vs_amplitude checks
-the disorder verdict's fixed threshold by its linear growth in W.  The helpers at the end compare
+the disorder verdict's fixed threshold by its linear growth in W, and
+dense_part cuts each disorder part from its assembled clean matrix, where
+mkc cuts it from the part's lattice entries.  The helpers at the end compare
 zero subspaces by projectors, densities and classification decisions,
 never by single eigenvectors; svd_classify_zero_modes classifies by the
 wide SVD of each region's per-site spinor stack, where mkc reads the
@@ -55,6 +57,7 @@ from mkc.boundary import (
 )
 from mkc.disorder import (
     DEFAULT_REALIZATIONS,
+    BlockSolver,
     DEFAULT_SEED,
     channel_matrix,
     channel_name,
@@ -80,6 +83,7 @@ from mkc.lattice import (
     SlabLattice,
     ZeroSubspace,
     _chiral_corners,
+    _components,
     _distinct,
     _levels,
     _mu_coefficients,
@@ -326,6 +330,49 @@ def apply_onsite_disorder(h, spec, realization, sites=None):
         )
     v = site_potentials(spec, realization, sites)
     return h + np.kron(np.diag(v), mat)
+
+
+def dense_part(solver, rows, cols, joins):
+    """The class groups of disorder.BlockSolver._part, cut from the assembled clean part.
+
+    The part rows x cols is assembled as one (L nr) x (L nc) matrix
+    (_FrameBlocks.assemble); its graph is |clean| > tol plus the site-term
+    positions of joins, cut by lattice._components, and each group's stack
+    is gathered from the matrix.  Returns [(clean, idx, site, entry, free)].
+    """
+    clean = solver._blocks.assemble(rows, cols, solver._lat)
+    nr, nc = clean.shape[0] // solver.sites, clean.shape[1] // solver.sites
+    a, b = np.nonzero(joins)
+    site = np.repeat(np.arange(solver.sites), a.size)
+    entry = np.tile(np.arange(a.size), solver.sites)
+    row, col = site * nr + a[entry], site * nc + b[entry]
+    joined = np.abs(clean) > solver._blocks.tol
+    joined[row, col] = True
+    symmetric = np.array_equal(rows, cols)
+    groups = []
+    for ri, ci in _components(*np.nonzero(joined), *joined.shape, symmetric):
+        n = ri.shape[1]
+        at_r, at_c = np.full(clean.shape[0], -1), np.zeros(clean.shape[1], dtype=np.intp)
+        at_r[ri.ravel()] = np.arange(ri.size)
+        at_c[ci.ravel()] = np.arange(ci.size)
+        hit = at_r[row] >= 0
+        idx = at_r[row[hit]] * n + at_c[col[hit]] % n
+        stack = clean[ri[:, :, None], ci[:, None, :]]
+        edges = stack != 0
+        edges.reshape(-1)[idx] = True
+        trees = not symmetric and np.all(edges.sum(axis=(1, 2)) == 2 * n - 1)
+        free = np.full(a.size, trees)
+        free[entry[hit][stack.reshape(-1)[idx] != 0]] = False
+        groups.append((stack, idx, site[hit], entry[hit], free))
+    return groups
+
+
+class DenseParts(BlockSolver):
+    """A BlockSolver whose parts are cut from assembled matrices (dense_part)."""
+
+    def _part(self, rows, cols, joins):
+        key = (rows.tobytes(), cols.tobytes(), joins.tobytes())
+        return key, dense_part(self, rows, cols, joins)
 
 
 def displacement_vs_amplitude(

@@ -9,11 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    DenseParts,
     _assemble_chain,
     apply_onsite_disorder,
     build_chain,
     build_slab,
     dense_levels,
+    dense_part,
     displacement_vs_amplitude,
     pairwise_solve_owners,
     site_symmetry_links,
@@ -250,9 +252,9 @@ def test_parent_sweep_matches_frozen_displacements():
     assert rep.channels == PARENT_CHANNELS
     assert rep.zero_counts[0] == 2
     assert rep.threshold[0] == pytest.approx(4e-6, rel=1e-12)
-    assert rep.displacement_for("x") == pytest.approx(0.152986732101817, rel=1e-9)
-    assert rep.displacement_for("y")[0] < rep.threshold[0]
-    assert rep.displacement_for("z")[0] < rep.threshold[0]
+    assert rep.displacement[0] == pytest.approx(0.152986732101817, rel=1e-9)
+    assert rep.displacement[1, 0] < rep.threshold[0]
+    assert rep.displacement[2, 0] < rep.threshold[0]
     assert list(rep.robust[:, 0]) == [False, True, True]
 
 
@@ -266,13 +268,11 @@ def test_child_sweep_matches_frozen_displacements():
         channels=[("0", "0"), ("x", "x"), ("z", "z"), ("y", "z")],
     )
     assert rep.zero_counts[0] == 4
-    assert rep.displacement_for("00") == pytest.approx(0.17920554018103, rel=1e-9)
-    assert rep.displacement_for("xx") == pytest.approx(0.17920554018103, rel=1e-9)
-    assert rep.displacement_for("zz")[0] < rep.threshold[0]
-    assert rep.displacement_for("yz")[0] < rep.threshold[0]
+    assert rep.displacement[0] == pytest.approx(0.17920554018103, rel=1e-9)
+    assert rep.displacement[1] == pytest.approx(0.17920554018103, rel=1e-9)
+    assert rep.displacement[2, 0] < rep.threshold[0]
+    assert rep.displacement[3, 0] < rep.threshold[0]
     assert list(rep.robust[:, 0]) == [False, False, True, True]
-    with pytest.raises(KeyError):
-        rep.channel_index("0x")
 
 
 def test_sweep_without_zero_modes_reports_nan():
@@ -1076,7 +1076,7 @@ def test_node_classes_split_every_part_up_to_its_tolerance(model, lat, shapes):
             part = fb.assemble(rows, cols, lat)
             term = np.kron(np.eye(n_sites), pb)
             joined = (np.abs(part) > fb.tol) | _support(term)
-            groups = _components(joined, not corner)
+            groups = _components(*np.nonzero(joined), *joined.shape, not corner)
             got.append([ri.shape for ri, _ in groups])
             sizes = [ri.shape[1] for ri, _ in groups]
             assert sizes == sorted(set(sizes), reverse=True), channel_name(channel)
@@ -1105,17 +1105,17 @@ def test_node_classes_need_a_site_term_that_fills_each_corner():
     assert corner
     joined = np.abs(fb.assemble(rows, cols, ChainLattice(5))) > fb.tol
     with pytest.raises(ValueError, match="unequal row and column counts"):
-        _components(joined, False)
+        _components(*np.nonzero(joined), *joined.shape, False)
 
 
 def test_node_classes_of_a_symmetric_part_share_one_node_set():
     # a path 0 - 1 - 2 without diagonal entries stays whole on one node set, while
     # read as a corner its row and column nodes fall into mirror classes of unequal counts
     joined = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    ((ri, ci),) = _components(joined, True)
+    ((ri, ci),) = _components(*np.nonzero(joined), *joined.shape, True)
     assert ri.tolist() == ci.tolist() == [[0, 1, 2]]
     with pytest.raises(ValueError, match="unequal row and column counts"):
-        _components(joined, False)
+        _components(*np.nonzero(joined), *joined.shape, False)
 
 
 def test_canonical_child_solves_halved_blocks(monkeypatch):
@@ -1229,9 +1229,9 @@ def _held_bytes(x, seen):
     ids=["canonical", "generic"],
 )
 def test_block_solver_keeps_no_slab_assembly(model):
-    # a part keeps the groups it cuts from its assembly and drops the assembly: after
-    # channel 00, whose parts are the two t_x s_x sectors, the solver holds at most
-    # about one copy of each assembled part (a generic slab's sectors stay whole)
+    # a part keeps only the groups it cuts from its lattice entries: after channel 00,
+    # whose parts are the two t_x s_x sectors, the solver holds at most about one copy
+    # of each part as an assembled matrix (a generic slab's sectors stay whole)
     lat = SlabLattice(6, 10)
     solver = BlockSolver(model, lat)
     solver.channel(channel_matrix("00"))
@@ -1239,6 +1239,99 @@ def test_block_solver_keeps_no_slab_assembly(model):
     parts = [fb.assemble(rows, cols, lat).nbytes for rows, cols, _ in fb.split(np.eye(4))]
     held = _held_bytes([v for k, v in vars(solver).items() if k != "_blocks"], set())
     assert len(parts) == 2 and held <= 1.1 * sum(parts)
+
+
+class _CheckedParts(BlockSolver):
+    """A BlockSolver that holds each part it cuts against dense_part, byte for byte."""
+
+    def _part(self, rows, cols, joins):
+        key, groups = super()._part(rows, cols, joins)
+        want = dense_part(self, rows, cols, joins)
+        assert len(groups) == len(want)
+        for got_group, want_group in zip(groups, want):
+            for name, got, ref in zip(("stack", "idx", "site", "entry", "free"), got_group, want_group):
+                assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+                assert got.tobytes() == ref.tobytes(), name
+        return key, groups
+
+
+@st.composite
+def _short_ring(draw):
+    """(model, ring) of 2 to 4 periodic sites, on which displacements fold onto one bond."""
+    model, _ = draw(_disordered_system(kinds=("parent", PARALLEL)))
+    parent = isinstance(model, ParentParams)
+    return model, ChainLattice(draw(st.integers(2 if parent else 3, 4)), PERIODIC)
+
+
+# |t| = |Delta| = 0.7: the rotated dead-point blocks carry rounding residues of
+# 1e-32 to 1e-17 where their exact entries vanish
+_DEAD_07 = ParentParams(0.7, 0.7, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=_disordered_system() | _dead_point_system() | _zero_mu_slab_system() | _short_ring(),
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(system=(_DEAD_07, ChainLattice(6)), amplitude=0.6, seed=9)
+@example(system=(ChildSpec(_DEAD_07, replace(_DEAD_07, t=-0.7), PARALLEL), ChainLattice(7)),
+         amplitude=0.6, seed=9)
+@example(system=(ChildSpec(_DEAD_07, _DEAD_07, PERPENDICULAR), SlabLattice(3, 4, PERIODIC, OPEN)),
+         amplitude=0.6, seed=9)
+@example(system=(_canonical_child(), ChainLattice(4, PERIODIC)), amplitude=0.6, seed=9)
+@example(system=(ParentParams(1.0, 0.5, 0.3), ChainLattice(2, PERIODIC)), amplitude=0.6, seed=9)
+def test_parts_cut_from_lattice_entries_match_the_assembled_parts(system, amplitude, seed):
+    # every part's groups, cut from its lattice entries, are the groups that the dense
+    # oracle gathers from the assembled part, and every channel's levels of one draw
+    # are the same bytes
+    model, lat = system
+    solver, dense = _CheckedParts(model, lat), DenseParts(model, lat)
+    v = site_potentials(DisorderSpec("x", amplitude, 1, seed), 0, solver.sites)
+    channels = PARENT_CHANNELS if isinstance(model, ParentParams) else CHILD_CHANNELS
+    for channel in channels:
+        mat = channel_matrix(channel)
+        got, want = solver.channel(mat)(v), dense.channel(mat)(v)
+        assert got.tobytes() == want.tobytes(), channel_name(channel)
+
+
+@pytest.mark.parametrize("bc", [OPEN, PERIODIC])
+def test_block_solver_rejects_a_chain_shorter_than_its_hopping_range(bc):
+    # the child hops by up to two sites, the parent by one
+    for model, L in ((_canonical_child(), 2), (_dead_parent(), 1)):
+        with pytest.raises(ConfigError, match="too short"):
+            BlockSolver(model, ChainLattice(L, bc))
+
+
+@pytest.mark.parametrize(
+    "model, lat",
+    [
+        (_canonical_slab(), SlabLattice(6, 10)),
+        (ChildSpec(ParentParams(1.0, 0.6, 0.3), ParentParams(0.8, 0.5, 0.2), PERPENDICULAR),
+         SlabLattice(6, 10)),
+        (_canonical_child(), ChainLattice(12)),
+    ],
+    ids=["canonical-slab", "generic-slab", "chain"],
+)
+def test_sweep_assembles_no_disorder_part(monkeypatch, model, lat):
+    # disorder parts come from lattice entries: a slab sweep assembles no slab matrix
+    # (the factor-chain corners of its clean spectrum aside), and a chain sweep only
+    # the two L x L corners of split(0) that levels() reads at each of its grid points
+    assembled = []
+    assemble = lattice._assemble
+
+    def counted(blocks, on):
+        h = assemble(blocks, on)
+        assembled.append((on, h.shape))
+        return h
+
+    monkeypatch.setattr(lattice, "_assemble", counted)
+    # the generic slab's corner modes lie within 1e-4 of zero at both grid points
+    rep = robustness_sweep(model, lat, realizations=1, mu_values=[0.0, 0.1], zero_tol=1e-4)
+    assert np.all(rep.zero_counts > 0)
+    assert not any(isinstance(on, SlabLattice) for on, _ in assembled)
+    if isinstance(lat, ChainLattice):
+        assert assembled == [(lat, (lat.L, lat.L))] * 4
 
 
 def test_block_solver_rejects_clean_matrix_without_txsx_symmetry(monkeypatch):
