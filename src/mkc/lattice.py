@@ -22,11 +22,16 @@ is Toeplitz, so persymmetric, and its levels are the |eigenvalues| of the
 symmetric J A (J the reversal), of its two reflection halves when A is
 symmetric too, or the entry moduli of a weighted matching, exactly; a
 periodic corner is circulant, and its levels are the moduli of its symbol
-at the momenta 2 pi n / L.  Chemical potential enters the corners as one
-quadratic pencil, which sweeps evaluate instead of rebuilding the chain.
-A slab is the tensor product of two parent chains and is solved as those
-two chains.
+at the momenta 2 pi n / L (both in mkc.toeplitz).  Chemical potential
+enters the corners as one quadratic pencil A0 + mu (A1 + mu A2), which
+sweeps evaluate instead of rebuilding the chain; an open pencil with
+scalar A0 and A2 and symmetric A1, as one sector of a child of two
+dead-point parents with t1 = t2 at the equal link, is solved once per sweep
+(toeplitz.pencil_levels).  A slab is the tensor product of two parent
+chains and is solved as those two chains.
 """
+
+import functools
 
 import numpy as np
 from dataclasses import dataclass, replace
@@ -44,7 +49,7 @@ from .models import (
     ChildSpec,
     ParentParams,
 )
-from .toeplitz import persymmetric_levels
+from .toeplitz import circulant_levels, pencil_levels, persymmetric_levels
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -185,15 +190,17 @@ def _negligible(a):
 _HX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # s_x eigenvectors, +1 then -1
 
 
+@functools.cache
 def _site_frame(internal):
     """Real site frame of joint symmetry eigenvectors, with their labels.
 
     Returns (frame, q, chirals): frame columns are the new site basis, q
     their t_x s_x eigenvalues (all +1 for the parent, which has no such
-    symmetry) and chirals a list of (name, eigenvalues) per chiral
+    symmetry) and chirals a tuple of (name, eigenvalues) per chiral
     operator.  The child frame pairs the BLOCK_BASIS columns inside each
     t_x s_x eigenspace (columns 0, 1 and 2, 3) into eigenvectors of both
-    chiral operators.
+    chiral operators.  Each frame is built once, on first use, and every
+    _FrameBlocks of its site size shares it, so its arrays are read-only.
     """
     if internal == 2:
         frame, q_op, chirals = _HX, np.eye(2), [("s_x", SX)]
@@ -203,10 +210,14 @@ def _site_frame(internal):
     else:
         raise ConfigError(f"sites must carry 2 or 4 internal components, got {internal}")
 
-    def labels(op):
-        return np.rint(np.diag(frame.T @ op.real @ frame))
+    def fixed(a):
+        a.setflags(write=False)
+        return a
 
-    return frame, labels(q_op), [(name, labels(op)) for name, op in chirals]
+    def labels(op):
+        return fixed(np.rint(np.diag(frame.T @ op.real @ frame)))
+
+    return fixed(frame), labels(q_op), tuple((name, labels(op)) for name, op in chirals)
 
 
 class _FrameBlocks:
@@ -379,26 +390,14 @@ def _corner_levels(corner, bc):
     """Singular values of one chiral corner, in no order: the chain's levels in its sector.
 
     A periodic corner is circulant, since _assemble wraps bond
-    j -> (j + r) mod L with one entry per displacement, so its singular
-    values are the moduli of its symbol sum_d c_d exp(-2 pi i n d / L) over
-    the nonzero entries c_d of its first column (signed displacements d),
-    the levels at momenta 2 pi n / L.  A periodic corner may be given as
-    that first column alone (_FrameBlocks.ring_column), with the same
-    result to the bit.  n and L - n share one modulus: the symbol is
-    evaluated for n = 0 ... floor(L/2) only and n = 1 ... ceil(L/2) - 1 are
-    mirrored, so the k/-k degeneracy is exact.
-
-    An open corner is Toeplitz, so persymmetric, and takes
+    j -> (j + r) mod L with one entry per displacement, and takes
+    toeplitz.circulant_levels of its first column; it may be given as that
+    column alone (_FrameBlocks.ring_column), with the same result to the
+    bit.  An open corner is Toeplitz, so persymmetric, and takes
     toeplitz.persymmetric_levels.
     """
     if bc == PERIODIC:
-        col = corner if corner.ndim == 1 else corner[:, 0]
-        L = len(col)
-        j = np.flatnonzero(col)
-        c, d = col[j], np.where(j > L // 2, j - L, j)
-        theta = np.outer(np.arange(L // 2 + 1), d) * (2 * np.pi / L)
-        f = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c)
-        return np.concatenate([f, f[1 : (L + 1) // 2]])
+        return circulant_levels(corner if corner.ndim == 1 else corner[:, 0])
     return persymmetric_levels(corner)
 
 
@@ -629,24 +628,29 @@ def spectrum_vs_mu(template, mu_grid, link, lat, threads=1):
     (_mu_frames), shared by both boundary conditions: open corners are
     assembled once, periodic ones kept as their first columns
     (_FrameBlocks.ring_column, all that _corner_levels reads of a circulant
-    corner), and each point evaluates the pencil on them.  The points run
-    one after another.  threads is ignored: it stays only because
-    bench/tracer.py binds it, and goes with the next benchmark change.
+    corner).  Each open sector picks its solver once, from its assembled
+    coefficients (toeplitz.pencil_levels): a pencil with A0 = c0 I,
+    A2 = c2 I and symmetric A1, to the bit, takes one eigvalsh of A1 for
+    the whole grid; every other open sector, and every periodic one,
+    evaluates the pencil at each point.  The points run one after another.
+    threads is ignored: it stays only because bench/tracer.py binds it, and
+    goes with the next benchmark change.
     """
     frames = _mu_frames(template, link)
     chain = replace(lat, bc=OPEN)
     opened, rings = [], []
     for parts in zip(*(fb.split(0) for fb in frames)):
         pieces = [(fb, rows, cols) for fb, (rows, cols, _) in zip(frames, parts)]
-        opened.append([fb.assemble(rows, cols, chain) for fb, rows, cols in pieces])
+        opened.append(pencil_levels(*[fb.assemble(rows, cols, chain) for fb, rows, cols in pieces]))
         rings.append([fb.ring_column(rows, cols, lat.L) for fb, rows, cols in pieces])
-    rows = []
-    for mu in np.asarray(mu_grid, dtype=float):
-        row = {"mu": float(mu)}
-        for key, bc, pencil in (("obc", OPEN, opened), ("pbc", PERIODIC, rings)):
-            row[key] = _chain_levels([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in pencil], bc)
-        rows.append(row)
-    return rows
+    return [
+        {
+            "mu": float(mu),
+            "obc": np.sort(np.concatenate([levels(mu) for levels in opened])),
+            "pbc": _chain_levels([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in rings], PERIODIC),
+        }
+        for mu in np.asarray(mu_grid, dtype=float)
+    ]
 
 
 @dataclass

@@ -201,6 +201,9 @@ class SymmetryReport:
 
 
 def _opnorm(a):
+    """The largest spectral norm in the stack a: 0.0, with no SVD, where a is exactly zero."""
+    if not a.any():
+        return 0.0
     return np.linalg.norm(a, ord=2, axis=(-2, -1)).max()
 
 

@@ -1,12 +1,17 @@
-"""Singular values of a real persymmetric matrix, without an SVD.
+"""Singular values of Toeplitz chiral corners and their mu pencils, without an SVD.
 
 An open chain's chiral corner (lattice._corner_levels) is Toeplitz, entry
 c_r on every (j, j + r), and so is each point of a sweep's pencil
 A0 + mu (A1 + mu A2), entry by entry, to the bit.  A Toeplitz A is
 persymmetric, J A J = A^T for the reversal J, so J A is symmetric, and its
-|eigenvalues| are the singular values of A.  It is a module of its own
-because a process compiles each module it imports, and the largest
-module's compile memory sets the peak RSS of a short run.
+|eigenvalues| are the singular values of A (persymmetric_levels).  A sweep
+picks once per open sector how its points are solved (pencil_levels): where
+the pencil is symmetric with scalar A0 and A2, one eigvalsh of A1 serves
+every point.  A periodic corner is circulant, a Toeplitz matrix that wraps,
+and its singular values are the moduli of its symbol (circulant_levels).
+It is a module of its own because a process compiles each module it
+imports, and the largest module's compile memory sets the peak RSS of a
+short run.
 """
 
 import numpy as np
@@ -49,3 +54,41 @@ def persymmetric_levels(a):
         even[m, :m] = even[:m, m] = np.sqrt(2.0) * a[m, :m]
         even[m, m] = a[m, m]
     return np.abs(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(b - cj)]))
+
+
+def pencil_levels(a0, a1, a2):
+    """The function mu -> levels of the open corner a0 + mu (a1 + mu a2), in no order.
+
+    The choice is made once, here.  Where a0 = c0 I and a2 = c2 I and a1 is
+    symmetric, each to the bit, the pencil at every mu is symmetric with
+    eigenvalues c0 + mu (lambda_j + mu c2), lambda_j those of a1, and its
+    levels are their moduli: one eigvalsh per sweep.  A child of two
+    dead-point parents with t1 = t2 at the equal link has one such sector
+    (the second when Delta1 = Delta2) where the frame rotation keeps its
+    zeros exact, as at |t| = 1 or 1.5 (not at 0.7, whose A0 carries
+    residues of 1e-35).  Any other pencil, including one an ulp away from
+    it, takes persymmetric_levels of its value at each mu.
+    """
+    c0, c2 = a0[0, 0], a2[0, 0]
+    eye = np.eye(len(a0))
+    if np.array_equal(a0, c0 * eye) and np.array_equal(a2, c2 * eye) and np.array_equal(a1, a1.T):
+        lam = np.linalg.eigvalsh(a1)
+        return lambda mu: np.abs(c0 + mu * (lam + mu * c2))
+    return lambda mu: persymmetric_levels(a0 + mu * (a1 + mu * a2))
+
+
+def circulant_levels(col):
+    """Singular values of the circulant matrix with first column col, in no order.
+
+    They are the moduli of its symbol sum_d c_d exp(-2 pi i n d / L) over
+    the nonzero entries c_d of col (signed displacements d), the levels at
+    momenta 2 pi n / L.  n and L - n share one modulus: the symbol is
+    evaluated for n = 0 ... floor(L/2) only and n = 1 ... ceil(L/2) - 1 are
+    mirrored, so the k/-k degeneracy is exact.
+    """
+    L = len(col)
+    j = np.flatnonzero(col)
+    c, d = col[j], np.where(j > L // 2, j - L, j)
+    theta = np.outer(np.arange(L // 2 + 1), d) * (2 * np.pi / L)
+    f = np.hypot(np.cos(theta) @ c, np.sin(theta) @ c)
+    return np.concatenate([f, f[1 : (L + 1) // 2]])

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import ast
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tokenize
 from dataclasses import replace
 
 import numpy as np
@@ -375,6 +377,30 @@ def test_cli_import_leaves_the_analytic_library_unloaded():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# CPython's parser doubles its token array at each power of two from 4096
+# tokens, and the benchmark's processes compile every module they import:
+# a module that crosses a step costs about 0.23 MB more compile memory
+_PARSER_STEPS = {"lattice.py": 8192}
+
+
+def test_cli_modules_stay_under_their_parser_token_step():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mkc.cli, sys; print(sorted("
+         "m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'mkc'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    files = ast.literal_eval(proc.stdout)
+    assert any(f.endswith("lattice.py") for f in files)
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    for path in files:
+        with open(path, "rb") as fh:
+            count = sum(t.type not in skipped for t in tokenize.tokenize(fh.readline))
+        step = _PARSER_STEPS.get(os.path.basename(path), 4096)
+        assert count < step, f"{path} holds {count} parser tokens, {step} is the next step"
 
 
 def test_negative_seed_keys_the_stream_with_seed_mod_2_64(tmp_path, capsys):

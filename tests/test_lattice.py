@@ -20,7 +20,7 @@ from dense_reference import (
     whole_corner_potentials,
     zero_basis,
 )
-from mkc import lattice
+from mkc import lattice, toeplitz
 from mkc.boundary import classify_zero_modes, mkc_parallel_majorana_points
 from mkc.disorder import robustness_sweep
 from mkc.errors import ConfigError, NonHermitianError, SymmetryError
@@ -315,6 +315,15 @@ def test_corner_levels_match_corner_svd(p1, p2, child, bc, L):
         assert lattice._corner_levels(corner[:, 0].copy(), PERIODIC).tobytes() == got.tobytes()
 
 
+def test_frame_blocks_share_one_read_only_frame_per_site_size():
+    for spec in (_GENERIC, ChildSpec(_GENERIC, _HALF_DEAD, PARALLEL)):
+        a, b = (lattice._FrameBlocks(chain_hopping_blocks(spec)) for _ in range(2))
+        assert a.frame is b.frame and a.q is b.q and a.chirals is b.chirals
+        for labels in (a.frame, a.q, *(s for _, s in a.chirals)):
+            with pytest.raises(ValueError, match="read-only"):
+                labels[0] = 1.0
+
+
 def test_open_corner_levels_need_a_persymmetric_corner():
     # eigvalsh reads one triangle of J A, so a corner that is not persymmetric
     # to the bit raises instead of returning levels of another matrix
@@ -328,21 +337,46 @@ def test_open_corner_levels_need_a_persymmetric_corner():
             lattice._corner_levels(corner, OPEN)
 
 
+# |t| of a sweep's dead-point parents: at 1 and 1.5 the frame rotation keeps
+# every zero exact, so at the equal link a child with t1 = t2 has one sector
+# that is a symmetric pencil with scalar A0 and A2, solved once per sweep;
+# 0.7 leaves rounding residues in A0, and its sectors are solved at every point
+_SWEEP_DEAD = (1.0, 1.5, 0.7)
+
+
 @st.composite
 def _sweep_case(draw):
-    """(template, link, lattice, grid): L down to the minimum, grid through mu = +-2t."""
-    p1 = draw(_parent())
-    template = p1 if draw(st.booleans()) else ChildSpec(p1, draw(_parent()), PARALLEL)
+    """(template, link, lattice, grid): L down to the minimum, grid through mu = +-2t.
+
+    Half the templates are children of two dead-point parents of one |t|
+    from _SWEEP_DEAD, with independent signs, and half the links are equal.
+    """
+    kind = draw(st.sampled_from(["parent", "child", "dead", "dead"]))
+    if kind == "dead":
+        t = draw(st.sampled_from(_SWEEP_DEAD))
+        p1, p2 = (ParentParams(draw(_sign) * t, draw(_sign) * t, 0.0) for _ in range(2))
+    else:
+        p1, p2 = draw(_parent()), draw(_parent())
+    template = p1 if kind == "parent" else ChildSpec(p1, p2, PARALLEL)
     child = isinstance(template, ChildSpec)
-    link = draw(st.sampled_from([LINK_EQUAL, "opposite", "fixed"]))
+    link = draw(st.sampled_from([LINK_EQUAL, LINK_EQUAL, "opposite", "fixed"]))
     lat = ChainLattice(draw(st.integers(3 if child else 2, 12)), OPEN)
     ts = (p1.t, template.p2.t) if child else (p1.t,)
     grid = [draw(st.floats(-3.0, 3.0))] + [s * 2.0 * t for t in ts for s in (-1.0, 1.0)]
     return template, link, lat, grid
 
 
-@settings(max_examples=100, deadline=None)
+_DEAD = ParentParams(1.0, 1.0, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
 @given(case=_sweep_case())
+@example((ChildSpec(_DEAD, _DEAD, PARALLEL), LINK_EQUAL, ChainLattice(7), [0.3, -2.0, 2.0]))
+@example((ChildSpec(_DEAD, _DEAD, PARALLEL), LINK_EQUAL, ChainLattice(8), [0.3, -2.0, 2.0]))
+@example((
+    ChildSpec(ParentParams(0.7, 0.7, 0.0), ParentParams(0.7, 0.7, 0.0), PARALLEL),
+    LINK_EQUAL, ChainLattice(8), [0.3, -1.4, 1.4],
+))
 def test_spectrum_vs_mu_matches_dense(case):
     template, link, lat, grid = case
     rows = spectrum_vs_mu(template, grid, link, lat)
@@ -388,6 +422,77 @@ def test_spectrum_vs_mu_builds_one_frame_per_coefficient(monkeypatch):
     assert len(rows) == 11
     assert built == [5, 5, 5]
     assert assembled == [OPEN] * 6
+
+
+def _sector_pencils(template, L):
+    """[(A0, A1, A2)]: the open sweep pencil of each t_x s_x sector, as spectrum_vs_mu builds it."""
+    frames = lattice._mu_frames(template, LINK_EQUAL)
+    lat = ChainLattice(L)
+    return [
+        tuple(fb.assemble(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
+        for parts in zip(*(fb.split(0) for fb in frames))
+    ]
+
+
+@pytest.mark.parametrize(
+    "template, L, points, calls",
+    [
+        # the canonical child: its first sector takes one eigvalsh per point
+        # except mu = 0 (a weighted matching), its second one for the sweep
+        (ChildSpec(_DEAD, _DEAD, PARALLEL), 80, 11, 11),
+        (ChildSpec(_DEAD, _DEAD, PARALLEL), 80, 201, 201),
+        # a generic equal-parent child: one call plus two reflection halves per point
+        (ChildSpec(_GENERIC, _GENERIC, PARALLEL), 12, 11, 33),
+    ],
+)
+def test_sweep_eigvalsh_calls(template, L, points, calls):
+    grid = np.linspace(-3.0, 3.0, points)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        rows = spectrum_vs_mu(template, grid, LINK_EQUAL, ChainLattice(L))
+    assert eigvalsh.call_count == calls
+    for row in rows[:: max(points // 11, 1)]:
+        spec = lattice._with_mu(template, row["mu"], LINK_EQUAL)
+        dense = dense_levels(build_chain(spec, ChainLattice(L)))
+        assert np.abs(_signed(row["obc"]) - dense).max() < 1e-12 * np.abs(dense).max()
+
+
+def _ulp_off_symmetric(a0, a1, a2):
+    # one entry and its persymmetric partner, so the pencil stays Toeplitz
+    a1 = a1.copy()
+    a1[0, 1] = a1[-2, -1] = np.nextafter(a1[0, 1], 0.0)
+    return a0, a1, a2
+
+
+def _ulp_off_scalar(a0, a1, a2):
+    a0 = a0.copy()
+    a0[0, 0] = a0[-1, -1] = np.nextafter(a0[0, 0], 0.0)
+    return a0, a1, a2
+
+
+@pytest.mark.parametrize("miss", [_ulp_off_symmetric, _ulp_off_scalar])
+@pytest.mark.parametrize("L", [7, 8])
+def test_near_symmetric_pencils_keep_the_per_point_path(miss, L):
+    # the canonical child's second sector is a symmetric pencil with scalar
+    # A0 and A2, solved by one eigvalsh; an ulp off either, at every point
+    exact = _sector_pencils(ChildSpec(_DEAD, _DEAD, PARALLEL), L)[1]
+    grid = np.linspace(-3.0, 3.0, 11)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        levels = toeplitz.pencil_levels(*exact)
+        assert [levels(mu).size for mu in grid] == [L] * grid.size
+    assert eigvalsh.call_count == 1
+    a0, a1, a2 = pencil = miss(*exact)
+    spy = mock.patch.object(toeplitz, "persymmetric_levels", wraps=toeplitz.persymmetric_levels)
+    with spy as per_point, mock.patch.object(
+        np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh
+    ) as eigvalsh:
+        levels = toeplitz.pencil_levels(*pencil)
+        got = [np.sort(levels(mu))[::-1] for mu in grid]
+    assert per_point.call_count == grid.size
+    # one or two calls a point, none at mu = 0, where A0 is diagonal (a weighted matching)
+    assert eigvalsh.call_count >= grid.size - 1
+    for mu, g in zip(grid, got):
+        want = np.linalg.svd(a0 + mu * (a1 + mu * a2), compute_uv=False)
+        assert np.abs(g - want).max() <= 1e-13 * want[0]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 """Momentum-space Hamiltonians: closed forms, degeneracies, symmetries."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,17 @@ def test_symmetry_residuals_vanish():
         assert set(rep.residuals) == {"T", "P1", "C1", "P2", "C2", "U"}
         for name, res in rep.residuals.items():
             assert res < 1e-12, f"{name} residual {res:.3e}"
+
+
+def test_exactly_vanishing_residuals_take_no_svd():
+    # C1, C2 and U hold exactly on the README's child: their stacks are
+    # zero, and only T, P1 and P2 take the stacked spectral norm
+    spec = ChildSpec(ParentParams(1.0, 1.0, 0.3), ParentParams(1.0, 1.0, 0.9), PARALLEL)
+    with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+        rep = symmetry_check(spec, KGRID)
+    assert norm.call_count == 3
+    assert [rep.residuals[name] for name in ("C1", "C2", "U")] == [0.0, 0.0, 0.0]
+    assert min(rep.residuals[name] for name in ("T", "P1", "P2")) > 0.0
 
 
 def test_block_diagonalization_reproduces_components():
