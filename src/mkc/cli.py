@@ -27,16 +27,24 @@ _TEXT = {float: "%.17g".__mod__, int: str, str: str}
 def _column_text(cell, ranges):
     """The text of each value of one column cell, as _format_value gives it.
 
-    A ChiralLevels column formats each magnitude once with %.17g and
-    writes its negative as "-" + that text.  A range is formatted once per
-    ranges dict, which the blocks of one render share.  A list of one
-    exact type in _TEXT is mapped through its function, any other list
-    through _format_value.
+    A ChiralLevels column formats each run of equal magnitudes (they
+    ascend, and ring levels pair) once with %.17g, and its negative as "-"
+    + that text (nan for a NaN).  A range is formatted once per ranges dict, which the
+    blocks of one render share.  A list of one exact type in _TEXT is
+    mapped through its function, any other list through _format_value.
     """
     if isinstance(cell, ChiralLevels):
+        fmt, pos, neg = _TEXT[float], [], []
+        last = text = minus = None
         # the positives are never more than the negatives
-        text = list(map(_TEXT[float], cell.magnitudes[: cell.negatives]))
-        return [*map("-".__add__, reversed(text)), *text[: cell.positives]]
+        for v in cell.magnitudes[: cell.negatives]:
+            if v != last:
+                last, text = v, fmt(v)
+                minus = "-" + text if v == v else text
+            pos.append(text)
+            neg.append(minus)
+        neg.reverse()
+        return neg + pos[: cell.positives]
     if isinstance(cell, range):
         if cell not in ranges:
             ranges[cell] = list(map(str, cell))

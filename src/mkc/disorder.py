@@ -178,11 +178,11 @@ class BlockSolver:
     def levels(self):
         """Ascending |E| of the clean chain, one per +-E pair (lattice.chain_levels).
 
-        They are read from the chiral corners of split(0), assembled for
-        this call only; chains only.
+        They are read from the chiral corners of split(0), built for this
+        call only (_FrameBlocks.corner); chains only.
         """
         fb = self._blocks
-        corners = [fb.assemble(rows, cols, self._lat) for rows, cols, _ in fb.split(0)]
+        corners = [fb.corner(rows, cols, self._lat) for rows, cols, _ in fb.split(0)]
         return _chain_levels(corners, self._lat.bc)
 
     def _part(self, rows, cols, joins):

@@ -17,18 +17,18 @@ each corner's quantization pencil, so the sign-mixed child solves the
 sector of its zeros as its two sublattices.  In that frame a chain splits
 into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
 spectrum comes from the singular values of the real L x L corners A and
-its eigenvectors from their SVD.  No level takes an SVD: an open corner
-is Toeplitz, so persymmetric, and its levels are the |eigenvalues| of the
-symmetric J A (J the reversal), of its two reflection halves when A is
-symmetric too, or the entry moduli of a weighted matching, exactly; a
-periodic corner is circulant, and its levels are the moduli of its symbol
-at the momenta 2 pi n / L (both in mkc.toeplitz).  Chemical potential
-enters the corners as one quadratic pencil A0 + mu (A1 + mu A2), which
-sweeps evaluate instead of rebuilding the chain; an open pencil with
-scalar A0 and A2 and symmetric A1, as one sector of a child of two
-dead-point parents with t1 = t2 at the equal link, is solved once per sweep
-(toeplitz.pencil_levels).  A slab is the tensor product of two parent
-chains and is solved as those two chains.
+its eigenvectors from their SVD.  A corner is built diagonal by diagonal
+(_FrameBlocks.corner).  No level takes an SVD: an open corner is Toeplitz, so persymmetric, and its levels
+are the |eigenvalues| of the symmetric J A (J the reversal), of its two
+reflection halves when A is symmetric too, or the entry moduli of a
+weighted matching, exactly; a periodic corner is circulant, and its levels
+are the moduli of its symbol at the momenta 2 pi n / L (both in
+mkc.toeplitz).  Chemical potential enters the corners as one quadratic
+pencil A0 + mu (A1 + mu A2), which sweeps evaluate instead of rebuilding
+the chain; an open pencil with scalar A0 and A2 and tridiagonal Toeplitz
+A1, as one sector of a child of two dead-point parents with t1 = t2 at the
+equal link, takes closed-form levels (toeplitz.pencil_levels).  A slab is the tensor product of two
+parent chains and is solved as those two chains.
 """
 
 import functools
@@ -105,22 +105,6 @@ def _bonds(lat, r):
         raise ConfigError(f"chain of length {lat.L} too short for range-{abs(r)} hopping")
     j = np.arange(lat.L) if lat.bc == PERIODIC else np.arange(max(-r, 0), lat.L - max(r, 0))
     return j, (j + r) % lat.L
-
-
-def _assemble(blocks, lat):
-    """Lattice matrix of {r: block} hopping blocks, in their dtype.
-
-    The block of displacement r sits on every (site j, site j + r) position
-    of _bonds, internal index minor; periodic bonds that fold onto the same
-    position accumulate.
-    """
-    sites = lat.Lx * lat.Ly if isinstance(lat, SlabLattice) else lat.L
-    rows, cols = next(iter(blocks.values())).shape
-    h = np.zeros((sites, rows, sites, cols), dtype=np.result_type(*blocks.values()))
-    for r, blk in blocks.items():
-        i, j = _bonds(lat, r)
-        h[i, :, j, :] += blk
-    return h.reshape(sites * rows, sites * cols)
 
 
 def _factor_blocks(p, sign):
@@ -230,9 +214,9 @@ class _FrameBlocks:
     symmetry on the rotated blocks.  Both checks allow SYMMETRY_TOL x
     scale, the scale being max(norm of all blocks, 1).  Keys are chain
     displacements r or slab displacements (rx, ry).  split() picks the
-    blocks every solver works on, and assemble() gives one as a lattice
-    matrix; disorder._site_symmetries searches them, within tol, for the
-    site-local symmetries that pair disorder channels.
+    blocks every solver works on, and corner() gives a chain's chiral
+    corner as an L x L matrix; disorder._site_symmetries searches them,
+    within tol, for the site-local symmetries that pair disorder channels.
     """
 
     def __init__(self, blocks):
@@ -290,23 +274,41 @@ class _FrameBlocks:
             out.append((rows, cols, corner))
         return out
 
-    def assemble(self, rows, cols, lat):
-        """The lattice matrix of the rotated blocks restricted to frame rows x cols."""
-        return _assemble({r: b[np.ix_(rows, cols)] for r, b in self.rotated.items()}, lat)
+    def entry(self, rows, cols):
+        """{r: rotated[r][i, j]} for the one frame column i of rows and j of cols."""
+        i, j = rows.argmax(), cols.argmax()
+        return {r: b[i, j] for r, b in self.rotated.items()}
+
+    def corner(self, rows, cols, lat):
+        """The L x L matrix of the single frame entry rows x cols on the chain lat.
+
+        Bond r puts its entry on the diagonal (j, j + r), which a ring folds
+        onto the diagonals r mod L and r mod L - L; entries on one position
+        add up from 0.0 in dict order, as on _bonds.  ConfigError for a
+        chain of at most |r| sites.
+        """
+        L = lat.L
+        a = np.zeros(L * L)
+        for r, v in self.entry(rows, cols).items():
+            if L <= abs(r):
+                raise ConfigError(f"chain of length {L} too short for range-{abs(r)} hopping")
+            if not v:
+                continue  # a sum from 0.0 never holds -0.0, so +-0.0 adds nothing
+            for d in (r % L, r % L - L) if lat.bc == PERIODIC else (r,):
+                a[max(d, -d * L) :: L + 1][: L - abs(d)] += v
+        return a.reshape(L, L)
 
     def ring_column(self, rows, cols, L):
-        """The first column of assemble(rows, cols, lat) on a periodic chain of L sites.
+        """The first column of corner(rows, cols, lat) on a periodic chain of L sites.
 
-        rows x cols picks one frame entry, as a chain's chiral corner does.
         The corner is circulant and the matrix is never built: bond r puts
         its entry on row -r mod L, and bonds that fold onto one row
-        accumulate in the order assemble() adds them, so the column is
+        accumulate in the order corner() adds them, so the column is
         bitwise the matrix's.
         """
-        (i,), (j,) = np.flatnonzero(rows), np.flatnonzero(cols)
         col = np.zeros(L)
-        for r, b in self.rotated.items():
-            col[-r % L] += b[i, j]
+        for r, v in self.entry(rows, cols).items():
+            col[-r % L] += v
         return col
 
 
@@ -361,7 +363,7 @@ def _chiral_corners(blocks, lat):
     """
     fb = _FrameBlocks(blocks)
     return [
-        (fb.assemble(plus, minus, lat), fb.frame[:, plus], fb.frame[:, minus])
+        (fb.corner(plus, minus, lat), fb.frame[:, plus], fb.frame[:, minus])
         for plus, minus, _ in fb.split(0)
     ]
 
@@ -389,7 +391,7 @@ def _chiral_eigenpairs(blocks, lat):
 def _corner_levels(corner, bc):
     """Singular values of one chiral corner, in no order: the chain's levels in its sector.
 
-    A periodic corner is circulant, since _assemble wraps bond
+    A periodic corner is circulant, since _FrameBlocks.corner wraps bond
     j -> (j + r) mod L with one entry per displacement, and takes
     toeplitz.circulant_levels of its first column; it may be given as that
     column alone (_FrameBlocks.ring_column), with the same result to the
@@ -532,7 +534,7 @@ def _pencil_pieces(child, L):
     frames = _mu_frames(child, LINK_EQUAL, terms=2, L=L)
     out = []
     for parts in zip(*(fb.split(0) for fb in frames)):
-        a0, a1 = (fb.assemble(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
+        a0, a1 = (fb.corner(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
         joined = (np.abs(a0) > frames[0].tol) | (np.abs(a1) > frames[1].tol) | np.eye(L, dtype=bool)
         out.append([
             (ri, a0[ri[:, :, None], ri[:, None, :]], a1[ri[:, :, None], ri[:, None, :]])
@@ -626,22 +628,21 @@ def spectrum_vs_mu(template, mu_grid, link, lat, threads=1):
     -levels[::-1] then levels).  Each chiral corner is the pencil
     A0 + mu (A1 + mu A2) of one _FrameBlocks per mu coefficient
     (_mu_frames), shared by both boundary conditions: open corners are
-    assembled once, periodic ones kept as their first columns
+    built once, periodic ones kept as their first columns
     (_FrameBlocks.ring_column, all that _corner_levels reads of a circulant
-    corner).  Each open sector picks its solver once, from its assembled
-    coefficients (toeplitz.pencil_levels): a pencil with A0 = c0 I,
-    A2 = c2 I and symmetric A1, to the bit, takes one eigvalsh of A1 for
-    the whole grid; every other open sector, and every periodic one,
-    evaluates the pencil at each point.  The points run one after another.
-    threads is ignored: it stays only because bench/tracer.py binds it, and
-    goes with the next benchmark change.
+    corner).  Each open sector picks its solver once, from its coefficients
+    (toeplitz.pencil_levels): closed-form levels where A0 and A2 are scalar
+    and A1 tridiagonal Toeplitz, else the pencil at each point, as for every
+    periodic sector.  The points run one
+    after another.  threads is ignored: it stays only because
+    bench/tracer.py binds it, and goes with the next benchmark change.
     """
     frames = _mu_frames(template, link)
     chain = replace(lat, bc=OPEN)
     opened, rings = [], []
     for parts in zip(*(fb.split(0) for fb in frames)):
         pieces = [(fb, rows, cols) for fb, (rows, cols, _) in zip(frames, parts)]
-        opened.append(pencil_levels(*[fb.assemble(rows, cols, chain) for fb, rows, cols in pieces]))
+        opened.append(pencil_levels(*[fb.corner(rows, cols, chain) for fb, rows, cols in pieces]))
         rings.append([fb.ring_column(rows, cols, lat.L) for fb, rows, cols in pieces])
     return [
         {

@@ -48,8 +48,8 @@ def part_groups(folds, sites, tol, rows, cols, joins):
     (in the order of np.nonzero(joins)) at the flat indices idx of that
     stack.  free[e] is True where the group is a corner whose classes are
     trees and its e-th nonzero sits only on clean zeros.  The blocks of a
-    fold add up from 0.0 in dict order, as lattice._assemble adds them, so
-    every entry and stack is bitwise the assembled part's.
+    fold add up from 0.0 in dict order, as dense_reference.assemble_frame
+    adds them, so every entry and stack is bitwise the assembled part's.
     """
     blocks, fold, (f, i, j) = folds
     nr, nc = np.count_nonzero(rows), np.count_nonzero(cols)

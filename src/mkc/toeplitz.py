@@ -5,11 +5,10 @@ c_r on every (j, j + r), and so is each point of a sweep's pencil
 A0 + mu (A1 + mu A2), entry by entry, to the bit.  A Toeplitz A is
 persymmetric, J A J = A^T for the reversal J, so J A is symmetric, and its
 |eigenvalues| are the singular values of A (persymmetric_levels).  A sweep
-picks once per open sector how its points are solved (pencil_levels): where
-the pencil is symmetric with scalar A0 and A2, one eigvalsh of A1 serves
-every point.  A periodic corner is circulant, a Toeplitz matrix that wraps,
-and its singular values are the moduli of its symbol (circulant_levels).
-It is a module of its own because a process compiles each module it
+picks once per open sector how its points are solved (pencil_levels): a
+closed form where it can.  A periodic corner is circulant, a Toeplitz
+matrix that wraps, and its singular values are the moduli of its symbol
+(circulant_levels).  It is a module of its own because a process compiles each module it
 imports, and the largest module's compile memory sets the peak RSS of a
 short run.
 """
@@ -18,12 +17,14 @@ import numpy as np
 
 from .errors import SymmetryError
 
+_CUT = np.finfo(float).eps ** 2
+
 
 def persymmetric_levels(a):
     """Singular values of the persymmetric square matrix a, in no order.
 
-    J a must be symmetric to the bit (SymmetryError): eigvalsh reads one
-    triangle only.  A matrix with at most one nonzero per row and column,
+    J a, once cut (below), must be symmetric to the bit (SymmetryError):
+    eigvalsh reads one triangle only.  A matrix with at most one nonzero per row and column,
     as an open corner at Kitaev's dead point t = Delta = 1, is a weighted
     matching: its levels are the moduli of its entries and exact zeros.  A
     symmetric a, as the second t_x s_x sector of a child of equal parents
@@ -32,8 +33,15 @@ def persymmetric_levels(a):
     reflection halves B + C J and B - C J, the middle row of odd L joining
     the first half with weights sqrt(2) (Cantoni & Butler, Linear Algebra
     Appl. 13 (1976) 275).  Otherwise they are |eigvalsh(J a)|.
+
+    Entries below _CUT = eps^2 of the largest modulus are cut to zero
+    first, as eigvalsh can miss a level by far more than rounding when they
+    span many orders of magnitude (4, mu and mu^2 at mu = 1e-80); the cut
+    moves a level by about L eps^2 of the largest at most.
     """
     L = len(a)
+    mag = np.abs(a)
+    a = np.where(mag < _CUT * mag.max(), 0.0, a)
     flipped = a[::-1]
     # M - M^T is antisymmetric: its largest entry is 0 exactly when it vanishes
     # (a NaN fails), and positive otherwise
@@ -56,23 +64,33 @@ def persymmetric_levels(a):
     return np.abs(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(b - cj)]))
 
 
+def _tridiagonal(a):
+    """(d, e) where a = d I + e (N + N^T) to the bit, N the shift, else None."""
+    diag, off = np.diagonal(a), np.diagonal(a, 1)
+    d, e = diag[0], off[0] if off.size else 0.0
+    fits = (diag == d).all() and (off == e).all() and (np.diagonal(a, -1) == e).all()
+    if fits and np.count_nonzero(a) == np.count_nonzero(diag) + 2 * np.count_nonzero(off):
+        return d, e
+    return None
+
+
 def pencil_levels(a0, a1, a2):
     """The function mu -> levels of the open corner a0 + mu (a1 + mu a2), in no order.
 
-    The choice is made once, here.  Where a0 = c0 I and a2 = c2 I and a1 is
-    symmetric, each to the bit, the pencil at every mu is symmetric with
-    eigenvalues c0 + mu (lambda_j + mu c2), lambda_j those of a1, and its
-    levels are their moduli: one eigvalsh per sweep.  A child of two
-    dead-point parents with t1 = t2 at the equal link has one such sector
-    (the second when Delta1 = Delta2) where the frame rotation keeps its
-    zeros exact, as at |t| = 1 or 1.5 (not at 0.7, whose A0 carries
-    residues of 1e-35).  Any other pencil, including one an ulp away from
-    it, takes persymmetric_levels of its value at each mu.
+    The choice is made once, here.  Where a0 = c0 I, a2 = c2 I and
+    a1 = a I + b (N + N^T), each to the bit (_tridiagonal), the levels are
+    |c0 + mu (lambda_k + mu c2)| with lambda_k = a + 2 b cos(k pi / (L + 1))
+    the eigenvalues of a1 (Noschese, Pasquini & Reichel, Numer. Linear
+    Algebra Appl. 20 (2013) 302).  A child of two dead-point parents with
+    t1 = t2 at the equal link has one such sector where the frame rotation
+    keeps its zeros exact, as at |t| = 1 or 1.5 (not 0.7).  Any other
+    pencil takes persymmetric_levels at each mu.
     """
-    c0, c2 = a0[0, 0], a2[0, 0]
-    eye = np.eye(len(a0))
-    if np.array_equal(a0, c0 * eye) and np.array_equal(a2, c2 * eye) and np.array_equal(a1, a1.T):
-        lam = np.linalg.eigvalsh(a1)
+    forms = [_tridiagonal(m) for m in (a0, a1, a2)]
+    if None not in forms and forms[0][1] == forms[2][1] == 0.0:
+        (c0, _), (a, b), (c2, _) = forms
+        L = len(a1)
+        lam = a + 2.0 * b * np.cos(np.arange(1, L + 1) * (np.pi / (L + 1)))
         return lambda mu: np.abs(c0 + mu * (lam + mu * c2))
     return lambda mu: persymmetric_levels(a0 + mu * (a1 + mu * a2))
 

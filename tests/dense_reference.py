@@ -86,6 +86,7 @@ from mkc.lattice import (
     _components,
     _distinct,
     _levels,
+    _bonds,
     _mu_coefficients,
     _negligible,
     _zero_tol,
@@ -129,6 +130,25 @@ def _assemble_chain(blocks, L, bc):
     for r, blk in blocks.items():
         h += np.kron(_shift(L, r, bc), blk)
     return h
+
+
+def assemble_frame(fb, rows, cols, lat):
+    """The lattice matrix of the rotated blocks of fb restricted to frame rows x cols.
+
+    The block of displacement r sits on every (site j, site j + r) position
+    of lattice._bonds, internal index minor; periodic bonds that fold onto
+    the same position accumulate, from 0.0 in dict order.  mkc builds only
+    single-entry chain corners, diagonal by diagonal (_FrameBlocks.corner),
+    and cuts the larger parts of slabs from their lattice entries
+    (mkc.parts); this assembles any part of a chain or slab.
+    """
+    sites = lat.Lx * lat.Ly if isinstance(lat, SlabLattice) else lat.L
+    nr, nc = np.count_nonzero(rows), np.count_nonzero(cols)
+    h = np.zeros((sites, nr, sites, nc))
+    for r, blk in fb.rotated.items():
+        i, j = _bonds(lat, r)
+        h[i, :, j, :] += blk[np.ix_(rows, cols)]
+    return h.reshape(sites * nr, sites * nc)
 
 
 def build_chain(spec, lat):
@@ -274,9 +294,15 @@ def dense_levels(h):
     Not np.linalg.eigvalsh: with OpenBLAS 0.3.31 its eigenvalue-only path
     returns 1.98442969 for the level 1.984375 of the complex flat-band
     parent t = Delta = -0.9921875, mu = 8.6e-161 on 3 open sites, while
-    eigh is exact to rounding there.
+    eigh is exact to rounding there.  eigh itself raises "Eigenvalues did
+    not converge" from the lower triangle of some matrices (the open 6x6
+    slab of _UNCONVERGED_SLAB in tests/test_disorder.py), whose upper
+    triangle converges to the same spectrum, so it retries from that one.
     """
-    return np.linalg.eigh(h)[0]
+    try:
+        return np.linalg.eigh(h)[0]
+    except np.linalg.LinAlgError:
+        return np.linalg.eigh(h, UPLO="U")[0]
 
 
 def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
@@ -336,11 +362,11 @@ def dense_part(solver, rows, cols, joins):
     """The class groups of disorder.BlockSolver._part, cut from the assembled clean part.
 
     The part rows x cols is assembled as one (L nr) x (L nc) matrix
-    (_FrameBlocks.assemble); its graph is |clean| > tol plus the site-term
+    (assemble_frame); its graph is |clean| > tol plus the site-term
     positions of joins, cut by lattice._components, and each group's stack
     is gathered from the matrix.  Returns [(clean, idx, site, entry, free)].
     """
-    clean = solver._blocks.assemble(rows, cols, solver._lat)
+    clean = assemble_frame(solver._blocks, rows, cols, solver._lat)
     nr, nc = clean.shape[0] // solver.sites, clean.shape[1] // solver.sites
     a, b = np.nonzero(joins)
     site = np.repeat(np.arange(solver.sites), a.size)

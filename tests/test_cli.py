@@ -40,7 +40,7 @@ from mkc.boundary import (
 from mkc.cli import main
 from mkc.config import TASKS, parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
-from mkc.lattice import ChainLattice, SlabLattice
+from mkc.lattice import PERIODIC, ChainLattice, SlabLattice, chain_levels
 from mkc.models import (
     PAULI,
     PARALLEL,
@@ -207,6 +207,29 @@ def test_render_csv_blocks_match_per_cell_format():
         "\n0,-0.5,%\n1,-0,%\n2,0,%"
         "\n0,-1e-300,1\n1,1e-300,2\n"
     )
+
+
+def test_level_runs_render_the_per_cell_bytes():
+    # a ChiralLevels column formats each run of equal magnitudes once, with its
+    # negative: exact zeros, ties, doubled ring levels, NaNs (whose negative
+    # prints as nan) and n-modes cuts through a run
+    cfg = parse_config(PARENT_SPECTRUM)
+    third = 1.0 / 3.0
+    m = np.array([0.0, 0.0, 0.0, 0.25, 0.25, third, third, third, 2.0, np.nan, np.nan])
+    ring = chain_levels(ChildSpec(ParentParams(1.0, 0.6, 0.4), ParentParams(0.8, 1.1, -0.3), PARALLEL),
+                        ChainLattice(8, PERIODIC))
+    assert np.any(ring[1:] == ring[:-1])
+    rows = Rows()
+    for n_modes in (None, 1, 2, 5, 6, 7, 8, 9, 16, 30):
+        levels = ChiralLevels(m, n_modes)
+        rows.add(n_modes, range(len(levels)), levels)
+    rows.add("ring", range(2 * ring.size), ChiralLevels(ring), 0.5)
+    rows.add("nan", range(2), ChiralLevels(np.array([np.nan])))
+    payload = {"columns": ["a", "b", "c", "d"], "rows": rows}
+    _check_writers(cfg, payload)
+    text = _csv(cfg, rows, payload["columns"])
+    # two NaN pairs in each of the two uncut columns of m, one in the last block
+    assert "-nan" not in text and text.count(",nan\n") == 4 + 4 + 2
 
 
 def test_rows_index_returns_a_live_row_and_rejects_ragged_blocks():

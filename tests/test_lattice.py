@@ -1,5 +1,6 @@
 """Chiral-corner chain solver against dense references, and parameter sweeps."""
 
+import itertools
 from dataclasses import replace
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    assemble_frame,
     build_chain,
     build_slab,
     classify_with,
@@ -295,7 +297,7 @@ def test_corner_levels_match_corner_svd(p1, p2, child, bc, L):
     lat = ChainLattice(L, bc)
     fb = lattice._FrameBlocks(blocks)
     for rows, cols, _ in fb.split(0):
-        corner = fb.assemble(rows, cols, lat)
+        corner = fb.corner(rows, cols, lat)
         want = np.linalg.svd(corner, compute_uv=False)
         got = lattice._corner_levels(corner, bc)
         assert np.abs(np.sort(got)[::-1] - want).max() <= 1e-13 * max(want[0], 1.0)
@@ -377,6 +379,16 @@ _DEAD = ParentParams(1.0, 1.0, 0.0)
     ChildSpec(ParentParams(0.7, 0.7, 0.0), ParentParams(0.7, 0.7, 0.0), PARALLEL),
     LINK_EQUAL, ChainLattice(8), [0.3, -1.4, 1.4],
 ))
+# tiny mu, where eigvalsh of the uncut corner missed levels by up to 6.5e-10 of the scale
+@example((
+    ChildSpec(ParentParams(-1.0, -1.0, 0.0), ParentParams(-1.0, -1.0, 0.0), PARALLEL),
+    LINK_EQUAL, ChainLattice(5), [2.4791031084876842e-79, 2.0, -2.0, 2.0, -2.0],
+))
+@example((ChildSpec(_DEAD, _DEAD, PARALLEL), LINK_EQUAL, ChainLattice(9), [3.449235e-42, -2.0, 2.0]))
+@example((
+    ChildSpec(ParentParams(-1.0, -1.0, 0.0), ParentParams(-1.0, -1.0, 0.0), PARALLEL),
+    "fixed", ChainLattice(4), [4.3559057294848846e-161, 2.0, -2.0, 2.0, -2.0],
+))
 def test_spectrum_vs_mu_matches_dense(case):
     template, link, lat, grid = case
     rows = spectrum_vs_mu(template, grid, link, lat)
@@ -392,7 +404,7 @@ def test_spectrum_vs_mu_matches_dense(case):
     frames = lattice._mu_frames(template, link)
     ring = replace(lat, bc=PERIODIC)
     whole = [
-        [fb.assemble(rows, cols, ring) for fb, (rows, cols, _) in zip(frames, parts)]
+        [fb.corner(rows, cols, ring) for fb, (rows, cols, _) in zip(frames, parts)]
         for parts in zip(*(fb.split(0) for fb in frames))
     ]
     for row in rows:
@@ -403,20 +415,20 @@ def test_spectrum_vs_mu_matches_dense(case):
 
 def test_spectrum_vs_mu_builds_one_frame_per_coefficient(monkeypatch):
     # three frames for the three mu coefficients, shared by both boundary
-    # conditions, and only open corners assembled: periodic ones stay columns
+    # conditions, and only open corners built: periodic ones stay columns
     built, assembled = [], []
-    init, assemble = lattice._FrameBlocks.__init__, lattice._assemble
+    init, corner = lattice._FrameBlocks.__init__, lattice._FrameBlocks.corner
 
     def counted_init(self, blocks):
         built.append(len(blocks))
         init(self, blocks)
 
-    def counted_assemble(blocks, lat):
+    def counted_corner(self, rows, cols, lat):
         assembled.append(lat.bc)
-        return assemble(blocks, lat)
+        return corner(self, rows, cols, lat)
 
     monkeypatch.setattr(lattice._FrameBlocks, "__init__", counted_init)
-    monkeypatch.setattr(lattice, "_assemble", counted_assemble)
+    monkeypatch.setattr(lattice._FrameBlocks, "corner", counted_corner)
     child = ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 0.0), PARALLEL)
     rows = spectrum_vs_mu(child, np.linspace(-3.0, 3.0, 11), LINK_EQUAL, ChainLattice(8))
     assert len(rows) == 11
@@ -429,7 +441,7 @@ def _sector_pencils(template, L):
     frames = lattice._mu_frames(template, LINK_EQUAL)
     lat = ChainLattice(L)
     return [
-        tuple(fb.assemble(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
+        tuple(fb.corner(rows, cols, lat) for fb, (rows, cols, _) in zip(frames, parts))
         for parts in zip(*(fb.split(0) for fb in frames))
     ]
 
@@ -438,9 +450,9 @@ def _sector_pencils(template, L):
     "template, L, points, calls",
     [
         # the canonical child: its first sector takes one eigvalsh per point
-        # except mu = 0 (a weighted matching), its second one for the sweep
-        (ChildSpec(_DEAD, _DEAD, PARALLEL), 80, 11, 11),
-        (ChildSpec(_DEAD, _DEAD, PARALLEL), 80, 201, 201),
+        # except mu = 0 (a weighted matching), its second one none (closed form)
+        (ChildSpec(_DEAD, _DEAD, PARALLEL), 80, 11, 10),
+        (ChildSpec(_DEAD, _DEAD, PARALLEL), 80, 201, 200),
         # a generic equal-parent child: one call plus two reflection halves per point
         (ChildSpec(_GENERIC, _GENERIC, PARALLEL), 12, 11, 33),
     ],
@@ -469,17 +481,26 @@ def _ulp_off_scalar(a0, a1, a2):
     return a0, a1, a2
 
 
-@pytest.mark.parametrize("miss", [_ulp_off_symmetric, _ulp_off_scalar])
+def _ulp_off_tridiagonal(a0, a1, a2):
+    # the smallest subnormal two sites off the diagonal, at both ends and on
+    # both sides, so that A1 stays symmetric and the pencil Toeplitz
+    a1 = a1.copy()
+    a1[0, 2] = a1[2, 0] = a1[-3, -1] = a1[-1, -3] = np.nextafter(0.0, 1.0)
+    return a0, a1, a2
+
+
+@pytest.mark.parametrize("miss", [_ulp_off_symmetric, _ulp_off_scalar, _ulp_off_tridiagonal])
 @pytest.mark.parametrize("L", [7, 8])
 def test_near_symmetric_pencils_keep_the_per_point_path(miss, L):
     # the canonical child's second sector is a symmetric pencil with scalar
-    # A0 and A2, solved by one eigvalsh; an ulp off either, at every point
+    # A0 and A2 and tridiagonal A1, solved in closed form without LAPACK; an
+    # ulp off any of them, at every point
     exact = _sector_pencils(ChildSpec(_DEAD, _DEAD, PARALLEL), L)[1]
     grid = np.linspace(-3.0, 3.0, 11)
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         levels = toeplitz.pencil_levels(*exact)
         assert [levels(mu).size for mu in grid] == [L] * grid.size
-    assert eigvalsh.call_count == 1
+    assert eigvalsh.call_count == 0
     a0, a1, a2 = pencil = miss(*exact)
     spy = mock.patch.object(toeplitz, "persymmetric_levels", wraps=toeplitz.persymmetric_levels)
     with spy as per_point, mock.patch.object(
@@ -493,6 +514,121 @@ def test_near_symmetric_pencils_keep_the_per_point_path(miss, L):
     for mu, g in zip(grid, got):
         want = np.linalg.svd(a0 + mu * (a1 + mu * a2), compute_uv=False)
         assert np.abs(g - want).max() <= 1e-13 * want[0]
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5])
+@pytest.mark.parametrize("L", [*range(1, 13), 80])
+def test_closed_form_sector_matches_eigvalsh_and_the_dense_chain(t, L):
+    # a child of two dead-point parents with t1 = t2 has exactly one sector
+    # whose pencil takes the closed form: the second when Delta1 = Delta2, else
+    # the first; its levels are those of eigvalsh(A1) to 1e-14 of the scale
+    grid = np.linspace(-3.0, 3.0, 7)
+    for s, d1, d2 in itertools.product((-1.0, 1.0), repeat=3):
+        p1, p2 = ParentParams(s * t, d1 * t, 0.0), ParentParams(s * t, d2 * t, 0.0)
+        template = ChildSpec(p1, p2, PARALLEL)
+        # an open chain of L sites has no bond of range L or more
+        frames = lattice._mu_frames(template, LINK_EQUAL, L=L)
+        pencils = [
+            tuple(fb.corner(rows, cols, ChainLattice(L)) for fb, (rows, cols, _) in zip(frames, parts))
+            for parts in zip(*(fb.split(0) for fb in frames))
+        ]
+        closed = []
+        for k, (a0, a1, a2) in enumerate(pencils):
+            spy = mock.patch.object(toeplitz, "persymmetric_levels", side_effect=AssertionError)
+            with spy, mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+                try:
+                    levels = toeplitz.pencil_levels(a0, a1, a2)
+                    got = [np.sort(levels(mu)) for mu in grid]
+                except AssertionError:
+                    continue
+            closed.append(k)
+            c0, c2, lam = a0[0, 0], a2[0, 0], np.linalg.eigvalsh(a1)
+            for mu, g in zip(grid, got):
+                want = np.sort(np.abs(c0 + mu * (lam + mu * c2)))
+                assert np.abs(g - want).max() <= 1e-14 * max(want[-1], 1.0)
+        # on one site every pencil is three scalars
+        assert closed == ([0, 1] if L == 1 else [1] if d1 == d2 else [0])
+        if L < 3:
+            continue
+        # the closed form stands in spectrum_vs_mu's rows against the dense chain
+        # (at L = 80 at mu = -3, 0 and 3 only)
+        rows = spectrum_vs_mu(template, grid, LINK_EQUAL, ChainLattice(L))
+        for row in rows if L <= 12 else rows[::3]:
+            spec = lattice._with_mu(template, row["mu"], LINK_EQUAL)
+            dense = dense_levels(build_chain(spec, ChainLattice(L)))
+            bound = 1e-12 * max(np.abs(dense).max(), 1.0)
+            assert np.abs(_signed(row["obc"]) - dense).max() < bound
+
+
+@st.composite
+def _frame_entry_case(draw):
+    """(blocks, lattice): chain blocks of a parent or child, or of one mu coefficient, on 1 to 9 sites."""
+    p1 = draw(_parent())
+    kind = draw(st.sampled_from(["parent", "child", "equal"]))
+    template = p1 if kind == "parent" else ChildSpec(p1, draw(_parent()) if kind == "child" else p1, PARALLEL)
+    coefficient = draw(st.sampled_from([None, 0, 1, 2]))
+    if coefficient is None:
+        blocks = chain_hopping_blocks(template)
+    else:
+        link = draw(st.sampled_from([LINK_EQUAL, "opposite", "fixed"]))
+        blocks = lattice._mu_coefficients(template, link)[coefficient]
+    return blocks, ChainLattice(draw(st.integers(1, 9)), draw(st.sampled_from([OPEN, PERIODIC])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_frame_entry_case())
+# rings whose bonds fold: r = 2 onto r = -1 on 3 sites, r = 1 onto r = -1 on 2
+@example(case=(chain_hopping_blocks(ChildSpec(_GENERIC, _HALF_DEAD, PARALLEL)), ChainLattice(3, PERIODIC)))
+@example(case=(chain_hopping_blocks(_GENERIC), ChainLattice(2, PERIODIC)))
+def test_corner_is_the_assembled_frame_entry_to_the_bit(case):
+    # built diagonal by diagonal, each chiral corner holds the bits of the whole
+    # lattice matrix of its frame entry, and so does a ring's first column
+    blocks, lat = case
+    fb = lattice._FrameBlocks(blocks)
+    for rows, cols, _ in fb.split(0):
+        try:
+            want = assemble_frame(fb, rows, cols, lat)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="too short"):
+                fb.corner(rows, cols, lat)
+            continue
+        got = fb.corner(rows, cols, lat)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if lat.bc == PERIODIC:
+            assert fb.ring_column(rows, cols, lat.L).tobytes() == want[:, 0].tobytes()
+
+
+@st.composite
+def _graded_case(draw):
+    """(template, link, lattice, grid): a child of two dead-point parents, eight mu = +-10^U(-165, -3).
+
+    Its first open sector at such mu is a graded pencil: entries of order
+    1, mu and mu^2 on three diagonals.
+    """
+    t = draw(st.sampled_from(_SWEEP_DEAD))
+    p1, p2 = (ParentParams(draw(_sign) * t, draw(_sign) * t, 0.0) for _ in range(2))
+    link = draw(st.sampled_from([LINK_EQUAL, "opposite", "fixed"]))
+    lat = ChainLattice(draw(st.integers(3, 12)))
+    grid = [draw(_sign) * 10.0 ** draw(st.floats(-165.0, -3.0)) for _ in range(8)]
+    return ChildSpec(p1, p2, PARALLEL), link, lat, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_graded_case())
+@example(case=(
+    ChildSpec(ParentParams(-1.0, -1.0, 0.0), ParentParams(-1.0, -1.0, 0.0), PARALLEL),
+    LINK_EQUAL, ChainLattice(5), [2.4791031084876842e-79],
+))
+def test_graded_pencils_match_dense(case):
+    # at mu = 10^-80 a corner holds entries of order 1, mu and mu^2, which
+    # eigvalsh alone can miss by far more than rounding; entries below eps^2 of
+    # the largest are cut first (toeplitz.persymmetric_levels)
+    template, link, lat, grid = case
+    for row in spectrum_vs_mu(template, grid, link, lat):
+        spec = lattice._with_mu(template, row["mu"], link)
+        for key, bc in (("obc", OPEN), ("pbc", PERIODIC)):
+            dense = dense_levels(build_chain(spec, replace(lat, bc=bc)))
+            assert np.abs(_signed(row[key]) - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
 
 
 @settings(max_examples=150, deadline=None)
