@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice
 from .lattice import exact_zero_potentials, zero_subspace
 from .models import BELL_VECTORS, BLOCK_BASIS, PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
+from .solve import singular_pairs
 
 LN2 = float(np.log(2.0))
 
@@ -326,7 +327,7 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
     columns.  rows holds each region's expected state set (see
     mmzm_classify), or is None for no catalogue check.
     """
-    u, sv, _ = np.linalg.svd(np.asarray(content, dtype=complex), full_matrices=False)
+    u, sv, _ = singular_pairs(np.asarray(content, dtype=complex))
     keep = (sv > 1e-8 * sv[:, :1])[:, None, :]
     rank = keep.sum(axis=2)[:, 0]
     if not rank.all():
@@ -361,7 +362,7 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
     redo = np.flatnonzero((found > 0) & (rest > 0))
     if redo.size:
         at, col = np.nonzero(np.arange(4) < rest[redo, None])
-        left = np.linalg.svd(proj[redo])[0]
+        left = singular_pairs(proj[redo])[0]
         states[redo[at], :, found[redo[at]] + col] = left[at, :, col]
     states[found == 0] = ct[found == 0]
 
@@ -478,7 +479,7 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
     # weak ones; u^H M, the conjugate of M^H u, takes M's storage.  Dropped
     # directions divide by inf and leave zero columns.
     mh = np.conj(m.transpose(0, 2, 1), out=np.empty(m.shape[::2] + (4,), m.dtype))
-    u, sv, _ = np.linalg.svd(m @ mh)
+    u, sv, _ = singular_pairs(m @ mh)
     sv = np.where(sv > rank_tol**2 * sv[:, :1], sv, np.inf)
     uhm = np.matmul(mh, u, out=m.reshape(mh.shape))
     np.conj(uhm, out=uhm)

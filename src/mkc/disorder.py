@@ -22,8 +22,9 @@ connected components of its graph of (site, frame column) nodes
 of lattice.exact_zero_potentials), which meet where a lattice entry of
 the clean block (a rotated hopping block's entry on a bond) lies above
 the tolerance of the symmetry checks or where the channel's site term
-sits, and components of one size are solved in one stacked LAPACK call.  The
-one rule serves chains and slabs alike.  The parallel child at
+sits, and components of one size are solved in one stacked call of
+mkc.solve, which takes 1x1 components by their modulus.  The one rule
+serves chains and slabs alike.  The parallel child at
 mu1 = mu2 = 0 hops only by 0 and +-2, so on an open chain or an even ring
 its even and odd sites are two chains of about L/2 sites; the
 perpendicular slab there hops only by
@@ -79,6 +80,7 @@ from .lattice import (
 from .models import _C1, _C2, _U, PAULI, ParentParams
 from .parts import bond_folds, part_groups
 from .philox import _check_ensemble, _philox_uniform
+from .solve import singular_values, symmetric_levels
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(itertools.product("0xyz", repeat=2))
@@ -240,14 +242,10 @@ def _group_levels(v, clean, idx, site, coef, corner):
     """[|E|] of a class group plus the site term v[site] coef at idx, a corner's twice."""
     a = clean.astype(np.result_type(clean, coef))
     a.reshape(-1)[idx] += v[site] * coef
-    if a.shape[-1] == 1:
-        # eigvalsh of a 1x1 returns its real part, svd |a| up to rounding
-        e = np.abs(a if corner else a.real).ravel()
-        return [e, e] if corner else [e]
     if corner:
-        sv = np.linalg.svd(a, compute_uv=False).ravel()
+        sv = singular_values(a).ravel()
         return [sv, sv]
-    return [np.abs(np.linalg.eigvalsh(a)).ravel()]
+    return [symmetric_levels(a).ravel()]
 
 
 def _site_turns():

@@ -49,6 +49,7 @@ from .models import (
     ChildSpec,
     ParentParams,
 )
+from .solve import eigenvalues, singular_pairs, singular_values
 from .toeplitz import circulant_levels, pencil_levels, persymmetric_levels
 
 OPEN = "open"
@@ -381,7 +382,7 @@ def _chiral_eigenpairs(blocks, lat):
     """
     sigmas, plus_vecs, minus_vecs = [], [], []
     for corner, plus, minus in _chiral_corners(blocks, lat):
-        u, sigma, vt = np.linalg.svd(corner)
+        u, sigma, vt = singular_pairs(corner)
         sigmas.append(sigma)
         plus_vecs.append(u[:, None, :] * plus)
         minus_vecs.append(vt.T[:, None, :] * minus)
@@ -513,7 +514,7 @@ def _levels(a0, a1, x):
     the corner's t_x s_x sector.
     """
     xx = x[:, None, None]
-    return np.linalg.svd(a0 + xx * (a1 - xx * np.eye(a0.shape[-1])), compute_uv=False)
+    return singular_values(a0 + xx * (a1 - xx * np.eye(a0.shape[-1])))
 
 
 def _pencil_pieces(child, L):
@@ -600,7 +601,7 @@ def exact_zero_potentials(child, L):
         comp[:, :n, n:] = np.eye(n)
         comp[:, n:, :n] = b0 * weight
         comp[:, n:, n:] = b1 * weight
-        lam = np.linalg.eigvals(comp)
+        lam = eigenvalues(comp)
         piece, col = np.nonzero(np.abs(lam.imag) <= ROOT_SPREAD * (1.0 + np.abs(lam)))
         x = lam.real[piece, col]
         s = _levels(b0[piece], b1[piece], x)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solve import singular_values
+
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -204,7 +206,7 @@ def _opnorm(a):
     """The largest spectral norm in the stack a: 0.0, with no SVD, where a is exactly zero."""
     if not a.any():
         return 0.0
-    return np.linalg.norm(a, ord=2, axis=(-2, -1)).max()
+    return singular_values(a)[..., 0].max()
 
 
 def symmetry_check(spec, kgrid):

@@ -16,6 +16,7 @@ short run.
 import numpy as np
 
 from .errors import SymmetryError
+from .solve import symmetric_levels
 
 _CUT = np.finfo(float).eps ** 2
 
@@ -53,7 +54,7 @@ def persymmetric_levels(a):
         if len(set(r.tolist())) == len(set(c.tolist())) == r.size:
             return np.concatenate([np.abs(a[r, c]), np.zeros(L - r.size)])
     if (a - a.T).max() > 0.0:
-        return np.abs(np.linalg.eigvalsh(flipped))
+        return symmetric_levels(flipped)
     m = L // 2
     b, cj = a[:m, :m], a[:m, L - m :][:, ::-1]
     even = np.empty((L - m, L - m))
@@ -61,7 +62,7 @@ def persymmetric_levels(a):
     if L % 2:
         even[m, :m] = even[:m, m] = np.sqrt(2.0) * a[m, :m]
         even[m, m] = a[m, m]
-    return np.abs(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(b - cj)]))
+    return np.concatenate([symmetric_levels(even), symmetric_levels(b - cj)])
 
 
 def _tridiagonal(a):

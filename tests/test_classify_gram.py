@@ -146,33 +146,25 @@ _SLAB_PHASES = [(0.0, 3.0), (3.0, 0.0), (0.0, 0.0)]
 
 
 @pytest.mark.parametrize("mu1, mu2", _SLAB_PHASES, ids=["x-edges", "y-edges", "perimeter"])
-def test_slab_classify_factors_no_matrix_beyond_4x4_and_the_corners(mu1, mu2):
+def test_slab_classify_factors_no_matrix_beyond_4x4_and_the_corners(mu1, mu2, lapack_calls):
     spec = ChildSpec(ParentParams(1.0, 1.0, mu1), ParentParams(1.0, 1.0, mu2), PERPENDICULAR)
     lat = SlabLattice(12, 30)
-    shapes = []
-
-    def spy(name):
-        real = getattr(np.linalg, name)
-
-        def call(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        return call
-
-    names = ("svd", "eigh", "eigvalsh")
-    with mock.patch.multiple(np.linalg, **{n: spy(n) for n in names}):
-        zero_subspace(spec, lat, tol=1e-8)
-        corners = list(shapes)
-        shapes.clear()
-        out = classify_zero_modes(spec, lat, zero_tol=1e-8)
+    zero_subspace(spec, lat, tol=1e-8)
+    corners = list(lapack_calls)
+    lapack_calls.clear()
+    out = classify_zero_modes(spec, lat, zero_tol=1e-8)
     assert out and all(res.matches_table for res in out.values())
-    # the factor chains' corners are square and no larger than their chain
-    assert corners and all(s[0] == s[1] <= max(lat.Lx, lat.Ly) for s in corners)
-    assert shapes[: len(corners)] == corners
+    # the factor chains' corners take one svd each, none larger than its chain
+    assert corners and all(
+        name == "svd" and stack == () and n <= max(lat.Lx, lat.Ly) for name, _, stack, n in corners
+    )
+    assert lapack_calls[: len(corners)] == corners
     # one svd of the four quadrants' Gram stack and one orthonormalization
     # of their content; a peel that leaves directions would add a third
-    assert shapes[len(corners):] == [(4, 4, 4), (4, 4, 4)]
+    assert [(name, stack, n) for name, _, stack, n in lapack_calls[len(corners):]] == [
+        ("svd", (4,), 4),
+        ("svd", (4,), 4),
+    ]
 
 
 def _stack(*regions):

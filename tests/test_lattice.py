@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
@@ -277,7 +277,8 @@ def test_chain_spectrum_matches_dense(system):
     assert (np.abs(fast) < tol).sum() == (np.abs(dense) < tol).sum()
 
 
-@settings(max_examples=200, deadline=None)
+# lapack_calls is cleared before the one check that reads it
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     p1=_parent(), p2=_parent(), child=st.sampled_from(["no", "yes", "equal"]),
     bc=st.sampled_from([OPEN, PERIODIC]), L=st.integers(1, 40),
@@ -286,7 +287,7 @@ def test_chain_spectrum_matches_dense(system):
 @example(p1=_GENERIC, p2=_HALF_DEAD, child="equal", bc=OPEN, L=2)
 @example(p1=_GENERIC, p2=_HALF_DEAD, child="equal", bc=OPEN, L=3)
 @example(p1=ParentParams(-1.5, 1.5, 0.0), p2=_HALF_DEAD, child="yes", bc=OPEN, L=6)
-def test_corner_levels_match_corner_svd(p1, p2, child, bc, L):
+def test_corner_levels_match_corner_svd(p1, p2, child, bc, L, lapack_calls):
     spec = p1 if child == "no" else ChildSpec(p1, p1 if child == "equal" else p2, PARALLEL)
     blocks = chain_hopping_blocks(spec)
     if bc == OPEN:
@@ -305,8 +306,9 @@ def test_corner_levels_match_corner_svd(p1, p2, child, bc, L):
             hit = corner != 0
             if hit.sum(axis=0).max() <= 1 and hit.sum(axis=1).max() <= 1:
                 # a weighted matching: its entry moduli and exact zeros, with no LAPACK call
-                with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
-                    assert lattice._corner_levels(corner, bc).tobytes() == got.tobytes()
+                lapack_calls.clear()
+                assert lattice._corner_levels(corner, bc).tobytes() == got.tobytes()
+                assert lapack_calls == []
                 zeros = [0.0] * (L - hit.sum())
                 assert np.sort(got).tolist() == sorted(np.abs(corner[hit]).tolist() + zeros)
             continue
@@ -457,11 +459,10 @@ def _sector_pencils(template, L):
         (ChildSpec(_GENERIC, _GENERIC, PARALLEL), 12, 11, 33),
     ],
 )
-def test_sweep_eigvalsh_calls(template, L, points, calls):
+def test_sweep_eigvalsh_calls(template, L, points, calls, lapack_calls):
     grid = np.linspace(-3.0, 3.0, points)
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        rows = spectrum_vs_mu(template, grid, LINK_EQUAL, ChainLattice(L))
-    assert eigvalsh.call_count == calls
+    rows = spectrum_vs_mu(template, grid, LINK_EQUAL, ChainLattice(L))
+    assert [name for name, *_ in lapack_calls] == ["eigvalsh"] * calls
     for row in rows[:: max(points // 11, 1)]:
         spec = lattice._with_mu(template, row["mu"], LINK_EQUAL)
         dense = dense_levels(build_chain(spec, ChainLattice(L)))
@@ -491,26 +492,24 @@ def _ulp_off_tridiagonal(a0, a1, a2):
 
 @pytest.mark.parametrize("miss", [_ulp_off_symmetric, _ulp_off_scalar, _ulp_off_tridiagonal])
 @pytest.mark.parametrize("L", [7, 8])
-def test_near_symmetric_pencils_keep_the_per_point_path(miss, L):
+def test_near_symmetric_pencils_keep_the_per_point_path(miss, L, lapack_calls):
     # the canonical child's second sector is a symmetric pencil with scalar
     # A0 and A2 and tridiagonal A1, solved in closed form without LAPACK; an
     # ulp off any of them, at every point
     exact = _sector_pencils(ChildSpec(_DEAD, _DEAD, PARALLEL), L)[1]
     grid = np.linspace(-3.0, 3.0, 11)
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        levels = toeplitz.pencil_levels(*exact)
-        assert [levels(mu).size for mu in grid] == [L] * grid.size
-    assert eigvalsh.call_count == 0
+    levels = toeplitz.pencil_levels(*exact)
+    assert [levels(mu).size for mu in grid] == [L] * grid.size
+    assert lapack_calls == []
     a0, a1, a2 = pencil = miss(*exact)
     spy = mock.patch.object(toeplitz, "persymmetric_levels", wraps=toeplitz.persymmetric_levels)
-    with spy as per_point, mock.patch.object(
-        np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh
-    ) as eigvalsh:
+    with spy as per_point:
         levels = toeplitz.pencil_levels(*pencil)
         got = [np.sort(levels(mu))[::-1] for mu in grid]
     assert per_point.call_count == grid.size
     # one or two calls a point, none at mu = 0, where A0 is diagonal (a weighted matching)
-    assert eigvalsh.call_count >= grid.size - 1
+    assert len(lapack_calls) >= grid.size - 1
+    assert {name for name, *_ in lapack_calls} == {"eigvalsh"}
     for mu, g in zip(grid, got):
         want = np.linalg.svd(a0 + mu * (a1 + mu * a2), compute_uv=False)
         assert np.abs(g - want).max() <= 1e-13 * want[0]
@@ -518,7 +517,7 @@ def test_near_symmetric_pencils_keep_the_per_point_path(miss, L):
 
 @pytest.mark.parametrize("t", [1.0, 1.5])
 @pytest.mark.parametrize("L", [*range(1, 13), 80])
-def test_closed_form_sector_matches_eigvalsh_and_the_dense_chain(t, L):
+def test_closed_form_sector_matches_eigvalsh_and_the_dense_chain(t, L, lapack_calls):
     # a child of two dead-point parents with t1 = t2 has exactly one sector
     # whose pencil takes the closed form: the second when Delta1 = Delta2, else
     # the first; its levels are those of eigvalsh(A1) to 1e-14 of the scale
@@ -534,13 +533,15 @@ def test_closed_form_sector_matches_eigvalsh_and_the_dense_chain(t, L):
         ]
         closed = []
         for k, (a0, a1, a2) in enumerate(pencils):
-            spy = mock.patch.object(toeplitz, "persymmetric_levels", side_effect=AssertionError)
-            with spy, mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+            lapack_calls.clear()
+            with mock.patch.object(toeplitz, "persymmetric_levels", side_effect=AssertionError):
                 try:
                     levels = toeplitz.pencil_levels(a0, a1, a2)
                     got = [np.sort(levels(mu)) for mu in grid]
                 except AssertionError:
                     continue
+            # the closed form makes no LAPACK call
+            assert lapack_calls == []
             closed.append(k)
             c0, c2, lam = a0[0, 0], a2[0, 0], np.linalg.eigvalsh(a1)
             for mu, g in zip(grid, got):
@@ -780,21 +781,15 @@ def test_exact_zero_potentials_match_whole_corner_companions(case):
         assert np.array_equal(roots, want)
 
 
-def test_exact_zero_potentials_solves_equal_pieces_once(monkeypatch):
+def test_exact_zero_potentials_solves_equal_pieces_once(lapack_calls):
     # at even L the sign-mixed sector of the zeros splits into two bitwise equal
     # sublattices, so one companion of L/2 sites serves both; at odd L they differ
     child = ChildSpec(ParentParams(1.0, 0.5, 0.0), ParentParams(-1.0, 0.5, 0.0), PARALLEL)
-    shapes, eigvals = [], np.linalg.eigvals
-
-    def counted(a):
-        shapes.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    stacks = {30: [(1, 60, 60), (1, 30, 30)], 31: [(1, 62, 62), (1, 32, 32), (1, 30, 30)]}
+    stacks = {30: [((1,), 60), ((1,), 30)], 31: [((1,), 62), ((1,), 32), ((1,), 30)]}
     for L, want in stacks.items():
-        shapes.clear()
+        lapack_calls.clear()
         roots = exact_zero_potentials(child, L)
+        shapes = [(stack, n) for name, _, stack, n in lapack_calls if name == "eigvals"]
         assert sorted(shapes, reverse=True) == want
         oracle = whole_corner_potentials(child, L)
         assert np.all(np.abs(roots - oracle) <= ROOT_MATCH * (1.0 + np.abs(oracle)))
