@@ -22,6 +22,8 @@ from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice
 from .lattice import exact_zero_potentials, zero_subspace
 from .models import BELL_VECTORS, BLOCK_BASIS, PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 from .solve import singular_pairs
+from .tolerance import BAND_ZERO_TOL, ENTROPY_TOL, OVERLAP_MIN, PROPORTIONAL_TOL
+from .tolerance import RANK_CUT, RANK_TOL, SITE_TOL, SYMMETRY_TOL
 
 LN2 = float(np.log(2.0))
 
@@ -224,14 +226,12 @@ def _sign_class(p, index):
     return 1 if s > 0.0 else -1
 
 
-def _parents_proportional(spec, tol=1e-9):
+def _parents_proportional(spec):
     p1, p2 = spec.p1, spec.p2
     if p1.t == 0.0 or p2.t == 0.0 or p1.delta == 0.0 or p2.delta == 0.0:
         return False
-    return (
-        abs(abs(p1.mu / p1.t) - abs(p2.mu / p2.t)) < tol
-        and abs(abs(p1.t / p1.delta) - abs(p2.t / p2.delta)) < tol
-    )
+    ratios = (p1.mu / p1.t, p2.mu / p2.t), (p1.t / p1.delta, p2.t / p2.delta)
+    return all(abs(abs(a) - abs(b)) < PROPORTIONAL_TOL for a, b in ratios)
 
 
 _BOTH_TOPO_ROWS = {
@@ -313,13 +313,13 @@ def expected_boundary_states(spec, lat, region):
     return _row_for_signs(spec, s1, s2, lat.bcx == OPEN, lat.bcy == OPEN, corner=True)
 
 
-def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
+def _classify_stack(content, rows=None):
     """Classify the spinor content of R regions at once; content is (R, 4, K).
 
-    Each region's columns are orthonormalized (relative cut 1e-8) and
+    Each region's columns are orthonormalized (relative cut RANK_CUT) and
     moved to the classification frame.  Reference states wholly inside a
     span are peeled off its 4x4 projector P greedily, in catalogue order: r
-    is accepted when |P r|^2 > overlap_min and v = P r / |P r| removed as
+    is accepted when |P r|^2 > OVERLAP_MIN and v = P r / |P r| removed as
     P - v v^H.  The directions left over come from the final P, or are the
     frame columns unchanged when nothing was peeled.  Each state is labeled
     by its factor-cut entropy and best reference overlap.  Every step is
@@ -328,7 +328,7 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
     mmzm_classify), or is None for no catalogue check.
     """
     u, sv, _ = singular_pairs(np.asarray(content, dtype=complex))
-    keep = (sv > 1e-8 * sv[:, :1])[:, None, :]
+    keep = (sv > RANK_CUT * sv[:, :1])[:, None, :]
     rank = keep.sum(axis=2)[:, 0]
     if not rank.all():
         raise ConfigError("zero subspace is empty")
@@ -339,14 +339,14 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
     proj = ct @ ct.conj().transpose(0, 2, 1)
     # P only shrinks, so a reference out of the first P's reach in every
     # region is never accepted, and a full region's P is zero
-    reach = (np.abs(proj @ _REFERENCES.T) ** 2).sum(axis=1) > overlap_min
+    reach = (np.abs(proj @ _REFERENCES.T) ** 2).sum(axis=1) > OVERLAP_MIN
     peeled = np.zeros((count, len(_REFERENCES), 4), complex)
     taken = np.zeros((count, len(_REFERENCES)), dtype=bool)
     slot, found = np.zeros(taken.shape, dtype=int), np.zeros(count, dtype=int)
     for k in np.flatnonzero(reach.any(axis=0)):
         v = proj @ _REFERENCES[k]
         norm = np.sqrt((np.abs(v) ** 2).sum(axis=1))
-        take = norm**2 > overlap_min
+        take = norm**2 > OVERLAP_MIN
         if take.any():
             w = v / np.where(take, norm, np.inf)[:, None]
             proj -= w[:, :, None] * w[:, None, :].conj()
@@ -373,8 +373,8 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
         # an entangled pair's entries are 1/sqrt(2), a product's 1
         peak = np.abs(refs).max(axis=2)
         bell = (peak > 0.0) & (peak < 1.0)
-        in_row = (np.abs(refs @ states) ** 2).sum(axis=1) > overlap_min
-        in_span = (np.abs(refs @ ct) ** 2).sum(axis=2) > overlap_min
+        in_row = (np.abs(refs @ states) ** 2).sum(axis=1) > OVERLAP_MIN
+        in_span = (np.abs(refs @ ct) ** 2).sum(axis=2) > OVERLAP_MIN
         matches = (in_row.sum(axis=1) == rank).tolist()
         complete = (in_span | ~bell).all(axis=1).tolist()
 
@@ -383,13 +383,13 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
         labels = []
         for i in range(rank[r]):
             S = _entropy(*coords[i])
-            kind = 1 if abs(S - LN2) < entropy_tol else 0 if S < entropy_tol else None
+            kind = 1 if abs(S - LN2) < ENTROPY_TOL else 0 if S < ENTROPY_TOL else None
             if kind is None:
                 label, score = "unclassified", 0.0
             else:
                 scores = over[r][i][4 * kind : 4 * kind + 4]
                 score = max(scores)
-                if score > overlap_min:
+                if score > OVERLAP_MIN:
                     label = _REFERENCE_LABELS[4 * kind + scores.index(score)]
                 else:
                     label = "unclassified" if kind else "prod:other"
@@ -402,7 +402,7 @@ def _classify_stack(content, rows=None, entropy_tol=1e-6, overlap_min=0.999):
     return out
 
 
-def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
+def mmzm_classify(vectors, expected=None):
     """Classify zero-subspace spinor content against the state catalogue.
 
     The raw 4-vectors (rows) are orthonormalized and moved to the
@@ -425,9 +425,9 @@ def mmzm_classify(vectors, expected=None, entropy_tol=1e-6, overlap_min=0.999):
     if expected is not None:
         rows = [tuple(expected)]
         refs = _references(rows[0])
-        if np.linalg.norm(refs @ refs.conj().T - np.eye(len(refs))) > 1e-12:
+        if np.linalg.norm(refs @ refs.conj().T - np.eye(len(refs))) > SYMMETRY_TOL:
             raise ValueError(f"expected states must be orthonormal, got {rows[0]}")
-    return _classify_stack(raw.T[None], rows, entropy_tol, overlap_min)[0]
+    return _classify_stack(raw.T[None], rows)[0]
 
 
 def _region_slices(lat):
@@ -443,20 +443,21 @@ def _region_slices(lat):
     }
 
 
-def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
+def classify_zero_modes(spec, lat, zero_tol=None):
     """Classify the zero-subspace content of every boundary region.
 
-    The zero subspace collects eigenvectors below zero_tol (default 1e-6
-    of the bandwidth, absolute energy otherwise), from lattice.zero_subspace.
-    Per region, the spinors M of the maximum-density sites (within site_tol
-    of the regional maximum) enter through the 4x4 Gram matrix M M^H: its
-    singular vectors above rank_tol^2 of the leading one, passed once more
-    through M M^H, span the content classified against the catalogue row.
+    The zero subspace collects eigenvectors below zero_tol (default
+    BAND_ZERO_TOL of the bandwidth, absolute energy otherwise), from
+    lattice.zero_subspace.  Per region, the spinors M of the maximum-density
+    sites (within SITE_TOL of the regional maximum) enter through the 4x4
+    Gram matrix M M^H: its singular vectors above RANK_TOL^2 of the leading
+    one, passed once more through M M^H, span the content classified
+    against the catalogue row.
     A region whose density vanishes is left out.  The regions' spinors are
     gathered into one stack, zero-padded to the widest, and every later
     step is one call on that stack.
     """
-    zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
+    zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=BAND_ZERO_TOL)
     if zs.count == 0:
         return {}
     regions, spinors = [], []
@@ -464,7 +465,7 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
         sub = zs.weights[sl]
         peak = float(sub.max())
         if peak > 0.0:
-            idx = np.argwhere(sub >= (1.0 - site_tol) * peak) + [s0.start or 0 for s0 in sl]
+            idx = np.argwhere(sub >= (1.0 - SITE_TOL) * peak) + [s0.start or 0 for s0 in sl]
             regions.append(region)
             spinors.append(zs.spinors(tuple(idx.T)))
     # each region's sites side by side, (4, sites x modes), zero-padded;
@@ -480,7 +481,7 @@ def classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e-6):
     # directions divide by inf and leave zero columns.
     mh = np.conj(m.transpose(0, 2, 1), out=np.empty(m.shape[::2] + (4,), m.dtype))
     u, sv, _ = singular_pairs(m @ mh)
-    sv = np.where(sv > rank_tol**2 * sv[:, :1], sv, np.inf)
+    sv = np.where(sv > RANK_TOL**2 * sv[:, :1], sv, np.inf)
     uhm = np.matmul(mh, u, out=m.reshape(mh.shape))
     np.conj(uhm, out=uhm)
     content = (uhm.transpose(0, 2, 1) @ mh).conj().transpose(0, 2, 1) / sv[:, None, :]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .lattice import ChainLattice, SlabLattice
 from .models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
+from .tolerance import ZERO_TOL
 
 MODEL_KINDS = ("parent", "mkc-parallel", "mkc-perpendicular")
 _CHAIN_KINDS = ("parent", "mkc-parallel")
@@ -166,18 +167,18 @@ _TASKS = {
         "mu-max": _Key(_opt(_float), default=None),
     }, ("mkc-parallel",), MODEL_KINDS, open_only=True,
         together=("mu-min", "mu-max"), ordered=("mu-min", "<", "mu-max")),
-    "density": _Task({"zero-tol": _Key(_float, default=1e-8)}, lattice=MODEL_KINDS),
+    "density": _Task({"zero-tol": _Key(_float, default=ZERO_TOL)}, lattice=MODEL_KINDS),
     "disorder": _Task({
         "channel": _Key(_opt(_str), default=None),
         "amplitude": _Key(_float, default=0.2),
         "realizations": _Key(_int, default=50, minimum=1),
         "seed": _Key(_int, default=42),
-        "zero-tol": _Key(_float, default=1e-8),
+        "zero-tol": _Key(_float, default=ZERO_TOL),
         "mu-min": _Key(_opt(_float), default=None),
         "mu-max": _Key(_opt(_float), default=None),
         "mu-points": _Key(_opt(_int), default=None, minimum=1),
     }, lattice=MODEL_KINDS, together=("mu-min", "mu-max", "mu-points")),
-    "classify": _Task({"zero-tol": _Key(_opt(_float), default=1e-8)}, _CHILD_KINDS, MODEL_KINDS),
+    "classify": _Task({"zero-tol": _Key(_opt(_float), default=ZERO_TOL)}, _CHILD_KINDS, MODEL_KINDS),
     "symmetry-check": _Task({"k-points": _Key(_int, default=64, minimum=1)}, _CHILD_KINDS),
     "dirac": _Task({
         "kx": _Key(_float, default=0.01),

@@ -64,7 +64,6 @@ from .errors import ConfigError
 from .lattice import (
     LINK_EQUAL,
     OPEN,
-    SYMMETRY_TOL,
     SlabLattice,
     _FrameBlocks,
     _chain_levels,
@@ -81,6 +80,7 @@ from .models import _C1, _C2, _U, PAULI, ParentParams
 from .parts import bond_folds, part_groups
 from .philox import _check_ensemble, _philox_uniform
 from .solve import singular_values, symmetric_levels
+from .tolerance import BAND_ZERO_TOL, SYMMETRY_TOL
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(itertools.product("0xyz", repeat=2))
@@ -392,7 +392,7 @@ class RobustnessReport:
     levels over all realizations of channel c at grid point m; NaN where
     the clean system has no level inside the zero tolerance.  A channel is
     robust at a grid point when the displacement stays below threshold[m]
-    (1e-6 of the clean bandwidth there).
+    (BAND_ZERO_TOL of the clean bandwidth there).
     """
 
     channels: tuple
@@ -427,9 +427,9 @@ def robustness_sweep(
     Channels default to x, y, z for a parent and all sixteen tensor pairs
     for a child.  Per grid point the clean spectrum (a chain's from
     BlockSolver.levels, a slab's from lattice.spectrum) fixes the bandwidth,
-    the zero tolerance (1e-6 of it unless given) and which levels count as
-    zero modes; the report then tracks how far those levels move, taking
-    the worst realization.  Every channel must act on the model's internal
+    the zero tolerance (BAND_ZERO_TOL of it unless given) and which levels
+    count as zero modes; the report then tracks how far those levels move,
+    taking the worst realization.  Every channel must act on the model's internal
     space (2x2 for a parent, 4x4 for a child), else ConfigError.  The
     realizations are drawn once and shared by every channel and grid
     point.  A channel whose class (_solve_owners, with the site-local
@@ -469,8 +469,8 @@ def robustness_sweep(
             # the solver's own corners; each level stands for a +-E pair
             clean = np.repeat(solver.levels(), 2)
         bw = 2.0 * float(clean[-1])  # the clean spectrum is symmetric about zero
-        tol = _zero_tol(bw, zero_tol, 1e-6)
-        threshold[m] = _zero_tol(bw, None, 1e-6)
+        tol = _zero_tol(bw, zero_tol, BAND_ZERO_TOL)
+        threshold[m] = _zero_tol(bw, None, BAND_ZERO_TOL)
         n_zero = int((clean < tol).sum())
         zero_counts[m] = n_zero
         if n_zero == 0:

@@ -50,6 +50,7 @@ from .models import (
     ParentParams,
 )
 from .solve import eigenvalues, singular_pairs, singular_values
+from .tolerance import EXACT_ZERO_TOL, ROOT_MATCH, ROOT_SPREAD, SYMMETRY_TOL, TOL_FLOOR, ZERO_REL_TOL
 from .toeplitz import circulant_levels, pencil_levels, persymmetric_levels
 
 OPEN = "open"
@@ -155,11 +156,6 @@ def slab_hopping_blocks(spec):
     """{(rx, ry): 4x4 block} over displacements rx, ry in {-1, 0, 1}."""
     a, b = slab_factor_blocks(spec)
     return {(ra, rb): _kron2(a[ra], b[rb]) for ra in (-1, 0, 1) for rb in (-1, 0, 1)}
-
-
-# The relative size, against the scale of a clean model's hopping blocks, up
-# to which an entry that a symmetry discards counts as zero.
-SYMMETRY_TOL = 1e-12
 
 
 def _support(a):
@@ -487,19 +483,6 @@ def _mu_frames(template, link, terms=3, L=None):
     ]
 
 
-# The eigensolver returns a double root as a real or complex pair up to
-# about sqrt(eps) apart, so eigenvalues within ROOT_SPREAD (relative) of
-# the real axis are candidates, and a pencil piece's roots that close
-# together are one root.  A candidate is a root of a piece when the
-# piece's smallest singular value there, a chain level in its sector, is
-# at most EXACT_ZERO_TOL of the chain's largest level.  Inside the
-# oscillatory window the roots are accurate to about 1e-14, and roots of
-# two pieces are one root only when they agree to ROOT_MATCH.
-ROOT_SPREAD = 1e-7
-ROOT_MATCH = 1e-12
-EXACT_ZERO_TOL = 1e-10
-
-
 def _distinct(x, spread):
     """x ascending, keeping the smallest value of each run closer than spread (relative)."""
     x = np.sort(x)
@@ -682,7 +665,7 @@ def _zero_tol(spread, tol, rel_tol):
     a tolerance at or below it would count no zero modes at all.
     """
     if tol is None:
-        return rel_tol * max(spread, 1e-30)
+        return rel_tol * max(spread, TOL_FLOOR)
     if not tol > 0:
         raise ConfigError(f"zero tolerance must be positive, got {tol}")
     return float(tol)
@@ -735,13 +718,14 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
     )
 
 
-def zero_subspace(spec, lat, tol=None, rel_tol=1e-8):
+def zero_subspace(spec, lat, tol=None, rel_tol=None):
     """Zero subspace of the clean model on a chain or slab lattice.
 
     Chains are solved by the SVD of their chiral corners, slabs as their
     two factor chains (see slab_factor_blocks) in the same way.  tol is an
-    absolute energy; by default it is rel_tol times the spectral spread.
+    absolute energy; by default it is rel_tol (ZERO_REL_TOL) times the spread.
     """
+    rel_tol = ZERO_REL_TOL if rel_tol is None else rel_tol
     if isinstance(lat, SlabLattice):
         return _factor_zero_subspace(spec, lat, tol, rel_tol)
     return _chain_zero_subspace(spec, lat, tol, rel_tol)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solve import singular_values
+from .tolerance import GAP_TOL, SCALE_FLOOR, SYMMETRY_TOL, TOL_FLOOR
 
 
 PARALLEL = "parallel"
@@ -52,8 +53,8 @@ class ParentParams:
             if not np.isfinite(v):
                 raise ValueError(f"parent parameter {name} must be finite, got {v!r}")
 
-    def is_topological(self, tol=1e-12):
-        return abs(self.mu) < 2.0 * abs(self.t) - tol
+    def is_topological(self):
+        return abs(self.mu) < 2.0 * abs(self.t)
 
     def is_critical(self):
         """Whether the curve's exact closest approach to the origin closes its gap (_gap_closed)."""
@@ -102,7 +103,7 @@ def _modulus_bounds(p):
     metal.  It is scale free, found from the parameters over their largest.
     """
     d = [abs(2.0 * p.t + p.mu), abs(p.mu - 2.0 * p.t)]  # R vanishes at k = 0 and pi
-    scale = max(abs(p.t), abs(p.delta), abs(p.mu), 1e-300)
+    scale = max(abs(p.t), abs(p.delta), abs(p.mu), SCALE_FLOOR)
     t, delta, mu = p.t / scale, p.delta / scale, p.mu / scale
     a = t * t - delta * delta
     if a != 0.0 and abs(t * mu) <= 2.0 * abs(a):
@@ -110,13 +111,18 @@ def _modulus_bounds(p):
     return float(min(d)), float(max(d))
 
 
+def parameter_scale(*parents):
+    """The largest |t|, |Delta| or |mu| of the parents: the scale of their structure tests."""
+    return max(max(abs(p.t), abs(p.delta), abs(p.mu)) for p in parents)
+
+
 def _gap_closed(dist, largest):
     """Whether a parent's curve at distance dist from the origin closes its gap.
 
-    It does within 1e-9 of the curve's largest modulus: the one gap rule
+    It does within GAP_TOL of the curve's largest modulus: the one gap rule
     of ParentParams.is_critical and of topology's invariants.
     """
-    return dist < 1e-9 * max(largest, 1e-30)
+    return dist < GAP_TOL * max(largest, TOL_FLOOR)
 
 
 def _factor_bloch(p, k, sign):
@@ -161,31 +167,6 @@ def dispersion_parallel(spec, k):
     m2, r2 = _mr(spec.p2, k)
     e = np.sqrt(m1 * m1 + r1 * r1) * np.sqrt(m2 * m2 + r2 * r2)
     return e, -e
-
-
-def gap_closures(spec, tol=1e-9):
-    """List the parameter conditions under which the child gap closes.
-
-    Checks, for each factor i: mu_i = -2 t_i (closure at k = 0),
-    mu_i = +2 t_i (closure at k = pi), and delta_i = 0 with |mu_i| <= 2|t_i|
-    (closure at cos k = -mu_i / (2 t_i)).  Returns a list of dicts with the
-    factor index, a condition label and the closing momentum.
-    """
-    out = []
-    for idx, p in ((1, spec.p1), (2, spec.p2)):
-        if abs(p.mu + 2.0 * p.t) < tol:
-            out.append({"factor": idx, "condition": "mu=-2t", "k": 0.0})
-        if abs(p.mu - 2.0 * p.t) < tol:
-            out.append({"factor": idx, "condition": "mu=+2t", "k": np.pi})
-        if abs(p.delta) < tol:
-            if abs(p.t) < tol:
-                if abs(p.mu) < tol:
-                    # factor vanishes identically; flat zero band
-                    out.append({"factor": idx, "condition": "delta=0", "k": 0.0})
-            elif abs(p.mu) <= 2.0 * abs(p.t) + tol:
-                kc = float(np.arccos(np.clip(-p.mu / (2.0 * p.t), -1.0, 1.0)))
-                out.append({"factor": idx, "condition": "delta=0", "k": kc})
-    return out
 
 
 # --- symmetries ------------------------------------------------------------
@@ -300,7 +281,7 @@ class VelocityRecord:
     one_sided: bool          # a factor vanished; derivative taken one-sided
 
 
-def group_velocity_perp(spec, kx, ky, mass_tol=1e-12):
+def group_velocity_perp(spec, kx, ky):
     """Group velocity of the 2D child's low-energy branch near (0, 0).
 
     The branch is E(kx, ky) = sqrt(4 D1^2 kx^2 + m1^2) sqrt(4 D2^2 ky^2 + m2^2);
@@ -314,19 +295,18 @@ def group_velocity_perp(spec, kx, ky, mass_tol=1e-12):
     m2 = 2.0 * spec.p2.t + spec.p2.mu
     f1 = np.sqrt(4.0 * d1 * d1 * kx * kx + m1 * m1)
     f2 = np.sqrt(4.0 * d2 * d2 * ky * ky + m2 * m2)
-    one_sided = False
-    if f1 < mass_tol or f2 < mass_tol:
+    tol = SYMMETRY_TOL * parameter_scale(spec.p1, spec.p2)
+    one_sided = f1 <= tol or f2 <= tol
+    if one_sided:
         # kink of |.| at the touching point: report the k -> 0+ limit
-        one_sided = True
-        vx = 2.0 * abs(d1) * f2 if f1 < mass_tol else 0.0
-        vy = 2.0 * abs(d2) * f1 if f2 < mass_tol else 0.0
+        vx = 2.0 * abs(d1) * f2 if f1 <= tol else 0.0
+        vy = 2.0 * abs(d2) * f1 if f2 <= tol else 0.0
     else:
         vx = 4.0 * d1 * d1 * kx / f1 * f2
         vy = f1 * 4.0 * d2 * d2 * ky / f2
-    at_critical = abs(m1) < mass_tol and abs(m2) < mass_tol
     return VelocityRecord(
         velocity=(float(vx), float(vy)),
         closed_form=(4.0 * d1 * d2 * ky, 4.0 * d1 * d2 * kx),
-        at_critical=at_critical,
+        at_critical=abs(m1) <= tol and abs(m2) <= tol,
         one_sided=one_sided,
     )

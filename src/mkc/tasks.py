@@ -27,8 +27,10 @@ from .models import (
     PARALLEL,
     dirac_expansion_parallel,
     group_velocity_perp,
+    parameter_scale,
     symmetry_check,
 )
+from .tolerance import SYMMETRY_TOL
 
 
 class ChiralLevels:
@@ -179,12 +181,8 @@ def _task_majorana_points(cfg):
         return _point_rows(boundary.kc_majorana_points(cfg.model, lat.L))
     if cfg.kind == "mkc-parallel":
         p1, p2 = cfg.model.p1, cfg.model.p2
-        mixed = (
-            abs(p1.t + p2.t) < 1e-12
-            and abs(p1.delta - p2.delta) < 1e-12
-            and abs(p1.mu - p2.mu) < 1e-12
-        )
-        if not mixed:
+        tol = SYMMETRY_TOL * parameter_scale(p1, p2)
+        if max(abs(p1.t + p2.t), abs(p1.delta - p2.delta), abs(p1.mu - p2.mu)) > tol:
             raise ConfigError(
                 "task majorana-points needs the sign-mixed child class "
                 "(t2 = -t1, delta2 = delta1, mu2 = mu1); "

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import SymmetryError
 from .solve import symmetric_levels
-
-_CUT = np.finfo(float).eps ** 2
+from .tolerance import ENTRY_CUT
 
 
 def persymmetric_levels(a):
@@ -35,14 +34,14 @@ def persymmetric_levels(a):
     the first half with weights sqrt(2) (Cantoni & Butler, Linear Algebra
     Appl. 13 (1976) 275).  Otherwise they are |eigvalsh(J a)|.
 
-    Entries below _CUT = eps^2 of the largest modulus are cut to zero
+    Entries below ENTRY_CUT = eps^2 of the largest modulus are cut to zero
     first, as eigvalsh can miss a level by far more than rounding when they
     span many orders of magnitude (4, mu and mu^2 at mu = 1e-80); the cut
     moves a level by about L eps^2 of the largest at most.
     """
     L = len(a)
     mag = np.abs(a)
-    a = np.where(mag < _CUT * mag.max(), 0.0, a)
+    a = np.where(mag < ENTRY_CUT * mag.max(), 0.0, a)
     flipped = a[::-1]
     # M - M^T is antisymmetric: its largest entry is 0 exactly when it vanishes
     # (a NaN fails), and positive otherwise

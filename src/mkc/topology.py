@@ -56,7 +56,7 @@ def _check_clear_of_origin(p, k=None):
 def parent_winding(p):
     """Winding of the parent's (d_y, d_z) = (R, -M) curve over one period: -1, 0 or 1."""
     _check_clear_of_origin(p)
-    if not p.is_topological(tol=0.0):
+    if not p.is_topological():
         return 0
     return int(np.sign(p.t) * np.sign(p.delta))
 

@@ -1,5 +1,11 @@
 """Shared fixtures."""
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from mkc import solve
@@ -22,3 +28,16 @@ def lapack_calls(monkeypatch):
 
     monkeypatch.setattr(solve, "_lapack", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def cli_module_files():
+    """The source files of the mkc modules that `import mkc.cli` loads, in a fresh process."""
+    src = pathlib.Path(solve.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mkc.cli, sys; print(sorted("
+         "m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'mkc'))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [pathlib.Path(f) for f in ast.literal_eval(proc.stdout)]

@@ -36,7 +36,6 @@ cell, where the command line formats a block's shared cells and each
 +-E level once.
 """
 
-import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
@@ -73,12 +72,8 @@ from mkc.errors import (
     SingularConfigError,
 )
 from mkc.lattice import (
-    EXACT_ZERO_TOL,
     LINK_EQUAL,
     PERIODIC,
-    ROOT_MATCH,
-    ROOT_SPREAD,
-    SYMMETRY_TOL,
     ChainLattice,
     SlabLattice,
     ZeroSubspace,
@@ -111,6 +106,7 @@ from mkc.models import (
     child_bloch,
     parent_bloch,
 )
+from mkc.tolerance import EXACT_ZERO_TOL, ROOT_MATCH, ROOT_SPREAD, SYMMETRY_TOL
 from mkc.topology import WannierSpectrum
 
 Eigenpairs = namedtuple("Eigenpairs", "eigenvalues eigenvectors")
@@ -445,17 +441,19 @@ def well_posed(ev, tol):
 def classify_with(solver, spec, lat, scale=1.0):
     """classify_zero_modes on the given solver, or the ConfigError it raises.
 
-    scale multiplies every decision threshold of the classification: the
-    site and rank tolerances, the entropy tolerance and 1 - overlap_min.
+    scale multiplies every decision threshold of the classification, as
+    boundary reads them from the tolerance policy: SITE_TOL, RANK_TOL,
+    ENTROPY_TOL and 1 - OVERLAP_MIN.
     """
-    stack = functools.partial(
-        boundary._classify_stack, entropy_tol=1e-6 * scale, overlap_min=1.0 - 1e-3 * scale
+    scaled = dict(
+        SITE_TOL=boundary.SITE_TOL * scale,
+        RANK_TOL=boundary.RANK_TOL * scale,
+        ENTROPY_TOL=boundary.ENTROPY_TOL * scale,
+        OVERLAP_MIN=1.0 - (1.0 - boundary.OVERLAP_MIN) * scale,
     )
-    with mock.patch.object(boundary, "zero_subspace", solver), mock.patch.object(
-        boundary, "_classify_stack", stack
-    ):
+    with mock.patch.object(boundary, "zero_subspace", solver), mock.patch.multiple(boundary, **scaled):
         try:
-            return classify_zero_modes(spec, lat, site_tol=1e-6 * scale, rank_tol=1e-6 * scale)
+            return classify_zero_modes(spec, lat)
         except ConfigError as exc:
             return type(exc)
 

@@ -545,6 +545,15 @@ def test_expected_states_both_topological_proportional_vs_not():
     assert row == ("bell:00-11", "bell:01-10")
 
 
+def test_expected_states_read_the_winding_rule_at_small_scale():
+    # parent 1 sits 5e-13 inside |mu| < 2|t| at t = 1e-4, clear of the
+    # critical band: it winds, so both parents are topological
+    near = ParentParams(1e-4, 1e-4, 2e-4 - 5e-13)
+    spec = ChildSpec(near, ParentParams(1.0, 0.5, 0.0), PARALLEL)
+    assert not near.is_critical()
+    assert expected_boundary_states(spec, _chain(spec), "left") == ("bell:00-11", "bell:01-10")
+
+
 def test_expected_states_sign_classes_and_edges():
     spec = ChildSpec(
         ParentParams(-1.0, 0.5, 0.0), ParentParams(1.0, 0.5, 0.0), PARALLEL
@@ -641,7 +650,7 @@ def test_classify_zero_modes_mixed_chain_point():
 
 
 def test_classify_short_chain_resolves_product_pair():
-    # at N = 12 the opposite-edge tails (relative weight ~ R^N > rank_tol)
+    # at N = 12 the opposite-edge tails (relative weight ~ R^N > RANK_TOL)
     # enlarge the regional span to both products; the row Bell stays inside
     # the span but the individual products fall outside the expected row
     t, d, N = 1.0, 0.5, 12

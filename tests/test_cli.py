@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
-import ast
 import io
 import json
 import math
@@ -392,14 +391,9 @@ def test_tasks_leave_numpy_random_ma_and_fft_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_the_analytic_library_unloaded():
+def test_cli_import_leaves_the_analytic_library_unloaded(cli_module_files):
     # no task reads the closed-form edge modes, so the CLI does not compile them
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import mkc.cli, sys; assert 'mkc.analytic' not in sys.modules"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    assert "analytic.py" not in {f.name for f in cli_module_files}
 
 
 # CPython's parser doubles its token array at each power of two from 4096
@@ -408,21 +402,13 @@ def test_cli_import_leaves_the_analytic_library_unloaded():
 _PARSER_STEPS = {"lattice.py": 8192}
 
 
-def test_cli_modules_stay_under_their_parser_token_step():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import mkc.cli, sys; print(sorted("
-         "m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'mkc'))"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    files = ast.literal_eval(proc.stdout)
-    assert any(f.endswith("lattice.py") for f in files)
+def test_cli_modules_stay_under_their_parser_token_step(cli_module_files):
+    assert any(f.name == "lattice.py" for f in cli_module_files)
     skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
-    for path in files:
+    for path in cli_module_files:
         with open(path, "rb") as fh:
             count = sum(t.type not in skipped for t in tokenize.tokenize(fh.readline))
-        step = _PARSER_STEPS.get(os.path.basename(path), 4096)
+        step = _PARSER_STEPS.get(path.name, 4096)
         assert count < step, f"{path} holds {count} parser tokens, {step} is the next step"
 
 
@@ -751,6 +737,20 @@ def test_quantization_lists_every_sign_mixed_point_at_odd_l(tmp_path, capsys):
     assert got.size == want.size == 62
     assert np.abs(got - want).max() < 1e-9
     assert np.abs(np.abs(got) - 1.7246621841757).min() < 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-13, 1.0, 1e13])
+def test_majorana_points_tells_the_sign_mixed_class_at_every_scale(tmp_path, capsys, s):
+    # the sign-mixed test is relative to the parameters: t2 = +t1 fails it
+    # at every scale, and the sign-mixed child's points scale with s
+    head = _MIXED_HEAD.replace("1.0", repr(s)).replace("0.5", repr(0.5 * s)) + "[lattice]\nl = 7\n"
+    rc = main(["majorana-points", "--config", _config(tmp_path, head.replace("t2 = -", "t2 = "))])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "sign-mixed" in err
+    got = _mu_column(tmp_path, capsys, "majorana-points", head)
+    want = _mu_column(tmp_path, capsys, "majorana-points", _MIXED_HEAD + "[lattice]\nl = 7\n")
+    assert got.size == want.size == 14
+    assert np.allclose(got, s * want, rtol=1e-12, atol=0.0)
 
 
 def test_quantization_on_two_sites(tmp_path, capsys):

@@ -37,7 +37,6 @@ from mkc.lattice import (
     LINK_EQUAL,
     OPEN,
     PERIODIC,
-    SYMMETRY_TOL,
     ChainLattice,
     SlabLattice,
     _FrameBlocks,
@@ -49,6 +48,7 @@ from mkc.lattice import (
     spectrum,
 )
 from mkc.models import PAULI, PARALLEL, PERPENDICULAR, SZ, ChildSpec, ParentParams
+from mkc.tolerance import SYMMETRY_TOL
 
 
 # each child channel that shares its |E| spectrum with an earlier one, and that one

@@ -30,8 +30,6 @@ from mkc.lattice import (
     LINK_EQUAL,
     OPEN,
     PERIODIC,
-    ROOT_MATCH,
-    SYMMETRY_TOL,
     ChainLattice,
     SlabLattice,
     _zero_tol,
@@ -54,6 +52,7 @@ from mkc.models import (
     child_bloch,
     parent_bloch,
 )
+from mkc.tolerance import ROOT_MATCH, SYMMETRY_TOL
 
 RNG = np.random.default_rng(20240812)
 

@@ -18,7 +18,6 @@ from mkc.models import (
     child_bloch,
     dirac_expansion_parallel,
     dispersion_parallel,
-    gap_closures,
     group_velocity_perp,
     parent_bloch,
     reduce_momentum,
@@ -148,19 +147,6 @@ def test_gap_closes_at_band_edges(mu_sign, k_close):
         spec = ChildSpec(p1, ParentParams(1.0, 0.4, 0.3), PARALLEL)
         ep, _ = dispersion_parallel(spec, np.array([k_close]))
         assert abs(ep[0]) < 1e-12
-        conds = gap_closures(spec)
-        assert any(c["factor"] == 1 and abs(c["k"] - k_close) < 1e-12 for c in conds)
-
-
-def test_gap_closures_delta_zero():
-    spec = ChildSpec(
-        ParentParams(1.0, 0.0, -1.0), ParentParams(1.0, 0.5, 0.2), PARALLEL
-    )
-    conds = gap_closures(spec)
-    hit = [c for c in conds if c["condition"] == "delta=0"]
-    assert len(hit) == 1
-    ep, _ = dispersion_parallel(spec, np.array([hit[0]["k"]]))
-    assert abs(ep[0]) < 1e-12
 
 
 def test_symmetry_residuals_vanish():
@@ -291,3 +277,31 @@ def test_group_velocity_perp_away_from_criticality():
     # gapped branch: central difference of the closed-form band
     m1 = 2 * spec.p1.t * np.cos(0.02) + spec.p1.mu
     assert np.isfinite(rec.velocity).all()
+
+
+@pytest.mark.parametrize("s", [1e-13, 1.0, 1e13])
+@pytest.mark.parametrize(
+    "mu1, mu2, kx, ky, flags",
+    [(0.5, 3.0, 0.01, 0.01, (False, False)), (-2.0, -2.0, 0.01, 0.02, (True, False)),
+     (-2.0, 0.3, 0.0, 0.02, (False, True))],
+    ids=["gapped", "double-critical", "one-sided"],
+)
+def test_group_velocity_perp_is_scale_free(s, mu1, mu2, kx, ky, flags):
+    # E is a product of two factors linear in the parameters, so scaling
+    # them by s scales the velocity by s^2 and keeps both flags
+    def record(s):
+        spec = ChildSpec(ParentParams(s, s, mu1 * s), ParentParams(s, 0.5 * s, mu2 * s), PERPENDICULAR)
+        return group_velocity_perp(spec, kx, ky)
+
+    got, ref = record(s), record(1.0)
+    assert (got.at_critical, got.one_sided) == (ref.at_critical, ref.one_sided) == flags
+    assert got.velocity == pytest.approx(tuple(v * s * s for v in ref.velocity), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-4, 1.0, 1e13])
+def test_is_topological_agrees_with_the_winding_at_every_scale(s):
+    # 5e-9 of the scale inside |mu| < 2|t|, just clear of the critical band:
+    # topological at every scale, as parent_winding says
+    p = ParentParams(s, s, (2.0 - 5e-9) * s)
+    assert not p.is_critical()
+    assert p.is_topological() and parent_winding(p) == 1
