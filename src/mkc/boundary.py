@@ -22,7 +22,7 @@ from .lattice import OPEN, PERIODIC, ChainLattice, SlabLattice
 from .lattice import exact_zero_potentials, zero_subspace
 from .models import BELL_VECTORS, BLOCK_BASIS, PARALLEL, PERPENDICULAR, ChildSpec, ParentParams
 from .solve import singular_pairs
-from .tolerance import BAND_ZERO_TOL, ENTROPY_TOL, OVERLAP_MIN, PROPORTIONAL_TOL
+from .tolerance import ENTROPY_TOL, OVERLAP_MIN, PROPORTIONAL_TOL
 from .tolerance import RANK_CUT, RANK_TOL, SITE_TOL, SYMMETRY_TOL
 
 LN2 = float(np.log(2.0))
@@ -244,7 +244,6 @@ _FIRST_TOPO_ROWS = {1: ("bell:00-11", "bell:01-10"), -1: ("bell:00+11", "bell:01
 _SECOND_TOPO_ROWS = {1: ("bell:00-11", "bell:01+10"), -1: ("bell:00+11", "bell:01-10")}
 
 
-
 def _row_table(row):
     """A state set's references as the rows of a zero-padded 4x4 matrix.
 
@@ -457,7 +456,7 @@ def classify_zero_modes(spec, lat, zero_tol=None):
     gathered into one stack, zero-padded to the widest, and every later
     step is one call on that stack.
     """
-    zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=BAND_ZERO_TOL)
+    zs = zero_subspace(spec, lat, tol=zero_tol)
     if zs.count == 0:
         return {}
     regions, spinors = [], []

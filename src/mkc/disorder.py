@@ -44,7 +44,8 @@ part and its site-term coefficients, matches.  Where the components are
 trees, the key takes the moduli of the coefficients that sit on clean
 zeros, since a forest's singular values depend on its entry moduli alone;
 at the dead point yy, yz and zz so share one hopping-sector solve.  A
-chain sweep reads its clean levels from the same solver's corners.
+chain sweep reads its clean levels from the same solver's checked frame,
+a slab sweep from lattice.levels: both without an SVD.
 
 The same symmetries make channels come in twins with one |E| spectrum:
 the twin of a child channel P is the Pauli pair proportional to t_x s_x P.
@@ -66,21 +67,21 @@ from .lattice import (
     OPEN,
     SlabLattice,
     _FrameBlocks,
-    _chain_levels,
+    _frame_levels,
     _kron2,
     _negligible,
     _support,
     _with_mu,
     _zero_tol,
     chain_hopping_blocks,
+    levels,
     slab_hopping_blocks,
-    spectrum,
 )
 from .models import _C1, _C2, _U, PAULI, ParentParams
 from .parts import bond_folds, part_groups
 from .philox import _check_ensemble, _philox_uniform
 from .solve import singular_values, symmetric_levels
-from .tolerance import BAND_ZERO_TOL, SYMMETRY_TOL
+from .tolerance import SYMMETRY_TOL
 
 PARENT_CHANNELS = ("x", "y", "z")
 CHILD_CHANNELS = tuple(itertools.product("0xyz", repeat=2))
@@ -90,6 +91,7 @@ _PAIRS = np.stack([_kron2(PAULI[a], PAULI[b]) for a, b in CHILD_CHANNELS])
 DEFAULT_AMPLITUDE = 0.2
 DEFAULT_REALIZATIONS = 50
 DEFAULT_SEED = 42
+
 
 def _normalize_channel(channel):
     if isinstance(channel, str) and len(channel) == 2:
@@ -178,14 +180,12 @@ class BlockSolver:
         self._drawn, self._solved = None, {}
 
     def levels(self):
-        """Ascending |E| of the clean chain, one per +-E pair (lattice.chain_levels).
+        """Ascending |E| of the clean chain, one per +-E pair, as lattice.levels.
 
-        They are read from the chiral corners of split(0), built for this
-        call only (_FrameBlocks.corner); chains only.
+        They are read from the solver's own checked frame
+        (lattice._frame_levels); chains only.
         """
-        fb = self._blocks
-        corners = [fb.corner(rows, cols, self._lat) for rows, cols, _ in fb.split(0)]
-        return _chain_levels(corners, self._lat.bc)
+        return _frame_levels(self._blocks, self._lat)
 
     def _part(self, rows, cols, joins):
         """(key, groups) of the clean part rows x cols for the site term support joins.
@@ -425,8 +425,8 @@ def robustness_sweep(
     The chemical potential grid replaces mu on both parents together (the
     diagonal of the child phase diagram); None keeps the model's own mu.
     Channels default to x, y, z for a parent and all sixteen tensor pairs
-    for a child.  Per grid point the clean spectrum (a chain's from
-    BlockSolver.levels, a slab's from lattice.spectrum) fixes the bandwidth,
+    for a child.  Per grid point the clean levels (a chain's from
+    BlockSolver.levels, a slab's from lattice.levels) fix the bandwidth,
     the zero tolerance (BAND_ZERO_TOL of it unless given) and which levels
     count as zero modes; the report then tracks how far those levels move,
     taking the worst realization.  Every channel must act on the model's internal
@@ -463,14 +463,11 @@ def robustness_sweep(
     for m, mu in enumerate(mu_values):
         spec = model if mu is None else _with_mu(model, mu, LINK_EQUAL)
         solver = BlockSolver(spec, lat)
-        if isinstance(lat, SlabLattice):
-            clean = np.sort(np.abs(spectrum(spec, lat)))
-        else:
-            # the solver's own corners; each level stands for a +-E pair
-            clean = np.repeat(solver.levels(), 2)
+        # a chain reads the solver's own frame; each level stands for a +-E pair
+        clean = np.repeat(levels(spec, lat) if isinstance(lat, SlabLattice) else solver.levels(), 2)
         bw = 2.0 * float(clean[-1])  # the clean spectrum is symmetric about zero
-        tol = _zero_tol(bw, zero_tol, BAND_ZERO_TOL)
-        threshold[m] = _zero_tol(bw, None, BAND_ZERO_TOL)
+        tol = _zero_tol(bw, zero_tol)
+        threshold[m] = _zero_tol(bw, None)
         n_zero = int((clean < tol).sum())
         zero_counts[m] = n_zero
         if n_zero == 0:

@@ -18,17 +18,22 @@ sector of its zeros as its two sublattices.  In that frame a chain splits
 into one (parent) or two (child) chiral blocks [[0, A], [A^T, 0]], so its
 spectrum comes from the singular values of the real L x L corners A and
 its eigenvectors from their SVD.  A corner is built diagonal by diagonal
-(_FrameBlocks.corner).  No level takes an SVD: an open corner is Toeplitz, so persymmetric, and its levels
-are the |eigenvalues| of the symmetric J A (J the reversal), of its two
-reflection halves when A is symmetric too, or the entry moduli of a
-weighted matching, exactly; a periodic corner is circulant, and its levels
+(_FrameBlocks.corner).  One function, levels(), gives the levels of every
+clean chain and slab, and no level takes an SVD: an open corner is
+Toeplitz, so persymmetric, and its levels are the |eigenvalues| of the
+symmetric J A (J the reversal), of its two reflection halves when A is
+symmetric too, or the entry moduli of a weighted matching, exactly; a
+periodic corner is circulant, kept as its first column, and its levels
 are the moduli of its symbol at the momenta 2 pi n / L (both in
-mkc.toeplitz).  Chemical potential enters the corners as one quadratic
-pencil A0 + mu (A1 + mu A2), which sweeps evaluate instead of rebuilding
-the chain; an open pencil with scalar A0 and A2 and tridiagonal Toeplitz
-A1, as one sector of a child of two dead-point parents with t1 = t2 at the
-equal link, takes closed-form levels (toeplitz.pencil_levels).  A slab is the tensor product of two
-parent chains and is solved as those two chains.
+mkc.toeplitz).  A slab is the tensor product of two parent chains: its
+levels are the products of theirs, and its zero subspace is spanned by
+the tensor products of their singular vectors.  Chemical potential enters
+the corners as one quadratic pencil A0 + mu (A1 + mu A2), which sweeps
+evaluate instead of rebuilding the chain; an open pencil with scalar A0
+and A2 and tridiagonal Toeplitz A1, as one sector of a child of two
+dead-point parents with t1 = t2 at the equal link, takes closed-form
+levels (toeplitz.pencil_levels).  Zero subspaces count the levels below
+BAND_ZERO_TOL of the spread unless given an absolute tolerance.
 """
 
 import functools
@@ -50,7 +55,7 @@ from .models import (
     ParentParams,
 )
 from .solve import eigenvalues, singular_pairs, singular_values
-from .tolerance import EXACT_ZERO_TOL, ROOT_MATCH, ROOT_SPREAD, SYMMETRY_TOL, TOL_FLOOR, ZERO_REL_TOL
+from .tolerance import BAND_ZERO_TOL, EXACT_ZERO_TOL, ROOT_MATCH, ROOT_SPREAD, SYMMETRY_TOL, TOL_FLOOR
 from .toeplitz import circulant_levels, pencil_levels, persymmetric_levels
 
 OPEN = "open"
@@ -271,8 +276,14 @@ class _FrameBlocks:
             out.append((rows, cols, corner))
         return out
 
-    def entry(self, rows, cols):
-        """{r: rotated[r][i, j]} for the one frame column i of rows and j of cols."""
+    def entry(self, rows, cols, L):
+        """{r: rotated[r][i, j]} for the one frame column i of rows and j of cols.
+
+        ConfigError for a chain of L sites at most as long as the longest bond.
+        """
+        reach = max(abs(r) for r in self.rotated)
+        if L <= reach:
+            raise ConfigError(f"chain of length {L} too short for range-{reach} hopping")
         i, j = rows.argmax(), cols.argmax()
         return {r: b[i, j] for r, b in self.rotated.items()}
 
@@ -281,14 +292,11 @@ class _FrameBlocks:
 
         Bond r puts its entry on the diagonal (j, j + r), which a ring folds
         onto the diagonals r mod L and r mod L - L; entries on one position
-        add up from 0.0 in dict order, as on _bonds.  ConfigError for a
-        chain of at most |r| sites.
+        add up from 0.0 in dict order, as on _bonds.
         """
         L = lat.L
         a = np.zeros(L * L)
-        for r, v in self.entry(rows, cols).items():
-            if L <= abs(r):
-                raise ConfigError(f"chain of length {L} too short for range-{abs(r)} hopping")
+        for r, v in self.entry(rows, cols, L).items():
             if not v:
                 continue  # a sum from 0.0 never holds -0.0, so +-0.0 adds nothing
             for d in (r % L, r % L - L) if lat.bc == PERIODIC else (r,):
@@ -304,7 +312,7 @@ class _FrameBlocks:
         bitwise the matrix's.
         """
         col = np.zeros(L)
-        for r, v in self.entry(rows, cols).items():
+        for r, v in self.entry(rows, cols, L).items():
             col[-r % L] += v
         return col
 
@@ -385,55 +393,54 @@ def _chiral_eigenpairs(blocks, lat):
     return np.concatenate(sigmas), np.concatenate(plus_vecs + minus_vecs, axis=2)
 
 
-def _corner_levels(corner, bc):
-    """Singular values of one chiral corner, in no order: the chain's levels in its sector.
+def _frame_levels(fb, lat):
+    """Ascending levels of the chain lat from its checked frame fb: one |E| per +-E pair.
 
-    A periodic corner is circulant, since _FrameBlocks.corner wraps bond
-    j -> (j + r) mod L with one entry per displacement, and takes
-    toeplitz.circulant_levels of its first column; it may be given as that
-    column alone (_FrameBlocks.ring_column), with the same result to the
-    bit.  An open corner is Toeplitz, so persymmetric, and takes
-    toeplitz.persymmetric_levels.
+    They are the singular values of the chiral corners of fb.split(0), one
+    for the parent and two for the child.  An open corner is Toeplitz, so
+    persymmetric (toeplitz.persymmetric_levels); a periodic one is
+    circulant and is kept as its first column (_FrameBlocks.ring_column,
+    bitwise the corner's), whose symbol moduli are its levels
+    (toeplitz.circulant_levels).
     """
-    if bc == PERIODIC:
-        return circulant_levels(corner if corner.ndim == 1 else corner[:, 0])
-    return persymmetric_levels(corner)
+    if lat.bc == PERIODIC:
+        parts = [circulant_levels(fb.ring_column(r, c, lat.L)) for r, c, _ in fb.split(0)]
+    else:
+        parts = [persymmetric_levels(fb.corner(r, c, lat)) for r, c, _ in fb.split(0)]
+    return np.sort(np.concatenate(parts))
 
 
-def _chain_levels(corners, bc):
-    """Ascending levels of a chain over its chiral corners: one |E| per +-E pair."""
-    return np.sort(np.concatenate([_corner_levels(c, bc) for c in corners]))
+def levels(spec, lat):
+    """Ascending |E| of the clean chain or slab, one per +-E pair (spectrum: +-levels).
 
-
-def chain_levels(spec, lat):
-    """Ascending |E| of the clean chain, one per +-E pair: its spectrum is
-    -levels[::-1] then levels.
-
-    They are the levels of the real L x L corners of _chiral_corners, one
-    for the parent and two for the child: singular values of open
-    (persymmetric) corners, symbol moduli of periodic (circulant) ones
-    (_corner_levels).
+    A chain's are the levels of its checked frame (_frame_levels).  A slab
+    is the tensor product of two parent chains (slab_factor_blocks), so its
+    |E| are the products of their levels, each for two +-E pairs.
     """
-    corners = _chiral_corners(chain_hopping_blocks(spec), lat)
-    return _chain_levels([c for c, _, _ in corners], lat.bc)
+    if isinstance(lat, SlabLattice):
+        a, b = slab_factor_blocks(spec)
+        lx = _frame_levels(_FrameBlocks(a), ChainLattice(lat.Lx, lat.bcx))
+        ly = _frame_levels(_FrameBlocks(b), ChainLattice(lat.Ly, lat.bcy))
+        return np.repeat(np.sort(np.multiply.outer(lx, ly), axis=None), 2)
+    return _frame_levels(_FrameBlocks(chain_hopping_blocks(spec)), lat)
 
 
-def chain_spectrum(spec, lat):
-    """Ascending eigenvalues of the clean chain: +-chain_levels."""
-    levels = chain_levels(spec, lat)
-    return np.concatenate([-levels[::-1], levels])
+def spectrum(spec, lat):
+    """Ascending eigenvalues of the clean chain or slab: -levels[::-1] then levels."""
+    ev = levels(spec, lat)
+    return np.concatenate([-ev[::-1], ev])
 
 
 def low_energy_vs_length(spec, L_range, bc=OPEN, threads=1):
-    """Rows {L, levels: chain_levels, splitting: the middle pair's gap, twice the lowest level}.
+    """Rows {L, levels, splitting: the middle pair's gap, twice the lowest level}.
 
     The points run one after another.  threads is ignored: it stays only
     because bench/tracer.py binds it, and goes with the next benchmark change.
     """
     rows = []
     for L in L_range:
-        levels = chain_levels(spec, ChainLattice(L, bc))
-        rows.append({"L": int(L), "levels": levels, "splitting": 2.0 * abs(float(levels[0]))})
+        ev = levels(spec, ChainLattice(L, bc))
+        rows.append({"L": int(L), "levels": ev, "splitting": 2.0 * abs(float(ev[0]))})
     return rows
 
 
@@ -608,18 +615,18 @@ def spectrum_vs_mu(template, mu_grid, link, lat, threads=1):
     link picks how the two child chemical potentials follow the grid value
     (equal, opposite, or second one frozen); ignored for a parent template.
     Each row holds mu and, under "obc" and "pbc", the chain's ascending
-    levels there (chain_levels: one |E| per +-E pair, the spectrum being
+    levels there (as levels(): one |E| per +-E pair, the spectrum being
     -levels[::-1] then levels).  Each chiral corner is the pencil
     A0 + mu (A1 + mu A2) of one _FrameBlocks per mu coefficient
     (_mu_frames), shared by both boundary conditions: open corners are
     built once, periodic ones kept as their first columns
-    (_FrameBlocks.ring_column, all that _corner_levels reads of a circulant
-    corner).  Each open sector picks its solver once, from its coefficients
-    (toeplitz.pencil_levels): closed-form levels where A0 and A2 are scalar
-    and A1 tridiagonal Toeplitz, else the pencil at each point, as for every
-    periodic sector.  The points run one
-    after another.  threads is ignored: it stays only because
-    bench/tracer.py binds it, and goes with the next benchmark change.
+    (_FrameBlocks.ring_column, all that circulant_levels reads of a
+    circulant corner).  Each open sector picks its solver once, from its
+    coefficients (toeplitz.pencil_levels): closed-form levels where A0 and
+    A2 are scalar and A1 tridiagonal Toeplitz, else the pencil at each
+    point, as for every periodic sector.  The points run one after another.
+    threads is ignored: it stays only because bench/tracer.py binds it, and
+    goes with the next benchmark change.
     """
     frames = _mu_frames(template, link)
     chain = replace(lat, bc=OPEN)
@@ -631,8 +638,10 @@ def spectrum_vs_mu(template, mu_grid, link, lat, threads=1):
     return [
         {
             "mu": float(mu),
-            "obc": np.sort(np.concatenate([levels(mu) for levels in opened])),
-            "pbc": _chain_levels([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in rings], PERIODIC),
+            "obc": np.sort(np.concatenate([at(mu) for at in opened])),
+            "pbc": np.sort(np.concatenate([
+                circulant_levels(a0 + mu * (a1 + mu * a2)) for a0, a1, a2 in rings
+            ])),
         }
         for mu in np.asarray(mu_grid, dtype=float)
     ]
@@ -642,42 +651,39 @@ def spectrum_vs_mu(template, mu_grid, link, lat, threads=1):
 class ZeroSubspace:
     """Zero-energy eigenspace of a chain or slab Hamiltonian.
 
-    eigenvalues is the full ascending spectrum and count of its values lie
-    below tol in magnitude.  weights is the per-site weight of the zero
-    subspace, internal indices summed, with shape (L,) for chains and
-    (Lx, Ly) for slabs (array index i is site i+1 in 1-based reporting); it
-    sums to count.  spinors(sites) takes a tuple of index arrays, one per
+    count of its eigenvalues lie below tol in magnitude.  weights is the
+    per-site weight of the zero subspace, internal indices summed, with
+    shape (L,) for chains and (Lx, Ly) for slabs (array index i is site i+1
+    in 1-based reporting); it sums to count.  spinors(sites) takes a tuple of index arrays, one per
     axis, and returns an orthonormal basis of the subspace at those k sites,
     shape (k, internal, count); integer indices drop the k axis.
     """
 
-    eigenvalues: np.ndarray
     weights: np.ndarray
     count: int
     tol: float
     spinors: object
 
 
-def _zero_tol(spread, tol, rel_tol):
-    """The zero tolerance: tol as an absolute energy, else rel_tol x spread.
+def _zero_tol(spread, tol):
+    """The zero tolerance: tol as an absolute energy, else BAND_ZERO_TOL x spread.
 
     A given tol must be positive (ConfigError): no |E| lies below zero, so
     a tolerance at or below it would count no zero modes at all.
     """
     if tol is None:
-        return rel_tol * max(spread, TOL_FLOOR)
+        return BAND_ZERO_TOL * max(spread, TOL_FLOOR)
     if not tol > 0:
         raise ConfigError(f"zero tolerance must be positive, got {tol}")
     return float(tol)
 
 
-def _chain_zero_subspace(spec, lat, tol, rel_tol):
+def _chain_zero_subspace(spec, lat, tol):
     """Chain zero subspace: the chirality vectors of every sigma below tol."""
     sigma, basis = _chiral_eigenpairs(chain_hopping_blocks(spec), lat)
-    tol = _zero_tol(2.0 * float(sigma.max()), tol, rel_tol)
+    tol = _zero_tol(2.0 * float(sigma.max()), tol)
     psi = basis[:, :, np.tile(sigma < tol, 2)]
     return ZeroSubspace(
-        eigenvalues=np.sort(np.concatenate([-sigma, sigma])),
         weights=(psi**2).sum(axis=(1, 2)),
         count=psi.shape[2],
         tol=tol,
@@ -685,7 +691,7 @@ def _chain_zero_subspace(spec, lat, tol, rel_tol):
     )
 
 
-def _factor_zero_subspace(spec, lat, tol, rel_tol):
+def _factor_zero_subspace(spec, lat, tol):
     """Slab zero subspace from the eigenpairs of its two factor chains.
 
     The slab eigenvalues are the products e_i f_j of the factor eigenvalues
@@ -699,7 +705,7 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
     sx, ux = _chiral_eigenpairs(a, ChainLattice(lat.Lx, lat.bcx))
     sy, uy = _chiral_eigenpairs(b, ChainLattice(lat.Ly, lat.bcy))
     size = np.multiply.outer(np.tile(sx, 2), np.tile(sy, 2))
-    tol = _zero_tol(2.0 * float(size.max()), tol, rel_tol)
+    tol = _zero_tol(2.0 * float(size.max()), tol)
     mask = size < tol
     ii, jj = np.nonzero(mask)
 
@@ -708,9 +714,7 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
         pairs = ux[ix][..., None, ii] * uy[iy][..., None, :, jj]
         return pairs.reshape(np.shape(ix) + (4, ii.size))
 
-    ex, ey = np.concatenate([-sx, sx]), np.concatenate([-sy, sy])
     return ZeroSubspace(
-        eigenvalues=np.sort(np.multiply.outer(ex, ey), axis=None),
         weights=(ux**2).sum(axis=1) @ mask @ (uy**2).sum(axis=1).T,
         count=int(ii.size),
         tol=tol,
@@ -718,21 +722,13 @@ def _factor_zero_subspace(spec, lat, tol, rel_tol):
     )
 
 
-def zero_subspace(spec, lat, tol=None, rel_tol=None):
+def zero_subspace(spec, lat, tol=None):
     """Zero subspace of the clean model on a chain or slab lattice.
 
     Chains are solved by the SVD of their chiral corners, slabs as their
     two factor chains (see slab_factor_blocks) in the same way.  tol is an
-    absolute energy; by default it is rel_tol (ZERO_REL_TOL) times the spread.
+    absolute energy; by default it is BAND_ZERO_TOL times the spread.
     """
-    rel_tol = ZERO_REL_TOL if rel_tol is None else rel_tol
     if isinstance(lat, SlabLattice):
-        return _factor_zero_subspace(spec, lat, tol, rel_tol)
-    return _chain_zero_subspace(spec, lat, tol, rel_tol)
-
-
-def spectrum(spec, lat):
-    """Ascending eigenvalues of the clean chain (chain_spectrum) or slab (zero_subspace)."""
-    if isinstance(lat, SlabLattice):
-        return zero_subspace(spec, lat).eigenvalues
-    return chain_spectrum(spec, lat)
+        return _factor_zero_subspace(spec, lat, tol)
+    return _chain_zero_subspace(spec, lat, tol)

@@ -131,11 +131,6 @@ def _factor_bloch(p, k, sign):
     return (sign * np.asarray(m))[..., None, None] * SZ + np.asarray(r)[..., None, None] * SY
 
 
-def parent_bloch(p, k):
-    """2x2 Bloch matrix of the parent chain; broadcasts over an array of k."""
-    return _factor_bloch(p, reduce_momentum(k), -1.0)
-
-
 def _factor_matrices(spec, k):
     """Both 2x2 factors of the child at momentum k (stacked over k)."""
     ka, kb = _split_child_momentum(spec, k)

@@ -18,8 +18,8 @@ from .errors import ConfigError
 from .lattice import (
     SlabLattice,
     _with_mu,
+    levels,
     low_energy_vs_length,
-    spectrum,
     spectrum_vs_mu,
     zero_subspace,
 )
@@ -37,7 +37,7 @@ class ChiralLevels:
     """A column of the ascending levels of a spectrum closed under E -> -E.
 
     It is built from the spectrum's ascending magnitudes, one per +-E pair
-    (lattice.chain_levels), as +0.0 and up: np.abs turns a -0.0 from LAPACK
+    (lattice.levels), as +0.0 and up: np.abs turns a -0.0 from LAPACK
     into 0.0.  Iterating it yields the full ascending floats,
     -magnitudes[::-1] then magnitudes.  n_modes keeps the n_modes levels
     nearest zero in whole +-E pairs: the (n_modes + 1) // 2 smallest
@@ -104,10 +104,9 @@ class Rows:
 
 
 def _task_spectrum(cfg):
-    ev = spectrum(cfg.model, cfg.lattice)
+    magnitudes = levels(cfg.model, cfg.lattice)
     rows = Rows()
-    # the upper half of an ascending chiral spectrum: its magnitudes
-    rows.add(range(ev.size), ChiralLevels(ev[ev.size // 2 :]))
+    rows.add(range(2 * magnitudes.size), ChiralLevels(magnitudes))
     return {"columns": ["index", "energy"], "rows": rows}
 
 

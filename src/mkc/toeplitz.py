@@ -1,6 +1,6 @@
 """Singular values of Toeplitz chiral corners and their mu pencils, without an SVD.
 
-An open chain's chiral corner (lattice._corner_levels) is Toeplitz, entry
+An open chain's chiral corner (lattice._frame_levels) is Toeplitz, entry
 c_r on every (j, j + r), and so is each point of a sweep's pencil
 A0 + mu (A1 + mu A2), entry by entry, to the bit.  A Toeplitz A is
 persymmetric, J A J = A^T for the reversal J, so J A is symmetric, and its

@@ -30,8 +30,9 @@ SCALE_FLOOR = 1e-300  # under a parameter scale that divides
 
 # Physical thresholds.
 ZERO_TOL = 1e-8  # the tasks' zero-tol default, an absolute energy, echoed in the header
-ZERO_REL_TOL = 1e-8  # zero_subspace's default, of the spectral spread
-BAND_ZERO_TOL = 1e-6  # of the bandwidth: classify's zero subspace, disorder's verdict
+# of the clean levels' spread (the bandwidth): the one relative zero tolerance,
+# zero_subspace's and so classify's default, and disorder's verdict threshold
+BAND_ZERO_TOL = 1e-6
 GAP_TOL = 1e-9  # a parent's curve closes its gap this near the origin, of its largest modulus
 ENTROPY_TOL = 1e-6  # a Bell pair within it of ln 2, a product within it of 0
 OVERLAP_MIN = 0.999  # a catalogue state above it in squared overlap

@@ -23,11 +23,6 @@ from .errors import CriticalCurveError
 from .models import PARALLEL, PERPENDICULAR, _gap_closed, _modulus_bounds, _mr
 
 
-def center_distance(a, b):
-    """Distance between Wannier centers on the unit circle (mod 1)."""
-    return np.abs((np.asarray(a) - np.asarray(b) + 0.5) % 1.0 - 0.5)
-
-
 @dataclass
 class WannierSpectrum:
     centers: np.ndarray      # values in [0, 1), one per occupied band

@@ -16,8 +16,9 @@ region's 4x4 Gram matrix.  The winding references sample each
 parent curve, and each child component curve as the product it is, and
 count their turns by angle accumulation (winding_number), where mkc reads
 every winding from the parents' closed form.  The Wannier references run
-the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices, where
-mkc reads the centers from the parents' windings.
+the multiband Wilson loop of the full 2x2 or 4x4 Bloch matrices
+(parent_bloch for a parent), where mkc reads the centers from the
+parents' windings, and center_distance compares centers mod 1.
 component_dvector and component_bloch give each two-band child component
 as the product of its parents' (M, R); block_diagonalize checks them by
 rotating the full 4x4 child into the Bell basis, and winding_locus_check
@@ -76,7 +77,6 @@ from mkc.lattice import (
     PERIODIC,
     ChainLattice,
     SlabLattice,
-    ZeroSubspace,
     _chiral_corners,
     _components,
     _distinct,
@@ -100,11 +100,12 @@ from mkc.models import (
     _C1,
     _C2,
     _U,
+    _factor_bloch,
     _mr,
     _opnorm,
     _split_child_momentum,
     child_bloch,
-    parent_bloch,
+    reduce_momentum,
 )
 from mkc.tolerance import EXACT_ZERO_TOL, ROOT_MATCH, ROOT_SPREAD, SYMMETRY_TOL
 from mkc.topology import WannierSpectrum
@@ -301,22 +302,33 @@ def dense_levels(h):
         return np.linalg.eigh(h, UPLO="U")[0]
 
 
-def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
+@dataclass
+class DenseZeroSubspace:
+    """lattice.ZeroSubspace's fields, plus the full ascending spectrum of the dense solve."""
+
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+    count: int
+    tol: float
+    spinors: object
+
+
+def dense_zero_subspace(h, lat, tol=None):
     """Zero subspace of an explicit lattice matrix, by one dense solve.
 
-    tol is an absolute energy; by default it is rel_tol times the spectral
-    spread, as in lattice.zero_subspace.
+    tol is an absolute energy; by default it is BAND_ZERO_TOL times the
+    spectral spread, as in lattice.zero_subspace.
     """
     s = diagonalize(h)
     ev = s.eigenvalues
-    tol = _zero_tol(float(ev[-1] - ev[0]), tol, rel_tol)
+    tol = _zero_tol(float(ev[-1] - ev[0]), tol)
     sel = np.abs(ev) < tol
     psi = s.eigenvectors[:, sel]
     shape = (lat.L,) if isinstance(lat, ChainLattice) else (lat.Lx, lat.Ly)
     internal = h.shape[0] // int(np.prod(shape))
     per_site = (np.abs(psi) ** 2).sum(axis=1).reshape(-1, internal).sum(axis=1)
     blocks = psi.reshape(shape + (internal, psi.shape[1]))
-    return ZeroSubspace(
+    return DenseZeroSubspace(
         eigenvalues=ev,
         weights=per_site.reshape(shape),
         count=int(sel.sum()),
@@ -325,10 +337,10 @@ def dense_zero_subspace(h, lat, tol=None, rel_tol=1e-8):
     )
 
 
-def dense_solver(spec, lat, tol=None, rel_tol=1e-8):
+def dense_solver(spec, lat, tol=None):
     """lattice.zero_subspace's dense counterpart: the whole matrix, one eigh."""
     build = build_chain if isinstance(lat, ChainLattice) else build_slab
-    return dense_zero_subspace(build(spec, lat), lat, tol, rel_tol)
+    return dense_zero_subspace(build(spec, lat), lat, tol)
 
 
 def apply_onsite_disorder(h, spec, realization, sites=None):
@@ -588,7 +600,7 @@ def svd_classify_zero_modes(spec, lat, zero_tol=None, site_tol=1e-6, rank_tol=1e
     The content is the left singular vectors of the stack above rank_tol
     of the leading one, classified region by region by svd_mmzm_classify.
     """
-    zs = zero_subspace(spec, lat, tol=zero_tol, rel_tol=1e-6)
+    zs = zero_subspace(spec, lat, tol=zero_tol)
     if zs.count == 0:
         return {}
     out = {}
@@ -800,6 +812,16 @@ def _loop_centers(h_stack, ks, path_label):
     return WannierSpectrum(
         centers=_centers_from_wilson(w), filling=anchor.shape[1], path=path_label
     )
+
+
+def parent_bloch(p, k):
+    """2x2 Bloch matrix of the parent chain; broadcasts over an array of k."""
+    return _factor_bloch(p, reduce_momentum(k), -1.0)
+
+
+def center_distance(a, b):
+    """Distance between Wannier centers on the unit circle (mod 1)."""
+    return np.abs((np.asarray(a) - np.asarray(b) + 0.5) % 1.0 - 0.5)
 
 
 def dense_wannier_parent(p, R):

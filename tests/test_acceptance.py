@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import block_diagonalize, build_chain, build_slab, component_bloch
+from dense_reference import (
+    block_diagonalize,
+    build_chain,
+    build_slab,
+    center_distance,
+    component_bloch,
+)
 from mkc.analytic import analytic_mmzm_density, energy_scaling_near_critical
 from mkc.boundary import (
     classify_zero_modes,
@@ -30,7 +36,6 @@ from mkc.models import (
     symmetry_check,
 )
 from mkc.topology import (
-    center_distance,
     component_winding_parallel,
     component_winding_perp,
     wannier_centers_parallel,

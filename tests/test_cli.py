@@ -19,11 +19,13 @@ from dense_reference import (
     apply_onsite_disorder,
     build_chain,
     build_slab,
+    center_distance,
     dense_levels,
     dense_solver,
     dense_wannier_parallel,
     dense_wannier_parent,
     dense_wannier_perp,
+    parent_bloch,
     plain_csv,
     sampled_winding_parallel,
     sampled_winding_perp,
@@ -39,7 +41,7 @@ from mkc.boundary import (
 from mkc.cli import main
 from mkc.config import TASKS, parse_config
 from mkc.disorder import CHILD_CHANNELS, DisorderSpec
-from mkc.lattice import PERIODIC, ChainLattice, SlabLattice, chain_levels
+from mkc.lattice import PERIODIC, ChainLattice, SlabLattice, levels
 from mkc.models import (
     PAULI,
     PARALLEL,
@@ -47,11 +49,9 @@ from mkc.models import (
     ParentParams,
     dirac_expansion_parallel,
     group_velocity_perp,
-    parent_bloch,
 )
 from mkc.tasks import ChiralLevels, Rows, run_task
 from mkc.topology import (
-    center_distance,
     wannier_center_parent,
     wannier_centers_parallel,
     wannier_centers_perp,
@@ -215,13 +215,13 @@ def test_level_runs_render_the_per_cell_bytes():
     cfg = parse_config(PARENT_SPECTRUM)
     third = 1.0 / 3.0
     m = np.array([0.0, 0.0, 0.0, 0.25, 0.25, third, third, third, 2.0, np.nan, np.nan])
-    ring = chain_levels(ChildSpec(ParentParams(1.0, 0.6, 0.4), ParentParams(0.8, 1.1, -0.3), PARALLEL),
-                        ChainLattice(8, PERIODIC))
+    ring = levels(ChildSpec(ParentParams(1.0, 0.6, 0.4), ParentParams(0.8, 1.1, -0.3), PARALLEL),
+                  ChainLattice(8, PERIODIC))
     assert np.any(ring[1:] == ring[:-1])
     rows = Rows()
     for n_modes in (None, 1, 2, 5, 6, 7, 8, 9, 16, 30):
-        levels = ChiralLevels(m, n_modes)
-        rows.add(n_modes, range(len(levels)), levels)
+        column = ChiralLevels(m, n_modes)
+        rows.add(n_modes, range(len(column)), column)
     rows.add("ring", range(2 * ring.size), ChiralLevels(ring), 0.5)
     rows.add("nan", range(2), ChiralLevels(np.array([np.nan])))
     payload = {"columns": ["a", "b", "c", "d"], "rows": rows}

@@ -18,6 +18,7 @@ from dense_reference import (
     dense_levels,
     dense_solver,
     diagonalize,
+    parent_bloch,
     well_posed,
     whole_corner_potentials,
     zero_basis,
@@ -34,9 +35,9 @@ from mkc.lattice import (
     SlabLattice,
     _zero_tol,
     chain_hopping_blocks,
-    chain_spectrum,
     exact_zero_potentials,
     low_energy_vs_length,
+    spectrum,
     spectrum_vs_mu,
     zero_subspace,
 )
@@ -50,9 +51,8 @@ from mkc.models import (
     ChildSpec,
     ParentParams,
     child_bloch,
-    parent_bloch,
 )
-from mkc.tolerance import ROOT_MATCH, SYMMETRY_TOL
+from mkc.tolerance import BAND_ZERO_TOL, ROOT_MATCH, SYMMETRY_TOL
 
 RNG = np.random.default_rng(20240812)
 
@@ -262,11 +262,11 @@ def _chain_system(draw):
 def test_chain_spectrum_matches_dense(system):
     spec, lat = system
     dense = dense_levels(build_chain(spec, lat))
-    fast = chain_spectrum(spec, lat)
+    fast = spectrum(spec, lat)
     assert fast.shape == dense.shape
     assert np.abs(fast - dense).max() < 1e-12 * max(np.abs(dense).max(), 1.0)
     bw = float(dense[-1] - dense[0])
-    tol = _zero_tol(bw, None, 1e-8)
+    tol = _zero_tol(bw, None)
     parents = (spec.p1, spec.p2) if isinstance(spec, ChildSpec) else (spec,)
     if lat.bc == OPEN and all(map(_is_dead, parents)):
         # dead-point corners are weighted matchings, whose zero levels are exact
@@ -296,26 +296,30 @@ def test_corner_levels_match_corner_svd(p1, p2, child, bc, L, lapack_calls):
         L = max(L, 2 if child == "no" else 3)
     lat = ChainLattice(L, bc)
     fb = lattice._FrameBlocks(blocks)
+    sectors = []
     for rows, cols, _ in fb.split(0):
         corner = fb.corner(rows, cols, lat)
         want = np.linalg.svd(corner, compute_uv=False)
-        got = lattice._corner_levels(corner, bc)
+        if bc == PERIODIC:
+            # the first column alone, as levels and sweeps keep it, gives the same bits
+            column = fb.ring_column(rows, cols, lat.L)
+            assert column.tobytes() == corner[:, 0].tobytes()
+            got = toeplitz.circulant_levels(corner[:, 0].copy())
+            assert toeplitz.circulant_levels(column).tobytes() == got.tobytes()
+        else:
+            got = toeplitz.persymmetric_levels(corner)
+        sectors.append(got)
         assert np.abs(np.sort(got)[::-1] - want).max() <= 1e-13 * max(want[0], 1.0)
-        if bc == OPEN:
-            hit = corner != 0
-            if hit.sum(axis=0).max() <= 1 and hit.sum(axis=1).max() <= 1:
-                # a weighted matching: its entry moduli and exact zeros, with no LAPACK call
-                lapack_calls.clear()
-                assert lattice._corner_levels(corner, bc).tobytes() == got.tobytes()
-                assert lapack_calls == []
-                zeros = [0.0] * (L - hit.sum())
-                assert np.sort(got).tolist() == sorted(np.abs(corner[hit]).tolist() + zeros)
-            continue
-        # the first column alone, as sweeps keep it, gives the same bits
-        column = fb.ring_column(rows, cols, lat.L)
-        assert column.tobytes() == corner[:, 0].tobytes()
-        assert lattice._corner_levels(column, PERIODIC).tobytes() == got.tobytes()
-        assert lattice._corner_levels(corner[:, 0].copy(), PERIODIC).tobytes() == got.tobytes()
+        hit = corner != 0
+        if bc == OPEN and hit.sum(axis=0).max() <= 1 and hit.sum(axis=1).max() <= 1:
+            # a weighted matching: its entry moduli and exact zeros, with no LAPACK call
+            lapack_calls.clear()
+            assert toeplitz.persymmetric_levels(corner).tobytes() == got.tobytes()
+            assert lapack_calls == []
+            zeros = [0.0] * (L - hit.sum())
+            assert np.sort(got).tolist() == sorted(np.abs(corner[hit]).tolist() + zeros)
+    # the frame's levels are the sectors' levels, to the bit
+    assert lattice._frame_levels(fb, lat).tobytes() == np.sort(np.concatenate(sectors)).tobytes()
 
 
 def test_frame_blocks_share_one_read_only_frame_per_site_size():
@@ -330,14 +334,14 @@ def test_frame_blocks_share_one_read_only_frame_per_site_size():
 def test_open_corner_levels_need_a_persymmetric_corner():
     # eigvalsh reads one triangle of J A, so a corner that is not persymmetric
     # to the bit raises instead of returning levels of another matrix
-    toeplitz = np.array([[2.0, 1.0, 0.5], [0.25, 2.0, 1.0], [0.0, 0.25, 2.0]])
-    assert np.allclose(np.sort(lattice._corner_levels(toeplitz, OPEN))[::-1],
-                       np.linalg.svd(toeplitz, compute_uv=False), rtol=0, atol=1e-14)
-    off = toeplitz.copy()
+    a = np.array([[2.0, 1.0, 0.5], [0.25, 2.0, 1.0], [0.0, 0.25, 2.0]])
+    assert np.allclose(np.sort(toeplitz.persymmetric_levels(a))[::-1],
+                       np.linalg.svd(a, compute_uv=False), rtol=0, atol=1e-14)
+    off = a.copy()
     off[0, 1] = np.nextafter(1.0, 2.0)
     for corner in (off, np.diag([1.0, 2.0, 3.0]), np.arange(16.0).reshape(4, 4)):
         with pytest.raises(SymmetryError, match="persymmetric"):
-            lattice._corner_levels(corner, OPEN)
+            toeplitz.persymmetric_levels(corner)
 
 
 # |t| of a sweep's dead-point parents: at 1 and 1.5 the frame rotation keeps
@@ -410,7 +414,9 @@ def test_spectrum_vs_mu_matches_dense(case):
     ]
     for row in rows:
         mu = row["mu"]
-        want = lattice._chain_levels([a0 + mu * (a1 + mu * a2) for a0, a1, a2 in whole], PERIODIC)
+        want = np.sort(np.concatenate([
+            toeplitz.circulant_levels((a0 + mu * (a1 + mu * a2))[:, 0]) for a0, a1, a2 in whole
+        ]))
         assert row["pbc"].tobytes() == want.tobytes()
 
 
@@ -638,7 +644,7 @@ def test_chain_zero_subspace_matches_dense(system):
     fast = zero_subspace(spec, lat)
     dense = dense_solver(spec, lat)
     spread = float(dense.eigenvalues[-1] - dense.eigenvalues[0])
-    assert np.max(np.abs(fast.eigenvalues - dense.eigenvalues)) <= 1e-12 * max(spread, 1.0)
+    assert np.max(np.abs(spectrum(spec, lat) - dense.eigenvalues)) <= 1e-12 * max(spread, 1.0)
     assert fast.tol == pytest.approx(dense.tol, rel=1e-12)
 
     assume(well_posed(dense.eigenvalues, dense.tol))
@@ -848,7 +854,7 @@ def test_chain_spectrum_rejects_symmetry_breaking_block(monkeypatch, spec, term,
     blocks[0] = blocks[0] + 0.3 * term
     monkeypatch.setattr(lattice, "chain_hopping_blocks", lambda _: blocks)
     with pytest.raises(SymmetryError, match=match):
-        chain_spectrum(spec, ChainLattice(6))
+        spectrum(spec, ChainLattice(6))
 
 
 @pytest.mark.parametrize("spec", [_PARENT, _CHILD], ids=["parent", "child"])
@@ -857,10 +863,10 @@ def test_chain_spectrum_rejects_unpaired_hopping_block(monkeypatch, spec):
     blocks[-1] = blocks[1]  # H_{-1} != H_1^H: the pairing term flips sign
     monkeypatch.setattr(lattice, "chain_hopping_blocks", lambda _: blocks)
     with pytest.raises(NonHermitianError):
-        chain_spectrum(spec, ChainLattice(6))
+        spectrum(spec, ChainLattice(6))
     del blocks[-1]
     with pytest.raises(NonHermitianError):
-        chain_spectrum(spec, ChainLattice(6))
+        spectrum(spec, ChainLattice(6))
 
 
 def test_zero_mode_density_counts_and_normalization():
@@ -882,13 +888,28 @@ def test_zero_mode_density_slab_shape():
     assert dens.weights.sum() == pytest.approx(dens.count, abs=1e-9)
 
 
+def test_default_zero_subspace_holds_the_modes_classify_labels():
+    # each end holds a pair split by ~1.5e-6, about 1.6e-7 of the bandwidth:
+    # the default zero subspace and the classifier read one relative tolerance
+    child = ChildSpec(ParentParams(1.0, 0.5, 0.4), ParentParams(1.0, 1.0, 0.0), PARALLEL)
+    lat = ChainLattice(26)
+    zs = zero_subspace(child, lat)
+    assert zs.count == 4
+    assert zs.tol == pytest.approx(BAND_ZERO_TOL * 2.0 * lattice.levels(child, lat)[-1], rel=1e-12)
+    result = classify_zero_modes(child, lat)
+    assert {region: res.labels for region, res in result.items()} == {
+        "left": ("prod:00", "prod:11"), "right": ("prod:00", "prod:11"),
+    }
+    assert sum(res.subspace_dimension for res in result.values()) == zs.count
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 def test_non_positive_zero_tolerance_raises(tol):
     # no |E| lies below zero, so such a tolerance would silently count no zero modes
     child = ChildSpec(ParentParams(1, 1, 0), ParentParams(1, 1, 0), PARALLEL)
     assert zero_subspace(child, ChainLattice(12)).count == 4
     with pytest.raises(ConfigError, match="zero tolerance"):
-        _zero_tol(1.0, tol, 1e-6)
+        _zero_tol(1.0, tol)
     with pytest.raises(ConfigError, match="zero tolerance"):
         zero_subspace(child, ChainLattice(12), tol=tol)
     with pytest.raises(ConfigError, match="zero tolerance"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import block_diagonalize, component_bloch, component_dvector
+from dense_reference import block_diagonalize, component_bloch, component_dvector, parent_bloch
 from mkc.analytic import perp_edge_prediction
 from mkc.errors import CriticalCurveError
 from test_lattice import _parent
@@ -19,7 +19,6 @@ from mkc.models import (
     dirac_expansion_parallel,
     dispersion_parallel,
     group_velocity_perp,
-    parent_bloch,
     reduce_momentum,
     symmetry_check,
 )

@@ -1,15 +1,15 @@
 """Factorized slab solver against the dense reference eigh(build_slab(...)).
 
 The perpendicular slab is a reordered tensor product of two parent chains,
-so lattice.zero_subspace solves it as the two chains.  These tests hold the
-factor path to the dense solve of the full slab matrix: spectra, zero
-counts, zero-subspace projectors, densities and classification labels,
-never single eigenvectors.
+so lattice.levels and lattice.zero_subspace solve it as the two chains.
+These tests hold the factor path to the dense solve of the full slab
+matrix: spectra, zero counts, zero-subspace projectors, densities and
+classification labels, never single eigenvectors.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
@@ -17,12 +17,13 @@ from dense_reference import (
     build_slab_factors,
     classify_with,
     decisions,
+    dense_levels,
     dense_solver,
     well_posed,
     zero_basis,
 )
 from mkc.boundary import kc_majorana_points, perp_obc_gapless_points
-from mkc.lattice import OPEN, PERIODIC, SlabLattice, zero_subspace
+from mkc.lattice import OPEN, PERIODIC, SlabLattice, levels, spectrum, zero_subspace
 from mkc.models import PERPENDICULAR, ChildSpec, ParentParams
 
 _sign = st.sampled_from([-1.0, 1.0])
@@ -103,7 +104,7 @@ def test_factor_path_matches_dense_slab(case):
     fast = zero_subspace(spec, lat)
     dense = dense_solver(spec, lat)
     spread = float(dense.eigenvalues[-1] - dense.eigenvalues[0])
-    assert np.max(np.abs(fast.eigenvalues - dense.eigenvalues)) <= 1e-12 * max(spread, 1.0)
+    assert np.max(np.abs(spectrum(spec, lat) - dense.eigenvalues)) <= 1e-12 * max(spread, 1.0)
     assert fast.tol == pytest.approx(dense.tol, rel=1e-12)
 
     assume(well_posed(dense.eigenvalues, dense.tol))
@@ -144,13 +145,14 @@ def test_factor_path_matches_dense_slab(case):
 
 
 def test_product_of_two_nonzero_factor_levels_counts_as_zero():
-    # near the sweet spot each 6-site chain splits its end pair by ~1e-6:
+    # near the sweet spot each 6-site chain splits its end pair by ~2e-6:
     # neither factor has a level below the slab tolerance, their product does
     spec = ChildSpec(
         ParentParams(1.0, 1.0, 0.2), ParentParams(1.0, 1.0, -0.2), PERPENDICULAR
     )
     lat = SlabLattice(6, 6)
-    fast = zero_subspace(spec, lat)
+    tol = 1e-8
+    fast = zero_subspace(spec, lat, tol=tol)
     hx, hy = build_slab_factors(spec, lat)
     low_x = np.abs(np.linalg.eigvalsh(hx)).min()
     low_y = np.abs(np.linalg.eigvalsh(hy)).min()
@@ -159,7 +161,7 @@ def test_product_of_two_nonzero_factor_levels_counts_as_zero():
     assert fast.count == 4
     ev = np.linalg.eigvalsh(build_slab(spec, lat))
     assert (np.abs(ev) < fast.tol).sum() == 4
-    dense = dense_solver(spec, lat)
+    dense = dense_solver(spec, lat, tol=tol)
     assert np.max(np.abs(fast.weights - dense.weights)) < 1e-9
 
 
@@ -181,5 +183,36 @@ def test_gapless_point_quartets_follow_from_factor_kernels():
         )
         zs = zero_subspace(spec, lat, tol=tol)
         assert zs.count == 4 * deg
-        ev = np.abs(zs.eigenvalues)
+        ev = np.abs(spectrum(spec, lat))
         assert ev[ev >= tol].min() > 100.0 * tol
+
+
+@st.composite
+def _dead_slab_case(draw):
+    """A _slab_case whose parents each move to a dead point (|Delta| = |t|, mu = 0) half the time."""
+    spec, lat = draw(_slab_case())
+    p1, p2 = (
+        ParentParams(p.t, np.copysign(abs(p.t), p.delta), 0.0) if draw(st.booleans()) else p
+        for p in (spec.p1, spec.p2)
+    )
+    return ChildSpec(p1, p2, PERPENDICULAR), lat
+
+
+# lapack_calls is cleared in each example before the calls it checks
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_dead_slab_case())
+@example(case=(ChildSpec(ParentParams(1.0, 1.0, 0.0), ParentParams(1.0, 1.0, 3.0), PERPENDICULAR),
+               SlabLattice(4, 5)))
+@example(case=(ChildSpec(ParentParams(-1.5, 1.5, 0.0), ParentParams(1.0, -1.0, 0.0), PERPENDICULAR),
+               SlabLattice(3, 6, bcx=PERIODIC, bcy=OPEN)))
+def test_slab_levels_take_no_svd_and_match_dense(case, lapack_calls):
+    # the slab's levels are the products of its two factor chains' levels,
+    # read without an SVD: no corner of either factor is decomposed
+    spec, lat = case
+    lapack_calls.clear()
+    lev, ev = levels(spec, lat), spectrum(spec, lat)
+    assert all(name != "svd" for name, *_ in lapack_calls)
+    dense = dense_levels(build_slab(spec, lat))
+    assert lev.shape == (dense.size // 2,) and np.all(np.diff(lev) >= 0.0)
+    assert np.array_equal(ev, np.concatenate([-lev[::-1], lev]))
+    assert np.abs(ev - dense).max() <= 1e-12 * max(np.abs(dense).max(), 1.0)

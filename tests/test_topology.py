@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     WindingCurve,
+    center_distance,
     dense_wannier_parallel,
     dense_wannier_parent,
     dense_wannier_perp,
@@ -19,7 +20,6 @@ from dense_reference import (
 from mkc.errors import CriticalCurveError, GaplessPathError
 from mkc.models import PARALLEL, PERPENDICULAR, ChildSpec, ParentParams, _modulus_bounds, _mr
 from mkc.topology import (
-    center_distance,
     component_winding_parallel,
     component_winding_perp,
     parent_winding,
